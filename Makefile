@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-scan bench-spill bench-plan bench-serve bench-parallel bench-wlm chaos chaos-resize spill workload
+.PHONY: build test race bench-smoke perf perf-compare chaos chaos-resize spill workload
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,22 @@ chaos:
 chaos-resize:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -run 'TestChaosResize|TestChaosBurst' -v .
 
-bench:
+# One iteration of every Go micro-benchmark: a CI smoke check that the
+# benchmark bodies stay runnable. Numbers come from `make perf`, not here.
+bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# One-iteration scan-path benchmarks: a CI smoke check that the cache and
-# late-materialization paths stay runnable (BENCH_scan.json has real runs).
-bench-scan:
-	$(GO) test -bench 'ScanHotCold|FilterSelectivity' -benchtime 1x -run '^$$' .
+# The measurement spine (benchmark/README.md): every workload, one untraced
+# and one traced run each, written to PERF_OUT. perf-compare judges that
+# file against the committed baseline (PERF_BASE) with per-workload bounds
+# and exits non-zero on a regression.
+PERF_OUT ?= benchmark/out/run.json
+PERF_BASE ?= benchmark/baseline.json
+perf:
+	$(GO) run ./benchmark -workload all -out $(PERF_OUT)
+
+perf-compare:
+	$(GO) run ./benchmark -compare $(PERF_BASE) $(PERF_OUT)
 
 # Memory-governance suite under the race detector: the spill twin battery
 # (bit-identical results at unlimited/256KiB/64KiB grants), the mid-spill
@@ -52,30 +61,6 @@ spill:
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run 'TestSpill|TestStvQueryMemory' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run 'TestProp|TestAggAccounting' ./internal/exec
 
-# One-iteration spill benchmarks: CI smoke that the grace-join and
-# external-sort disk paths stay runnable (BENCH_spill.json has real runs).
-bench-spill:
-	$(GO) test -bench 'SpillJoin|ExternalSort' -benchtime 1x -run '^$$' ./internal/exec
-
-# One-iteration plan-quality benchmark: CI smoke that the cost-based join
-# reorderer and the syntax-order escape hatch both stay runnable
-# (BENCH_plan.json has real runs comparing bytes moved).
-bench-plan:
-	$(GO) test -bench PlanQuality -benchtime 1x -run '^$$' .
-
-# One-iteration serving-path benchmarks: CI smoke that the 1k-session wire
-# throughput benchmark and the parser-pooling benchmark stay runnable
-# (BENCH_serve.json has real runs comparing cache-on vs cache-off qps).
-bench-serve:
-	$(GO) test -bench ServeThroughput -benchtime 1x -run '^$$' ./internal/wire
-	$(GO) test -bench ParsePooling -benchtime 1x -run '^$$' ./internal/sql
-
-# One-iteration intra-slice parallelism benchmarks: CI smoke that the
-# morsel-driven scan and parallel join build stay runnable at dop 1 and 4
-# (BENCH_parallel.json has real runs; speedup needs a multi-core host).
-bench-parallel:
-	$(GO) test -bench 'ParallelScan|ParallelBuild' -benchtime 1x -run '^$$' .
-
 # Multi-tenant QoS battery under the race detector: the pinned-seed
 # workload replay against named queues (fast-lane p99 bounded under ETL
 # saturation, zero cross-queue leakage, stv_wlm_* books balanced), the
@@ -85,9 +70,3 @@ workload:
 	$(GO) test -race -run 'TestWorkloadQoS' -v .
 	$(GO) test -race -run 'TestWLM' ./internal/core
 	$(GO) test -race ./internal/workload
-
-# One-iteration WLM replay benchmark: CI smoke that both twin
-# configurations (named fast lane vs single shared queue) stay runnable
-# (BENCH_wlm.json has real runs comparing short-query p99).
-bench-wlm:
-	$(GO) test -bench WorkloadReplay -benchtime 1x -run '^$$' .

@@ -2,7 +2,7 @@
 // possible FROM order, run with the cost-based join reorderer (default)
 // and with it disabled (SyntaxJoinOrder). net-B/op is the query's
 // interconnect traffic (Result.Stats.NetBytes) — the cost model's target
-// metric. BENCH_plan.json records the baseline comparison.
+// metric. EXPERIMENTS.md records the baseline comparison.
 package redshift_test
 
 import (

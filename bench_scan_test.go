@@ -1,6 +1,6 @@
 // Scan-path benchmarks: the decoded-block buffer cache (hot vs cold) and
 // predicate-first late materialization (decoded bytes vs selectivity).
-// BENCH_scan.json records the pre-change baseline these are compared to.
+// EXPERIMENTS.md keeps the pre-change baseline these were compared to.
 package redshift_test
 
 import (

@@ -2,7 +2,7 @@
 // shorts + saturating ETL waves) against named queues with a short-query
 // fast lane, then against a single shared queue with the same total slot
 // count. One op is one full replay; the reported short_p99_ms /
-// short_wait_ms metrics are what BENCH_wlm.json records — the QoS claim is
+// short_wait_ms metrics are what EXPERIMENTS.md records — the QoS claim is
 // their ratio between the two configurations, not the wall time.
 package redshift_test
 

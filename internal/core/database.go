@@ -158,15 +158,7 @@ type runningQuery struct {
 	// par is the query's live intra-slice parallelism state, attached once
 	// the DOP is chosen (nil before then and for serial-only paths). Read
 	// by stv_exec_workers.
-	par *parallelStats
-}
-
-// parallelStats tracks one query's morsel-driven execution for the
-// stv_exec_workers system table and the parallelism telemetry.
-type parallelStats struct {
-	dop     int
-	workers atomic.Int64 // live morsel worker goroutines
-	morsels atomic.Int64 // morsels dispatched so far
+	par *exec.FanoutStats
 }
 
 // ExecStats reports what one statement cost.
@@ -305,7 +297,7 @@ func (db *Database) attachQueryMem(id int64, mem *exec.MemTracker, spill *exec.S
 
 // attachQueryExec publishes a query's chosen DOP and live worker counters
 // on its running-query entry so stv_exec_workers can observe it in flight.
-func (db *Database) attachQueryExec(id int64, par *parallelStats) {
+func (db *Database) attachQueryExec(id int64, par *exec.FanoutStats) {
 	db.qmu.Lock()
 	if rq := db.running[id]; rq != nil {
 		rq.par = par
@@ -490,7 +482,7 @@ func (db *Database) queryExecSnapshot() []queryExecRow {
 		if rq.par == nil {
 			continue
 		}
-		out = append(out, queryExecRow{rq.id, int64(rq.par.dop), rq.par.workers.Load(), rq.par.morsels.Load()})
+		out = append(out, queryExecRow{rq.id, int64(rq.par.DOP), rq.par.Workers.Load(), rq.par.Morsels.Load()})
 	}
 	return out
 }

@@ -20,6 +20,9 @@ func TestWLMLimitsConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedSales(t, db)
+	// Identical concurrent SELECTs would race the result cache, and a hit
+	// skips WLM admission — TotalQueries would undercount.
+	mustExec(t, db, `SET result_cache TO off`)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -84,6 +87,7 @@ func TestWLMQueueWaitReported(t *testing.T) {
 func TestWLMUnlimitedByDefault(t *testing.T) {
 	db := openDB(t, exec.Compiled)
 	seedSales(t, db)
+	mustExec(t, db, `SET result_cache TO off`) // a cache hit skips WLM admission
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

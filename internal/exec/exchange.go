@@ -124,43 +124,38 @@ func (e *Exchange) closeSend(src int) {
 	}
 }
 
-// Produce drives op to exhaustion, routing every output batch to its
-// destinations. It always closes src's streams on the way out and aborts
-// the exchange on any failure, so consumers never hang.
-func (e *Exchange) Produce(ctx context.Context, src int, op Operator, route RouteFn) {
+// Run drives p as src's producer: p's batches are routed and sent in
+// sequence order, so consumers see the one-worker stream however many
+// workers p scans with. It always closes src's streams on the way out and
+// aborts the exchange on any failure, so consumers never hang. p.Sink is
+// set here; the returned error is the one the exchange was aborted with.
+func (e *Exchange) Run(ctx context.Context, src int, p *Pipeline, route RouteFn) error {
 	defer e.closeSend(src)
-	if err := op.Open(ctx); err != nil {
-		e.Abort(err)
-		op.Close()
-		return
-	}
-loop:
-	for {
-		b, err := op.Next(ctx)
-		if err != nil {
-			e.Abort(err)
-			break
-		}
-		if b == nil {
-			break
-		}
+	p.Sink = NewOrderedSink(func(b *Batch) error {
 		parts, err := route(b)
 		if err != nil {
-			e.Abort(err)
-			break
+			return err
 		}
-		for dst, p := range parts {
-			if p == nil || p.N == 0 {
+		for dst, part := range parts {
+			if part == nil || part.N == 0 {
 				continue
 			}
-			if err := e.Send(ctx, src, dst, p); err != nil {
-				break loop
+			if err := e.Send(ctx, src, dst, part); err != nil {
+				return err
 			}
 		}
-	}
-	if err := op.Close(); err != nil {
+		return nil
+	})
+	err := p.Run(ctx)
+	if err != nil {
 		e.Abort(err)
 	}
+	return err
+}
+
+// Produce is Run over an Operator source.
+func (e *Exchange) Produce(ctx context.Context, src int, op Operator, route RouteFn) {
+	e.Run(ctx, src, &Pipeline{Op: op}, route)
 }
 
 // Drain empties every channel after all producers and consumers have

@@ -569,9 +569,14 @@ func TestMergeSorted(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	b := twoColBatch([]int64{1, 1, 2, 1}, []string{"a", "a", "a", "b"})
-	d := Distinct(b)
+	dd := NewDeduper(nil)
+	d, _ := dd.Apply(b)
 	if d.N != 3 {
 		t.Errorf("distinct rows = %d", d.N)
+	}
+	// The seen-set spans batches: a replay of the same rows adds nothing.
+	if again, _ := dd.Apply(b); again.N != 0 {
+		t.Errorf("replayed batch kept %d rows, want 0", again.N)
 	}
 }
 

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"context"
+	"sync"
+	"sync/atomic"
+
 	"redshift/internal/plan"
 	"redshift/internal/sql"
 	"redshift/internal/types"
@@ -36,6 +40,12 @@ type HashJoin struct {
 	hintBytes int64 // query-wide resident build demand estimate
 	hintRows  int64 // this slice's expected build rows
 	hinted    bool
+
+	// Deferred-insert build (SetBuildWorkers > 1): Build only retains each
+	// batch and its base position; FinishBuild inserts the keys.
+	workers  int
+	retained []*Batch
+	bases    []int
 }
 
 // SetMemory attaches the join to the query's memory governance. Must be
@@ -54,6 +64,13 @@ func (j *HashJoin) SetSizeHint(totalBytes, perSliceRows int64) {
 	j.hintBytes, j.hintRows = totalBytes, perSliceRows
 	j.hinted = totalBytes > 0 || perSliceRows > 0
 }
+
+// SetBuildWorkers makes the build insert keys with n workers: Build then
+// only concatenates and charges each batch, and FinishBuild — which must be
+// called once the build side is exhausted — evaluates and inserts every key
+// in parallel. The table comes out identical to the one-worker build. Must
+// be called before Build; n <= 1 keeps the inline insert.
+func (j *HashJoin) SetBuildWorkers(n int) { j.workers = n }
 
 // applyHint acts on the planner's size hint once, before the first batch
 // is retained.
@@ -129,6 +146,9 @@ func (j *HashJoin) Build(b *Batch) error {
 	if j.spill != nil {
 		return j.spill.addBuild(b)
 	}
+	if j.workers > 1 {
+		return j.retain(b)
+	}
 	base := j.build.N
 	// Materialize any nil columns as typed empties so Concat stays aligned.
 	if err := j.alignAndConcat(b); err != nil {
@@ -166,6 +186,130 @@ func (j *HashJoin) Build(b *Batch) error {
 		return j.enterSpill()
 	}
 	j.charged += delta
+	return nil
+}
+
+// retain is Build minus the table inserts: the batch is charged and
+// concatenated exactly as the inline build would, spill cutover included;
+// its keys wait for FinishBuild.
+func (j *HashJoin) retain(b *Batch) error {
+	if !j.mc.tryGrow(b.ByteSize()) {
+		if err := j.enterSpill(); err != nil {
+			return err
+		}
+		return j.spill.addBuild(b)
+	}
+	j.charged += b.ByteSize()
+	j.bases = append(j.bases, j.build.N)
+	j.retained = append(j.retained, b)
+	return j.alignAndConcat(b)
+}
+
+// fnvOwner assigns a hash key to one of n owner-workers (FNV-1a).
+func fnvOwner(k string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(k); i++ {
+		h ^= uint32(k[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
+}
+
+// FinishBuild completes a deferred-insert build (a no-op otherwise, and
+// once the join has spilled — the grace path replays build rows in their
+// original order from disk). Two phases:
+//
+//  1. Parallel key evaluation: workers encode every retained batch's keys.
+//  2. Partitioned insert: each owner-worker scans all keys in batch order
+//     and inserts only the keys it owns (hash(k) % workers) into a private
+//     map at the row's global build position, so per-key position lists
+//     come out ascending — the inline insert order. The disjoint maps are
+//     then unified into j.table.
+//
+// The table's key/position overhead is charged as one lump at the end; if
+// that fails the join flips into grace-spill mode like the inline path.
+// The spill trigger point can differ from a one-worker build by part of a
+// batch, but the join's output cannot.
+func (j *HashJoin) FinishBuild(ctx context.Context) error {
+	retained, bases := j.retained, j.bases
+	j.retained, j.bases = nil, nil
+	nb := len(retained)
+	if nb == 0 || j.spill != nil {
+		return nil
+	}
+	keys := make([][]string, nb)
+	nulls := make([][]bool, nb)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	errs := make([]error, j.workers)
+	for w := 0; w < j.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1) - 1)
+				if i >= nb {
+					return
+				}
+				if errs[w] = ctx.Err(); errs[w] != nil {
+					return
+				}
+				if keys[i], nulls[i], errs[w] = keyStrings(j.buildKeys, retained[i]); errs[w] != nil {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+
+	subs := make([]map[string][]int, j.workers)
+	deltas := make([]int64, j.workers)
+	for w := 0; w < j.workers; w++ {
+		wg.Add(1)
+		go func(owner int) {
+			defer wg.Done()
+			sub := make(map[string][]int)
+			var delta int64
+			for i := 0; i < nb; i++ {
+				ks, nl := keys[i], nulls[i]
+				for r := range ks {
+					if nl[r] {
+						continue // NULL keys never match
+					}
+					k := ks[r]
+					if fnvOwner(k, j.workers) != owner {
+						continue
+					}
+					if _, ok := sub[k]; !ok {
+						delta += joinKeyOverhead + int64(len(k))
+					}
+					delta += joinPosBytes
+					sub[k] = append(sub[k], bases[i]+r)
+				}
+			}
+			subs[owner], deltas[owner] = sub, delta
+		}(w)
+	}
+	wg.Wait()
+
+	var keyDelta int64
+	for w, sub := range subs {
+		keyDelta += deltas[w]
+		for k, pos := range sub {
+			j.table[k] = pos
+		}
+	}
+	if !j.mc.tryGrow(keyDelta) {
+		// enterSpill resets the table and re-partitions the accumulated
+		// build rows; the shrink it performs returns the retain charges.
+		return j.enterSpill()
+	}
+	j.charged += keyDelta
 	return nil
 }
 

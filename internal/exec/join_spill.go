@@ -171,6 +171,46 @@ func (g *graceSpill) addProbe(b *Batch) error {
 	return scatter(withSeqCol(b, &g.seq), part, g.probeFiles)
 }
 
+// SpillProbe partitions one probe batch of a spilled join to scratch,
+// consuming it. The whole probe stream must pass through before SpillOutput
+// is opened.
+func (j *HashJoin) SpillProbe(b *Batch) error {
+	err := j.spill.addProbe(b)
+	PutBatch(b)
+	return err
+}
+
+// SpillOutput returns a spilled join's result as an Operator: Open joins
+// every partition pair, Next streams the seq-merged output — row for row
+// the in-memory probe order — with the carry column stripped.
+func (j *HashJoin) SpillOutput() Operator { return &graceOutput{g: j.spill} }
+
+type graceOutput struct {
+	g   *graceSpill
+	out batchStream
+}
+
+func (o *graceOutput) Open(ctx context.Context) (err error) {
+	o.out, err = o.g.run(ctx)
+	return err
+}
+
+func (o *graceOutput) Next(ctx context.Context) (*Batch, error) {
+	for {
+		b, err := o.out.Next(ctx)
+		if err != nil || b == nil {
+			return nil, err
+		}
+		b.Cols = b.Cols[:len(b.Cols)-1] // strip the probe-sequence carry
+		if b.N > 0 {
+			return b, nil
+		}
+		PutBatch(b)
+	}
+}
+
+func (o *graceOutput) Close() error { return nil }
+
 // withSeqCol returns a view of b with one extra Int64 column numbering
 // rows from *seq, advancing *seq past them.
 func withSeqCol(b *Batch, seq *int64) *Batch {

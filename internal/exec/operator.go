@@ -6,23 +6,19 @@ import (
 	"time"
 
 	"redshift/internal/plan"
-	"redshift/internal/storage"
 	"redshift/internal/telemetry"
-	"redshift/internal/types"
 )
 
-// Operator is one node of a streaming physical-operator chain: the
-// pull-based (Volcano-style) execution model of §2.1, where intermediate
-// results flow batch-at-a-time through a fused per-slice pipeline instead
-// of being fully materialized between stages. Next returns (nil, nil) at
+// Operator is a pull-based (Volcano-style) batch stream: a Pipeline's
+// serial sources (exchange receive, materialized rows, a grace join's
+// output) and the leader's final merge chain. Next returns (nil, nil) at
 // end of stream. Operators are single-consumer: one goroutine drives a
 // chain end to end.
 //
 // The context flows through every pull so cancellation (Database.Cancel,
-// statement_timeout) reaches the leaves: scans check it per block pull
-// and exchange receives select on it, bounding abort latency to one
-// batch boundary. Close never takes a context — cleanup must run even
-// after cancellation.
+// statement_timeout) reaches the leaves: exchange receives select on it,
+// bounding abort latency to one batch boundary. Close never takes a
+// context — cleanup must run even after cancellation.
 type Operator interface {
 	Open(ctx context.Context) error
 	Next(ctx context.Context) (*Batch, error)
@@ -53,53 +49,6 @@ func (s *BatchSource) Next(ctx context.Context) (*Batch, error) {
 }
 
 func (s *BatchSource) Close() error { return nil }
-
-// ScanOp streams one table's visible segments on one slice, one block
-// row-group per Next pull.
-type ScanOp struct {
-	sc   *Scanner
-	segs []*storage.Segment
-	si   int
-	bi   int
-}
-
-// NewScanOp wraps a prepared Scanner over a segment list.
-func NewScanOp(sc *Scanner, segs []*storage.Segment) *ScanOp {
-	return &ScanOp{sc: sc, segs: segs}
-}
-
-func (o *ScanOp) Open(ctx context.Context) error { return nil }
-
-func (o *ScanOp) Next(ctx context.Context) (*Batch, error) {
-	for o.si < len(o.segs) {
-		// The per-pull check is what bounds cancellation latency at the
-		// pipeline's leaves.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		seg := o.segs[o.si]
-		if o.bi >= seg.NumBlocks() {
-			o.si++
-			o.bi = 0
-			continue
-		}
-		if seg.Schema.Len() != o.sc.width {
-			return nil, errWidth("segment", seg.Schema.Len(), o.sc.width)
-		}
-		bi := o.bi
-		o.bi++
-		b, err := o.sc.ScanBlock(ctx, seg, bi)
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-	}
-	return nil, nil
-}
-
-func (o *ScanOp) Close() error { return nil }
 
 // FilterOp streams its child through a predicate, dropping emptied batches.
 type FilterOp struct {
@@ -170,295 +119,6 @@ func (o *ProjectOp) Next(ctx context.Context) (*Batch, error) {
 }
 
 func (o *ProjectOp) Close() error { return o.child.Close() }
-
-// HashJoinOp is the join's pipeline breaker on the build side only: Open
-// drains the build child into the hash table, then probe batches stream
-// through without materialization. If the build side overflowed its
-// memory grant, Next instead drains the probe side into grace-join
-// partitions and streams the merged per-partition join output, which is
-// row-for-row identical to the in-memory order.
-type HashJoinOp struct {
-	join  *HashJoin
-	build Operator
-	probe Operator
-
-	spillOut batchStream // set once the spilled probe has been partitioned and joined
-}
-
-// NewHashJoinOp pairs a prepared HashJoin with its input operators.
-func NewHashJoinOp(join *HashJoin, build, probe Operator) *HashJoinOp {
-	return &HashJoinOp{join: join, build: build, probe: probe}
-}
-
-func (o *HashJoinOp) Open(ctx context.Context) error {
-	if err := o.build.Open(ctx); err != nil {
-		o.build.Close()
-		return err
-	}
-	for {
-		b, err := o.build.Next(ctx)
-		if err != nil {
-			o.build.Close()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := o.join.Build(b); err != nil {
-			o.build.Close()
-			return err
-		}
-	}
-	if err := o.build.Close(); err != nil {
-		return err
-	}
-	return o.probe.Open(ctx)
-}
-
-func (o *HashJoinOp) Next(ctx context.Context) (*Batch, error) {
-	if o.join.Spilled() {
-		return o.spillNext(ctx)
-	}
-	for {
-		b, err := o.probe.Next(ctx)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		joined, err := o.join.Probe(b)
-		if err != nil {
-			return nil, err
-		}
-		// Probe assembled a fresh batch (columns are gathered copies), so
-		// the probe input is consumed here. Build-side batches are NOT
-		// released anywhere: a broadcast exchange shares one batch across
-		// every consumer slice.
-		PutBatch(b)
-		if joined.N > 0 {
-			return joined, nil
-		}
-		PutBatch(joined)
-	}
-}
-
-// spillNext runs the grace join: partition the whole probe stream to
-// scratch files, join each partition pair, then stream the seq-merged
-// output with the carry column stripped.
-func (o *HashJoinOp) spillNext(ctx context.Context) (*Batch, error) {
-	if o.spillOut == nil {
-		for {
-			b, err := o.probe.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			err = o.join.spill.addProbe(b)
-			PutBatch(b)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out, err := o.join.spill.run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		o.spillOut = out
-	}
-	for {
-		b, err := o.spillOut.Next(ctx)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		b.Cols = b.Cols[:len(b.Cols)-1] // strip the probe-sequence carry
-		if b.N > 0 {
-			return b, nil
-		}
-		PutBatch(b)
-	}
-}
-
-func (o *HashJoinOp) Close() error {
-	o.join.ReleaseMem()
-	return o.probe.Close()
-}
-
-// PartialAggOp is a full pipeline breaker: it folds its entire input into a
-// slice-local group table and emits nothing — the leader merges the tables.
-type PartialAggOp struct {
-	child Operator
-	gt    *GroupTable
-	done  bool
-}
-
-// NewPartialAggOp prepares the slice-local aggregation phase.
-func NewPartialAggOp(gt *GroupTable, child Operator) *PartialAggOp {
-	return &PartialAggOp{child: child, gt: gt}
-}
-
-func (o *PartialAggOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
-
-func (o *PartialAggOp) Next(ctx context.Context) (*Batch, error) {
-	if o.done {
-		return nil, nil
-	}
-	o.done = true
-	for {
-		b, err := o.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		if err := o.gt.Consume(b); err != nil {
-			return nil, err
-		}
-		// Consume copies values into accumulator states; the batch is
-		// spent and this breaker is its sole owner.
-		PutBatch(b)
-	}
-}
-
-func (o *PartialAggOp) Close() error { return o.child.Close() }
-
-// Table exposes the accumulated partial state after the chain is drained.
-func (o *PartialAggOp) Table() *GroupTable { return o.gt }
-
-// StreamDistinctOp drops rows already seen earlier in the stream. It is NOT
-// a pipeline breaker: first-occurrence order is exactly what batchwise
-// filtering with a shared seen-set produces.
-type StreamDistinctOp struct {
-	child Operator
-	seen  map[string]bool
-}
-
-// NewStreamDistinctOp prepares a streaming partial-distinct.
-func NewStreamDistinctOp(child Operator) *StreamDistinctOp {
-	return &StreamDistinctOp{child: child, seen: map[string]bool{}}
-}
-
-func (o *StreamDistinctOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
-
-func (o *StreamDistinctOp) Next(ctx context.Context) (*Batch, error) {
-	row := make([]types.Value, 0, 8)
-	for {
-		b, err := o.child.Next(ctx)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		var sel []int
-		row = row[:0]
-		for c := 0; c < len(b.Cols); c++ {
-			row = append(row, types.Value{})
-		}
-		for i := 0; i < b.N; i++ {
-			for c, v := range b.Cols {
-				if v != nil {
-					row[c] = v.Get(i)
-				} else {
-					row[c] = types.Value{}
-				}
-			}
-			k := KeyEncoder(row)
-			if !o.seen[k] {
-				o.seen[k] = true
-				sel = append(sel, i)
-			}
-		}
-		if len(sel) == b.N {
-			return b, nil
-		}
-		if len(sel) > 0 {
-			out := b.Gather(sel)
-			PutBatch(b)
-			return out, nil
-		}
-		PutBatch(b)
-	}
-}
-
-func (o *StreamDistinctOp) Close() error { return o.child.Close() }
-
-// TopNOp is a pipeline breaker: it sorts its whole input through an
-// ExternalSorter (spilling runs when over the memory grant), truncates to
-// the limit, and emits exactly one batch (possibly empty) — the
-// slice-local ORDER BY + LIMIT pushdown.
-type TopNOp struct {
-	child Operator
-	keys  []plan.OrderKey
-	limit int64
-	width int
-	mc    *MemContext
-	done  bool
-}
-
-// NewTopNOp prepares a slice-local top-N over a stream of the given width.
-func NewTopNOp(child Operator, keys []plan.OrderKey, limit int64, width int) *TopNOp {
-	return &TopNOp{child: child, keys: keys, limit: limit, width: width}
-}
-
-// SetMemory attaches the operator to the query's memory governance.
-func (o *TopNOp) SetMemory(mc *MemContext) { o.mc = mc }
-
-func (o *TopNOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
-
-func (o *TopNOp) Next(ctx context.Context) (*Batch, error) {
-	if o.done {
-		return nil, nil
-	}
-	o.done = true
-	sorter := NewExternalSorter(o.keys, o.width, o.mc)
-	for {
-		b, err := o.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		err = sorter.Add(b)
-		// Add copied the rows; the streamed batch is spent.
-		PutBatch(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return collectSorted(ctx, sorter, o.width, o.limit)
-}
-
-// collectSorted drains a sorter's merged stream into one batch, stopping
-// once limit rows (if any) have been gathered.
-func collectSorted(ctx context.Context, sorter *ExternalSorter, width int, limit int64) (*Batch, error) {
-	stream, err := sorter.Stream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := NewBatch(width)
-	for {
-		if limit >= 0 && int64(out.N) >= limit {
-			break
-		}
-		b, err := stream.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		err = out.Concat(b)
-		PutBatch(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return TopN(out, limit), nil
-}
-
-func (o *TopNOp) Close() error {
-	o.mc.release()
-	return o.child.Close()
-}
 
 // GroupMergeOp is the leader's aggregation phase: it merges the per-slice
 // partial tables into a fresh leader table and emits the aggregate layout
@@ -591,11 +251,9 @@ func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
 		return nil, nil
 	}
 	o.done = true
-	var seen map[string]bool
-	var row []types.Value
+	var dedupe *Deduper
 	if o.distinct {
-		seen = map[string]bool{}
-		row = make([]types.Value, o.width)
+		dedupe = NewDeduper(o.mc)
 	}
 	var sorter *ExternalSorter
 	var merged *Batch
@@ -618,23 +276,8 @@ func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
 		// Leader-merge batches are shared with the gather lists, so the
 		// child's batches are never released here; gathered copies are.
 		fb := b
-		if o.distinct {
-			var sel []int
-			for i := 0; i < b.N; i++ {
-				for c, v := range b.Cols {
-					if v != nil {
-						row[c] = v.Get(i)
-					} else {
-						row[c] = types.Value{}
-					}
-				}
-				k := KeyEncoder(row)
-				if !seen[k] {
-					seen[k] = true
-					o.mc.grow(int64(len(k)) + 48)
-					sel = append(sel, i)
-				}
-			}
+		if dedupe != nil {
+			sel := dedupe.Select(b)
 			if len(sel) == 0 {
 				continue
 			}
@@ -732,12 +375,28 @@ func (f *FlightTracker) HighWater() int64 {
 }
 
 // OpStats accumulates one physical operator's runtime counters, shared by
-// all of its per-slice instances. Nanos is inclusive (child time counted),
-// like EXPLAIN ANALYZE actual time.
+// all of its per-slice instances. A Pipeline charges each step its own time
+// only (exclusive); under the Instrument wrapper — the leader chain — Nanos
+// includes the children's, like EXPLAIN ANALYZE actual time.
 type OpStats struct {
 	Rows    atomic.Int64
 	Batches atomic.Int64
 	Nanos   atomic.Int64
+}
+
+// count records one emitted batch; addNanos adds elapsed time. Both are
+// nil-receiver safe so unobserved pipeline steps need no guard.
+func (s *OpStats) count(b *Batch) {
+	if s != nil {
+		s.Batches.Add(1)
+		s.Rows.Add(int64(b.N))
+	}
+}
+
+func (s *OpStats) addNanos(n int64) {
+	if s != nil {
+		s.Nanos.Add(n)
+	}
 }
 
 // instrumented decorates an Operator with the per-operator telemetry the
@@ -763,9 +422,7 @@ func Instrument(op Operator, st *OpStats, fl *FlightTracker) Operator {
 func (o *instrumented) Open(ctx context.Context) error {
 	start := time.Now()
 	err := o.op.Open(ctx)
-	if o.st != nil {
-		o.st.Nanos.Add(int64(time.Since(start)))
-	}
+	o.st.addNanos(int64(time.Since(start)))
 	return err
 }
 
@@ -776,14 +433,9 @@ func (o *instrumented) Next(ctx context.Context) (*Batch, error) {
 	}
 	start := time.Now()
 	b, err := o.op.Next(ctx)
-	if o.st != nil {
-		o.st.Nanos.Add(int64(time.Since(start)))
-	}
+	o.st.addNanos(int64(time.Since(start)))
 	if b != nil {
-		if o.st != nil {
-			o.st.Batches.Add(1)
-			o.st.Rows.Add(int64(b.N))
-		}
+		o.st.count(b)
 		if o.fl != nil {
 			o.fl.Inc()
 			o.outstanding = true
@@ -799,8 +451,6 @@ func (o *instrumented) Close() error {
 	}
 	start := time.Now()
 	err := o.op.Close()
-	if o.st != nil {
-		o.st.Nanos.Add(int64(time.Since(start)))
-	}
+	o.st.addNanos(int64(time.Since(start)))
 	return err
 }

@@ -124,10 +124,6 @@ func (s *Scanner) SetFaults(inj *faults.Injector) { s.inj = inj }
 // Stats exposes the scan counters.
 func (s *Scanner) Stats() *ScanStats { return s.stats }
 
-// Width returns the scanned table's column count (morsel workers verify
-// segment compatibility against it, as ScanOp does).
-func (s *Scanner) Width() int { return s.width }
-
 // ScanSegment streams the surviving rows of one segment as table-local
 // batches (nil vectors for unneeded columns).
 func (s *Scanner) ScanSegment(ctx context.Context, seg *storage.Segment, emit func(*Batch) error) error {
@@ -152,7 +148,7 @@ func (s *Scanner) ScanSegment(ctx context.Context, seg *storage.Segment, emit fu
 // ScanBlock reads one block row-group: zone-map pruning, then filter
 // columns only, then — when rows survive — the remaining needed columns,
 // compacted with a single gather. Returns nil when the block is pruned
-// or no row survives — the unit of work one ScanOp.Next pull performs.
+// or no row survives — the unit of work one morsel is.
 // Emitted batches come from the batch pool; the consumer owns them.
 func (s *Scanner) ScanBlock(ctx context.Context, seg *storage.Segment, bi int) (*Batch, error) {
 	if s.pruned(seg, bi) {

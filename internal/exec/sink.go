@@ -1,0 +1,338 @@
+package exec
+
+import (
+	"context"
+
+	"redshift/internal/plan"
+	"redshift/internal/types"
+)
+
+// AggSink is a slice's partial aggregation. Every worker folds its batches
+// into a private GroupTable, remembering the morsel sequence that first
+// created each group; Finish adopts the groups into one table in ascending
+// first-seen order, which is exactly the order a single table fed the
+// whole stream would hold. With one worker its table IS the slice result
+// and nothing is merged.
+type AggSink struct {
+	newTable func() (*GroupTable, error)
+	workers  []*workerAgg
+	table    *GroupTable
+}
+
+// workerAgg is one worker's table plus, parallel to gt.order, the sequence
+// that created each resident group.
+type workerAgg struct {
+	gt       *GroupTable
+	firstSeq []int64
+}
+
+// NewAggSink prepares a partial aggregation; newTable builds one governed
+// GroupTable (one per worker, plus the merge target when there are several).
+func NewAggSink(newTable func() (*GroupTable, error)) *AggSink {
+	return &AggSink{newTable: newTable}
+}
+
+func (s *AggSink) Open(n int) error {
+	for w := 0; w < n; w++ {
+		gt, err := s.newTable()
+		if err != nil {
+			return err
+		}
+		s.workers = append(s.workers, &workerAgg{gt: gt})
+	}
+	return nil
+}
+
+// Consume folds one batch. Once a table spills no new resident groups
+// appear, so firstSeq stays aligned with gt.order.
+func (s *AggSink) Consume(w int, seq int64, b *Batch) error {
+	if b == nil {
+		return nil
+	}
+	wa := s.workers[w]
+	err := wa.gt.Consume(b)
+	// Consume copied values into accumulator states; the batch is spent.
+	PutBatch(b)
+	if len(s.workers) > 1 {
+		for len(wa.firstSeq) < len(wa.gt.order) {
+			wa.firstSeq = append(wa.firstSeq, seq)
+		}
+	}
+	return err
+}
+
+// Finish merges the worker tables by first-seen sequence. Two workers never
+// share a sequence and within a worker creation order is already (seq,
+// in-morsel row) order, so a k-way merge over the workers' group lists
+// reproduces the one-table order. When a worker spilled, tables merge in
+// worker order via Drain instead: group ORDER can then differ, group
+// contents never do — and every query whose output order is observable
+// sorts downstream anyway.
+func (s *AggSink) Finish(ctx context.Context) error {
+	if len(s.workers) == 1 {
+		s.table = s.workers[0].gt
+		return nil
+	}
+	dst, err := s.newTable()
+	if err != nil {
+		return err
+	}
+	s.table = dst
+	for _, w := range s.workers {
+		if w.gt.Spilled() {
+			for _, w := range s.workers {
+				if err := dst.MergeCtx(ctx, w.gt); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	cursors := make([]int, len(s.workers))
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		best := -1
+		var bestSeq int64
+		for i, w := range s.workers {
+			if cursors[i] >= len(w.gt.order) {
+				continue
+			}
+			if seq := w.firstSeq[cursors[i]]; best < 0 || seq < bestSeq {
+				best, bestSeq = i, seq
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		src := s.workers[best].gt
+		k := src.order[cursors[best]]
+		cursors[best]++
+		og := src.groups[k]
+		if grp, ok := dst.groups[k]; ok {
+			for i := range grp.states {
+				grp.states[i].Merge(og.states[i])
+			}
+			continue
+		}
+		dst.groups[k] = og
+		dst.order = append(dst.order, k)
+		if dst.mc != nil && dst.mc.T != nil {
+			nb := groupMemBytes(k, og)
+			og.mem = nb
+			dst.mc.grow(nb)
+			dst.charged += nb
+		}
+	}
+}
+
+// Close releases every table but the result, which the leader merge owns.
+func (s *AggSink) Close() {
+	for _, w := range s.workers {
+		if w.gt != s.table {
+			w.gt.ReleaseMem()
+		}
+	}
+}
+
+// Table is the slice's partial result, valid after Finish.
+func (s *AggSink) Table() *GroupTable { return s.table }
+
+// TopNSink is the slice-local ORDER BY + LIMIT pushdown: it sorts its whole
+// input through ExternalSorters (spilling runs when over the grant), cuts
+// at the limit and emits exactly one batch, possibly empty. With several
+// workers each sorts its own share, every batch tagged with a trailing
+// Int64 morsel-sequence column and ordered by (keys..., seq): that is the
+// total order the one-worker stable sort realizes, so cutting each worker's
+// candidates at the limit is exact and re-sorting their union reproduces
+// the one-worker result, ties included.
+type TopNSink struct {
+	keys  []plan.OrderKey
+	limit int64
+	width int
+	mem   func() *MemContext
+	emit  func(*Batch) error
+	st    *OpStats
+
+	tagged  bool
+	sorters []*ExternalSorter
+	mcs     []*MemContext
+}
+
+// NewTopNSink prepares a top-N over a stream of width columns. mem hands
+// each worker's sorter its memory context (may return nil); st (may be nil)
+// counts the emitted batch; emit takes ownership of it.
+func NewTopNSink(keys []plan.OrderKey, limit int64, width int, mem func() *MemContext, st *OpStats, emit func(*Batch) error) *TopNSink {
+	return &TopNSink{keys: keys, limit: limit, width: width, mem: mem, st: st, emit: emit}
+}
+
+func (s *TopNSink) Open(n int) error {
+	if s.tagged = n > 1; s.tagged {
+		s.keys = append(append([]plan.OrderKey{}, s.keys...), plan.OrderKey{Index: s.width})
+	}
+	for w := 0; w < n; w++ {
+		mc := s.mem()
+		s.mcs = append(s.mcs, mc)
+		s.sorters = append(s.sorters, NewExternalSorter(s.keys, s.sortWidth(), mc))
+	}
+	return nil
+}
+
+func (s *TopNSink) sortWidth() int {
+	if s.tagged {
+		return s.width + 1
+	}
+	return s.width
+}
+
+func (s *TopNSink) Consume(w int, seq int64, b *Batch) error {
+	if b == nil {
+		return nil
+	}
+	in := b
+	if s.tagged {
+		seqv := types.NewVector(types.Int64, b.N)
+		sv := types.NewInt(seq)
+		for i := 0; i < b.N; i++ {
+			seqv.Append(sv)
+		}
+		in = &Batch{Cols: append(append(make([]*types.Vector, 0, s.width+1), b.Cols...), seqv), N: b.N}
+	}
+	err := s.sorters[w].Add(in)
+	// Add copied the rows; the streamed batch is spent.
+	PutBatch(b)
+	return err
+}
+
+func (s *TopNSink) Finish(ctx context.Context) error {
+	out := NewBatch(s.sortWidth())
+	for _, sorter := range s.sorters {
+		part, err := collectSorted(ctx, sorter, s.sortWidth(), s.limit)
+		sorter.Release()
+		if err != nil {
+			return err
+		}
+		if len(s.sorters) == 1 {
+			out = part
+			break
+		}
+		if part.N > 0 {
+			err = out.Concat(part)
+		}
+		PutBatch(part)
+		if err != nil {
+			return err
+		}
+	}
+	if s.tagged {
+		out = TopN(SortBatch(out, s.keys), s.limit)
+		out.Cols = out.Cols[:s.width]
+	}
+	s.st.count(out)
+	return s.emit(out)
+}
+
+func (s *TopNSink) Close() {
+	for _, mc := range s.mcs {
+		mc.release()
+	}
+}
+
+// collectSorted drains a sorter's merged stream into one batch, stopping
+// once limit rows (if any) have been gathered.
+func collectSorted(ctx context.Context, sorter *ExternalSorter, width int, limit int64) (*Batch, error) {
+	stream, err := sorter.Stream(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := NewBatch(width)
+	for {
+		if limit >= 0 && int64(out.N) >= limit {
+			break
+		}
+		b, err := stream.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		err = out.Concat(b)
+		PutBatch(b)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return TopN(out, limit), nil
+}
+
+// Deduper drops rows it has already seen, first occurrence winning: the
+// one implementation behind the slice-local DISTINCT (per-worker pre-sieve
+// and the ordered final pass alike) and the leader's DISTINCT.
+type Deduper struct {
+	seen map[string]bool
+	row  []types.Value
+	mc   *MemContext
+}
+
+// NewDeduper returns an empty seen-set; mc (may be nil) is charged for
+// every remembered key.
+func NewDeduper(mc *MemContext) *Deduper {
+	return &Deduper{seen: map[string]bool{}, mc: mc}
+}
+
+// Select returns the positions of b's rows not seen before, in order.
+func (d *Deduper) Select(b *Batch) []int {
+	d.row = d.row[:0]
+	for range b.Cols {
+		d.row = append(d.row, types.Value{})
+	}
+	var sel []int
+	for i := 0; i < b.N; i++ {
+		for c, v := range b.Cols {
+			if v != nil {
+				d.row[c] = v.Get(i)
+			} else {
+				d.row[c] = types.Value{}
+			}
+		}
+		k := KeyEncoder(d.row)
+		if !d.seen[k] {
+			d.seen[k] = true
+			d.mc.grow(int64(len(k)) + 48)
+			sel = append(sel, i)
+		}
+	}
+	return sel
+}
+
+// Apply is Select as a StageFn: b itself when every row is new, otherwise a
+// gathered copy of the new ones.
+func (d *Deduper) Apply(b *Batch) (*Batch, error) {
+	if sel := d.Select(b); len(sel) < b.N {
+		return b.Gather(sel), nil
+	}
+	return b, nil
+}
+
+// Emit returns the ordered tail of a slice-local DISTINCT: each batch is
+// deduplicated against everything emitted before it, and what survives is
+// counted into st (may be nil) and passed on to next. It takes ownership
+// of its batch, as an OrderedSink's emit must.
+func (d *Deduper) Emit(st *OpStats, next func(*Batch) error) func(*Batch) error {
+	return func(b *Batch) error {
+		sel := d.Select(b)
+		switch {
+		case len(sel) == 0:
+			PutBatch(b)
+			return nil
+		case len(sel) < b.N:
+			kept := b.Gather(sel)
+			PutBatch(b)
+			b = kept
+		}
+		st.count(b)
+		return next(b)
+	}
+}

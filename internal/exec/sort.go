@@ -105,31 +105,3 @@ func TopN(b *Batch, n int64) *Batch {
 	}
 	return b.Gather(sel)
 }
-
-// Distinct removes duplicate rows, preserving first occurrence order.
-func Distinct(b *Batch) *Batch {
-	if b.N <= 1 {
-		return b
-	}
-	seen := make(map[string]bool, b.N)
-	var sel []int
-	row := make([]types.Value, len(b.Cols))
-	for i := 0; i < b.N; i++ {
-		for c, v := range b.Cols {
-			if v != nil {
-				row[c] = v.Get(i)
-			} else {
-				row[c] = types.Value{}
-			}
-		}
-		k := KeyEncoder(row)
-		if !seen[k] {
-			seen[k] = true
-			sel = append(sel, i)
-		}
-	}
-	if len(sel) == b.N {
-		return b
-	}
-	return b.Gather(sel)
-}

@@ -2,7 +2,7 @@
 // repeat-heavy dashboard mix (point lookups + aggregates) against the
 // session server, with the result cache on (default) and off. qps, p50-ms
 // and p99-ms quantify what the leader's result cache buys on the §2.1
-// serving path; BENCH_serve.json records real runs.
+// serving path; EXPERIMENTS.md records real runs.
 package wire
 
 import (

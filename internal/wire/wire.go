@@ -75,21 +75,6 @@ type SessionExecutor interface {
 	Close()
 }
 
-// Executor is the legacy session-less endpoint abstraction; it still backs
-// NewServer so resize/restore endpoints keep working unchanged.
-type Executor interface {
-	Execute(query string) (*core.Result, error)
-}
-
-// legacySession adapts an Executor to the session interface: no
-// per-connection state, no cancellation.
-type legacySession struct{ exec Executor }
-
-func (l legacySession) ExecuteContext(_ context.Context, q string) (*core.Result, error) {
-	return l.exec.Execute(q)
-}
-func (l legacySession) Close() {}
-
 // Server is the leader node's TCP listener.
 type Server struct {
 	open func() SessionExecutor
@@ -106,12 +91,6 @@ type Server struct {
 // equivalent) wrapped to return the interface.
 func NewSessionServer(open func() SessionExecutor) *Server {
 	return &Server{open: open, conns: map[net.Conn]struct{}{}}
-}
-
-// NewServer wraps a session-less executor; every connection shares its
-// state. Prefer NewSessionServer for real serving.
-func NewServer(exec Executor) *Server {
-	return NewSessionServer(func() SessionExecutor { return legacySession{exec} })
 }
 
 // Listen starts accepting on addr (e.g. "127.0.0.1:5439") and returns the

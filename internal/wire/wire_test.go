@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,10 +10,12 @@ import (
 	"redshift/internal/types"
 )
 
-// fakeExec is a canned executor.
+// fakeExec is a canned session executor.
 type fakeExec struct{}
 
-func (fakeExec) Execute(q string) (*core.Result, error) {
+func (fakeExec) Close() {}
+
+func (fakeExec) ExecuteContext(_ context.Context, q string) (*core.Result, error) {
 	switch q {
 	case "SELECT":
 		return &core.Result{
@@ -35,7 +38,7 @@ func (fakeExec) Execute(q string) (*core.Result, error) {
 
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	srv := NewServer(fakeExec{})
+	srv := NewSessionServer(func() SessionExecutor { return fakeExec{} })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -7,20 +7,32 @@ import (
 )
 
 // statsBattery exercises the counters most at risk of double counting
-// under morsel workers: a pruning filter (blocks_skipped), a join
-// (probe-side rows), and a grand aggregate (partial-agg batches).
-var statsBattery = []string{
-	`SELECT ts, SUM(amount) AS total FROM events WHERE ts >= 2000 GROUP BY ts ORDER BY ts`,
-	`SELECT u.segment, COUNT(*) AS n, SUM(e.amount) AS total
+// under several workers — a pruning filter (blocks_skipped), a join
+// (probe-side rows), a grand aggregate (partial-agg batches) — with one
+// query per sink kind (partial aggregation, ordered distinct, top-N, plain
+// gather), plus the two shapes that cut a slice's plan into more than one
+// pipeline: a DS_DIST_BOTH join (cut at the probe shuffle) and a join whose
+// build spills under a 64 KiB work_mem (cut at the grace join, one worker).
+var statsBattery = []struct {
+	name, sql, workMem string
+}{
+	{"agg-pruned", `SELECT ts, SUM(amount) AS total FROM events WHERE ts >= 2000 GROUP BY ts ORDER BY ts`, ""},
+	{"agg-join", `SELECT u.segment, COUNT(*) AS n, SUM(e.amount) AS total
 		FROM events e JOIN users u ON e.user_id = u.id
-		GROUP BY u.segment ORDER BY u.segment`,
-	`SELECT COUNT(*), SUM(amount) FROM events`,
+		GROUP BY u.segment ORDER BY u.segment`, ""},
+	{"agg-grand", `SELECT COUNT(*), SUM(amount) FROM events`, ""},
+	{"distinct", `SELECT DISTINCT user_id, kind FROM events ORDER BY user_id, kind`, ""},
+	{"top-n", `SELECT kind, ts FROM events ORDER BY kind LIMIT 100`, ""},
+	{"gather", `SELECT ts, user_id, amount FROM events WHERE amount >= 5 ORDER BY amount, ts`, ""},
+	{"dist-both", distBothQuery, ""},
+	{"spill-join", `SELECT e.ts, u.segment FROM events e LEFT JOIN users u ON e.user_id = u.id
+		ORDER BY e.ts`, "64KB"},
 }
 
 // stableSpanLines reduces an EXPLAIN ANALYZE rendering to its
 // run-invariant fields: span names plus the row/batch/block counters.
 // Durations, memory peaks, cache and dop attributes are stripped — those
-// legitimately differ between serial and parallel runs.
+// legitimately differ between worker counts.
 func stableSpanLines(res *Result) string {
 	var out strings.Builder
 	for _, row := range res.Rows {
@@ -80,48 +92,61 @@ func sliceStatsDelta(t *testing.T, w *Warehouse, fn func()) string {
 }
 
 // TestParallelStatsMatchSerial is the no-double-counting regression: the
-// same query run serially and at dop=4 must report identical rows=,
-// est_rows=, batches= and block counters in EXPLAIN ANALYZE, identical
-// stl_query scan totals, and identical stv_slice_stats movement — worker
-// fan-out may not inflate (or lose) a single observed row or block.
+// same query pinned to 1, 2 and 4 workers must report identical rows=,
+// est_rows=, batches= and block counters per node in EXPLAIN ANALYZE,
+// identical stl_query totals, and identical stv_slice_stats movement —
+// worker fan-out may not inflate (or lose) a single observed row or block.
 func TestParallelStatsMatchSerial(t *testing.T) {
 	seed := spillSeed(t)
 	// No block cache: bytes_read and blocks_read stay run-invariant
 	// instead of shifting between cold and warm executions.
-	w := launch(t, Options{Nodes: 2, BlockCacheBytes: -1})
-	seedSpillTables(t, w, seed, 4000, 1000)
+	w := launch(t, Options{Nodes: 2, BlockCacheBytes: -1, BroadcastRows: 1, SpillDir: t.TempDir()})
+	seedSpillTables(t, w, seed, 8000, 2000)
 	w.MustExecute(`ANALYZE events`)
 	w.MustExecute(`ANALYZE users`)
 	w.MustExecute(`SET result_cache TO off`)
 
-	for i, q := range statsBattery {
-		serialSpans := stableSpanLines(w.MustExecute(`EXPLAIN ANALYZE ` + q))
-		serialSlices := sliceStatsDelta(t, w, func() { w.MustExecute(q) })
-		serialRec := lastQueryRecord(t, w)
-
-		w.MustExecute(`SET max_parallel_workers TO 4`)
-		parOut := w.MustExecute(`EXPLAIN ANALYZE ` + q)
-		parSpans := stableSpanLines(parOut)
-		parSlices := sliceStatsDelta(t, w, func() { w.MustExecute(q) })
-		parRec := lastQueryRecord(t, w)
-		w.MustExecute(`SET max_parallel_workers TO default`)
-
-		if !strings.Contains(rowsString(parOut.Rows), "dop=4") {
-			t.Errorf("query %d: parallel EXPLAIN ANALYZE does not surface dop=4:\n%s",
-				i, rowsString(parOut.Rows))
-		}
-		if serialSpans != parSpans {
-			t.Errorf("query %d: EXPLAIN ANALYZE counters diverged between serial and dop=4:\nserial:\n%sparallel:\n%s",
-				i, serialSpans, parSpans)
-		}
-		if serialSlices != parSlices {
-			t.Errorf("query %d: stv_slice_stats moved differently under dop=4:\nserial:\n%sparallel:\n%s",
-				i, serialSlices, parSlices)
-		}
-		if serialRec != parRec {
-			t.Errorf("query %d: stl_query scan totals diverged:\nserial:  %s\nparallel: %s",
-				i, serialRec, parRec)
-		}
+	for _, q := range statsBattery {
+		t.Run(q.name, func(t *testing.T) {
+			if q.workMem != "" {
+				w.MustExecute(`SET work_mem TO '` + q.workMem + `'`)
+				defer w.MustExecute(`SET work_mem TO default`)
+			}
+			defer w.MustExecute(`SET max_parallel_workers TO default`)
+			var wantSpans, wantSlices, wantRec string
+			for _, dop := range []int{1, 2, 4} {
+				w.MustExecute(fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
+				out := w.MustExecute(`EXPLAIN ANALYZE ` + q.sql)
+				text := rowsString(out.Rows)
+				if !strings.Contains(text, fmt.Sprintf("dop=%d", dop)) {
+					t.Errorf("EXPLAIN ANALYZE does not surface dop=%d:\n%s", dop, text)
+				}
+				if q.name == "dist-both" && strings.Count(text, " shuffle (") != 2 {
+					t.Fatalf("join did not shuffle both sides (not DS_DIST_BOTH):\n%s", text)
+				}
+				if q.workMem != "" && !strings.Contains(text, "spill_bytes=") {
+					t.Fatalf("work_mem %s did not spill at dop=%d:\n%s", q.workMem, dop, text)
+				}
+				spans := stableSpanLines(out)
+				slices := sliceStatsDelta(t, w, func() { w.MustExecute(q.sql) })
+				rec := lastQueryRecord(t, w)
+				if dop == 1 {
+					wantSpans, wantSlices, wantRec = spans, slices, rec
+					continue
+				}
+				if spans != wantSpans {
+					t.Errorf("EXPLAIN ANALYZE counters diverged between dop=1 and dop=%d:\ndop=1:\n%sdop=%d:\n%s",
+						dop, wantSpans, dop, spans)
+				}
+				if slices != wantSlices {
+					t.Errorf("stv_slice_stats moved differently under dop=%d:\ndop=1:\n%sdop=%d:\n%s",
+						dop, wantSlices, dop, slices)
+				}
+				if rec != wantRec {
+					t.Errorf("stl_query totals diverged:\ndop=1: %s\ndop=%d: %s", wantRec, dop, rec)
+				}
+			}
+		})
 	}
 }
 
@@ -136,4 +161,49 @@ func lastQueryRecord(t *testing.T, w *Warehouse) string {
 	r := recs[len(recs)-1]
 	return fmt.Sprintf("%s rows=%d blocks_read=%d blocks_skipped=%d net_bytes=%d",
 		r.SQL, r.Rows, r.BlocksRead, r.BlocksSkipped, r.NetBytes)
+}
+
+// TestOneWorkerRunsInline is the dop = 1 guard: a point query's pipelines
+// run on the goroutines execute() starts anyway — one per slice, plus one
+// per build-side exchange producer — with no worker goroutine, no morsel
+// dispatched to one, and exec_parallel_workers never leaving zero. Pinning
+// dop = 4 on the same query is the control: every scan pipeline then adds
+// its four workers.
+func TestOneWorkerRunsInline(t *testing.T) {
+	w := launch(t, Options{Nodes: 2})
+	seedSpillTables(t, w, spillSeed(t), 4000, 1000)
+	w.MustExecute(`ANALYZE events`)
+	w.MustExecute(`ANALYZE users`)
+	w.MustExecute(`SET result_cache TO off`)
+	nslices := int64(len(w.MustExecute(`SELECT slice FROM stv_slice_stats`).Rows))
+
+	goroutines := w.Metrics().Counter("exec_goroutines_total")
+	morsels := w.Metrics().Counter("morsels_dispatched_total")
+	run := func(q string) (started, dispatched int64) {
+		g, m := goroutines.Value(), morsels.Value()
+		w.MustExecute(q)
+		if n := w.Metrics().Gauge("exec_parallel_workers").Value(); n != 0 {
+			t.Errorf("exec_parallel_workers = %d after %s", n, q)
+		}
+		return goroutines.Value() - g, morsels.Value() - m
+	}
+
+	const point = `SELECT ts, amount FROM events WHERE ts = 1234`
+	// The join key is not events' distribution key, so users is broadcast:
+	// one exchange producer per slice.
+	const pointJoin = `SELECT e.ts, u.segment FROM events e JOIN users u ON e.ts = u.id WHERE e.ts = 17`
+	if out := rowsString(w.MustExecute(`EXPLAIN ` + pointJoin).Rows); !strings.Contains(out, "DS_BCAST_INNER") {
+		t.Fatalf("point join does not broadcast its build side:\n%s", out)
+	}
+	if g, m := run(point); g != nslices || m != 0 {
+		t.Errorf("point query started %d goroutines and dispatched %d morsels, want %d (one per slice) and 0", g, m, nslices)
+	}
+	if g, m := run(pointJoin); g != 2*nslices || m != 0 {
+		t.Errorf("point join started %d goroutines and dispatched %d morsels, want %d (slices + producers) and 0", g, m, 2*nslices)
+	}
+
+	w.MustExecute(`SET max_parallel_workers TO 4`)
+	if g, m := run(point); g != nslices+4*nslices || m == 0 {
+		t.Errorf("dop=4 point query started %d goroutines and dispatched %d morsels, want %d and > 0", g, m, 5*nslices)
+	}
 }

@@ -13,19 +13,28 @@ import (
 // battery (joins, high-cardinality aggregation, full sorts, DISTINCT) plus
 // parallel-sensitive extras — a TopN whose sort key has heavy ties (LIMIT
 // cuts mid-tie, so any instability in the per-worker partial sort shows up
-// as different ts values), a selective filter, and a grand aggregate.
-// Every query is fully determined, so serial and parallel runs must match
-// byte for byte.
+// as different ts values), a selective filter, a grand aggregate, and a join
+// on neither table's distribution key. The battery's warehouses launch with
+// BroadcastRows: 1, which leaves the collocated joins alone and makes that
+// last one DS_DIST_BOTH: the plan is cut at the probe shuffle into a
+// pre-shuffle pipeline (which may fan out) and a post-shuffle one (which
+// reads an exchange and cannot). Every query is fully determined, so
+// one-worker and parallel runs must match byte for byte.
 var parallelBattery = append(append([]string{}, spillBattery...),
 	`SELECT kind, ts FROM events ORDER BY kind LIMIT 100`,
 	`SELECT user_id, SUM(amount) AS total FROM events WHERE kind = 'buy'
 		GROUP BY user_id ORDER BY user_id`,
 	`SELECT COUNT(*), SUM(amount), MIN(ts), MAX(ts) FROM events WHERE amount >= 5`,
+	distBothQuery,
 )
 
-// TestParallelTwinMatchesSerial is the tentpole's headline invariant: the
-// battery run serially and at dop 2 and 4 returns bit-identical rows —
-// morsel workers change where the work happens, never what it computes.
+const distBothQuery = `SELECT e.ts, e.kind, u.segment FROM events e JOIN users u ON e.ts = u.id
+	ORDER BY e.ts`
+
+// TestParallelTwinMatchesSerial is the headline invariant: the battery run
+// at the automatic worker count (one, on tables this small) and pinned to
+// 1, 2 and 4 workers returns bit-identical rows — workers change where the
+// work happens, never what it computes.
 // Two extra tiers rerun the dop=4 battery under a 64 KiB work_mem (every
 // blocking operator spills mid-parallelism) and under the chaos fault plan
 // (every worker's scan path sees injected errors and latency spikes).
@@ -33,10 +42,13 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 	seed := spillSeed(t)
 	const nEvents, nUsers = 8000, 2000
 
-	w := launch(t, Options{Nodes: 2})
+	w := launch(t, Options{Nodes: 2, BroadcastRows: 1})
 	seedSpillTables(t, w, seed, nEvents, nUsers)
 	// The twin repeats must actually execute, not replay cached rows.
 	w.MustExecute(`SET result_cache TO off`)
+	if out := rowsString(w.MustExecute(`EXPLAIN ` + distBothQuery).Rows); !strings.Contains(out, "DS_DIST_BOTH") {
+		t.Fatalf("battery's shuffle join is not DS_DIST_BOTH:\n%s", out)
+	}
 
 	want := make([]string, len(parallelBattery))
 	for i, q := range parallelBattery {
@@ -51,7 +63,7 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 		t.Fatalf("reference battery dispatched %d morsels — auto DOP engaged on a small table", n)
 	}
 
-	for _, dop := range []int{2, 4} {
+	for _, dop := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("dop%d", dop), func(t *testing.T) {
 			w.MustExecute(fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
 			before := w.Metrics().Counter("morsels_dispatched_total").Value()
@@ -65,8 +77,9 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 						seed, dop, i, got, want[i])
 				}
 			}
-			if after := w.Metrics().Counter("morsels_dispatched_total").Value(); after == before {
-				t.Errorf("dop %d battery dispatched no morsels — the parallel path never engaged", dop)
+			if after := w.Metrics().Counter("morsels_dispatched_total").Value(); (after != before) != (dop > 1) {
+				t.Errorf("dop %d battery dispatched %d morsels to workers — fan-out must engage exactly when dop > 1",
+					dop, after-before)
 			}
 		})
 	}
@@ -83,7 +96,7 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 
 	t.Run("workMem64KiB", func(t *testing.T) {
 		dir := t.TempDir()
-		ws := launch(t, Options{Nodes: 2, SpillDir: dir})
+		ws := launch(t, Options{Nodes: 2, SpillDir: dir, BroadcastRows: 1})
 		seedSpillTables(t, ws, seed, nEvents, nUsers)
 		ws.MustExecute(`SET result_cache TO off`)
 		ws.MustExecute(`SET work_mem TO '64KB'`)
@@ -107,7 +120,8 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 	t.Run("chaosFaults", func(t *testing.T) {
 		cseed := chaosSeed(t)
 		wc := launch(t, Options{
-			Nodes: 2,
+			Nodes:         2,
+			BroadcastRows: 1,
 			// No decoded-block cache: every morsel re-decodes, so every
 			// round keeps exercising the faulty read paths.
 			BlockCacheBytes: -1,
