@@ -838,9 +838,13 @@ func (db *Database) vacuumTable(def *catalog.TableDef) error {
 		db.txm.Abort(t)
 		return err
 	}
-	// The table write lock is held: nothing can commit new segments, so
-	// everything visible right now is exactly what the merge must cover.
-	snapshot := db.txm.CurrentXid()
+	// The table write lock is held, so every live segment of the table comes
+	// from a writer that has published, and ReplaceSegments supersedes every
+	// one of them: the merge must read them all. The contiguous-prefix
+	// snapshot (CurrentXid) would miss a writer that published under an xid
+	// later than one still unpublished on some other table, and its rows
+	// would be dropped unread. Everything on this table is older than xid.
+	snapshot := xid
 	var wg sync.WaitGroup
 	errs := make([]error, db.cl.NumSlices())
 	for sl := 0; sl < db.cl.NumSlices(); sl++ {

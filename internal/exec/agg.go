@@ -10,278 +10,374 @@ import (
 	"redshift/internal/types"
 )
 
-// AggState is one aggregate's accumulator. States are mergeable, which is
-// what makes aggregation two-phase: every slice folds its local rows into a
-// state, the leader merges the per-slice states (§2.1: "intermediate
+// aggCol is one aggregate's accumulators for every group of a table, held
+// column-wise and indexed by group id. Accumulators are mergeable, which is
+// what makes aggregation two-phase: every slice folds its local rows into
+// a table, the leader merges the per-slice tables (§2.1: "intermediate
 // results are sent back to the leader node for final aggregation").
-type AggState interface {
-	// Update folds one input value (already evaluated; never called for
-	// COUNT(*), which uses UpdateRow).
-	Update(v types.Value)
-	// UpdateRow folds one row's existence (COUNT(*)).
-	UpdateRow()
-	// Merge folds another state of the same kind.
-	Merge(o AggState)
-	// Final produces the aggregate result.
-	Final() types.Value
-	// Size is the state's encoded size in bytes when shipped to the
-	// leader, so gather-transfer accounting reflects what actually moves:
-	// constant for linear aggregates, value-set-proportional for exact
+type aggCol interface {
+	// grow extends the column to n groups; new groups start empty.
+	grow(n int)
+	// update folds one batch: row r of arg (nil for COUNT(*)) into group
+	// ids[r], rows with NoID left out. One type dispatch per batch, then a
+	// typed loop — no value is boxed.
+	update(ids []uint32, arg *types.Vector)
+	// merge folds every group i of o, a column of the same kind, into
+	// group remap[i].
+	merge(o aggCol, remap []uint32)
+	// final is group id's aggregate result.
+	final(id int) types.Value
+	// shipBytes is the column's encoded size when shipped to the leader, so
+	// gather-transfer accounting reflects what actually moves: constant per
+	// group for linear aggregates, value-set-proportional for exact
 	// distinct, constant-sketch for approximate distinct.
-	Size() int64
+	shipBytes() int64
+	// memBytes is the column's resident heap size, charged to the query.
+	memBytes() int64
 }
 
-// valueSize is the encoded width of one value in a shipped partial state.
-func valueSize(v types.Value) int64 {
-	if v.Null {
-		return 1
+// vecShipBytes is the encoded width of a vector's values in a shipped
+// partial state: 1 byte for a NULL, 8 for a fixed-width value, length + 4
+// for a string.
+func vecShipBytes(v *types.Vector) int64 {
+	n := int64(v.Len())
+	nulls := int64(v.NullCount())
+	if v.T != types.String {
+		return 8*(n-nulls) + nulls
 	}
-	if v.T == types.String {
-		return int64(len(v.S)) + 4
+	total := 4*(n-nulls) + nulls
+	for _, s := range v.Strs {
+		total += int64(len(s)) // NULL positions hold ""
 	}
-	return 8
+	return total
 }
 
-// NewAggState builds the accumulator for a spec.
-func NewAggState(spec plan.AggSpec) AggState {
+// vecMemBytes is a vector's resident size given the string payload it
+// references.
+func vecMemBytes(v *types.Vector, strBytes int64) int64 {
+	return int64(8*cap(v.Ints)+8*cap(v.Floats)+16*cap(v.Strs)+cap(v.Nulls)) + strBytes
+}
+
+// newAggCol builds the accumulator column for a spec.
+func newAggCol(spec plan.AggSpec) aggCol {
 	switch {
 	case spec.Func == sql.FuncCount && spec.Approx:
-		return &hllState{sk: hll.New()}
+		return &hllCol{}
 	case spec.Func == sql.FuncCount && spec.Distinct:
-		return &distinctState{seen: map[string]struct{}{}}
+		return &distinctCol{kt: NewKeyTable(), gids: types.NewVector(types.Int64, 0)}
 	case spec.Func == sql.FuncCount:
-		return &countState{}
+		return &countCol{}
 	case spec.Func == sql.FuncSum && spec.T == types.Float64:
-		return &sumFloatState{}
+		return &sumCol{acc: types.NewVector(types.Float64, 0)}
 	case spec.Func == sql.FuncSum:
-		return &sumIntState{}
+		return &sumCol{acc: types.NewVector(types.Int64, 0)}
 	case spec.Func == sql.FuncAvg:
-		return &avgState{}
+		return &avgCol{}
 	case spec.Func == sql.FuncMin:
-		return &minMaxState{t: spec.T, min: true}
+		return &minMaxCol{best: types.NewVector(spec.T, 0), min: true}
 	case spec.Func == sql.FuncMax:
-		return &minMaxState{t: spec.T}
+		return &minMaxCol{best: types.NewVector(spec.T, 0)}
 	default:
 		panic(fmt.Sprintf("exec: no aggregate state for %s", spec.Func))
 	}
 }
 
-type countState struct{ n int64 }
+// growTo extends s with zero values to length n.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
 
-func (s *countState) Update(v types.Value) {
-	if !v.Null {
-		s.n++
+// asFloats returns v's values as float64s: its own payload, or its integers
+// converted into *buf.
+func asFloats(v *types.Vector, buf *[]float64) []float64 {
+	if v.T == types.Float64 {
+		return v.Floats
+	}
+	*buf = (*buf)[:0]
+	for _, i := range v.Ints {
+		*buf = append(*buf, float64(i))
+	}
+	return *buf
+}
+
+type countCol struct{ n []int64 }
+
+func (c *countCol) grow(n int) { c.n = growTo(c.n, n) }
+func (c *countCol) update(ids []uint32, arg *types.Vector) {
+	var nulls []bool
+	if arg != nil {
+		nulls = arg.Nulls
+	}
+	for r, id := range ids {
+		if id != NoID && (nulls == nil || !nulls[r]) {
+			c.n[id]++
+		}
 	}
 }
-func (s *countState) UpdateRow()         { s.n++ }
-func (s *countState) Merge(o AggState)   { s.n += o.(*countState).n }
-func (s *countState) Final() types.Value { return types.NewInt(s.n) }
-func (s *countState) Size() int64        { return 8 }
-
-type sumIntState struct {
-	sum  int64
-	seen bool
-}
-
-func (s *sumIntState) Update(v types.Value) {
-	if !v.Null {
-		s.sum += v.I
-		s.seen = true
+func (c *countCol) merge(o aggCol, remap []uint32) {
+	for i, n := range o.(*countCol).n {
+		c.n[remap[i]] += n
 	}
 }
-func (s *sumIntState) UpdateRow() {}
-func (s *sumIntState) Merge(o AggState) {
-	so := o.(*sumIntState)
-	s.sum += so.sum
-	s.seen = s.seen || so.seen
-}
-func (s *sumIntState) Final() types.Value {
-	if !s.seen {
-		return types.NewNull(types.Int64)
-	}
-	return types.NewInt(s.sum)
-}
+func (c *countCol) final(id int) types.Value { return types.NewInt(c.n[id]) }
+func (c *countCol) shipBytes() int64         { return 8 * int64(len(c.n)) }
+func (c *countCol) memBytes() int64          { return 8 * int64(cap(c.n)) }
 
-func (s *sumIntState) Size() int64 { return 9 } // sum + seen flag
-
-type sumFloatState struct {
-	sum  float64
-	seen bool
+// sumCol is SUM into an Int64 or Float64 vector whose null mask marks the
+// groups that have seen no value yet. Every sum starts from zero and only
+// ever adds, so merging a state into an empty group reproduces it exactly.
+type sumCol struct {
+	acc *types.Vector
+	buf []float64
 }
 
-func (s *sumFloatState) Update(v types.Value) {
-	if !v.Null {
-		s.sum += v.AsFloat()
-		s.seen = true
+func (c *sumCol) grow(n int) {
+	for c.acc.Len() < n {
+		c.acc.AppendNull()
 	}
 }
-func (s *sumFloatState) UpdateRow() {}
-func (s *sumFloatState) Merge(o AggState) {
-	so := o.(*sumFloatState)
-	s.sum += so.sum
-	s.seen = s.seen || so.seen
-}
-func (s *sumFloatState) Final() types.Value {
-	if !s.seen {
-		return types.NewNull(types.Float64)
-	}
-	return types.NewFloat(s.sum)
-}
-
-func (s *sumFloatState) Size() int64 { return 9 } // sum + seen flag
-
-type avgState struct {
-	sum float64
-	n   int64
-}
-
-func (s *avgState) Update(v types.Value) {
-	if !v.Null {
-		s.sum += v.AsFloat()
-		s.n++
-	}
-}
-func (s *avgState) UpdateRow() {}
-func (s *avgState) Merge(o AggState) {
-	so := o.(*avgState)
-	s.sum += so.sum
-	s.n += so.n
-}
-func (s *avgState) Final() types.Value {
-	if s.n == 0 {
-		return types.NewNull(types.Float64)
-	}
-	return types.NewFloat(s.sum / float64(s.n))
-}
-
-func (s *avgState) Size() int64 { return 16 } // sum + count
-
-type minMaxState struct {
-	t    types.Type
-	min  bool
-	best types.Value
-	seen bool
-}
-
-func (s *minMaxState) Update(v types.Value) {
-	if v.Null {
+func (c *sumCol) update(ids []uint32, arg *types.Vector) {
+	nulls, unseen := arg.Nulls, c.acc.Nulls
+	if c.acc.T == types.Float64 {
+		vals := asFloats(arg, &c.buf)
+		for r, id := range ids {
+			if id != NoID && (nulls == nil || !nulls[r]) {
+				c.acc.Floats[id] += vals[r]
+				unseen[id] = false
+			}
+		}
 		return
 	}
-	if !s.seen {
-		s.best, s.seen = v, true
+	for r, id := range ids {
+		if id != NoID && (nulls == nil || !nulls[r]) {
+			c.acc.Ints[id] += arg.Ints[r]
+			unseen[id] = false
+		}
+	}
+}
+func (c *sumCol) merge(o aggCol, remap []uint32) { c.update(remap, o.(*sumCol).acc) }
+func (c *sumCol) final(id int) types.Value       { return c.acc.Get(id) }
+func (c *sumCol) shipBytes() int64               { return 9 * int64(c.acc.Len()) } // sum + seen flag
+func (c *sumCol) memBytes() int64                { return vecMemBytes(c.acc, 0) }
+
+type avgCol struct {
+	sum []float64
+	n   []int64
+	buf []float64
+}
+
+func (c *avgCol) grow(n int) { c.sum, c.n = growTo(c.sum, n), growTo(c.n, n) }
+func (c *avgCol) update(ids []uint32, arg *types.Vector) {
+	nulls := arg.Nulls
+	vals := asFloats(arg, &c.buf)
+	for r, id := range ids {
+		if id != NoID && (nulls == nil || !nulls[r]) {
+			c.sum[id] += vals[r]
+			c.n[id]++
+		}
+	}
+}
+func (c *avgCol) merge(o aggCol, remap []uint32) {
+	oc := o.(*avgCol)
+	for i, id := range remap {
+		c.sum[id] += oc.sum[i]
+		c.n[id] += oc.n[i]
+	}
+}
+func (c *avgCol) final(id int) types.Value {
+	if c.n[id] == 0 {
+		return types.NewNull(types.Float64)
+	}
+	return types.NewFloat(c.sum[id] / float64(c.n[id]))
+}
+func (c *avgCol) shipBytes() int64 { return 16 * int64(len(c.n)) } // sum + count
+func (c *avgCol) memBytes() int64  { return 16 * int64(cap(c.n)) }
+
+// minMaxCol keeps each group's extreme in a vector of the aggregate's type;
+// its null mask marks the groups that have seen no value yet, so merging
+// another column is updating from its vector. Ties keep the earlier value.
+type minMaxCol struct {
+	best     *types.Vector
+	min      bool
+	strBytes int64
+}
+
+func (c *minMaxCol) grow(n int) {
+	for c.best.Len() < n {
+		c.best.AppendNull()
+	}
+}
+func (c *minMaxCol) update(ids []uint32, arg *types.Vector) {
+	switch c.best.T {
+	case types.Float64:
+		foldMinMax(c.min, ids, arg.Nulls, arg.Floats, c.best.Floats, c.best.Nulls, nil)
+	case types.String:
+		c.strBytes += foldMinMax(c.min, ids, arg.Nulls, arg.Strs, c.best.Strs, c.best.Nulls,
+			func(s string) int64 { return int64(len(s)) })
+	default:
+		foldMinMax(c.min, ids, arg.Nulls, arg.Ints, c.best.Ints, c.best.Nulls, nil)
+	}
+}
+
+// foldMinMax is the typed MIN/MAX loop. With size set (strings) it returns
+// how many payload bytes best gained.
+func foldMinMax[T int64 | float64 | string](min bool, ids []uint32, nulls []bool, vals, best []T, unseen []bool, size func(T) int64) (grew int64) {
+	for r, id := range ids {
+		if id == NoID || nulls != nil && nulls[r] {
+			continue
+		}
+		if v := vals[r]; unseen[id] || min && v < best[id] || !min && v > best[id] {
+			if size != nil {
+				grew += size(v) - size(best[id])
+			}
+			best[id], unseen[id] = v, false
+		}
+	}
+	return grew
+}
+func (c *minMaxCol) merge(o aggCol, remap []uint32) { c.update(remap, o.(*minMaxCol).best) }
+func (c *minMaxCol) final(id int) types.Value       { return c.best.Get(id) }
+func (c *minMaxCol) shipBytes() int64 {
+	return int64(c.best.Len()) + vecShipBytes(c.best) - int64(c.best.NullCount())
+}
+func (c *minMaxCol) memBytes() int64 { return vecMemBytes(c.best, c.strBytes) }
+
+// distinctCol implements exact COUNT(DISTINCT x) with one KeyTable over
+// (group id, value) for the whole column plus a per-group count, shipping
+// the distinct value set from slices to the leader. Exact distinct does not
+// decompose into constant-size partials — which is precisely why §4 argues
+// for "distributed approximate equivalents for all non-linear exact
+// operations".
+type distinctCol struct {
+	kt       *KeyTable
+	gids     *types.Vector // per entry: the group it belongs to
+	vals     *types.Vector // per entry: its value
+	counts   []int64       // per group
+	strBytes int64
+
+	gid    *types.Vector // per-batch scratch
+	skip   []bool
+	hashes []uint64
+	ids    []uint32
+}
+
+func (c *distinctCol) grow(n int) { c.counts = growTo(c.counts, n) }
+func (c *distinctCol) update(ids []uint32, arg *types.Vector) {
+	if c.gid == nil {
+		c.gid = types.NewVector(types.Int64, len(ids))
+	}
+	c.gid.Ints, c.skip = c.gid.Ints[:0], c.skip[:0]
+	for r, id := range ids {
+		c.gid.Ints = append(c.gid.Ints, int64(id))
+		c.skip = append(c.skip, id == NoID || arg.IsNull(r))
+	}
+	c.add(c.gid, arg, c.skip)
+}
+
+// add inserts the (group, value) pairs not seen before, rows in skip left
+// out.
+func (c *distinctCol) add(gid, val *types.Vector, skip []bool) {
+	vecs := [2]*types.Vector{gid, val}
+	c.hashes = c.kt.Hash(vecs[:], len(gid.Ints), c.hashes)
+	next := uint32(c.kt.Len())
+	c.ids = c.kt.FindOrInsert(vecs[:], c.hashes, skip, c.ids)
+	if c.vals == nil {
+		c.vals = types.NewVector(val.T, 0)
+	}
+	for r, id := range c.ids {
+		if id != next {
+			continue
+		}
+		next++
+		c.counts[gid.Ints[r]]++
+		c.gids.Ints = append(c.gids.Ints, gid.Ints[r])
+		c.vals.AppendFrom(val, r)
+		if val.T == types.String {
+			c.strBytes += int64(len(val.Strs[r]))
+		}
+	}
+}
+func (c *distinctCol) merge(o aggCol, remap []uint32) {
+	oc := o.(*distinctCol)
+	if oc.kt.Len() == 0 {
 		return
 	}
-	c := types.Compare(v, s.best)
-	if s.min && c < 0 || !s.min && c > 0 {
-		s.best = v
+	gid := types.NewVector(types.Int64, oc.kt.Len())
+	for _, g := range oc.gids.Ints {
+		gid.Ints = append(gid.Ints, int64(remap[g]))
 	}
+	c.add(gid, oc.vals, nil)
 }
-func (s *minMaxState) UpdateRow() {}
-func (s *minMaxState) Merge(o AggState) {
-	so := o.(*minMaxState)
-	if so.seen {
-		s.Update(so.best)
-	}
-}
-func (s *minMaxState) Final() types.Value {
-	if !s.seen {
-		return types.NewNull(s.t)
-	}
-	return s.best
-}
+func (c *distinctCol) final(id int) types.Value { return types.NewInt(c.counts[id]) }
 
-func (s *minMaxState) Size() int64 {
-	if !s.seen {
-		return 1
-	}
-	return 1 + valueSize(s.best)
+// shipBytes grows with the value set: a count per group plus every
+// distinct value's key encoding (10 bytes + string payload) and length.
+func (c *distinctCol) shipBytes() int64 {
+	return 8*int64(len(c.counts)) + 14*int64(c.kt.Len()) + c.strBytes
 }
-
-// distinctState implements exact COUNT(DISTINCT x) by shipping the distinct
-// value set from slices to the leader. Exact distinct does not decompose
-// into constant-size partials — which is precisely why §4 argues for
-// "distributed approximate equivalents for all non-linear exact operations".
-type distinctState struct {
-	seen map[string]struct{}
-}
-
-func (s *distinctState) Update(v types.Value) {
-	if !v.Null {
-		s.seen[KeyEncoder([]types.Value{v})] = struct{}{}
-	}
-}
-func (s *distinctState) UpdateRow() {}
-func (s *distinctState) Merge(o AggState) {
-	for k := range o.(*distinctState).seen {
-		s.seen[k] = struct{}{}
-	}
-}
-func (s *distinctState) Final() types.Value { return types.NewInt(int64(len(s.seen))) }
-
-// Size grows with the value set: exact distinct does not decompose into
-// constant-size partials, and the accounting now shows that.
-func (s *distinctState) Size() int64 {
-	n := int64(8)
-	for k := range s.seen {
-		n += int64(len(k)) + 4
+func (c *distinctCol) memBytes() int64 {
+	n := c.kt.Bytes() + 8*int64(cap(c.counts)) + vecMemBytes(c.gids, 0)
+	if c.vals != nil {
+		n += vecMemBytes(c.vals, c.strBytes)
 	}
 	return n
 }
 
-// hllState implements APPROXIMATE COUNT(DISTINCT x) with a constant-size
-// mergeable sketch.
-type hllState struct {
-	sk *hll.Sketch
+// hllCol implements APPROXIMATE COUNT(DISTINCT x) with one constant-size
+// mergeable sketch per group, fed the value's KeyEncoder bytes.
+type hllCol struct {
+	sks []*hll.Sketch
+	buf []byte
 }
 
-func (s *hllState) Update(v types.Value) {
-	if v.Null {
-		return
+func (c *hllCol) grow(n int) {
+	for len(c.sks) < n {
+		c.sks = append(c.sks, hll.New())
 	}
-	s.sk.AddString(KeyEncoder([]types.Value{v}))
 }
-func (s *hllState) UpdateRow()         {}
-func (s *hllState) Merge(o AggState)   { s.sk.Merge(o.(*hllState).sk) }
-func (s *hllState) Final() types.Value { return types.NewInt(s.sk.Estimate()) }
-func (s *hllState) Size() int64        { return s.sk.ByteSize() }
-
-// group is one grouping key's accumulators.
-type group struct {
-	keys   []types.Value
-	states []AggState
-	mem    int64 // bytes currently charged to the tracker for this group
-}
-
-// Memory-accounting constants for hash aggregation: estimated heap cost
-// beyond the shipped-state payload that AggState.Size reports. Validated
-// against real allocation growth by TestAggAccountingTracksAllocation.
-const (
-	groupOverhead = 160 // map bucket + group struct + keys/states slice headers + order entry
-	stateOverhead = 48  // interface header + allocator rounding per accumulator
-	valueOverhead = 40  // boxed types.Value struct per group key
-)
-
-// groupMemBytes estimates the resident heap bytes of one group entry.
-func groupMemBytes(k string, grp *group) int64 {
-	n := int64(groupOverhead) + int64(len(k))
-	for _, v := range grp.keys {
-		n += valueOverhead + valueSize(v)
+func (c *hllCol) update(ids []uint32, arg *types.Vector) {
+	for r, id := range ids {
+		if id != NoID && !arg.IsNull(r) {
+			c.buf = appendKeyAt(c.buf[:0], arg, r)
+			c.sks[id].AddBytes(c.buf)
+		}
 	}
-	for _, st := range grp.states {
-		n += stateOverhead + st.Size()
-	}
-	return n
 }
+func (c *hllCol) merge(o aggCol, remap []uint32) {
+	for i, sk := range o.(*hllCol).sks {
+		c.sks[remap[i]].Merge(sk)
+	}
+}
+func (c *hllCol) final(id int) types.Value { return types.NewInt(c.sks[id].Estimate()) }
+func (c *hllCol) shipBytes() int64 {
+	if len(c.sks) == 0 {
+		return 0
+	}
+	return int64(len(c.sks)) * c.sks[0].ByteSize()
+}
+func (c *hllCol) memBytes() int64 { return c.shipBytes() + 8*int64(cap(c.sks)) }
 
 // GroupTable is a hash-aggregation operator usable as both the partial
-// (slice) and final (leader) phase.
+// (slice) and final (leader) phase. A KeyTable numbers the grouping keys in
+// first-seen order; the keys themselves and every aggregate's accumulators
+// sit in columns indexed by that id.
 type GroupTable struct {
 	mode     Mode
 	specs    []plan.AggSpec
 	groupEvs []*Evaluator
 	argEvs   []*Evaluator // aligned with specs; nil for COUNT(*)
-	groups   map[string]*group
-	order    []string // deterministic iteration
+
+	kt          *KeyTable
+	keys        []*types.Vector // group key columns, typed on first insert
+	keyStrBytes int64
+	cols        []aggCol // aligned with specs
+
+	keyVecs, argVecs []*types.Vector // per-batch scratch
+	hashes           []uint64
+	ids              []uint32
 
 	mc      *MemContext // nil → ungoverned
 	charged int64
@@ -315,11 +411,7 @@ func (g *GroupTable) ReleaseMem() {
 
 // NewGroupTable prepares a hash aggregation.
 func NewGroupTable(mode Mode, groupBy []plan.Expr, specs []plan.AggSpec) (*GroupTable, error) {
-	g := &GroupTable{
-		mode:   mode,
-		specs:  specs,
-		groups: map[string]*group{},
-	}
+	g := &GroupTable{mode: mode, specs: specs}
 	for _, e := range groupBy {
 		ev, err := NewEvaluator(mode, e)
 		if err != nil {
@@ -338,103 +430,131 @@ func NewGroupTable(mode Mode, groupBy []plan.Expr, specs []plan.AggSpec) (*Group
 		}
 		g.argEvs = append(g.argEvs, ev)
 	}
+	g.reset()
 	return g, nil
 }
 
-// Consume folds one batch of input rows. Group-state growth is charged
-// against the query grant; the batch that would exceed it switches the
-// table into spill mode, where rows for not-yet-resident keys are
-// partitioned to scratch files instead of growing the hash table.
-func (g *GroupTable) Consume(b *Batch) error {
+// reset gives the table empty group storage.
+func (g *GroupTable) reset() {
+	g.kt = NewKeyTable()
+	g.keys = make([]*types.Vector, len(g.groupEvs))
+	g.cols = make([]aggCol, len(g.specs))
+	for i, spec := range g.specs {
+		g.cols[i] = newAggCol(spec)
+	}
+}
+
+// Consume folds one batch of input rows. Table growth is charged against
+// the query grant; the batch that would exceed it switches the table into
+// spill mode, where rows for not-yet-resident keys are partitioned to
+// scratch files instead of growing the hash table.
+func (g *GroupTable) Consume(b *Batch) (err error) {
 	if b.N == 0 {
 		return nil
 	}
-	keyVecs := make([]*types.Vector, len(g.groupEvs))
-	for i, ev := range g.groupEvs {
-		v, err := ev.Eval(b)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	if g.keyVecs, err = evalKeys(g.groupEvs, b, g.keyVecs); err != nil {
+		return err
 	}
-	argVecs := make([]*types.Vector, len(g.argEvs))
-	for i, ev := range g.argEvs {
-		if ev == nil {
-			continue
-		}
-		v, err := ev.Eval(b)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
+	if g.argVecs, err = evalKeys(g.argEvs, b, g.argVecs); err != nil {
+		return err
 	}
-	keyRow := make([]types.Value, len(keyVecs))
-	var touched map[string]*group
-	if g.mc != nil && g.mc.T != nil {
-		touched = make(map[string]*group)
-	}
-	var part []int // spill routing; allocated on first routed row
-	for r := 0; r < b.N; r++ {
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-		}
-		k := KeyEncoder(keyRow)
-		grp, ok := g.groups[k]
-		if !ok {
-			if g.spill != nil {
-				// New key after overflow: defer the row to its partition.
-				if part == nil {
-					part = make([]int, b.N)
-					for i := range part {
-						part[i] = -1
-					}
-				}
-				part[r] = spillPartition(k, g.depth)
+	g.hashes = g.kt.Hash(g.keyVecs, b.N, g.hashes)
+	if g.spill == nil {
+		g.insert(g.keyVecs, g.hashes)
+	} else {
+		// Keys new after the overflow: defer their rows to a partition, by
+		// the hash already computed.
+		g.ids = g.kt.Find(g.keyVecs, g.hashes, nil, g.ids)
+		var part []int
+		for r, id := range g.ids {
+			if id != NoID {
 				continue
 			}
-			grp = g.insert(k, keyRow)
+			if part == nil {
+				part = make([]int, b.N)
+				for i := range part {
+					part[i] = -1
+				}
+			}
+			part[r] = spillPart(g.hashes[r], g.depth)
 		}
-		for i := range g.specs {
-			if argVecs[i] == nil {
-				grp.states[i].UpdateRow()
-			} else {
-				grp.states[i].Update(argVecs[i].Get(r))
+		if part != nil {
+			if err := scatter(b, part, g.spill.files); err != nil {
+				return err
 			}
 		}
-		if touched != nil {
-			touched[k] = grp
-		}
 	}
-	if part != nil {
-		if err := scatter(b, part, g.spill.files); err != nil {
-			return err
-		}
+	for i, c := range g.cols {
+		c.update(g.ids, g.argVecs[i])
 	}
-	if touched == nil {
+	if g.settle(false) {
 		return nil
 	}
-	var delta int64
-	for k, grp := range touched {
-		nb := groupMemBytes(k, grp)
-		delta += nb - grp.mem
-		grp.mem = nb
+	// Over the grant: resident groups stay (forced charge, they keep
+	// absorbing their keys' rows in place), future new keys spill.
+	if err := g.enterSpill(); err != nil {
+		return err
 	}
+	g.settle(true)
+	return nil
+}
+
+// insert finds or creates the group of every row of keyVecs, leaving the
+// ids in g.ids. A new group's key is copied into the key columns and every
+// aggregate column grows to cover it.
+func (g *GroupTable) insert(keyVecs []*types.Vector, hashes []uint64) {
+	next := uint32(g.kt.Len())
+	g.ids = g.kt.FindOrInsert(keyVecs, hashes, nil, g.ids)
+	if g.kt.Len() == int(next) {
+		return
+	}
+	for r, id := range g.ids {
+		if id != next {
+			continue
+		}
+		next++
+		for c, v := range keyVecs {
+			if g.keys[c] == nil {
+				g.keys[c] = types.NewVector(v.T, 0)
+			}
+			g.keys[c].AppendFrom(v, r)
+			if v.T == types.String {
+				g.keyStrBytes += int64(len(v.Strs[r]))
+			}
+		}
+	}
+	for _, c := range g.cols {
+		c.grow(g.kt.Len())
+	}
+}
+
+// settle charges the table's growth since the last call (or returns its
+// shrinkage). Without force it reports false, charging nothing, when the
+// grant cannot take the growth.
+func (g *GroupTable) settle(force bool) bool {
+	if g.mc == nil || g.mc.T == nil {
+		return true
+	}
+	now := g.kt.Bytes() + g.keyStrBytes
+	for _, v := range g.keys {
+		if v != nil {
+			now += vecMemBytes(v, 0)
+		}
+	}
+	for _, c := range g.cols {
+		now += c.memBytes()
+	}
+	delta := now - g.charged
 	switch {
 	case delta < 0:
 		g.mc.shrink(-delta)
-		g.charged += delta
-	case delta > 0 && g.mc.tryGrow(delta):
-		g.charged += delta
-	case delta > 0:
-		// Over the grant: resident groups stay (forced charge, they keep
-		// absorbing their keys' rows in place), future new keys spill.
-		if err := g.enterSpill(); err != nil {
-			return err
-		}
+	case force:
 		g.mc.grow(delta)
-		g.charged += delta
+	case !g.mc.tryGrow(delta):
+		return false
 	}
-	return nil
+	g.charged = now
+	return true
 }
 
 // enterSpill opens the partition files. At the recursion-depth cap (or
@@ -457,52 +577,32 @@ func (g *GroupTable) enterSpill() error {
 	return nil
 }
 
-func (g *GroupTable) lookup(keyRow []types.Value) *group {
-	k := KeyEncoder(keyRow)
-	grp, ok := g.groups[k]
-	if !ok {
-		grp = g.insert(k, keyRow)
-	}
-	return grp
-}
-
-func (g *GroupTable) insert(k string, keyRow []types.Value) *group {
-	grp := &group{keys: append([]types.Value(nil), keyRow...)}
-	for _, spec := range g.specs {
-		grp.states = append(grp.states, NewAggState(spec))
-	}
-	g.groups[k] = grp
-	g.order = append(g.order, k)
-	return grp
-}
-
 // shadow builds the sub-table that re-aggregates one spilled partition,
 // one level deeper so a still-too-big partition re-splits on a fresh
 // hash.
 func (g *GroupTable) shadow() *GroupTable {
-	return &GroupTable{
+	sub := &GroupTable{
 		mode:     g.mode,
 		specs:    g.specs,
 		groupEvs: g.groupEvs,
 		argEvs:   g.argEvs,
-		groups:   map[string]*group{},
 		mc:       g.mc,
 		depth:    g.depth + 1,
 	}
+	sub.reset()
+	return sub
 }
 
-// Drain visits every group exactly once — resident groups in first-seen
-// order, then each spilled partition re-aggregated through a shadow
-// sub-table. Partition files are deleted as they are consumed; a table
-// can be drained once.
-func (g *GroupTable) Drain(ctx context.Context, fn func(k string, grp *group) error) error {
-	for _, k := range g.order {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fn(k, g.groups[k]); err != nil {
-			return err
-		}
+// drain visits every group exactly once, a table at a time: g with its
+// resident groups in first-seen order, then each spilled partition
+// re-aggregated into a shadow sub-table. Partition files are deleted as
+// they are consumed; a table can be drained once.
+func (g *GroupTable) drain(ctx context.Context, fn func(t *GroupTable) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := fn(g); err != nil {
+		return err
 	}
 	if g.spill == nil {
 		return nil
@@ -531,7 +631,7 @@ func (g *GroupTable) Drain(ctx context.Context, fn func(k string, grp *group) er
 				return err
 			}
 		}
-		if err := sub.Drain(ctx, fn); err != nil {
+		if err := sub.drain(ctx, fn); err != nil {
 			return err
 		}
 		g.mc.shrink(sub.charged)
@@ -550,28 +650,37 @@ func (g *GroupTable) Merge(o *GroupTable) error {
 // it overflowed. Adopted groups are charged to g's tracker (forced: the
 // leader merge works over shipped states, which cannot re-spill).
 func (g *GroupTable) MergeCtx(ctx context.Context, o *GroupTable) error {
-	return o.Drain(ctx, func(k string, og *group) error {
-		grp, ok := g.groups[k]
-		if !ok {
-			g.groups[k] = og
-			g.order = append(g.order, k)
-			if g.mc != nil && g.mc.T != nil {
-				nb := groupMemBytes(k, og)
-				og.mem = nb
-				g.mc.grow(nb)
-				g.charged += nb
-			}
-			return nil
-		}
-		for i := range grp.states {
-			grp.states[i].Merge(og.states[i])
+	return o.drain(ctx, func(t *GroupTable) error {
+		if n := t.NumGroups(); n > 0 {
+			g.mergeStates(t, g.adoptKeys(t, 0, n))
 		}
 		return nil
 	})
 }
 
-// NumGroups returns the number of distinct grouping keys seen.
-func (g *GroupTable) NumGroups() int { return len(g.groups) }
+// adoptKeys inserts src's resident group keys [lo, hi), in order, and
+// returns the id each has in g (valid until g's next insert). src's stored
+// hashes are reused: both tables hash the same key columns.
+func (g *GroupTable) adoptKeys(src *GroupTable, lo, hi int) []uint32 {
+	g.keyVecs = g.keyVecs[:0]
+	for _, v := range src.keys {
+		g.keyVecs = append(g.keyVecs, v.Slice(lo, hi))
+	}
+	g.insert(g.keyVecs, src.kt.Hashes()[lo:hi])
+	return g.ids
+}
+
+// mergeStates folds src's accumulators into g's, src's group i into group
+// remap[i], and charges what g grew by.
+func (g *GroupTable) mergeStates(src *GroupTable, remap []uint32) {
+	for i, c := range g.cols {
+		c.merge(src.cols[i], remap)
+	}
+	g.settle(true)
+}
+
+// NumGroups returns the number of distinct grouping keys resident.
+func (g *GroupTable) NumGroups() int { return g.kt.Len() }
 
 // StateBytes is the encoded size of the table's partial state — group keys
 // plus accumulators — i.e. what a slice actually ships to the leader.
@@ -579,14 +688,13 @@ func (g *GroupTable) NumGroups() int { return len(g.groups) }
 // leader too, just via re-aggregation at drain time.
 func (g *GroupTable) StateBytes() int64 {
 	var n int64
-	for _, k := range g.order {
-		grp := g.groups[k]
-		for _, v := range grp.keys {
-			n += valueSize(v)
+	for _, v := range g.keys {
+		if v != nil {
+			n += vecShipBytes(v)
 		}
-		for _, st := range grp.states {
-			n += st.Size()
-		}
+	}
+	for _, c := range g.cols {
+		n += c.shipBytes()
 	}
 	if g.spill != nil {
 		for _, f := range g.spill.files {
@@ -605,29 +713,30 @@ func (g *GroupTable) Result() (*Batch, error) {
 
 // ResultCtx materializes the result, draining spilled partitions.
 func (g *GroupTable) ResultCtx(ctx context.Context) (*Batch, error) {
-	if len(g.groupEvs) == 0 && len(g.groups) == 0 && g.spill == nil {
-		g.lookup(nil)
+	if len(g.groupEvs) == 0 && g.NumGroups() == 0 && g.spill == nil {
+		g.insert(nil, make([]uint64, 1))
 	}
-	width := len(g.groupEvs) + len(g.specs)
-	out := NewBatch(width)
+	nk := len(g.groupEvs)
+	out := NewBatch(nk + len(g.specs))
 	for c := range out.Cols {
-		out.Cols[c] = types.NewVector(g.colType(c), len(g.order))
+		out.Cols[c] = types.NewVector(g.colType(c), g.NumGroups())
 	}
-	n := 0
-	err := g.Drain(ctx, func(_ string, grp *group) error {
-		for c, v := range grp.keys {
-			out.Cols[c].Append(v)
+	err := g.drain(ctx, func(t *GroupTable) error {
+		n := t.NumGroups()
+		for id := 0; id < n; id++ {
+			for c, v := range t.keys {
+				out.Cols[c].AppendFrom(v, id)
+			}
+			for i, col := range t.cols {
+				out.Cols[nk+i].Append(col.final(id))
+			}
 		}
-		for i, st := range grp.states {
-			out.Cols[len(grp.keys)+i].Append(st.Final())
-		}
-		n++
+		out.N += n
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.N = n
 	return out, nil
 }
 

@@ -189,19 +189,46 @@ func floatKeyBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-// HashValues hashes a tuple for distribution (FNV-1a over the key
-// encoding), the same function the cluster layer uses to place rows by
-// distribution key, so planner co-location reasoning and executor shuffles
-// agree by construction.
+// HashValues hashes a tuple for distribution: FNV-1a over the bytes of its
+// KeyEncoder encoding, streamed without building the string. It is the same
+// function the cluster layer uses to place rows by distribution key, so
+// planner co-location reasoning and executor shuffles agree by construction
+// — and its values are pinned by test, because changing one moves stored
+// rows to another slice.
 func HashValues(vals []types.Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range []byte(KeyEncoder(vals)) {
-		h ^= uint64(c)
-		h *= prime64
+	h := uint64(fnvOffset64)
+	for _, v := range vals {
+		if v.Null {
+			h = fnvByte(h, 0)
+			continue
+		}
+		h = fnvByte(fnvByte(h, 1), byte(v.T))
+		switch v.T {
+		case types.Float64:
+			h = fnvUint64(h, floatKeyBits(v.F))
+		case types.String:
+			h = fnvUint64(h, uint64(len(v.S)))
+			for i := 0; i < len(v.S); i++ {
+				h = fnvByte(h, v.S[i])
+			}
+		default:
+			h = fnvUint64(h, uint64(v.I))
+		}
+	}
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime64 }
+
+// fnvUint64 folds x in as appendUint64 lays it out: little-endian.
+func fnvUint64(h, x uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(x>>(8*i)))
 	}
 	return h
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"redshift/internal/plan"
@@ -625,15 +626,43 @@ func TestKeyEncoderInjective(t *testing.T) {
 	}
 }
 
+// TestHashValuesStable pins HashValues bit for bit: it places stored rows on
+// slices (cluster) and routes shuffles (exchange), so a changed value would
+// silently move data. The golden hashes were recorded from the
+// KeyEncoder-string implementation it replaced, which stays as the
+// reference here.
 func TestHashValuesStable(t *testing.T) {
-	a := HashValues([]types.Value{types.NewInt(42)})
-	b := HashValues([]types.Value{types.NewInt(42)})
-	c := HashValues([]types.Value{types.NewInt(43)})
-	if a != b {
-		t.Error("hash not deterministic")
+	golden := []struct {
+		vals []types.Value
+		want uint64
+	}{
+		{[]types.Value{types.NewInt(42)}, 0xbf20053b15f43bfd},
+		{[]types.Value{types.NewInt(-1)}, 0xad5ab16c642497cf},
+		{[]types.Value{types.NewDate(42)}, 0x81ca3f341493c1a1},
+		{[]types.Value{types.NewTimestamp(1700000000000000)}, 0xa9e896ca9e02ea5c},
+		{[]types.Value{types.NewBool(true)}, 0x227f585b562a3f19},
+		{[]types.Value{types.NewFloat(0)}, 0x78029183c6dcb96a},
+		{[]types.Value{types.NewFloat(math.Copysign(0, -1))}, 0x78029183c6dcb96a},
+		{[]types.Value{types.NewFloat(3.25)}, 0x77e05583c6bf6d10},
+		{[]types.Value{types.NewString("")}, 0xb6ce6e15b77af7d},
+		{[]types.Value{types.NewString("a\x00b")}, 0x4560230023ecc58f},
+		{[]types.Value{types.NewString("redshift")}, 0x148553aa4ea0d4e8},
+		{[]types.Value{types.NewNull(types.Int64)}, 0xaf63bd4c8601b7df},
+		{[]types.Value{types.NewNull(types.String)}, 0xaf63bd4c8601b7df},
+		{[]types.Value{types.NewInt(7), types.NewString("x"), types.NewNull(types.Float64), types.NewDate(19000)}, 0x29e2bac9000cf635},
+		{nil, 0xcbf29ce484222325},
 	}
-	if a == c {
-		t.Error("hash trivially collides")
+	for _, g := range golden {
+		if got := HashValues(g.vals); got != g.want {
+			t.Errorf("HashValues(%v) = %#x, want %#x", g.vals, got, g.want)
+		}
+		ref := uint64(14695981039346656037)
+		for _, c := range []byte(KeyEncoder(g.vals)) {
+			ref = (ref ^ uint64(c)) * 1099511628211
+		}
+		if ref != g.want {
+			t.Errorf("FNV-1a over KeyEncoder(%v) = %#x, want %#x", g.vals, ref, g.want)
+		}
 	}
 }
 

@@ -136,8 +136,5 @@ func (s *ExternalSorter) Stream(ctx context.Context) (batchStream, error) {
 	if s.cur != nil && s.cur.N > 0 {
 		streams = append(streams, &memStream{batches: []*Batch{s.cur}})
 	}
-	keys := s.keys
-	return newMergeStream(streams, func(a *Batch, ai int, b *Batch, bi int) int {
-		return crossCompare(a, ai, b, bi, keys)
-	}), nil
+	return newMergeStream(streams, s.keys), nil
 }

@@ -10,27 +10,27 @@ import (
 	"redshift/internal/types"
 )
 
-// Memory-accounting constants: estimated heap overhead beyond payload
-// bytes for hash-table bookkeeping. Coarse by design — the tracker
-// governs budgets, it is not a profiler.
-const (
-	joinKeyOverhead = 64 // map bucket + string header + slice header per distinct key
-	joinPosBytes    = 8  // one build-row position in a key's match list
-)
-
 // HashJoin joins a probe (left) stream against a fully built (right) side.
 // The build side is the inner table — the side the planner chose to
 // broadcast, shuffle or read locally.
+//
+// A KeyTable numbers the distinct build keys; every key's build rows hang
+// off it as a chain threaded through next, ascending in build position, so
+// a probe emits its matches in build order. NULL keys never match and are
+// neither inserted nor probed.
 type HashJoin struct {
 	kind       sql.JoinKind
 	mode       Mode
 	leftKeys   []*Evaluator // over the left (probe) layout
 	buildKeys  []*Evaluator // over the right (build) local layout
 	rightWidth int
-	table      map[string][]int // key → build row positions
-	build      *Batch           // concatenated build rows (right-local layout)
-	buildTypes []types.Type     // right-side column types, noted from build input
-	residual   *Filter          // over the joined layout, inner joins only
+	kt         *KeyTable
+	head, tail []int32      // per key id: first and last build row of its chain
+	next       []int32      // per build row: the key's next build row, -1 ends
+	build      *Batch       // concatenated build rows (right-local layout)
+	buildTypes []types.Type // right-side column types, noted from build input
+	residual   *Filter      // over the joined layout, inner joins only
+	sc         keyScratch   // build-side scratch (probes bring their own)
 
 	mc      *MemContext // nil → ungoverned (unlimited in-memory build)
 	charged int64       // bytes currently charged for build batch + table
@@ -67,27 +67,25 @@ func (j *HashJoin) SetSizeHint(totalBytes, perSliceRows int64) {
 
 // SetBuildWorkers makes the build insert keys with n workers: Build then
 // only concatenates and charges each batch, and FinishBuild — which must be
-// called once the build side is exhausted — evaluates and inserts every key
-// in parallel. The table comes out identical to the one-worker build. Must
-// be called before Build; n <= 1 keeps the inline insert.
+// called once the build side is exhausted — evaluates and hashes every key
+// in parallel, then inserts them. The table comes out identical to the
+// one-worker build. Must be called before Build; n <= 1 keeps the inline
+// insert.
 func (j *HashJoin) SetBuildWorkers(n int) { j.workers = n }
 
 // applyHint acts on the planner's size hint once, before the first batch
 // is retained.
 func (j *HashJoin) applyHint() error {
 	j.hinted = false
-	if j.spill != nil || j.mc == nil || j.mc.T == nil || j.mc.Dir == nil {
-		if j.hintRows > 0 && j.spill == nil {
-			j.table = make(map[string][]int, j.hintRows)
-		}
+	if j.spill != nil {
 		return nil
 	}
-	if lim := j.mc.T.Limit(); lim > 0 && j.hintBytes > lim {
-		return j.enterSpill()
+	if j.mc != nil && j.mc.T != nil && j.mc.Dir != nil {
+		if lim := j.mc.T.Limit(); lim > 0 && j.hintBytes > lim {
+			return j.enterSpill()
+		}
 	}
-	if j.hintRows > 0 {
-		j.table = make(map[string][]int, j.hintRows)
-	}
+	j.kt.Reserve(int(j.hintRows))
 	return nil
 }
 
@@ -107,7 +105,7 @@ func NewHashJoin(mode Mode, step plan.JoinStep, rightWidth int) (*HashJoin, erro
 		kind:       step.Kind,
 		mode:       mode,
 		rightWidth: rightWidth,
-		table:      make(map[string][]int),
+		kt:         NewKeyTable(),
 		build:      NewBatch(rightWidth),
 	}
 	for _, k := range step.LeftKeys {
@@ -154,39 +152,65 @@ func (j *HashJoin) Build(b *Batch) error {
 	if err := j.alignAndConcat(b); err != nil {
 		return err
 	}
-	keyVecs := make([]*types.Vector, len(j.buildKeys))
-	for i, ev := range j.buildKeys {
-		v, err := ev.Eval(b)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	if err := j.sc.eval(j.buildKeys, b); err != nil {
+		return err
 	}
-	delta := b.ByteSize()
-	keyRow := make([]types.Value, len(keyVecs))
-	for r := 0; r < b.N; r++ {
-		null := false
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-			if keyRow[i].Null {
-				null = true
-			}
-		}
-		if null {
-			continue // NULL keys never match
-		}
-		k := KeyEncoder(keyRow)
-		if _, ok := j.table[k]; !ok {
-			delta += joinKeyOverhead + int64(len(k))
-		}
-		delta += joinPosBytes
-		j.table[k] = append(j.table[k], base+r)
-	}
+	before := j.tableBytes()
+	j.insert(&j.sc, base)
+	delta := b.ByteSize() + j.tableBytes() - before
 	if !j.mc.tryGrow(delta) {
 		return j.enterSpill()
 	}
 	j.charged += delta
 	return nil
+}
+
+// keyScratch is one batch's worth of key-side working memory: the evaluated
+// key vectors, their hashes, the NULL-key mask and the ids a KeyTable
+// answered with.
+type keyScratch struct {
+	vecs   []*types.Vector
+	hashes []uint64
+	nullb  []bool // backs skip
+	skip   []bool // the NULL-key rows, nil when no key column has NULLs
+	ids    []uint32
+}
+
+// eval evaluates the key expressions over b, hashes every row and marks the
+// NULL-key rows.
+func (sc *keyScratch) eval(evs []*Evaluator, b *Batch) (err error) {
+	if sc.vecs, err = evalKeys(evs, b, sc.vecs); err != nil {
+		return err
+	}
+	sc.hashes = hashKeys(sc.vecs, b.N, sc.hashes)
+	sc.skip = nullRows(sc.vecs, b.N, &sc.nullb)
+	return nil
+}
+
+// insert adds one evaluated build batch, whose first row is build position
+// base, to the table: each non-NULL key's row goes to the end of its chain.
+func (j *HashJoin) insert(sc *keyScratch, base int) {
+	sc.ids = j.kt.FindOrInsert(sc.vecs, sc.hashes, sc.skip, sc.ids)
+	for len(j.next) < base+len(sc.ids) {
+		j.next = append(j.next, -1)
+	}
+	for r, id := range sc.ids {
+		pos := int32(base + r)
+		switch {
+		case id == NoID:
+		case int(id) == len(j.head):
+			j.head, j.tail = append(j.head, pos), append(j.tail, pos)
+		default:
+			j.next[j.tail[id]] = pos
+			j.tail[id] = pos
+		}
+	}
+}
+
+// tableBytes is the resident size of the hash table and its chains — what
+// the join charges, by delta, on top of the build rows themselves.
+func (j *HashJoin) tableBytes() int64 {
+	return j.kt.Bytes() + int64(4*(cap(j.head)+cap(j.tail)+cap(j.next)))
 }
 
 // retain is Build minus the table inserts: the batch is charged and
@@ -205,31 +229,16 @@ func (j *HashJoin) retain(b *Batch) error {
 	return j.alignAndConcat(b)
 }
 
-// fnvOwner assigns a hash key to one of n owner-workers (FNV-1a).
-func fnvOwner(k string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
 // FinishBuild completes a deferred-insert build (a no-op otherwise, and
 // once the join has spilled — the grace path replays build rows in their
-// original order from disk). Two phases:
+// original order from disk). Workers evaluate and hash the retained batches'
+// keys in parallel; the inserts then run in build order over the ready-made
+// hashes, so table and chains are exactly the inline build's.
 //
-//  1. Parallel key evaluation: workers encode every retained batch's keys.
-//  2. Partitioned insert: each owner-worker scans all keys in batch order
-//     and inserts only the keys it owns (hash(k) % workers) into a private
-//     map at the row's global build position, so per-key position lists
-//     come out ascending — the inline insert order. The disjoint maps are
-//     then unified into j.table.
-//
-// The table's key/position overhead is charged as one lump at the end; if
-// that fails the join flips into grace-spill mode like the inline path.
-// The spill trigger point can differ from a one-worker build by part of a
-// batch, but the join's output cannot.
+// The table's size is charged as one lump at the end; if that fails the
+// join flips into grace-spill mode like the inline path. The spill trigger
+// point can differ from a one-worker build by part of a batch, but the
+// join's output cannot.
 func (j *HashJoin) FinishBuild(ctx context.Context) error {
 	retained, bases := j.retained, j.bases
 	j.retained, j.bases = nil, nil
@@ -237,8 +246,7 @@ func (j *HashJoin) FinishBuild(ctx context.Context) error {
 	if nb == 0 || j.spill != nil {
 		return nil
 	}
-	keys := make([][]string, nb)
-	nulls := make([][]bool, nb)
+	keyed := make([]keyScratch, nb)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, j.workers)
@@ -254,7 +262,7 @@ func (j *HashJoin) FinishBuild(ctx context.Context) error {
 				if errs[w] = ctx.Err(); errs[w] != nil {
 					return
 				}
-				if keys[i], nulls[i], errs[w] = keyStrings(j.buildKeys, retained[i]); errs[w] != nil {
+				if errs[w] = keyed[i].eval(j.buildKeys, retained[i]); errs[w] != nil {
 					return
 				}
 			}
@@ -266,50 +274,15 @@ func (j *HashJoin) FinishBuild(ctx context.Context) error {
 			return err
 		}
 	}
-
-	subs := make([]map[string][]int, j.workers)
-	deltas := make([]int64, j.workers)
-	for w := 0; w < j.workers; w++ {
-		wg.Add(1)
-		go func(owner int) {
-			defer wg.Done()
-			sub := make(map[string][]int)
-			var delta int64
-			for i := 0; i < nb; i++ {
-				ks, nl := keys[i], nulls[i]
-				for r := range ks {
-					if nl[r] {
-						continue // NULL keys never match
-					}
-					k := ks[r]
-					if fnvOwner(k, j.workers) != owner {
-						continue
-					}
-					if _, ok := sub[k]; !ok {
-						delta += joinKeyOverhead + int64(len(k))
-					}
-					delta += joinPosBytes
-					sub[k] = append(sub[k], bases[i]+r)
-				}
-			}
-			subs[owner], deltas[owner] = sub, delta
-		}(w)
+	for i := range keyed {
+		j.insert(&keyed[i], bases[i])
 	}
-	wg.Wait()
-
-	var keyDelta int64
-	for w, sub := range subs {
-		keyDelta += deltas[w]
-		for k, pos := range sub {
-			j.table[k] = pos
-		}
-	}
-	if !j.mc.tryGrow(keyDelta) {
+	if !j.mc.tryGrow(j.tableBytes()) {
 		// enterSpill resets the table and re-partitions the accumulated
 		// build rows; the shrink it performs returns the retain charges.
 		return j.enterSpill()
 	}
-	j.charged += keyDelta
+	j.charged += j.tableBytes()
 	return nil
 }
 
@@ -322,7 +295,7 @@ func (j *HashJoin) enterSpill() error {
 	}
 	j.spill = g
 	full := j.build
-	j.table = make(map[string][]int)
+	j.kt, j.head, j.tail, j.next = NewKeyTable(), nil, nil, nil
 	j.build = NewBatch(j.rightWidth)
 	if err := g.addBuild(full); err != nil {
 		return err
@@ -388,7 +361,7 @@ func (j *HashJoin) shadow() *HashJoin {
 		leftKeys:   j.leftKeys,
 		buildKeys:  j.buildKeys,
 		rightWidth: j.rightWidth,
-		table:      make(map[string][]int),
+		kt:         NewKeyTable(),
 		build:      NewBatch(j.rightWidth),
 		buildTypes: j.buildTypes,
 		residual:   j.residual,
@@ -407,46 +380,44 @@ func (j *HashJoin) Probe(left *Batch) (*Batch, error) {
 // row's global sequence number through per-partition joins so partition
 // outputs can be merged back into the exact in-memory probe order.
 func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) {
-	keyVecs := make([]*types.Vector, len(j.leftKeys))
-	for i, ev := range j.leftKeys {
-		v, err := ev.Eval(left)
-		if err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v
+	// The join is shared by every probing worker, so the scratch is not its
+	// own.
+	sc := probeScratch.Get().(*probeBufs)
+	defer probeScratch.Put(sc)
+	if err := sc.eval(j.leftKeys, left); err != nil {
+		return nil, err
 	}
-	var leftSel, rightSel []int
-	keyRow := make([]types.Value, len(keyVecs))
-	for r := 0; r < left.N; r++ {
-		null := false
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-			if keyRow[i].Null {
-				null = true
-			}
-		}
-		var matches []int
-		if !null {
-			matches = j.table[KeyEncoder(keyRow)]
-		}
-		if len(matches) == 0 {
+	sc.ids = j.kt.Find(sc.vecs, sc.hashes, sc.skip, sc.ids)
+	clear(sc.vecs)
+	leftSel, rightSel := sc.left[:0], sc.right[:0]
+	for r, id := range sc.ids {
+		if id == NoID {
 			if j.kind == sql.LeftJoin {
 				leftSel = append(leftSel, r)
 				rightSel = append(rightSel, -1) // null-extended
 			}
 			continue
 		}
-		for _, m := range matches {
+		for m := j.head[id]; m >= 0; m = j.next[m] {
 			leftSel = append(leftSel, r)
-			rightSel = append(rightSel, m)
+			rightSel = append(rightSel, int(m))
 		}
 	}
+	sc.left, sc.right = leftSel, rightSel
 	out := j.assemble(left, leftSel, rightSel)
 	if carry != nil {
 		out.Cols = append(out.Cols, carry.Gather(leftSel))
 	}
 	return j.residual.Apply(out)
 }
+
+// probeBufs is a prober's scratch: the key side plus the match selection.
+type probeBufs struct {
+	keyScratch
+	left, right []int
+}
+
+var probeScratch = sync.Pool{New: func() any { return new(probeBufs) }}
 
 // assemble gathers matched left rows and build rows into the joined layout.
 func (j *HashJoin) assemble(left *Batch, leftSel, rightSel []int) *Batch {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"redshift/internal/plan"
 	"redshift/internal/sql"
 	"redshift/internal/types"
 )
@@ -18,22 +19,13 @@ const (
 	maxSpillDepth = 3
 )
 
-// spillPartition assigns a key to one of spillFanout partitions; depth
-// salts the hash so each recursion level re-splits with an independent
-// partition function.
-func spillPartition(key string, depth int) int {
-	const (
-		off64   = 14695981039346656037
-		prime64 = 1099511628211
-	)
-	h := uint64(off64)
-	for d := 0; d <= depth; d++ {
-		h = (h ^ uint64(d+1)) * prime64
-	}
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime64
-	}
-	return int(h % spillFanout)
+// spillPart assigns a key, by the hash its KeyTable would store for it, to
+// one of spillFanout partitions; depth salts the hash so each recursion
+// level re-splits with an independent partition function. Remixing and
+// taking high bits also keeps the split independent of the slot a table gives
+// the key (the hash's low bits).
+func spillPart(hash uint64, depth int) int {
+	return int(mix(hash, uint64(depth+1)*hashNull) >> 32 % spillFanout)
 }
 
 // graceSpill is the disk-backed half of HashJoin: a grace hash join.
@@ -50,6 +42,8 @@ type graceSpill struct {
 	buildFiles []*spillFile
 	probeFiles []*spillFile
 	seq        int64
+	seqCol     int // where the sequence column sits in the joined layout
+	sc         keyScratch
 }
 
 func newGraceSpill(j *HashJoin) (*graceSpill, error) {
@@ -72,32 +66,22 @@ func newGraceSpill(j *HashJoin) (*graceSpill, error) {
 	return g, nil
 }
 
-// keyStrings evaluates key expressions over b and encodes each row's key;
-// null[r] reports a NULL component (never matches).
-func keyStrings(evs []*Evaluator, b *Batch) (keys []string, null []bool, err error) {
-	keyVecs := make([]*types.Vector, len(evs))
-	for i, ev := range evs {
-		v, e := ev.Eval(b)
-		if e != nil {
-			return nil, nil, e
-		}
-		keyVecs[i] = v
+// partition assigns each row of b to a partition at the given depth by the
+// hash of its key; rows with a NULL key component (which never match) go to
+// nullPart.
+func (g *graceSpill) partition(evs []*Evaluator, b *Batch, depth, nullPart int) ([]int, error) {
+	if err := g.sc.eval(evs, b); err != nil {
+		return nil, err
 	}
-	keys = make([]string, b.N)
-	null = make([]bool, b.N)
-	keyRow := make([]types.Value, len(keyVecs))
-	for r := 0; r < b.N; r++ {
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-			if keyRow[i].Null {
-				null[r] = true
-			}
-		}
-		if !null[r] {
-			keys[r] = KeyEncoder(keyRow)
+	part := make([]int, b.N)
+	for r, h := range g.sc.hashes {
+		if g.sc.skip != nil && g.sc.skip[r] {
+			part[r] = nullPart
+		} else {
+			part[r] = spillPart(h, depth)
 		}
 	}
-	return keys, null, nil
+	return part, nil
 }
 
 // scatter writes b's rows into files by partition assignment. Rows with
@@ -130,17 +114,9 @@ func (g *graceSpill) addBuild(b *Batch) error {
 	if b == nil || b.N == 0 {
 		return nil
 	}
-	keys, null, err := keyStrings(g.j.buildKeys, b)
+	part, err := g.partition(g.j.buildKeys, b, 0, -1)
 	if err != nil {
 		return err
-	}
-	part := make([]int, b.N)
-	for r := range part {
-		if null[r] {
-			part[r] = -1
-			continue
-		}
-		part[r] = spillPartition(keys[r], 0)
 	}
 	return scatter(b, part, g.buildFiles)
 }
@@ -153,20 +129,14 @@ func (g *graceSpill) addProbe(b *Batch) error {
 	if b == nil || b.N == 0 {
 		return nil
 	}
-	keys, null, err := keyStrings(g.j.leftKeys, b)
+	g.seqCol = len(b.Cols) + g.j.rightWidth
+	nullPart := -1
+	if g.j.kind == sql.LeftJoin {
+		nullPart = 0
+	}
+	part, err := g.partition(g.j.leftKeys, b, 0, nullPart)
 	if err != nil {
 		return err
-	}
-	part := make([]int, b.N)
-	for r := range part {
-		switch {
-		case !null[r]:
-			part[r] = spillPartition(keys[r], 0)
-		case g.j.kind == sql.LeftJoin:
-			part[r] = 0
-		default:
-			part[r] = -1
-		}
 	}
 	return scatter(withSeqCol(b, &g.seq), part, g.probeFiles)
 }
@@ -225,19 +195,8 @@ func withSeqCol(b *Batch, seq *int64) *Batch {
 	return &Batch{Cols: cols, N: b.N}
 }
 
-// cmpSeq orders joined rows by their trailing probe-sequence column.
-func cmpSeq(a *Batch, ai int, b *Batch, bi int) int {
-	av := a.Cols[len(a.Cols)-1].Get(ai).I
-	bv := b.Cols[len(b.Cols)-1].Get(bi).I
-	switch {
-	case av < bv:
-		return -1
-	case av > bv:
-		return 1
-	default:
-		return 0
-	}
-}
+// seqOrder orders joined rows by their trailing probe-sequence column.
+func (g *graceSpill) seqOrder() []plan.OrderKey { return []plan.OrderKey{{Index: g.seqCol}} }
 
 // run joins every partition pair and returns the merged output stream
 // (joined layout plus the trailing sequence column, in probe order).
@@ -267,7 +226,7 @@ func (g *graceSpill) run(ctx context.Context) (batchStream, error) {
 		}
 		outs = append(outs, r)
 	}
-	return newMergeStream(outs, cmpSeq), nil
+	return newMergeStream(outs, g.seqOrder()), nil
 }
 
 // processPair joins one build/probe partition pair into out. If the build
@@ -365,12 +324,8 @@ func (g *graceSpill) subdivide(ctx context.Context, bf, pf *spillFile, depth int
 		if b == nil {
 			break
 		}
-		keys, _, err := keyStrings(g.j.buildKeys, b)
+		part, err := g.partition(g.j.buildKeys, b, nd, -1) // no NULL key got this far
 		if err == nil {
-			part := make([]int, b.N)
-			for r := range part {
-				part[r] = spillPartition(keys[r], nd)
-			}
 			err = scatter(b, part, subB)
 		}
 		PutBatch(b)
@@ -391,16 +346,9 @@ func (g *graceSpill) subdivide(ctx context.Context, bf, pf *spillFile, depth int
 			break
 		}
 		left := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
-		keys, null, err := keyStrings(g.j.leftKeys, left)
+		// NULL keys here are LEFT JOIN's; an inner join dropped its at depth 0.
+		part, err := g.partition(g.j.leftKeys, left, nd, 0)
 		if err == nil {
-			part := make([]int, b.N)
-			for r := range part {
-				if null[r] {
-					part[r] = 0 // LEFT JOIN nulls; inner nulls were dropped at depth 0
-				} else {
-					part[r] = spillPartition(keys[r], nd)
-				}
-			}
 			err = scatter(b, part, subP)
 		}
 		PutBatch(b)
@@ -433,7 +381,7 @@ func (g *graceSpill) subdivide(ctx context.Context, bf, pf *spillFile, depth int
 		}
 		outs = append(outs, r)
 	}
-	merged := newMergeStream(outs, cmpSeq)
+	merged := newMergeStream(outs, g.seqOrder())
 	for {
 		b, err := merged.Next(ctx)
 		if err != nil {

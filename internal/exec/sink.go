@@ -19,8 +19,8 @@ type AggSink struct {
 	table    *GroupTable
 }
 
-// workerAgg is one worker's table plus, parallel to gt.order, the sequence
-// that created each resident group.
+// workerAgg is one worker's table plus, per resident group id, the sequence
+// that created it.
 type workerAgg struct {
 	gt       *GroupTable
 	firstSeq []int64
@@ -44,7 +44,7 @@ func (s *AggSink) Open(n int) error {
 }
 
 // Consume folds one batch. Once a table spills no new resident groups
-// appear, so firstSeq stays aligned with gt.order.
+// appear, so firstSeq stays aligned with the group ids.
 func (s *AggSink) Consume(w int, seq int64, b *Batch) error {
 	if b == nil {
 		return nil
@@ -54,7 +54,7 @@ func (s *AggSink) Consume(w int, seq int64, b *Batch) error {
 	// Consume copied values into accumulator states; the batch is spent.
 	PutBatch(b)
 	if len(s.workers) > 1 {
-		for len(wa.firstSeq) < len(wa.gt.order) {
+		for len(wa.firstSeq) < wa.gt.NumGroups() {
 			wa.firstSeq = append(wa.firstSeq, seq)
 		}
 	}
@@ -63,11 +63,12 @@ func (s *AggSink) Consume(w int, seq int64, b *Batch) error {
 
 // Finish merges the worker tables by first-seen sequence. Two workers never
 // share a sequence and within a worker creation order is already (seq,
-// in-morsel row) order, so a k-way merge over the workers' group lists
-// reproduces the one-table order. When a worker spilled, tables merge in
-// worker order via Drain instead: group ORDER can then differ, group
-// contents never do — and every query whose output order is observable
-// sorts downstream anyway.
+// in-morsel row) order, so a k-way merge over the workers' group lists,
+// re-inserting each run of keys through the destination table, reproduces
+// the one-table order; the accumulators then fold in worker by worker. When
+// a worker spilled, tables merge in worker order via drain instead: group
+// ORDER can then differ, group contents never do — and every query whose
+// output order is observable sorts downstream anyway.
 func (s *AggSink) Finish(ctx context.Context) error {
 	if len(s.workers) == 1 {
 		s.table = s.workers[0].gt
@@ -88,7 +89,7 @@ func (s *AggSink) Finish(ctx context.Context) error {
 			return nil
 		}
 	}
-	cursors := make([]int, len(s.workers))
+	remaps := make([][]uint32, len(s.workers))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -96,35 +97,26 @@ func (s *AggSink) Finish(ctx context.Context) error {
 		best := -1
 		var bestSeq int64
 		for i, w := range s.workers {
-			if cursors[i] >= len(w.gt.order) {
-				continue
-			}
-			if seq := w.firstSeq[cursors[i]]; best < 0 || seq < bestSeq {
-				best, bestSeq = i, seq
+			if at := len(remaps[i]); at < len(w.firstSeq) && (best < 0 || w.firstSeq[at] < bestSeq) {
+				best, bestSeq = i, w.firstSeq[at]
 			}
 		}
 		if best < 0 {
-			return nil
+			break
 		}
-		src := s.workers[best].gt
-		k := src.order[cursors[best]]
-		cursors[best]++
-		og := src.groups[k]
-		if grp, ok := dst.groups[k]; ok {
-			for i := range grp.states {
-				grp.states[i].Merge(og.states[i])
-			}
-			continue
+		// One run: every group the winning morsel created.
+		w := s.workers[best]
+		lo := len(remaps[best])
+		hi := lo + 1
+		for hi < len(w.firstSeq) && w.firstSeq[hi] == bestSeq {
+			hi++
 		}
-		dst.groups[k] = og
-		dst.order = append(dst.order, k)
-		if dst.mc != nil && dst.mc.T != nil {
-			nb := groupMemBytes(k, og)
-			og.mem = nb
-			dst.mc.grow(nb)
-			dst.charged += nb
-		}
+		remaps[best] = append(remaps[best], dst.adoptKeys(w.gt, lo, hi)...)
 	}
+	for i, w := range s.workers {
+		dst.mergeStates(w.gt, remaps[i])
+	}
+	return nil
 }
 
 // Close releases every table but the result, which the leader merge owns.
@@ -269,41 +261,36 @@ func collectSorted(ctx context.Context, sorter *ExternalSorter, width int, limit
 
 // Deduper drops rows it has already seen, first occurrence winning: the
 // one implementation behind the slice-local DISTINCT (per-worker pre-sieve
-// and the ordered final pass alike) and the leader's DISTINCT.
+// and the ordered final pass alike) and the leader's DISTINCT. The seen-set
+// is a KeyTable over all of the batch's columns.
 type Deduper struct {
-	seen map[string]bool
-	row  []types.Value
-	mc   *MemContext
+	seen    *KeyTable
+	hashes  []uint64
+	ids     []uint32
+	mc      *MemContext
+	charged int64
 }
 
 // NewDeduper returns an empty seen-set; mc (may be nil) is charged for
-// every remembered key.
+// what the set grows by.
 func NewDeduper(mc *MemContext) *Deduper {
-	return &Deduper{seen: map[string]bool{}, mc: mc}
+	return &Deduper{seen: NewKeyTable(), mc: mc}
 }
 
 // Select returns the positions of b's rows not seen before, in order.
 func (d *Deduper) Select(b *Batch) []int {
-	d.row = d.row[:0]
-	for range b.Cols {
-		d.row = append(d.row, types.Value{})
-	}
+	next := uint32(d.seen.Len())
+	d.hashes = d.seen.Hash(b.Cols, b.N, d.hashes)
+	d.ids = d.seen.FindOrInsert(b.Cols, d.hashes, nil, d.ids)
 	var sel []int
-	for i := 0; i < b.N; i++ {
-		for c, v := range b.Cols {
-			if v != nil {
-				d.row[c] = v.Get(i)
-			} else {
-				d.row[c] = types.Value{}
-			}
-		}
-		k := KeyEncoder(d.row)
-		if !d.seen[k] {
-			d.seen[k] = true
-			d.mc.grow(int64(len(k)) + 48)
-			sel = append(sel, i)
+	for r, id := range d.ids {
+		if id == next { // a key's first occurrence takes the next id
+			next++
+			sel = append(sel, r)
 		}
 	}
+	d.mc.grow(d.seen.Bytes() - d.charged)
+	d.charged = d.seen.Bytes()
 	return sel
 }
 

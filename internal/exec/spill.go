@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"redshift/internal/compress"
+	"redshift/internal/plan"
 	"redshift/internal/types"
 )
 
@@ -308,26 +309,26 @@ func (s *memStream) Next(ctx context.Context) (*Batch, error) {
 	return nil, nil
 }
 
-// rowCompare orders row ai of a against row bi of b.
-type rowCompare func(a *Batch, ai int, b *Batch, bi int) int
-
 // mergeStream k-way merges already-ordered input streams. Ties go to the
 // lowest stream index, which makes the merge stable when streams are
 // appended in temporal order — the property the external sort and the
 // spilled join rely on for deterministic, tier-independent output.
 type mergeStream struct {
 	streams []batchStream
-	cmp     rowCompare
+	keys    []plan.OrderKey
 	cur     []*Batch
+	bound   [][]sortKey // keys bound to cur[i]
 	pos     []int
 	inited  bool
 }
 
-func newMergeStream(streams []batchStream, cmp rowCompare) *mergeStream {
+// newMergeStream merges streams each already ordered by keys.
+func newMergeStream(streams []batchStream, keys []plan.OrderKey) *mergeStream {
 	return &mergeStream{
 		streams: streams,
-		cmp:     cmp,
+		keys:    keys,
 		cur:     make([]*Batch, len(streams)),
+		bound:   make([][]sortKey, len(streams)),
 		pos:     make([]int, len(streams)),
 	}
 }
@@ -344,8 +345,7 @@ func (m *mergeStream) advance(ctx context.Context, i int) error {
 			return nil
 		}
 		if b.N > 0 {
-			m.cur[i] = b
-			m.pos[i] = 0
+			m.cur[i], m.bound[i], m.pos[i] = b, bindKeys(b, m.keys), 0
 			return nil
 		}
 		PutBatch(b)
@@ -371,7 +371,7 @@ func (m *mergeStream) Next(ctx context.Context) (*Batch, error) {
 			if m.cur[i] == nil {
 				continue
 			}
-			if best == -1 || m.cmp(m.cur[i], m.pos[i], m.cur[best], m.pos[best]) < 0 {
+			if best == -1 || compareKeys(m.bound[i], m.pos[i], m.bound[best], m.pos[best]) < 0 {
 				best = i
 			}
 		}

@@ -49,6 +49,12 @@ func govCtx(t *testing.T, limit int64) *MemContext {
 // Keys repeat mod dupMod (dupMod <= 1 means one giant key) and go NULL
 // with probability nullProb.
 func randKVBatch(rng *rand.Rand, n, dupMod int, nullProb float64) *Batch {
+	return randKeyedBatch(rng, n, dupMod, 10000, nullProb, 0)
+}
+
+// randKeyedBatch is randKVBatch with the String column shaped as a key too:
+// it repeats mod strMod and goes NULL with probability strNull.
+func randKeyedBatch(rng *rand.Rand, n, dupMod, strMod int, nullProb, strNull float64) *Batch {
 	kv := types.NewVector(types.Int64, n)
 	pv := types.NewVector(types.String, n)
 	for i := 0; i < n; i++ {
@@ -59,11 +65,24 @@ func randKVBatch(rng *rand.Rand, n, dupMod int, nullProb float64) *Batch {
 		} else {
 			kv.Append(types.NewInt(int64(rng.Intn(dupMod))))
 		}
-		pv.Append(types.NewString(fmt.Sprintf("p%04d", rng.Intn(10000))))
+		if strNull > 0 && rng.Float64() < strNull {
+			pv.AppendNull()
+		} else {
+			pv.Append(types.NewString(fmt.Sprintf("p%04d", rng.Intn(strMod))))
+		}
 	}
 	b := NewBatch(2)
 	b.Cols[0], b.Cols[1], b.N = kv, pv, n
 	return b
+}
+
+// propKeys names the key shapes the spill property tests run under: the
+// Int64 column alone (KeyTable's fixed layout), the String column alone and
+// the two together (its arena layout).
+var propKeys = map[string][]plan.Expr{
+	"int":       {col(0, types.Int64)},
+	"string":    {col(1, types.String)},
+	"composite": {col(0, types.Int64), col(1, types.String)},
 }
 
 // batchRowStrings renders every row for order-sensitive comparison.
@@ -94,10 +113,13 @@ func sameRows(t *testing.T, label string, got, want []string) {
 
 // joinShape is one randomized grace-join scenario.
 type joinShape struct {
-	name             string
-	buildN, probeN   int
-	dupMod           int
+	name                 string
+	buildN, probeN       int
+	dupMod               int
 	buildNull, probeNull float64
+	keys                 string  // propKeys entry; "" = "int"
+	strMod               int     // String column domain; 0 = 10000
+	strNull              float64 // String column NULL probability
 }
 
 // TestPropGraceJoinMatchesInMemory drives the grace hash join through
@@ -111,13 +133,20 @@ func TestPropGraceJoinMatchesInMemory(t *testing.T) {
 	// rows) while join fan-out stays bounded — dup-heavy keys multiply the
 	// output, so build/dupMod x probe is kept in the tens of thousands.
 	shapes := []joinShape{
-		{"empty-build", 0, 500, 50, 0, 0},
-		{"single-row-build", 1, 500, 50, 0, 0},
-		{"dup-heavy", 900, 300, 30, 0, 0},
-		{"one-giant-key", 600, 40, 1, 0, 0},
-		{"all-null-build", 2000, 500, 50, 1, 0},
-		{"all-null-probe", 2000, 500, 50, 0, 1},
-		{"sprinkled-nulls", 1200, 800, 40, 0.1, 0.1},
+		{"empty-build", 0, 500, 50, 0, 0, "", 0, 0},
+		{"single-row-build", 1, 500, 50, 0, 0, "", 0, 0},
+		{"dup-heavy", 900, 300, 30, 0, 0, "", 0, 0},
+		{"one-giant-key", 600, 40, 1, 0, 0, "", 0, 0},
+		{"all-null-build", 2000, 500, 50, 1, 0, "", 0, 0},
+		{"all-null-probe", 2000, 500, 50, 0, 1, "", 0, 0},
+		{"sprinkled-nulls", 1200, 800, 40, 0.1, 0.1, "", 0, 0},
+		// Composite and string keys: duplicate-heavy (every key repeats many
+		// times on both sides) and NULL-dense (most rows carry a NULL in one
+		// key column or the other, and never match).
+		{"composite-dup-heavy", 900, 300, 6, 0, 0, "composite", 5, 0},
+		{"composite-null-dense", 2000, 800, 40, 0.4, 0.4, "composite", 30, 0.4},
+		{"string-dup-heavy", 900, 300, 50, 0, 0, "string", 30, 0},
+		{"string-null-dense", 2000, 800, 50, 0, 0, "string", 400, 0.6},
 	}
 	for i := 0; i < 4; i++ {
 		shapes = append(shapes, joinShape{
@@ -135,16 +164,24 @@ func TestPropGraceJoinMatchesInMemory(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s", kind, sh.name), func(t *testing.T) {
 				// One dataset, consumed by both joins in identical batches.
 				var build, probe []*Batch
+				strMod := sh.strMod
+				if strMod == 0 {
+					strMod = 10000
+				}
 				for n := sh.buildN; n > 0; n -= BatchSize {
 					c := min(n, BatchSize)
-					build = append(build, randKVBatch(rng, c, sh.dupMod, sh.buildNull))
+					build = append(build, randKeyedBatch(rng, c, sh.dupMod, strMod, sh.buildNull, sh.strNull))
 				}
 				for n := sh.probeN; n > 0; n -= BatchSize {
 					c := min(n, BatchSize)
-					probe = append(probe, randKVBatch(rng, c, sh.dupMod, sh.probeNull))
+					probe = append(probe, randKeyedBatch(rng, c, sh.dupMod, strMod, sh.probeNull, sh.strNull))
+				}
+				step := mkJoinStep(kind)
+				if sh.keys != "" {
+					step.LeftKeys, step.RightKeys = propKeys[sh.keys], propKeys[sh.keys]
 				}
 
-				ref, err := NewHashJoin(Compiled, mkJoinStep(kind), 2)
+				ref, err := NewHashJoin(Compiled, step, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +199,7 @@ func TestPropGraceJoinMatchesInMemory(t *testing.T) {
 					want = append(want, batchRowStrings(out)...)
 				}
 
-				gov, err := NewHashJoin(Compiled, mkJoinStep(kind), 2)
+				gov, err := NewHashJoin(Compiled, step, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -314,26 +351,34 @@ func TestPropAggSpillMatchesInMemory(t *testing.T) {
 		{Func: sql.FuncMin, Arg: col(1, types.String), T: types.String},
 		{Func: sql.FuncCount, Arg: col(1, types.String), Distinct: true, T: types.Int64},
 	}
-	groupBy := []plan.Expr{col(0, types.Int64)}
 
 	shapes := []struct {
 		name     string
 		rows     int
 		dupMod   int
 		nullProb float64
+		keys     string  // propKeys entry
+		strMod   int     // String column domain
+		strNull  float64 // String column NULL probability
 	}{
-		{"empty", 0, 10, 0},
-		{"one-giant-key", 6000, 1, 0},
-		{"dup-heavy", 6000, 7, 0},
-		{"high-cardinality", 6000, 100000, 0},
-		{"all-null-keys", 3000, 10, 1},
-		{"sprinkled-nulls", 5000, 50, 0.2},
+		{"empty", 0, 10, 0, "int", 10000, 0},
+		{"one-giant-key", 6000, 1, 0, "int", 10000, 0},
+		{"dup-heavy", 6000, 7, 0, "int", 10000, 0},
+		{"high-cardinality", 6000, 100000, 0, "int", 10000, 0},
+		{"all-null-keys", 3000, 10, 1, "int", 10000, 0},
+		{"sprinkled-nulls", 5000, 50, 0.2, "int", 10000, 0},
+		{"composite-dup-heavy", 6000, 4, 0, "composite", 3, 0},
+		{"composite-null-dense", 6000, 60, 0.5, "composite", 60, 0.5},
+		{"composite-high-cardinality", 6000, 100000, 0.1, "composite", 10000, 0.1},
+		{"string-dup-heavy", 6000, 50, 0, "string", 9, 0},
+		{"string-null-dense", 6000, 50, 0.3, "string", 5000, 0.7},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
+			groupBy := propKeys[sh.keys]
 			var batches []*Batch
 			for left := sh.rows; left > 0; left -= BatchSize {
-				batches = append(batches, randKVBatch(rng, min(left, BatchSize), sh.dupMod, sh.nullProb))
+				batches = append(batches, randKeyedBatch(rng, min(left, BatchSize), sh.dupMod, sh.strMod, sh.nullProb, sh.strNull))
 			}
 
 			ref, err := NewGroupTable(Compiled, groupBy, specs)
@@ -353,7 +398,7 @@ func TestPropAggSpillMatchesInMemory(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if sh.rows >= 5000 && sh.dupMod >= 1000 && !gov.Spilled() {
+			if sh.rows >= 5000 && (sh.dupMod >= 1000 || sh.strMod >= 1000 && sh.keys != "int") && !gov.Spilled() {
 				t.Fatal("high-cardinality aggregation never spilled a 2KiB grant")
 			}
 
@@ -371,7 +416,7 @@ func TestPropAggSpillMatchesInMemory(t *testing.T) {
 				m := make(map[string]string, batch.N)
 				for i := 0; i < batch.N; i++ {
 					row := batch.Row(i)
-					m[fmt.Sprint(row[0])] = fmt.Sprint(row)
+					m[fmt.Sprint(row[:len(groupBy)])] = fmt.Sprint(row)
 				}
 				return m
 			}

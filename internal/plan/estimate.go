@@ -26,8 +26,9 @@ const (
 	fixedColBytes  = 8.0
 	stringColBytes = 16.0
 	// hashEntryBytes approximates the hash-table bookkeeping per build row
-	// (map bucket, key copy, position list) on top of payload bytes when
-	// sizing join builds; mirrors exec's joinKeyOverhead+joinPosBytes.
+	// (slots, stored hash, key copy, chain links — what exec.HashJoin
+	// charges as tableBytes — with headroom for slice growth) on top of
+	// payload bytes when sizing join builds.
 	hashEntryBytes = 72.0
 )
 
