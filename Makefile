@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke perf perf-compare chaos chaos-resize spill workload
+.PHONY: build test race bench-smoke perf perf-smoke perf-compare chaos chaos-resize spill workload
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,13 @@ perf:
 
 perf-compare:
 	$(GO) run ./benchmark -compare $(PERF_BASE) $(PERF_OUT)
+
+# The end-to-end tier, short: all four workloads at 1/50 size over the
+# wire, replies verified, every declared metric emitted once and finite.
+# Exits non-zero on any failure. No compare against the baseline — a
+# shared CI runner is too noisy for the bounds.
+perf-smoke:
+	$(GO) run ./benchmark -smoke
 
 # Memory-governance suite under the race detector: the spill twin battery
 # (bit-identical results at unlimited/256KiB/64KiB grants), the mid-spill

@@ -247,10 +247,10 @@ func TestRealResizePreservesDataAndReadability(t *testing.T) {
 	}
 	src.SetReadOnly(false)
 
-	stats, err := ResizeDatabase(ep, core.Config{
+	stats, err := ResizeOnline(ep, core.Config{
 		Cluster:   cluster.Config{Nodes: 4, SlicesPerNode: 2, BlockCap: 32},
 		DataStore: s3sim.New(),
-	})
+	}, ResizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +294,10 @@ func TestRealResizePreservesDataAndReadability(t *testing.T) {
 func TestResizeDownToFewerNodes(t *testing.T) {
 	src := realDB(t, 4)
 	ep := NewEndpoint(src)
-	if _, err := ResizeDatabase(ep, core.Config{
+	if _, err := ResizeOnline(ep, core.Config{
 		Cluster:   cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 32},
 		DataStore: s3sim.New(),
-	}); err != nil {
+	}, ResizeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := ep.DB().Execute(`SELECT COUNT(*) FROM m`)

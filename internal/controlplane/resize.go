@@ -72,12 +72,6 @@ func (o ResizeOptions) withDefaults() ResizeOptions {
 	return o
 }
 
-// ResizeDatabase performs the §3.1 resize with the default options; see
-// ResizeOnline.
-func ResizeDatabase(ep *Endpoint, target core.Config) (ResizeStats, error) {
-	return ResizeOnline(ep, target, ResizeOptions{})
-}
-
 // ResizeOnline performs a phased online resize: writes keep flowing during
 // the bulk of the copy and are rejected (retryably) only during the final
 // cutover window.

@@ -434,6 +434,19 @@ func TestInsertErrors(t *testing.T) {
 			t.Errorf("%q accepted", q)
 		}
 	}
+	// Negation looks at its operand: NULL stays NULL, a string is an error.
+	mustExec(t, db, `CREATE TABLE n (k BIGINT, v BIGINT, f DOUBLE PRECISION)`)
+	mustExec(t, db, `INSERT INTO n VALUES (1, -NULL, -NULL), (2, -7, -2.5)`)
+	neg := mustExec(t, db, `SELECT k, v, f FROM n ORDER BY k`)
+	if r := neg.Rows[0]; !r[1].Null || !r[2].Null {
+		t.Errorf("-NULL stored as %v, want NULLs", r)
+	}
+	if r := neg.Rows[1]; r[1].I != -7 || r[2].F != -2.5 {
+		t.Errorf("negated literals stored as %v", r)
+	}
+	if _, err := db.Execute(`INSERT INTO n VALUES (3, -'x', 0)`); err == nil || !strings.Contains(err.Error(), "VALUES must be literals") {
+		t.Errorf("-'x' in VALUES: err = %v", err)
+	}
 	// Date coercion from string literal.
 	mustExec(t, db, `CREATE TABLE d (day DATE)`)
 	mustExec(t, db, `INSERT INTO d VALUES ('2015-05-31')`)
@@ -627,6 +640,23 @@ func TestLeaderLocalSelect(t *testing.T) {
 	res = mustExec(t, db, `SELECT 1 LIMIT 0`)
 	if len(res.Rows) != 0 {
 		t.Errorf("LIMIT 0 returned rows")
+	}
+	// WHERE filters the one candidate row: false and NULL drop it.
+	for q, want := range map[string]int{
+		`SELECT 1 WHERE 1 = 0`:         0,
+		`SELECT 1 WHERE NULL = 1`:      0,
+		`SELECT 1 WHERE 1 = 1`:         1,
+		`SELECT 1 WHERE 1 = 1 LIMIT 0`: 0,
+	} {
+		if res = mustExec(t, db, q); len(res.Rows) != want {
+			t.Errorf("%s returned %d rows, want %d", q, len(res.Rows), want)
+		}
+	}
+	if _, err := db.Execute(`SELECT 1 WHERE 2 + 3`); err == nil {
+		t.Error("non-boolean WHERE without FROM accepted")
+	}
+	if _, err := db.Execute(`SELECT 1 WHERE x = 1`); err == nil {
+		t.Error("column ref in WHERE without FROM accepted")
 	}
 }
 

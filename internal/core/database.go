@@ -718,10 +718,15 @@ func evalConstExpr(e sql.Expr) (types.Value, error) {
 			if err != nil {
 				return types.Value{}, err
 			}
-			if v.T == types.Float64 {
+			switch {
+			case v.Null:
+				return v, nil
+			case v.T == types.Float64:
 				return types.NewFloat(-v.F), nil
+			case v.T == types.Int64:
+				return types.NewInt(-v.I), nil
 			}
-			return types.NewInt(-v.I), nil
+			return types.Value{}, fmt.Errorf("VALUES must be literals, cannot negate %s", x.Expr)
 		}
 	}
 	return types.Value{}, fmt.Errorf("VALUES must be literals, got %s", e)

@@ -62,9 +62,10 @@ type queryRun struct {
 	scanInsts [][]scanInstance
 	exs       map[int]*exec.Exchange
 	exBytes   map[int]*atomic.Int64
-	// gathered is the per-slice gather stream (non-aggregate plans);
-	// aggTables the per-slice partial aggregates, aggGroups their group
-	// counts snapshotted before the leader merge.
+	// gathered is the per-slice gather stream (non-aggregate plans), which
+	// the leader's merge consumes; aggTables the per-slice partial
+	// aggregates, aggGroups their group counts snapshotted before the
+	// leader merge.
 	gathered  [][]*exec.Batch
 	aggTables []*exec.GroupTable
 	aggGroups []int64
@@ -171,8 +172,8 @@ func (q *queryRun) chooseDOP() int {
 // goroutine with q.dop workers when its source is a table scan, so
 // intermediate results are never materialized between stages — peak live
 // batches are O(slices × workers), bounded by the exchange buffers and one
-// outstanding batch per worker. The leader then merges the slice results
-// through a short operator chain.
+// outstanding batch per worker. The leader phase is one more pipeline, run
+// inline: it merges the slice results into the final batch.
 func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 	nslices := q.numSlices()
 	q.ph = plan.BuildPhysical(q.p)
@@ -197,9 +198,6 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 		}
 	}
 
-	// Every gathered batch is counted in flight and released in the cleanup
-	// below (the final output batch is always a fresh leader-side
-	// materialization, never a gathered batch, so releasing all is safe).
 	if q.p.HasAgg {
 		q.aggTables = make([]*exec.GroupTable, nslices)
 		q.aggGroups = make([]int64, nslices)
@@ -214,10 +212,14 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 		for _, ex := range q.exs {
 			ex.Drain()
 		}
+		// Gathered batches the leader never got to consume (an early stop in
+		// either phase) are still parked in flight.
 		for _, bs := range q.gathered {
 			for _, b := range bs {
-				q.flight.Dec()
-				exec.PutBatch(b)
+				if b != nil {
+					q.flight.Dec()
+					exec.PutBatch(b)
+				}
 			}
 		}
 		q.foldScanStats()
@@ -307,12 +309,21 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 		return nil, first
 	}
 
-	// Leader phase: the final merge runs as one instrumented operator chain.
-	var root exec.Operator
+	return q.runLeader(ctx)
+}
+
+// runLeader is the leader phase as a pipeline: the source merges the slice
+// results (partial group tables, or the gathered batch lists), the stages
+// are HAVING and the projection of an aggregate query, and the sink builds
+// the result — a one-worker TopNSink under ORDER BY, otherwise an ordered
+// collect cut at LIMIT — behind a DISTINCT sieve when one is asked for.
+// Either sink yields exactly one freshly materialized, possibly empty batch;
+// what the sieve and the collect charge for it stays charged until the
+// query's tracker is released, since the caller still reads the batch.
+func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
+	ph := q.ph
+	var p *exec.Pipeline
 	if q.p.HasAgg {
-		for sl, gt := range q.aggTables {
-			q.aggGroups[sl] = int64(gt.NumGroups())
-		}
 		ship := func(sl int, t *exec.GroupTable) {
 			// Partial-state shipping accounts the real encoded state size.
 			shipped := t.StateBytes()
@@ -325,40 +336,38 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 		}
 		leaderGt.SetMemory(q.memCtx(ph.LeaderAgg))
 		q.leaderAgg = leaderGt
-		root = q.wrap(exec.NewGroupMergeOp(leaderGt, q.aggTables, ship), ph.LeaderAgg)
+		p = q.opPipeline(exec.NewGroupMergeOp(leaderGt, q.aggTables, ship), ph.LeaderAgg)
 		if ph.Having != nil {
-			f, err := exec.NewFilterOp(q.mode, q.p.Having, root)
-			if err != nil {
-				return nil, err
-			}
-			root = q.wrap(f, ph.Having)
+			p.Stages = append(p.Stages, q.filterStage(ph.Having, q.p.Having))
 		}
-		proj, err := exec.NewProjectOp(q.mode, q.p.Project, root)
-		if err != nil {
-			return nil, err
-		}
-		root = q.wrap(proj, ph.Project)
+		p.Stages = append(p.Stages, q.projectStage())
 	} else {
-		root = q.wrap(exec.NewLeaderMergeOp(q.gathered, q.p.OrderBy, q.p.SliceTopN()), ph.Merge)
+		p = q.opPipeline(exec.NewLeaderMergeOp(q.gathered, q.p.OrderBy, q.p.SliceTopN(), q.flight), ph.Merge)
 	}
-	fin := exec.NewFinalizeOp(root, q.p.Distinct, q.p.OrderBy, q.p.Limit, len(q.p.Project))
-	fin.SetMemory(q.memCtx(ph.Finalize))
-	root = q.wrap(fin, ph.Finalize)
 
+	st := q.stats[ph.Finalize.ID]
+	p.SinkStats = st
+	if q.p.Distinct {
+		dedupe := exec.NewDeduper(q.memCtx(ph.Finalize))
+		p.Stages = append(p.Stages, exec.Stage{New: func() (exec.StageFn, error) { return dedupe.Apply, nil }})
+	}
 	var final *exec.Batch
-	err := driveChain(ctx, root, func(b *exec.Batch) error {
-		if final == nil {
+	width := len(q.p.Project)
+	if len(q.p.OrderBy) > 0 {
+		mem := func() *exec.MemContext { return q.memCtx(ph.Finalize) }
+		p.Sink = exec.NewTopNSink(q.p.OrderBy, q.p.Limit, width, mem, nil, func(b *exec.Batch) error {
 			final = b
 			return nil
-		}
-		return final.Concat(b)
-	})
-	if err != nil {
+		})
+	} else {
+		final = exec.NewBatch(width)
+		p.Sink = exec.NewOrderedSink(exec.Collect(final, q.p.Limit, q.memCtx(ph.Finalize)))
+	}
+	if err := p.Run(ctx); err != nil {
 		return nil, err
 	}
-	if final == nil {
-		final = exec.NewBatch(len(q.p.Project))
-	}
+	st.Batches.Add(1)
+	st.Rows.Add(int64(final.N))
 	return final, nil
 }
 
@@ -438,13 +447,7 @@ func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, 
 	}
 
 	if ph.Where != nil {
-		p.Stages = append(p.Stages, exec.Stage{Stats: q.stats[ph.Where.ID], New: func() (exec.StageFn, error) {
-			f, err := exec.NewFilter(q.mode, q.p.Where)
-			if err != nil {
-				return nil, err
-			}
-			return f.Apply, nil
-		}})
+		p.Stages = append(p.Stages, q.filterStage(ph.Where, q.p.Where))
 	}
 	if q.p.HasAgg {
 		sink := exec.NewAggSink(func() (*exec.GroupTable, error) {
@@ -459,20 +462,20 @@ func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, 
 		if err := p.Run(ctx); err != nil {
 			return err
 		}
+		// The slice's output is its merged table, counted once: rows = groups,
+		// whatever the worker count.
 		q.aggTables[sl] = sink.Table()
+		q.aggGroups[sl] = int64(sink.Table().NumGroups())
+		p.SinkStats.Batches.Add(1)
+		p.SinkStats.Rows.Add(q.aggGroups[sl])
 		return nil
 	}
 
-	p.Stages = append(p.Stages, exec.Stage{Stats: q.stats[ph.Project.ID], New: func() (exec.StageFn, error) {
-		proj, err := exec.NewProjector(q.mode, q.p.Project)
-		if err != nil {
-			return nil, err
-		}
-		return proj.Apply, nil
-	}})
+	p.Stages = append(p.Stages, q.projectStage())
 	// Collecting a batch at the leader is the gather transfer. Parked
-	// batches are flight-tracked until execute's cleanup; empties carry
-	// nothing and go straight back to the pool (the leader skips them).
+	// batches are flight-tracked until the leader's merge takes them (or,
+	// after an early stop, execute's cleanup does); empties carry nothing
+	// and go straight back to the pool.
 	node := q.db.cl.Slice(sl).Node.ID
 	gather := func(b *exec.Batch) error {
 		if b.N == 0 {
@@ -552,6 +555,30 @@ func (q *queryRun) buildJoin(ctx context.Context, sl, ji int) (*exec.HashJoin, e
 	err = join.FinishBuild(ctx)
 	st.Nanos.Add(int64(time.Since(start)))
 	return join, err
+}
+
+// filterStage is predicate pred as node n's step: the residual WHERE on a
+// slice, HAVING at the leader.
+func (q *queryRun) filterStage(n *plan.PhysNode, pred plan.Expr) exec.Stage {
+	return exec.Stage{Stats: q.stats[n.ID], New: func() (exec.StageFn, error) {
+		f, err := exec.NewFilter(q.mode, pred)
+		if err != nil {
+			return nil, err
+		}
+		return f.Apply, nil
+	}}
+}
+
+// projectStage computes the output columns: a slice's last step, or the
+// leader's over the merged aggregate layout.
+func (q *queryRun) projectStage() exec.Stage {
+	return exec.Stage{Stats: q.stats[q.ph.Project.ID], New: func() (exec.StageFn, error) {
+		proj, err := exec.NewProjector(q.mode, q.p.Project)
+		if err != nil {
+			return nil, err
+		}
+		return proj.Apply, nil
+	}}
 }
 
 // newPipeline starts a pipeline whose source (still to be set) produces
@@ -649,46 +676,12 @@ func (q *queryRun) newExchange(n *plan.PhysNode, nslices int) *exec.Exchange {
 	return ex
 }
 
-// wrap decorates a leader-phase op with the physical node's stats and the
-// query's in-flight tracker.
-func (q *queryRun) wrap(op exec.Operator, n *plan.PhysNode) exec.Operator {
-	return exec.Instrument(op, q.stats[n.ID], q.flight)
-}
-
 // abortExchanges fails every exchange so no producer or consumer stays
 // parked on a channel after an error elsewhere in the dataflow.
 func (q *queryRun) abortExchanges(err error) {
 	for _, ex := range q.exs {
 		ex.Abort(err)
 	}
-}
-
-// driveChain runs the leader's operator chain to exhaustion, feeding each
-// emitted batch to sink. Cancellation is checked once per batch.
-func driveChain(ctx context.Context, op exec.Operator, sink func(*exec.Batch) error) error {
-	if err := op.Open(ctx); err != nil {
-		op.Close()
-		return err
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			op.Close()
-			return err
-		}
-		b, err := op.Next(ctx)
-		if err != nil {
-			op.Close()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := sink(b); err != nil {
-			op.Close()
-			return err
-		}
-	}
-	return op.Close()
 }
 
 // account records cross-node traffic for data-plane queries; system-table
@@ -733,8 +726,8 @@ func (q *queryRun) foldScanStats() {
 }
 
 // emitSpans reconstructs the query's trace tree from the per-operator
-// stats the instrumenting wrappers collected: one span per physical node
-// (duration = cumulative operator time across its slice instances), with
+// stats the pipelines collected: one span per physical node (duration = the
+// node's own time summed over its slice instances, children excluded), with
 // per-slice children carrying scan block counters and partial-agg group
 // counts.
 func (q *queryRun) emitSpans() {

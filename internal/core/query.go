@@ -278,6 +278,22 @@ func (db *Database) runLeaderSelect(s *sql.Select) (*Result, error) {
 	if s.Distinct || len(s.GroupBy) > 0 || s.Having != nil || len(s.Joins) > 0 {
 		return nil, fmt.Errorf("core: clauses other than the select list need a FROM table")
 	}
+	keep := s.Limit != 0
+	if s.Where != nil {
+		pred, err := plan.BindScalar(s.Where)
+		if err != nil {
+			return nil, err
+		}
+		if pred.Type() != types.Bool {
+			return nil, fmt.Errorf("core: WHERE must be boolean, got %s", pred.Type())
+		}
+		v, err := exec.EvalRow(pred, nil)
+		if err != nil {
+			return nil, err
+		}
+		// NULL is not true: the one candidate row is filtered out.
+		keep = keep && !v.Null && v.I != 0
+	}
 	res := &Result{}
 	var row types.Row
 	for _, item := range s.Items {
@@ -299,7 +315,7 @@ func (db *Database) runLeaderSelect(s *sql.Select) (*Result, error) {
 		res.Schema.Columns = append(res.Schema.Columns, types.Column{Name: name, Type: bound.Type()})
 		row = append(row, v)
 	}
-	if s.Limit != 0 {
+	if keep {
 		res.Rows = []types.Row{row}
 	}
 	return res, nil

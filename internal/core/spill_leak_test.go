@@ -103,14 +103,14 @@ func TestSpillSuccessReleasesEverything(t *testing.T) {
 
 // abortMidSpill starts a slow spilling query, waits until spill bytes have
 // actually hit disk, then aborts it via abort(). Returns the query error.
-func abortMidSpill(t *testing.T, db *Database, abort func(qid int64)) error {
+func abortMidSpill(t *testing.T, db *Database, query string, abort func(qid int64)) error {
 	t.Helper()
 	type outcome struct {
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		_, err := db.Execute(`SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`)
+		_, err := db.Execute(query)
 		done <- outcome{err}
 	}()
 
@@ -148,7 +148,7 @@ func TestSpillCancelMidSpillCleansUp(t *testing.T) {
 	db := openSpillDB(t, 8<<10, dir, 200*time.Microsecond)
 	seedSpillWide(t, db, 8000)
 
-	err := abortMidSpill(t, db, func(qid int64) { db.Cancel(qid) })
+	err := abortMidSpill(t, db, `SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`, func(qid int64) { db.Cancel(qid) })
 	if err == nil {
 		t.Fatal("cancelled mid-spill query returned a result")
 	}
@@ -167,6 +167,29 @@ func TestSpillCancelMidSpillCleansUp(t *testing.T) {
 	res := mustExec(t, db, `SELECT COUNT(*) FROM wide`)
 	if res.Rows[0][0].I != 8000 {
 		t.Errorf("post-cancel count = %d, want 8000", res.Rows[0][0].I)
+	}
+	assertSpillHygiene(t, db, dir)
+}
+
+// TestSpillCancelMidLeaderSortCleansUp: CANCEL lands while the leader's
+// pipeline is sorting. The query has no join, aggregate or LIMIT, so the
+// slices only gather and the first spilled byte is the leader's first run —
+// written a few hundred rows into a 40000-row sort, with most gathered
+// batches still parked. The cancel must retire exactly those: the ones the
+// merge already handed to the pipeline were released there.
+func TestSpillCancelMidLeaderSortCleansUp(t *testing.T) {
+	dir := t.TempDir()
+	db := openSpillDB(t, 8<<10, dir, 0)
+	seedSpillWide(t, db, 40000)
+
+	err := abortMidSpill(t, db, `SELECT id, grp, val FROM wide ORDER BY val, id`, func(qid int64) { db.Cancel(qid) })
+	if err == nil || !strings.Contains(err.Error(), "cancel") {
+		t.Fatalf("query cancelled mid-leader-sort returned err = %v", err)
+	}
+	assertSpillHygiene(t, db, dir)
+	res := mustExec(t, db, `SELECT id FROM wide ORDER BY id LIMIT 3`)
+	if len(res.Rows) != 3 || res.Rows[2][0].I != 2 {
+		t.Errorf("post-cancel rows = %v", res.Rows)
 	}
 	assertSpillHygiene(t, db, dir)
 }

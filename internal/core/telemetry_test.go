@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"redshift/internal/sql"
+	"redshift/internal/telemetry"
 )
 
 // sliceSpanSum parses an EXPLAIN ANALYZE rendering and returns how many
@@ -60,6 +65,55 @@ func TestExplainAnalyzeSpanTree(t *testing.T) {
 			t.Errorf("slice spans sum to %d blocks, stats say %d:\n%s", blocks, res.Stats.BlocksRead, rendered)
 		}
 	})
+}
+
+// TestLeaderSpanTimesAreExclusive pins the one meaning of a node's time in
+// an EXPLAIN ANALYZE tree: its own work, children excluded, at the leader as
+// on the slices. Over 24k groups the merge dominates the HAVING pass that
+// consumes its output, so an inclusive having (= merge + filter) could never
+// come in below leader-merge; and nodes that exclude each other cannot add
+// up to more than the query they ran in.
+func TestLeaderSpanTimesAreExclusive(t *testing.T) {
+	db := openDB(t, 0)
+	mustExec(t, db, `CREATE TABLE g (k BIGINT NOT NULL, v BIGINT) DISTSTYLE EVEN`)
+	for lo := 0; lo < 24000; lo += 4000 {
+		var vals strings.Builder
+		for k := lo; k < lo+4000; k++ {
+			fmt.Fprintf(&vals, "(%d, %d),", k, k%7)
+		}
+		mustExec(t, db, `INSERT INTO g VALUES `+strings.TrimSuffix(vals.String(), ","))
+	}
+	stmt, err := sql.Parse(`SELECT k, COUNT(*) AS n, SUM(v) AS s FROM g GROUP BY k HAVING COUNT(*) > 0 ORDER BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := db.NewSession()
+	sess.resultCacheOff.Store(true)
+	res, trace, err := db.runSelectTraced(context.Background(), sess, stmt.(*sql.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 24000 {
+		t.Fatalf("rows = %d, want 24000", len(res.Rows))
+	}
+	nodes := map[string]*telemetry.Span{}
+	for _, sp := range trace.Children() {
+		nodes[sp.Name()] = sp
+	}
+	var leader time.Duration
+	for _, name := range []string{"leader-merge", "having", "project", "finalize"} {
+		sp := nodes[name]
+		if sp == nil {
+			t.Fatalf("no %s span:\n%s", name, trace.Render())
+		}
+		leader += sp.Duration()
+	}
+	if h, m := nodes["having"].Duration(), nodes["leader-merge"].Duration(); h >= m {
+		t.Errorf("having took %v, leader-merge %v: having includes its child\n%s", h, m, trace.Render())
+	}
+	if leader > trace.Duration() {
+		t.Errorf("leader nodes sum to %v, more than the query's %v\n%s", leader, trace.Duration(), trace.Render())
+	}
 }
 
 func TestExplainAnalyzeRejects(t *testing.T) {

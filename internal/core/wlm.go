@@ -318,30 +318,6 @@ func IsQueueTimeout(err error) bool {
 	return false
 }
 
-// Acquire blocks until a default-queue slot is free and returns the time
-// spent queued (legacy single-queue entry point).
-func (w *WLM) Acquire() time.Duration {
-	wait, _ := w.AcquireCtx(context.Background())
-	return wait
-}
-
-// AcquireCtx acquires a default-queue slot (legacy entry point; pair with
-// Release).
-func (w *WLM) AcquireCtx(ctx context.Context) (time.Duration, error) {
-	t, err := w.AcquireQueueCtx(ctx, "")
-	if err != nil {
-		return 0, err
-	}
-	return t.Wait, nil
-}
-
-// Release frees a default-queue slot taken through Acquire/AcquireCtx.
-func (w *WLM) Release() {
-	w.mu.lock()
-	w.releaseLocked(w.mu.state.def)
-	w.mu.unlock()
-}
-
 // AcquireQueueCtx blocks until the named queue (default when empty) admits
 // the query, ctx is cancelled, or the queue's wait timeout evicts it. On
 // error the query never occupies a slot and the caller must NOT release.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -60,7 +61,10 @@ func TestWLMQueueWaitReported(t *testing.T) {
 	// Occupy the only slot so the query below must queue. (Since planning
 	// moved ahead of admission, a query racing other fast queries may never
 	// actually wait — holding the slot makes the contention deterministic.)
-	db.wlm.Acquire()
+	held, err := db.wlm.AcquireQueueCtx(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	type outcome struct {
 		res *Result
 		err error
@@ -71,7 +75,7 @@ func TestWLMQueueWaitReported(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 	time.Sleep(30 * time.Millisecond)
-	db.wlm.Release()
+	db.wlm.ReleaseTicket(held)
 	out := <-done
 	if out.err != nil {
 		t.Fatal(out.err)
@@ -117,8 +121,11 @@ func TestWLMAdminStatementsBypassQueue(t *testing.T) {
 	}
 	// Saturate the only slot with a held acquire, then run DDL + INSERT:
 	// they must not block behind the queue.
-	db.wlm.Acquire()
-	defer db.wlm.Release()
+	held, err := db.wlm.AcquireQueueCtx(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.wlm.ReleaseTicket(held)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

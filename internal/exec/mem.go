@@ -13,7 +13,7 @@ import (
 // a WLM-granted budget — so the first operator whose retained set would
 // push the whole query past its grant is the one that spills, wherever it
 // sits in the tree. All methods are nil-receiver safe: a nil tracker is
-// the unlimited, uninstrumented pre-governance behavior.
+// the unlimited, untracked pre-governance behavior.
 type MemTracker struct {
 	parent *MemTracker
 	// limit is the root's budget in bytes; 0 means unlimited. Children

@@ -3,17 +3,17 @@ package exec
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"redshift/internal/plan"
 	"redshift/internal/telemetry"
 )
 
-// Operator is a pull-based (Volcano-style) batch stream: a Pipeline's
-// serial sources (exchange receive, materialized rows, a grace join's
-// output) and the leader's final merge chain. Next returns (nil, nil) at
-// end of stream. Operators are single-consumer: one goroutine drives a
-// chain end to end.
+// Operator is a Pipeline's serial source: a batch stream one goroutine
+// pulls — exchange receive, materialized rows, a grace join's output, the
+// leader's merge of the slice results. It is never composed into chains;
+// everything downstream of a source is the pipeline's stages and sink. Next
+// returns (nil, nil) at end of stream, and the batch it returns belongs to
+// the caller.
 //
 // The context flows through every pull so cancellation (Database.Cancel,
 // statement_timeout) reaches the leaves: exchange receives select on it,
@@ -49,76 +49,6 @@ func (s *BatchSource) Next(ctx context.Context) (*Batch, error) {
 }
 
 func (s *BatchSource) Close() error { return nil }
-
-// FilterOp streams its child through a predicate, dropping emptied batches.
-type FilterOp struct {
-	child Operator
-	f     *Filter
-}
-
-// NewFilterOp prepares a streaming filter; a nil predicate passes through.
-func NewFilterOp(mode Mode, pred plan.Expr, child Operator) (*FilterOp, error) {
-	f, err := NewFilter(mode, pred)
-	if err != nil {
-		return nil, err
-	}
-	return &FilterOp{child: child, f: f}, nil
-}
-
-func (o *FilterOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
-
-func (o *FilterOp) Next(ctx context.Context) (*Batch, error) {
-	for {
-		b, err := o.child.Next(ctx)
-		if err != nil || b == nil {
-			return nil, err
-		}
-		fb, err := o.f.Apply(b)
-		if err != nil {
-			return nil, err
-		}
-		if fb != b {
-			// The gather copied the surviving rows; the input batch is
-			// consumed and this operator is its sole owner.
-			PutBatch(b)
-		}
-		if fb.N > 0 {
-			return fb, nil
-		}
-		if fb != b {
-			PutBatch(fb)
-		}
-	}
-}
-
-func (o *FilterOp) Close() error { return o.child.Close() }
-
-// ProjectOp computes the output columns batch by batch.
-type ProjectOp struct {
-	child Operator
-	proj  *Projector
-}
-
-// NewProjectOp prepares a streaming projection.
-func NewProjectOp(mode Mode, exprs []plan.Expr, child Operator) (*ProjectOp, error) {
-	proj, err := NewProjector(mode, exprs)
-	if err != nil {
-		return nil, err
-	}
-	return &ProjectOp{child: child, proj: proj}, nil
-}
-
-func (o *ProjectOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
-
-func (o *ProjectOp) Next(ctx context.Context) (*Batch, error) {
-	b, err := o.child.Next(ctx)
-	if err != nil || b == nil {
-		return nil, err
-	}
-	return o.proj.Apply(b)
-}
-
-func (o *ProjectOp) Close() error { return o.child.Close() }
 
 // GroupMergeOp is the leader's aggregation phase: it merges the per-slice
 // partial tables into a fresh leader table and emits the aggregate layout
@@ -165,151 +95,64 @@ func (o *GroupMergeOp) Close() error {
 	return nil
 }
 
-// LeaderMergeOp gathers per-slice result streams at the leader: a sorted
-// merge when every slice pre-sorted its output (the top-N pushdown path),
-// otherwise a slice-order replay of the gathered batches.
+// LeaderMergeOp is the receive side of the gather to the leader: a sorted
+// merge when every slice pre-sorted its output into one batch (the top-N
+// pushdown path), otherwise a slice-order replay of the gathered batches.
+// The lists hold batches parked in flight; each one it takes leaves fl and
+// its slot, so after an early stop exactly the non-nil remainder is still
+// parked.
 type LeaderMergeOp struct {
 	perSlice [][]*Batch
 	keys     []plan.OrderKey
 	sorted   bool
+	fl       *FlightTracker
 
-	flat []*Batch
-	i    int
-	done bool
+	sl, i int
 }
 
-// NewLeaderMergeOp prepares the gather step. sorted selects the merge of
-// pre-sorted single-batch slices.
-func NewLeaderMergeOp(perSlice [][]*Batch, keys []plan.OrderKey, sorted bool) *LeaderMergeOp {
-	return &LeaderMergeOp{perSlice: perSlice, keys: keys, sorted: sorted}
+// NewLeaderMergeOp prepares the gather step over the per-slice lists of
+// non-empty batches. sorted selects the merge of pre-sorted single-batch
+// slices; fl (may be nil) is where the lists' batches are counted.
+func NewLeaderMergeOp(perSlice [][]*Batch, keys []plan.OrderKey, sorted bool, fl *FlightTracker) *LeaderMergeOp {
+	return &LeaderMergeOp{perSlice: perSlice, keys: keys, sorted: sorted, fl: fl}
 }
 
-func (o *LeaderMergeOp) Open(ctx context.Context) error {
-	if !o.sorted {
-		for _, bs := range o.perSlice {
-			o.flat = append(o.flat, bs...)
-		}
-	}
-	return nil
+func (o *LeaderMergeOp) Open(ctx context.Context) error { return nil }
+
+// take unparks the next batch of the current slice's list.
+func (o *LeaderMergeOp) take() *Batch {
+	b := o.perSlice[o.sl][o.i]
+	o.perSlice[o.sl][o.i] = nil
+	o.i++
+	o.fl.Dec()
+	return b
 }
 
+// Next walks the lists in slice order. A replay returns each batch as it
+// comes to it; a sorted merge collects every slice's first batch in one
+// call and returns their merge.
 func (o *LeaderMergeOp) Next(ctx context.Context) (*Batch, error) {
-	if o.sorted {
-		if o.done {
-			return nil, nil
+	var firsts []*Batch
+	for ; o.sl < len(o.perSlice); o.sl, o.i = o.sl+1, 0 {
+		if o.i == len(o.perSlice[o.sl]) {
+			continue
 		}
-		o.done = true
-		var firsts []*Batch
-		for _, bs := range o.perSlice {
-			if len(bs) > 0 {
-				firsts = append(firsts, bs[0])
-			}
+		if !o.sorted {
+			return o.take(), nil
 		}
-		return MergeSorted(firsts, o.keys)
+		firsts = append(firsts, o.take())
 	}
-	for o.i < len(o.flat) {
-		b := o.flat[o.i]
-		o.i++
-		if b != nil && b.N > 0 {
-			return b, nil
-		}
+	if len(firsts) == 0 {
+		return nil, nil
 	}
-	return nil, nil
+	out, err := MergeSorted(firsts, o.keys)
+	for _, b := range firsts {
+		PutBatch(b)
+	}
+	return out, err
 }
 
 func (o *LeaderMergeOp) Close() error { return nil }
-
-// FinalizeOp applies leader-side DISTINCT, ORDER BY and LIMIT. It is a
-// breaker when any of those is set; either way it emits exactly one batch
-// so the driver always has a well-formed (possibly empty) result.
-// DISTINCT filters streamwise (first occurrence wins, as before), ORDER
-// BY runs through an ExternalSorter so a larger-than-memory leader sort
-// spills runs instead of holding everything; without ORDER BY the leader
-// must materialize the result anyway and the concat is charged (forced)
-// so peak accounting stays honest.
-type FinalizeOp struct {
-	child    Operator
-	distinct bool
-	keys     []plan.OrderKey
-	limit    int64
-	width    int
-	mc       *MemContext
-	done     bool
-}
-
-// NewFinalizeOp prepares the leader's final step over a stream of width
-// columns.
-func NewFinalizeOp(child Operator, distinct bool, keys []plan.OrderKey, limit int64, width int) *FinalizeOp {
-	return &FinalizeOp{child: child, distinct: distinct, keys: keys, limit: limit, width: width}
-}
-
-// SetMemory attaches the operator to the query's memory governance.
-func (o *FinalizeOp) SetMemory(mc *MemContext) { o.mc = mc }
-
-func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
-	if o.done {
-		return nil, nil
-	}
-	o.done = true
-	var dedupe *Deduper
-	if o.distinct {
-		dedupe = NewDeduper(o.mc)
-	}
-	var sorter *ExternalSorter
-	var merged *Batch
-	if len(o.keys) > 0 {
-		sorter = NewExternalSorter(o.keys, o.width, o.mc)
-	} else {
-		merged = NewBatch(o.width)
-	}
-	for {
-		b, err := o.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if b.N == 0 {
-			continue
-		}
-		// Leader-merge batches are shared with the gather lists, so the
-		// child's batches are never released here; gathered copies are.
-		fb := b
-		if dedupe != nil {
-			sel := dedupe.Select(b)
-			if len(sel) == 0 {
-				continue
-			}
-			if len(sel) < b.N {
-				fb = b.Gather(sel)
-			}
-		}
-		if sorter != nil {
-			err = sorter.Add(fb)
-		} else {
-			err = merged.Concat(fb)
-			o.mc.grow(fb.ByteSize())
-		}
-		if fb != b {
-			PutBatch(fb)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if sorter != nil {
-		return collectSorted(ctx, sorter, o.width, o.limit)
-	}
-	return TopN(merged, o.limit), nil
-}
-
-func (o *FinalizeOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
-
-func (o *FinalizeOp) Close() error {
-	o.mc.release()
-	return o.child.Close()
-}
 
 // FlightTracker counts batches that have been produced but not yet retired
 // anywhere in a query's pipelines — including batches parked in exchange
@@ -375,9 +218,8 @@ func (f *FlightTracker) HighWater() int64 {
 }
 
 // OpStats accumulates one physical operator's runtime counters, shared by
-// all of its per-slice instances. A Pipeline charges each step its own time
-// only (exclusive); under the Instrument wrapper — the leader chain — Nanos
-// includes the children's, like EXPLAIN ANALYZE actual time.
+// all of its per-slice instances. The pipeline runner charges each step its
+// own time only (exclusive), on the slices and at the leader alike.
 type OpStats struct {
 	Rows    atomic.Int64
 	Batches atomic.Int64
@@ -397,60 +239,4 @@ func (s *OpStats) addNanos(n int64) {
 	if s != nil {
 		s.Nanos.Add(n)
 	}
-}
-
-// instrumented decorates an Operator with the per-operator telemetry the
-// trace tree is built from — rows, batches, cumulative time — and tracks
-// emitted batches in a FlightTracker. A batch is retired when the consumer
-// pulls again (or closes): the pull contract means the consumer is done
-// with the previous batch by then.
-type instrumented struct {
-	op          Operator
-	st          *OpStats
-	fl          *FlightTracker
-	outstanding bool
-}
-
-// Instrument wraps op; st and fl may each be nil.
-func Instrument(op Operator, st *OpStats, fl *FlightTracker) Operator {
-	if st == nil && fl == nil {
-		return op
-	}
-	return &instrumented{op: op, st: st, fl: fl}
-}
-
-func (o *instrumented) Open(ctx context.Context) error {
-	start := time.Now()
-	err := o.op.Open(ctx)
-	o.st.addNanos(int64(time.Since(start)))
-	return err
-}
-
-func (o *instrumented) Next(ctx context.Context) (*Batch, error) {
-	if o.outstanding {
-		o.fl.Dec()
-		o.outstanding = false
-	}
-	start := time.Now()
-	b, err := o.op.Next(ctx)
-	o.st.addNanos(int64(time.Since(start)))
-	if b != nil {
-		o.st.count(b)
-		if o.fl != nil {
-			o.fl.Inc()
-			o.outstanding = true
-		}
-	}
-	return b, err
-}
-
-func (o *instrumented) Close() error {
-	if o.outstanding {
-		o.fl.Dec()
-		o.outstanding = false
-	}
-	start := time.Now()
-	err := o.op.Close()
-	o.st.addNanos(int64(time.Since(start)))
-	return err
 }

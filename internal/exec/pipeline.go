@@ -75,8 +75,9 @@ type ScanSource struct {
 type StageFn func(*Batch) (*Batch, error)
 
 // Stage is one per-batch step of a pipeline (join probe, filter,
-// projection). New builds one worker's private instance; Stats (may be nil)
-// receives the step's time and its non-empty output batches.
+// projection). New builds one worker's private instance; Stats receives the
+// step's time and its non-empty output batches. A stage with nil Stats is
+// preparation for the sink (a DISTINCT sieve) and its time is the sink's.
 type Stage struct {
 	Stats *OpStats
 	New   func() (StageFn, error)
@@ -124,11 +125,12 @@ func (f *FanoutStats) worker(delta int64) {
 	}
 }
 
-// Pipeline is the one way a slice executes: batches flow from a source,
-// through per-batch stages, into a sink. A Scan source runs with one worker
-// per scanner — a single scanner runs inline on the calling goroutine, with
-// no worker goroutine and nothing to reorder — while an Op source (exchange
-// receive, materialized rows, a grace join's output) is pulled serially.
+// Pipeline is the one way a query executes, on the slices and at the leader:
+// batches flow from a source, through per-batch stages, into a sink. A Scan
+// source runs with one worker per scanner — a single scanner runs inline on
+// the calling goroutine, with no worker goroutine and nothing to reorder —
+// while an Op source (exchange receive, materialized rows, a grace join's
+// output, the leader's merge of the slice results) is pulled serially.
 type Pipeline struct {
 	// Exactly one of Scan and Op is set.
 	Scan *ScanSource
@@ -277,7 +279,11 @@ func (p *Pipeline) work(ctx context.Context, w int, pull pullFn) error {
 	defer func() {
 		p.SrcStats.addNanos(nanos[0])
 		for i, s := range p.Stages {
-			s.Stats.addNanos(nanos[1+i])
+			st := s.Stats
+			if st == nil {
+				st = p.SinkStats
+			}
+			st.addNanos(nanos[1+i])
 		}
 		p.SinkStats.addNanos(nanos[len(fns)+1])
 	}()

@@ -134,3 +134,89 @@ func TestPipelineStageErrorWins(t *testing.T) {
 		t.Errorf("%d batches still parked after Close", len(sink.pending))
 	}
 }
+
+// The leader's pipeline owns what it pulls: LeaderMergeOp unparks each
+// gathered batch as it hands it out, a DISTINCT stage and either result sink
+// release it, and a stop mid-stream leaves exactly the untaken batches
+// parked (non-nil, still counted) for the caller to retire.
+func TestLeaderPipelineConsumesGatherLists(t *testing.T) {
+	ctx := context.Background()
+	byCol0 := []plan.OrderKey{{Index: 0}}
+	fl := NewFlightTracker(nil)
+	// Two slices, each pre-sorted on column 0; values repeat across slices.
+	gather := func() [][]*Batch {
+		lists := make([][]*Batch, 3) // slice 1 gathered nothing
+		for sl, vals := range map[int][][]int64{0: {{1, 3}, {5, 7}}, 2: {{1, 2}, {7, 9}}} {
+			for _, vs := range vals {
+				rows := make([]types.Row, len(vs))
+				for i, v := range vs {
+					rows[i] = types.Row{types.NewInt(v)}
+				}
+				lists[sl] = append(lists[sl], FromRows([]types.Type{types.Int64}, rows))
+				fl.Inc()
+			}
+		}
+		return lists
+	}
+	parked := func(lists [][]*Batch) (n int) {
+		for _, bs := range lists {
+			for _, b := range bs {
+				if b != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+
+	// Replay + DISTINCT + collect cut at 5: slice order, first occurrence wins.
+	lists := gather()
+	out := NewBatch(1)
+	dedupe := NewDeduper(nil)
+	p := &Pipeline{Op: NewLeaderMergeOp(lists, nil, false, fl), Flight: fl,
+		Stages: []Stage{{New: func() (StageFn, error) { return dedupe.Apply, nil }}},
+		Sink:   NewOrderedSink(Collect(out, 5, nil))}
+	if err := p.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render([]*Batch{out}), "1;3;5;7;2;|"; got != want {
+		t.Errorf("distinct collect = %s, want %s", got, want)
+	}
+	if parked(lists) != 0 || fl.Current() != 0 {
+		t.Errorf("after a full run %d batches parked, %d in flight", parked(lists), fl.Current())
+	}
+
+	// Sorted merge of each slice's first batch into a one-worker TopNSink.
+	lists = gather()
+	var top *Batch
+	p = &Pipeline{Op: NewLeaderMergeOp(lists, byCol0, true, fl), Flight: fl,
+		Sink: NewTopNSink(byCol0, 3, 1, func() *MemContext { return nil }, nil, func(b *Batch) error { top = b; return nil })}
+	if err := p.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render([]*Batch{top}), "1;1;2;|"; got != want {
+		t.Errorf("sorted merge top-3 = %s, want %s", got, want)
+	}
+	if parked(lists) != 2 || fl.Current() != 2 {
+		t.Errorf("sorted merge takes one batch per slice: %d parked, %d in flight, want 2 and 2", parked(lists), fl.Current())
+	}
+
+	// A sink failure on the second batch stops the run: two taken, two parked.
+	fl = NewFlightTracker(nil)
+	lists = gather()
+	boom, seen := errors.New("boom"), 0
+	p = &Pipeline{Op: NewLeaderMergeOp(lists, nil, false, fl), Flight: fl,
+		Sink: NewOrderedSink(func(b *Batch) error {
+			PutBatch(b)
+			if seen++; seen == 2 {
+				return boom
+			}
+			return nil
+		})}
+	if err := p.Run(ctx); !errors.Is(err, boom) {
+		t.Fatalf("Run error = %v, want boom", err)
+	}
+	if parked(lists) != 2 || fl.Current() != 2 {
+		t.Errorf("after an early stop %d batches parked, %d in flight, want 2 and 2", parked(lists), fl.Current())
+	}
+}

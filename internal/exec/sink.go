@@ -231,6 +231,30 @@ func (s *TopNSink) Close() {
 	}
 }
 
+// Collect returns the emit of an OrderedSink that materializes its input in
+// out, cut at limit rows (negative = all of them): the leader's result when
+// no ORDER BY asks for a TopNSink. mc (may be nil) is charged for what out
+// retains — forced, because the result has to exist whatever the grant.
+func Collect(out *Batch, limit int64, mc *MemContext) func(*Batch) error {
+	return func(b *Batch) error {
+		keep := b
+		if limit >= 0 {
+			if int64(out.N) >= limit {
+				PutBatch(b)
+				return nil
+			}
+			keep = TopN(b, limit-int64(out.N))
+		}
+		mc.grow(keep.ByteSize())
+		err := out.Concat(keep)
+		if keep != b {
+			PutBatch(keep)
+		}
+		PutBatch(b)
+		return err
+	}
+}
+
 // collectSorted drains a sorter's merged stream into one batch, stopping
 // once limit rows (if any) have been gathered.
 func collectSorted(ctx context.Context, sorter *ExternalSorter, width int, limit int64) (*Batch, error) {

@@ -2,6 +2,7 @@ package redshift
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,38 @@ func stableSpanLines(res *Result) string {
 		out.WriteByte('\n')
 	}
 	return out.String()
+}
+
+// partialAggCounts reads an EXPLAIN ANALYZE rendering's partial-agg line and
+// its per-slice children: the node's rows= and batches=, and the children's
+// groups= sum and count. ok is false when the plan has no partial-agg node.
+func partialAggCounts(res *Result) (rows, batches, groups, slices int64, ok bool) {
+	attr := func(line, key string) int64 {
+		for _, f := range strings.Fields(line) {
+			if v, found := strings.CutPrefix(f, key+"="); found {
+				n, _ := strconv.ParseInt(v, 10, 64)
+				return n
+			}
+		}
+		return -1
+	}
+	for i, row := range res.Rows {
+		line := strings.TrimLeft(row[0].S, " ")
+		if !strings.HasPrefix(line, "partial-agg ") {
+			continue
+		}
+		rows, batches = attr(line, "rows"), attr(line, "batches")
+		for _, child := range res.Rows[i+1:] {
+			cl := strings.TrimLeft(child[0].S, " ")
+			if !strings.HasPrefix(cl, "slice ") {
+				break
+			}
+			groups += attr(cl, "groups")
+			slices++
+		}
+		return rows, batches, groups, slices, true
+	}
+	return 0, 0, 0, 0, false
 }
 
 // sliceStatsSnapshot reads stv_slice_stats into per-slice counter tuples.
@@ -126,6 +159,14 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 				}
 				if q.workMem != "" && !strings.Contains(text, "spill_bytes=") {
 					t.Fatalf("work_mem %s did not spill at dop=%d:\n%s", q.workMem, dop, text)
+				}
+				// A slice's partial aggregate is one output of as many rows as it
+				// built groups: the node line must say what its children say.
+				if rows, batches, groups, n, ok := partialAggCounts(out); ok != strings.HasPrefix(q.name, "agg-") {
+					t.Fatalf("partial-agg node present = %v:\n%s", ok, text)
+				} else if ok && (rows != groups || batches != n || rows == 0) {
+					t.Errorf("dop=%d: partial-agg rows=%d batches=%d, its %d slices report %d groups:\n%s",
+						dop, rows, batches, n, groups, text)
 				}
 				spans := stableSpanLines(out)
 				slices := sliceStatsDelta(t, w, func() { w.MustExecute(q.sql) })

@@ -277,3 +277,92 @@ func TestParallelCancelStorm(t *testing.T) {
 		t.Errorf("post-storm count = %d, want 4000", res.Rows[0][0].I)
 	}
 }
+
+// leaderBattery holds the shapes whose work is the leader's: its pipeline's
+// source, stages and both result sinks (the sort under ORDER BY, the ordered
+// collect without), each with and without the DISTINCT sieve, on inputs that
+// stress their edges — every group rejected, LIMIT 0, nothing but ties, an
+// empty table, a sort far over a 64 KiB grant. rows pins the result size
+// (-1: not pinned), so a twin that is wrong on every tier still fails.
+var leaderBattery = []struct {
+	name, sql string
+	rows      int
+}{
+	{"distinct-order-limit", `SELECT DISTINCT user_id, kind FROM events ORDER BY user_id DESC, kind LIMIT 50`, 50},
+	{"distinct-collect-limit", `SELECT DISTINCT kind FROM events LIMIT 2`, 2},
+	{"having-rejects-all", `SELECT ts, COUNT(*) AS n FROM events GROUP BY ts HAVING COUNT(*) > 1 ORDER BY ts`, 0},
+	{"having-keeps-some", `SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id HAVING COUNT(*) > 4 ORDER BY n DESC, user_id`, -1},
+	{"limit0-sort", `SELECT ts, amount FROM events ORDER BY amount, ts LIMIT 0`, 0},
+	{"limit0-collect", `SELECT ts, amount FROM events LIMIT 0`, 0},
+	{"limit0-distinct-sort", `SELECT DISTINCT kind FROM events ORDER BY kind LIMIT 0`, 0},
+	{"limit0-distinct-collect", `SELECT DISTINCT kind FROM events LIMIT 0`, 0},
+	{"limit0-agg", `SELECT kind, COUNT(*) AS n FROM events GROUP BY kind ORDER BY kind LIMIT 0`, 0},
+	{"collect-cut-mid-batch", `SELECT ts, user_id FROM events WHERE amount >= 10 LIMIT 777`, 777},
+	{"all-tied-sort", `SELECT kind, ts FROM events WHERE kind = 'buy' ORDER BY kind`, -1},
+	{"all-tied-top-n", `SELECT kind, ts FROM events WHERE kind = 'buy' ORDER BY kind LIMIT 33`, 33},
+	{"empty-sort", `SELECT a, b FROM nothing ORDER BY a`, 0},
+	{"empty-distinct", `SELECT DISTINCT b FROM nothing`, 0},
+	{"empty-group", `SELECT b, COUNT(*) AS n FROM nothing GROUP BY b ORDER BY b`, 0},
+	{"empty-grand", `SELECT COUNT(*), SUM(a) FROM nothing`, 1},
+	{"big-leader-sort", leaderSortQuery, 8000},
+	{"big-leader-sort-agg", `SELECT ts, SUM(amount) AS total FROM events GROUP BY ts ORDER BY total DESC, ts`, 8000},
+}
+
+// leaderSortQuery sorts the whole table at the leader (no LIMIT, so nothing
+// is pushed down): ~190 KiB gathered batch by batch, three times the spill
+// tier's grant, so the leader's sorter writes runs.
+const leaderSortQuery = `SELECT ts, user_id, amount FROM events ORDER BY amount DESC, ts`
+
+// TestSpillParallelLeaderTwin runs the leader battery at 1, 2 and 4 workers,
+// each under an unlimited grant and a 64 KiB work_mem: every cell returns the
+// reference rows bit for bit, and after every single statement nothing is
+// left charged, in flight or on disk.
+func TestSpillParallelLeaderTwin(t *testing.T) {
+	seed := spillSeed(t)
+	dir := t.TempDir()
+	w := launch(t, Options{Nodes: 2, SpillDir: dir})
+	seedSpillTables(t, w, seed, 8000, 2000)
+	w.MustExecute(`CREATE TABLE nothing (a BIGINT, b VARCHAR(8))`)
+	w.MustExecute(`SET result_cache TO off`)
+
+	want := make([]string, len(leaderBattery))
+	for i, q := range leaderBattery {
+		res := w.MustExecute(q.sql)
+		if q.rows >= 0 && len(res.Rows) != q.rows {
+			t.Fatalf("%s: reference returned %d rows, want %d", q.name, len(res.Rows), q.rows)
+		}
+		want[i] = rowsString(res.Rows)
+		assertSpillClean(t, w, dir)
+	}
+	if n := w.Metrics().Counter("spill_bytes_total").Value(); n != 0 {
+		t.Fatalf("reference battery spilled %d bytes", n)
+	}
+
+	for _, workMem := range []string{"default", "64KB"} {
+		for _, dop := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("dop%d/work_mem=%s", dop, workMem), func(t *testing.T) {
+				w.MustExecute(`SET work_mem TO '` + workMem + `'`)
+				w.MustExecute(fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
+				for i, q := range leaderBattery {
+					res, err := w.Execute(q.sql)
+					if err != nil {
+						t.Fatalf("seed %d %s failed: %v", seed, q.name, err)
+					}
+					if got := rowsString(res.Rows); got != want[i] {
+						t.Errorf("seed %d %s diverged from the reference:\ngot:\n%swant:\n%s", seed, q.name, got, want[i])
+					}
+					assertSpillClean(t, w, dir)
+				}
+				if workMem == "default" {
+					return
+				}
+				out := rowsString(w.MustExecute(`EXPLAIN ANALYZE ` + leaderSortQuery).Rows)
+				for _, line := range strings.Split(out, "\n") {
+					if strings.HasPrefix(strings.TrimLeft(line, " "), "finalize ") && !strings.Contains(line, "spill_runs=") {
+						t.Errorf("the leader's sort wrote no runs under %s:\n%s", workMem, out)
+					}
+				}
+			})
+		}
+	}
+}

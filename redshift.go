@@ -383,6 +383,23 @@ func (w *Warehouse) Execute(query string) (*Result, error) {
 // final resize swap onto the just-decommissioned source (rejected there
 // before any effect) is transparently replayed on the new primary.
 func (w *Warehouse) ExecuteContext(ctx context.Context, query string) (*Result, error) {
+	return w.route(ctx, query, func(db *core.Database) executor { return db })
+}
+
+// executor is what the endpoint routing loop runs a statement on: a
+// database (its default session) or one connection's session.
+type executor interface {
+	ExecuteContext(ctx context.Context, query string) (*core.Result, error)
+	ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*core.Result, error)
+}
+
+// route is the endpoint's routing loop, shared by every entry point: offer
+// the statement to the burst tier, otherwise run it on the executor pick
+// returns for the database currently behind the endpoint, and replay it (at most
+// three times) when it raced a swap onto the decommissioned source, which
+// rejected it before any effect. It keeps no state of its own, so concurrent
+// callers share nothing but the endpoint.
+func (w *Warehouse) route(ctx context.Context, query string, pick func(*core.Database) executor) (*core.Result, error) {
 	var stmt sql.Statement
 	if w.burst != nil {
 		if s, err := sql.Parse(query); err == nil {
@@ -391,15 +408,16 @@ func (w *Warehouse) ExecuteContext(ctx context.Context, query string) (*Result, 
 	}
 	for attempt := 0; ; attempt++ {
 		db := w.endpoint.DB()
-		var res *Result
+		ex := pick(db)
+		var res *core.Result
 		var err error
 		if stmt != nil {
 			if r, ok := w.burst.TryRoute(ctx, stmt); ok {
 				return r, nil
 			}
-			res, err = db.ExecuteStmtContext(ctx, stmt)
+			res, err = ex.ExecuteStmtContext(ctx, stmt)
 		} else {
-			res, err = db.ExecuteContext(ctx, query)
+			res, err = ex.ExecuteContext(ctx, query)
 		}
 		if err != nil && core.IsDecommissioned(err) && w.endpoint.DB() != db && attempt < 3 {
 			continue
@@ -569,34 +587,14 @@ func (s *WireSession) ExecuteContext(ctx context.Context, query string) (*core.R
 			stats.FromNodes, stats.ToNodes, stats.Tables, stats.Rows,
 			stats.CatchupRounds, stats.CutoverWindow.Round(time.Microsecond))}, nil
 	}
-	for attempt := 0; ; attempt++ {
-		if cur := s.w.endpoint.DB(); cur != s.db {
+	return s.w.route(ctx, query, func(cur *core.Database) executor {
+		if cur != s.db {
 			s.sess.Close()
 			s.db = cur
 			s.sess = cur.NewSession()
 		}
-		var res *core.Result
-		var err error
-		routed := false
-		if s.w.burst != nil {
-			if stmt, perr := sql.Parse(query); perr == nil {
-				if r, ok := s.w.burst.TryRoute(ctx, stmt); ok {
-					res, routed = r, true
-				} else {
-					res, err = s.sess.ExecuteStmtContext(ctx, stmt)
-				}
-			}
-		}
-		if res == nil && err == nil && !routed {
-			res, err = s.sess.ExecuteContext(ctx, query)
-		}
-		// A statement that raced the swap onto the decommissioned source
-		// was rejected before any effect: follow the endpoint and replay.
-		if err != nil && core.IsDecommissioned(err) && s.w.endpoint.DB() != s.db && attempt < 3 {
-			continue
-		}
-		return res, err
-	}
+		return s.sess
+	})
 }
 
 // Close releases the underlying session.
