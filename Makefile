@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-smoke perf perf-smoke perf-compare chaos chaos-resize spill workload
+.PHONY: build test race fuzz-smoke bench-smoke perf perf-smoke perf-compare chaos chaos-resize spill workload
 
 build:
 	$(GO) build ./...
@@ -10,12 +10,21 @@ test: build
 
 # Vet plus race-detector runs over the packages with the most concurrency:
 # the distributed cluster, the query engine and its operators, the shared
-# block cache, and the telemetry registry — plus the root-level morsel
-# worker suites (twin battery, cancel/fault storm, stats parity).
+# block cache, the codecs (whose inflater and deflater pools every slice
+# goroutine shares), and the telemetry registry — plus the root-level
+# morsel worker suites (twin battery, cancel/fault storm, stats parity).
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/cluster ./internal/core ./internal/exec ./internal/storage ./internal/telemetry ./internal/wire
+	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/storage ./internal/telemetry ./internal/wire
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
+
+# Each native fuzz target for FUZZTIME on top of its committed seed corpus
+# (internal/compress/testdata/fuzz): arbitrary bytes into the block
+# decoders, and fuzzer-built vectors through every encoding and back.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

@@ -8,6 +8,13 @@
 // Lempel-Ziv). Every encoded block is self-describing: a fixed header carries
 // the encoding, the value type, the row count and the null bitmap, so blocks
 // can be shipped to S3, replicated and page-faulted back without side tables.
+//
+// Decoding reads the payload through an index into the byte slice and copies
+// everything out of it — integers by value, strings into one arena per block
+// — so the caller may reuse the payload buffer as soon as Decode returns.
+// Every string of a decoded block is a sub-string of that block's arena: a
+// consumer that keeps a few values of a block alive for long should copy
+// them (the scan re-packs the survivors of a filtered block for that reason).
 package compress
 
 import (
@@ -18,6 +25,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"redshift/internal/types"
 )
@@ -106,13 +114,32 @@ func Applicable(e Encoding, t types.Type) bool {
 	}
 }
 
-// intKind reports whether the type stores its payload in Vector.Ints.
-func intKind(t types.Type) bool { return t != types.Float64 && t != types.String }
+// Every other encoding spends at least a byte of payload on a row, so the
+// payload's length vouches for the header's row count. A RUNLENGTH or LZO
+// payload of a few bytes can stand for any number of rows: those two are
+// held to package maximums instead, which Encode refuses to exceed so that
+// it never writes a block Decode would refuse. Storage blocks hold 4096
+// rows; the compression ablation encodes 256k-row columns whole. (RAW, which
+// frames spill batches of any size, has no maximum.)
+const (
+	// maxRows is the most values one RUNLENGTH or LZO block may hold.
+	maxRows = 1 << 20
+	// maxInflated is the most bytes an LZO string block may inflate to: a
+	// storage block of 64 KB strings, the widest VARCHAR Redshift declares.
+	// (A fixed-width LZO block inflates to exactly rows × 8 bytes.)
+	maxInflated = 1 << 28
+	// maxPooledScratch is the largest buffer a pooled deflater or inflater
+	// keeps between blocks; an outsized block's scratch is garbage after it.
+	maxPooledScratch = 1 << 22
+)
 
 // Encode serializes v with encoding e into a self-describing block.
 func Encode(e Encoding, v *types.Vector) ([]byte, error) {
 	if !Applicable(e, v.T) {
 		return nil, fmt.Errorf("compress: %s not applicable to %s", e, v.T)
+	}
+	if (e == RunLength || e == LZ) && v.Len() > maxRows {
+		return nil, fmt.Errorf("compress: %d rows in one %s block, maximum %d", v.Len(), e, maxRows)
 	}
 	var buf bytes.Buffer
 	buf.WriteByte(byte(e))
@@ -147,56 +174,95 @@ func Encode(e Encoding, v *types.Vector) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode reconstructs the vector from a self-describing block.
-func Decode(data []byte) (*types.Vector, error) {
-	r := bytes.NewReader(data)
-	encByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("compress: short block: %w", err)
-	}
-	typByte, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("compress: short block: %w", err)
-	}
-	e, t := Encoding(encByte), types.Type(typByte)
-	if e >= numEncodings {
-		return nil, fmt.Errorf("compress: corrupt block: encoding %d", encByte)
-	}
-	n64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("compress: corrupt block length: %w", err)
-	}
-	n := int(n64)
-	nulls, err := readNulls(r, n)
-	if err != nil {
-		return nil, err
-	}
+// header is the self-describing prefix of a block. The null bitmap, when
+// present, and then the codec payload follow it.
+type header struct {
+	enc   Encoding
+	typ   types.Type
+	rows  int
+	nulls bool
+}
 
-	v := types.NewVector(t, n)
-	switch e {
+// parseHeader validates a block's prefix and returns it with the offset of
+// what follows. Nothing is allocated on the strength of a header that has
+// not passed here.
+func parseHeader(data []byte) (header, int, error) {
+	if len(data) < 2 {
+		return header{}, 0, fmt.Errorf("compress: short block")
+	}
+	h := header{enc: Encoding(data[0]), typ: types.Type(data[1])}
+	if h.enc >= numEncodings {
+		return h, 0, fmt.Errorf("compress: corrupt block: encoding %d", data[0])
+	}
+	if h.typ == types.Invalid || h.typ > types.Timestamp {
+		return h, 0, fmt.Errorf("compress: corrupt block: type %d", data[1])
+	}
+	if !Applicable(h.enc, h.typ) {
+		return h, 0, fmt.Errorf("compress: corrupt block: %s over %s", h.enc, h.typ)
+	}
+	n, pos := uvarint(data, 2)
+	if pos < 0 {
+		return h, 0, fmt.Errorf("compress: corrupt block length")
+	}
+	most := uint64(len(data)) // a byte a row at the least
+	if h.enc == RunLength || h.enc == LZ {
+		most = maxRows
+	}
+	if n > most {
+		return h, 0, fmt.Errorf("compress: corrupt block: %d rows in %d bytes of %s", n, len(data), h.enc)
+	}
+	if pos == len(data) {
+		return h, 0, fmt.Errorf("compress: corrupt null header")
+	}
+	h.rows, h.nulls = int(n), data[pos] != 0
+	return h, pos + 1, nil
+}
+
+// Decode reconstructs the vector from a self-describing block. Corrupt
+// input of any kind is an error; the result never aliases data.
+func Decode(data []byte) (*types.Vector, error) {
+	h, pos, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	n := h.rows
+	var packed []byte
+	if h.nulls {
+		end := pos + (n+7)/8
+		if end > len(data) {
+			return nil, fmt.Errorf("compress: corrupt null bitmap")
+		}
+		packed, pos = data[pos:end], end
+	}
+	p := data[pos:]
+
+	v := &types.Vector{T: h.typ}
+	switch h.enc {
 	case Raw:
-		err = decodeRaw(r, v, n)
+		err = decodeRaw(p, v, n)
 	case RunLength:
-		err = decodeRunLength(r, v, n)
+		err = decodeRunLength(p, v, n)
 	case Delta:
-		err = decodeDelta(r, v, n)
+		err = decodeDelta(p, v, n)
 	case Mostly8:
-		err = decodeMostly(r, v, n, 1)
+		err = decodeMostly(p, v, n, 1)
 	case Mostly16:
-		err = decodeMostly(r, v, n, 2)
+		err = decodeMostly(p, v, n, 2)
 	case Mostly32:
-		err = decodeMostly(r, v, n, 4)
+		err = decodeMostly(p, v, n, 4)
 	case ByteDict:
-		err = decodeByteDict(r, v, n)
+		err = decodeByteDict(p, v, n)
 	case Text:
-		err = decodeText(r, v, n)
+		err = decodeText(p, v, n)
 	case LZ:
-		err = decodeLZ(r, v, n)
+		err = decodeLZ(p, v, n)
 	}
 	if err != nil {
 		return nil, err
 	}
-	v.Nulls = nulls
+	if packed != nil {
+		v.Nulls = unpackNulls(packed, n)
+	}
 	return v, nil
 }
 
@@ -221,39 +287,109 @@ func writeVarint(buf *bytes.Buffer, x int64) {
 	buf.Write(tmp[:binary.PutVarint(tmp[:], x)])
 }
 
+// uvarint decodes the unsigned varint at p[pos:] and returns it with the
+// offset after it; a negative offset reports a truncated or overlong one.
+// The per-value loops (DELTA steps, TEXT indexes, string lengths) test for
+// the one-byte case themselves before calling — a third off a string
+// block's decode time: the compiler will not inline a fast path that falls
+// back to a call.
+func uvarint(p []byte, pos int) (uint64, int) {
+	x, k := binary.Uvarint(p[pos:])
+	if k <= 0 {
+		return 0, -1
+	}
+	return x, pos + k
+}
+
+// unzigzag maps a varint's unsigned form back to the signed value.
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+func fill[T any](s []T, x T) {
+	for i := range s {
+		s[i] = x
+	}
+}
+
+// writeNulls writes the null flag and, when any value is null, the bitmap
+// (bit i%8 of byte i/8 set for a null at i), one byte of bitmap at a time.
 func writeNulls(buf *bytes.Buffer, v *types.Vector) {
 	if !v.HasNulls() {
 		buf.WriteByte(0)
 		return
 	}
 	buf.WriteByte(1)
-	n := v.Len()
-	packed := make([]byte, (n+7)/8)
-	for i := 0; i < n; i++ {
-		if v.IsNull(i) {
-			packed[i/8] |= 1 << uint(i%8)
+	nulls := v.Nulls[:v.Len()]
+	for len(nulls) > 0 {
+		chunk := nulls[:min(8, len(nulls))]
+		var b byte
+		for k, isNull := range chunk {
+			if isNull {
+				b |= 1 << k
+			}
 		}
+		buf.WriteByte(b)
+		nulls = nulls[len(chunk):]
 	}
-	buf.Write(packed)
 }
 
-func readNulls(r *bytes.Reader, n int) ([]bool, error) {
-	flag, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("compress: corrupt null header: %w", err)
-	}
-	if flag == 0 {
-		return nil, nil
-	}
-	packed := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(r, packed); err != nil {
-		return nil, fmt.Errorf("compress: corrupt null bitmap: %w", err)
-	}
+// unpackNulls expands the bitmap of an n-row block.
+func unpackNulls(packed []byte, n int) []bool {
 	nulls := make([]bool, n)
-	for i := 0; i < n; i++ {
-		nulls[i] = packed[i/8]&(1<<uint(i%8)) != 0
+	for i, b := range packed {
+		if b == 0 {
+			continue
+		}
+		if i*8+8 > n {
+			for k := i * 8; k < n; k++ {
+				nulls[k] = b&(1<<(k&7)) != 0
+			}
+			break
+		}
+		c := nulls[i*8 : i*8+8 : i*8+8]
+		c[0], c[1], c[2], c[3] = b&1 != 0, b&2 != 0, b&4 != 0, b&8 != 0
+		c[4], c[5], c[6], c[7] = b&16 != 0, b&32 != 0, b&64 != 0, b&128 != 0
 	}
-	return nulls, nil
+	return nulls
+}
+
+// Length-prefixed strings, the form RAW, BYTEDICT, TEXT and LZO share.
+// Decoding is two walks over the prefixes: the first validates them and
+// finds where the region ends, the second slices one arena — the region
+// converted to a string once — so a block of strings costs one allocation
+// and one copy however many values it holds.
+
+// stringsEnd validates count length-prefixed strings starting at p[pos:]
+// and returns the offset after the last.
+func stringsEnd(p []byte, pos, count int) (int, error) {
+	for i := 0; i < count; i++ {
+		var l uint64
+		next := pos + 1
+		if pos < len(p) && p[pos] < 0x80 {
+			l = uint64(p[pos])
+		} else if l, next = uvarint(p, pos); next < 0 {
+			return 0, fmt.Errorf("compress: corrupt string length")
+		}
+		if l > uint64(len(p)-next) {
+			return 0, fmt.Errorf("compress: corrupt string length %d", l)
+		}
+		pos = next + int(l)
+	}
+	return pos, nil
+}
+
+// arenaStrings points out[i] at the i-th string of the region p[pos:end],
+// which stringsEnd has validated.
+func arenaStrings(p []byte, pos, end int, out []string) {
+	arena := string(p[pos:end])
+	at := 0
+	for i := range out {
+		l, next := uint64(p[pos+at]), pos+at+1
+		if l >= 0x80 {
+			l, next = uvarint(p, pos+at)
+		}
+		at = next - pos + int(l)
+		out[i] = arena[at-int(l) : at]
+	}
 }
 
 // RAW: fixed 8-byte little-endian for numerics, length-prefixed bytes for
@@ -282,49 +418,31 @@ func encodeRaw(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func decodeRaw(r *bytes.Reader, v *types.Vector, n int) error {
-	switch v.T {
-	case types.Float64:
-		var tmp [8]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(r, tmp[:]); err != nil {
-				return fmt.Errorf("compress: raw float: %w", err)
-			}
-			v.Floats = append(v.Floats, math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])))
+func decodeRaw(p []byte, v *types.Vector, n int) error {
+	if v.T == types.String {
+		end, err := stringsEnd(p, 0, n)
+		if err != nil {
+			return err
 		}
-	case types.String:
-		for i := 0; i < n; i++ {
-			s, err := readString(r)
-			if err != nil {
-				return err
-			}
-			v.Strs = append(v.Strs, s)
+		v.Strs = make([]string, n)
+		arenaStrings(p, 0, end, v.Strs)
+		return nil
+	}
+	if len(p) < n*8 {
+		return fmt.Errorf("compress: raw: %d bytes for %d values", len(p), n)
+	}
+	if v.T == types.Float64 {
+		v.Floats = make([]float64, n)
+		for i := range v.Floats {
+			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
 		}
-	default:
-		var tmp [8]byte
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(r, tmp[:]); err != nil {
-				return fmt.Errorf("compress: raw int: %w", err)
-			}
-			v.Ints = append(v.Ints, int64(binary.LittleEndian.Uint64(tmp[:])))
-		}
+		return nil
+	}
+	v.Ints = make([]int64, n)
+	for i := range v.Ints {
+		v.Ints[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
 	}
 	return nil
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	l, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", fmt.Errorf("compress: string length: %w", err)
-	}
-	if l > uint64(r.Len()) {
-		return "", fmt.Errorf("compress: corrupt string length %d", l)
-	}
-	b := make([]byte, l)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("compress: string body: %w", err)
-	}
-	return string(b), nil
 }
 
 // RUNLENGTH: (value, run) pairs. Ideal for sorted low-cardinality columns.
@@ -364,44 +482,73 @@ func sameAt(v *types.Vector, i, j int) bool {
 	}
 }
 
-func decodeRunLength(r *bytes.Reader, v *types.Vector, n int) error {
-	for v.Len() < n {
-		var iv int64
-		var fv float64
-		var sv string
-		var err error
-		switch v.T {
-		case types.Float64:
-			var tmp [8]byte
-			if _, err = io.ReadFull(r, tmp[:]); err != nil {
-				return fmt.Errorf("compress: rle float: %w", err)
-			}
-			fv = math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))
-		case types.String:
-			if sv, err = readString(r); err != nil {
+// runLength reads the run count at p[pos:], which must be at least one and
+// at most left, the rows the block still has to produce.
+func runLength(p []byte, pos, left int) (run, next int, err error) {
+	r, next := uvarint(p, pos)
+	if next < 0 {
+		return 0, 0, fmt.Errorf("compress: rle run: truncated")
+	}
+	if r == 0 || r > uint64(left) {
+		return 0, 0, fmt.Errorf("compress: corrupt rle run %d", r)
+	}
+	return int(r), next, nil
+}
+
+func decodeRunLength(p []byte, v *types.Vector, n int) error {
+	pos := 0
+	switch v.T {
+	case types.String:
+		// First walk: the runs must add up to n before anything is
+		// allocated, and the arena ends where the last run does.
+		for i := 0; i < n; {
+			end, err := stringsEnd(p, pos, 1)
+			if err != nil {
 				return err
 			}
-		default:
-			if iv, err = binary.ReadVarint(r); err != nil {
-				return fmt.Errorf("compress: rle int: %w", err)
+			run, next, err := runLength(p, end, n-i)
+			if err != nil {
+				return err
 			}
+			pos, i = next, i+run
 		}
-		run, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("compress: rle run: %w", err)
+		arena := string(p[:pos])
+		v.Strs = make([]string, n)
+		pos = 0
+		for i := 0; i < n; {
+			l, next := uvarint(p, pos)
+			s := arena[next : next+int(l)]
+			run, next, _ := runLength(p, next+int(l), n-i)
+			fill(v.Strs[i:i+run], s)
+			pos, i = next, i+run
 		}
-		if run == 0 || v.Len()+int(run) > n {
-			return fmt.Errorf("compress: corrupt rle run %d", run)
-		}
-		for k := uint64(0); k < run; k++ {
-			switch v.T {
-			case types.Float64:
-				v.Floats = append(v.Floats, fv)
-			case types.String:
-				v.Strs = append(v.Strs, sv)
-			default:
-				v.Ints = append(v.Ints, iv)
+	case types.Float64:
+		v.Floats = make([]float64, n)
+		for i := 0; i < n; {
+			if len(p)-pos < 8 {
+				return fmt.Errorf("compress: rle float: truncated")
 			}
+			f := math.Float64frombits(binary.LittleEndian.Uint64(p[pos:]))
+			run, next, err := runLength(p, pos+8, n-i)
+			if err != nil {
+				return err
+			}
+			fill(v.Floats[i:i+run], f)
+			pos, i = next, i+run
+		}
+	default:
+		v.Ints = make([]int64, n)
+		for i := 0; i < n; {
+			ux, next := uvarint(p, pos)
+			if next < 0 {
+				return fmt.Errorf("compress: rle int: truncated")
+			}
+			run, next, err := runLength(p, next, n-i)
+			if err != nil {
+				return err
+			}
+			fill(v.Ints[i:i+run], unzigzag(ux))
+			pos, i = next, i+run
 		}
 	}
 	return nil
@@ -423,19 +570,21 @@ func encodeDelta(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func decodeDelta(r *bytes.Reader, v *types.Vector, n int) error {
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		d, err := binary.ReadVarint(r)
-		if err != nil {
-			return fmt.Errorf("compress: delta: %w", err)
+func decodeDelta(p []byte, v *types.Vector, n int) error {
+	if len(p) < n {
+		return fmt.Errorf("compress: delta: %d bytes for %d values", len(p), n)
+	}
+	v.Ints = make([]int64, n)
+	pos, prev := 0, int64(0)
+	for i := range v.Ints {
+		var ux uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			ux, pos = uint64(p[pos]), pos+1
+		} else if ux, pos = uvarint(p, pos); pos < 0 {
+			return fmt.Errorf("compress: delta: truncated")
 		}
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
-		}
-		v.Ints = append(v.Ints, prev)
+		prev += unzigzag(ux) // the first "delta" is the first value
+		v.Ints[i] = prev
 	}
 	return nil
 }
@@ -490,49 +639,45 @@ func encodeMostly(buf *bytes.Buffer, v *types.Vector, width int) error {
 	return nil
 }
 
-func decodeMostly(r *bytes.Reader, v *types.Vector, n, width int) error {
-	nExc, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("compress: mostly exceptions: %w", err)
+func decodeMostly(p []byte, v *types.Vector, n, width int) error {
+	nExc, pos := uvarint(p, 0)
+	if pos < 0 || nExc > uint64(n) || len(p)-pos < n*width {
+		return fmt.Errorf("compress: mostly%d: corrupt exception count or %d bytes for %d values", 8*width, len(p), n)
 	}
-	exc := make(map[int]int64, nExc)
+	// The narrow values are the last n×width bytes and the exception list
+	// fills the gap before them exactly, so the bulk loop needs no walk
+	// over the list to find its input and the list is read once, to patch.
+	body := p[len(p)-n*width:]
+	out := make([]int64, n)
+	switch width {
+	case 1:
+		for i := range out {
+			out[i] = int64(int8(body[i]))
+		}
+	case 2:
+		for i := range out {
+			out[i] = int64(int16(binary.LittleEndian.Uint16(body[i*2:])))
+		}
+	default:
+		for i := range out {
+			out[i] = int64(int32(binary.LittleEndian.Uint32(body[i*4:])))
+		}
+	}
 	for i := uint64(0); i < nExc; i++ {
-		pos, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("compress: mostly exception pos: %w", err)
+		at, next := uvarint(p, pos)
+		if next < 0 || at >= uint64(n) {
+			return fmt.Errorf("compress: corrupt mostly exception position")
 		}
-		val, err := binary.ReadVarint(r)
-		if err != nil {
-			return fmt.Errorf("compress: mostly exception val: %w", err)
+		ux, next := uvarint(p, next)
+		if next < 0 {
+			return fmt.Errorf("compress: corrupt mostly exception value")
 		}
-		exc[int(pos)] = val
+		out[at], pos = unzigzag(ux), next
 	}
-	var tmp [4]byte
-	for i := 0; i < n; i++ {
-		var x int64
-		switch width {
-		case 1:
-			b, err := r.ReadByte()
-			if err != nil {
-				return fmt.Errorf("compress: mostly8: %w", err)
-			}
-			x = int64(int8(b))
-		case 2:
-			if _, err := io.ReadFull(r, tmp[:2]); err != nil {
-				return fmt.Errorf("compress: mostly16: %w", err)
-			}
-			x = int64(int16(binary.LittleEndian.Uint16(tmp[:2])))
-		default:
-			if _, err := io.ReadFull(r, tmp[:4]); err != nil {
-				return fmt.Errorf("compress: mostly32: %w", err)
-			}
-			x = int64(int32(binary.LittleEndian.Uint32(tmp[:4])))
-		}
-		if ev, ok := exc[i]; ok {
-			x = ev
-		}
-		v.Ints = append(v.Ints, x)
+	if pos != len(p)-len(body) {
+		return fmt.Errorf("compress: mostly exception list overlaps the values")
 	}
+	v.Ints = out
 	return nil
 }
 
@@ -544,28 +689,19 @@ func decodeMostly(r *bytes.Reader, v *types.Vector, n, width int) error {
 var ErrDictOverflow = fmt.Errorf("compress: more than 256 distinct values in block")
 
 func encodeByteDict(buf *bytes.Buffer, v *types.Vector) error {
-	n := v.Len()
-	dict := types.NewVector(v.T, 16)
-	index := make([]byte, 0, n)
-
-	find := func(i int) (int, bool) {
-		for d := 0; d < dict.Len(); d++ {
-			if sameValue(v, i, dict, d) {
-				return d, true
-			}
-		}
-		return 0, false
+	index := make([]byte, v.Len())
+	dict := &types.Vector{T: v.T}
+	var err error
+	switch v.T {
+	case types.Float64:
+		dict.Floats, err = dictSlots(v.Floats, v.Nulls, index)
+	case types.String:
+		dict.Strs, err = dictSlots(v.Strs, v.Nulls, index)
+	default:
+		dict.Ints, err = dictSlots(v.Ints, v.Nulls, index)
 	}
-	for i := 0; i < n; i++ {
-		d, ok := find(i)
-		if !ok {
-			if dict.Len() == 256 {
-				return ErrDictOverflow
-			}
-			d = dict.Len()
-			dict.Append(v.Get(i).WithoutNull())
-		}
-		index = append(index, byte(d))
+	if err != nil {
+		return err
 	}
 	writeUvarint(buf, uint64(dict.Len()))
 	if err := encodeRaw(buf, dict); err != nil {
@@ -575,47 +711,88 @@ func encodeByteDict(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func sameValue(a *types.Vector, i int, b *types.Vector, j int) bool {
-	switch a.T {
-	case types.Float64:
-		return a.Floats[i] == b.Floats[j]
-	case types.String:
-		return a.Strs[i] == b.Strs[j]
-	default:
-		return a.Ints[i] == b.Ints[j]
+// dictSlots builds the dictionary in first-seen order and writes each
+// value's slot to index. A NULL position is looked up by whatever payload
+// it carries but enters the dictionary as the zero placeholder, and a
+// value found twice in the dictionary resolves to its first slot: both are
+// what the format has always written, and blocks are content-hashed.
+func dictSlots[T comparable](vals []T, nulls []bool, index []byte) ([]T, error) {
+	slot := make(map[T]int, 16)
+	dict := make([]T, 0, 16)
+	for i, x := range vals {
+		d, ok := slot[x]
+		if !ok {
+			if len(dict) == 256 {
+				return nil, ErrDictOverflow
+			}
+			d = len(dict)
+			if nulls != nil && nulls[i] {
+				var zero T
+				x = zero
+			}
+			dict = append(dict, x)
+			if _, dup := slot[x]; !dup {
+				slot[x] = d
+			}
+		}
+		index[i] = byte(d)
 	}
+	return dict, nil
 }
 
-func decodeByteDict(r *bytes.Reader, v *types.Vector, n int) error {
-	dn, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("compress: bytedict size: %w", err)
+func decodeByteDict(p []byte, v *types.Vector, n int) error {
+	dn64, pos := uvarint(p, 0)
+	if pos < 0 || dn64 > 256 {
+		return fmt.Errorf("compress: corrupt bytedict size")
 	}
-	if dn > 256 {
-		return fmt.Errorf("compress: corrupt bytedict size %d", dn)
-	}
-	dict := types.NewVector(v.T, int(dn))
-	if err := decodeRaw(r, dict, int(dn)); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		b, err := r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("compress: bytedict index: %w", err)
+	dn := int(dn64)
+	// The dictionary is at most 256 entries: it lives on the stack, and a
+	// string dictionary's arena is the block's.
+	dictEnd := pos + dn*8
+	if v.T == types.String {
+		var err error
+		if dictEnd, err = stringsEnd(p, pos, dn); err != nil {
+			return err
 		}
-		if int(b) >= dict.Len() {
+	}
+	if dictEnd > len(p) || len(p)-dictEnd < n {
+		return fmt.Errorf("compress: bytedict: truncated")
+	}
+	index := p[dictEnd : dictEnd+n]
+	for _, b := range index {
+		if int(b) >= dn {
 			return fmt.Errorf("compress: bytedict index %d out of range", b)
 		}
-		switch v.T {
-		case types.Float64:
-			v.Floats = append(v.Floats, dict.Floats[b])
-		case types.String:
-			v.Strs = append(v.Strs, dict.Strs[b])
-		default:
-			v.Ints = append(v.Ints, dict.Ints[b])
+	}
+	switch v.T {
+	case types.String:
+		var dict [256]string
+		arenaStrings(p, pos, dictEnd, dict[:dn])
+		v.Strs = lookup(&dict, index)
+	case types.Float64:
+		var dict [256]float64
+		for d := 0; d < dn; d++ {
+			dict[d] = math.Float64frombits(binary.LittleEndian.Uint64(p[pos+d*8:]))
 		}
+		v.Floats = lookup(&dict, index)
+	default:
+		var dict [256]int64
+		for d := 0; d < dn; d++ {
+			dict[d] = int64(binary.LittleEndian.Uint64(p[pos+d*8:]))
+		}
+		v.Ints = lookup(&dict, index)
 	}
 	return nil
+}
+
+// lookup expands one-byte indexes through a full-size dictionary, which no
+// index can overrun.
+func lookup[T any](dict *[256]T, index []byte) []T {
+	out := make([]T, len(index))
+	for i, b := range index {
+		out[i] = dict[b]
+	}
+	return out
 }
 
 // TEXT: unbounded string dictionary with varint indexes (generalizes
@@ -645,57 +822,139 @@ func encodeText(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func decodeText(r *bytes.Reader, v *types.Vector, n int) error {
-	wn, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("compress: text dict size: %w", err)
+func decodeText(p []byte, v *types.Vector, n int) error {
+	wn, pos := uvarint(p, 0)
+	if pos < 0 || wn > uint64(len(p)) {
+		return fmt.Errorf("compress: corrupt text dict size")
 	}
-	if wn > uint64(r.Len()) {
-		return fmt.Errorf("compress: corrupt text dict size %d", wn)
+	end, err := stringsEnd(p, pos, int(wn))
+	if err != nil {
+		return err
+	}
+	if len(p)-end < n {
+		return fmt.Errorf("compress: text: %d bytes for %d indexes", len(p)-end, n)
 	}
 	words := make([]string, wn)
-	for i := range words {
-		if words[i], err = readString(r); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < n; i++ {
-		d, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("compress: text index: %w", err)
+	arenaStrings(p, pos, end, words)
+	v.Strs = make([]string, n)
+	pos = end
+	for i := range v.Strs {
+		var d uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			d, pos = uint64(p[pos]), pos+1
+		} else if d, pos = uvarint(p, pos); pos < 0 {
+			return fmt.Errorf("compress: text index: truncated")
 		}
 		if d >= wn {
 			return fmt.Errorf("compress: text index %d out of range", d)
 		}
-		v.Strs = append(v.Strs, words[d])
+		v.Strs[i] = words[d]
 	}
 	return nil
 }
 
 // LZ: DEFLATE over the RAW payload — the heavyweight general-purpose codec,
-// standing in for LZO.
+// standing in for LZO. The compressor (~600 KB of state) and the
+// decompressor are pooled with their scratch buffers; every slice goroutine
+// and every loader shares the two pools.
 
-func encodeLZ(buf *bytes.Buffer, v *types.Vector) error {
-	var raw bytes.Buffer
-	if err := encodeRaw(&raw, v); err != nil {
-		return err
-	}
-	w, err := flate.NewWriter(buf, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(raw.Bytes()); err != nil {
-		return err
-	}
-	return w.Close()
+type deflater struct {
+	w   *flate.Writer
+	raw bytes.Buffer
 }
 
-func decodeLZ(r *bytes.Reader, v *types.Vector, n int) error {
-	fr := flate.NewReader(r)
-	defer fr.Close()
-	raw, err := io.ReadAll(fr)
-	if err != nil {
-		return fmt.Errorf("compress: lz: %w", err)
+var deflaters = sync.Pool{New: func() any { return new(deflater) }}
+
+func encodeLZ(buf *bytes.Buffer, v *types.Vector) error {
+	z := deflaters.Get().(*deflater)
+	defer func() {
+		if z.raw.Cap() > maxPooledScratch {
+			z.raw = bytes.Buffer{}
+		}
+		deflaters.Put(z)
+	}()
+	z.raw.Reset()
+	if err := encodeRaw(&z.raw, v); err != nil {
+		return err
 	}
-	return decodeRaw(bytes.NewReader(raw), v, n)
+	if z.raw.Len() > maxInflated {
+		return fmt.Errorf("compress: lz: %d bytes in one block, maximum %d", z.raw.Len(), maxInflated)
+	}
+	if z.w == nil {
+		w, err := flate.NewWriter(buf, flate.BestSpeed)
+		if err != nil {
+			return err
+		}
+		z.w = w
+	} else {
+		z.w.Reset(buf)
+	}
+	if _, err := z.w.Write(z.raw.Bytes()); err != nil {
+		return err
+	}
+	return z.w.Close()
+}
+
+type inflater struct {
+	src bytes.Reader // flate wants an io.ByteReader over the payload
+	fr  io.ReadCloser
+	buf []byte // grow-only output scratch
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate decompresses src to its end into the scratch buffer, sized to
+// hint up front, and fails once the output passes limit; the scratch never
+// grows past limit+1 bytes on the way there.
+func (z *inflater) inflate(src []byte, hint, limit int) ([]byte, error) {
+	z.src.Reset(src)
+	if z.fr == nil {
+		z.fr = flate.NewReader(&z.src)
+	} else if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return nil, err
+	}
+	if cap(z.buf) <= hint {
+		// One byte past the hint: the read that meets end of stream
+		// then needs no growth.
+		z.buf = make([]byte, hint+1)
+	}
+	buf, n := z.buf[:cap(z.buf)], 0
+	for {
+		if n == len(buf) { // and n <= limit
+			buf = append(make([]byte, 0, min(2*n, limit+1)), buf...)
+			buf = buf[:cap(buf)]
+		}
+		m, err := z.fr.Read(buf[n:])
+		n += m
+		if n > limit {
+			return nil, fmt.Errorf("compress: lz: payload inflates past %d bytes", limit)
+		}
+		if err == io.EOF {
+			z.buf = buf
+			return buf[:n], nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("compress: lz: %w", err)
+		}
+	}
+}
+
+func decodeLZ(p []byte, v *types.Vector, n int) error {
+	z := inflaters.Get().(*inflater)
+	// A fixed-width block inflates to exactly n×8 bytes; a string block to
+	// a size only its contents know, which the pooled scratch learns once
+	// and maxInflated bounds.
+	hint, limit := n*8, n*8
+	if v.T == types.String {
+		hint, limit = min(4*len(p), maxInflated), maxInflated
+	}
+	raw, err := z.inflate(p, hint, limit)
+	if err == nil {
+		err = decodeRaw(raw, v, n) // copies out of the scratch
+	}
+	if cap(z.buf) > maxPooledScratch {
+		z.buf = nil
+	}
+	inflaters.Put(z)
+	return err
 }

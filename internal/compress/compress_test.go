@@ -1,6 +1,9 @@
 package compress
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -122,17 +125,110 @@ func TestEncodeNotApplicable(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{0},
-		{byte(numEncodings) + 5, byte(types.Int64), 3, 0},
-		{byte(RunLength), byte(types.Int64), 10, 0, 2, 200}, // run overflows count
-		{byte(Text), byte(types.String), 1, 0, 255, 255, 255, 255, 15},
+	hugeRun := []byte{byte(RunLength), byte(types.Int64)}
+	hugeRun = binary.AppendUvarint(hugeRun, 1<<40) // rows
+	hugeRun = append(hugeRun, 0, 14)               // no nulls, value 7
+	hugeRun = binary.AppendUvarint(hugeRun, 1<<40) // one run of 2^40
+	lz := func(n int, raw []byte) []byte {
+		var z bytes.Buffer
+		w, _ := flate.NewWriter(&z, flate.BestSpeed)
+		w.Write(raw)
+		w.Close()
+		return append(binary.AppendUvarint([]byte{byte(LZ), byte(types.Int64)}, uint64(n)), append([]byte{0}, z.Bytes()...)...)
 	}
-	for i, data := range cases {
+	cases := map[string][]byte{
+		"empty":               nil,
+		"one byte":            {0},
+		"unknown encoding":    {byte(numEncodings) + 5, byte(types.Int64), 3, 0},
+		"rle run overflows":   {byte(RunLength), byte(types.Int64), 10, 0, 2, 200},
+		"text dict size":      {byte(Text), byte(types.String), 1, 0, 255, 255, 255, 255, 15},
+		"row count 2^62":      {0, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},
+		"row count overlong":  {0, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0},
+		"type 0":              {byte(Raw), 0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8},
+		"type 7":              {byte(Raw), byte(types.Timestamp) + 1, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8},
+		"delta over string":   {byte(Delta), byte(types.String), 1, 0, 2},
+		"mostly over float":   {byte(Mostly8), byte(types.Float64), 1, 0, 0, 2},
+		"text over int":       {byte(Text), byte(types.Int64), 1, 0, 1, 1, 'a', 0},
+		"rle run of 2^40":     hugeRun,
+		"rle runs short":      {byte(RunLength), byte(types.Int64), 10, 0, 2, 4},
+		"rle zero run":        {byte(RunLength), byte(types.Int64), 10, 0, 2, 0},
+		"raw rows unbacked":   {byte(Raw), byte(types.Int64), 200, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8},
+		"delta rows unbacked": {byte(Delta), byte(types.Int64), 200, 1, 0, 1, 2, 3},
+		"null bitmap short":   {byte(Raw), byte(types.Int64), 16, 1, 0xff},
+		"mostly exc count":    {byte(Mostly8), byte(types.Int64), 2, 0, 3, 0, 2, 1, 2, 1, 1},
+		"mostly exc pos":      {byte(Mostly8), byte(types.Int64), 2, 0, 1, 2, 2, 1, 1},
+		"bytedict size":       {byte(ByteDict), byte(types.Int64), 1, 0, 0x81, 0x02, 0},
+		"bytedict index":      {byte(ByteDict), byte(types.String), 2, 0, 1, 1, 'a', 0, 1},
+		"text index":          {byte(Text), byte(types.String), 2, 0, 1, 1, 'a', 0, 1},
+		"string length":       {byte(Raw), byte(types.String), 1, 0, 9, 'a'},
+		"lz rows over max":    lz(maxRows+1, nil),
+		"mostly rows 2^62":    {byte(Mostly8), byte(types.Int64), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 0},
+		"lz inflates short":   lz(4, make([]byte, 24)),
+		"lz inflates long":    lz(4, make([]byte, 1<<16)),
+		"lz not deflate":      {byte(LZ), byte(types.Int64), 1, 0, 0xff, 0xff},
+	}
+	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
-			t.Errorf("case %d: corrupt block decoded without error", i)
+			t.Errorf("%s: corrupt block decoded without error", name)
 		}
+	}
+	// Every valid payload, cut short anywhere, is an error and not a panic.
+	forEachFixed(150, func(key string, e Encoding, v *types.Vector) {
+		data, err := Encode(e, v)
+		if err != nil {
+			return // BYTEDICT overflow
+		}
+		for cut := 0; cut < len(data); cut++ {
+			if _, err := Decode(data[:cut]); err == nil {
+				t.Fatalf("%s: decoded from the first %d of %d bytes", key, cut, len(data))
+			}
+		}
+	})
+}
+
+// TestBlockMaximums: the row maximum is RUNLENGTH's and LZO's alone — RAW
+// frames spill batches, which a skewed join fans out to any size — and an
+// LZO string block may inflate only so far, through a scratch the pool does
+// not keep when it is outsized.
+func TestBlockMaximums(t *testing.T) {
+	big := mkInts(make([]int64, maxRows+1), nil)
+	for _, e := range []Encoding{Raw, Delta, Mostly8, ByteDict} {
+		data, err := Encode(e, big)
+		if err != nil {
+			t.Fatalf("%s: %d rows refused: %v", e, big.Len(), err)
+		}
+		if got, err := Decode(data); err != nil || got.Len() != big.Len() {
+			t.Fatalf("%s: %d rows do not decode: %v", e, big.Len(), err)
+		}
+	}
+	for _, e := range []Encoding{RunLength, LZ} {
+		if _, err := Encode(e, big); err == nil {
+			t.Errorf("%s: encoded %d rows, a block Decode refuses", e, big.Len())
+		}
+	}
+
+	// A few KB of DEFLATE stand for megabytes of one string.
+	bomb, err := Encode(LZ, mkStrs([]string{strings.Repeat("x", 2*maxPooledScratch)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pos, _ := parseHeader(bomb)
+	z := new(inflater)
+	if _, err := z.inflate(bomb[pos:], 4*len(bomb), 1<<20); err == nil {
+		t.Error("inflated past the limit")
+	}
+	if cap(z.buf) > 1<<20+1 {
+		t.Errorf("scratch grew to %d bytes under a %d-byte limit", cap(z.buf), 1<<20)
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under -race
+	}
+	inflaters.Put(z)
+	if _, err := Decode(bomb); err != nil {
+		t.Fatal(err)
+	}
+	if z := inflaters.Get().(*inflater); cap(z.buf) > maxPooledScratch {
+		t.Errorf("the pool kept a %d-byte scratch", cap(z.buf))
 	}
 }
 

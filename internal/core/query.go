@@ -195,6 +195,9 @@ func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.S
 			Queue:         rec.Queue,
 		},
 	}
+	// The rows outlive the query (the caller keeps them, the result cache
+	// may): their strings must not hold the scanned blocks' arenas.
+	final.PackStrings()
 	for i := 0; i < final.N; i++ {
 		res.Rows = append(res.Rows, final.Row(i))
 	}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"redshift/internal/hll"
 	"redshift/internal/plan"
@@ -216,22 +217,25 @@ func (c *minMaxCol) update(ids []uint32, arg *types.Vector) {
 		foldMinMax(c.min, ids, arg.Nulls, arg.Floats, c.best.Floats, c.best.Nulls, nil)
 	case types.String:
 		c.strBytes += foldMinMax(c.min, ids, arg.Nulls, arg.Strs, c.best.Strs, c.best.Nulls,
-			func(s string) int64 { return int64(len(s)) })
+			func(s, old string) (string, int64) { return strings.Clone(s), int64(len(s) - len(old)) })
 	default:
 		foldMinMax(c.min, ids, arg.Nulls, arg.Ints, c.best.Ints, c.best.Nulls, nil)
 	}
 }
 
-// foldMinMax is the typed MIN/MAX loop. With size set (strings) it returns
-// how many payload bytes best gained.
-func foldMinMax[T int64 | float64 | string](min bool, ids []uint32, nulls []bool, vals, best []T, unseen []bool, size func(T) int64) (grew int64) {
+// foldMinMax is the typed MIN/MAX loop. With own set (strings) a value that
+// becomes a group's best is first copied out of its batch (see appendOwned)
+// and the payload bytes best gained are returned.
+func foldMinMax[T int64 | float64 | string](min bool, ids []uint32, nulls []bool, vals, best []T, unseen []bool, own func(v, old T) (T, int64)) (grew int64) {
 	for r, id := range ids {
 		if id == NoID || nulls != nil && nulls[r] {
 			continue
 		}
 		if v := vals[r]; unseen[id] || min && v < best[id] || !min && v > best[id] {
-			if size != nil {
-				grew += size(v) - size(best[id])
+			if own != nil {
+				var d int64
+				v, d = own(v, best[id])
+				grew += d
 			}
 			best[id], unseen[id] = v, false
 		}
@@ -277,6 +281,21 @@ func (c *distinctCol) update(ids []uint32, arg *types.Vector) {
 	c.add(c.gid, arg, c.skip)
 }
 
+// appendOwned appends row r of src to dst and returns the string bytes dst
+// gained. A string is copied first: the strings of a scanned batch share
+// their block's arena (compress.Decode), so a group key or MIN/MAX value
+// kept by reference would hold a whole decoded block for as long as the
+// group lives, behind a MemTracker charged for the value's own bytes.
+func appendOwned(dst, src *types.Vector, r int) int64 {
+	dst.AppendFrom(src, r)
+	if src.T != types.String {
+		return 0
+	}
+	last := &dst.Strs[len(dst.Strs)-1]
+	*last = strings.Clone(*last)
+	return int64(len(*last))
+}
+
 // add inserts the (group, value) pairs not seen before, rows in skip left
 // out.
 func (c *distinctCol) add(gid, val *types.Vector, skip []bool) {
@@ -294,10 +313,7 @@ func (c *distinctCol) add(gid, val *types.Vector, skip []bool) {
 		next++
 		c.counts[gid.Ints[r]]++
 		c.gids.Ints = append(c.gids.Ints, gid.Ints[r])
-		c.vals.AppendFrom(val, r)
-		if val.T == types.String {
-			c.strBytes += int64(len(val.Strs[r]))
-		}
+		c.strBytes += appendOwned(c.vals, val, r)
 	}
 }
 func (c *distinctCol) merge(o aggCol, remap []uint32) {
@@ -517,10 +533,7 @@ func (g *GroupTable) insert(keyVecs []*types.Vector, hashes []uint64) {
 			if g.keys[c] == nil {
 				g.keys[c] = types.NewVector(v.T, 0)
 			}
-			g.keys[c].AppendFrom(v, r)
-			if v.T == types.String {
-				g.keyStrBytes += int64(len(v.Strs[r]))
-			}
+			g.keyStrBytes += appendOwned(g.keys[c], v, r)
 		}
 	}
 	for _, c := range g.cols {

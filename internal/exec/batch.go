@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"redshift/internal/types"
@@ -90,6 +91,36 @@ func (b *Batch) Gather(sel []int) *Batch {
 		out.Cols[c] = v.Gather(sel)
 	}
 	return out
+}
+
+// PackStrings moves b's string columns into arenas of their own, one
+// allocation per column. The strings of a decoded block are sub-strings of
+// that block's arena (compress.Decode), so a few values kept by reference
+// keep every block they came from alive. The scan re-packs the survivors of
+// a filtered block, so a batch that leaves it holds its own bytes and no
+// more, which is what its consumers charge to their MemTracker (a block
+// whose rows all pass is handed on whole and pins exactly itself); the
+// leader re-packs the result, which outlives the query in the result cache.
+func (b *Batch) PackStrings() {
+	for _, v := range b.Cols {
+		if v == nil || v.T != types.String {
+			continue
+		}
+		total := 0
+		for _, s := range v.Strs {
+			total += len(s)
+		}
+		var sb strings.Builder
+		sb.Grow(total)
+		for _, s := range v.Strs {
+			sb.WriteString(s)
+		}
+		arena, at := sb.String(), 0
+		for i, s := range v.Strs {
+			v.Strs[i] = arena[at : at+len(s)]
+			at += len(s)
+		}
+	}
 }
 
 // Concat appends other's rows to b. Column layouts must match.

@@ -147,8 +147,9 @@ func (s *Scanner) ScanSegment(ctx context.Context, seg *storage.Segment, emit fu
 
 // ScanBlock reads one block row-group: zone-map pruning, then filter
 // columns only, then — when rows survive — the remaining needed columns,
-// compacted with a single gather. Returns nil when the block is pruned
-// or no row survives — the unit of work one morsel is.
+// compacted with a single gather that re-packs string survivors (see
+// Batch.PackStrings). Returns nil when the block is pruned or no row survives —
+// the unit of work one morsel is.
 // Emitted batches come from the batch pool; the consumer owns them.
 func (s *Scanner) ScanBlock(ctx context.Context, seg *storage.Segment, bi int) (*Batch, error) {
 	if s.pruned(seg, bi) {
@@ -201,6 +202,7 @@ func (s *Scanner) ScanBlock(ctx context.Context, seg *storage.Segment, bi int) (
 	out := batch
 	if !all {
 		out = batch.Gather(sel)
+		out.PackStrings()
 		PutBatch(batch)
 	}
 	s.stats.RowsEmitted.Add(int64(out.N))

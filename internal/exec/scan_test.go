@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"redshift/internal/catalog"
@@ -337,4 +338,163 @@ func TestScannerMetadataOnlyScan(t *testing.T) {
 		t.Errorf("metadata scan read %d blocks / %d bytes, want 0/0",
 			st.BlocksRead.Load(), st.BytesRead.Load())
 	}
+}
+
+// buildNoteSegment builds blocks of storage.BlockCap rows: an id, a 64-byte
+// VARCHAR unique to the row and one constant within the block, both RAW.
+func buildNoteSegment(t *testing.T, blocks int) (*storage.Segment, *catalog.TableDef) {
+	t.Helper()
+	def := &catalog.TableDef{
+		ID:   2,
+		Name: "notes",
+		Columns: []catalog.ColumnDef{
+			{Name: "id", Type: types.Int64, Encoding: compress.Delta},
+			{Name: "note", Type: types.String, Encoding: compress.Raw},
+			{Name: "tag", Type: types.String, Encoding: compress.Raw},
+		},
+		DistKeyCol: -1,
+	}
+	b, err := storage.NewBuilder(def.ID, 0, 0, def.Schema(), def.Encodings(), storage.BlockCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < blocks*storage.BlockCap; i++ {
+		note, tag := fmt.Sprintf("%064d", i), fmt.Sprintf("%064d", i/storage.BlockCap)
+		if err := b.Append(types.Row{types.NewInt(int64(i)), types.NewString(note), types.NewString(tag)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg, err := b.Finish(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg, def
+}
+
+// modFilter is the computed predicate id % 100 < below, which no zone map
+// can prune.
+func modFilter(below int64) plan.Expr {
+	id := &plan.Col{Index: 0, T: types.Int64, Name: "id"}
+	mod := &plan.Bin{Op: sql.OpMod, L: id, R: &plan.Const{V: types.NewInt(100)}, T: types.Int64}
+	return &plan.Bin{Op: sql.OpLt, L: mod, R: &plan.Const{V: types.NewInt(below)}, T: types.Bool}
+}
+
+// The strings of a decoded block share one arena, so the 1 % of a block
+// that survives a filter must not keep the other 99 % alive: what the
+// emitted batches retain on the heap stays within twice their ByteSize.
+func TestScannerSurvivorsDoNotPinBlocks(t *testing.T) {
+	seg, def := buildNoteSegment(t, 8)
+	sc, err := NewScanner(Compiled, &plan.TableScan{Def: def, Filter: modFilter(1), NeedCols: []int{0, 1}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var kept []*Batch
+	var size int64
+	if err := sc.ScanSegment(context.Background(), seg, func(b *Batch) error {
+		kept = append(kept, b)
+		size += b.ByteSize()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	rows := 0
+	for _, b := range kept {
+		rows += b.N
+		for i, s := range b.Cols[1].Strs {
+			if want := fmt.Sprintf("%064d", b.Cols[0].Ints[i]); s != want {
+				t.Fatalf("note of id %d is %q", b.Cols[0].Ints[i], s)
+			}
+		}
+	}
+	if want := 8 * storage.BlockCap / 100; rows < want || rows > want+1 {
+		t.Fatalf("%d rows survived, want 1%% of %d", rows, 8*storage.BlockCap)
+	}
+	// Slack for the batch and vector headers, which ByteSize leaves out.
+	if limit := 2*size + int64(len(kept))*512; retained > limit {
+		t.Errorf("%d survivors of %d bytes keep %d bytes of heap alive, limit %d", rows, size, retained, limit)
+	}
+	runtime.KeepAlive(seg)
+}
+
+// A block whose rows all pass is not gathered at all: the batch carries
+// the decoded (here: cached) vectors themselves.
+func TestScannerPassesWholeBlocksOn(t *testing.T) {
+	seg, def := buildNoteSegment(t, 2)
+	cache := storage.NewBlockCache(1 << 24)
+	sc, err := NewScanner(Compiled, &plan.TableScan{Def: def, Filter: modFilter(100), NeedCols: []int{0, 1}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.SetCache(cache)
+	bi := 0
+	if err := sc.ScanSegment(context.Background(), seg, func(b *Batch) error {
+		cached, ok := cache.Get(seg.Block(1, bi).ID, 0)
+		if !ok {
+			t.Fatalf("block %d was not cached", bi)
+		}
+		if b.N != storage.BlockCap || &b.Cols[1].Strs[0] != &cached.Strs[0] {
+			t.Errorf("block %d: an all-pass block was copied on its way out of the scanner", bi)
+		}
+		bi++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if bi != 2 {
+		t.Errorf("%d batches, want 2", bi)
+	}
+}
+
+// An unfiltered scan hands whole blocks on, arena strings and all, and an
+// aggregation keeps single values of them for as long as its groups live:
+// group keys, MIN/MAX and the COUNT(DISTINCT) value set hold copies, so
+// what the table retains is what it charges, not a block per value.
+func TestGroupTableDoesNotPinScannedBlocks(t *testing.T) {
+	const blocks = 8
+	seg, def := buildNoteSegment(t, blocks)
+	sc, err := NewScanner(Compiled, &plan.TableScan{Def: def, NeedCols: []int{1, 2}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := &plan.Col{Index: 2, T: types.String, Name: "tag"}
+	g, err := NewGroupTable(Compiled, []plan.Expr{tag}, []plan.AggSpec{
+		{Func: sql.FuncMin, Arg: &plan.Col{Index: 1, T: types.String, Name: "note"}, T: types.String},
+		{Func: sql.FuncCount, Arg: tag, Distinct: true, T: types.Int64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewMemTracker(0, nil)
+	g.SetMemory(&MemContext{T: tr.Child()})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var batchSize int64
+	if err := sc.ScanSegment(context.Background(), seg, func(b *Batch) error {
+		defer PutBatch(b)
+		batchSize = b.ByteSize()
+		return g.Consume(b)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if g.NumGroups() != blocks {
+		t.Fatalf("%d groups, want %d", g.NumGroups(), blocks)
+	}
+	// Each group keeps three 64-byte strings, each out of a 256 KB block
+	// arena. The table's per-batch scratch still points at the last batch.
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := 2*tr.Used() + 2*batchSize; retained > limit {
+		t.Errorf("%d groups charged %d bytes keep %d bytes of heap alive, limit %d", blocks, tr.Used(), retained, limit)
+	}
+	g.ReleaseMem()
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(seg)
 }

@@ -235,6 +235,9 @@ func (sf *spillFile) Discard() {
 type spillReader struct {
 	f *spillFile
 	r *bufio.Reader
+	// blob is the one grow-only buffer every column frame is read into:
+	// compress.Decode copies everything out of its input.
+	blob []byte
 }
 
 func (r *spillReader) Next(ctx context.Context) (*Batch, error) {
@@ -263,7 +266,10 @@ func (r *spillReader) Next(ctx context.Context) (*Batch, error) {
 		if l == 0 {
 			continue // nil (unmaterialized) column
 		}
-		blob := make([]byte, l)
+		if uint64(cap(r.blob)) < l {
+			r.blob = make([]byte, l)
+		}
+		blob := r.blob[:l]
 		if _, err := io.ReadFull(r.r, blob); err != nil {
 			PutBatch(b)
 			return nil, fmt.Errorf("spill read %s: %w", filepath.Base(r.f.name), err)

@@ -245,3 +245,45 @@ func TestWorkMemOverridesGrant(t *testing.T) {
 	}
 	assertSpillClean(t, w, dir)
 }
+
+// TestSpillSkewedJoinFansOut: every row of both sides carries the same key
+// and lives on one slice, so the spilled join's one partition pair fans its
+// one probe batch out to 1100 × 1000 rows — more than 2²⁰, the most a
+// RUNLENGTH or LZO block may hold. The spill frames
+// carry them (RAW has no row maximum) and the answer matches the in-memory
+// run; a skewed key degrades the join, it does not fail the query.
+func TestSpillSkewedJoinFansOut(t *testing.T) {
+	dir := t.TempDir()
+	w := launch(t, Options{Nodes: 1, SpillDir: dir, BlockCap: 4096})
+	w.MustExecute(`CREATE TABLE a (k BIGINT, x BIGINT) DISTSTYLE KEY DISTKEY(k)`)
+	w.MustExecute(`CREATE TABLE b (k BIGINT, y BIGINT) DISTSTYLE KEY DISTKEY(k)`)
+	var a, b strings.Builder
+	for i := 0; i < 1100; i++ {
+		fmt.Fprintf(&a, "1|%d\n", i)
+	}
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&b, "1|%d\n", i)
+	}
+	for name, body := range map[string]string{"a": a.String(), "b": b.String()} {
+		if err := w.PutObject("lake/"+name+"/part0.csv", []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		w.MustExecute(`COPY ` + name + ` FROM 's3://lake/` + name + `/'`)
+	}
+	w.MustExecute(`SET result_cache TO off`)
+
+	const q = `SELECT COUNT(*), SUM(a.x + b.y) FROM a JOIN b ON a.k = b.k`
+	want := rowsString(w.MustExecute(q).Rows)
+	w.MustExecute(`SET work_mem TO '16KB'`)
+	res, err := w.Execute(q)
+	if err != nil {
+		t.Fatalf("skewed join under a 16 KB grant: %v", err)
+	}
+	if got := rowsString(res.Rows); got != want {
+		t.Errorf("spilled skewed join diverged:\ngot:\n%swant:\n%s", got, want)
+	}
+	if n := w.Metrics().Counter("spill_bytes_total").Value(); n == 0 {
+		t.Error("the 16 KB grant did not force the join to spill")
+	}
+	assertSpillClean(t, w, dir)
+}
