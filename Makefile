@@ -19,12 +19,14 @@ race:
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus
-# (internal/compress/testdata/fuzz): arbitrary bytes into the block
-# decoders, and fuzzer-built vectors through every encoding and back.
+# (testdata/fuzz beside each): arbitrary bytes into the block decoders,
+# fuzzer-built vectors through every encoding and back, and arbitrary bytes
+# into the spill frame decoder.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz '^FuzzSpillFrame$$' -fuzztime $(FUZZTIME) ./internal/exec
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

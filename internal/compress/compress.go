@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -141,6 +143,9 @@ func Encode(e Encoding, v *types.Vector) ([]byte, error) {
 	if (e == RunLength || e == LZ) && v.Len() > maxRows {
 		return nil, fmt.Errorf("compress: %d rows in one %s block, maximum %d", v.Len(), e, maxRows)
 	}
+	if e == Raw {
+		return AppendRaw(make([]byte, 0, RawLen(v)), v), nil
+	}
 	var buf bytes.Buffer
 	buf.WriteByte(byte(e))
 	buf.WriteByte(byte(v.T))
@@ -149,8 +154,6 @@ func Encode(e Encoding, v *types.Vector) ([]byte, error) {
 
 	var err error
 	switch e {
-	case Raw:
-		err = encodeRaw(&buf, v)
 	case RunLength:
 		err = encodeRunLength(&buf, v)
 	case Delta:
@@ -310,14 +313,13 @@ func fill[T any](s []T, x T) {
 	}
 }
 
-// writeNulls writes the null flag and, when any value is null, the bitmap
+// appendNulls appends the null flag and, when any value is null, the bitmap
 // (bit i%8 of byte i/8 set for a null at i), one byte of bitmap at a time.
-func writeNulls(buf *bytes.Buffer, v *types.Vector) {
+func appendNulls(dst []byte, v *types.Vector) []byte {
 	if !v.HasNulls() {
-		buf.WriteByte(0)
-		return
+		return append(dst, 0)
 	}
-	buf.WriteByte(1)
+	dst = append(dst, 1)
 	nulls := v.Nulls[:v.Len()]
 	for len(nulls) > 0 {
 		chunk := nulls[:min(8, len(nulls))]
@@ -327,9 +329,14 @@ func writeNulls(buf *bytes.Buffer, v *types.Vector) {
 				b |= 1 << k
 			}
 		}
-		buf.WriteByte(b)
+		dst = append(dst, b)
 		nulls = nulls[len(chunk):]
 	}
+	return dst
+}
+
+func writeNulls(buf *bytes.Buffer, v *types.Vector) {
+	buf.Write(appendNulls(buf.AvailableBuffer(), v))
 }
 
 // unpackNulls expands the bitmap of an n-row block.
@@ -393,28 +400,67 @@ func arenaStrings(p []byte, pos, end int, out []string) {
 }
 
 // RAW: fixed 8-byte little-endian for numerics, length-prefixed bytes for
-// strings.
+// strings. Its size is known before a byte is written, so it is encoded
+// append-style into a buffer sized once.
 
-func encodeRaw(buf *bytes.Buffer, v *types.Vector) error {
+// uvarintLen is the number of bytes binary.AppendUvarint spends on x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// rawPayloadLen is the exact size of v's RAW payload.
+func rawPayloadLen(v *types.Vector) int {
+	if v.T != types.String {
+		return 8 * v.Len()
+	}
+	n := 0
+	for _, s := range v.Strs {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+// RawLen is the exact size of the RAW block AppendRaw makes of v.
+func RawLen(v *types.Vector) int {
+	n := 2 + uvarintLen(uint64(v.Len())) + 1 + rawPayloadLen(v)
+	if v.HasNulls() {
+		n += (v.Len() + 7) / 8
+	}
+	return n
+}
+
+// AppendRaw appends v as a self-describing RAW block, byte for byte what
+// Encode(Raw, v) returns, to dst: the form a writer that frames many blocks
+// into one reused buffer (the spill files) uses. RawLen sizes dst exactly.
+func AppendRaw(dst []byte, v *types.Vector) []byte {
+	dst = append(dst, byte(Raw), byte(v.T))
+	dst = binary.AppendUvarint(dst, uint64(v.Len()))
+	return appendRawPayload(appendNulls(dst, v), v)
+}
+
+func appendRawPayload(dst []byte, v *types.Vector) []byte {
 	switch v.T {
 	case types.Float64:
-		var tmp [8]byte
-		for _, f := range v.Floats {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-			buf.Write(tmp[:])
+		at := len(dst)
+		dst = slices.Grow(dst, 8*len(v.Floats))[:at+8*len(v.Floats)]
+		for i, f := range v.Floats {
+			binary.LittleEndian.PutUint64(dst[at+8*i:], math.Float64bits(f))
 		}
 	case types.String:
 		for _, s := range v.Strs {
-			writeUvarint(buf, uint64(len(s)))
-			buf.WriteString(s)
+			dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 		}
 	default:
-		var tmp [8]byte
-		for _, i := range v.Ints {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(i))
-			buf.Write(tmp[:])
+		at := len(dst)
+		dst = slices.Grow(dst, 8*len(v.Ints))[:at+8*len(v.Ints)]
+		for i, x := range v.Ints {
+			binary.LittleEndian.PutUint64(dst[at+8*i:], uint64(x))
 		}
 	}
+	return dst
+}
+
+func encodeRaw(buf *bytes.Buffer, v *types.Vector) error {
+	buf.Grow(rawPayloadLen(v))
+	buf.Write(appendRawPayload(buf.AvailableBuffer(), v))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -138,6 +139,41 @@ func TestFormatPinned(t *testing.T) {
 	}
 	if len(pinnedDigests) != len(got) {
 		t.Errorf("%d pinned digests, %d cases", len(pinnedDigests), len(got))
+	}
+}
+
+// TestAppendRawIsEncodeRaw: the append-style encoder a frame writer uses makes,
+// after whatever dst already holds, exactly the block Encode(Raw, …) returns,
+// and RawLen is its length to the byte — long strings (multi-byte length
+// prefixes) and the empty vector included.
+func TestAppendRawIsEncodeRaw(t *testing.T) {
+	check := func(key string, v *types.Vector) {
+		want, err := Encode(Raw, v)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		prefix := []byte("frame header")
+		got := AppendRaw(append([]byte{}, prefix...), v)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("%s: AppendRaw differs from Encode(Raw)", key)
+		}
+		if RawLen(v) != len(want) {
+			t.Errorf("%s: RawLen = %d, block is %d bytes", key, RawLen(v), len(want))
+		}
+	}
+	forEachFixed(600, func(key string, e Encoding, v *types.Vector) {
+		if e == Raw {
+			check(key, v)
+		}
+	})
+	check("dirty-nulls", dirtyNullVector())
+	long := types.NewVector(types.String, 3)
+	for _, n := range []int{0, 127, 128, 20000} {
+		long.Append(types.NewString(strings.Repeat("x", n)))
+	}
+	check("long-strings", long)
+	for _, typ := range allTypes {
+		check("empty/"+typ.String(), types.NewVector(typ, 0))
 	}
 }
 

@@ -808,6 +808,7 @@ func (q *queryRun) emitSpans() {
 			if ss := q.nodeSpill[n.ID]; ss != nil {
 				if b := ss.Bytes.Load(); b > 0 {
 					sp.Add("spill_bytes", b)
+					sp.Add("spill_files", ss.Files.Load())
 					sp.Add("spill_partitions", ss.Partitions.Load())
 					if r := ss.Runs.Load(); r > 0 {
 						sp.Add("spill_runs", r)

@@ -176,6 +176,7 @@ func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.S
 	final, err := q.execute(ctx)
 	rec.ExecTime = time.Since(execStart)
 	rec.MemPeak, rec.SpillBytes = mem.Peak(), spillDir.Bytes()
+	db.metrics.Counter("spill_files_total").Add(spillDir.Files())
 	db.metrics.Counter("query_retries_total").Add(q.scans.Retries.Load())
 	db.metrics.Counter("failover_reads_total").Add(q.scans.FailoverReads.Load())
 	if err != nil {

@@ -117,7 +117,7 @@ func abortMidSpill(t *testing.T, db *Database, query string, abort func(qid int6
 	// Wait for the query to demonstrably spill (live scratch-dir bytes via
 	// the stv_query_memory snapshot), then pull the plug while its
 	// operators still hold scratch files open.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	var target int64
 	for target == 0 {
 		if time.Now().After(deadline) {
@@ -142,11 +142,14 @@ func abortMidSpill(t *testing.T, db *Database, query string, abort func(qid int6
 
 // TestSpillCancelMidSpillCleansUp: CANCEL lands while spill files are
 // open and partially written; the query unwinds, deletes its scratch dir,
-// returns its memory and frees its WLM slot.
+// returns its memory and frees its WLM slot. A partition's rows reach disk a
+// BatchSize-row frame at a time, so a slice must scan some 8×BatchSize rows
+// before its first byte is written: 40000 rows put that four fifths into
+// the scan.
 func TestSpillCancelMidSpillCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	db := openSpillDB(t, 8<<10, dir, 200*time.Microsecond)
-	seedSpillWide(t, db, 8000)
+	seedSpillWide(t, db, 40000)
 
 	err := abortMidSpill(t, db, `SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`, func(qid int64) { db.Cancel(qid) })
 	if err == nil {
@@ -165,8 +168,8 @@ func TestSpillCancelMidSpillCleansUp(t *testing.T) {
 	// The slot and scratch space are free for the next statement.
 	db.inj.SetEnabled(false)
 	res := mustExec(t, db, `SELECT COUNT(*) FROM wide`)
-	if res.Rows[0][0].I != 8000 {
-		t.Errorf("post-cancel count = %d, want 8000", res.Rows[0][0].I)
+	if res.Rows[0][0].I != 40000 {
+		t.Errorf("post-cancel count = %d, want 40000", res.Rows[0][0].I)
 	}
 	assertSpillHygiene(t, db, dir)
 }
@@ -195,16 +198,22 @@ func TestSpillCancelMidLeaderSortCleansUp(t *testing.T) {
 }
 
 // TestSpillTimeoutMidSpillCleansUp: same invariants when the abort comes
-// from statement_timeout expiring rather than an explicit CANCEL.
+// from statement_timeout expiring rather than an explicit CANCEL. The query
+// is a slice-local sort whose limit no slice reaches, so each slice writes a
+// run per BatchSize rows it scans. One worker a slice reads 312 blocks of the
+// one column at 5ms or more apiece and cannot finish inside the second; its
+// first run is due after 64 of them, a third of a second in, which leaves
+// each sleep 10ms to overrun by.
 func TestSpillTimeoutMidSpillCleansUp(t *testing.T) {
 	dir := t.TempDir()
-	db := openSpillDB(t, 8<<10, dir, 500*time.Microsecond)
-	seedSpillWide(t, db, 8000)
+	db := openSpillDB(t, 8<<10, dir, 5*time.Millisecond)
+	seedSpillWide(t, db, 20000)
 
-	mustExec(t, db, `SET statement_timeout TO 40`)
-	_, err := db.Execute(`SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`)
+	mustExec(t, db, `SET max_parallel_workers TO 1`)
+	mustExec(t, db, `SET statement_timeout TO 1000`)
+	_, err := db.Execute(`SELECT id FROM wide ORDER BY id LIMIT 1000000`)
 	if err == nil {
-		t.Fatal("slow spilling query beat a 40ms statement_timeout")
+		t.Fatal("slow spilling query beat a 1s statement_timeout")
 	}
 	if !strings.Contains(err.Error(), "statement timeout") {
 		t.Errorf("error %q does not name the timeout", err)
@@ -216,8 +225,8 @@ func TestSpillTimeoutMidSpillCleansUp(t *testing.T) {
 	mustExec(t, db, `SET statement_timeout TO 0`)
 	db.inj.SetEnabled(false)
 	res := mustExec(t, db, `SELECT COUNT(*) FROM wide`)
-	if res.Rows[0][0].I != 8000 {
-		t.Errorf("post-timeout count = %d, want 8000", res.Rows[0][0].I)
+	if res.Rows[0][0].I != 20000 {
+		t.Errorf("post-timeout count = %d, want 20000", res.Rows[0][0].I)
 	}
 	assertSpillHygiene(t, db, dir)
 }
@@ -236,7 +245,7 @@ func TestStvQueryMemoryVisibility(t *testing.T) {
 		db.Execute(`SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`)
 	}()
 
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	var saw bool
 	for !saw && time.Now().Before(deadline) {
 		res, err := db.Execute(`SELECT query, grant_bytes, used_bytes, spill_bytes FROM stv_query_memory`)

@@ -399,9 +399,13 @@ type GroupTable struct {
 	charged int64
 	spill   *aggSpill
 	depth   int // recursion depth when replaying a spilled partition
+	// sf is the aggregation's scratch file: opened by the table that spills
+	// first, shared by the shadows that replay its partitions (and re-split
+	// them into it), given back by the depth-0 table.
+	sf *scratchFile
 }
 
-// aggSpill holds the partition files of a spilled aggregation. Once the
+// aggSpill holds the partitions of a spilled aggregation. Once the
 // table overflows its grant, rows for keys not already resident are
 // hash-partitioned to disk in raw input layout and re-aggregated
 // partition by partition at drain time (partition-and-restart). Rows for
@@ -409,7 +413,8 @@ type GroupTable struct {
 // rows in arrival order — the output is bit-identical to the in-memory
 // plan at any budget.
 type aggSpill struct {
-	files []*spillFile
+	parts []*frames
+	sels  [][]int // scatter scratch: the current batch's rows, by partition
 }
 
 // SetMemory attaches the table to the query's memory governance. Must be
@@ -419,10 +424,14 @@ func (g *GroupTable) SetMemory(mc *MemContext) { g.mc = mc }
 // Spilled reports whether any input rows were partitioned to disk.
 func (g *GroupTable) Spilled() bool { return g.spill != nil }
 
-// ReleaseMem returns every byte the table still has charged.
+// ReleaseMem returns every byte the table still has charged, and its
+// scratch file if a drain has not already.
 func (g *GroupTable) ReleaseMem() {
 	g.mc.release()
 	g.charged = 0
+	if g.depth == 0 {
+		g.sf.Close()
+	}
 }
 
 // NewGroupTable prepares a hash aggregation.
@@ -481,23 +490,15 @@ func (g *GroupTable) Consume(b *Batch) (err error) {
 		// Keys new after the overflow: defer their rows to a partition, by
 		// the hash already computed.
 		g.ids = g.kt.Find(g.keyVecs, g.hashes, nil, g.ids)
-		var part []int
+		sels := g.spill.sels
 		for r, id := range g.ids {
-			if id != NoID {
-				continue
+			if id == NoID {
+				p := spillPart(g.hashes[r], g.depth)
+				sels[p] = append(sels[p], r)
 			}
-			if part == nil {
-				part = make([]int, b.N)
-				for i := range part {
-					part[i] = -1
-				}
-			}
-			part[r] = spillPart(g.hashes[r], g.depth)
 		}
-		if part != nil {
-			if err := scatter(b, part, g.spill.files); err != nil {
-				return err
-			}
+		if err := scatterRows(g.spill.parts, sels, b); err != nil {
+			return err
 		}
 	}
 	for i, c := range g.cols {
@@ -570,23 +571,22 @@ func (g *GroupTable) settle(force bool) bool {
 	return true
 }
 
-// enterSpill opens the partition files. At the recursion-depth cap (or
+// enterSpill opens the partitions. At the recursion-depth cap (or
 // without a scratch dir) it leaves spill mode off: the table keeps
 // growing with forced charges instead.
 func (g *GroupTable) enterSpill() error {
 	if g.spill != nil || g.mc == nil || g.mc.Dir == nil || g.depth >= maxSpillDepth {
 		return nil
 	}
-	sp := &aggSpill{files: make([]*spillFile, spillFanout)}
-	for p := 0; p < spillFanout; p++ {
-		f, err := g.mc.Dir.create(fmt.Sprintf("agg-d%d-p%d", g.depth, p), g.mc.spillStats())
+	if g.sf == nil {
+		sf, err := g.mc.Dir.create("agg", g.mc.spillStats())
 		if err != nil {
 			return err
 		}
-		sp.files[p] = f
+		g.sf = sf
 	}
 	g.mc.addPartitions(spillFanout)
-	g.spill = sp
+	g.spill = &aggSpill{parts: newPartitions(g.sf), sels: make([][]int, spillFanout)}
 	return nil
 }
 
@@ -601,6 +601,7 @@ func (g *GroupTable) shadow() *GroupTable {
 		argEvs:   g.argEvs,
 		mc:       g.mc,
 		depth:    g.depth + 1,
+		sf:       g.sf,
 	}
 	sub.reset()
 	return sub
@@ -608,8 +609,8 @@ func (g *GroupTable) shadow() *GroupTable {
 
 // drain visits every group exactly once, a table at a time: g with its
 // resident groups in first-seen order, then each spilled partition
-// re-aggregated into a shadow sub-table. Partition files are deleted as
-// they are consumed; a table can be drained once.
+// re-aggregated into a shadow sub-table. A table can be drained once; the
+// depth-0 table's drain ends by giving the scratch file back.
 func (g *GroupTable) drain(ctx context.Context, fn func(t *GroupTable) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -620,36 +621,22 @@ func (g *GroupTable) drain(ctx context.Context, fn func(t *GroupTable) error) er
 	if g.spill == nil {
 		return nil
 	}
-	for _, f := range g.spill.files {
-		if f.Rows() == 0 {
-			f.Discard()
+	for _, part := range g.spill.parts {
+		if part.rows == 0 {
 			continue
 		}
 		sub := g.shadow()
-		r, err := f.Reader()
-		if err != nil {
+		if err := drainFrames(ctx, part, sub.Consume); err != nil {
 			return err
-		}
-		for {
-			b, err := r.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			err = sub.Consume(b)
-			PutBatch(b)
-			if err != nil {
-				return err
-			}
 		}
 		if err := sub.drain(ctx, fn); err != nil {
 			return err
 		}
 		g.mc.shrink(sub.charged)
 		sub.charged = 0
-		f.Discard()
+	}
+	if g.depth == 0 {
+		g.sf.Close()
 	}
 	return nil
 }
@@ -710,8 +697,11 @@ func (g *GroupTable) StateBytes() int64 {
 		n += c.shipBytes()
 	}
 	if g.spill != nil {
-		for _, f := range g.spill.files {
-			n += f.Bytes()
+		for _, part := range g.spill.parts {
+			n += part.bytes
+			if part.pend != nil {
+				n += part.pend.ByteSize() // not framed yet
+			}
 		}
 	}
 	return n

@@ -136,9 +136,7 @@ func (b *Batch) Concat(other *Batch) error {
 		switch {
 		case b.Cols[c] == nil && other.Cols[c] == nil:
 		case b.Cols[c] != nil && other.Cols[c] != nil:
-			for i := 0; i < other.N; i++ {
-				b.Cols[c].AppendFrom(other.Cols[c], i)
-			}
+			b.Cols[c].AppendRange(other.Cols[c], 0, other.N)
 		default:
 			return fmt.Errorf("exec: concat materialization mismatch at column %d", c)
 		}

@@ -92,10 +92,14 @@ func (j *HashJoin) applyHint() error {
 // Spilled reports whether the build side went to disk.
 func (j *HashJoin) Spilled() bool { return j.spill != nil }
 
-// ReleaseMem returns every byte the join still has charged.
+// ReleaseMem returns every byte the join still has charged, and a spilled
+// join's scratch file if reading its output to the end has not already.
 func (j *HashJoin) ReleaseMem() {
 	j.mc.release()
 	j.charged = 0
+	if j.spill != nil {
+		j.spill.sf.Close()
+	}
 }
 
 // NewHashJoin prepares a join. rightWidth is the number of columns in the
@@ -366,6 +370,12 @@ func (j *HashJoin) shadow() *HashJoin {
 		buildTypes: j.buildTypes,
 		residual:   j.residual,
 	}
+}
+
+// reserve sizes an empty join's table and chains for exactly n build rows.
+func (j *HashJoin) reserve(n int) {
+	j.kt.Reserve(n)
+	j.head, j.tail, j.next = make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n)
 }
 
 // Probe joins one left batch, returning the joined batch (left columns

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 
 	"redshift/internal/plan"
 	"redshift/internal/sql"
@@ -29,82 +28,58 @@ func spillPart(hash uint64, depth int) int {
 }
 
 // graceSpill is the disk-backed half of HashJoin: a grace hash join.
-// Build and probe rows are hash-partitioned on the join key into scratch
-// files; each partition pair is then joined independently by a fresh
+// Build and probe rows are hash-partitioned on the join key into the join's
+// scratch file; each partition pair is then joined independently by a fresh
 // in-memory shadow join, recursing into sub-partitions when a build
 // partition still exceeds the grant. Probe rows carry a global sequence
 // number so partition outputs merge back into exactly the order the
-// in-memory join would have produced.
+// in-memory join would have produced. Partitions, sub-partitions and
+// partition outputs are all frame lists in the one file, which is given back
+// when the join's output has been read.
 type graceSpill struct {
 	j  *HashJoin
 	mc *MemContext
+	sf *scratchFile
 
-	buildFiles []*spillFile
-	probeFiles []*spillFile
-	seq        int64
-	seqCol     int // where the sequence column sits in the joined layout
-	sc         keyScratch
+	build, probe []*frames
+	seq          int64
+	seqCol       int // where the sequence column sits in the joined layout
+	sc           keyScratch
+	sels         [][]int // scatter scratch: the current batch's rows, by partition
+	// The probe batch being scattered, seen with its sequence column: scatter
+	// copies the rows out, so one view and one vector serve every batch.
+	seqView Batch
+	seqVec  types.Vector
 }
 
 func newGraceSpill(j *HashJoin) (*graceSpill, error) {
-	g := &graceSpill{j: j, mc: j.mc}
-	g.buildFiles = make([]*spillFile, spillFanout)
-	g.probeFiles = make([]*spillFile, spillFanout)
-	for p := 0; p < spillFanout; p++ {
-		bf, err := g.mc.Dir.create(fmt.Sprintf("join-build-p%d", p), g.mc.spillStats())
-		if err != nil {
-			return nil, err
-		}
-		pf, err := g.mc.Dir.create(fmt.Sprintf("join-probe-p%d", p), g.mc.spillStats())
-		if err != nil {
-			return nil, err
-		}
-		g.buildFiles[p] = bf
-		g.probeFiles[p] = pf
+	sf, err := j.mc.Dir.create("join", j.mc.spillStats())
+	if err != nil {
+		return nil, err
 	}
+	g := &graceSpill{j: j, mc: j.mc, sf: sf, sels: make([][]int, spillFanout)}
+	g.build, g.probe = newPartitions(sf), newPartitions(sf)
 	g.mc.addPartitions(spillFanout)
 	return g, nil
 }
 
-// partition assigns each row of b to a partition at the given depth by the
+// scatter appends each row of b to the partition, at the given depth, of the
 // hash of its key; rows with a NULL key component (which never match) go to
-// nullPart.
-func (g *graceSpill) partition(evs []*Evaluator, b *Batch, depth, nullPart int) ([]int, error) {
+// nullPart, or nowhere when that is negative.
+func (g *graceSpill) scatter(evs []*Evaluator, b *Batch, depth, nullPart int, parts []*frames) error {
 	if err := g.sc.eval(evs, b); err != nil {
-		return nil, err
+		return err
 	}
-	part := make([]int, b.N)
 	for r, h := range g.sc.hashes {
-		if g.sc.skip != nil && g.sc.skip[r] {
-			part[r] = nullPart
-		} else {
-			part[r] = spillPart(h, depth)
+		p := nullPart
+		if g.sc.skip == nil || !g.sc.skip[r] {
+			p = spillPart(h, depth)
+		}
+		if p >= 0 {
+			g.sels[p] = append(g.sels[p], r)
 		}
 	}
-	return part, nil
-}
-
-// scatter writes b's rows into files by partition assignment. Rows with
-// part[r] < 0 are dropped.
-func scatter(b *Batch, part []int, files []*spillFile) error {
-	sels := make([][]int, len(files))
-	for r := 0; r < b.N; r++ {
-		if part[r] >= 0 {
-			sels[part[r]] = append(sels[part[r]], r)
-		}
-	}
-	for p, sel := range sels {
-		if len(sel) == 0 {
-			continue
-		}
-		sub := b.Gather(sel)
-		err := files[p].WriteBatch(sub)
-		PutBatch(sub)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return scatterRows(parts, g.sels, b)
 }
 
 // addBuild partitions one build-side batch to disk. NULL-key build rows
@@ -114,11 +89,7 @@ func (g *graceSpill) addBuild(b *Batch) error {
 	if b == nil || b.N == 0 {
 		return nil
 	}
-	part, err := g.partition(g.j.buildKeys, b, 0, -1)
-	if err != nil {
-		return err
-	}
-	return scatter(b, part, g.buildFiles)
+	return g.scatter(g.j.buildKeys, b, 0, -1, g.build)
 }
 
 // addProbe partitions one probe batch to disk, appending each row's
@@ -134,11 +105,22 @@ func (g *graceSpill) addProbe(b *Batch) error {
 	if g.j.kind == sql.LeftJoin {
 		nullPart = 0
 	}
-	part, err := g.partition(g.j.leftKeys, b, 0, nullPart)
-	if err != nil {
-		return err
+	// The keys read the left layout; the trailing column is out of their way.
+	return g.scatter(g.j.leftKeys, g.withSeqCol(b), 0, nullPart, g.probe)
+}
+
+// withSeqCol returns a view of b, valid until the next call, with one extra
+// Int64 column numbering the rows from g.seq on.
+func (g *graceSpill) withSeqCol(b *Batch) *Batch {
+	seqs := g.seqVec.Ints[:0]
+	for i := 0; i < b.N; i++ {
+		seqs = append(seqs, g.seq+int64(i))
 	}
-	return scatter(withSeqCol(b, &g.seq), part, g.probeFiles)
+	g.seq += int64(b.N)
+	g.seqVec = types.Vector{T: types.Int64, Ints: seqs}
+	g.seqView.Cols = append(append(g.seqView.Cols[:0], b.Cols...), &g.seqVec)
+	g.seqView.N = b.N
+	return &g.seqView
 }
 
 // SpillProbe partitions one probe batch of a spilled join to scratch,
@@ -179,20 +161,10 @@ func (o *graceOutput) Next(ctx context.Context) (*Batch, error) {
 	}
 }
 
-func (o *graceOutput) Close() error { return nil }
-
-// withSeqCol returns a view of b with one extra Int64 column numbering
-// rows from *seq, advancing *seq past them.
-func withSeqCol(b *Batch, seq *int64) *Batch {
-	sv := types.NewVector(types.Int64, b.N)
-	for i := 0; i < b.N; i++ {
-		sv.Append(types.NewInt(*seq + int64(i)))
-	}
-	*seq += int64(b.N)
-	cols := make([]*types.Vector, 0, len(b.Cols)+1)
-	cols = append(cols, b.Cols...)
-	cols = append(cols, sv)
-	return &Batch{Cols: cols, N: b.N}
+// Close gives the join's scratch file back: the output has been read.
+func (o *graceOutput) Close() error {
+	o.g.sf.Close()
+	return nil
 }
 
 // seqOrder orders joined rows by their trailing probe-sequence column.
@@ -201,26 +173,24 @@ func (g *graceSpill) seqOrder() []plan.OrderKey { return []plan.OrderKey{{Index:
 // run joins every partition pair and returns the merged output stream
 // (joined layout plus the trailing sequence column, in probe order).
 func (g *graceSpill) run(ctx context.Context) (batchStream, error) {
+	return g.joinPairs(ctx, g.build, g.probe, 0)
+}
+
+// joinPairs joins one level's partition pairs, each into an output of its
+// own, and returns the outputs seq-merged.
+func (g *graceSpill) joinPairs(ctx context.Context, build, probe []*frames, depth int) (batchStream, error) {
 	var outs []batchStream
-	for p := 0; p < spillFanout; p++ {
-		bf, pf := g.buildFiles[p], g.probeFiles[p]
-		if pf.Rows() == 0 || (bf.Rows() == 0 && g.j.kind != sql.LeftJoin) {
+	for p := range probe {
+		if probe[p].rows == 0 || (build[p].rows == 0 && g.j.kind != sql.LeftJoin) {
 			// No probe rows → no output rows; empty build produces output
 			// only for LEFT JOIN (null-extension).
-			bf.Discard()
-			pf.Discard()
 			continue
 		}
-		out, err := g.mc.Dir.create(fmt.Sprintf("join-out-p%d", p), g.mc.spillStats())
-		if err != nil {
+		out := &frames{sf: g.sf}
+		if err := g.processPair(ctx, build[p], probe[p], depth, out); err != nil {
 			return nil, err
 		}
-		if err := g.processPair(ctx, bf, pf, 0, out); err != nil {
-			return nil, err
-		}
-		bf.Discard()
-		pf.Discard()
-		r, err := out.Reader()
+		r, err := out.reader()
 		if err != nil {
 			return nil, err
 		}
@@ -229,17 +199,40 @@ func (g *graceSpill) run(ctx context.Context) (batchStream, error) {
 	return newMergeStream(outs, g.seqOrder()), nil
 }
 
+// drainFrames hands every batch of a partition to fn, which keeps no
+// reference to it.
+func drainFrames(ctx context.Context, p *frames, fn func(*Batch) error) error {
+	r, err := p.reader()
+	if err != nil {
+		return err
+	}
+	for {
+		b, err := r.Next(ctx)
+		if err != nil || b == nil {
+			return err
+		}
+		err = fn(b)
+		PutBatch(b)
+		if err != nil {
+			return err
+		}
+	}
+}
+
 // processPair joins one build/probe partition pair into out. If the build
 // partition fits the grant it is joined in memory; otherwise it is
 // re-partitioned one level deeper.
-func (g *graceSpill) processPair(ctx context.Context, bf, pf *spillFile, depth int, out *spillFile) error {
+func (g *graceSpill) processPair(ctx context.Context, build, probe *frames, depth int, out *frames) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sz := bf.Bytes()
+	if err := build.flush(); err != nil {
+		return err
+	}
+	sz := build.bytes
 	if !g.mc.tryGrow(sz) {
 		if depth < maxSpillDepth {
-			return g.subdivide(ctx, bf, pf, depth, out)
+			return g.subdivide(ctx, build, probe, depth, out)
 		}
 		// Skew floor: this partition cannot be split further by key hash.
 		// Charge it anyway — degrade honestly rather than fail the query.
@@ -248,149 +241,52 @@ func (g *graceSpill) processPair(ctx context.Context, bf, pf *spillFile, depth i
 	defer g.mc.shrink(sz)
 
 	shadow := g.j.shadow()
-	br, err := bf.Reader()
-	if err != nil {
+	shadow.reserve(int(build.rows))
+	if err := drainFrames(ctx, build, shadow.Build); err != nil {
 		return err
 	}
-	for {
-		b, err := br.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		err = shadow.Build(b)
-		PutBatch(b)
-		if err != nil {
-			return err
-		}
-	}
-	pr, err := pf.Reader()
-	if err != nil {
-		return err
-	}
-	for {
-		b, err := pr.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
+	return drainFrames(ctx, probe, func(b *Batch) error {
 		left := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
-		carry := b.Cols[len(b.Cols)-1]
-		joined, err := shadow.ProbeCarry(left, carry)
-		if err == nil && joined.N > 0 {
-			err = out.WriteBatch(joined)
-		}
-		if joined != nil {
-			PutBatch(joined)
-		}
-		PutBatch(b)
+		joined, err := shadow.ProbeCarry(left, b.Cols[len(b.Cols)-1])
 		if err != nil {
 			return err
 		}
-	}
+		err = out.appendBatch(joined)
+		PutBatch(joined)
+		return err
+	})
 }
 
 // subdivide re-partitions a too-large pair one level deeper, joins each
 // sub-pair, and seq-merges the sub-outputs into out so ordering survives
 // the recursion.
-func (g *graceSpill) subdivide(ctx context.Context, bf, pf *spillFile, depth int, out *spillFile) error {
+func (g *graceSpill) subdivide(ctx context.Context, build, probe *frames, depth int, out *frames) error {
 	nd := depth + 1
-	subB := make([]*spillFile, spillFanout)
-	subP := make([]*spillFile, spillFanout)
-	for p := 0; p < spillFanout; p++ {
-		var err error
-		if subB[p], err = g.mc.Dir.create(fmt.Sprintf("join-build-d%d-p%d", nd, p), g.mc.spillStats()); err != nil {
-			return err
-		}
-		if subP[p], err = g.mc.Dir.create(fmt.Sprintf("join-probe-d%d-p%d", nd, p), g.mc.spillStats()); err != nil {
-			return err
-		}
-	}
+	subB, subP := newPartitions(g.sf), newPartitions(g.sf)
 	g.mc.addPartitions(spillFanout)
-
-	br, err := bf.Reader()
+	err := drainFrames(ctx, build, func(b *Batch) error {
+		return g.scatter(g.j.buildKeys, b, nd, -1, subB) // no NULL key got this far
+	})
 	if err != nil {
 		return err
 	}
-	for {
-		b, err := br.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		part, err := g.partition(g.j.buildKeys, b, nd, -1) // no NULL key got this far
-		if err == nil {
-			err = scatter(b, part, subB)
-		}
-		PutBatch(b)
-		if err != nil {
-			return err
-		}
-	}
-	pr, err := pf.Reader()
-	if err != nil {
-		return err
-	}
-	for {
-		b, err := pr.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		left := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
+	err = drainFrames(ctx, probe, func(b *Batch) error {
 		// NULL keys here are LEFT JOIN's; an inner join dropped its at depth 0.
-		part, err := g.partition(g.j.leftKeys, left, nd, 0)
-		if err == nil {
-			err = scatter(b, part, subP)
-		}
-		PutBatch(b)
-		if err != nil {
-			return err
-		}
+		return g.scatter(g.j.leftKeys, b, nd, 0, subP)
+	})
+	if err != nil {
+		return err
 	}
-	bf.Discard()
-	pf.Discard()
-
-	var outs []batchStream
-	for p := 0; p < spillFanout; p++ {
-		if subP[p].Rows() == 0 || (subB[p].Rows() == 0 && g.j.kind != sql.LeftJoin) {
-			subB[p].Discard()
-			subP[p].Discard()
-			continue
-		}
-		subOut, err := g.mc.Dir.create(fmt.Sprintf("join-out-d%d-p%d", nd, p), g.mc.spillStats())
-		if err != nil {
-			return err
-		}
-		if err := g.processPair(ctx, subB[p], subP[p], nd, subOut); err != nil {
-			return err
-		}
-		subB[p].Discard()
-		subP[p].Discard()
-		r, err := subOut.Reader()
-		if err != nil {
-			return err
-		}
-		outs = append(outs, r)
+	merged, err := g.joinPairs(ctx, subB, subP, nd)
+	if err != nil {
+		return err
 	}
-	merged := newMergeStream(outs, g.seqOrder())
 	for {
 		b, err := merged.Next(ctx)
-		if err != nil {
+		if err != nil || b == nil {
 			return err
 		}
-		if b == nil {
-			return nil
-		}
-		err = out.WriteBatch(b)
+		err = out.appendBatch(b)
 		PutBatch(b)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -245,6 +246,74 @@ func TestHashKernelsAllocationGuard(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestSpilledJoinAllocationGuard is the same guard over the grace join: to
+// partition both sides to scratch, replay every partition pair and merge the
+// outputs back into probe order allocates per batch and per frame — under
+// 0.1 allocations per probe row, the scratch directory, its file and every
+// output vector included.
+func TestSpilledJoinAllocationGuard(t *testing.T) {
+	const buildBatches, probeBatches = 8, 32
+	var build, probe []*Batch
+	for i := 0; i < buildBatches; i++ {
+		build = append(build, kvBatch(BatchSize, i*BatchSize, BatchSize))
+	}
+	for i := 0; i < probeBatches; i++ {
+		probe = append(probe, kvBatch(BatchSize, i%buildBatches*BatchSize, BatchSize))
+	}
+	keys := []plan.Expr{col(0, types.Int64)}
+	step := plan.JoinStep{Kind: sql.InnerJoin, LeftKeys: keys, RightKeys: keys}
+	base, ctx := t.TempDir(), context.Background()
+	run := func() {
+		dir := NewSpillDir(base, "guard")
+		defer dir.Cleanup()
+		j, err := NewHashJoin(Compiled, step, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A quarter of the build side: it spills, its partitions fit.
+		j.SetMemory(&MemContext{T: NewMemTracker(64<<10, nil).Child(), Dir: dir, Stats: &SpillStats{}})
+		defer j.ReleaseMem()
+		for _, b := range build {
+			if err := j.Build(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !j.Spilled() {
+			t.Fatal("the build side fit a 64 KB grant")
+		}
+		for _, b := range probe {
+			if err := j.spill.addProbe(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := j.spill.run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			b, err := out.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows += b.N
+			PutBatch(b)
+		}
+		if rows != probeBatches*BatchSize {
+			t.Fatalf("joined %d rows, want %d", rows, probeBatches*BatchSize)
+		}
+	}
+	run()
+	per := testing.AllocsPerRun(3, run) / (probeBatches * BatchSize)
+	t.Logf("spilled join: %.3f allocs per probe row", per)
+	if per >= 0.1 && !raceEnabled { // the pools leak under -race; the path still runs
+		t.Errorf("spilled join: %.3f allocs per probe row, want < 0.1", per)
 	}
 }
 

@@ -171,10 +171,12 @@ func (t *MemTracker) Limit() int64 {
 // SpillStats accumulates one operator's (or one physical plan node's)
 // spill activity for EXPLAIN ANALYZE and the spill_* counters.
 type SpillStats struct {
-	// Bytes is the total written to spill files.
+	// Bytes is the total written to scratch files.
 	Bytes atomic.Int64
-	// Partitions counts partition files opened by grace joins and
-	// partitioned aggregation restarts.
+	// Files counts scratch files created: one per spilling operator instance.
+	Files atomic.Int64
+	// Partitions counts partitions opened by grace joins and partitioned
+	// aggregation restarts.
 	Partitions atomic.Int64
 	// Runs counts sorted runs written by external sorts.
 	Runs atomic.Int64
@@ -233,7 +235,7 @@ func (mc *MemContext) addRun() {
 	}
 }
 
-// addPartitions counts partition files opened.
+// addPartitions counts partitions opened.
 func (mc *MemContext) addPartitions(n int64) {
 	if mc != nil && mc.Stats != nil {
 		mc.Stats.Partitions.Add(n)

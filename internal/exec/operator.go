@@ -145,11 +145,7 @@ func (o *LeaderMergeOp) Next(ctx context.Context) (*Batch, error) {
 	if len(firsts) == 0 {
 		return nil, nil
 	}
-	out, err := MergeSorted(firsts, o.keys)
-	for _, b := range firsts {
-		PutBatch(b)
-	}
-	return out, err
+	return MergeSorted(firsts, o.keys)
 }
 
 func (o *LeaderMergeOp) Close() error { return nil }

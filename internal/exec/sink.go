@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"redshift/internal/plan"
-	"redshift/internal/types"
 )
 
 // AggSink is a slice's partial aggregation. Every worker folds its batches
@@ -131,14 +130,14 @@ func (s *AggSink) Close() {
 // Table is the slice's partial result, valid after Finish.
 func (s *AggSink) Table() *GroupTable { return s.table }
 
-// TopNSink is the slice-local ORDER BY + LIMIT pushdown: it sorts its whole
-// input through ExternalSorters (spilling runs when over the grant), cuts
-// at the limit and emits exactly one batch, possibly empty. With several
-// workers each sorts its own share, every batch tagged with a trailing
-// Int64 morsel-sequence column and ordered by (keys..., seq): that is the
-// total order the one-worker stable sort realizes, so cutting each worker's
-// candidates at the limit is exact and re-sorting their union reproduces
-// the one-worker result, ties included.
+// TopNSink is the slice-local ORDER BY + LIMIT pushdown: every worker feeds
+// an ExternalSorter that keeps only the limit best rows it has seen (all of
+// them, spilling runs when over the grant, without a limit), and Finish
+// emits exactly one batch, possibly empty. With several workers each sorter
+// is tagged with its batches' morsel sequences and orders by (keys..., seq):
+// that is the total order the one-worker stable sort realizes, so cutting
+// each worker's candidates at the limit is exact and re-sorting their union
+// reproduces the one-worker result, ties included.
 type TopNSink struct {
 	keys  []plan.OrderKey
 	limit int64
@@ -147,7 +146,6 @@ type TopNSink struct {
 	emit  func(*Batch) error
 	st    *OpStats
 
-	tagged  bool
 	sorters []*ExternalSorter
 	mcs     []*MemContext
 }
@@ -160,54 +158,35 @@ func NewTopNSink(keys []plan.OrderKey, limit int64, width int, mem func() *MemCo
 }
 
 func (s *TopNSink) Open(n int) error {
-	if s.tagged = n > 1; s.tagged {
-		s.keys = append(append([]plan.OrderKey{}, s.keys...), plan.OrderKey{Index: s.width})
-	}
 	for w := 0; w < n; w++ {
 		mc := s.mem()
 		s.mcs = append(s.mcs, mc)
-		s.sorters = append(s.sorters, NewExternalSorter(s.keys, s.sortWidth(), mc))
+		s.sorters = append(s.sorters, NewExternalSorter(s.keys, s.width, s.limit, n > 1, mc))
 	}
 	return nil
-}
-
-func (s *TopNSink) sortWidth() int {
-	if s.tagged {
-		return s.width + 1
-	}
-	return s.width
 }
 
 func (s *TopNSink) Consume(w int, seq int64, b *Batch) error {
 	if b == nil {
 		return nil
 	}
-	in := b
-	if s.tagged {
-		seqv := types.NewVector(types.Int64, b.N)
-		sv := types.NewInt(seq)
-		for i := 0; i < b.N; i++ {
-			seqv.Append(sv)
-		}
-		in = &Batch{Cols: append(append(make([]*types.Vector, 0, s.width+1), b.Cols...), seqv), N: b.N}
-	}
-	err := s.sorters[w].Add(in)
-	// Add copied the rows; the streamed batch is spent.
+	err := s.sorters[w].Add(b, seq)
+	// Add copied the rows it keeps; the streamed batch is spent.
 	PutBatch(b)
 	return err
 }
 
 func (s *TopNSink) Finish(ctx context.Context) error {
-	out := NewBatch(s.sortWidth())
+	var out *Batch
 	for _, sorter := range s.sorters {
-		part, err := collectSorted(ctx, sorter, s.sortWidth(), s.limit)
+		part, err := collectSorted(ctx, sorter, s.limit)
 		sorter.Release()
 		if err != nil {
 			return err
 		}
-		if len(s.sorters) == 1 {
+		if out == nil {
 			out = part
-			break
+			continue
 		}
 		if part.N > 0 {
 			err = out.Concat(part)
@@ -217,8 +196,8 @@ func (s *TopNSink) Finish(ctx context.Context) error {
 			return err
 		}
 	}
-	if s.tagged {
-		out = TopN(SortBatch(out, s.keys), s.limit)
+	if first := s.sorters[0]; first.tagged {
+		out = sortedTop(out, first.keys, s.limit)
 		out.Cols = out.Cols[:s.width]
 	}
 	s.st.count(out)
@@ -257,12 +236,12 @@ func Collect(out *Batch, limit int64, mc *MemContext) func(*Batch) error {
 
 // collectSorted drains a sorter's merged stream into one batch, stopping
 // once limit rows (if any) have been gathered.
-func collectSorted(ctx context.Context, sorter *ExternalSorter, width int, limit int64) (*Batch, error) {
+func collectSorted(ctx context.Context, sorter *ExternalSorter, limit int64) (*Batch, error) {
 	stream, err := sorter.Stream(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := NewBatch(width)
+	out := NewBatch(sorter.width)
 	for {
 		if limit >= 0 && int64(out.N) >= limit {
 			break

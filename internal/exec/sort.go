@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"fmt"
+	"container/heap"
 	"slices"
 
 	"redshift/internal/plan"
@@ -73,65 +73,59 @@ func compareKeys(a []sortKey, x int, b []sortKey, y int) int {
 
 // SortBatch orders a fully materialized batch by the given keys (over the
 // batch's own columns). The sort is stable so equal keys keep input order,
-// which keeps distributed merges deterministic: ties break on the row's
-// input position, which makes the order total and lets an unstable sort
-// produce it.
+// which keeps distributed merges deterministic.
 func SortBatch(b *Batch, keys []plan.OrderKey) *Batch {
+	return sortedTop(b, keys, -1)
+}
+
+// sortedTop is TopN(SortBatch(b, keys), limit) with one gather, of the rows
+// that stay. When the limit drops rows they are never sorted: a heap selects
+// the limit that stay, and only those are.
+func sortedTop(b *Batch, keys []plan.OrderKey, limit int64) *Batch {
 	if b.N <= 1 || len(keys) == 0 {
-		return b
+		return TopN(b, limit)
+	}
+	// Position breaks ties, which makes the order total — an unstable sort
+	// and a selection both realize the stable sort.
+	bound := bindKeys(b, keys)
+	order := func(x, y int) int {
+		if c := compareKeys(bound, x, bound, y); c != 0 {
+			return c
+		}
+		return x - y
 	}
 	idx := make([]int, b.N)
 	for i := range idx {
 		idx[i] = i
 	}
-	bound := bindKeys(b, keys)
-	slices.SortFunc(idx, func(x, y int) int {
-		if c := compareKeys(bound, x, bound, y); c != 0 {
-			return c
+	if limit >= 0 && limit < int64(b.N) {
+		// idx[:limit] is a heap with the last of the kept rows on top; a row
+		// that sorts before it takes its place.
+		kept := &lastFirst{idx: idx[:limit], order: order}
+		heap.Init(kept)
+		for _, r := range idx[limit:] {
+			if limit > 0 && order(r, kept.idx[0]) < 0 {
+				kept.idx[0] = r
+				heap.Fix(kept, 0)
+			}
 		}
-		return x - y
-	})
+		idx = kept.idx
+	}
+	slices.SortFunc(idx, order)
 	return b.Gather(idx)
 }
 
-// MergeSorted merges pre-sorted batches into one sorted batch — the leader
-// node's merge step over per-slice sorted streams.
-func MergeSorted(batches []*Batch, keys []plan.OrderKey) (*Batch, error) {
-	var nonEmpty []*Batch
-	var bound [][]sortKey
-	for _, b := range batches {
-		if b != nil && b.N > 0 {
-			nonEmpty = append(nonEmpty, b)
-			bound = append(bound, bindKeys(b, keys))
-		}
-	}
-	if len(nonEmpty) == 0 {
-		if len(batches) > 0 {
-			return batches[0], nil
-		}
-		return &Batch{}, nil
-	}
-	out := NewBatch(len(nonEmpty[0].Cols))
-	for _, b := range nonEmpty {
-		if len(b.Cols) != len(out.Cols) {
-			return nil, fmt.Errorf("exec: merge width mismatch %d vs %d", len(b.Cols), len(out.Cols))
-		}
-	}
-	pos := make([]int, len(nonEmpty))
-	for {
-		best := -1
-		for i, b := range nonEmpty {
-			if pos[i] < b.N && (best == -1 || compareKeys(bound[i], pos[i], bound[best], pos[best]) < 0) {
-				best = i
-			}
-		}
-		if best == -1 {
-			return out, nil
-		}
-		appendRow(out, nonEmpty[best], pos[best])
-		pos[best]++
-	}
+// lastFirst is a heap of row positions whose top is the one order puts last.
+type lastFirst struct {
+	idx   []int
+	order func(x, y int) int
 }
+
+func (h *lastFirst) Len() int           { return len(h.idx) }
+func (h *lastFirst) Less(i, j int) bool { return h.order(h.idx[i], h.idx[j]) > 0 }
+func (h *lastFirst) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
+func (h *lastFirst) Push(any)           { panic("exec: lastFirst is fixed-size") }
+func (h *lastFirst) Pop() any           { panic("exec: lastFirst is fixed-size") }
 
 // TopN keeps the first n rows of a sorted batch — the slice-local
 // LIMIT pushdown paired with the leader's merge.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"redshift/internal/plan"
@@ -33,6 +34,23 @@ func benchMemCtx(b *testing.B, budget int64) *MemContext {
 	return &MemContext{T: tr.Child(), Dir: dir, Stats: &SpillStats{}}
 }
 
+// reportSpill reports what a governed benchmark left in stats, per run, and
+// what the whole loop allocated, per input row.
+func reportSpill(b *testing.B, stats []*SpillStats, rows int, before *runtime.MemStats) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(rows), "allocs/row")
+	var bytes, files int64
+	for _, st := range stats {
+		bytes += st.Bytes.Load()
+		files += st.Files.Load()
+	}
+	if len(stats) > 0 {
+		b.ReportMetric(float64(bytes)/float64(b.N), "spill-B/op")
+		b.ReportMetric(float64(files)/float64(b.N), "files/op")
+	}
+}
+
 // BenchmarkSpillJoin compares the in-memory hash join against the grace
 // spill path on the same data, with the build side 8x the governed
 // budget so every partition goes through disk.
@@ -45,7 +63,9 @@ func BenchmarkSpillJoin(b *testing.B) {
 	ctx := context.Background()
 
 	run := func(b *testing.B, governed bool) {
-		var spilled int64
+		var stats []*SpillStats
+		var before runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
 			j, err := NewHashJoin(Compiled, mkJoinStep(sql.InnerJoin), 2)
 			if err != nil {
@@ -100,13 +120,11 @@ func BenchmarkSpillJoin(b *testing.B) {
 				b.Fatal("join produced no rows")
 			}
 			if governed {
-				spilled += mc.Stats.Bytes.Load()
+				stats = append(stats, mc.Stats)
 				j.ReleaseMem()
 			}
 		}
-		if governed {
-			b.ReportMetric(float64(spilled)/float64(b.N), "spill-B/op")
-		}
+		reportSpill(b, stats, probeRows, &before)
 	}
 	b.Run(fmt.Sprintf("in-memory-%dKB", buildBytes>>10), func(b *testing.B) { run(b, false) })
 	b.Run(fmt.Sprintf("spill-budget-%dKB", budget>>10), func(b *testing.B) { run(b, true) })
@@ -123,15 +141,17 @@ func BenchmarkExternalSort(b *testing.B) {
 	ctx := context.Background()
 
 	run := func(b *testing.B, governed bool) {
-		var spilled int64
+		var stats []*SpillStats
+		var before runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
 			var mc *MemContext
 			if governed {
 				mc = benchMemCtx(b, budget)
 			}
-			s := NewExternalSorter(keys, 2, mc)
+			s := NewExternalSorter(keys, 2, -1, false, mc)
 			for _, bb := range input {
-				if err := s.Add(bb); err != nil {
+				if err := s.Add(bb, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,13 +187,60 @@ func BenchmarkExternalSort(b *testing.B) {
 			}
 			s.Release()
 			if governed {
-				spilled += mc.Stats.Bytes.Load()
+				stats = append(stats, mc.Stats)
 			}
 		}
-		if governed {
-			b.ReportMetric(float64(spilled)/float64(b.N), "spill-B/op")
-		}
+		reportSpill(b, stats, rows, &before)
 	}
 	b.Run(fmt.Sprintf("in-memory-%dKB", inBytes>>10), func(b *testing.B) { run(b, false) })
 	b.Run(fmt.Sprintf("spill-budget-%dKB", budget>>10), func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkTopN feeds the slice-local top-N sink 100k rows for a LIMIT 100,
+// in random order and in the order that defeats a cut (every row beats all
+// before it), and reports time and allocated bytes per input row: both stay
+// flat in the input, where a sort of everything would grow with it.
+func BenchmarkTopN(b *testing.B) {
+	const rows, limit = 100000, 100
+	keys := []plan.OrderKey{{Index: 0, Desc: true}, {Index: 1}}
+	for _, order := range []string{"random", "ascending"} {
+		rng := rand.New(rand.NewSource(20260926))
+		input, _ := benchKVBatches(rng, rows, 1<<30)
+		if order == "ascending" {
+			next := int64(0)
+			for _, bb := range input {
+				for i := range bb.Cols[0].Ints {
+					bb.Cols[0].Ints[i] = next
+					next++
+				}
+			}
+		}
+		b.Run(order, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				var out *Batch
+				sink := NewTopNSink(keys, limit, 2, func() *MemContext { return nil }, nil, func(o *Batch) error { out = o; return nil })
+				if err := sink.Open(1); err != nil {
+					b.Fatal(err)
+				}
+				for seq, bb := range input {
+					// The sink consumes its input: hand it a view.
+					if err := sink.Consume(0, int64(seq), &Batch{Cols: append([]*types.Vector{}, bb.Cols...), N: bb.N}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := sink.Finish(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				sink.Close()
+				if out.N != limit {
+					b.Fatalf("top-N emitted %d rows", out.N)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/rows, "B/row")
+		})
+	}
 }

@@ -307,11 +307,11 @@ func TestPropExternalSortMatchesInMemory(t *testing.T) {
 				}
 				want := batchRowStrings(SortBatch(all, keys))
 
-				s := NewExternalSorter(keys, 2, govCtx(t, 2<<10))
+				s := NewExternalSorter(keys, 2, -1, false, govCtx(t, 2<<10))
 				var inBytes int64
 				for _, b := range batches {
 					inBytes += b.ByteSize()
-					if err := s.Add(b); err != nil {
+					if err := s.Add(b, 0); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -82,6 +82,38 @@ func TestAppendFrom(t *testing.T) {
 	}
 }
 
+// TestAppendRangeAndSelMatchAppendFrom: the bulk appends are AppendFrom over
+// the same positions, whichever of the two vectors has a null mask — onto an
+// unmasked prefix, a masked one, or nothing.
+func TestAppendRangeAndSelMatchAppendFrom(t *testing.T) {
+	fixtures := gatherFixtures()
+	sel := []int{99, 0, 42, 42, 5, 10}
+	for vn, v := range fixtures {
+		prefixes := map[string]*Vector{"empty": NewVector(v.T, 0), "unmasked": v.Slice(1, 4), "masked": v.Gather([]int{-1, 2})}
+		for pn, prefix := range prefixes {
+			want, ranged, picked := prefix.Clone(), prefix.Clone(), prefix.Clone()
+			for i := 30; i < 70; i++ {
+				want.AppendFrom(v, i)
+			}
+			for _, i := range sel {
+				want.AppendFrom(v, i)
+			}
+			ranged.AppendRange(v, 30, 70)
+			ranged.AppendSel(v, sel)
+			picked.AppendRange(v, 30, 50)
+			picked.AppendRange(v, 50, 50) // an empty range appends nothing
+			picked.AppendRange(v, 50, 70)
+			picked.AppendSel(v, sel[:2])
+			picked.AppendSel(v, sel[2:])
+			for how, got := range map[string]*Vector{"once": ranged, "pieces": picked} {
+				if !got.Equal(want) || (got.Nulls != nil && len(got.Nulls) != got.Len()) {
+					t.Errorf("%s onto %s, %s: got %+v want %+v", vn, pn, how, got, want)
+				}
+			}
+		}
+	}
+}
+
 // benchSel gathers every other row — the shape a filter or join produces.
 func benchSel(n int) []int {
 	sel := make([]int, 0, n/2)

@@ -195,6 +195,60 @@ func (v *Vector) AppendFrom(src *Vector, i int) {
 	}
 }
 
+// AppendRange appends src's positions [lo, hi): AppendFrom for a run of
+// rows, one type dispatch and one copy per payload slice.
+func (v *Vector) AppendRange(src *Vector, lo, hi int) {
+	if src.T != v.T {
+		panic(fmt.Sprintf("types: appending from %s to %s vector", src.T, v.T))
+	}
+	switch {
+	case src.Nulls != nil:
+		v.ensureNulls()
+		v.Nulls = append(v.Nulls, src.Nulls[lo:hi]...)
+	case v.Nulls != nil:
+		v.Nulls = append(v.Nulls, make([]bool, hi-lo)...)
+	}
+	switch v.T {
+	case Float64:
+		v.Floats = append(v.Floats, src.Floats[lo:hi]...)
+	case String:
+		v.Strs = append(v.Strs, src.Strs[lo:hi]...)
+	default:
+		v.Ints = append(v.Ints, src.Ints[lo:hi]...)
+	}
+}
+
+// AppendSel appends src's positions sel, in selection order: Gather onto
+// the end of an existing vector.
+func (v *Vector) AppendSel(src *Vector, sel []int) {
+	if src.T != v.T {
+		panic(fmt.Sprintf("types: appending from %s to %s vector", src.T, v.T))
+	}
+	switch {
+	case src.Nulls != nil:
+		v.ensureNulls()
+		for _, i := range sel {
+			v.Nulls = append(v.Nulls, src.Nulls[i])
+		}
+	case v.Nulls != nil:
+		v.Nulls = append(v.Nulls, make([]bool, len(sel))...)
+	}
+	switch v.T {
+	case Float64:
+		for _, i := range sel {
+			v.Floats = append(v.Floats, src.Floats[i])
+		}
+	case String:
+		for _, i := range sel {
+			v.Strs = append(v.Strs, src.Strs[i])
+		}
+	default:
+		for _, i := range sel {
+			v.Ints = append(v.Ints, src.Ints[i])
+		}
+	}
+}
+
 // Slice returns a view of positions [lo, hi). The view shares storage.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	out := &Vector{T: v.T}

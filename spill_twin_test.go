@@ -249,9 +249,9 @@ func TestWorkMemOverridesGrant(t *testing.T) {
 // TestSpillSkewedJoinFansOut: every row of both sides carries the same key
 // and lives on one slice, so the spilled join's one partition pair fans its
 // one probe batch out to 1100 × 1000 rows — more than 2²⁰, the most a
-// RUNLENGTH or LZO block may hold. The spill frames
-// carry them (RAW has no row maximum) and the answer matches the in-memory
-// run; a skewed key degrades the join, it does not fail the query.
+// RUNLENGTH or LZO block may hold. The partition output chunks them into
+// BatchSize-row RAW frames and the answer matches the in-memory run; a
+// skewed key degrades the join, it does not fail the query.
 func TestSpillSkewedJoinFansOut(t *testing.T) {
 	dir := t.TempDir()
 	w := launch(t, Options{Nodes: 1, SpillDir: dir, BlockCap: 4096})
@@ -286,4 +286,115 @@ func TestSpillSkewedJoinFansOut(t *testing.T) {
 		t.Error("the 16 KB grant did not force the join to spill")
 	}
 	assertSpillClean(t, w, dir)
+}
+
+// explainAttrs sums an attribute over the EXPLAIN ANALYZE lines whose node
+// name starts with prefix, and reports how many lines carried it.
+func explainAttrs(res *Result, prefix, key string) (sum int64, lines int) {
+	for _, row := range res.Rows {
+		line := strings.TrimLeft(row[0].S, " ")
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(f, key+"="); ok {
+				n, _ := strconv.ParseInt(v, 10, 64)
+				sum += n
+				lines++
+			}
+		}
+	}
+	return sum, lines
+}
+
+// TestSpillLimitedSortKeepsOnlyTheLimit: ORDER BY … LIMIT does work in
+// proportion to the limit, not the table. Under a 64 KB grant a top-5 (and a
+// top-0) over 20000 rows writes nothing to disk and no sort node's peak
+// reaches twice the grant; a limit no table reaches still returns every row,
+// through runs on disk, without its arithmetic overflowing.
+func TestSpillLimitedSortKeepsOnlyTheLimit(t *testing.T) {
+	seed := spillSeed(t)
+	dir := t.TempDir()
+	w := launch(t, Options{Nodes: 2, SpillDir: dir})
+	seedSpillTables(t, w, seed, 20000, 2000)
+	w.MustExecute(`SET result_cache TO off`)
+	const grant = 64 << 10
+	const q = `SELECT ts, user_id, amount FROM events ORDER BY amount DESC, ts LIMIT `
+
+	want := map[string]string{}
+	for _, limit := range []string{"5", "0", "9223372036854775807"} {
+		want[limit] = rowsString(w.MustExecute(q + limit).Rows)
+	}
+	if n := strings.Count(want["9223372036854775807"], "\n"); n != 20000 {
+		t.Fatalf("the unreachable limit returned %d rows, want 20000", n)
+	}
+
+	w.MustExecute(`SET work_mem TO '64KB'`)
+	for _, dop := range []int{1, 4} {
+		w.MustExecute(fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
+		for _, limit := range []string{"5", "0"} {
+			before := w.Metrics().Counter("spill_bytes_total").Value()
+			out := w.MustExecute(`EXPLAIN ANALYZE ` + q + limit)
+			text := rowsString(out.Rows)
+			if strings.Contains(text, "spill_bytes=") || w.Metrics().Counter("spill_bytes_total").Value() != before {
+				t.Errorf("dop=%d LIMIT %s went to disk:\n%s", dop, limit, text)
+			}
+			for _, node := range []string{"slice-topn ", "finalize "} {
+				if peak, _ := explainAttrs(out, node, "mem_peak"); peak >= 2*grant {
+					t.Errorf("dop=%d LIMIT %s: %smem_peak=%d, want under twice the %d grant:\n%s", dop, limit, node, peak, grant, text)
+				}
+			}
+			if got := rowsString(w.MustExecute(q + limit).Rows); got != want[limit] {
+				t.Errorf("dop=%d LIMIT %s diverged under the grant:\ngot:\n%swant:\n%s", dop, limit, got, want[limit])
+			}
+			assertSpillClean(t, w, dir)
+		}
+		before := w.Metrics().Counter("spill_bytes_total").Value()
+		if got := rowsString(w.MustExecute(q + "9223372036854775807").Rows); got != want["9223372036854775807"] {
+			t.Errorf("dop=%d: the unreachable limit diverged under the grant", dop)
+		}
+		if w.Metrics().Counter("spill_bytes_total").Value() == before {
+			t.Errorf("dop=%d: 20000 rows sorted under a 64 KB grant without a run on disk", dop)
+		}
+		assertSpillClean(t, w, dir)
+	}
+}
+
+// TestSpillJoinOneFilePerOperator: a join on 2 nodes × 2 slices whose build
+// side overflows a 16 KB grant so far that its partitions re-partition. Each
+// slice's join keeps every partition, sub-partition and output in one scratch
+// file — with the slice's sort that is at most two files a slice — all gone
+// when the statement ends, and the rows are the in-memory run's.
+func TestSpillJoinOneFilePerOperator(t *testing.T) {
+	seed := spillSeed(t)
+	dir := t.TempDir()
+	w := launch(t, Options{Nodes: 2, SpillDir: dir})
+	seedSpillTables(t, w, seed, 40000, 12000)
+	w.MustExecute(`SET result_cache TO off`)
+	const q = `SELECT e.ts, u.segment, u.pad FROM events e JOIN users u ON e.user_id = u.id ORDER BY e.ts`
+	want := rowsString(w.MustExecute(q).Rows)
+
+	w.MustExecute(`SET work_mem TO '16KB'`)
+	for _, dop := range []int{1, 4} {
+		w.MustExecute(fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
+		filesBefore := w.Metrics().Counter("spill_files_total").Value()
+		out := w.MustExecute(`EXPLAIN ANALYZE ` + q)
+		text := rowsString(out.Rows)
+		files, lines := explainAttrs(out, "", "spill_files")
+		if lines == 0 || files == 0 || files > 2*4 {
+			t.Errorf("dop=%d: %d scratch files over %d nodes, want 1 to 8:\n%s", dop, files, lines, text)
+		}
+		joinFiles, _ := explainAttrs(out, "join ", "spill_files")
+		parts, _ := explainAttrs(out, "join ", "spill_partitions")
+		if joinFiles == 0 || joinFiles > 4 || parts <= 8*joinFiles {
+			t.Errorf("dop=%d: the join made %d files for %d partitions; want one a slice, and recursion:\n%s", dop, joinFiles, parts, text)
+		}
+		if got := w.Metrics().Counter("spill_files_total").Value() - filesBefore; got != files {
+			t.Errorf("dop=%d: spill_files_total moved by %d, EXPLAIN ANALYZE counts %d", dop, got, files)
+		}
+		if got := rowsString(w.MustExecute(q).Rows); got != want {
+			t.Errorf("dop=%d: spilled join diverged from the in-memory run", dop)
+		}
+		assertSpillClean(t, w, dir)
+	}
 }
