@@ -13,9 +13,12 @@ test: build
 # block cache, the codecs (whose inflater and deflater pools every slice
 # goroutine shares), and the telemetry registry — plus the root-level
 # morsel worker suites (twin battery, cancel/fault storm, stats parity).
+# The commit-protocol tests (readers against VACUUM/TRUNCATE, block
+# identities) repeat twenty times: their subject is an interleaving.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/storage ./internal/telemetry ./internal/wire
+	$(GO) test -race -count=20 -run 'TestVacuum|TestCommitProtocol' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus

@@ -6,11 +6,9 @@
 package redshift_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
-	"redshift"
 	"redshift/internal/bench"
 )
 
@@ -103,52 +101,5 @@ func TestExperimentSuiteSmoke(t *testing.T) {
 	t2 := byID["T2"]
 	if t2.Rows[0][2] == t2.Rows[1][2] {
 		t.Errorf("T2: warm == cold: %v", t2.Rows)
-	}
-}
-
-// BenchmarkStreamingPipeline drives a multi-batch scan+join+agg query
-// through the per-slice streaming executor and reports the peak number of
-// in-flight batches (the exec_batches_in_flight high-water gauge). The
-// peak must stay O(slices × pipeline depth) — a handful of batches — while
-// the scan itself emits hundreds, which is the memory claim of the fused
-// operator dataflow over the old stage-at-a-time executor.
-func BenchmarkStreamingPipeline(b *testing.B) {
-	w, err := redshift.Launch(redshift.Options{Nodes: 2, BlockCap: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.MustExecute(`CREATE TABLE fact (
-		k BIGINT NOT NULL, grp BIGINT, v BIGINT
-	) DISTSTYLE KEY DISTKEY(k)`)
-	w.MustExecute(`CREATE TABLE dim (
-		k BIGINT NOT NULL, name VARCHAR(16)
-	) DISTSTYLE KEY DISTKEY(k)`)
-	var fact, dim strings.Builder
-	const rows = 20000 // ≈312 64-row scan batches per run
-	for i := 0; i < rows; i++ {
-		fmt.Fprintf(&fact, "%d|%d|%d\n", i%500, i%11, i%100)
-	}
-	for i := 0; i < 500; i++ {
-		fmt.Fprintf(&dim, "%d|name%d\n", i, i)
-	}
-	w.PutObject("lake/fact/f.csv", []byte(fact.String()))
-	w.PutObject("lake/dim/d.csv", []byte(dim.String()))
-	w.MustExecute(`COPY fact FROM 's3://lake/fact/'`)
-	w.MustExecute(`COPY dim FROM 's3://lake/dim/'`)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := w.MustExecute(`SELECT f.grp, SUM(f.v) AS total
-			FROM fact f JOIN dim d ON f.k = d.k
-			GROUP BY f.grp ORDER BY total DESC`)
-		if len(res.Rows) != 11 {
-			b.Fatalf("rows = %d", len(res.Rows))
-		}
-	}
-	b.StopTimer()
-	peak := w.Metrics().Gauge("exec_batches_in_flight_peak").Value()
-	b.ReportMetric(float64(peak), "peak-batches")
-	if peak < 1 || peak > 64 {
-		b.Fatalf("peak in-flight batches = %d, want 1..64 (slices × depth), not O(scan batches ≈ %d)", peak, rows/64)
 	}
 }

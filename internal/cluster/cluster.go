@@ -145,6 +145,10 @@ type Cluster struct {
 	// the hot path never takes the registry lock).
 	metricBytes [numTransferKinds]*telemetry.Counter
 
+	// superseded is set while some shard may hold a superseded segment:
+	// the prune every commit asks for is one load when none does.
+	superseded atomic.Bool
+
 	// rrMu guards per-table round-robin cursors for EVEN distribution.
 	rrMu sync.Mutex
 	rr   map[int64]int
@@ -434,29 +438,53 @@ func (c *Cluster) ReplaceSegments(sliceID int, tableID int64, segs []*storage.Se
 		entries = append(entries, SegmentEntry{Seg: s, Xid: xid})
 	}
 	sl.shards[tableID] = entries
+	c.superseded.Store(true)
 }
 
 // PruneDropped removes superseded segments no live snapshot can still see
-// (oldestActive is the smallest snapshot xid any active transaction or
-// query holds). It returns how many entries were reclaimed.
+// (oldestActive is the smallest snapshot xid any registered reader or
+// writer holds). It returns how many entries were reclaimed.
 func (c *Cluster) PruneDropped(oldestActive int64) int {
-	pruned := 0
+	// Cleared before the sweep, set again if the sweep leaves anything: a
+	// racing ReplaceSegments sets it after this, never before.
+	if !c.superseded.Swap(false) {
+		return 0
+	}
+	pruned, left := 0, false
 	for _, sl := range c.slices {
 		sl.mu.Lock()
 		for tableID, entries := range sl.shards {
 			kept := entries[:0]
 			for _, e := range entries {
 				if e.DroppedXid != 0 && e.DroppedXid <= oldestActive {
+					c.forgetReplica(sl, e.Seg)
 					pruned++
 					continue
 				}
+				left = left || e.DroppedXid != 0
 				kept = append(kept, e)
 			}
 			sl.shards[tableID] = kept
 		}
 		sl.mu.Unlock()
 	}
+	if left {
+		c.superseded.Store(true)
+	}
 	return pruned
+}
+
+// forgetReplica drops the secondary copies of a segment leaving its slice
+// for good; block ids are never reused, so nothing would overwrite them.
+func (c *Cluster) forgetReplica(sl *Slice, seg *storage.Segment) {
+	sec := c.SecondaryNode(sl.Node.ID)
+	if sec < 0 {
+		return
+	}
+	n := c.nodes[sec]
+	n.mu.Lock()
+	seg.Blocks(func(b *storage.Block) { delete(n.secondary, b.ID) })
+	n.mu.Unlock()
 }
 
 // DiscardXid removes a table's segments registered under an unpublished
@@ -470,6 +498,7 @@ func (c *Cluster) DiscardXid(tableID, xid int64) {
 		kept := entries[:0]
 		for _, e := range entries {
 			if e.Xid == xid {
+				c.forgetReplica(sl, e.Seg)
 				continue
 			}
 			if e.DroppedXid == xid {

@@ -506,3 +506,42 @@ func TestTruncateVisibilityWindow(t *testing.T) {
 		t.Fatal("post-truncate snapshot still sees data")
 	}
 }
+
+// replicaBlocks counts the secondary copies held anywhere on the cluster.
+func replicaBlocks(c *Cluster) int {
+	n := 0
+	for _, node := range c.nodes {
+		node.mu.RLock()
+		n += len(node.secondary)
+		node.mu.RUnlock()
+	}
+	return n
+}
+
+// TestSegmentsLeavingForGoodTakeTheirReplicas: block ids are never reused,
+// so the secondary copies of a pruned or discarded segment would otherwise
+// stay for the life of the cluster.
+func TestSegmentsLeavingForGoodTakeTheirReplicas(t *testing.T) {
+	c := testCluster(t, 2, 1)
+	if err := c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 1); err != nil {
+		t.Fatal(err)
+	}
+	one := replicaBlocks(c)
+	if one == 0 {
+		t.Fatal("segment was not replicated")
+	}
+	if err := c.AppendSegment(1, mkSegment(t, 7, 1, mkRows(8)), 2); err != nil {
+		t.Fatal(err)
+	}
+	c.DiscardXid(7, 2) // the second writer aborted
+	if got := replicaBlocks(c); got != one {
+		t.Errorf("replica blocks after DiscardXid = %d, want %d", got, one)
+	}
+	c.ReplaceSegments(0, 7, nil, 3)
+	if c.PruneDropped(2); replicaBlocks(c) != one {
+		t.Error("replicas dropped while snapshot 2 could still read the segment")
+	}
+	if c.PruneDropped(3); replicaBlocks(c) != 0 {
+		t.Errorf("replica blocks after the prune = %d, want 0", replicaBlocks(c))
+	}
+}

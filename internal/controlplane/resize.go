@@ -10,8 +10,6 @@ import (
 	"redshift/internal/catalog"
 	"redshift/internal/core"
 	"redshift/internal/faults"
-	"redshift/internal/load"
-	"redshift/internal/types"
 )
 
 // Endpoint is the SQL endpoint customers connect to. Resize swaps the
@@ -174,7 +172,7 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 			if err != nil {
 				return err
 			}
-			if err := replaceTable(dst, name, rows); err != nil {
+			if err := dst.ReplaceTable(name, rows); err != nil {
 				return err
 			}
 			copiedMu.Lock()
@@ -284,40 +282,4 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 func retryCopy(p faults.Policy, fn func() error) error {
 	_, err := p.Do(context.Background(), fn)
 	return err
-}
-
-// replaceTable atomically replaces dst's shard of the named table with
-// rows: supersede every visible segment and append the new copy under one
-// reserved xid, so readers of the target never see a half-replaced table
-// and a failure discards the attempt wholesale (idempotent retries).
-func replaceTable(dst *core.Database, name string, rows []types.Row) error {
-	def, err := dst.Catalog().Get(name)
-	if err != nil {
-		return err
-	}
-	txm := dst.Txns()
-	t := txm.Begin()
-	if err := txm.LockTable(t, def.ID); err != nil {
-		txm.Abort(t)
-		return err
-	}
-	xid, err := txm.Reserve(t)
-	if err != nil {
-		txm.Abort(t)
-		return err
-	}
-	for sl := 0; sl < dst.Cluster().NumSlices(); sl++ {
-		dst.Cluster().ReplaceSegments(sl, def.ID, nil, xid)
-	}
-	if _, err := load.AppendRows(dst.Cluster(), dst.Catalog(), def, rows, load.Options{}, xid); err != nil {
-		dst.Cluster().DiscardXid(def.ID, xid)
-		txm.Abort(t)
-		return err
-	}
-	if err := txm.Publish(t); err != nil {
-		return err
-	}
-	dst.Cluster().PruneDropped(txm.OldestActiveSnapshot())
-	dst.Catalog().BumpDataVersion(def.ID)
-	return nil
 }

@@ -14,15 +14,6 @@ import (
 	"redshift/internal/s3sim"
 )
 
-// assertNoBatchLeaks checks that every pooled batch a query put in flight
-// was retired — the invariant behind exchange draining and operator Close.
-func assertNoBatchLeaks(t *testing.T, db *Database) {
-	t.Helper()
-	if n := db.metrics.Gauge("exec_batches_in_flight").Value(); n != 0 {
-		t.Errorf("exec_batches_in_flight = %d after queries finished, want 0", n)
-	}
-}
-
 // openSlowDB builds a database whose primary reads each sleep, so queries
 // are slow enough to cancel deterministically. The block cache is disabled
 // so every scan pays the injected latency.
@@ -72,7 +63,7 @@ func TestStatementTimeoutAbortsQuery(t *testing.T) {
 	if !sawTimeout {
 		t.Error("no stl_query record in state 'timeout'")
 	}
-	assertNoBatchLeaks(t, db)
+	assertQuiescent(t, db)
 }
 
 func TestContextCancelAbortsQuery(t *testing.T) {
@@ -88,7 +79,7 @@ func TestContextCancelAbortsQuery(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled query returned a result")
 	}
-	assertNoBatchLeaks(t, db)
+	assertQuiescent(t, db)
 }
 
 // The satellite scenario: N readers hammered by M cancellers under -race.
@@ -174,14 +165,8 @@ func TestConcurrentCancellationStorm(t *testing.T) {
 	if sawCancelled > 0 && logged == 0 {
 		t.Error("no stl_query record in state 'cancelled'")
 	}
-	// Clean unwinding: no leaked WLM slots, transactions or batches.
-	if a := db.WLMStats().Active; a != 0 {
-		t.Errorf("wlm active = %d after storm", a)
-	}
-	if n := db.Txns().ActiveCount(); n != 0 {
-		t.Errorf("%d transactions still active after storm", n)
-	}
-	assertNoBatchLeaks(t, db)
+	// Clean unwinding: no leaked WLM slots, read views or batches.
+	assertQuiescent(t, db)
 
 	// The database is still healthy: a fault-free query runs to completion.
 	res := mustExec(t, db, `SELECT COUNT(*) FROM sales`)

@@ -262,14 +262,11 @@ func (db *Database) visibleRowCount(tableID int64) int64 {
 	if err != nil {
 		return -1
 	}
-	snapshot := db.txm.CurrentXid()
-	slices := db.cl.NumSlices()
-	if def.DistStyle == catalog.DistAll {
-		slices = db.cl.Config().SlicesPerNode
-	}
+	view := db.beginRead(nil)
+	defer view.release()
 	var total int64
-	for sl := 0; sl < slices; sl++ {
-		for _, seg := range db.cl.VisibleSegments(sl, tableID, snapshot) {
+	for _, segs := range view.tableSegments(def) {
+		for _, seg := range segs {
 			total += int64(seg.Rows)
 		}
 	}
@@ -596,55 +593,39 @@ func (db *Database) runDropTable(s *sql.DropTable) (*Result, error) {
 	return &Result{Message: "DROP TABLE"}, nil
 }
 
-func (db *Database) runTruncate(s *sql.Truncate) (*Result, error) {
-	endWrite, err := db.beginWrite()
-	if err != nil {
+func (db *Database) runTruncate(ctx context.Context, s *sql.Truncate) (*Result, error) {
+	if err := db.writeTable(ctx, s.Table, true, db.supersedeAll); err != nil {
 		return nil, err
 	}
-	defer endWrite()
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	def, err := db.cat.Get(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	t := db.txm.Begin()
-	if err := db.txm.LockTable(t, def.ID); err != nil {
-		return nil, err
-	}
-	xid, err := db.txm.Reserve(t)
-	if err != nil {
-		db.txm.Abort(t)
-		return nil, err
-	}
-	for sl := 0; sl < db.cl.NumSlices(); sl++ {
-		db.cl.ReplaceSegments(sl, def.ID, nil, xid)
-	}
-	if err := db.txm.Publish(t); err != nil {
-		return nil, err
-	}
-	db.cl.PruneDropped(db.txm.OldestActiveSnapshot())
-	db.cache.InvalidateTable(def.ID)
-	if err := db.cat.ReplaceStats(def.ID, catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}); err != nil {
-		return nil, err
-	}
-	db.cat.BumpDataVersion(def.ID)
 	return &Result{Message: "TRUNCATE"}, nil
 }
 
+// supersedeAll drops every segment of the table as of xid and zeroes its
+// statistics: all of TRUNCATE, and the first half of ReplaceTable.
+func (db *Database) supersedeAll(def *catalog.TableDef, xid int64) error {
+	for sl := 0; sl < db.cl.NumSlices(); sl++ {
+		db.cl.ReplaceSegments(sl, def.ID, nil, xid)
+	}
+	return db.cat.ReplaceStats(def.ID, catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))})
+}
+
 func (db *Database) runInsert(ctx context.Context, s *sql.Insert) (*Result, error) {
-	endWrite, err := db.beginWrite()
+	err := db.writeTable(ctx, s.Table, false, func(def *catalog.TableDef, xid int64) error {
+		rows, err := insertRows(def, s)
+		if err != nil {
+			return err
+		}
+		_, err = load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer endWrite()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	def, err := db.cat.Get(s.Table)
-	if err != nil {
-		return nil, err
-	}
+	return &Result{Message: fmt.Sprintf("INSERT %d", len(s.Rows))}, nil
+}
+
+// insertRows evaluates an INSERT's VALUES lists into full-width rows.
+func insertRows(def *catalog.TableDef, s *sql.Insert) ([]types.Row, error) {
 	// Resolve the column list to ordinals (positional when absent).
 	ords := make([]int, 0, len(def.Columns))
 	if len(s.Columns) == 0 {
@@ -682,28 +663,7 @@ func (db *Database) runInsert(ctx context.Context, s *sql.Insert) (*Result, erro
 		}
 		rows = append(rows, row)
 	}
-
-	t := db.txm.Begin()
-	if err := db.txm.LockTable(t, def.ID); err != nil {
-		return nil, err
-	}
-	xid, err := db.txm.Reserve(t)
-	if err != nil {
-		db.txm.Abort(t)
-		return nil, err
-	}
-	if _, err := load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid); err != nil {
-		db.cl.DiscardXid(def.ID, xid)
-		db.txm.Abort(t)
-		return nil, err
-	}
-	if err := db.txm.Publish(t); err != nil {
-		return nil, err
-	}
-	// Bump after Publish: readers capture versions before snapshotting, so
-	// a result stored under the pre-bump version never includes this write.
-	db.cat.BumpDataVersion(def.ID)
-	return &Result{Message: fmt.Sprintf("INSERT %d", len(rows))}, nil
+	return rows, nil
 }
 
 // evalConstExpr binds and evaluates a VALUES expression, which may use
@@ -756,167 +716,106 @@ func coerceInsertValue(v types.Value, t types.Type) (types.Value, error) {
 }
 
 func (db *Database) runCopy(ctx context.Context, s *sql.Copy) (*Result, error) {
-	endWrite, err := db.beginWrite()
-	if err != nil {
-		return nil, err
-	}
-	defer endWrite()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if db.cfg.DataStore == nil {
 		return nil, fmt.Errorf("core: no data store configured for COPY")
 	}
-	def, err := db.cat.Get(s.Table)
+	var start time.Time
+	var stats load.Stats
+	err := db.writeTable(ctx, s.Table, false, func(def *catalog.TableDef, xid int64) (err error) {
+		start = time.Now()
+		opts := load.Options{
+			Format:     s.Format,
+			Delimiter:  s.Delimiter,
+			CompUpdate: s.CompUpdate,
+			StatUpdate: s.StatUpdate,
+			GZip:       s.GZip,
+		}
+		stats, err = load.Run(db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	t := db.txm.Begin()
-	if err := db.txm.LockTable(t, def.ID); err != nil {
-		return nil, err
-	}
-	xid, err := db.txm.Reserve(t)
-	if err != nil {
-		db.txm.Abort(t)
-		return nil, err
-	}
-	opts := load.Options{
-		Format:     s.Format,
-		Delimiter:  s.Delimiter,
-		CompUpdate: s.CompUpdate,
-		StatUpdate: s.StatUpdate,
-		GZip:       s.GZip,
-	}
-	from := strings.TrimPrefix(s.From, "s3://")
-	start := time.Now()
-	stats, err := load.Run(db.cl, db.cat, def, db.cfg.DataStore, from, opts, xid)
-	if err != nil {
-		db.cl.DiscardXid(def.ID, xid)
-		db.txm.Abort(t)
-		return nil, err
-	}
-	if err := db.txm.Publish(t); err != nil {
-		return nil, err
-	}
-	db.cat.BumpDataVersion(def.ID)
 	return &Result{
 		Message: fmt.Sprintf("COPY %d", stats.Rows),
 		Stats:   ExecStats{ExecTime: time.Since(start), RowsScanned: stats.Rows},
 	}, nil
 }
 
-func (db *Database) runVacuum(s *sql.Vacuum) (*Result, error) {
-	endWrite, err := db.beginWrite()
+func (db *Database) runVacuum(ctx context.Context, s *sql.Vacuum) (*Result, error) {
+	defs, err := db.maintenanceTargets(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	defer endWrite()
-	db.ddlMu.Lock()
-	defer db.ddlMu.Unlock()
-	var defs []*catalog.TableDef
-	if s.Table != "" {
-		def, err := db.cat.Get(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		defs = append(defs, def)
-	} else {
-		defs = db.cat.List()
-	}
 	for _, def := range defs {
-		if err := db.vacuumTable(def); err != nil {
+		if err := db.vacuumTable(ctx, def.Name); err != nil {
 			return nil, err
 		}
 	}
 	return &Result{Message: fmt.Sprintf("VACUUM %d table(s)", len(defs))}, nil
 }
 
-// vacuumTable merges each slice's sorted runs into one fully sorted
-// segment and clears the unsorted-rows counter.
-func (db *Database) vacuumTable(def *catalog.TableDef) error {
-	t := db.txm.Begin()
-	if err := db.txm.LockTable(t, def.ID); err != nil {
-		return err
+// maintenanceTargets is VACUUM's and ANALYZE's operand: one table, or all.
+func (db *Database) maintenanceTargets(name string) ([]*catalog.TableDef, error) {
+	if name == "" {
+		return db.cat.List(), nil
 	}
-	xid, err := db.txm.Reserve(t)
-	if err != nil {
-		db.txm.Abort(t)
-		return err
-	}
-	// The table write lock is held, so every live segment of the table comes
-	// from a writer that has published, and ReplaceSegments supersedes every
-	// one of them: the merge must read them all. The contiguous-prefix
-	// snapshot (CurrentXid) would miss a writer that published under an xid
-	// later than one still unpublished on some other table, and its rows
-	// would be dropped unread. Everything on this table is older than xid.
-	snapshot := xid
-	var wg sync.WaitGroup
-	errs := make([]error, db.cl.NumSlices())
-	for sl := 0; sl < db.cl.NumSlices(); sl++ {
-		wg.Add(1)
-		go func(sl int) {
-			defer wg.Done()
-			errs[sl] = db.vacuumSlice(def, sl, snapshot, xid)
-		}(sl)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			db.cl.DiscardXid(def.ID, xid)
-			db.txm.Abort(t)
-			return err
-		}
-	}
-	if err := db.txm.Publish(t); err != nil {
-		return err
-	}
-	db.cl.PruneDropped(db.txm.OldestActiveSnapshot())
-	// VACUUM rebuilds each slice as a fresh Seq-0 segment, reusing block
-	// identities with new content — the cached decodes are stale.
-	db.cache.InvalidateTable(def.ID)
-	stats, err := db.cat.Stats(def.ID)
-	if err != nil {
-		return err
-	}
-	stats.UnsortedRows = 0
-	if err := db.cat.ReplaceStats(def.ID, stats); err != nil {
-		return err
-	}
-	db.cat.BumpDataVersion(def.ID)
-	return nil
+	def, err := db.cat.Get(name)
+	return []*catalog.TableDef{def}, err
 }
 
-func (db *Database) vacuumSlice(def *catalog.TableDef, sl int, snapshot, xid int64) error {
-	segs := db.cl.VisibleSegments(sl, def.ID, snapshot)
+// vacuumTable merges each slice's sorted runs into one fully sorted
+// segment and clears the unsorted-rows counter.
+func (db *Database) vacuumTable(ctx context.Context, name string) error {
+	return db.writeTable(ctx, name, true, func(def *catalog.TableDef, xid int64) error {
+		var wg sync.WaitGroup
+		errs := make([]error, db.cl.NumSlices())
+		for sl := range errs {
+			wg.Add(1)
+			go func(sl int) {
+				defer wg.Done()
+				errs[sl] = db.vacuumSlice(def, sl, xid)
+			}(sl)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		stats, err := db.cat.Stats(def.ID)
+		if err != nil {
+			return err
+		}
+		stats.UnsortedRows = 0
+		return db.cat.ReplaceStats(def.ID, stats)
+	})
+}
+
+// vacuumSlice rewrites one slice's runs as the single segment xid names.
+// It reads at xid, not through a read view: under the table write lock
+// every live segment comes from a writer that has published, and
+// ReplaceSegments supersedes them all, so the merge must read them all. A
+// view's contiguous-prefix snapshot would miss a writer that published past
+// one still unpublished on another table, and drop its rows unread.
+func (db *Database) vacuumSlice(def *catalog.TableDef, sl int, xid int64) error {
+	segs := db.cl.VisibleSegments(sl, def.ID, xid)
 	if len(segs) <= 1 && (len(segs) == 0 || segs[0].Sorted) {
 		return nil // already a single sorted run
 	}
 	var rows []types.Row
 	for _, seg := range segs {
-		segRows, err := readSegmentRows(seg, db.cl)
+		segRows, err := seg.ReadRows(db.cl.FetchBlock)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, segRows...)
 	}
-	sorted, err := load.SortRows(def, rows)
+	w, err := load.NewSegmentWriter(db.cl, db.cat, def, rows, xid)
 	if err != nil {
 		return err
 	}
-	encs, err := db.cat.Encodings(def.ID)
-	if err != nil {
-		return err
-	}
-	b, err := storage.NewBuilder(def.ID, int32(sl), 0, def.Schema(), encs, db.cl.Config().BlockCap)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := b.Append(r); err != nil {
-			return err
-		}
-	}
-	seg, err := b.Finish(sorted || def.SortStyle == catalog.SortNone)
+	seg, err := w.Write(sl, rows)
 	if err != nil {
 		return err
 	}
@@ -924,56 +823,19 @@ func (db *Database) vacuumSlice(def *catalog.TableDef, sl int, snapshot, xid int
 	return nil
 }
 
-// readSegmentRows decodes every row of a segment, page-faulting evicted
-// blocks through the cluster.
-func readSegmentRows(seg *storage.Segment, cl *cluster.Cluster) ([]types.Row, error) {
-	cols := make([]*types.Vector, seg.Schema.Len())
-	for c := range cols {
-		out := types.NewVector(seg.Schema.Columns[c].Type, seg.Rows)
-		for _, blk := range seg.Cols[c] {
-			v, err := blk.Decode()
-			if err != nil {
-				if ferr := cl.FetchBlock(blk); ferr != nil {
-					return nil, ferr
-				}
-				if v, err = blk.Decode(); err != nil {
-					return nil, err
-				}
-			}
-			for i := 0; i < v.Len(); i++ {
-				out.Append(v.Get(i))
-			}
-		}
-		cols[c] = out
-	}
-	rows := make([]types.Row, seg.Rows)
-	for i := range rows {
-		row := make(types.Row, len(cols))
-		for c, v := range cols {
-			row[c] = v.Get(i)
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
 // ReadTable returns every logical row of a table visible right now —
-// resize's node-to-node copy and the admin tools use it. DISTSTYLE ALL
-// tables are read from one node only, so duplicated copies count once.
+// resize's node-to-node copy and the admin tools use it.
 func (db *Database) ReadTable(name string) ([]types.Row, error) {
 	def, err := db.cat.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	snapshot := db.txm.CurrentXid()
-	slices := db.cl.NumSlices()
-	if def.DistStyle == catalog.DistAll {
-		slices = db.cl.Config().SlicesPerNode // first node's copy only
-	}
+	view := db.beginRead(nil)
+	defer view.release()
 	var rows []types.Row
-	for sl := 0; sl < slices; sl++ {
-		for _, seg := range db.cl.VisibleSegments(sl, def.ID, snapshot) {
-			segRows, err := readSegmentRows(seg, db.cl)
+	for _, segs := range view.tableSegments(def) {
+		for _, seg := range segs {
+			segRows, err := seg.ReadRows(db.cl.FetchBlock)
 			if err != nil {
 				return nil, err
 			}
@@ -983,38 +845,42 @@ func (db *Database) ReadTable(name string) ([]types.Row, error) {
 	return rows, nil
 }
 
-func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
-	var defs []*catalog.TableDef
-	if s.Table != "" {
-		def, err := db.cat.Get(s.Table)
-		if err != nil {
-			return nil, err
+// ReplaceTable atomically replaces the named table's contents with rows —
+// how an online resize installs a table on the target. Old segments are
+// superseded and the copy appended under one xid: readers never see a half
+// table, and a failure discards the attempt wholesale (idempotent retries).
+func (db *Database) ReplaceTable(name string, rows []types.Row) error {
+	return db.writeTable(context.Background(), name, true, func(def *catalog.TableDef, xid int64) error {
+		if err := db.supersedeAll(def, xid); err != nil {
+			return err
 		}
-		defs = append(defs, def)
-	} else {
-		defs = db.cat.List()
+		_, err := load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid)
+		return err
+	})
+}
+
+func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
+	defs, err := db.maintenanceTargets(s.Table)
+	if err != nil {
+		return nil, err
 	}
 	if s.Compression {
 		return db.analyzeCompression(defs)
 	}
-	snapshot := db.txm.CurrentXid()
+	view := db.beginRead(nil)
+	defer view.release()
 	for _, def := range defs {
 		// Per-segment streaming: compute each segment's stats in isolation
 		// and Merge into the running total, so ANALYZE's memory is bounded
 		// by one segment regardless of table size. The merge is lossless
-		// because ColumnStats carries the HLL sketch bytes.
-		slices := db.cl.NumSlices()
-		if def.DistStyle == catalog.DistAll {
-			// A replicated table is duplicated per node; scanning one node's
-			// copy yields logical counters directly (Rows, NullCount,
-			// UnsortedRows), instead of replica-multiplied ones that then
-			// need dividing.
-			slices = db.cl.Config().SlicesPerNode
-		}
+		// because ColumnStats carries the HLL sketch bytes. A replicated
+		// table is scanned on one node only, which yields logical counters
+		// directly (Rows, NullCount, UnsortedRows) instead of
+		// replica-multiplied ones that then need dividing.
 		stats := catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}
-		for sl := 0; sl < slices; sl++ {
-			for si, seg := range db.cl.VisibleSegments(sl, def.ID, snapshot) {
-				segRows, err := readSegmentRows(seg, db.cl)
+		for _, segs := range view.tableSegments(def) {
+			for si, seg := range segs {
+				segRows, err := seg.ReadRows(db.cl.FetchBlock)
 				if err != nil {
 					return nil, err
 				}
@@ -1050,18 +916,19 @@ func (db *Database) analyzeCompression(defs []*catalog.TableDef) (*Result, error
 			types.Column{Name: "est_reduction_pct", Type: types.Float64},
 		),
 	}
-	snapshot := db.txm.CurrentXid()
+	view := db.beginRead(nil)
+	defer view.release()
 	for _, def := range defs {
 		for ci, col := range def.Columns {
 			sample := types.NewVector(col.Type, 0)
 			for sl := 0; sl < db.cl.NumSlices() && sample.Len() < 4096; sl++ {
-				for _, seg := range db.cl.VisibleSegments(sl, def.ID, snapshot) {
+				for _, seg := range view.segments(sl, def.ID) {
 					if seg.NumBlocks() == 0 {
 						continue
 					}
-					v, err := seg.Block(ci, 0).Decode()
+					v, err := seg.Block(ci, 0).Read(db.cl.FetchBlock)
 					if err != nil {
-						continue
+						return nil, err
 					}
 					for i := 0; i < v.Len() && sample.Len() < 4096; i++ {
 						sample.Append(v.Get(i))

@@ -38,11 +38,11 @@ const (
 
 // queryRun carries one SELECT's execution state.
 type queryRun struct {
-	db       *Database
-	p        *plan.Plan
-	mode     exec.Mode
-	snapshot int64
-	scans    *exec.ScanStats
+	db    *Database
+	p     *plan.Plan
+	mode  exec.Mode
+	scans *exec.ScanStats
+	view  *readView // nil for system-table queries, which read no segments
 	// qid is the stl_query id (0 for system-table queries); reqDOP is the
 	// session's SET max_parallel_workers override (-1 = automatic).
 	qid    int64
@@ -620,14 +620,14 @@ func (q *queryRun) scanPipeline(n *plan.PhysNode, statSlice, workers int) (*exec
 		if err != nil {
 			return nil, err
 		}
-		// The cache epoch must be sampled before the segments are resolved.
+		// Before the segments are resolved below: beginRead, step 3.
 		sc.SetCache(q.db.cache)
 		sc.SetFaults(q.db.inj)
 		scanners[w] = sc
 	}
 	p := q.newPipeline(n)
 	p.Scan = &exec.ScanSource{
-		Queue:    exec.NewMorselQueue(q.db.cl.VisibleSegments(statSlice, n.Scan.Def.ID, q.snapshot)),
+		Queue:    exec.NewMorselQueue(q.view.segments(statSlice, n.Scan.Def.ID)),
 		Scanners: scanners,
 	}
 	return p, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"redshift/internal/sql"
@@ -27,7 +28,8 @@ type MaintenancePolicy struct {
 	// runs than this (default 4) — many small runs degrade zone-map
 	// pruning even when each is individually sorted.
 	MaxRunsPerSlice int
-	// OnlyWhenIdle defers the pass while transactions are in flight.
+	// OnlyWhenIdle defers the pass while any writer or reader is in flight
+	// (both hold a registered transaction for as long as they run).
 	OnlyWhenIdle bool
 }
 
@@ -57,21 +59,9 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 		if err != nil {
 			return report, err
 		}
-		needsVacuum := false
-		if stats.Rows > 0 && float64(stats.UnsortedRows)/float64(stats.Rows) > policy.UnsortedFraction {
-			needsVacuum = true
-		}
-		if !needsVacuum {
-			snapshot := db.txm.CurrentXid()
-			for sl := 0; sl < db.cl.NumSlices(); sl++ {
-				if len(db.cl.VisibleSegments(sl, def.ID, snapshot)) > policy.MaxRunsPerSlice {
-					needsVacuum = true
-					break
-				}
-			}
-		}
-		if needsVacuum {
-			if err := db.vacuumTable(def); err != nil {
+		unsorted := stats.Rows > 0 && float64(stats.UnsortedRows)/float64(stats.Rows) > policy.UnsortedFraction
+		if unsorted || db.maxRunsPerSlice(def.ID) > policy.MaxRunsPerSlice {
+			if err := db.vacuumTable(context.Background(), def.Name); err != nil {
 				return report, fmt.Errorf("core: auto-vacuum %s: %w", def.Name, err)
 			}
 			report.Vacuumed = append(report.Vacuumed, def.Name)
@@ -79,7 +69,7 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 		// Missing statistics despite visible data → ANALYZE. (COPY keeps
 		// stats fresh, so this catches tables populated with STATUPDATE
 		// OFF or restored from old backups.)
-		if stats.Rows == 0 && db.tableHasData(def.ID) {
+		if stats.Rows == 0 && db.maxRunsPerSlice(def.ID) > 0 {
 			if _, err := db.runAnalyze(&sql.Analyze{Table: def.Name}); err != nil {
 				return report, fmt.Errorf("core: auto-analyze %s: %w", def.Name, err)
 			}
@@ -89,12 +79,15 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 	return report, nil
 }
 
-func (db *Database) tableHasData(id int64) bool {
-	snapshot := db.txm.CurrentXid()
+// maxRunsPerSlice is the most segments any slice holds of a table (0: none).
+func (db *Database) maxRunsPerSlice(id int64) int {
+	view := db.beginRead(nil)
+	defer view.release()
+	most := 0
 	for sl := 0; sl < db.cl.NumSlices(); sl++ {
-		if len(db.cl.VisibleSegments(sl, id, snapshot)) > 0 {
-			return true
+		if n := len(view.segments(sl, id)); n > most {
+			most = n
 		}
 	}
-	return false
+	return most
 }

@@ -134,15 +134,15 @@ func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.S
 	defer db.wlm.ReleaseTicket(ticket)
 	rec.Queue, rec.QueueWait = ticket.Queue, ticket.Wait
 
-	// Pin the referenced tables' data versions BEFORE taking the txn
-	// snapshot (writers bump AFTER publishing): anything published after
-	// this point either misses the snapshot too, or bumps a version and
-	// invalidates the entry we are about to store. Either way a future
-	// version-matched hit can never be staler than re-executing.
-	var verKey []tableVersion
+	// The read view opens once the slot is held, so a query waiting in the
+	// WLM queue neither holds the prune horizon back nor reads a snapshot
+	// older than its admission.
+	var pin *plan.Plan
 	if cacheable {
-		verKey = db.captureTableVersions(p)
+		pin = p
 	}
+	view := db.beginRead(pin)
+	defer view.release()
 
 	// Memory governance: the query's grant comes from work_mem (session
 	// override) or the admitting queue's per-slot budget; the tracker
@@ -163,7 +163,7 @@ func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.S
 		db:       db,
 		p:        p,
 		mode:     db.cfg.Mode,
-		snapshot: db.txm.CurrentXid(),
+		view:     view,
 		scans:    &exec.ScanStats{},
 		qid:      qid,
 		reqDOP:   sess.maxParallel.Load(),
@@ -203,7 +203,7 @@ func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.S
 		res.Rows = append(res.Rows, final.Row(i))
 	}
 	if cacheable {
-		db.resultStore(norm, res, verKey)
+		db.resultStore(norm, res, view.versions)
 	}
 	db.recordQuery(rec, res)
 	return res, rec.Trace, nil

@@ -158,13 +158,13 @@ func (s *Session) dispatch(ctx context.Context, stmt sql.Statement) (*Result, er
 	case *sql.DropTable:
 		return db.runDropTable(st)
 	case *sql.Truncate:
-		return db.runTruncate(st)
+		return db.runTruncate(ctx, st)
 	case *sql.Insert:
 		return db.runInsert(ctx, st)
 	case *sql.Copy:
 		return db.runCopy(ctx, st)
 	case *sql.Vacuum:
-		return db.runVacuum(st)
+		return db.runVacuum(ctx, st)
 	case *sql.Analyze:
 		return db.runAnalyze(st)
 	case *sql.Set:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -57,24 +56,6 @@ func seedSpillWide(t *testing.T, db *Database, rows int) {
 	mustExec(t, db, `COPY wide FROM 's3://lake/wide/'`)
 }
 
-// assertSpillHygiene checks the invariants every query exit path must
-// restore: tracked memory back to zero, no pooled batch in flight, and no
-// per-query scratch directory left on disk.
-func assertSpillHygiene(t *testing.T, db *Database, dir string) {
-	t.Helper()
-	if n := db.metrics.Gauge("exec_mem_bytes").Value(); n != 0 {
-		t.Errorf("exec_mem_bytes = %d after queries finished, want 0", n)
-	}
-	assertNoBatchLeaks(t, db)
-	ents, err := os.ReadDir(dir)
-	if err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		t.Errorf("leftover scratch entry %s in %s", e.Name(), dir)
-	}
-}
-
 // TestSpillSuccessReleasesEverything: governed queries that spill on every
 // blocking operator still drain clean — memory, batches and scratch files.
 func TestSpillSuccessReleasesEverything(t *testing.T) {
@@ -98,7 +79,7 @@ func TestSpillSuccessReleasesEverything(t *testing.T) {
 	if n := db.metrics.Counter("spilled_queries_total").Value(); n < 3 {
 		t.Errorf("spilled_queries_total = %d, want >= 3", n)
 	}
-	assertSpillHygiene(t, db, dir)
+	assertQuiescent(t, db)
 }
 
 // abortMidSpill starts a slow spilling query, waits until spill bytes have
@@ -171,7 +152,7 @@ func TestSpillCancelMidSpillCleansUp(t *testing.T) {
 	if res.Rows[0][0].I != 40000 {
 		t.Errorf("post-cancel count = %d, want 40000", res.Rows[0][0].I)
 	}
-	assertSpillHygiene(t, db, dir)
+	assertQuiescent(t, db)
 }
 
 // TestSpillCancelMidLeaderSortCleansUp: CANCEL lands while the leader's
@@ -189,12 +170,12 @@ func TestSpillCancelMidLeaderSortCleansUp(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("query cancelled mid-leader-sort returned err = %v", err)
 	}
-	assertSpillHygiene(t, db, dir)
+	assertQuiescent(t, db)
 	res := mustExec(t, db, `SELECT id FROM wide ORDER BY id LIMIT 3`)
 	if len(res.Rows) != 3 || res.Rows[2][0].I != 2 {
 		t.Errorf("post-cancel rows = %v", res.Rows)
 	}
-	assertSpillHygiene(t, db, dir)
+	assertQuiescent(t, db)
 }
 
 // TestSpillTimeoutMidSpillCleansUp: same invariants when the abort comes
@@ -228,7 +209,7 @@ func TestSpillTimeoutMidSpillCleansUp(t *testing.T) {
 	if res.Rows[0][0].I != 20000 {
 		t.Errorf("post-timeout count = %d, want 20000", res.Rows[0][0].I)
 	}
-	assertSpillHygiene(t, db, dir)
+	assertQuiescent(t, db)
 }
 
 // TestStvQueryMemoryVisibility: an in-flight governed query is observable
@@ -269,5 +250,5 @@ func TestStvQueryMemoryVisibility(t *testing.T) {
 	if n := res.Rows[0][0].I; n != 0 {
 		t.Errorf("stv_query_memory rows after completion = %d, want 0", n)
 	}
-	assertSpillHygiene(t, db, dir)
+	assertQuiescent(t, db)
 }

@@ -129,9 +129,7 @@ func TestBatchesInFlightHighWater(t *testing.T) {
 	if peak >= scanBatches/2 {
 		t.Errorf("peak %d not clearly below scan batch count %d: intermediates look materialized", peak, scanBatches)
 	}
-	if live := db.metrics.Gauge("exec_batches_in_flight").Value(); live != 0 {
-		t.Errorf("live in-flight gauge = %d after query, want 0", live)
-	}
+	assertQuiescent(t, db)
 }
 
 // Concurrent SELECTs drive many per-slice pipelines (and their exchange

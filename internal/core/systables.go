@@ -475,12 +475,11 @@ func (db *Database) runSystemSelect(ctx context.Context, s *sql.Select) (*Result
 		return nil, err
 	}
 	q := &queryRun{
-		db:       db,
-		p:        p,
-		mode:     db.cfg.Mode,
-		snapshot: db.txm.CurrentXid(),
-		scans:    &exec.ScanStats{},
-		sys:      sys,
+		db:    db,
+		p:     p,
+		mode:  db.cfg.Mode,
+		scans: &exec.ScanStats{},
+		sys:   sys,
 	}
 	final, err := q.execute(ctx)
 	if err != nil {

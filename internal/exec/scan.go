@@ -58,9 +58,7 @@ type Scanner struct {
 	cache      *storage.BlockCache
 	tableID    int64
 	// epoch is the table's cache-invalidation epoch sampled at SetCache
-	// time — before the caller resolves visible segments — so a scan racing
-	// a VACUUM rewrite can neither read nor re-insert stale vectors under
-	// reused block identities.
+	// time, before the caller resolves visible segments (storage.BlockCache).
 	epoch uint64
 	// inj fires the storage.read.primary site before each decode — an
 	// injected error is treated as a local media failure and fails over

@@ -77,26 +77,17 @@ func Run(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	stats.Rows = int64(len(rows))
 
 	set, err := AppendRows(c, cat, def, rows, opts, xid)
-	if err != nil {
-		return stats, err
-	}
-	stats.Segments = set.Segments
-	stats.EncodingsSet = set.EncodingsSet
-	return stats, nil
-}
-
-// AppendStats reports what AppendRows did.
-type AppendStats struct {
-	Segments     int
-	EncodingsSet bool
+	stats.Segments, stats.EncodingsSet = set.Segments, set.EncodingsSet
+	return stats, err
 }
 
 // AppendRows distributes, locally sorts, encodes and commits rows — the
-// shared write path of COPY and INSERT.
+// shared write path of COPY and INSERT. Of the Stats it fills in Segments
+// and EncodingsSet.
 func AppendRows(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
-	rows []types.Row, opts Options, xid int64) (AppendStats, error) {
+	rows []types.Row, opts Options, xid int64) (Stats, error) {
 
-	var out AppendStats
+	var out Stats
 	if len(rows) == 0 {
 		return out, nil
 	}
@@ -119,23 +110,14 @@ func AppendRows(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 		out.EncodingsSet = true
 	}
 
-	encs, err := cat.Encodings(def.ID)
-	if err != nil {
-		return out, err
-	}
-	// Distribute per DISTSTYLE, then sort each slice's share locally.
+	// Distribute per DISTSTYLE, then sort and encode each slice's share.
 	parts := c.DistributeRows(def, rows)
-	sorter, err := newSorter(def, rows)
+	w, err := NewSegmentWriter(c, cat, def, rows, xid)
 	if err != nil {
 		return out, err
 	}
-
-	type result struct {
-		slice int
-		seg   *storage.Segment
-		err   error
-	}
-	results := make(chan result, len(parts))
+	segs := make([]*storage.Segment, len(parts))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for s, part := range parts {
 		if len(part) == 0 {
@@ -144,34 +126,18 @@ func AppendRows(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 		wg.Add(1)
 		go func(s int, part []types.Row) {
 			defer wg.Done()
-			sorter.sort(part)
-			seq := int32(len(c.VisibleSegments(s, def.ID, 1<<62)))
-			b, err := storage.NewBuilder(def.ID, int32(s), seq, def.Schema(), encs, c.Config().BlockCap)
-			if err != nil {
-				results <- result{err: err}
-				return
-			}
-			for _, r := range part {
-				if err := checkNotNull(def, r); err != nil {
-					results <- result{err: err}
-					return
-				}
-				if err := b.Append(r); err != nil {
-					results <- result{err: err}
-					return
-				}
-			}
-			seg, err := b.Finish(sorter.sorted)
-			results <- result{slice: s, seg: seg, err: err}
+			segs[s], errs[s] = w.Write(s, part)
 		}(s, part)
 	}
 	wg.Wait()
-	close(results)
-	for r := range results {
-		if r.err != nil {
-			return out, r.err
+	for s, seg := range segs {
+		if errs[s] != nil {
+			return out, errs[s]
 		}
-		if err := c.AppendSegment(r.slice, r.seg, xid); err != nil {
+		if seg == nil {
+			continue
+		}
+		if err := c.AppendSegment(s, seg, xid); err != nil {
 			return out, err
 		}
 		out.Segments++
@@ -193,14 +159,54 @@ func AppendRows(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	return out, nil
 }
 
-// checkNotNull enforces NOT NULL constraints at load time.
-func checkNotNull(def *catalog.TableDef, r types.Row) error {
-	for i, col := range def.Columns {
-		if col.NotNull && r[i].Null {
-			return fmt.Errorf("load: null value in NOT NULL column %s", col.Name)
+// SegmentWriter turns each slice's share of one write into that slice's
+// new segment: the only place segments are built, for loads and VACUUM.
+type SegmentWriter struct {
+	def    *catalog.TableDef
+	encs   []compress.Encoding
+	cap    int
+	xid    int64
+	sorter *sorter
+}
+
+// NewSegmentWriter prepares the write committing under xid. all is where an
+// interleaved sort key's value ranges come from: the load batch, or the
+// slice's rows when VACUUM rewrites one slice.
+func NewSegmentWriter(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
+	all []types.Row, xid int64) (*SegmentWriter, error) {
+
+	encs, err := cat.Encodings(def.ID)
+	if err != nil {
+		return nil, err
+	}
+	sorter, err := newSorter(def, all)
+	if err != nil {
+		return nil, err
+	}
+	return &SegmentWriter{def: def, encs: encs, cap: c.Config().BlockCap, xid: xid, sorter: sorter}, nil
+}
+
+// Write sorts rows locally (in place), enforces NOT NULL and encodes them
+// into the slice's segment, numbered by the writing xid: a writer registers
+// at most one segment per table and slice and an xid is handed out once, so
+// a BlockID never names two different contents.
+func (w *SegmentWriter) Write(slice int, rows []types.Row) (*storage.Segment, error) {
+	w.sorter.sort(rows)
+	b, err := storage.NewBuilder(w.def.ID, int32(slice), int32(w.xid), w.def.Schema(), w.encs, w.cap)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		for i, col := range w.def.Columns {
+			if col.NotNull && r[i].Null {
+				return nil, fmt.Errorf("load: null value in NOT NULL column %s", col.Name)
+			}
+		}
+		if err := b.Append(r); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return b.Finish(w.sorter.sorted || w.def.SortStyle == catalog.SortNone)
 }
 
 // parseObjects reads and parses source objects with bounded parallelism.
@@ -421,17 +427,6 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// SortRows orders rows per the table's SORTKEY in place and reports
-// whether the table defines a sort at all — VACUUM's re-sort step.
-func SortRows(def *catalog.TableDef, rows []types.Row) (bool, error) {
-	s, err := newSorter(def, rows)
-	if err != nil {
-		return false, err
-	}
-	s.sort(rows)
-	return s.sorted, nil
 }
 
 // sorter orders a slice's rows per the table's SORTKEY.

@@ -127,12 +127,12 @@ func TestCopySortsLocallyBySortkey(t *testing.T) {
 			if !seg.Sorted {
 				t.Fatal("segment not marked sorted")
 			}
-			col, err := seg.ReadColumn(0)
+			rows, err := seg.ReadRows(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i < col.Len(); i++ {
-				if col.Ints[i] < col.Ints[i-1] {
+			for i := 1; i < len(rows); i++ {
+				if rows[i][0].I < rows[i-1][0].I {
 					t.Fatalf("slice %d not sorted at %d", s, i)
 				}
 			}
@@ -351,13 +351,13 @@ func TestLoadDistributionRespectsKey(t *testing.T) {
 	// Every segment on a slice must contain only user_ids hashing there.
 	for s := 0; s < c.NumSlices(); s++ {
 		for _, seg := range c.VisibleSegments(s, def.ID, 1<<60) {
-			col, err := seg.ReadColumn(1)
+			rows, err := seg.ReadRows(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < col.Len(); i++ {
-				if want := c.TargetSliceKey(col.Get(i)); want != s {
-					t.Fatalf("user_id %d on slice %d, expected %d", col.Ints[i], s, want)
+			for _, r := range rows {
+				if want := c.TargetSliceKey(r[1]); want != s {
+					t.Fatalf("user_id %d on slice %d, expected %d", r[1].I, s, want)
 				}
 			}
 		}

@@ -28,7 +28,7 @@ const BlockCap = 4096
 type BlockID struct {
 	Table   int64 // table id from the catalog
 	Slice   int32 // owning slice
-	Segment int32 // sorted run within the slice's shard
+	Segment int32 // sorted run within the slice's shard: the xid that wrote it
 	Column  int32 // column ordinal
 	Index   int32 // position in the column chain
 }
@@ -146,6 +146,19 @@ func (b *Block) Decode() (*types.Vector, error) {
 		return nil, fmt.Errorf("storage: block %s decoded %d rows, expected %d", b.ID, v.Len(), b.Rows)
 	}
 	return v, nil
+}
+
+// Read decodes the block, page-faulting its payload through fetch when it
+// does not decode where it lies (evicted by a node loss, or not yet
+// streamed in by a restore). A nil fetch needs the block resident.
+func (b *Block) Read(fetch func(*Block) error) (*types.Vector, error) {
+	if v, err := b.Decode(); err == nil || fetch == nil {
+		return v, err
+	}
+	if err := fetch(b); err != nil {
+		return nil, err
+	}
+	return b.Decode()
 }
 
 // ByteSize returns the encoded size of the block (0 when evicted).

@@ -11,20 +11,17 @@ import (
 // BlockCache is a node-level, byte-budgeted cache of decoded column
 // vectors, keyed by BlockID. Blocks are immutable values once sealed
 // (content-hash pinned), so a decoded vector stays valid across
-// Evict/Fill page-fault cycles — the only coherence events are DDL that
-// reuses block identities (DROP TABLE, TRUNCATE, VACUUM's segment
-// rewrite), handled by InvalidateTable.
+// Evict/Fill page-fault cycles, and a BlockID is never given to a second
+// block: segments are numbered by the xid that wrote them (DESIGN.md
+// "Commit protocol"). InvalidateTable therefore reclaims memory — the
+// entries of superseded or dropped segments — rather than coherence.
 //
-// Invalidation is epoch-fenced: InvalidateTable bumps the table's epoch
-// as well as dropping its entries, and readers carry the epoch they
-// sampled BEFORE resolving their visible segments. A reader whose scan
-// started against pre-invalidation segments then fails the epoch check on
-// both Get and Put — it can neither be served a new-identity vector for
-// its old blocks nor re-insert an old decode under an identity the
-// rewrite reused (the stale-reader poisoning race: without the fence, a
-// scan concurrent with VACUUM could cache an old block's vector after the
-// invalidation ran, and every later reader of the rewritten block would
-// hit it).
+// Invalidation is also epoch-fenced, a second line of defence should a
+// writer ever reuse an identity: InvalidateTable bumps the table's epoch,
+// and readers carry the epoch they sampled BEFORE resolving their visible
+// segments. A scan that started against pre-invalidation segments fails
+// the epoch check on both Get and Put — it is neither served another
+// generation's vector nor re-inserts an old decode afterwards.
 //
 // Eviction is LRU over a byte budget. All methods are safe for
 // concurrent use by slice goroutines, and nil-receiver safe so a
@@ -103,8 +100,8 @@ func (c *BlockCache) Get(id BlockID, epoch uint64) (*types.Vector, bool) {
 // Put caches a decoded vector, evicting least-recently-used entries
 // until the byte budget holds. Vectors larger than the whole budget are
 // not cached, and a Put whose sampled epoch is no longer the table's
-// current one is dropped — its content belongs to a block identity that
-// has since been rewritten. The caller must not mutate v after Put.
+// current one is dropped — its block belongs to a segment that has since
+// been superseded. The caller must not mutate v after Put.
 func (c *BlockCache) Put(id BlockID, v *types.Vector, epoch uint64) {
 	if c == nil || v == nil {
 		return
@@ -146,10 +143,9 @@ func (c *BlockCache) evictOldestLocked() {
 }
 
 // InvalidateTable drops every cached block of one table and bumps its
-// epoch — DROP TABLE, TRUNCATE and VACUUM can reuse that table's block
-// identities with new content, and the epoch bump fences out readers
-// whose scans started before the rewrite (their Gets and Puts no longer
-// match).
+// epoch — DROP TABLE, TRUNCATE and VACUUM leave entries nobody will ask
+// for again, and the epoch bump fences out readers whose scans started
+// before the rewrite (their Gets and Puts no longer match).
 func (c *BlockCache) InvalidateTable(tableID int64) {
 	if c == nil {
 		return

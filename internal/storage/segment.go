@@ -53,19 +53,27 @@ func (s *Segment) Blocks(fn func(*Block)) {
 	}
 }
 
-// ReadColumn decodes the full chain of one column, for tests and VACUUM.
-func (s *Segment) ReadColumn(c int) (*types.Vector, error) {
-	out := types.NewVector(s.Schema.Columns[c].Type, s.Rows)
-	for _, b := range s.Cols[c] {
-		v, err := b.Decode()
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < v.Len(); i++ {
-			out.Append(v.Get(i))
+// ReadRows decodes every row of the segment — the one whole-segment reader
+// (VACUUM, ANALYZE, ReadTable) — page-faulting through fetch (Block.Read).
+func (s *Segment) ReadRows(fetch func(*Block) error) ([]types.Row, error) {
+	rows := make([]types.Row, s.Rows)
+	for i := range rows {
+		rows[i] = make(types.Row, len(s.Cols))
+	}
+	for c, chain := range s.Cols {
+		at := 0
+		for _, b := range chain {
+			v, err := b.Read(fetch)
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < v.Len(); i++ {
+				rows[at][c] = v.Get(i)
+				at++
+			}
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
 // Builder accumulates rows into a segment, sealing aligned blocks as each

@@ -201,12 +201,12 @@ func TestBuilderAlignedChains(t *testing.T) {
 	if v.Ints[7] != 17 {
 		t.Errorf("row 17 id = %d", v.Ints[7])
 	}
-	col, err := seg.ReadColumn(0)
+	all, err := seg.ReadRows(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Len() != rows || col.Ints[34] != 34 {
-		t.Error("ReadColumn wrong")
+	if len(all) != rows || all[34][0].I != 34 {
+		t.Error("ReadRows wrong")
 	}
 	if !seg.Sorted {
 		t.Error("Sorted flag lost")

@@ -88,25 +88,6 @@ func (m *Manager) LockTable(t *Txn, tableID int64) error {
 	}
 }
 
-// TryLockTable is the non-blocking variant: a held lock is an immediate
-// serialization failure (DDL paths that must not queue).
-func (m *Manager) TryLockTable(t *Txn, tableID int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t.done {
-		return fmt.Errorf("txn %d: already finished", t.ID)
-	}
-	holder, held := m.writeLocks[tableID]
-	if held && holder != t.ID {
-		return fmt.Errorf("txn %d: serialization failure: table %d is write-locked by txn %d", t.ID, tableID, holder)
-	}
-	if !held {
-		m.writeLocks[tableID] = t.ID
-		t.locked = append(t.locked, tableID)
-	}
-	return nil
-}
-
 // Reserve assigns the transaction's commit xid without publishing it:
 // segments registered under the xid stay invisible to every snapshot until
 // Publish. The caller must keep its table locks until Publish or Abort, so
@@ -154,20 +135,6 @@ func (m *Manager) advanceLocked() {
 		delete(m.published, m.commitXid+1)
 		m.commitXid++
 	}
-}
-
-// Commit is Reserve+Publish for writers whose data is registered before
-// anyone could observe it (INSERT-path bootstrap, tests). It returns the
-// published commit xid.
-func (m *Manager) Commit(t *Txn) (int64, error) {
-	if _, err := m.Reserve(t); err != nil {
-		return 0, err
-	}
-	xid := t.reserved
-	if err := m.Publish(t); err != nil {
-		return 0, err
-	}
-	return xid, nil
 }
 
 // Abort releases the transaction. If it had reserved a commit xid, the

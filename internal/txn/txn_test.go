@@ -6,13 +6,23 @@ import (
 	"time"
 )
 
+// commit reserves and publishes in one step, the way a writer with nothing
+// to register would; it returns the published xid.
+func commit(m *Manager, t *Txn) (int64, error) {
+	xid, err := m.Reserve(t)
+	if err != nil {
+		return 0, err
+	}
+	return xid, m.Publish(t)
+}
+
 func TestSnapshotVisibility(t *testing.T) {
 	m := NewManager()
 	t1 := m.Begin()
 	if t1.Snapshot != 0 {
 		t.Errorf("first snapshot = %d", t1.Snapshot)
 	}
-	xid, err := m.Commit(t1)
+	xid, err := commit(m, t1)
 	if err != nil || xid != 1 {
 		t.Fatalf("commit = %d, %v", xid, err)
 	}
@@ -23,7 +33,7 @@ func TestSnapshotVisibility(t *testing.T) {
 	// A transaction beginning before t3 commits must not see t3's xid.
 	t3 := m.Begin()
 	t4 := m.Begin()
-	x3, _ := m.Commit(t3)
+	x3, _ := commit(m, t3)
 	if t4.Snapshot >= x3 {
 		t.Errorf("t4 snapshot %d sees t3 commit %d", t4.Snapshot, x3)
 	}
@@ -40,15 +50,11 @@ func TestWriteLockConflict(t *testing.T) {
 	if err := m.LockTable(a, 7); err != nil {
 		t.Fatal(err)
 	}
-	// The non-blocking variant reports the conflict immediately.
-	if err := m.TryLockTable(b, 7); err == nil {
-		t.Fatal("conflicting try-lock granted")
-	}
 	// Another table is unaffected.
 	if err := m.LockTable(b, 8); err != nil {
 		t.Fatal(err)
 	}
-	// The blocking variant queues until a commits.
+	// A second writer of the same table queues until a commits.
 	acquired := make(chan error, 1)
 	go func() { acquired <- m.LockTable(b, 7) }()
 	select {
@@ -56,7 +62,7 @@ func TestWriteLockConflict(t *testing.T) {
 		t.Fatalf("queued lock returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, err := m.Commit(a); err != nil {
+	if _, err := commit(m, a); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -91,12 +97,12 @@ func TestAbortReleasesLocksWithoutCommit(t *testing.T) {
 func TestDoubleFinish(t *testing.T) {
 	m := NewManager()
 	a := m.Begin()
-	m.Commit(a)
-	if _, err := m.Commit(a); err == nil {
+	commit(m, a)
+	if _, err := commit(m, a); err == nil {
 		t.Error("double commit accepted")
 	}
 	m.Abort(a) // no-op, must not panic
-	if err := m.TryLockTable(a, 1); err == nil {
+	if err := m.LockTable(a, 1); err == nil {
 		t.Error("lock on finished txn accepted")
 	}
 }
@@ -111,7 +117,7 @@ func TestSetCommitXidForRestore(t *testing.T) {
 	if m.CurrentXid() != 500 {
 		t.Error("SetCommitXid rolled backwards")
 	}
-	x, _ := m.Commit(m.Begin())
+	x, _ := commit(m, m.Begin())
 	if x != 501 {
 		t.Errorf("next commit = %d", x)
 	}
@@ -127,7 +133,7 @@ func TestConcurrentCommitsMonotonic(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tx := m.Begin()
-			x, err := m.Commit(tx)
+			x, err := commit(m, tx)
 			if err != nil {
 				t.Error(err)
 			}

@@ -168,19 +168,12 @@ func TestWireDisconnectMidQueryFreesResources(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Every abandoned statement must unwind: no WLM slot held, no active
-	// transaction, no pooled batch in flight.
+	// Every abandoned statement must unwind: no WLM slot held, no read
+	// view open, no pooled batch in flight.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if db.WLMStats().Active == 0 &&
-			db.Txns().ActiveCount() == 0 &&
-			db.Telemetry().Gauge("exec_batches_in_flight").Value() == 0 {
-			break
-		}
+	for db.Quiescent() != nil {
 		if time.Now().After(deadline) {
-			t.Fatalf("resources still held 10s after disconnects: wlm=%d txns=%d batches=%d",
-				db.WLMStats().Active, db.Txns().ActiveCount(),
-				db.Telemetry().Gauge("exec_batches_in_flight").Value())
+			t.Fatalf("10s after the disconnects: %v", db.Quiescent())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -76,6 +76,7 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 					t.Errorf("seed %d dop %d query %d diverged from serial run:\ngot:\n%swant:\n%s",
 						seed, dop, i, got, want[i])
 				}
+				assertQuiescent(t, w)
 			}
 			if after := w.Metrics().Counter("morsels_dispatched_total").Value(); (after != before) != (dop > 1) {
 				t.Errorf("dop %d battery dispatched %d morsels to workers — fan-out must engage exactly when dop > 1",
@@ -110,11 +111,11 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 				t.Errorf("seed %d spill-tier query %d diverged at dop=4:\ngot:\n%swant:\n%s",
 					seed, i, got, want[i])
 			}
+			assertQuiescent(t, ws)
 		}
 		if n := ws.Metrics().Counter("spill_bytes_total").Value(); n == 0 {
 			t.Error("64KB work_mem never spilled under dop=4 — the governed parallel path was not exercised")
 		}
-		assertSpillClean(t, ws, dir)
 	})
 
 	t.Run("chaosFaults", func(t *testing.T) {
@@ -154,6 +155,7 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 					t.Errorf("seed %d round %d query %d diverged under faults at dop=4:\ngot:\n%swant:\n%s",
 						cseed, round, i, got, want[i])
 				}
+				assertQuiescent(t, wc)
 			}
 		}
 		var injected int64
@@ -163,7 +165,6 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 		if injected == 0 {
 			t.Errorf("seed %d: no faults injected — the schedule never fired", cseed)
 		}
-		assertChaosClean(t, wc)
 	})
 }
 
@@ -266,7 +267,7 @@ func TestParallelCancelStorm(t *testing.T) {
 	if a := w.DB().WLMStats().Active; a != 0 {
 		t.Errorf("wlm active = %d after storm, want 0", a)
 	}
-	assertSpillClean(t, w, dir)
+	assertQuiescent(t, w)
 
 	// The warehouse is still healthy: a fault-free parallel query completes.
 	w.MustExecute(`SET fault_injection TO off`)
@@ -332,7 +333,7 @@ func TestSpillParallelLeaderTwin(t *testing.T) {
 			t.Fatalf("%s: reference returned %d rows, want %d", q.name, len(res.Rows), q.rows)
 		}
 		want[i] = rowsString(res.Rows)
-		assertSpillClean(t, w, dir)
+		assertQuiescent(t, w)
 	}
 	if n := w.Metrics().Counter("spill_bytes_total").Value(); n != 0 {
 		t.Fatalf("reference battery spilled %d bytes", n)
@@ -351,7 +352,7 @@ func TestSpillParallelLeaderTwin(t *testing.T) {
 					if got := rowsString(res.Rows); got != want[i] {
 						t.Errorf("seed %d %s diverged from the reference:\ngot:\n%swant:\n%s", seed, q.name, got, want[i])
 					}
-					assertSpillClean(t, w, dir)
+					assertQuiescent(t, w)
 				}
 				if workMem == "default" {
 					return

@@ -19,6 +19,16 @@ func launch(t *testing.T, opts Options) *Warehouse {
 	return w
 }
 
+// assertQuiescent checks that the warehouse's database is at rest: every
+// exit path of every statement so far returned its slot, memory, batches,
+// scratch files, read view and superseded segments (core.Database.Quiescent).
+func assertQuiescent(t *testing.T, w *Warehouse) {
+	t.Helper()
+	if err := w.DB().Quiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
 func seedEvents(t *testing.T, w *Warehouse, n int) {
 	t.Helper()
 	w.MustExecute(`CREATE TABLE events (
@@ -88,6 +98,28 @@ func TestBackupRestoreLifecycle(t *testing.T) {
 	again := w.MustExecute(`SELECT COUNT(*), SUM(amount) FROM events`).Rows[0]
 	if again[0].I != before[0].I {
 		t.Error("data changed after background restore")
+	}
+}
+
+// TestAnalyzeCompressionDuringStreamingRestore: between Restore and
+// FinishRestore most blocks are still in S3; ANALYZE COMPRESSION page-faults
+// the ones it samples like every other reader, instead of skipping them.
+func TestAnalyzeCompressionDuringStreamingRestore(t *testing.T) {
+	w := launch(t, Options{Nodes: 2})
+	seedEvents(t, w, 500)
+	want := rowsString(w.MustExecute(`ANALYZE COMPRESSION events`).Rows)
+	if want == "" {
+		t.Fatal("ANALYZE COMPRESSION returned nothing on the source")
+	}
+	id, _, err := w.Backup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Restore(id, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := rowsString(w.MustExecute(`ANALYZE COMPRESSION events`).Rows); got != want {
+		t.Errorf("ANALYZE COMPRESSION before FinishRestore:\n%swant:\n%s", got, want)
 	}
 }
 

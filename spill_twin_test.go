@@ -84,26 +84,6 @@ var spillBattery = []string{
 		FROM events GROUP BY kind ORDER BY kind`,
 }
 
-// assertSpillClean checks the post-run hygiene invariants: all tracked
-// execution memory returned, no batch leaked, and the scratch base dir
-// holds no leftover per-query directories.
-func assertSpillClean(t *testing.T, w *Warehouse, spillDir string) {
-	t.Helper()
-	if n := w.Metrics().Gauge("exec_mem_bytes").Value(); n != 0 {
-		t.Errorf("exec_mem_bytes = %d after queries finished, want 0", n)
-	}
-	if n := w.Metrics().Gauge("exec_batches_in_flight").Value(); n != 0 {
-		t.Errorf("exec_batches_in_flight = %d after queries finished, want 0", n)
-	}
-	ents, err := os.ReadDir(spillDir)
-	if err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		t.Errorf("scratch %s not cleaned up from %s", e.Name(), spillDir)
-	}
-}
-
 // TestSpillTwinMatchesUnlimited is the tentpole's headline invariant: the
 // same battery, run under an unlimited grant and under grants small enough
 // to force every blocking operator to disk, returns bit-identical rows.
@@ -145,6 +125,7 @@ func TestSpillTwinMatchesUnlimited(t *testing.T) {
 					t.Errorf("seed %d tier %s query %d diverged from unlimited run:\ngot:\n%swant:\n%s",
 						seed, tier.name, i, got, want[i])
 				}
+				assertQuiescent(t, w)
 			}
 			if n := w.Metrics().Counter("spill_bytes_total").Value(); n == 0 {
 				t.Errorf("tier %s never spilled — the battery did not exercise the disk path", tier.name)
@@ -152,7 +133,6 @@ func TestSpillTwinMatchesUnlimited(t *testing.T) {
 			if n := w.Metrics().Counter("spilled_queries_total").Value(); n == 0 {
 				t.Errorf("tier %s recorded no spilled queries", tier.name)
 			}
-			assertSpillClean(t, w, dir)
 		})
 	}
 }
@@ -201,7 +181,7 @@ func TestSpillJoinStaysWithinGrant(t *testing.T) {
 			last.MemPeak, 2*grant)
 	}
 	t.Logf("grant=%d mem_peak=%d spill_bytes=%d", grant, last.MemPeak, last.SpillBytes)
-	assertSpillClean(t, w, dir)
+	assertQuiescent(t, w)
 }
 
 // TestWorkMemOverridesGrant: SET work_mem swaps the per-query budget at
@@ -243,7 +223,7 @@ func TestWorkMemOverridesGrant(t *testing.T) {
 	if n := w.Metrics().Counter("spill_bytes_total").Value(); n != spilled {
 		t.Errorf("spill_bytes_total grew after work_mem reset: %d -> %d", spilled, n)
 	}
-	assertSpillClean(t, w, dir)
+	assertQuiescent(t, w)
 }
 
 // TestSpillSkewedJoinFansOut: every row of both sides carries the same key
@@ -285,7 +265,7 @@ func TestSpillSkewedJoinFansOut(t *testing.T) {
 	if n := w.Metrics().Counter("spill_bytes_total").Value(); n == 0 {
 		t.Error("the 16 KB grant did not force the join to spill")
 	}
-	assertSpillClean(t, w, dir)
+	assertQuiescent(t, w)
 }
 
 // explainAttrs sums an attribute over the EXPLAIN ANALYZE lines whose node
@@ -347,7 +327,7 @@ func TestSpillLimitedSortKeepsOnlyTheLimit(t *testing.T) {
 			if got := rowsString(w.MustExecute(q + limit).Rows); got != want[limit] {
 				t.Errorf("dop=%d LIMIT %s diverged under the grant:\ngot:\n%swant:\n%s", dop, limit, got, want[limit])
 			}
-			assertSpillClean(t, w, dir)
+			assertQuiescent(t, w)
 		}
 		before := w.Metrics().Counter("spill_bytes_total").Value()
 		if got := rowsString(w.MustExecute(q + "9223372036854775807").Rows); got != want["9223372036854775807"] {
@@ -356,7 +336,7 @@ func TestSpillLimitedSortKeepsOnlyTheLimit(t *testing.T) {
 		if w.Metrics().Counter("spill_bytes_total").Value() == before {
 			t.Errorf("dop=%d: 20000 rows sorted under a 64 KB grant without a run on disk", dop)
 		}
-		assertSpillClean(t, w, dir)
+		assertQuiescent(t, w)
 	}
 }
 
@@ -395,6 +375,6 @@ func TestSpillJoinOneFilePerOperator(t *testing.T) {
 		if got := rowsString(w.MustExecute(q).Rows); got != want {
 			t.Errorf("dop=%d: spilled join diverged from the in-memory run", dop)
 		}
-		assertSpillClean(t, w, dir)
+		assertQuiescent(t, w)
 	}
 }
