@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-smoke perf perf-smoke perf-compare chaos chaos-resize spill workload
+.PHONY: build test race fuzz-smoke bench-smoke perf perf-smoke perf-compare chaos chaos-resize spill workload loc
 
 build:
 	$(GO) build ./...
@@ -23,13 +23,15 @@ race:
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus
 # (testdata/fuzz beside each): arbitrary bytes into the block decoders,
-# fuzzer-built vectors through every encoding and back, and arbitrary bytes
-# into the spill frame decoder.
+# fuzzer-built vectors through every encoding and back, arbitrary bytes into
+# the spill frame decoder, and bytes read as an expression plus a batch that
+# the compiled and interpreted evaluators must agree on.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillFrame$$' -fuzztime $(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalCompiledVsInterpreted$$' -fuzztime $(FUZZTIME) ./internal/exec
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a
@@ -91,3 +93,11 @@ workload:
 	$(GO) test -race -run 'TestWorkloadQoS' -v .
 	$(GO) test -race -run 'TestWLM' ./internal/core
 	$(GO) test -race ./internal/workload
+
+# The code-size figure CHANGES.md reports per PR: non-blank, non-comment Go
+# lines outside benchmark/ and _test.go files, per package and in total.
+# `make loc LOC_BASE=<dir>` adds the same count of another checkout (the
+# parent commit, say) and the difference.
+LOC_BASE ?=
+loc:
+	@sh scripts/loc.sh . $(LOC_BASE)

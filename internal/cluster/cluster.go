@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"redshift/internal/catalog"
-	"redshift/internal/exec"
 	"redshift/internal/faults"
 	"redshift/internal/storage"
 	"redshift/internal/telemetry"
@@ -158,9 +157,8 @@ type Cluster struct {
 	fetchBackup func(b *storage.Block) ([]byte, error)
 
 	// inj injects faults at the secondary-fetch, S3-fetch and replication
-	// sites (nil-safe); retry is the backoff policy fail-over reads use.
-	inj   *faults.Injector
-	retry faults.Policy
+	// sites (nil-safe).
+	inj *faults.Injector
 
 	// health quarantines nodes after repeated read failures so fail-over
 	// goes straight to the next replica tier.
@@ -237,10 +235,6 @@ func (c *Cluster) SetMetrics(reg *telemetry.Registry) {
 // injection sites (nil detaches).
 func (c *Cluster) SetFaults(inj *faults.Injector) { c.inj = inj }
 
-// SetRetryPolicy overrides the fail-over read backoff policy (the zero
-// value restores defaults).
-func (c *Cluster) SetRetryPolicy(p faults.Policy) { c.retry = p }
-
 // Health exposes the node health tracker.
 func (c *Cluster) Health() *HealthTracker { return c.health }
 
@@ -289,7 +283,7 @@ func (c *Cluster) SecondaryNode(primary int) int {
 
 // TargetSliceKey returns the slice that owns a KEY-distributed row.
 func (c *Cluster) TargetSliceKey(distValue types.Value) int {
-	h := exec.HashValues([]types.Value{distValue})
+	h := types.HashValues([]types.Value{distValue})
 	return int(h % uint64(len(c.slices)))
 }
 
@@ -342,7 +336,7 @@ func (c *Cluster) AppendSegment(sliceID int, seg *storage.Segment, xid int64) er
 		// The synchronous replica write is itself a fault site: a failed
 		// write is retried with backoff, and exhaustion fails the append —
 		// the block must not commit with fewer copies than promised.
-		if _, err := c.retry.Do(context.Background(), func() error {
+		if _, err := faults.DefaultPolicy.Do(context.Background(), func() error {
 			return c.inj.Hit(faults.SiteReplicate)
 		}); err != nil {
 			return fmt.Errorf("cluster: replicating slice %d segment to node %d: %w", sliceID, sec, err)
@@ -374,34 +368,6 @@ func (c *Cluster) RestoreSegment(sliceID int, seg *storage.Segment, xid int64) e
 	sl.shards[seg.Table] = append(sl.shards[seg.Table], SegmentEntry{Seg: seg, Xid: xid})
 	sl.mu.Unlock()
 	return nil
-}
-
-// ReplicateAll re-establishes secondary copies for every resident primary
-// block — the final step of a full restore or a cohort rebuild.
-func (c *Cluster) ReplicateAll() {
-	for _, sl := range c.slices {
-		sec := c.SecondaryNode(sl.Node.ID)
-		if sec < 0 {
-			continue
-		}
-		secNode := c.nodes[sec]
-		sl.mu.RLock()
-		secNode.mu.Lock()
-		for _, entries := range sl.shards {
-			for _, e := range entries {
-				e.Seg.Blocks(func(b *storage.Block) {
-					if b.Resident() {
-						if _, ok := secNode.secondary[b.ID]; !ok {
-							secNode.secondary[b.ID] = append([]byte(nil), b.Payload()...)
-							c.AccountTransfer(sl.Node.ID, sec, b.ByteSize(), TransferReplication)
-						}
-					}
-				})
-			}
-		}
-		secNode.mu.Unlock()
-		sl.mu.RUnlock()
-	}
 }
 
 // VisibleSegments returns the slice's segments of a table committed at or
@@ -635,7 +601,7 @@ func (c *Cluster) fetchBlock(ctx context.Context, b *storage.Block) (int64, int,
 			tierErrs = append(tierErrs, fmt.Errorf("secondary node %d is quarantined", sec))
 		default:
 			var payload []byte
-			attempts, err := c.retry.Do(ctx, func() error {
+			attempts, err := faults.DefaultPolicy.Do(ctx, func() error {
 				if ferr := c.inj.Hit(faults.SiteSecondaryFetch); ferr != nil {
 					return ferr
 				}
@@ -668,7 +634,7 @@ func (c *Cluster) fetchBlock(ctx context.Context, b *storage.Block) (int64, int,
 	}
 	if c.fetchBackup != nil {
 		var payload []byte
-		attempts, err := c.retry.Do(ctx, func() error {
+		attempts, err := faults.DefaultPolicy.Do(ctx, func() error {
 			if ferr := c.inj.Hit(faults.SiteS3Fetch); ferr != nil {
 				return ferr
 			}
@@ -780,17 +746,6 @@ func (c *Cluster) EvictAll() {
 		}
 		sl.mu.Unlock()
 	}
-}
-
-// SlicesOfNode returns the slices hosted on one node.
-func (c *Cluster) SlicesOfNode(nodeID int) []*Slice {
-	var out []*Slice
-	for _, sl := range c.slices {
-		if sl.Node.ID == nodeID {
-			out = append(out, sl)
-		}
-	}
-	return out
 }
 
 // AllBlocks visits every primary block on live nodes.

@@ -176,7 +176,7 @@ func (q *queryRun) chooseDOP() int {
 // inline: it merges the slice results into the final batch.
 func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 	nslices := q.numSlices()
-	q.ph = plan.BuildPhysical(q.p)
+	q.ph = q.p.Physical()
 	ph := q.ph
 	q.stats = make([]*exec.OpStats, len(ph.Nodes))
 	for i := range q.stats {
@@ -342,7 +342,7 @@ func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
 		}
 		p.Stages = append(p.Stages, q.projectStage())
 	} else {
-		p = q.opPipeline(exec.NewLeaderMergeOp(q.gathered, q.p.OrderBy, q.p.SliceTopN(), q.flight), ph.Merge)
+		p = q.opPipeline(exec.NewLeaderMergeOp(q.gathered, q.flight), ph.Merge)
 	}
 
 	st := q.stats[ph.Finalize.ID]
@@ -498,11 +498,11 @@ func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, 
 		// tail still sees — and keeps — exactly the one-worker survivors.
 		if p.Workers() > 1 {
 			p.Stages = append(p.Stages, exec.Stage{New: func() (exec.StageFn, error) {
-				return exec.NewDeduper(nil).Apply, nil
+				return exec.NewDeduper(q.memCtx(ph.Distinct)).Apply, nil
 			}})
 		}
 		st := q.stats[ph.Distinct.ID]
-		p.Sink, p.SinkStats = exec.NewOrderedSink(exec.NewDeduper(nil).Emit(st, gather)), st
+		p.Sink, p.SinkStats = exec.NewOrderedSink(exec.NewDeduper(q.memCtx(ph.Distinct)).Emit(st, gather)), st
 	case ph.TopN != nil:
 		st := q.stats[ph.TopN.ID]
 		mem := func() *exec.MemContext { return q.memCtx(ph.TopN) }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"redshift/internal/cluster"
@@ -151,6 +152,54 @@ func TestPlanCacheInvalidatedByDDLAndAnalyze(t *testing.T) {
 	if got := db.planCache.Stats(); got.Invalidations != pc3.Invalidations+1 {
 		t.Errorf("ANALYZE did not invalidate the plan: %+v -> %+v", pc3, got)
 	}
+}
+
+// TestPlanCacheSharesOneLoweredTree: concurrent executions (and EXPLAINs) of
+// one cached plan all run off the physical tree BuildWith lowered — nothing
+// writes to it (run under -race), every run answers alike, and EXPLAIN prints
+// what it printed before.
+func TestPlanCacheSharesOneLoweredTree(t *testing.T) {
+	db := openDB(t, exec.Compiled)
+	seedSales(t, db)
+	mustExec(t, db, `SET result_cache TO off`)
+	const q = `SELECT p.category, SUM(s.qty) AS n FROM sales s JOIN products p ON s.product_id = p.id
+		WHERE s.qty > 1 GROUP BY p.category ORDER BY n DESC, p.category LIMIT 3`
+	explain := func() string { return fmt.Sprint(mustExec(t, db, `EXPLAIN `+q).Rows) }
+	wantPlan, want := explain(), fmt.Sprint(mustExec(t, db, q).Rows)
+	hits := db.planCache.Stats().Hits
+
+	var wg sync.WaitGroup
+	errs := make([]error, 6)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5 && errs[g] == nil; i++ {
+				stmt := q
+				if g == 0 {
+					stmt = `EXPLAIN ANALYZE ` + q
+				}
+				res, err := db.Execute(stmt)
+				if err == nil && g > 0 && fmt.Sprint(res.Rows) != want {
+					err = fmt.Errorf("rows = %v, want %s", res.Rows, want)
+				}
+				errs[g] = err
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if got := db.planCache.Stats().Hits; got < hits+25 {
+		t.Errorf("plan cache hits %d -> %d: the runs did not share a plan", hits, got)
+	}
+	if got := explain(); got != wantPlan {
+		t.Errorf("EXPLAIN changed:\n%s\nwas:\n%s", got, wantPlan)
+	}
+	assertQuiescent(t, db)
 }
 
 func TestResultCacheBypasses(t *testing.T) {

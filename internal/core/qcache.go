@@ -236,8 +236,9 @@ func (db *Database) captureTableVersions(p *plan.Plan) []tableVersion {
 // former, data mutations and ANALYZE move the latter (a plan embeds
 // cardinality estimates from the statistics it saw, so stale stats must
 // invalidate it). The returned plan is immutable after build and shared
-// across concurrent queries; per-run state (physical tree, snapshot,
-// visible segments) is derived fresh each execution.
+// across concurrent queries, its lowered physical tree (plan.Physical)
+// included; per-run state (snapshot, visible segments, operator instances)
+// is derived fresh each execution.
 func (db *Database) planFor(sel *sql.Select, norm string) (*plan.Plan, bool, error) {
 	catVer := db.cat.Version()
 	if v, ok := db.planCache.Get(norm); ok {

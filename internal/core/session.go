@@ -223,14 +223,6 @@ func (s *Session) runDeallocate(st *sql.Deallocate) (*Result, error) {
 	return &Result{Message: "DEALLOCATE"}, nil
 }
 
-// PreparedCount reports how many statements the session holds (tests and
-// stv introspection).
-func (s *Session) PreparedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.prepared)
-}
-
 // runSet handles session options. statement_timeout takes milliseconds
 // (Redshift's unit; 0 disables); work_mem and result_cache are
 // session-scoped too, so two connections can never observe each other's

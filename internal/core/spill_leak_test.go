@@ -82,9 +82,13 @@ func TestSpillSuccessReleasesEverything(t *testing.T) {
 	assertQuiescent(t, db)
 }
 
-// abortMidSpill starts a slow spilling query, waits until spill bytes have
-// actually hit disk, then aborts it via abort(). Returns the query error.
-func abortMidSpill(t *testing.T, db *Database, query string, abort func(qid int64)) error {
+// spilled reports a query whose spill bytes have actually hit disk.
+func spilled(q queryMemRow) bool { return q.spilled > 0 }
+
+// abortMidSpill starts a slow query, waits until it is demonstrably under
+// way — ready(its memory snapshot) — then aborts it via abort(). Returns the
+// query error.
+func abortMidSpill(t *testing.T, db *Database, query string, ready func(queryMemRow) bool, abort func(qid int64)) error {
 	t.Helper()
 	type outcome struct {
 		err error
@@ -102,10 +106,10 @@ func abortMidSpill(t *testing.T, db *Database, query string, abort func(qid int6
 	var target int64
 	for target == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("query never spilled")
+			t.Fatal("query never got under way")
 		}
 		for _, q := range db.queryMemSnapshot() {
-			if q.spilled > 0 {
+			if ready(q) {
 				target = q.id
 			}
 		}
@@ -132,7 +136,7 @@ func TestSpillCancelMidSpillCleansUp(t *testing.T) {
 	db := openSpillDB(t, 8<<10, dir, 200*time.Microsecond)
 	seedSpillWide(t, db, 40000)
 
-	err := abortMidSpill(t, db, `SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`, func(qid int64) { db.Cancel(qid) })
+	err := abortMidSpill(t, db, `SELECT id, SUM(val) AS total FROM wide GROUP BY id ORDER BY id`, spilled, func(qid int64) { db.Cancel(qid) })
 	if err == nil {
 		t.Fatal("cancelled mid-spill query returned a result")
 	}
@@ -166,7 +170,7 @@ func TestSpillCancelMidLeaderSortCleansUp(t *testing.T) {
 	db := openSpillDB(t, 8<<10, dir, 0)
 	seedSpillWide(t, db, 40000)
 
-	err := abortMidSpill(t, db, `SELECT id, grp, val FROM wide ORDER BY val, id`, func(qid int64) { db.Cancel(qid) })
+	err := abortMidSpill(t, db, `SELECT id, grp, val FROM wide ORDER BY val, id`, spilled, func(qid int64) { db.Cancel(qid) })
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("query cancelled mid-leader-sort returned err = %v", err)
 	}
@@ -174,6 +178,41 @@ func TestSpillCancelMidLeaderSortCleansUp(t *testing.T) {
 	res := mustExec(t, db, `SELECT id FROM wide ORDER BY id LIMIT 3`)
 	if len(res.Rows) != 3 || res.Rows[2][0].I != 2 {
 		t.Errorf("post-cancel rows = %v", res.Rows)
+	}
+	assertQuiescent(t, db)
+}
+
+// TestSpillDistinctIsCharged: the slice-local DISTINCT's seen-sets — each
+// worker's pre-sieve and the ordered tail — grow inside the query's grant, as
+// the leader's does (a Deduper cannot spill, so the charge is forced): a
+// 50000-distinct-row SELECT DISTINCT shows mem_peak on partial-distinct at
+// one worker a slice and at four, and everything charged comes back after the
+// statement and after a cancel that lands while the sets are growing.
+func TestSpillDistinctIsCharged(t *testing.T) {
+	db := openSpillDB(t, 1<<20, t.TempDir(), 50*time.Microsecond)
+	seedSpillWide(t, db, 50000)
+	mustExec(t, db, `SET result_cache TO off`)
+	const query = `SELECT DISTINCT id, grp, val FROM wide`
+
+	for _, dop := range []int{1, 4} {
+		mustExec(t, db, fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
+		res := mustExec(t, db, `EXPLAIN ANALYZE `+query)
+		var line string
+		for _, r := range res.Rows {
+			if l := strings.TrimSpace(r[0].S); strings.HasPrefix(l, "partial-distinct ") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, "rows=50000") || !strings.Contains(line, "mem_peak=") {
+			t.Errorf("dop=%d: partial-distinct line = %q, want rows=50000 and a mem_peak", dop, line)
+		}
+		assertQuiescent(t, db)
+	}
+
+	charged := func(q queryMemRow) bool { return q.used > 64<<10 }
+	err := abortMidSpill(t, db, query, charged, func(qid int64) { db.Cancel(qid) })
+	if err == nil || !strings.Contains(err.Error(), "cancel") {
+		t.Fatalf("query cancelled mid-DISTINCT returned err = %v", err)
 	}
 	assertQuiescent(t, db)
 }

@@ -73,7 +73,7 @@ func TestExplainPhysicalTree(t *testing.T) {
 	for _, want := range []string{
 		"Hash Join DS_DIST_BOTH",
 		"XN SliceTopN (order by: ts asc; limit 3)",
-		"XN Network (Gather: merge-sorted)",
+		"XN Network (Gather)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("EXPLAIN missing %q:\n%s", want, out)

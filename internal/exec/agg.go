@@ -437,23 +437,16 @@ func (g *GroupTable) ReleaseMem() {
 // NewGroupTable prepares a hash aggregation.
 func NewGroupTable(mode Mode, groupBy []plan.Expr, specs []plan.AggSpec) (*GroupTable, error) {
 	g := &GroupTable{mode: mode, specs: specs}
-	for _, e := range groupBy {
-		ev, err := NewEvaluator(mode, e)
-		if err != nil {
-			return nil, err
-		}
-		g.groupEvs = append(g.groupEvs, ev)
+	args := make([]plan.Expr, len(specs)) // nil for COUNT(*)
+	for i, spec := range specs {
+		args[i] = spec.Arg
 	}
-	for _, spec := range specs {
-		if spec.Arg == nil {
-			g.argEvs = append(g.argEvs, nil)
-			continue
-		}
-		ev, err := NewEvaluator(mode, spec.Arg)
-		if err != nil {
-			return nil, err
-		}
-		g.argEvs = append(g.argEvs, ev)
+	var err error
+	if g.groupEvs, err = newEvaluators(mode, groupBy); err != nil {
+		return nil, err
+	}
+	if g.argEvs, err = newEvaluators(mode, args); err != nil {
+		return nil, err
 	}
 	g.reset()
 	return g, nil

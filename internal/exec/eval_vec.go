@@ -2,316 +2,263 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"redshift/internal/plan"
 	"redshift/internal/sql"
 	"redshift/internal/types"
 )
 
-// VecFn evaluates an expression over a whole batch at once.
+// VecFn evaluates an expression over a whole batch at once. The batch and
+// its vectors are read-only. The result is a column of the batch itself (a
+// bare column reference) or a vector with fresh payload whose null mask may
+// be an input's; a NULL slot's payload is a placeholder that no kernel reads
+// or raises from.
 type VecFn func(b *Batch) (*types.Vector, error)
 
 // CompileVec lowers a bound expression to a tree of type-specialized
 // closures over typed vectors — this system's stand-in for §2.1's "query
 // plan generation and compilation to C++ and machine code". The fixed
 // per-query cost is the closure construction here; the payoff is unboxed,
-// branch-light per-row execution.
-func CompileVec(e plan.Expr) (VecFn, error) {
+// branch-light per-row execution. Every operator class has one kernel,
+// generic over the payload type; byPayload instantiates it.
+func CompileVec(e plan.Expr) (VecFn, error) { return new(compiler).compile(e) }
+
+// compiler carries the one fact compilation passes upward: whether what it
+// compiled can fail on some row — it holds a division or modulo whose divisor
+// is not a non-zero constant, or a call that validates its arguments at run
+// time.
+type compiler struct{ raises bool }
+
+func (c *compiler) compile(e plan.Expr) (VecFn, error) {
 	switch x := e.(type) {
 	case *plan.Col:
-		idx := x.Index
 		return func(b *Batch) (*types.Vector, error) {
-			if idx >= len(b.Cols) || b.Cols[idx] == nil {
-				return nil, fmt.Errorf("exec: column %d not materialized", idx)
+			if x.Index >= len(b.Cols) || b.Cols[x.Index] == nil {
+				return nil, fmt.Errorf("exec: column %d not materialized", x.Index)
 			}
-			return b.Cols[idx], nil
+			return b.Cols[x.Index], nil
 		}, nil
 
 	case *plan.Const:
-		v := x.V
 		return func(b *Batch) (*types.Vector, error) {
-			out := types.NewVector(constVecType(v), b.N)
+			out := types.NewVector(exprVecType(x), b.N)
 			for i := 0; i < b.N; i++ {
-				out.Append(v)
+				out.Append(x.V)
 			}
 			return out, nil
 		}, nil
 
 	case *plan.Bin:
-		return compileBin(x)
+		return c.compileBin(x)
 
 	case *plan.Not:
-		inner, err := CompileVec(x.E)
-		if err != nil {
-			return nil, err
-		}
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := types.NewVector(types.Bool, v.Len())
-			for i := 0; i < v.Len(); i++ {
-				if v.IsNull(i) {
-					out.AppendNull()
-				} else {
-					out.Append(types.NewBool(v.Ints[i] == 0))
-				}
-			}
-			return out, nil
-		}, nil
+		return c.unary(x.E, func(v *types.Vector) *types.Vector {
+			return boolsWhere(v, v.Ints, func(n int64) bool { return n == 0 })
+		})
 
 	case *plan.Neg:
-		inner, err := CompileVec(x.E)
-		if err != nil {
-			return nil, err
+		if x.Type() == types.Float64 {
+			return c.unary(x.E, negate[float64])
 		}
-		t := x.Type()
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := &types.Vector{T: t}
-			if v.T == types.Float64 {
-				out.Floats = make([]float64, len(v.Floats))
-				for i, f := range v.Floats {
-					out.Floats[i] = -f
-				}
-			} else {
-				out.Ints = make([]int64, len(v.Ints))
-				for i, n := range v.Ints {
-					out.Ints[i] = -n
-				}
-			}
-			if v.Nulls != nil {
-				out.Nulls = v.Nulls
-			}
-			return out, nil
-		}, nil
+		return c.unary(x.E, negate[int64])
 
 	case *plan.IsNull:
-		inner, err := CompileVec(x.E)
-		if err != nil {
-			return nil, err
-		}
-		not := x.Not
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := types.NewVector(types.Bool, v.Len())
-			for i := 0; i < v.Len(); i++ {
-				out.Append(types.NewBool(v.IsNull(i) != not))
-			}
-			return out, nil
-		}, nil
-
-	case *plan.InList:
-		return compileInList(x)
-
-	case *plan.Like:
-		inner, err := CompileVec(x.E)
-		if err != nil {
-			return nil, err
-		}
-		pattern, not := x.Pattern, x.Not
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := types.NewVector(types.Bool, v.Len())
-			for i, s := range v.Strs {
-				if v.IsNull(i) {
-					out.AppendNull()
-				} else {
-					out.Append(types.NewBool(likeMatch(pattern, s) != not))
+		return c.unary(x.E, func(v *types.Vector) *types.Vector {
+			out := boolVec(v.Len(), nil)
+			for i := range out.Ints {
+				if v.IsNull(i) != x.Not {
+					out.Ints[i] = 1
 				}
 			}
-			return out, nil
-		}, nil
+			return out
+		})
+
+	case *plan.InList:
+		return c.unary(x.E, byPayload(x.E.Type(), inList[int64], inList[float64], inList[string])(x))
+
+	case *plan.Like:
+		return c.unary(x.E, func(v *types.Vector) *types.Vector {
+			return boolsWhere(v, v.Strs, func(s string) bool { return likeMatch(x.Pattern, s) != x.Not })
+		})
 
 	case *plan.Case:
-		return compileCase(x)
+		return c.compileCase(x)
 
 	case *plan.Call:
-		return compileCall(x)
+		return c.compileCall(x)
 
 	default:
 		return nil, fmt.Errorf("exec: cannot compile %T", e)
 	}
 }
 
-// constVecType resolves the vector type for a constant (untyped NULL
-// becomes Bool so the vector has a concrete representation).
-func constVecType(v types.Value) types.Type {
-	if v.T == types.Invalid {
-		return types.Bool
+// payload is the set of Go types a vector stores its values as.
+type payload interface{ int64 | float64 | string }
+
+// byPayload is the one dispatch from a column type to a kernel's
+// instantiation: Bool, Date and Timestamp share Int64's.
+func byPayload[K any](t types.Type, ints, floats, strs K) K {
+	switch t {
+	case types.Float64:
+		return floats
+	case types.String:
+		return strs
 	}
-	return v.T
+	return ints
 }
 
-// compileBin specializes on operator category and operand type.
-func compileBin(x *plan.Bin) (VecFn, error) {
-	lfn, err := CompileVec(x.L)
+// slots returns v's payload slice of type T, to read or to set.
+func slots[T payload](v *types.Vector) *[]T {
+	var p any
+	switch any((*T)(nil)).(type) {
+	case *float64:
+		p = &v.Floats
+	case *string:
+		p = &v.Strs
+	default:
+		p = &v.Ints
+	}
+	return p.(*[]T)
+}
+
+// vecOf wraps a payload slice as a vector of type t.
+func vecOf[T payload](t types.Type, vals []T, nulls []bool) *types.Vector {
+	out := &types.Vector{T: t, Nulls: nulls}
+	*slots[T](out) = vals
+	return out
+}
+
+// boolVec is the one way a kernel makes its boolean result: n slots, all
+// false, for the kernel to set by position. nulls marks the slots that are
+// NULL instead: an operand's mask, shared and read-only, or a fresh one.
+func boolVec(n int, nulls []bool) *types.Vector {
+	return &types.Vector{T: types.Bool, Ints: make([]int64, n), Nulls: nulls}
+}
+
+// boolsWhere tests every non-NULL value of v, whose payload is vals.
+func boolsWhere[T payload](v *types.Vector, vals []T, test func(T) bool) *types.Vector {
+	out := boolVec(len(vals), v.Nulls)
+	for i, x := range vals {
+		if !v.IsNull(i) && test(x) {
+			out.Ints[i] = 1
+		}
+	}
+	return out
+}
+
+// unary compiles e and applies kernel k to its value.
+func (c *compiler) unary(e plan.Expr, k func(v *types.Vector) *types.Vector) (VecFn, error) {
+	fn, err := c.compile(e)
 	if err != nil {
 		return nil, err
 	}
-	rfn, err := CompileVec(x.R)
+	return func(b *Batch) (*types.Vector, error) {
+		v, err := fn(b)
+		if err != nil {
+			return nil, err
+		}
+		return k(v), nil
+	}, nil
+}
+
+// operands evaluates a two-operand kernel's operands, left first.
+func operands(lfn, rfn VecFn, b *Batch) (l, r *types.Vector, err error) {
+	if l, err = lfn(b); err == nil {
+		r, err = rfn(b)
+	}
+	return l, r, err
+}
+
+func negate[T int64 | float64](v *types.Vector) *types.Vector {
+	in := *slots[T](v)
+	out := make([]T, len(in))
+	for i, x := range in {
+		out[i] = -x
+	}
+	return vecOf(v.T, out, v.Nulls)
+}
+
+// inList is the membership kernel: a hash set of the list's non-NULL values.
+func inList[T payload](x *plan.InList) func(*types.Vector) *types.Vector {
+	set := make(map[T]bool, len(x.Vals))
+	for _, item := range x.Vals {
+		if !item.Null {
+			one := types.Vector{Ints: []int64{item.I}, Floats: []float64{item.F}, Strs: []string{item.S}}
+			set[(*slots[T](&one))[0]] = true
+		}
+	}
+	return func(v *types.Vector) *types.Vector {
+		return boolsWhere(v, *slots[T](v), func(val T) bool { return set[val] != x.Not })
+	}
+}
+
+// compileBin specializes on operator category and operand type.
+func (c *compiler) compileBin(x *plan.Bin) (VecFn, error) {
+	lfn, err := c.compile(x.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := c.guarded(x.R)
 	if err != nil {
 		return nil, err
 	}
 	switch x.Op {
 	case sql.OpAnd, sql.OpOr:
-		op := x.Op
-		return func(b *Batch) (*types.Vector, error) {
-			l, err := lfn(b)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rfn(b)
-			if err != nil {
-				return nil, err
-			}
-			// Fast path: no nulls on either side — plain bitwise logic.
-			if l.Nulls == nil && r.Nulls == nil {
-				out := &types.Vector{T: types.Bool, Ints: make([]int64, len(l.Ints))}
-				if op == sql.OpAnd {
-					for i := range l.Ints {
-						out.Ints[i] = l.Ints[i] & r.Ints[i]
-					}
-				} else {
-					for i := range l.Ints {
-						out.Ints[i] = l.Ints[i] | r.Ints[i]
-					}
-				}
-				return out, nil
-			}
-			out := types.NewVector(types.Bool, l.Len())
-			for i := 0; i < l.Len(); i++ {
-				out.Append(ternary(op, l.Get(i), r.Get(i)))
-			}
-			return out, nil
-		}, nil
+		return compileLogic(x.Op == sql.OpOr, lfn, r), nil
 
 	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-		return compileCompare(x.Op, x.L.Type(), lfn, rfn)
+		return byPayload(x.L.Type(), compare[int64], compare[float64], compare[string])(x.Op, lfn, r.fn), nil
 
 	case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod:
-		return compileArith(x.Op, x.T, lfn, rfn)
+		k, constant := x.R.(*plan.Const) // a NULL or non-zero constant divisor never raises
+		c.raises = c.raises || (x.Op == sql.OpDiv || x.Op == sql.OpMod) && (!constant || (!k.V.Null && k.V.I == 0 && k.V.F == 0))
+		if x.T != types.Float64 {
+			return arithmetic(x.Op, x.T, func(a, b int64) int64 { return a % b }, lfn, r.fn), nil
+		}
+		if x.Op == sql.OpMod {
+			return nil, fmt.Errorf("exec: %s unsupported for floats", x.Op)
+		}
+		return arithmetic[float64](x.Op, x.T, nil, lfn, r.fn), nil
 
 	default:
 		return nil, fmt.Errorf("exec: cannot compile operator %s", x.Op)
 	}
 }
 
-// compileCompare builds a type-specialized comparison kernel.
-func compileCompare(op sql.BinOp, t types.Type, lfn, rfn VecFn) (VecFn, error) {
-	pred := cmpPred(op)
-	switch t {
-	case types.Float64:
-		return func(b *Batch) (*types.Vector, error) {
-			l, err := lfn(b)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rfn(b)
-			if err != nil {
-				return nil, err
-			}
-			out := &types.Vector{T: types.Bool, Ints: make([]int64, len(l.Floats))}
-			nulls := mergeNulls(l, r)
-			for i := range l.Floats {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				c := 0
-				switch {
-				case l.Floats[i] < r.Floats[i]:
-					c = -1
-				case l.Floats[i] > r.Floats[i]:
-					c = 1
-				}
-				if pred(c) {
-					out.Ints[i] = 1
-				}
-			}
-			out.Nulls = nulls
-			return out, nil
-		}, nil
-	case types.String:
-		return func(b *Batch) (*types.Vector, error) {
-			l, err := lfn(b)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rfn(b)
-			if err != nil {
-				return nil, err
-			}
-			out := &types.Vector{T: types.Bool, Ints: make([]int64, len(l.Strs))}
-			nulls := mergeNulls(l, r)
-			for i := range l.Strs {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				if pred(strings.Compare(l.Strs[i], r.Strs[i])) {
-					out.Ints[i] = 1
-				}
-			}
-			out.Nulls = nulls
-			return out, nil
-		}, nil
-	default: // integer-kind
-		return func(b *Batch) (*types.Vector, error) {
-			l, err := lfn(b)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rfn(b)
-			if err != nil {
-				return nil, err
-			}
-			out := &types.Vector{T: types.Bool, Ints: make([]int64, len(l.Ints))}
-			nulls := mergeNulls(l, r)
-			for i := range l.Ints {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				c := 0
-				switch {
-				case l.Ints[i] < r.Ints[i]:
-					c = -1
-				case l.Ints[i] > r.Ints[i]:
-					c = 1
-				}
-				if pred(c) {
-					out.Ints[i] = 1
-				}
-			}
-			out.Nulls = nulls
-			return out, nil
-		}, nil
-	}
+// cmpHolds lists, per comparison operator, whether it holds when the left
+// operand is less than, equal to and greater than the right.
+var cmpHolds = [...][3]bool{
+	sql.OpEq: {false, true, false}, sql.OpNe: {true, false, true},
+	sql.OpLt: {true, false, false}, sql.OpLe: {true, true, false},
+	sql.OpGt: {false, false, true}, sql.OpGe: {false, true, true},
 }
 
-func cmpPred(op sql.BinOp) func(int) bool {
-	switch op {
-	case sql.OpEq:
-		return func(c int) bool { return c == 0 }
-	case sql.OpNe:
-		return func(c int) bool { return c != 0 }
-	case sql.OpLt:
-		return func(c int) bool { return c < 0 }
-	case sql.OpLe:
-		return func(c int) bool { return c <= 0 }
-	case sql.OpGt:
-		return func(c int) bool { return c > 0 }
-	default:
-		return func(c int) bool { return c >= 0 }
+// compare is the comparison kernel.
+func compare[T payload](op sql.BinOp, lfn, rfn VecFn) VecFn {
+	holds := cmpHolds[op]
+	return func(b *Batch) (*types.Vector, error) {
+		l, r, err := operands(lfn, rfn, b)
+		if err != nil {
+			return nil, err
+		}
+		lv, rv := *slots[T](l), *slots[T](r)
+		out := boolVec(len(lv), mergeNulls(l, r))
+		for i := range lv {
+			if out.Nulls != nil && out.Nulls[i] {
+				continue
+			}
+			c := 1
+			switch {
+			case lv[i] < rv[i]:
+				c = 0
+			case lv[i] > rv[i]:
+				c = 2
+			}
+			if holds[c] {
+				out.Ints[i] = 1
+			}
+		}
+		return out, nil
 	}
 }
 
@@ -320,300 +267,264 @@ func mergeNulls(l, r *types.Vector) []bool {
 	if l.Nulls == nil && r.Nulls == nil {
 		return nil
 	}
-	n := l.Len()
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
+	out := make([]bool, l.Len())
+	for i := range out {
 		out[i] = l.IsNull(i) || r.IsNull(i)
 	}
 	return out
 }
 
-// compileArith builds type-specialized arithmetic kernels.
-func compileArith(op sql.BinOp, t types.Type, lfn, rfn VecFn) (VecFn, error) {
-	if t == types.Float64 {
-		var k func(a, b float64) float64
-		switch op {
-		case sql.OpAdd:
-			k = func(a, b float64) float64 { return a + b }
-		case sql.OpSub:
-			k = func(a, b float64) float64 { return a - b }
-		case sql.OpMul:
-			k = func(a, b float64) float64 { return a * b }
-		case sql.OpDiv:
-			k = nil // handled with a zero check below
-		default:
-			return nil, fmt.Errorf("exec: %s unsupported for floats", op)
-		}
-		return func(b *Batch) (*types.Vector, error) {
-			l, err := lfn(b)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rfn(b)
-			if err != nil {
-				return nil, err
-			}
-			out := &types.Vector{T: types.Float64, Floats: make([]float64, len(l.Floats))}
-			nulls := mergeNulls(l, r)
-			for i := range l.Floats {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				if k != nil {
-					out.Floats[i] = k(l.Floats[i], r.Floats[i])
-				} else {
-					if r.Floats[i] == 0 {
-						return nil, fmt.Errorf("exec: division by zero")
-					}
-					out.Floats[i] = l.Floats[i] / r.Floats[i]
-				}
-			}
-			out.Nulls = nulls
-			return out, nil
-		}, nil
-	}
-	var k func(a, b int64) int64
+// arithmetic is the arithmetic kernel; mod is the one operator the payload
+// types do not share. Division and modulo test the divisor of every row
+// that is not NULL — a NULL slot's placeholder never raises.
+func arithmetic[T int64 | float64](op sql.BinOp, t types.Type, mod func(a, b T) T, lfn, rfn VecFn) VecFn {
+	k := mod
 	switch op {
 	case sql.OpAdd:
-		k = func(a, b int64) int64 { return a + b }
+		k = func(a, b T) T { return a + b }
 	case sql.OpSub:
-		k = func(a, b int64) int64 { return a - b }
+		k = func(a, b T) T { return a - b }
 	case sql.OpMul:
-		k = func(a, b int64) int64 { return a * b }
-	case sql.OpDiv, sql.OpMod:
-		k = nil
+		k = func(a, b T) T { return a * b }
+	case sql.OpDiv:
+		k = func(a, b T) T { return a / b }
 	}
-	isMod := op == sql.OpMod
+	divides := op == sql.OpDiv || op == sql.OpMod
 	return func(b *Batch) (*types.Vector, error) {
-		l, err := lfn(b)
+		l, r, err := operands(lfn, rfn, b)
 		if err != nil {
 			return nil, err
 		}
-		r, err := rfn(b)
-		if err != nil {
-			return nil, err
-		}
-		out := &types.Vector{T: t, Ints: make([]int64, len(l.Ints))}
+		lv, rv := *slots[T](l), *slots[T](r)
+		out := make([]T, len(lv))
 		nulls := mergeNulls(l, r)
-		for i := range l.Ints {
+		for i := range lv {
 			if nulls != nil && nulls[i] {
 				continue
 			}
-			if k != nil {
-				out.Ints[i] = k(l.Ints[i], r.Ints[i])
-			} else {
-				if r.Ints[i] == 0 {
-					return nil, fmt.Errorf("exec: division by zero")
-				}
-				if isMod {
-					out.Ints[i] = l.Ints[i] % r.Ints[i]
-				} else {
-					out.Ints[i] = l.Ints[i] / r.Ints[i]
-				}
+			if divides && rv[i] == 0 {
+				return nil, fmt.Errorf("exec: division by zero")
 			}
+			out[i] = k(lv[i], rv[i])
 		}
-		out.Nulls = nulls
-		return out, nil
-	}, nil
+		return vecOf(t, out, nulls), nil
+	}
 }
 
-// compileInList specializes membership tests: int keys get a hash set,
-// strings a map, everything else a linear scan.
-func compileInList(x *plan.InList) (VecFn, error) {
-	inner, err := CompileVec(x.E)
+// guarded is an operand of AND, OR or CASE that the interpreted engine
+// reaches only on the rows an earlier operand left undecided. One that can
+// raise must see exactly those rows, or a division the guard excludes fails
+// the query; one that cannot is evaluated over the whole batch, which is
+// cheaper than gathering.
+type guarded struct {
+	fn     VecFn
+	raises bool
+}
+
+func (c *compiler) guarded(e plan.Expr) (guarded, error) {
+	var sub compiler
+	fn, err := sub.compile(e)
+	c.raises = c.raises || sub.raises
+	return guarded{fn: fn, raises: sub.raises}, err
+}
+
+// over evaluates g for the rows sel of b. The result is indexed by b's
+// positions; outside sel a raising operand's slots are NULL and anyone
+// else's are not to be read.
+func (g guarded) over(b *Batch, sel []int) (*types.Vector, error) {
+	if !g.raises || len(sel) == b.N {
+		return g.fn(b)
+	}
+	sub := b.Gather(sel)
+	defer PutBatch(sub)
+	v, err := g.fn(sub)
 	if err != nil {
 		return nil, err
 	}
-	not := x.Not
-	switch x.E.Type() {
-	case types.String:
-		set := make(map[string]bool, len(x.Vals))
-		for _, v := range x.Vals {
-			if !v.Null {
-				set[v.S] = true
-			}
+	out := nullVec(v.T, b.N)
+	assign(out, v, sel, true)
+	return out, nil
+}
+
+// nullVec returns n NULL slots of type t.
+func nullVec(t types.Type, n int) *types.Vector {
+	out := types.NewVector(t, n)
+	for i := 0; i < n; i++ {
+		out.AppendNull()
+	}
+	return out
+}
+
+// assign sets dst's slots at positions sel from src: src's k-th row when src
+// is dense (one row per selected position), else src's row at the same
+// position. A NULL in src — an untyped NULL branch has no payload of dst's
+// type at all — leaves the slot NULL.
+func assign(dst, src *types.Vector, sel []int, dense bool) {
+	for k, i := range sel {
+		j := i
+		if dense {
+			j = k
 		}
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := types.NewVector(types.Bool, v.Len())
-			for i, s := range v.Strs {
-				if v.IsNull(i) {
-					out.AppendNull()
-				} else {
-					out.Append(types.NewBool(set[s] != not))
-				}
-			}
-			return out, nil
-		}, nil
-	case types.Float64:
-		set := make(map[float64]bool, len(x.Vals))
-		for _, v := range x.Vals {
-			if !v.Null {
-				set[v.F] = true
-			}
+		if src.IsNull(j) {
+			continue
 		}
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := types.NewVector(types.Bool, v.Len())
-			for i, f := range v.Floats {
-				if v.IsNull(i) {
-					out.AppendNull()
-				} else {
-					out.Append(types.NewBool(set[f] != not))
-				}
-			}
-			return out, nil
-		}, nil
-	default:
-		set := make(map[int64]bool, len(x.Vals))
-		for _, v := range x.Vals {
-			if !v.Null {
-				set[v.I] = true
-			}
+		dst.Nulls[i] = false
+		switch dst.T {
+		case types.Float64:
+			dst.Floats[i] = src.Floats[j]
+		case types.String:
+			dst.Strs[i] = src.Strs[j]
+		default:
+			dst.Ints[i] = src.Ints[j]
 		}
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := inner(b)
-			if err != nil {
-				return nil, err
-			}
-			out := types.NewVector(types.Bool, v.Len())
-			for i, n := range v.Ints {
-				if v.IsNull(i) {
-					out.AppendNull()
-				} else {
-					out.Append(types.NewBool(set[n] != not))
-				}
-			}
-			return out, nil
-		}, nil
 	}
 }
 
-func compileCase(x *plan.Case) (VecFn, error) {
-	type branch struct {
-		cond, then VecFn
-	}
-	branches := make([]branch, len(x.Whens))
-	for i, w := range x.Whens {
-		c, err := CompileVec(w.Cond)
-		if err != nil {
-			return nil, err
-		}
-		t, err := CompileVec(w.Then)
-		if err != nil {
-			return nil, err
-		}
-		branches[i] = branch{c, t}
-	}
-	var elseFn VecFn
-	if x.Else != nil {
-		var err error
-		elseFn, err = CompileVec(x.Else)
-		if err != nil {
-			return nil, err
-		}
-	}
-	t := x.T
+// decides reports a non-NULL operand slot holding the value that settles an
+// AND (false) or an OR (true) whatever the other operand is.
+func decides(v *types.Vector, i int, or bool) bool { return !v.IsNull(i) && (v.Ints[i] != 0) == or }
+
+// compileLogic is three-valued AND (or OR, its dual: swap true and false).
+// The right operand is guarded by the left: the interpreted engine does not
+// evaluate it where the left already decides the row.
+func compileLogic(or bool, lfn VecFn, r guarded) VecFn {
 	return func(b *Batch) (*types.Vector, error) {
-		conds := make([]*types.Vector, len(branches))
-		thens := make([]*types.Vector, len(branches))
-		for i, br := range branches {
-			var err error
-			if conds[i], err = br.cond(b); err != nil {
-				return nil, err
-			}
-			if thens[i], err = br.then(b); err != nil {
-				return nil, err
+		lv, err := lfn(b)
+		if err != nil {
+			return nil, err
+		}
+		var open []int
+		for i := 0; r.raises && i < b.N; i++ {
+			if !decides(lv, i, or) {
+				open = append(open, i)
 			}
 		}
-		var elseVec *types.Vector
-		if elseFn != nil {
-			var err error
-			if elseVec, err = elseFn(b); err != nil {
-				return nil, err
-			}
+		rv, err := r.over(b, open)
+		if err != nil {
+			return nil, err
 		}
-		out := types.NewVector(t, b.N)
-		for i := 0; i < b.N; i++ {
-			matched := false
-			for bi := range branches {
-				if !conds[bi].IsNull(i) && conds[bi].Ints[i] != 0 {
-					out.Append(coerceTo(thens[bi].Get(i), t))
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				if elseVec != nil {
-					out.Append(coerceTo(elseVec.Get(i), t))
+		if lv.Nulls == nil && rv.Nulls == nil {
+			// Fast path: no nulls on either side — plain bitwise logic.
+			out := boolVec(len(lv.Ints), nil)
+			for i := range out.Ints {
+				if or {
+					out.Ints[i] = lv.Ints[i] | rv.Ints[i]
 				} else {
-					out.AppendNull()
+					out.Ints[i] = lv.Ints[i] & rv.Ints[i]
 				}
 			}
+			return out, nil
+		}
+		out := boolVec(b.N, make([]bool, b.N))
+		for i := range out.Ints {
+			switch {
+			case decides(lv, i, or) || decides(rv, i, or):
+				if or {
+					out.Ints[i] = 1
+				}
+			case lv.IsNull(i) || rv.IsNull(i):
+				out.Nulls[i] = true
+			case !or:
+				out.Ints[i] = 1
+			}
+		}
+		return out, nil
+	}
+}
+
+// compileCase evaluates branch by branch over the rows no earlier branch
+// took: a condition is guarded by the conditions before it, a result by its
+// own condition, and ELSE — a last branch with no condition — by all of them.
+func (c *compiler) compileCase(x *plan.Case) (VecFn, error) {
+	type branch struct{ cond, then guarded }
+	whens := x.Whens
+	if x.Else != nil {
+		whens = append(whens[:len(whens):len(whens)], plan.CaseWhen{Then: x.Else})
+	}
+	branches := make([]branch, len(whens))
+	for i, w := range whens {
+		var err error
+		if w.Cond != nil {
+			if branches[i].cond, err = c.guarded(w.Cond); err != nil {
+				return nil, err
+			}
+		}
+		if branches[i].then, err = c.guarded(w.Then); err != nil {
+			return nil, err
+		}
+	}
+	return func(b *Batch) (*types.Vector, error) {
+		out := nullVec(x.T, b.N)
+		rest := make([]int, b.N)
+		for i := range rest {
+			rest[i] = i
+		}
+		for _, br := range branches {
+			hit, miss := rest, rest[:0]
+			if br.cond.fn != nil {
+				cond, err := br.cond.over(b, rest)
+				if err != nil {
+					return nil, err
+				}
+				hit = make([]int, 0, len(rest))
+				for _, i := range rest {
+					if cond.Ints[i] != 0 && !cond.IsNull(i) {
+						hit = append(hit, i)
+					} else {
+						miss = append(miss, i)
+					}
+				}
+			}
+			then, err := br.then.over(b, hit)
+			if err != nil {
+				return nil, err
+			}
+			assign(out, then, hit, false)
+			rest = miss
+		}
+		if !out.HasNulls() {
+			out.Nulls = nil
 		}
 		return out, nil
 	}, nil
 }
 
-// coerceTo widens int values into float results (CASE branches of mixed
-// numeric types).
-func coerceTo(v types.Value, t types.Type) types.Value {
-	if v.Null {
-		return types.NewNull(t)
-	}
-	if v.T == types.Int64 && t == types.Float64 {
-		return types.NewFloat(float64(v.I))
-	}
-	return v
-}
-
-func compileCall(x *plan.Call) (VecFn, error) {
-	argFns := make([]VecFn, len(x.Args))
-	for i, a := range x.Args {
-		fn, err := CompileVec(a)
-		if err != nil {
-			return nil, err
-		}
-		argFns[i] = fn
-	}
+func (c *compiler) compileCall(x *plan.Call) (VecFn, error) {
 	// FLOAT (int→float promotion) gets a dedicated tight kernel; it is on
 	// the hot path of promoted arithmetic.
 	if x.Name == sql.FuncFloat {
-		return func(b *Batch) (*types.Vector, error) {
-			v, err := argFns[0](b)
-			if err != nil {
-				return nil, err
-			}
-			out := &types.Vector{T: types.Float64, Floats: make([]float64, len(v.Ints)), Nulls: v.Nulls}
+		return c.unary(x.Args[0], func(v *types.Vector) *types.Vector {
+			out := make([]float64, len(v.Ints))
 			for i, n := range v.Ints {
-				out.Floats[i] = float64(n)
+				out[i] = float64(n)
 			}
-			return out, nil
-		}, nil
+			return vecOf(types.Float64, out, v.Nulls)
+		})
 	}
-	call := *x
-	return func(b *Batch) (*types.Vector, error) {
-		args := make([]*types.Vector, len(argFns))
-		for i, fn := range argFns {
-			v, err := fn(b)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
+	c.raises = c.raises || x.Name == sql.FuncDateTrunc
+	argEvs := make([]*Evaluator, len(x.Args))
+	for i, a := range x.Args {
+		fn, err := c.compile(a)
+		if err != nil {
+			return nil, err
 		}
-		out := types.NewVector(call.T, b.N)
+		argEvs[i] = &Evaluator{mode: Compiled, expr: a, fn: fn}
+	}
+	// Every other function runs the interpreted engine's evalCall row by
+	// row over arguments evaluated for the whole batch: COALESCE's later
+	// arguments are not guarded, because there they are not either.
+	return func(b *Batch) (*types.Vector, error) {
+		args, err := evalKeys(argEvs, b, make([]*types.Vector, 0, len(argEvs)))
+		if err != nil {
+			return nil, err
+		}
+		out := types.NewVector(x.T, b.N)
 		row := make([]types.Value, len(args))
 		for i := 0; i < b.N; i++ {
 			for a := range args {
 				row[a] = args[a].Get(i)
 			}
-			v, err := evalCall(&call, row)
+			v, err := evalCall(x, row)
 			if err != nil {
 				return nil, err
 			}
@@ -621,21 +532,4 @@ func compileCall(x *plan.Call) (VecFn, error) {
 		}
 		return out, nil
 	}, nil
-}
-
-// SelectTrue returns the positions where a boolean vector is true
-// (NULL counts as false, per WHERE semantics).
-func SelectTrue(v *types.Vector) []int {
-	return SelectTrueInto(v, make([]int, 0, len(v.Ints)))
-}
-
-// SelectTrueInto appends the true positions to out, letting hot scan
-// loops reuse one selection buffer instead of allocating per block.
-func SelectTrueInto(v *types.Vector, out []int) []int {
-	for i, n := range v.Ints {
-		if n != 0 && !v.IsNull(i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"redshift/internal/plan"
 	"redshift/internal/types"
@@ -65,6 +64,22 @@ func (ev *Evaluator) Eval(b *Batch) (*types.Vector, error) {
 	return out, nil
 }
 
+// newEvaluators prepares a list of expressions; a nil expression yields the
+// nil evaluator that evalKeys answers with a nil vector.
+func newEvaluators(mode Mode, exprs []plan.Expr) ([]*Evaluator, error) {
+	evs := make([]*Evaluator, len(exprs))
+	for i, e := range exprs {
+		if e == nil {
+			continue
+		}
+		var err error
+		if evs[i], err = NewEvaluator(mode, e); err != nil {
+			return nil, err
+		}
+	}
+	return evs, nil
+}
+
 func exprVecType(e plan.Expr) types.Type {
 	if t := e.Type(); t != types.Invalid {
 		return t
@@ -116,7 +131,11 @@ func (f *Filter) Select(b *Batch, sel []int) ([]int, bool, error) {
 	if err != nil {
 		return sel, false, err
 	}
-	sel = SelectTrueInto(v, sel)
+	for i, n := range v.Ints {
+		if n != 0 && !v.IsNull(i) { // NULL counts as false, per WHERE semantics
+			sel = append(sel, i)
+		}
+	}
 	return sel, len(sel) == b.N, nil
 }
 
@@ -127,110 +146,20 @@ type Projector struct {
 
 // NewProjector prepares the projection expressions.
 func NewProjector(mode Mode, exprs []plan.Expr) (*Projector, error) {
-	p := &Projector{}
-	for _, e := range exprs {
-		ev, err := NewEvaluator(mode, e)
-		if err != nil {
-			return nil, err
-		}
-		p.evs = append(p.evs, ev)
+	evs, err := newEvaluators(mode, exprs)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return &Projector{evs: evs}, nil
 }
 
 // Apply computes the projected batch.
 func (p *Projector) Apply(b *Batch) (*Batch, error) {
-	out := NewBatch(len(p.evs))
-	out.N = b.N
-	for i, ev := range p.evs {
-		v, err := ev.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		out.Cols[i] = v
+	cols, err := evalKeys(p.evs, b, make([]*types.Vector, 0, len(p.evs)))
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// KeyEncoder renders a tuple of values into a comparable string key for
-// hash tables (joins, grouping, distinct). The encoding is injective.
-func KeyEncoder(vals []types.Value) string {
-	buf := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		if v.Null {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1, byte(v.T))
-		switch v.T {
-		case types.Float64:
-			buf = appendUint64(buf, floatKeyBits(v.F))
-		case types.String:
-			buf = appendUint64(buf, uint64(len(v.S)))
-			buf = append(buf, v.S...)
-		default:
-			buf = appendUint64(buf, uint64(v.I))
-		}
-	}
-	return string(buf)
-}
-
-func appendUint64(b []byte, x uint64) []byte {
-	return append(b,
-		byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-		byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-}
-
-func floatKeyBits(f float64) uint64 {
-	// Normalize -0 and +0 so they hash identically.
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
-}
-
-// HashValues hashes a tuple for distribution: FNV-1a over the bytes of its
-// KeyEncoder encoding, streamed without building the string. It is the same
-// function the cluster layer uses to place rows by distribution key, so
-// planner co-location reasoning and executor shuffles agree by construction
-// — and its values are pinned by test, because changing one moves stored
-// rows to another slice.
-func HashValues(vals []types.Value) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range vals {
-		if v.Null {
-			h = fnvByte(h, 0)
-			continue
-		}
-		h = fnvByte(fnvByte(h, 1), byte(v.T))
-		switch v.T {
-		case types.Float64:
-			h = fnvUint64(h, floatKeyBits(v.F))
-		case types.String:
-			h = fnvUint64(h, uint64(len(v.S)))
-			for i := 0; i < len(v.S); i++ {
-				h = fnvByte(h, v.S[i])
-			}
-		default:
-			h = fnvUint64(h, uint64(v.I))
-		}
-	}
-	return h
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime64 }
-
-// fnvUint64 folds x in as appendUint64 lays it out: little-endian.
-func fnvUint64(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(x>>(8*i)))
-	}
-	return h
+	return &Batch{Cols: cols, N: b.N}, nil
 }
 
 // errWidth is a shared consistency failure.

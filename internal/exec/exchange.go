@@ -241,22 +241,14 @@ func BroadcastRoute(n int) RouteFn {
 // key expressions — the same hash the cluster layer distributes rows with,
 // so planner co-location reasoning and executor shuffles agree.
 func NewShuffleRouter(mode Mode, keys []plan.Expr, n int) (RouteFn, error) {
-	evs := make([]*Evaluator, len(keys))
-	for i, k := range keys {
-		ev, err := NewEvaluator(mode, k)
-		if err != nil {
-			return nil, err
-		}
-		evs[i] = ev
+	evs, err := newEvaluators(mode, keys)
+	if err != nil {
+		return nil, err
 	}
 	return func(b *Batch) ([]*Batch, error) {
-		keyVecs := make([]*types.Vector, len(evs))
-		for i, ev := range evs {
-			v, err := ev.Eval(b)
-			if err != nil {
-				return nil, err
-			}
-			keyVecs[i] = v
+		keyVecs, err := evalKeys(evs, b, make([]*types.Vector, 0, len(evs)))
+		if err != nil {
+			return nil, err
 		}
 		sel := make([][]int, n)
 		keyRow := make([]types.Value, len(keyVecs))
@@ -264,7 +256,7 @@ func NewShuffleRouter(mode Mode, keys []plan.Expr, n int) (RouteFn, error) {
 			for i, v := range keyVecs {
 				keyRow[i] = v.Get(r)
 			}
-			dst := int(HashValues(keyRow) % uint64(n))
+			dst := int(types.HashValues(keyRow) % uint64(n))
 			sel[dst] = append(sel[dst], r)
 		}
 		parts := make([]*Batch, n)

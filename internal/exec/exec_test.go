@@ -548,26 +548,6 @@ func TestSortBatchAndTopN(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	keys := []plan.OrderKey{{Index: 0}}
-	b1 := SortBatch(twoColBatch([]int64{1, 5, 9}, []string{"a", "b", "c"}), keys)
-	b2 := SortBatch(twoColBatch([]int64{2, 6}, []string{"d", "e"}), keys)
-	b3 := &Batch{Cols: make([]*types.Vector, 2)}
-	out, err := MergeSorted([]*Batch{b1, b2, b3}, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 2, 5, 6, 9}
-	if out.N != 5 {
-		t.Fatalf("merged %d rows", out.N)
-	}
-	for i, w := range want {
-		if out.Cols[0].Ints[i] != w {
-			t.Errorf("merged[%d] = %d, want %d", i, out.Cols[0].Ints[i], w)
-		}
-	}
-}
-
 func TestDistinct(t *testing.T) {
 	b := twoColBatch([]int64{1, 1, 2, 1}, []string{"a", "a", "a", "b"})
 	dd := NewDeduper(nil)
@@ -626,82 +606,23 @@ func TestKeyEncoderInjective(t *testing.T) {
 	}
 }
 
-// TestHashValuesStable pins HashValues bit for bit: it places stored rows on
-// slices (cluster) and routes shuffles (exchange), so a changed value would
-// silently move data. The golden hashes were recorded from the
-// KeyEncoder-string implementation it replaced, which stays as the
-// reference here.
-func TestHashValuesStable(t *testing.T) {
-	golden := []struct {
-		vals []types.Value
-		want uint64
-	}{
-		{[]types.Value{types.NewInt(42)}, 0xbf20053b15f43bfd},
-		{[]types.Value{types.NewInt(-1)}, 0xad5ab16c642497cf},
-		{[]types.Value{types.NewDate(42)}, 0x81ca3f341493c1a1},
-		{[]types.Value{types.NewTimestamp(1700000000000000)}, 0xa9e896ca9e02ea5c},
-		{[]types.Value{types.NewBool(true)}, 0x227f585b562a3f19},
-		{[]types.Value{types.NewFloat(0)}, 0x78029183c6dcb96a},
-		{[]types.Value{types.NewFloat(math.Copysign(0, -1))}, 0x78029183c6dcb96a},
-		{[]types.Value{types.NewFloat(3.25)}, 0x77e05583c6bf6d10},
-		{[]types.Value{types.NewString("")}, 0xb6ce6e15b77af7d},
-		{[]types.Value{types.NewString("a\x00b")}, 0x4560230023ecc58f},
-		{[]types.Value{types.NewString("redshift")}, 0x148553aa4ea0d4e8},
-		{[]types.Value{types.NewNull(types.Int64)}, 0xaf63bd4c8601b7df},
-		{[]types.Value{types.NewNull(types.String)}, 0xaf63bd4c8601b7df},
-		{[]types.Value{types.NewInt(7), types.NewString("x"), types.NewNull(types.Float64), types.NewDate(19000)}, 0x29e2bac9000cf635},
-		{nil, 0xcbf29ce484222325},
-	}
-	for _, g := range golden {
-		if got := HashValues(g.vals); got != g.want {
-			t.Errorf("HashValues(%v) = %#x, want %#x", g.vals, got, g.want)
-		}
+// TestHashValuesIsFNVOverKeyEncoder ties types.HashValues' byte stream to
+// the encoding KeyTable's keys use: FNV-1a over KeyEncoder's bytes, for every
+// shape of value (types.TestHashValuesStable pins the values themselves).
+func TestHashValuesIsFNVOverKeyEncoder(t *testing.T) {
+	for _, vals := range [][]types.Value{
+		{types.NewInt(-1)}, {types.NewDate(42)}, {types.NewBool(true)},
+		{types.NewFloat(math.Copysign(0, -1))}, {types.NewFloat(3.25)},
+		{types.NewString("")}, {types.NewString("a\x00b")}, {types.NewNull(types.String)},
+		{types.NewInt(7), types.NewString("x"), types.NewNull(types.Float64), types.NewTimestamp(1700000000000000)},
+		nil,
+	} {
 		ref := uint64(14695981039346656037)
-		for _, c := range []byte(KeyEncoder(g.vals)) {
+		for _, c := range []byte(KeyEncoder(vals)) {
 			ref = (ref ^ uint64(c)) * 1099511628211
 		}
-		if ref != g.want {
-			t.Errorf("FNV-1a over KeyEncoder(%v) = %#x, want %#x", g.vals, ref, g.want)
-		}
-	}
-}
-
-func TestCompiledMatchesInterpretedProperty(t *testing.T) {
-	// Cross-engine differential test over a grab-bag of expressions.
-	exprs := []plan.Expr{
-		bin(sql.OpAdd, col(0, types.Int64), icon(7), types.Int64),
-		bin(sql.OpMul, col(0, types.Int64), col(0, types.Int64), types.Int64),
-		bin(sql.OpLe, col(0, types.Int64), icon(50), types.Bool),
-		&plan.InList{E: col(0, types.Int64), Vals: []types.Value{types.NewInt(3), types.NewInt(50)}},
-		&plan.IsNull{E: col(0, types.Int64)},
-		&plan.Neg{E: col(0, types.Int64)},
-		&plan.Case{
-			Whens: []plan.CaseWhen{{Cond: bin(sql.OpGt, col(0, types.Int64), icon(10), types.Bool), Then: icon(1)}},
-			Else:  icon(0), T: types.Int64,
-		},
-		bin(sql.OpAnd,
-			bin(sql.OpGt, col(0, types.Int64), icon(5), types.Bool),
-			bin(sql.OpLt, col(0, types.Int64), icon(90), types.Bool), types.Bool),
-	}
-	vals := make([]int64, 200)
-	nulls := map[int]bool{}
-	for i := range vals {
-		vals[i] = int64(i*7%101 - 50)
-		if i%13 == 0 {
-			nulls[i] = true
-		}
-	}
-	b := intBatch(vals, nulls)
-	for ei, e := range exprs {
-		cv := evalOne(t, Compiled, e, b)
-		iv := evalOne(t, Interpreted, e, b)
-		if !cv.Equal(iv) {
-			for i := 0; i < cv.Len(); i++ {
-				if cv.IsNull(i) != iv.IsNull(i) || (!cv.IsNull(i) && !types.Equal(cv.Get(i), iv.Get(i))) {
-					t.Errorf("expr %d (%s) row %d: compiled=%v interpreted=%v", ei, e, i, cv.Get(i), iv.Get(i))
-					break
-				}
-			}
+		if got := types.HashValues(vals); got != ref {
+			t.Errorf("HashValues(%v) = %#x, FNV-1a over KeyEncoder = %#x", vals, got, ref)
 		}
 	}
 }

@@ -112,19 +112,12 @@ func NewHashJoin(mode Mode, step plan.JoinStep, rightWidth int) (*HashJoin, erro
 		kt:         NewKeyTable(),
 		build:      NewBatch(rightWidth),
 	}
-	for _, k := range step.LeftKeys {
-		ev, err := NewEvaluator(mode, k)
-		if err != nil {
-			return nil, err
-		}
-		j.leftKeys = append(j.leftKeys, ev)
+	var err error
+	if j.leftKeys, err = newEvaluators(mode, step.LeftKeys); err != nil {
+		return nil, err
 	}
-	for _, k := range step.RightKeys {
-		ev, err := NewEvaluator(mode, k)
-		if err != nil {
-			return nil, err
-		}
-		j.buildKeys = append(j.buildKeys, ev)
+	if j.buildKeys, err = newEvaluators(mode, step.RightKeys); err != nil {
+		return nil, err
 	}
 	residual, err := NewFilter(mode, step.Residual)
 	if err != nil {

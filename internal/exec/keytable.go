@@ -338,6 +338,20 @@ func (t *KeyTable) toArena() {
 	t.fixed, t.fkeys, t.ftags = false, nil, nil
 }
 
+func appendUint64(b []byte, x uint64) []byte {
+	return append(b,
+		byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
+		byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
+}
+
+func floatKeyBits(f float64) uint64 {
+	// Normalize -0 and +0 so they are one key.
+	if f == 0 {
+		f = 0
+	}
+	return math.Float64bits(f)
+}
+
 // appendKeyAt appends position r of v in KeyEncoder's encoding. A nil
 // (unmaterialized) column encodes as KeyEncoder's zero Value does.
 func appendKeyAt(buf []byte, v *types.Vector, r int) []byte {

@@ -95,12 +95,8 @@ func (m *mergeStream) siftDown(i int) {
 	}
 }
 
+// Next returns the next up to BatchSize rows, or nil at the end.
 func (m *mergeStream) Next(ctx context.Context) (*Batch, error) {
-	return m.next(ctx, BatchSize)
-}
-
-// next returns the next up to max rows, or nil at the end.
-func (m *mergeStream) next(ctx context.Context, max int) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -131,12 +127,12 @@ func (m *mergeStream) next(ctx context.Context, max int) (*Batch, error) {
 	}()
 
 	n := 0
-	for n < max && len(m.heap) > 0 {
+	for n < BatchSize && len(m.heap) > 0 {
 		i := m.heap[0]
 		in := &m.in[i]
 		take := 1
 		if len(m.heap) == 1 {
-			take = min(max-n, in.b.N-in.pos) // nothing left to compare with
+			take = min(BatchSize-n, in.b.N-in.pos) // nothing left to compare with
 		}
 		if in.slot < 0 {
 			in.slot = len(m.srcs)
@@ -247,24 +243,4 @@ func copyRuns[T any](runs []mergeRun, n int, cols []*types.Vector, scratch *[][]
 		}
 	}
 	return dst
-}
-
-// MergeSorted merges pre-sorted batches into one sorted batch — the leader
-// node's merge step over per-slice sorted streams. It consumes the batches.
-func MergeSorted(batches []*Batch, keys []plan.OrderKey) (*Batch, error) {
-	var streams []batchStream
-	total := 0
-	for _, b := range batches {
-		if b != nil && b.N > 0 {
-			streams = append(streams, &memStream{batches: []*Batch{b}})
-			total += b.N
-		}
-	}
-	if len(streams) == 0 {
-		if len(batches) > 0 {
-			return batches[0], nil
-		}
-		return &Batch{}, nil
-	}
-	return newMergeStream(streams, keys).next(context.Background(), total)
 }

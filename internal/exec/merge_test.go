@@ -151,30 +151,14 @@ func TestPropMergeKernel(t *testing.T) {
 	}
 }
 
-// TestMergeSortedMatchesReference runs the leader's one-batch-per-slice
-// merge through the same reference, past BatchSize rows in one output.
-func TestMergeSortedMatchesReference(t *testing.T) {
+// Inputs that materialize different columns are an error, not a short column.
+func TestMergeKernelRejectsMismatchedShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(propSeed(t)))
-	sh := mergeShape{"leader", []plan.OrderKey{{Index: 1}, {Index: 0, Desc: true}}, 0.1, 9}
-	var batches []*Batch
-	streams := make([][]*Batch, 4)
-	for i := range streams {
-		b := SortBatch(mergeBatch(rng, 200+rng.Intn(600), sh), sh.keys)
-		streams[i] = []*Batch{b}
-		batches = append(batches, b)
-	}
-	batches = append(batches, nil, NewBatch(5))
-	want := refMerge(streams, sh.keys)
-	out, err := MergeSorted(batches, sh.keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, sh.name, batchRowStrings(out), want)
-
-	// Inputs of different shapes are an error, not a short column.
-	a, b := mergeBatch(rng, 3, sh), mergeBatch(rng, 3, sh)
+	sh := mergeShape{"mismatch", []plan.OrderKey{{Index: 1}, {Index: 0, Desc: true}}, 0.1, 9}
+	a, b := SortBatch(mergeBatch(rng, 3, sh), sh.keys), SortBatch(mergeBatch(rng, 3, sh), sh.keys)
 	b.Cols[3] = nil
-	if _, err := MergeSorted([]*Batch{a, b}, sh.keys); err == nil {
+	m := newMergeStream([]batchStream{&memStream{batches: []*Batch{a}}, &memStream{batches: []*Batch{b}}}, sh.keys)
+	if _, err := m.Next(context.Background()); err == nil {
 		t.Error("merging batches that materialize different columns did not fail")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync/atomic"
 
-	"redshift/internal/plan"
 	"redshift/internal/telemetry"
 )
 
@@ -95,57 +94,41 @@ func (o *GroupMergeOp) Close() error {
 	return nil
 }
 
-// LeaderMergeOp is the receive side of the gather to the leader: a sorted
-// merge when every slice pre-sorted its output into one batch (the top-N
-// pushdown path), otherwise a slice-order replay of the gathered batches.
-// The lists hold batches parked in flight; each one it takes leaves fl and
-// its slot, so after an early stop exactly the non-nil remainder is still
+// LeaderMergeOp is the receive side of the gather to the leader: a
+// slice-order replay of the gathered batches. Slices that pre-sorted their
+// output (top-N pushdown) need no merge here: the leader's sort is stable, so
+// sorting the replay is the merge of the slices' runs with ties in slice
+// order. The lists hold batches parked in flight; each one it takes leaves fl
+// and its slot, so after an early stop exactly the non-nil remainder is still
 // parked.
 type LeaderMergeOp struct {
 	perSlice [][]*Batch
-	keys     []plan.OrderKey
-	sorted   bool
 	fl       *FlightTracker
 
 	sl, i int
 }
 
 // NewLeaderMergeOp prepares the gather step over the per-slice lists of
-// non-empty batches. sorted selects the merge of pre-sorted single-batch
-// slices; fl (may be nil) is where the lists' batches are counted.
-func NewLeaderMergeOp(perSlice [][]*Batch, keys []plan.OrderKey, sorted bool, fl *FlightTracker) *LeaderMergeOp {
-	return &LeaderMergeOp{perSlice: perSlice, keys: keys, sorted: sorted, fl: fl}
+// non-empty batches; fl (may be nil) is where the lists' batches are counted.
+func NewLeaderMergeOp(perSlice [][]*Batch, fl *FlightTracker) *LeaderMergeOp {
+	return &LeaderMergeOp{perSlice: perSlice, fl: fl}
 }
 
 func (o *LeaderMergeOp) Open(ctx context.Context) error { return nil }
 
-// take unparks the next batch of the current slice's list.
-func (o *LeaderMergeOp) take() *Batch {
-	b := o.perSlice[o.sl][o.i]
-	o.perSlice[o.sl][o.i] = nil
-	o.i++
-	o.fl.Dec()
-	return b
-}
-
-// Next walks the lists in slice order. A replay returns each batch as it
-// comes to it; a sorted merge collects every slice's first batch in one
-// call and returns their merge.
+// Next walks the lists in slice order, unparking each batch as it comes to it.
 func (o *LeaderMergeOp) Next(ctx context.Context) (*Batch, error) {
-	var firsts []*Batch
 	for ; o.sl < len(o.perSlice); o.sl, o.i = o.sl+1, 0 {
 		if o.i == len(o.perSlice[o.sl]) {
 			continue
 		}
-		if !o.sorted {
-			return o.take(), nil
-		}
-		firsts = append(firsts, o.take())
+		b := o.perSlice[o.sl][o.i]
+		o.perSlice[o.sl][o.i] = nil
+		o.i++
+		o.fl.Dec()
+		return b, nil
 	}
-	if len(firsts) == 0 {
-		return nil, nil
-	}
-	return MergeSorted(firsts, o.keys)
+	return nil, nil
 }
 
 func (o *LeaderMergeOp) Close() error { return nil }

@@ -173,7 +173,7 @@ func TestLeaderPipelineConsumesGatherLists(t *testing.T) {
 	lists := gather()
 	out := NewBatch(1)
 	dedupe := NewDeduper(nil)
-	p := &Pipeline{Op: NewLeaderMergeOp(lists, nil, false, fl), Flight: fl,
+	p := &Pipeline{Op: NewLeaderMergeOp(lists, fl), Flight: fl,
 		Stages: []Stage{{New: func() (StageFn, error) { return dedupe.Apply, nil }}},
 		Sink:   NewOrderedSink(Collect(out, 5, nil))}
 	if err := p.Run(ctx); err != nil {
@@ -186,26 +186,26 @@ func TestLeaderPipelineConsumesGatherLists(t *testing.T) {
 		t.Errorf("after a full run %d batches parked, %d in flight", parked(lists), fl.Current())
 	}
 
-	// Sorted merge of each slice's first batch into a one-worker TopNSink.
+	// Replay into a one-worker TopNSink: its stable sort merges the slices.
 	lists = gather()
 	var top *Batch
-	p = &Pipeline{Op: NewLeaderMergeOp(lists, byCol0, true, fl), Flight: fl,
+	p = &Pipeline{Op: NewLeaderMergeOp(lists, fl), Flight: fl,
 		Sink: NewTopNSink(byCol0, 3, 1, func() *MemContext { return nil }, nil, func(b *Batch) error { top = b; return nil })}
 	if err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := render([]*Batch{top}), "1;1;2;|"; got != want {
-		t.Errorf("sorted merge top-3 = %s, want %s", got, want)
+		t.Errorf("replayed top-3 = %s, want %s", got, want)
 	}
-	if parked(lists) != 2 || fl.Current() != 2 {
-		t.Errorf("sorted merge takes one batch per slice: %d parked, %d in flight, want 2 and 2", parked(lists), fl.Current())
+	if parked(lists) != 0 || fl.Current() != 0 {
+		t.Errorf("after a full run %d batches parked, %d in flight", parked(lists), fl.Current())
 	}
 
 	// A sink failure on the second batch stops the run: two taken, two parked.
 	fl = NewFlightTracker(nil)
 	lists = gather()
 	boom, seen := errors.New("boom"), 0
-	p = &Pipeline{Op: NewLeaderMergeOp(lists, nil, false, fl), Flight: fl,
+	p = &Pipeline{Op: NewLeaderMergeOp(lists, fl), Flight: fl,
 		Sink: NewOrderedSink(func(b *Batch) error {
 			PutBatch(b)
 			if seen++; seen == 2 {

@@ -210,7 +210,16 @@ func TestSpillFrameSeedCorpus(t *testing.T) {
 		if _, err := decodeFrame(data); (err == nil) != (lies[name] == nil) {
 			t.Errorf("%s: decode error = %v", name, err)
 		}
-		path := filepath.Join("testdata", "fuzz", "FuzzSpillFrame", name)
+	}
+	checkSeedCorpus(t, "FuzzSpillFrame", seeds)
+}
+
+// checkSeedCorpus holds a fuzz target's committed seed files to seeds, name
+// for name and byte for byte; UPDATE_FUZZ_CORPUS=1 writes them instead.
+func checkSeedCorpus(t *testing.T, target string, seeds map[string][]byte) {
+	t.Helper()
+	for name, data := range seeds {
+		path := filepath.Join("testdata", "fuzz", target, name)
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -47,13 +47,6 @@ func NewMaster() (*Master, error) {
 	return &Master{key: key, gen: 1}, nil
 }
 
-// Generation identifies the current master key version.
-func (m *Master) Generation() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.gen
-}
-
 // Rotate replaces the master key and returns the new generation. Callers
 // must rewrap their cluster keys (and only those — not the data).
 func (m *Master) Rotate() (int, error) {

@@ -39,6 +39,7 @@ func BuildWith(cat *catalog.Catalog, stmt *sql.Select, opts Options) (*Plan, err
 	}
 	b.plan.Distinct = stmt.Distinct
 	b.pruneColumns()
+	b.plan.physical = BuildPhysical(b.plan)
 	b.plan.EstCost = estPlanCost(b.plan)
 	return b.plan, nil
 }
@@ -49,7 +50,7 @@ func BuildWith(cat *catalog.Catalog, stmt *sql.Select, opts Options) (*Plan, err
 // WLM fast lane must never admit a query it cannot size.
 func estPlanCost(p *Plan) int64 {
 	var total int64
-	for _, n := range BuildPhysical(p).Nodes {
+	for _, n := range p.Physical().Nodes {
 		if n.EstRows < 0 {
 			return -1
 		}

@@ -550,7 +550,8 @@ func promote(e Expr) Expr {
 	return &Call{Name: sql.FuncFloat, Args: []Expr{e}, T: types.Float64}
 }
 
-// caseType computes the result type of a CASE expression.
+// caseType computes the result type of a CASE expression and promotes its
+// integer branches when that type is Float64.
 func caseType(c *Case) (types.Type, error) {
 	var t types.Type
 	consider := func(e Expr) error {
@@ -579,6 +580,17 @@ func caseType(c *Case) (types.Type, error) {
 	}
 	if t == types.Invalid {
 		return 0, errf("CASE has no typed branch")
+	}
+	if t == types.Float64 {
+		// Integer branches beside float ones evaluate as floats, as the
+		// operands of mixed arithmetic do: neither engine converts a
+		// branch's value after the fact.
+		for i := range c.Whens {
+			c.Whens[i].Then = promote(c.Whens[i].Then)
+		}
+		if c.Else != nil {
+			c.Else = promote(c.Else)
+		}
 	}
 	return t, nil
 }

@@ -35,8 +35,7 @@ const (
 	PhysPartialDistinct
 	// PhysSliceTopN keeps each slice's top LIMIT rows under ORDER BY.
 	PhysSliceTopN
-	// PhysLeaderMerge gathers slice streams on the leader, merge-sorted
-	// when slices pre-sorted their output.
+	// PhysLeaderMerge gathers slice streams on the leader, in slice order.
 	PhysLeaderMerge
 	// PhysFinalize applies leader-only DISTINCT / ORDER BY / LIMIT.
 	PhysFinalize
@@ -126,7 +125,7 @@ type Physical struct {
 }
 
 // SliceTopN reports whether ORDER BY + LIMIT push down to slices: each
-// slice sorts and truncates locally so the leader merge-sorts tiny inputs.
+// slice sorts and truncates locally so the leader sorts tiny inputs.
 func (p *Plan) SliceTopN() bool {
 	return len(p.OrderBy) > 0 && p.Limit >= 0 && !p.Distinct
 }
@@ -326,11 +325,7 @@ func (ph *Physical) lines(n *PhysNode) []string {
 		ls[0] = ann(ls[0])
 		return ls
 	case PhysLeaderMerge:
-		detail := ""
-		if p.SliceTopN() {
-			detail = ": merge-sorted"
-		}
-		return []string{ann("XN Network (Gather" + detail + ")")}
+		return []string{ann("XN Network (Gather)")}
 	case PhysLeaderAgg:
 		return []string{ann("XN " + aggLine(p))}
 	case PhysPartialAgg:

@@ -150,6 +150,21 @@ type Plan struct {
 	// cardinality is unknown. The WLM's short-query fast lane compares it
 	// against its admission threshold.
 	EstCost int64
+
+	// physical is the lowered tree BuildWith priced EstCost from, kept for
+	// every execution and EXPLAIN of the plan (the plan cache shares plans
+	// between sessions): read-only once set.
+	physical *Physical
+}
+
+// Physical returns the plan's lowered operator tree: the one BuildWith
+// built, or a fresh lowering for a plan assembled by hand. Callers must not
+// modify it.
+func (p *Plan) Physical() *Physical {
+	if p.physical != nil {
+		return p.physical
+	}
+	return BuildPhysical(p)
 }
 
 // FieldTypes returns the output column types.
@@ -173,7 +188,7 @@ func (p *Plan) Schema() types.Schema {
 // Explain renders the plan as its lowered physical operator tree — what
 // the executor actually runs — in a Redshift-flavored indented style.
 func (p *Plan) Explain() string {
-	return BuildPhysical(p).Explain()
+	return p.Physical().Explain()
 }
 
 // ExplainWithMemory renders Explain plus the query's memory grant when

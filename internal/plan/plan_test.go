@@ -351,6 +351,15 @@ func TestNumericPromotion(t *testing.T) {
 	if p.Tables[0].Filter == nil {
 		t.Error("promoted comparison should still push down")
 	}
+	// A CASE with integer and float branches promotes the integer ones, so
+	// every branch evaluates to the result type on both engines.
+	p = build(t, cat, `SELECT CASE WHEN latency > 1 THEN product_id WHEN latency > 0 THEN 2 ELSE 0.5 END FROM clicks`)
+	c := p.Project[0].(*Case)
+	for _, b := range []Expr{c.Whens[0].Then, c.Whens[1].Then, c.Else} {
+		if b.Type() != types.Float64 {
+			t.Errorf("branch %s of a DOUBLE PRECISION CASE is %v", b, b.Type())
+		}
+	}
 }
 
 func TestDateArithmetic(t *testing.T) {
@@ -370,6 +379,22 @@ func TestExplainRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("EXPLAIN missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A built plan carries the one lowering BuildWith priced it from; a plan put
+// together by hand lowers on demand.
+func TestPhysicalIsLoweredOnce(t *testing.T) {
+	p := build(t, testCatalog(t), `SELECT category, COUNT(*) FROM products GROUP BY category`)
+	if p.Physical() != p.Physical() {
+		t.Error("a built plan lowered twice")
+	}
+	if got, want := p.Explain(), BuildPhysical(p).Explain(); got != want {
+		t.Errorf("EXPLAIN of the kept tree:\n%s\nof a fresh lowering:\n%s", got, want)
+	}
+	byHand := &Plan{Tables: p.Tables, Project: p.Project, FieldNames: p.FieldNames, Limit: -1}
+	if ph := byHand.Physical(); ph == nil || ph.Plan != byHand {
+		t.Errorf("a hand-built plan lowered to %+v", ph)
 	}
 }
 

@@ -86,11 +86,6 @@ func (m CostModel) DiskRead(bytes int64) time.Duration {
 	return mbDuration(bytes, m.DiskReadMBps)
 }
 
-// DiskWrite returns the time one node needs to write bytes sequentially.
-func (m CostModel) DiskWrite(bytes int64) time.Duration {
-	return mbDuration(bytes, m.DiskWriteMBps)
-}
-
 // NetTransfer returns the time to move bytes across one node-to-node link.
 func (m CostModel) NetTransfer(bytes int64) time.Duration {
 	return mbDuration(bytes, m.NetMBps)

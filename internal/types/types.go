@@ -143,13 +143,6 @@ func (v Value) AsFloat() float64 {
 	return float64(v.I)
 }
 
-// WithoutNull returns the value with its null flag cleared, exposing the
-// physical placeholder payload. Codecs use it; SQL evaluation never should.
-func (v Value) WithoutNull() Value {
-	v.Null = false
-	return v
-}
-
 // IsZero reports whether v is the zero Value (no type at all), distinct from
 // a typed NULL.
 func (v Value) IsZero() bool { return v.T == Invalid && !v.Null && v.I == 0 && v.F == 0 && v.S == "" }

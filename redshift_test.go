@@ -231,6 +231,57 @@ func TestInterpretedEngineOption(t *testing.T) {
 	}
 }
 
+// TestGuardedErrorsBothEngines: an operand that can raise is evaluated only
+// on the rows its guard — the left of AND/OR, a CASE condition — leaves
+// undecided, on the compiled engine as on the interpreted one; unguarded, it
+// fails the statement on both.
+func TestGuardedErrorsBothEngines(t *testing.T) {
+	cases := []struct{ query, want string }{
+		{`SELECT x FROM t WHERE y <> 0 AND x / y > 2 ORDER BY x`, "[9 10]"},
+		{`SELECT x FROM t WHERE y = 0 OR x / y > 2 ORDER BY x`, "[5 9 10]"},
+		{`SELECT CASE WHEN y <> 0 THEN x / y ELSE 0 END AS v FROM t WHERE x < 11 ORDER BY v`, "[0 3 5]"},
+		// A NULL guard decides nothing under AND, everything it is not under OR.
+		{`SELECT x FROM t WHERE y <> 0 AND x % y = 0 ORDER BY x`, "[9 10]"},
+		{`SELECT x FROM t WHERE (y IS NULL OR y <> 0) AND COALESCE(x / y, 7) > 4 ORDER BY x`, "[10 11]"},
+		{`SELECT x FROM t WHERE y IS NOT NULL AND (y = 0 OR x / y > 4) ORDER BY x`, "[5 10]"},
+		// Nested: a CASE inside a guarded conjunct, a guard inside a CASE.
+		{`SELECT x FROM t WHERE x > 5 AND CASE WHEN y > 2 THEN x / (y - 2) > 8 ELSE y = 2 END ORDER BY x`, "[9 10]"},
+		{`SELECT CASE WHEN y = 0 THEN -1 WHEN y <> 0 AND 20 / y > 7 THEN 20 / y END AS v FROM t ORDER BY v`, "[NULL NULL -1 10]"},
+		// The guard excludes every row: the operand is never evaluated.
+		{`SELECT COUNT(*) FROM t WHERE x > 100 AND x / 0 > 1`, "[0]"},
+		{`SELECT x FROM t WHERE y = 0 AND x / y > 1`, ""},
+		// Integer and float branches in one CASE.
+		{`SELECT CASE WHEN y <> 0 THEN 1 ELSE 2.5 END AS v FROM t ORDER BY v`, "[1.0 1.0 2.5 2.5]"},
+		{`SELECT x FROM t WHERE CASE WHEN y <> 0 THEN x ELSE 0.5 END > 9.5 ORDER BY x`, "[10]"},
+		{`SELECT x / y FROM t`, ""},
+		{`SELECT x FROM t WHERE x / y > 2 AND y <> 0`, ""},
+		{`SELECT x FROM t WHERE x > 100 OR x / 0 > 1`, ""},
+	}
+	for _, interpreted := range []bool{false, true} {
+		w := launch(t, Options{Nodes: 1, Interpreted: interpreted})
+		w.MustExecute(`CREATE TABLE t (x BIGINT, y BIGINT)`)
+		w.MustExecute(`INSERT INTO t VALUES (5, 0), (9, 3), (10, 2), (11, NULL)`)
+		for _, c := range cases {
+			res, err := w.Execute(c.query)
+			switch {
+			case c.want == "" && (err == nil || !strings.Contains(err.Error(), "division by zero")):
+				t.Errorf("interpreted=%v %s: error = %v, want division by zero", interpreted, c.query, err)
+			case c.want != "" && err != nil:
+				t.Errorf("interpreted=%v %s: %v", interpreted, c.query, err)
+			case c.want != "":
+				var got []string
+				for _, r := range res.Rows {
+					got = append(got, r[0].String())
+				}
+				if fmt.Sprint(got) != c.want {
+					t.Errorf("interpreted=%v %s = %v, want %s", interpreted, c.query, got, c.want)
+				}
+			}
+		}
+		assertQuiescent(t, w)
+	}
+}
+
 func TestLaunchDefaults(t *testing.T) {
 	w, err := Launch(Options{})
 	if err != nil {
