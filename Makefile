@@ -24,14 +24,16 @@ race:
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus
 # (testdata/fuzz beside each): arbitrary bytes into the block decoders,
 # fuzzer-built vectors through every encoding and back, arbitrary bytes into
-# the spill frame decoder, and bytes read as an expression plus a batch that
-# the compiled and interpreted evaluators must agree on.
+# the spill frame decoder, bytes read as an expression plus a batch that
+# the compiled and interpreted evaluators must agree on, and arbitrary bytes
+# into the SQL front end (parse, render, re-parse, plan).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillFrame$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalCompiledVsInterpreted$$' -fuzztime $(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sql
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

@@ -1003,7 +1003,7 @@ func (db *Database) runExplainAnalyze(ctx context.Context, sess *Session, sel *s
 	if isSystemTable(sel.From.Table) {
 		return nil, fmt.Errorf("core: EXPLAIN ANALYZE does not cover system tables")
 	}
-	run, trace, err := db.runSelectTraced(ctx, sess, sel)
+	run, trace, err := db.runSelectTraced(ctx, sess, sel, sql.Normalize(sel))
 	if err != nil {
 		return nil, err
 	}

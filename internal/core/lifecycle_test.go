@@ -27,6 +27,11 @@ func TestPrepareExecuteDeallocate(t *testing.T) {
 	if !r2.Cached {
 		t.Errorf("repeat EXECUTE should be a result-cache hit")
 	}
+	// EXECUTE runs under the text PREPARE rendered, which is the key any
+	// spelling of the statement normalizes to.
+	if r3 := mustExec(t, db, `select region, sum(qty) from sales group by (region) order by region`); !r3.Cached {
+		t.Errorf("the ad-hoc spelling of a prepared statement missed the entry EXECUTE stored")
+	}
 
 	// Duplicate names are rejected; deallocate frees the name.
 	if _, err := db.Execute(`PREPARE top_regions AS SELECT 1`); err == nil {

@@ -299,49 +299,10 @@ func deterministicSelect(s *sql.Select) bool {
 }
 
 func deterministicExpr(e sql.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *sql.FuncCall:
-		if !x.Name.Deterministic() {
-			return false
-		}
-		for _, a := range x.Args {
-			if !deterministicExpr(a) {
-				return false
-			}
-		}
-		return true
-	case *sql.Binary:
-		return deterministicExpr(x.Left) && deterministicExpr(x.Right)
-	case *sql.Unary:
-		return deterministicExpr(x.Expr)
-	case *sql.IsNull:
-		return deterministicExpr(x.Expr)
-	case *sql.Between:
-		return deterministicExpr(x.Expr) && deterministicExpr(x.Lo) && deterministicExpr(x.Hi)
-	case *sql.In:
-		if !deterministicExpr(x.Expr) {
-			return false
-		}
-		for _, it := range x.List {
-			if !deterministicExpr(it) {
-				return false
-			}
-		}
-		return true
-	case *sql.Like:
-		return deterministicExpr(x.Expr)
-	case *sql.Case:
-		for _, w := range x.Whens {
-			if !deterministicExpr(w.Cond) || !deterministicExpr(w.Then) {
-				return false
-			}
-		}
-		return deterministicExpr(x.Else)
-	default:
-		return true // Literal, ColumnRef
-	}
+	return sql.Walk(e, func(x sql.Expr) bool {
+		call, ok := x.(*sql.FuncCall)
+		return !ok || call.Name.Deterministic()
+	})
 }
 
 // resultLookup serves a stored result if its version key still matches; a

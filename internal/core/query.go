@@ -17,15 +17,19 @@ import (
 
 // runSelect executes a SELECT: plan at the leader, per-slice parallel
 // execution with strategy-appropriate data movement, final merge at the
-// leader (§2.1's query processing flow).
-func (db *Database) runSelect(ctx context.Context, sess *Session, s *sql.Select) (*Result, error) {
+// leader (§2.1's query processing flow). norm is s normalized, or empty for
+// runSelect to render it.
+func (db *Database) runSelect(ctx context.Context, sess *Session, s *sql.Select, norm string) (*Result, error) {
 	if s.From == nil {
 		return db.runLeaderSelect(s)
 	}
 	if isSystemTable(s.From.Table) {
 		return db.runSystemSelect(ctx, s)
 	}
-	res, _, err := db.runSelectTraced(ctx, sess, s)
+	if norm == "" {
+		norm = sql.Normalize(s)
+	}
+	res, _, err := db.runSelectTraced(ctx, sess, s, norm)
 	return res, err
 }
 
@@ -59,13 +63,14 @@ func classifyQueryErr(ctx context.Context, qid int64, err error) (string, error)
 // cache hit: nothing executed). Every run — including failed, cancelled
 // and cache-served ones — is appended to the query log and counted in the
 // metrics registry.
-func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.Select) (*Result, *telemetry.Span, error) {
-	// Stage 2: normalize. Rendering the AST canonicalizes whitespace,
-	// comments, keyword case and redundant parens; the result is the
-	// stl_query text and the key both caches share. rec accumulates the
-	// run's stl_query row as the stages below complete.
-	rec := &telemetry.QueryRecord{Start: time.Now(), SQL: sql.Normalize(s), State: "success"}
-	norm := rec.SQL
+//
+// Stage 2, normalize, is the caller's: norm is sql.Normalize(s), rendered per
+// statement or once at PREPARE. Rendering the AST canonicalizes whitespace,
+// comments, keyword case and redundant parens; the result is the stl_query
+// text and the key both caches share.
+func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.Select, norm string) (*Result, *telemetry.Span, error) {
+	// rec accumulates the run's stl_query row as the stages below complete.
+	rec := &telemetry.QueryRecord{Start: time.Now(), SQL: norm, State: "success"}
 
 	// Result-cache lookup runs before the timeout clock, the WLM queue and
 	// the planner: a hit holds no slot, reads no blocks, runs no operator.

@@ -136,21 +136,23 @@ func (s *Session) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*
 		if err != nil {
 			return nil, err
 		}
-		return s.dispatch(ctx, ps.stmt)
+		return s.dispatch(ctx, ps.stmt, ps.norm)
 	case *sql.Deallocate:
 		return s.runDeallocate(st)
 	default:
-		return s.dispatch(ctx, stmt)
+		return s.dispatch(ctx, stmt, "")
 	}
 }
 
 // dispatch routes a parsed statement to the engine. It is the boundary
 // between session-scoped control statements and the shared execution path.
-func (s *Session) dispatch(ctx context.Context, stmt sql.Statement) (*Result, error) {
+// norm is the statement's normalized text when the caller holds it already
+// (EXECUTE: PREPARE rendered it once), else empty.
+func (s *Session) dispatch(ctx context.Context, stmt sql.Statement, norm string) (*Result, error) {
 	db := s.db
 	switch st := stmt.(type) {
 	case *sql.Select:
-		return db.runSelect(ctx, s, st)
+		return db.runSelect(ctx, s, st, norm)
 	case *sql.Explain:
 		return db.runExplain(ctx, s, st)
 	case *sql.CreateTable:

@@ -89,7 +89,7 @@ func TestLeaderSpanTimesAreExclusive(t *testing.T) {
 	}
 	sess := db.NewSession()
 	sess.resultCacheOff.Store(true)
-	res, trace, err := db.runSelectTraced(context.Background(), sess, stmt.(*sql.Select))
+	res, trace, err := db.runSelectTraced(context.Background(), sess, stmt.(*sql.Select), sql.Normalize(stmt))
 	if err != nil {
 		t.Fatal(err)
 	}

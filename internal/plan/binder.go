@@ -204,7 +204,7 @@ func equiPair(e Expr, leftWidth int, right *TableScan) (l, r Expr, ok bool) {
 	rightLo, rightHi := right.BaseCol, right.BaseCol+len(right.Def.Columns)
 	side := func(x Expr) int { // 0=left only, 1=right only, -1=mixed/none
 		set := map[int]bool{}
-		colsUsed(x, set)
+		ColsUsed(x, set)
 		if len(set) == 0 {
 			return -1
 		}
@@ -323,7 +323,7 @@ func (b *binder) bindWhere(where sql.Expr) error {
 // references, or -1.
 func (b *binder) singleTable(e Expr) int {
 	set := map[int]bool{}
-	colsUsed(e, set)
+	ColsUsed(e, set)
 	if len(set) == 0 {
 		return -1
 	}
@@ -393,19 +393,8 @@ func (b *binder) bindSelectList(stmt *sql.Select) error {
 	}
 	b.plan.HasAgg = hasAgg
 
-	if !hasAgg {
-		for _, item := range items {
-			e, err := b.bindExpr(item.Expr)
-			if err != nil {
-				return err
-			}
-			b.plan.Project = append(b.plan.Project, e)
-			b.plan.FieldNames = append(b.plan.FieldNames, fieldName(item))
-		}
-		return nil
-	}
-
-	// Aggregation: bind GROUP BY over the joined layout first.
+	// GROUP BY keys bind over the joined layout, and first: under an
+	// aggregation, projections and HAVING bind over [groups..., aggs...].
 	for _, g := range stmt.GroupBy {
 		e, err := b.bindExpr(g)
 		if err != nil {
@@ -413,9 +402,8 @@ func (b *binder) bindSelectList(stmt *sql.Select) error {
 		}
 		b.plan.GroupBy = append(b.plan.GroupBy, e)
 	}
-	// Projections and HAVING are rewritten over [groups..., aggs...].
 	for _, item := range items {
-		e, err := b.bindAggExpr(item.Expr)
+		e, err := b.bindOutput(item.Expr)
 		if err != nil {
 			return err
 		}
@@ -423,7 +411,7 @@ func (b *binder) bindSelectList(stmt *sql.Select) error {
 		b.plan.FieldNames = append(b.plan.FieldNames, fieldName(item))
 	}
 	if stmt.Having != nil {
-		e, err := b.bindAggExpr(stmt.Having)
+		e, err := b.bindOutput(stmt.Having)
 		if err != nil {
 			return err
 		}
@@ -453,46 +441,10 @@ func fieldName(item sql.SelectItem) string {
 // containsAggregate reports whether a parse-tree expression contains an
 // aggregate function call.
 func containsAggregate(e sql.Expr) bool {
-	switch x := e.(type) {
-	case *sql.FuncCall:
-		if x.IsAggregate() {
-			return true
-		}
-		for _, a := range x.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-	case *sql.Binary:
-		return containsAggregate(x.Left) || containsAggregate(x.Right)
-	case *sql.Unary:
-		return containsAggregate(x.Expr)
-	case *sql.IsNull:
-		return containsAggregate(x.Expr)
-	case *sql.Between:
-		return containsAggregate(x.Expr) || containsAggregate(x.Lo) || containsAggregate(x.Hi)
-	case *sql.In:
-		if containsAggregate(x.Expr) {
-			return true
-		}
-		for _, v := range x.List {
-			if containsAggregate(v) {
-				return true
-			}
-		}
-	case *sql.Like:
-		return containsAggregate(x.Expr)
-	case *sql.Case:
-		for _, w := range x.Whens {
-			if containsAggregate(w.Cond) || containsAggregate(w.Then) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return containsAggregate(x.Else)
-		}
-	}
-	return false
+	return !sql.Walk(e, func(x sql.Expr) bool {
+		call, ok := x.(*sql.FuncCall)
+		return !ok || !call.IsAggregate()
+	})
 }
 
 // bindOrderBy resolves ORDER BY keys to output columns.
@@ -517,13 +469,7 @@ func (b *binder) resolveOutput(e sql.Expr) (int, error) {
 			}
 		}
 	}
-	var bound Expr
-	var err error
-	if b.plan.HasAgg {
-		bound, err = b.bindAggExpr(e)
-	} else {
-		bound, err = b.bindExpr(e)
-	}
+	bound, err := b.bindOutput(e)
 	if err != nil {
 		return 0, errf("ORDER BY: %v", err)
 	}
@@ -540,11 +486,7 @@ func (b *binder) resolveOutput(e sql.Expr) (int, error) {
 // the plan, so slices decode only the columns the query touches.
 func (b *binder) pruneColumns() {
 	global := map[int]bool{}
-	collect := func(e Expr) {
-		if e != nil {
-			colsUsed(e, global)
-		}
-	}
+	collect := func(e Expr) { ColsUsed(e, global) } // a nil e reads nothing
 	collect(b.plan.Where)
 	for _, j := range b.plan.Joins {
 		for _, k := range j.LeftKeys {
@@ -574,13 +516,11 @@ func (b *binder) pruneColumns() {
 				local[c-scan.BaseCol] = true
 			}
 		}
-		if scan.Filter != nil {
-			colsUsed(scan.Filter, local)
-		}
+		ColsUsed(scan.Filter, local)
 		for _, j := range b.plan.Joins {
 			if j.Right == ti {
 				for _, k := range j.RightKeys {
-					colsUsed(k, local)
+					ColsUsed(k, local)
 				}
 			}
 		}
@@ -588,9 +528,7 @@ func (b *binder) pruneColumns() {
 		// pushed-down predicate before materializing anything else
 		// (predicate-first late materialization).
 		inFilter := map[int]bool{}
-		if scan.Filter != nil {
-			colsUsed(scan.Filter, inFilter)
-		}
+		ColsUsed(scan.Filter, inFilter)
 		scan.NeedCols = scan.NeedCols[:0]
 		for c := 0; c < len(scan.Def.Columns); c++ {
 			if local[c] && inFilter[c] {

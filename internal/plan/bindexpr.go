@@ -1,15 +1,90 @@
 package plan
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 
 	"redshift/internal/sql"
 	"redshift/internal/types"
 )
 
-// bindExpr binds a parse-tree expression over the joined row layout.
-// Aggregate calls are rejected; bindAggExpr handles aggregate contexts.
+// bindExpr binds a parse-tree expression over the joined row layout;
+// aggregate calls are rejected.
 func (b *binder) bindExpr(e sql.Expr) (Expr, error) {
+	return b.bind(e, func(x *sql.FuncCall) (Expr, error) {
+		return nil, errf("aggregate %s is not allowed here", x.Name)
+	})
+}
+
+// bindOutput binds a select item, HAVING or ORDER BY expression. Without an
+// aggregation that is bindExpr. With one it takes two steps: the walk every
+// expression takes binds it over the joined layout with the query's
+// aggregates appended — an aggregate call is a column past the last table's —
+// and overGroups moves the result onto the layout the aggregation emits,
+// [group keys..., aggregates...].
+func (b *binder) bindOutput(e sql.Expr) (Expr, error) {
+	if !b.plan.HasAgg {
+		return b.bindExpr(e)
+	}
+	bound, err := b.bind(e, b.addAggregate)
+	if err != nil {
+		return nil, err
+	}
+	return b.overGroups(bound)
+}
+
+// overGroups rewrites an expression over [joined columns..., aggregates...]
+// onto [group keys..., aggregates...]: the outermost subtrees equal to a
+// GROUP BY key become group references (UPPER(category) under GROUP BY
+// UPPER(category); category under GROUP BY category, inside any call), the
+// aggregate columns shift, and a joined column left over is the error.
+// Constants stay constants — DATE_TRUNC wants its unit as one.
+func (b *binder) overGroups(e Expr) (Expr, error) {
+	width, groups := b.layoutWidth(), b.plan.GroupBy
+	// Find the keys' occurrences first. A subtree is compared with a key only
+	// when the two have as many nodes (and, cheaper to ask than DeepEqual,
+	// one result type). Subtrees of one size do not overlap, so all the
+	// comparisons against one key together read the expression once: linear
+	// in it, however long the keys are.
+	keyNodes := make([]int, len(groups))
+	for gi, g := range groups {
+		keyNodes[gi] = walk(g, func(Expr, int) {})
+	}
+	keyAt := map[Expr]int{}
+	walk(e, func(x Expr, nodes int) {
+		if _, ok := x.(*Const); ok {
+			return
+		}
+		for gi, g := range groups {
+			if nodes == keyNodes[gi] && x.Type() == g.Type() && reflect.DeepEqual(x, g) {
+				keyAt[x] = gi
+				return
+			}
+		}
+	})
+	var err error
+	out := rewrite(e, func(x Expr) Expr {
+		if gi, ok := keyAt[x]; ok {
+			return &Col{Index: gi, T: x.Type(), Name: "group"}
+		}
+		switch c, ok := x.(*Col); {
+		case !ok:
+			return nil
+		case c.Index >= width:
+			return &Col{Index: c.Index - width + len(groups), T: c.T, Name: c.Name}
+		case err == nil:
+			err = errf("%s must appear in GROUP BY or inside an aggregate", c.Name)
+		}
+		return x
+	})
+	return out, err
+}
+
+// bind is the one walk from parse tree to bound expression, and the one home
+// of every type rule. Columns resolve in the joined layout; agg says what an
+// aggregate call becomes, the only thing the two callers differ on.
+func (b *binder) bind(e sql.Expr, agg func(*sql.FuncCall) (Expr, error)) (Expr, error) {
 	switch x := e.(type) {
 	case *sql.Literal:
 		return &Const{V: x.Value}, nil
@@ -18,18 +93,18 @@ func (b *binder) bindExpr(e sql.Expr) (Expr, error) {
 		return b.resolveColumn(x)
 
 	case *sql.Binary:
-		l, err := b.bindExpr(x.Left)
+		l, err := b.bind(x.Left, agg)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.bindExpr(x.Right)
+		r, err := b.bind(x.Right, agg)
 		if err != nil {
 			return nil, err
 		}
 		return typeBinary(x.Op, l, r)
 
 	case *sql.Unary:
-		inner, err := b.bindExpr(x.Expr)
+		inner, err := b.bind(x.Expr, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -45,7 +120,7 @@ func (b *binder) bindExpr(e sql.Expr) (Expr, error) {
 		return &Neg{E: inner}, nil
 
 	case *sql.IsNull:
-		inner, err := b.bindExpr(x.Expr)
+		inner, err := b.bind(x.Expr, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -54,15 +129,15 @@ func (b *binder) bindExpr(e sql.Expr) (Expr, error) {
 	case *sql.Between:
 		// Desugar to (e >= lo AND e <= hi), so pushdown and zone-map range
 		// extraction see plain comparisons.
-		inner, err := b.bindExpr(x.Expr)
+		inner, err := b.bind(x.Expr, agg)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := b.bindExpr(x.Lo)
+		lo, err := b.bind(x.Lo, agg)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := b.bindExpr(x.Hi)
+		hi, err := b.bind(x.Hi, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -81,173 +156,7 @@ func (b *binder) bindExpr(e sql.Expr) (Expr, error) {
 		return out, nil
 
 	case *sql.In:
-		inner, err := b.bindExpr(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		list := &InList{E: inner, Not: x.Not}
-		for _, item := range x.List {
-			lit, ok := item.(*sql.Literal)
-			if !ok {
-				return nil, errf("IN list items must be literals, got %s", item)
-			}
-			v := lit.Value
-			v, err := coerceValue(v, inner.Type())
-			if err != nil {
-				return nil, err
-			}
-			list.Vals = append(list.Vals, v)
-		}
-		return list, nil
-
-	case *sql.Like:
-		inner, err := b.bindExpr(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		if inner.Type() != types.String {
-			return nil, errf("LIKE requires a string, got %s", inner.Type())
-		}
-		return &Like{E: inner, Pattern: x.Pattern, Not: x.Not}, nil
-
-	case *sql.Case:
-		out := &Case{}
-		for _, w := range x.Whens {
-			cond, err := b.bindExpr(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			if cond.Type() != types.Bool {
-				return nil, errf("CASE WHEN requires a boolean, got %s", cond.Type())
-			}
-			then, err := b.bindExpr(w.Then)
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, CaseWhen{Cond: cond, Then: then})
-		}
-		if x.Else != nil {
-			e, err := b.bindExpr(x.Else)
-			if err != nil {
-				return nil, err
-			}
-			out.Else = e
-		}
-		t, err := caseType(out)
-		if err != nil {
-			return nil, err
-		}
-		out.T = t
-		return out, nil
-
-	case *sql.FuncCall:
-		if x.IsAggregate() {
-			return nil, errf("aggregate %s is not allowed here", x.Name)
-		}
-		return b.bindScalarCall(x)
-
-	default:
-		return nil, errf("unsupported expression %s", e)
-	}
-}
-
-// bindAggExpr binds an expression in aggregate context: aggregate calls
-// become references into the aggregate layout [group keys..., aggs...], and
-// subexpressions structurally equal to a GROUP BY key become group
-// references. Any other base-column reference is an error.
-func (b *binder) bindAggExpr(e sql.Expr) (Expr, error) {
-	// GROUP BY match: bind in plain mode (only valid if aggregate-free)
-	// and compare renderings. A non-matching subtree is not an error yet —
-	// the structural walk below may find group keys or aggregates inside
-	// it (UPPER(category) with GROUP BY category recurses into the arg).
-	if !containsAggregate(e) {
-		if plain, err := b.bindExpr(e); err == nil {
-			want := plain.String()
-			for gi, g := range b.plan.GroupBy {
-				if g.String() == want {
-					return &Col{Index: gi, T: g.Type(), Name: "group"}, nil
-				}
-			}
-			set := map[int]bool{}
-			colsUsed(plain, set)
-			if len(set) == 0 {
-				return plain, nil // constant expression
-			}
-		}
-	}
-	switch x := e.(type) {
-	case *sql.FuncCall:
-		if x.IsAggregate() {
-			return b.addAggregate(x)
-		}
-		// Scalar call over aggregate subexpressions.
-		out := &Call{Name: x.Name}
-		for _, a := range x.Args {
-			bound, err := b.bindAggExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, bound)
-		}
-		t, err := scalarCallType(out)
-		if err != nil {
-			return nil, err
-		}
-		out.T = t
-		return out, nil
-	case *sql.Binary:
-		l, err := b.bindAggExpr(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindAggExpr(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		return typeBinary(x.Op, l, r)
-	case *sql.Unary:
-		inner, err := b.bindAggExpr(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "NOT" {
-			return &Not{E: inner}, nil
-		}
-		return &Neg{E: inner}, nil
-	case *sql.IsNull:
-		inner, err := b.bindAggExpr(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: inner, Not: x.Not}, nil
-	case *sql.Between:
-		inner, err := b.bindAggExpr(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := b.bindAggExpr(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := b.bindAggExpr(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		ge, err := typeBinary(sql.OpGe, inner, lo)
-		if err != nil {
-			return nil, err
-		}
-		le, err := typeBinary(sql.OpLe, inner, hi)
-		if err != nil {
-			return nil, err
-		}
-		var out Expr = &Bin{Op: sql.OpAnd, L: ge, R: le, T: types.Bool}
-		if x.Not {
-			out = &Not{E: out}
-		}
-		return out, nil
-	case *sql.In:
-		inner, err := b.bindAggExpr(x.Expr)
+		inner, err := b.bind(x.Expr, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -264,8 +173,9 @@ func (b *binder) bindAggExpr(e sql.Expr) (Expr, error) {
 			list.Vals = append(list.Vals, v)
 		}
 		return list, nil
+
 	case *sql.Like:
-		inner, err := b.bindAggExpr(x.Expr)
+		inner, err := b.bind(x.Expr, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -273,25 +183,29 @@ func (b *binder) bindAggExpr(e sql.Expr) (Expr, error) {
 			return nil, errf("LIKE requires a string, got %s", inner.Type())
 		}
 		return &Like{E: inner, Pattern: x.Pattern, Not: x.Not}, nil
+
 	case *sql.Case:
 		out := &Case{}
 		for _, w := range x.Whens {
-			cond, err := b.bindAggExpr(w.Cond)
+			cond, err := b.bind(w.Cond, agg)
 			if err != nil {
 				return nil, err
 			}
-			then, err := b.bindAggExpr(w.Then)
+			if cond.Type() != types.Bool {
+				return nil, errf("CASE WHEN requires a boolean, got %s", cond.Type())
+			}
+			then, err := b.bind(w.Then, agg)
 			if err != nil {
 				return nil, err
 			}
 			out.Whens = append(out.Whens, CaseWhen{Cond: cond, Then: then})
 		}
 		if x.Else != nil {
-			inner, err := b.bindAggExpr(x.Else)
+			e, err := b.bind(x.Else, agg)
 			if err != nil {
 				return nil, err
 			}
-			out.Else = inner
+			out.Else = e
 		}
 		t, err := caseType(out)
 		if err != nil {
@@ -299,13 +213,33 @@ func (b *binder) bindAggExpr(e sql.Expr) (Expr, error) {
 		}
 		out.T = t
 		return out, nil
+
+	case *sql.FuncCall:
+		if x.IsAggregate() {
+			return agg(x)
+		}
+		out := &Call{Name: x.Name}
+		for _, a := range x.Args {
+			bound, err := b.bind(a, agg)
+			if err != nil {
+				return nil, err
+			}
+			out.Args = append(out.Args, bound)
+		}
+		t, err := scalarCallType(out)
+		if err != nil {
+			return nil, err
+		}
+		out.T = t
+		return out, nil
+
 	default:
-		return nil, errf("%s must appear in GROUP BY or inside an aggregate", e)
+		return nil, errf("unsupported expression %s", e)
 	}
 }
 
-// addAggregate registers (or reuses) an aggregate and returns its reference
-// in the aggregate layout.
+// addAggregate registers (or reuses) an aggregate and returns its reference:
+// the column after the joined layout's last and the aggregates before it.
 func (b *binder) addAggregate(x *sql.FuncCall) (Expr, error) {
 	spec := AggSpec{Func: x.Name, Distinct: x.Distinct, Approx: x.Approximate}
 	if x.Star {
@@ -340,13 +274,13 @@ func (b *binder) addAggregate(x *sql.FuncCall) (Expr, error) {
 		}
 	}
 	// Reuse an identical aggregate.
-	for i, existing := range b.plan.Aggs {
-		if existing.String() == spec.String() {
-			return &Col{Index: len(b.plan.GroupBy) + i, T: existing.T, Name: "agg"}, nil
-		}
+	want := spec.String()
+	i := slices.IndexFunc(b.plan.Aggs, func(a AggSpec) bool { return a.String() == want })
+	if i < 0 {
+		i = len(b.plan.Aggs)
+		b.plan.Aggs = append(b.plan.Aggs, spec)
 	}
-	b.plan.Aggs = append(b.plan.Aggs, spec)
-	return &Col{Index: len(b.plan.GroupBy) + len(b.plan.Aggs) - 1, T: spec.T, Name: "agg"}, nil
+	return &Col{Index: b.layoutWidth() + i, T: spec.T, Name: "agg"}, nil
 }
 
 // resolveColumn finds a (possibly qualified) column in the joined layout.
@@ -374,24 +308,6 @@ func (b *binder) resolveColumn(ref *sql.ColumnRef) (*Col, error) {
 		return nil, errf("column %s does not exist", ref.Column)
 	}
 	return &Col{Index: found, T: typ, Name: ref.Column}, nil
-}
-
-// bindScalarCall binds a non-aggregate function.
-func (b *binder) bindScalarCall(x *sql.FuncCall) (Expr, error) {
-	out := &Call{Name: x.Name}
-	for _, a := range x.Args {
-		bound, err := b.bindExpr(a)
-		if err != nil {
-			return nil, err
-		}
-		out.Args = append(out.Args, bound)
-	}
-	t, err := scalarCallType(out)
-	if err != nil {
-		return nil, err
-	}
-	out.T = t
-	return out, nil
 }
 
 // scalarCallType type-checks a scalar call.

@@ -200,81 +200,101 @@ func shiftCols(e Expr, delta int) Expr {
 	if delta == 0 {
 		return e
 	}
+	return rewrite(e, func(x Expr) Expr {
+		if c, ok := x.(*Col); ok {
+			return &Col{Index: c.Index + delta, T: c.T, Name: c.Name}
+		}
+		return nil
+	})
+}
+
+// rewrite returns a copy of e in which every subtree that sub maps to an
+// expression is that expression instead; sub returns nil to keep a subtree
+// and look inside it. sub sees a node before the node's operands and never
+// sees inside what it replaced. It is the one place that rebuilds nodes.
+func rewrite(e Expr, sub func(Expr) Expr) Expr {
+	if r := sub(e); r != nil {
+		return r
+	}
 	switch x := e.(type) {
-	case *Col:
-		return &Col{Index: x.Index + delta, T: x.T, Name: x.Name}
-	case *Const:
+	case *Col, *Const:
 		return x
 	case *Bin:
-		return &Bin{Op: x.Op, L: shiftCols(x.L, delta), R: shiftCols(x.R, delta), T: x.T}
+		return &Bin{Op: x.Op, L: rewrite(x.L, sub), R: rewrite(x.R, sub), T: x.T}
 	case *Not:
-		return &Not{E: shiftCols(x.E, delta)}
+		return &Not{E: rewrite(x.E, sub)}
 	case *Neg:
-		return &Neg{E: shiftCols(x.E, delta)}
+		return &Neg{E: rewrite(x.E, sub)}
 	case *IsNull:
-		return &IsNull{E: shiftCols(x.E, delta), Not: x.Not}
+		return &IsNull{E: rewrite(x.E, sub), Not: x.Not}
 	case *InList:
-		return &InList{E: shiftCols(x.E, delta), Vals: x.Vals, Not: x.Not}
+		return &InList{E: rewrite(x.E, sub), Vals: x.Vals, Not: x.Not}
 	case *Like:
-		return &Like{E: shiftCols(x.E, delta), Pattern: x.Pattern, Not: x.Not}
+		return &Like{E: rewrite(x.E, sub), Pattern: x.Pattern, Not: x.Not}
 	case *Case:
 		out := &Case{T: x.T}
 		for _, w := range x.Whens {
-			out.Whens = append(out.Whens, CaseWhen{shiftCols(w.Cond, delta), shiftCols(w.Then, delta)})
+			out.Whens = append(out.Whens, CaseWhen{rewrite(w.Cond, sub), rewrite(w.Then, sub)})
 		}
 		if x.Else != nil {
-			out.Else = shiftCols(x.Else, delta)
+			out.Else = rewrite(x.Else, sub)
 		}
 		return out
 	case *Call:
 		out := &Call{Name: x.Name, T: x.T}
 		for _, a := range x.Args {
-			out.Args = append(out.Args, shiftCols(a, delta))
+			out.Args = append(out.Args, rewrite(a, sub))
 		}
 		return out
 	default:
-		panic(fmt.Sprintf("plan: shiftCols: unknown node %T", e))
+		panic(fmt.Sprintf("plan: rewrite: unknown node %T", e))
 	}
 }
 
-// ColsUsed collects the set of column indexes an expression reads. The
-// executor uses it to split a scan's columns into the filter's inputs
-// and the late-materialized rest.
-func ColsUsed(e Expr, set map[int]bool) { colsUsed(e, set) }
-
-// colsUsed collects the set of column indexes an expression reads.
-func colsUsed(e Expr, set map[int]bool) {
+// walk calls visit on every expression in e's tree, operands before the node
+// they belong to, with the number of nodes in the expression's own tree, and
+// returns that number for e. It is the one place that knows which operands
+// each node kind has; an analysis over bound expressions is a visit
+// function. A nil e is an empty tree.
+func walk(e Expr, visit func(x Expr, nodes int)) int {
+	if e == nil {
+		return 0
+	}
+	n := 1
 	switch x := e.(type) {
-	case *Col:
-		set[x.Index] = true
-	case *Const:
 	case *Bin:
-		colsUsed(x.L, set)
-		colsUsed(x.R, set)
+		n += walk(x.L, visit) + walk(x.R, visit)
 	case *Not:
-		colsUsed(x.E, set)
+		n += walk(x.E, visit)
 	case *Neg:
-		colsUsed(x.E, set)
+		n += walk(x.E, visit)
 	case *IsNull:
-		colsUsed(x.E, set)
+		n += walk(x.E, visit)
 	case *InList:
-		colsUsed(x.E, set)
+		n += walk(x.E, visit)
 	case *Like:
-		colsUsed(x.E, set)
+		n += walk(x.E, visit)
 	case *Case:
 		for _, w := range x.Whens {
-			colsUsed(w.Cond, set)
-			colsUsed(w.Then, set)
+			n += walk(w.Cond, visit) + walk(w.Then, visit)
 		}
-		if x.Else != nil {
-			colsUsed(x.Else, set)
-		}
+		n += walk(x.Else, visit)
 	case *Call:
 		for _, a := range x.Args {
-			colsUsed(a, set)
+			n += walk(a, visit)
 		}
-	case nil:
-	default:
-		panic(fmt.Sprintf("plan: colsUsed: unknown node %T", e))
 	}
+	visit(e, n)
+	return n
+}
+
+// ColsUsed collects the set of column indexes an expression reads. The
+// planner prunes scans with it, and the executor splits a scan's columns
+// into the filter's inputs and the late-materialized rest.
+func ColsUsed(e Expr, set map[int]bool) {
+	walk(e, func(x Expr, _ int) {
+		if c, ok := x.(*Col); ok {
+			set[c.Index] = true
+		}
+	})
 }

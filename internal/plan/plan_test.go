@@ -411,7 +411,7 @@ func TestSchemaOutput(t *testing.T) {
 func TestAggContextExpressionForms(t *testing.T) {
 	cat := testCatalog(t)
 	// Scalar calls, CASE, IS NULL and arithmetic over aggregate results —
-	// the bindAggExpr rewriting paths.
+	// bindOutput over an aggregation.
 	p := build(t, cat, `
 		SELECT UPPER(category),
 		       CASE WHEN COUNT(*) > 10 THEN 'hot' ELSE 'cold' END AS heat,

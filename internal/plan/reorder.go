@@ -211,77 +211,42 @@ func (b *binder) starTables() []int {
 // the caller then abandons reordering and lets the binder report errors
 // over the original order.
 func (b *binder) relationsUsed(e sql.Expr, refs []*sql.TableRef, used map[int]bool) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *sql.ColumnRef:
-		if x.Table != "" {
-			for i, ref := range refs {
-				if strings.EqualFold(ref.Name(), x.Table) {
-					used[i] = true
-					return true
-				}
+	return sql.Walk(e, func(x sql.Expr) bool {
+		col, ok := x.(*sql.ColumnRef)
+		if !ok {
+			return true
+		}
+		r := b.relationOf(col, refs)
+		if r >= 0 {
+			used[r] = true
+		}
+		return r >= 0
+	})
+}
+
+// relationOf resolves a column reference to the one relation it can name,
+// or -1.
+func (b *binder) relationOf(col *sql.ColumnRef, refs []*sql.TableRef) int {
+	found := -1
+	for i, ref := range refs {
+		if col.Table != "" {
+			if strings.EqualFold(ref.Name(), col.Table) {
+				return i
 			}
-			return false
+			continue
 		}
-		found := -1
-		for i, ref := range refs {
-			def, err := b.cat.Get(ref.Table)
-			if err != nil {
-				return false
+		def, err := b.cat.Get(ref.Table)
+		if err != nil {
+			return -1
+		}
+		if def.Ordinal(col.Column) >= 0 {
+			if found >= 0 {
+				return -1 // ambiguous
 			}
-			if def.Ordinal(x.Column) >= 0 {
-				if found >= 0 {
-					return false // ambiguous
-				}
-				found = i
-			}
+			found = i
 		}
-		if found < 0 {
-			return false
-		}
-		used[found] = true
-		return true
-	case *sql.Binary:
-		return b.relationsUsed(x.Left, refs, used) && b.relationsUsed(x.Right, refs, used)
-	case *sql.Unary:
-		return b.relationsUsed(x.Expr, refs, used)
-	case *sql.IsNull:
-		return b.relationsUsed(x.Expr, refs, used)
-	case *sql.Between:
-		return b.relationsUsed(x.Expr, refs, used) &&
-			b.relationsUsed(x.Lo, refs, used) && b.relationsUsed(x.Hi, refs, used)
-	case *sql.In:
-		if !b.relationsUsed(x.Expr, refs, used) {
-			return false
-		}
-		for _, v := range x.List {
-			if !b.relationsUsed(v, refs, used) {
-				return false
-			}
-		}
-		return true
-	case *sql.Like:
-		return b.relationsUsed(x.Expr, refs, used)
-	case *sql.Case:
-		for _, w := range x.Whens {
-			if !b.relationsUsed(w.Cond, refs, used) || !b.relationsUsed(w.Then, refs, used) {
-				return false
-			}
-		}
-		if x.Else != nil {
-			return b.relationsUsed(x.Else, refs, used)
-		}
-		return true
-	case *sql.FuncCall:
-		for _, a := range x.Args {
-			if !b.relationsUsed(a, refs, used) {
-				return false
-			}
-		}
-		return true
 	}
-	return true // literals reference nothing
+	return found
 }
 
 // splitAndAST flattens a parse-tree conjunction.

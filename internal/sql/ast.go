@@ -31,6 +31,9 @@ func ident(s string) string {
 	return s
 }
 
+// quote renders a string literal.
+func quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
+
 // joinIdents renders a comma-separated identifier list.
 func joinIdents(names []string) string {
 	out := make([]string, len(names))
@@ -196,13 +199,13 @@ func (*Copy) stmt() {}
 
 func (c *Copy) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "COPY %s FROM '%s'", ident(c.Table), strings.ReplaceAll(c.From, "'", "''"))
+	b.WriteString("COPY " + ident(c.Table) + " FROM " + quote(c.From))
 	if c.Format != "" {
 		b.WriteString(" FORMAT ")
 		b.WriteString(c.Format)
 	}
 	if c.Delimiter != 0 {
-		fmt.Fprintf(&b, " DELIMITER '%c'", c.Delimiter)
+		b.WriteString(" DELIMITER " + quote(string(c.Delimiter)))
 	}
 	if c.CompUpdate != nil {
 		b.WriteString(" COMPUPDATE ")
@@ -286,7 +289,9 @@ func (*Truncate) stmt() {}
 func (t *Truncate) String() string { return "TRUNCATE " + ident(t.Table) }
 
 // Set assigns a session option (SET statement_timeout TO 500). Values are
-// kept as raw token text; the executor interprets them per option.
+// kept as raw token text; the executor interprets them per option. They
+// render quoted, the one spelling that reads back as the same text whatever
+// it holds ('64KB' is not one token unquoted).
 type Set struct {
 	Name  string
 	Value string
@@ -294,7 +299,7 @@ type Set struct {
 
 func (*Set) stmt() {}
 
-func (s *Set) String() string { return "SET " + ident(s.Name) + " TO " + s.Value }
+func (s *Set) String() string { return "SET " + ident(s.Name) + " TO " + quote(s.Value) }
 
 // Cancel aborts a running query by its stl_query id.
 type Cancel struct {
@@ -519,7 +524,7 @@ func (l *Literal) String() string {
 	}
 	switch l.Value.T {
 	case types.String:
-		return "'" + strings.ReplaceAll(l.Value.S, "'", "''") + "'"
+		return quote(l.Value.S)
 	case types.Bool:
 		return strings.ToUpper(l.Value.String())
 	case types.Date:
@@ -683,7 +688,7 @@ func (l *Like) String() string {
 	if l.Not {
 		not = "NOT "
 	}
-	return "(" + l.Expr.String() + " " + not + "LIKE '" + strings.ReplaceAll(l.Pattern, "'", "''") + "')"
+	return "(" + l.Expr.String() + " " + not + "LIKE " + quote(l.Pattern) + ")"
 }
 
 // Case is CASE WHEN ... THEN ... [ELSE ...] END.

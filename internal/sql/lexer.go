@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
@@ -70,10 +71,14 @@ func lexInto(buf []token, input string) ([]token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(runeAt(input, i)):
 			start := i
-			for i < n && isIdentPart(rune(input[i])) {
-				i++
+			for i < n {
+				r := runeAt(input, i)
+				if !isIdentPart(r) {
+					break
+				}
+				i += utf8.RuneLen(r)
 			}
 			word := input[start:i]
 			upper := strings.ToUpper(word)
@@ -161,6 +166,16 @@ func lexInto(buf []token, input string) ([]token, error) {
 	}
 	toks = append(toks, token{tokEOF, "", n})
 	return toks, nil
+}
+
+// runeAt decodes the character at input[i]; a byte that is not UTF-8 decodes
+// to utf8.RuneError, which is no part of any token.
+func runeAt(input string, i int) rune {
+	if c := input[i]; c < utf8.RuneSelf {
+		return rune(c)
+	}
+	r, _ := utf8.DecodeRuneInString(input[i:])
+	return r
 }
 
 func isIdentStart(r rune) bool {

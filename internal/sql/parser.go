@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"redshift/internal/compress"
 	"redshift/internal/types"
@@ -62,12 +63,32 @@ type parser struct {
 	toks  []token
 	pos   int
 	input string
+	// depth is how deep in an expression the parser stands (see deeper).
+	depth int
+}
+
+// maxExprDepth bounds the depth of an expression tree Parse returns. The
+// parser, String, the binder and the expression compiler all recurse over
+// that tree, and a goroutine that outgrows its stack takes the process down —
+// no recover catches it — so a statement nested deeper is refused here, the
+// one place every statement passes. Real statements are tens of levels deep.
+const maxExprDepth = 4096
+
+// deeper steps one level down: into a parenthesis, an operand of NOT or
+// unary minus, a CASE branch, a call or IN-list argument — or one operator
+// further along a chain like a + b + c, which parses left-deep, a level per
+// operator. Whoever steps down steps back up once its subtree is parsed.
+func (p *parser) deeper() error {
+	if p.depth++; p.depth > maxExprDepth {
+		return p.errorf("expression nested more than %d levels deep", maxExprDepth)
+	}
+	return nil
 }
 
 // reset re-lexes the parser onto a new input, reusing its token buffer.
 func (p *parser) reset(input string) error {
 	toks, err := lexInto(p.toks[:0], input)
-	p.toks, p.pos, p.input = toks, 0, input
+	p.toks, p.pos, p.input, p.depth = toks, 0, input, 0
 	return err
 }
 
@@ -529,10 +550,11 @@ func (p *parser) parseCopy() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			if len(d.text) != 1 {
+			r, size := utf8.DecodeRuneInString(d.text)
+			if size == 0 || size != len(d.text) {
 				return nil, p.errorf("DELIMITER must be a single character")
 			}
-			c.Delimiter = rune(d.text[0])
+			c.Delimiter = r
 		case p.accept(tokKeyword, "COMPUPDATE"):
 			v, err := p.parseOnOff()
 			if err != nil {
@@ -725,51 +747,104 @@ func (p *parser) parseTableRef() (*TableRef, error) {
 //
 //	OR < AND < NOT < comparison/IN/BETWEEN/LIKE/IS < additive < multiplicative < unary < primary
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.deeper(); err != nil {
 		return nil, err
 	}
-	for p.accept(tokKeyword, "OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: OpOr, Left: left, Right: right}
-	}
-	return left, nil
+	e, err := p.parseChain(levelOr)
+	p.depth--
+	return e, err
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokKeyword, "AND") {
-		right, err := p.parseNot()
+// The four left-associative operator levels, loosest first. NOT and the
+// comparison forms sit between AND and additive and do not chain.
+const (
+	levelOr = iota
+	levelAnd
+	levelAdditive
+	levelMultiplicative
+)
+
+// parseChain parses one level — operand (operator operand)* — left-deep; a
+// level's operands are the next tighter level.
+func (p *parser) parseChain(level int) (Expr, error) {
+	var left Expr
+	var op BinOp
+	depth := p.depth
+	for {
+		var operand Expr
+		var err error
+		switch level {
+		case levelOr, levelAdditive:
+			operand, err = p.parseChain(level + 1)
+		case levelAnd:
+			operand, err = p.parseNot()
+		default:
+			operand, err = p.parseUnary()
+		}
 		if err != nil {
 			return nil, err
 		}
-		left = &Binary{Op: OpAnd, Left: left, Right: right}
+		if left == nil {
+			left = operand
+		} else {
+			left = &Binary{Op: op, Left: left, Right: operand}
+		}
+		var more bool
+		if op, more = p.acceptOperator(level); !more {
+			p.depth = depth
+			return left, nil
+		}
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 	}
-	return left, nil
+}
+
+// acceptOperator consumes the current token if it is one of the level's
+// operators.
+func (p *parser) acceptOperator(level int) (BinOp, bool) {
+	switch {
+	case level == levelOr && p.accept(tokKeyword, "OR"):
+		return OpOr, true
+	case level == levelAnd && p.accept(tokKeyword, "AND"):
+		return OpAnd, true
+	case level == levelAdditive && p.accept(tokSymbol, "+"):
+		return OpAdd, true
+	case level == levelAdditive && p.accept(tokSymbol, "-"):
+		return OpSub, true
+	case level == levelMultiplicative && p.accept(tokSymbol, "*"):
+		return OpMul, true
+	case level == levelMultiplicative && p.accept(tokSymbol, "/"):
+		return OpDiv, true
+	case level == levelMultiplicative && p.accept(tokSymbol, "%"):
+		return OpMod, true
+	}
+	return 0, false
 }
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(tokKeyword, "NOT") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &Unary{Op: "NOT", Expr: inner}, nil
 	}
 	return p.parseComparison()
 }
 
+var comparisonOps = map[string]BinOp{
+	"=": OpEq, "<>": OpNe, "!=": OpNe,
+	"<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,
+}
+
 func (p *parser) parseComparison() (Expr, error) {
-	left, err := p.parseAdditive()
+	left, err := p.parseChain(levelAdditive)
 	if err != nil {
 		return nil, err
 	}
@@ -788,14 +863,14 @@ func (p *parser) parseComparison() (Expr, error) {
 		}
 		return &IsNull{Expr: left, Not: n}, nil
 	case p.accept(tokKeyword, "BETWEEN"):
-		lo, err := p.parseAdditive()
+		lo, err := p.parseChain(levelAdditive)
 		if err != nil {
 			return nil, err
 		}
 		if err := p.kw("AND"); err != nil {
 			return nil, err
 		}
-		hi, err := p.parseAdditive()
+		hi, err := p.parseChain(levelAdditive)
 		if err != nil {
 			return nil, err
 		}
@@ -830,14 +905,10 @@ func (p *parser) parseComparison() (Expr, error) {
 	if not {
 		return nil, p.errorf("dangling NOT")
 	}
-	ops := map[string]BinOp{
-		"=": OpEq, "<>": OpNe, "!=": OpNe,
-		"<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,
-	}
 	if p.peek().kind == tokSymbol {
-		if op, ok := ops[p.peek().text]; ok {
+		if op, ok := comparisonOps[p.peek().text]; ok {
 			p.next()
-			right, err := p.parseAdditive()
+			right, err := p.parseChain(levelAdditive)
 			if err != nil {
 				return nil, err
 			}
@@ -847,60 +918,16 @@ func (p *parser) parseComparison() (Expr, error) {
 	return left, nil
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op BinOp
-		switch {
-		case p.accept(tokSymbol, "+"):
-			op = OpAdd
-		case p.accept(tokSymbol, "-"):
-			op = OpSub
-		default:
-			return left, nil
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op BinOp
-		switch {
-		case p.accept(tokSymbol, "*"):
-			op = OpMul
-		case p.accept(tokSymbol, "/"):
-			op = OpDiv
-		case p.accept(tokSymbol, "%"):
-			op = OpMod
-		default:
-			return left, nil
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &Binary{Op: op, Left: left, Right: right}
-	}
-}
-
 func (p *parser) parseUnary() (Expr, error) {
 	if p.accept(tokSymbol, "-") {
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		// Fold negative numeric literals immediately.
 		if lit, ok := inner.(*Literal); ok && !lit.Value.Null {
 			switch lit.Value.T {
