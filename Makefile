@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-smoke perf perf-smoke perf-compare chaos chaos-resize spill workload loc
+.PHONY: build test race fuzz-smoke bench-smoke perf perf-smoke perf-compare perf-pairs chaos chaos-resize spill workload loc
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,17 @@ perf:
 
 perf-compare:
 	$(GO) run ./benchmark -compare $(PERF_BASE) $(PERF_OUT)
+
+# How a performance claim is measured (ROADMAP "Standing rules"): N alternating
+# parent/change pairs of one workload, untraced, each side's ./benchmark built
+# once from its own source; prints every run, then median [quartiles] and pairs
+# won per end-to-end metric. `make perf-pairs PARENT=HEAD~1 WORKLOAD=scan_agg`.
+PARENT ?= HEAD
+WORKLOAD ?= scan_agg
+N ?= 10
+SEED ?= 20260925
+perf-pairs:
+	bash scripts/perf-pairs.sh $(PARENT) $(WORKLOAD) $(N) $(SEED)
 
 # The end-to-end tier, short: all four workloads at 1/50 size over the
 # wire, replies verified, every declared metric emitted once and finite.

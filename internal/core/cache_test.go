@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -75,6 +76,25 @@ func TestBlockCacheWarmsAcrossQueries(t *testing.T) {
 	if got := db.Telemetry().Gauge("block_cache_hits").Value(); got != ws.Hits {
 		t.Errorf("block_cache_hits gauge = %d, want %d", got, ws.Hits)
 	}
+
+	// The decode time the scans measured is the cost the cache holds, what
+	// the warm run's hits are credited with saving, and what EXPLAIN ANALYZE
+	// shows per slice.
+	if ws.ResidentCostNs <= 0 || ws.SavedNs <= 0 || ws.SavedNs > ws.ResidentCostNs {
+		t.Errorf("resident cost %d ns, saved %d ns: want 0 < saved <= resident after one warm pass", ws.ResidentCostNs, ws.SavedNs)
+	}
+	res = mustExec(t, db, `SELECT entries, saved_ms, resident_cost_ms FROM stv_block_cache`)
+	if got, want := res.Rows[0][2].F, float64(ws.ResidentCostNs)/1e6; res.Rows[0][0].I != ws.Entries || res.Rows[0][1].F <= 0 || got != want {
+		t.Errorf("stv_block_cache = %v, cache = %+v", res.Rows[0], ws)
+	}
+	tel := db.Telemetry()
+	if e, c := tel.Gauge("block_cache_entries").Value(), tel.Gauge("block_cache_resident_cost_ns").Value(); e != ws.Entries || c != ws.ResidentCostNs || tel.Gauge("block_cache_saved_ns").Value() <= 0 {
+		t.Errorf("gauges: entries %d, resident cost %d ns; cache = %+v", e, c, ws)
+	}
+	plan := mustExec(t, db, `EXPLAIN ANALYZE SELECT SUM(product_id) FROM sales`)
+	if text := fmt.Sprint(plan.Rows); !strings.Contains(text, "decode_us=") {
+		t.Errorf("EXPLAIN ANALYZE shows no decode_us on its scan slices:\n%s", text)
+	}
 }
 
 // TestBlockCacheCoherence covers the DDL paths that reuse block identities
@@ -115,7 +135,8 @@ func TestBlockCacheCoherence(t *testing.T) {
 }
 
 // TestBlockCacheIdenticalResults asserts bit-identical output with the
-// cache on and off, in both execution modes, warm and cold.
+// cache off, on, and on at a quarter of what the queries read — where the
+// eviction policy runs on every scan — in both execution modes, warm and cold.
 func TestBlockCacheIdenticalResults(t *testing.T) {
 	queries := []string{
 		`SELECT ts, qty, region FROM sales WHERE ts BETWEEN 10100 AND 10120 ORDER BY ts`,
@@ -124,7 +145,9 @@ func TestBlockCacheIdenticalResults(t *testing.T) {
 	}
 	var want []string
 	for _, mode := range []exec.Mode{exec.Compiled, exec.Interpreted} {
-		for _, budget := range []int64{-1, 1 << 20} {
+		budgets := []int64{-1, 1 << 20}
+		for i := 0; i < len(budgets); i++ {
+			budget := budgets[i]
 			db, err := Open(Config{
 				Cluster:         cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 64},
 				Mode:            mode,
@@ -140,6 +163,12 @@ func TestBlockCacheIdenticalResults(t *testing.T) {
 				for pass := 0; pass < 2; pass++ { // cold then warm
 					got = append(got, fmt.Sprint(mustExec(t, db, q).Rows))
 				}
+			}
+			switch cs := db.BlockCache().Stats(); {
+			case budget == 1<<20: // holds everything: a third round at a quarter of that
+				budgets = append(budgets, cs.Bytes/4)
+			case budget > 0 && (cs.Evictions == 0 || cs.Hits == 0 || cs.Bytes > cs.Budget):
+				t.Errorf("mode=%v budget=%d: the quarter-size cache did not both evict and hit: %+v", mode, budget, cs)
 			}
 			if want == nil {
 				want = got

@@ -760,6 +760,9 @@ func (q *queryRun) emitSpans() {
 				child.Add("bytes", inst.stats.BytesRead.Load())
 				child.Add("cache_hits", inst.stats.CacheHits.Load())
 				child.Add("cache_misses", inst.stats.CacheMisses.Load())
+				// Attributes are integers and a slice's decode is often
+				// under a millisecond: microseconds.
+				child.Add("decode_us", inst.stats.DecodeNs.Load()/1e3)
 				if r := inst.stats.Retries.Load(); r > 0 {
 					child.Add("retries", r)
 				}

@@ -265,6 +265,9 @@ func (db *Database) publishCacheGauges() {
 	m.Gauge("block_cache_evictions").Set(cs.Evictions)
 	m.Gauge("block_cache_bytes").Set(cs.Bytes)
 	m.Gauge("block_cache_budget_bytes").Set(cs.Budget)
+	m.Gauge("block_cache_entries").Set(cs.Entries)
+	m.Gauge("block_cache_saved_ns").Set(cs.SavedNs)
+	m.Gauge("block_cache_resident_cost_ns").Set(cs.ResidentCostNs)
 
 	pcs := db.planCache.Stats()
 	m.Gauge("plan_cache_hits").Set(pcs.Hits)

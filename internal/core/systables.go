@@ -309,6 +309,8 @@ var systemTables = []systemTable{
 			{Name: "bytes_cached", Type: types.Int64},
 			{Name: "budget_bytes", Type: types.Int64},
 			{Name: "entries", Type: types.Int64},
+			{Name: "saved_ms", Type: types.Float64},
+			{Name: "resident_cost_ms", Type: types.Float64},
 		},
 		rows: func(db *Database) []types.Row {
 			cs := db.cache.Stats()
@@ -319,6 +321,8 @@ var systemTables = []systemTable{
 				types.NewInt(cs.Bytes),
 				types.NewInt(cs.Budget),
 				types.NewInt(cs.Entries),
+				types.NewFloat(float64(cs.SavedNs) / 1e6),
+				types.NewFloat(float64(cs.ResidentCostNs) / 1e6),
 			}}
 		},
 	},

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"redshift/internal/plan"
@@ -327,6 +328,85 @@ func (g *exprGen) batch(nulls int) *Batch {
 	return b
 }
 
+// scalarPaths names the ways e hands the compiled engine a constant as an
+// operand — each its own path there: held by value, folded at compile time,
+// or, NULL, deciding the result without the other side's rows.
+func scalarPaths(e plan.Expr, guarded bool, found map[string]int) {
+	isConst := func(e plan.Expr) (types.Value, bool) {
+		c, ok := e.(*plan.Const)
+		if !ok {
+			return types.Value{}, false
+		}
+		return c.V, true
+	}
+	switch x := e.(type) {
+	case *plan.Bin:
+		if x.Op == sql.OpAnd || x.Op == sql.OpOr {
+			scalarPaths(x.L, guarded, found)
+			scalarPaths(x.R, true, found)
+			return
+		}
+		kind := "arith"
+		if x.T == types.Bool {
+			kind = "cmp"
+		}
+		l, lk := isConst(x.L)
+		r, rk := isConst(x.R)
+		divides := x.Op == sql.OpDiv || x.Op == sql.OpMod
+		switch {
+		case lk && rk:
+			found["scalar/"+kind+"/both"]++
+			if divides && !l.Null && !r.Null && r.I == 0 && r.F == 0 {
+				found["scalar/fold-raises"]++
+			}
+		case lk:
+			found["scalar/"+kind+"/left"]++
+		case rk:
+			found["scalar/"+kind+"/right"]++
+		}
+		if lk != rk && (l.Null || r.Null) {
+			found["scalar/"+kind+"/null"]++
+		}
+		if divides && rk && !lk {
+			switch {
+			case r.Null:
+				found["scalar/div-null"]++
+			case r.I == 0 && r.F == 0 && guarded:
+				found["scalar/div-zero-guarded"]++
+			case r.I == 0 && r.F == 0:
+				found["scalar/div-zero"]++
+			}
+		}
+		scalarPaths(x.L, guarded, found)
+		scalarPaths(x.R, guarded, found)
+	case *plan.Not:
+		scalarPaths(x.E, guarded, found)
+	case *plan.Neg:
+		scalarPaths(x.E, guarded, found)
+	case *plan.IsNull:
+		scalarPaths(x.E, guarded, found)
+	case *plan.InList:
+		scalarPaths(x.E, guarded, found)
+	case *plan.Like:
+		scalarPaths(x.E, guarded, found)
+	case *plan.Case:
+		for _, w := range x.Whens {
+			scalarPaths(w.Cond, true, found)
+			scalarPaths(w.Then, true, found)
+		}
+		if x.Else != nil {
+			scalarPaths(x.Else, true, found)
+		}
+	case *plan.Call:
+		for _, a := range x.Args {
+			if _, ok := isConst(a); ok {
+				found["scalar/call-arg"]++
+			}
+			scalarPaths(a, guarded, found)
+		}
+	}
+}
+
 // diffCase is one generated expression over one generated batch.
 type diffCase struct {
 	e      plan.Expr
@@ -412,6 +492,7 @@ func TestPropCompiledMatchesInterpreted(t *testing.T) {
 	raising := 0
 	for n := 0; n < cases; n++ {
 		c := genDiffCase(en, seen)
+		scalarPaths(c.e, false, seen)
 		cv := checkDiffCase(t, c)
 		if c.raises {
 			raising++
@@ -436,6 +517,17 @@ func TestPropCompiledMatchesInterpreted(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("never generated: %v", missing)
 	}
+}
+
+// scalarCoverage is every path a constant operand takes through the compiled
+// engine (scalarPaths): on either side of a comparison or an arithmetic
+// operator or on both, NULL beside a vector, a NULL or zero constant divisor in
+// the open and behind a guard, a constant pair whose folding raises, a
+// constant function argument.
+var scalarCoverage = []string{
+	"scalar/cmp/left", "scalar/cmp/right", "scalar/cmp/both", "scalar/cmp/null",
+	"scalar/arith/left", "scalar/arith/right", "scalar/arith/both", "scalar/arith/null",
+	"scalar/div-null", "scalar/div-zero", "scalar/div-zero-guarded", "scalar/fold-raises", "scalar/call-arg",
 }
 
 // diffCoverage lists what the generator must have produced at least once.
@@ -466,7 +558,7 @@ func diffCoverage() []string {
 		sql.FuncFloat, sql.FuncDateTrunc, sql.FuncExtractYear, sql.FuncExtractMonth} {
 		keys = append(keys, fmt.Sprintf("call/%s", name))
 	}
-	return keys
+	return append(keys, scalarCoverage...)
 }
 
 // FuzzEvalCompiledVsInterpreted reads its bytes as the generator's choices —
@@ -479,19 +571,26 @@ func FuzzEvalCompiledVsInterpreted(f *testing.F) {
 
 // TestEvalDiffSeedCorpus keeps the fuzz target's committed seeds equal to the
 // transcripts of the property test's first cases of each kind — one that
-// raises under a guard, one per top-level node kind; UPDATE_FUZZ_CORPUS=1
-// writes them.
+// raises under a guard, one per top-level node kind, one per path a constant
+// operand takes (scalarCoverage); UPDATE_FUZZ_CORPUS=1 writes them.
 func TestEvalDiffSeedCorpus(t *testing.T) {
 	en := &recorder{rng: rand.New(rand.NewSource(20260926))}
 	seeds := map[string][]byte{}
-	for n := 0; n < 400; n++ {
+	for n := 0; n < 6000; n++ {
 		en.log = nil
 		c := genDiffCase(en, map[string]int{})
 		name := fmt.Sprintf("%T", c.e)[len("*plan."):]
 		if c.raises {
 			name += "-raises"
 		}
-		if _, ok := seeds[name]; !ok {
+		paths := map[string]int{}
+		scalarPaths(c.e, false, paths)
+		for path := range paths {
+			if path = strings.ReplaceAll(path, "/", "-"); seeds[path] == nil {
+				seeds[path] = en.log
+			}
+		}
+		if _, ok := seeds[name]; !ok && n < 400 {
 			seeds[name] = en.log
 			// The transcript replays to the same case.
 			if r := genDiffCase(&byteEntropy{b: en.log}, map[string]int{}); r.e.String() != c.e.String() || r.b.N != c.b.N {
@@ -499,7 +598,7 @@ func TestEvalDiffSeedCorpus(t *testing.T) {
 			}
 		}
 	}
-	if len(seeds) < 12 {
+	if len(seeds) < 12+len(scalarCoverage) {
 		names := make([]string, 0, len(seeds))
 		for name := range seeds {
 			names = append(names, name)
@@ -512,9 +611,10 @@ func TestEvalDiffSeedCorpus(t *testing.T) {
 
 // TestFilterSelectAllocationBudget pins the allocations one Filter.Select
 // (or, for the aggregate argument, one Eval) makes per 1024-row batch for
-// the benchmark's expression shapes, at what the per-type kernels made
-// (commit c690ebc): the generic kernels may not box or copy their way past
-// it.
+// the benchmark's expression shapes: two — the vector and its payload — per
+// comparison, arithmetic or LIKE kernel, none for a constant held by value,
+// none for an AND over a left operand it may overwrite, one more for the
+// all-NULL mask a NULL constant makes.
 func TestFilterSelectAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -542,13 +642,16 @@ func TestFilterSelectAllocationBudget(t *testing.T) {
 		e      plan.Expr
 		budget float64
 	}{
-		{"col < const", cmp(sql.OpLt, i0, icon(10)), 4},
-		{"between", cmp(sql.OpAnd, cmp(sql.OpGe, i0, icon(20)), cmp(sql.OpLe, i0, icon(60))), 10},
-		{"col % k = c", cmp(sql.OpEq, bin(sql.OpMod, i0, icon(7), types.Int64), icon(3)), 8},
-		{"(a + b) % k < c", cmp(sql.OpLt, bin(sql.OpMod, bin(sql.OpAdd, i0, i1, types.Int64), icon(7), types.Int64), icon(3)), 10},
-		{"a AND b % k = c", cmp(sql.OpAnd, cmp(sql.OpLt, i0, icon(10)), cmp(sql.OpEq, bin(sql.OpMod, i1, icon(7), types.Int64), icon(3))), 14},
-		{"like AND col > const", cmp(sql.OpAnd, &plan.Like{E: col(3, types.String), Pattern: "tag1%"}, cmp(sql.OpGt, i1, icon(9))), 8},
+		{"col < const", cmp(sql.OpLt, i0, icon(10)), 2},
+		{"between", cmp(sql.OpAnd, cmp(sql.OpGe, i0, icon(20)), cmp(sql.OpLe, i0, icon(60))), 4},
+		{"col % k = c", cmp(sql.OpEq, bin(sql.OpMod, i0, icon(7), types.Int64), icon(3)), 4},
+		{"(a + b) % k < c", cmp(sql.OpLt, bin(sql.OpMod, bin(sql.OpAdd, i0, i1, types.Int64), icon(7), types.Int64), icon(3)), 6},
+		{"a AND b % k = c", cmp(sql.OpAnd, cmp(sql.OpLt, i0, icon(10)), cmp(sql.OpEq, bin(sql.OpMod, i1, icon(7), types.Int64), icon(3))), 6},
+		{"like AND col > const", cmp(sql.OpAnd, &plan.Like{E: col(3, types.String), Pattern: "tag1%"}, cmp(sql.OpGt, i1, icon(9))), 4},
 		{"f_price * f_qty", bin(sql.OpMul, f2, &plan.Call{Name: sql.FuncFloat, Args: []plan.Expr{i1}, T: types.Float64}, types.Float64), 4},
+		{"const - col > const", cmp(sql.OpGt, bin(sql.OpSub, icon(100), i0, types.Int64), icon(50)), 4},
+		{"col < NULL", cmp(sql.OpLt, i0, &plan.Const{V: types.NewNull(types.Int64)}), 3},
+		{"const < const", cmp(sql.OpLt, icon(1), icon(2)), 2},
 	}
 	for _, s := range shapes {
 		var run func()

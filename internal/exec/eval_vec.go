@@ -21,7 +21,38 @@ type VecFn func(b *Batch) (*types.Vector, error)
 // per-query cost is the closure construction here; the payoff is unboxed,
 // branch-light per-row execution. Every operator class has one kernel,
 // generic over the payload type; byPayload instantiates it.
-func CompileVec(e plan.Expr) (VecFn, error) { return new(compiler).compile(e) }
+func CompileVec(e plan.Expr) (VecFn, error) {
+	o, err := new(compiler).compile(e)
+	return o.eval, err
+}
+
+// operand is a compiled node: a function of the batch or, fn nil, the
+// constant k. The comparison and arithmetic kernels and a function call hold
+// a constant by value; a constant over constants is folded at compile time.
+type operand struct {
+	fn VecFn
+	k  types.Value
+}
+
+// eval is the operand as a vector. A constant becomes b.N copies of itself,
+// which is for the consumers that must have a vector: the caller of a
+// constant expression, a unary kernel, AND, OR and CASE.
+func (o operand) eval(b *Batch) (*types.Vector, error) {
+	if o.fn != nil {
+		return o.fn(b)
+	}
+	out := types.NewVector(exprVecType(&plan.Const{V: o.k}), b.N)
+	for i := 0; i < b.N; i++ {
+		out.Append(o.k)
+	}
+	return out, nil
+}
+
+// valueOf is a constant's payload by value.
+func valueOf[T payload](k types.Value) T {
+	one := types.Vector{Ints: []int64{k.I}, Floats: []float64{k.AsFloat()}, Strs: []string{k.S}}
+	return (*slots[T](&one))[0]
+}
 
 // compiler carries the one fact compilation passes upward: whether what it
 // compiled can fail on some row — it holds a division or modulo whose divisor
@@ -29,24 +60,18 @@ func CompileVec(e plan.Expr) (VecFn, error) { return new(compiler).compile(e) }
 // time.
 type compiler struct{ raises bool }
 
-func (c *compiler) compile(e plan.Expr) (VecFn, error) {
+func (c *compiler) compile(e plan.Expr) (operand, error) {
 	switch x := e.(type) {
 	case *plan.Col:
-		return func(b *Batch) (*types.Vector, error) {
+		return operand{fn: func(b *Batch) (*types.Vector, error) {
 			if x.Index >= len(b.Cols) || b.Cols[x.Index] == nil {
 				return nil, fmt.Errorf("exec: column %d not materialized", x.Index)
 			}
 			return b.Cols[x.Index], nil
-		}, nil
+		}}, nil
 
 	case *plan.Const:
-		return func(b *Batch) (*types.Vector, error) {
-			out := types.NewVector(exprVecType(x), b.N)
-			for i := 0; i < b.N; i++ {
-				out.Append(x.V)
-			}
-			return out, nil
-		}, nil
+		return operand{k: x.V}, nil
 
 	case *plan.Bin:
 		return c.compileBin(x)
@@ -88,7 +113,7 @@ func (c *compiler) compile(e plan.Expr) (VecFn, error) {
 		return c.compileCall(x)
 
 	default:
-		return nil, fmt.Errorf("exec: cannot compile %T", e)
+		return operand{}, fmt.Errorf("exec: cannot compile %T", e)
 	}
 }
 
@@ -147,26 +172,60 @@ func boolsWhere[T payload](v *types.Vector, vals []T, test func(T) bool) *types.
 }
 
 // unary compiles e and applies kernel k to its value.
-func (c *compiler) unary(e plan.Expr, k func(v *types.Vector) *types.Vector) (VecFn, error) {
-	fn, err := c.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(b *Batch) (*types.Vector, error) {
-		v, err := fn(b)
+func (c *compiler) unary(e plan.Expr, k func(v *types.Vector) *types.Vector) (operand, error) {
+	o, err := c.compile(e)
+	return operand{fn: func(b *Batch) (*types.Vector, error) {
+		v, err := o.eval(b)
 		if err != nil {
 			return nil, err
 		}
 		return k(v), nil
-	}, nil
+	}}, err
 }
 
-// operands evaluates a two-operand kernel's operands, left first.
-func operands(lfn, rfn VecFn, b *Batch) (l, r *types.Vector, err error) {
-	if l, err = lfn(b); err == nil {
-		r, err = rfn(b)
+// side evaluates one operand of a two-operand kernel into what the kernel's
+// loop reads: its payload — nil for a constant, which the kernel holds by
+// value — and its NULL rows, every row for the NULL constant.
+func side[T payload](o operand, b *Batch) ([]T, []bool, error) {
+	switch {
+	case o.fn == nil && o.k.Null:
+		return nil, allNull(b.N), nil
+	case o.fn == nil:
+		return nil, nil, nil
 	}
-	return l, r, err
+	v, err := o.fn(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return *slots[T](v), v.Nulls, nil
+}
+
+// operands evaluates both sides, left first. nulls marks the rows whose
+// result is NULL (nil: none); it may be an operand's own mask.
+func operands[T payload](l, r operand, b *Batch) (lv, rv []T, nulls []bool, err error) {
+	lv, nulls, err = side[T](l, b)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rv, rn, err := side[T](r, b)
+	if nulls != nil && rn != nil {
+		rn = append([]bool(nil), rn...)
+		for i := range rn {
+			rn[i] = rn[i] || nulls[i]
+		}
+	} else if rn == nil {
+		rn = nulls
+	}
+	return lv, rv, rn, err
+}
+
+// at is the i-th value of a kernel's operand: its payload's, or with no
+// payload the constant k.
+func at[T payload](vals []T, i int, k T) T {
+	if vals != nil {
+		return vals[i]
+	}
+	return k
 }
 
 func negate[T int64 | float64](v *types.Vector) *types.Vector {
@@ -183,8 +242,7 @@ func inList[T payload](x *plan.InList) func(*types.Vector) *types.Vector {
 	set := make(map[T]bool, len(x.Vals))
 	for _, item := range x.Vals {
 		if !item.Null {
-			one := types.Vector{Ints: []int64{item.I}, Floats: []float64{item.F}, Strs: []string{item.S}}
-			set[(*slots[T](&one))[0]] = true
+			set[valueOf[T](item)] = true
 		}
 	}
 	return func(v *types.Vector) *types.Vector {
@@ -193,35 +251,44 @@ func inList[T payload](x *plan.InList) func(*types.Vector) *types.Vector {
 }
 
 // compileBin specializes on operator category and operand type.
-func (c *compiler) compileBin(x *plan.Bin) (VecFn, error) {
-	lfn, err := c.compile(x.L)
+func (c *compiler) compileBin(x *plan.Bin) (operand, error) {
+	l, err := c.compile(x.L)
 	if err != nil {
-		return nil, err
+		return operand{}, err
 	}
 	r, err := c.guarded(x.R)
 	if err != nil {
-		return nil, err
+		return operand{}, err
+	}
+	if l.fn == nil && r.fn == nil {
+		// A constant over constants is folded, by the interpreted engine. One
+		// that raises there is left to its kernel, which raises like it: on
+		// every row it is asked for, so not on an empty batch.
+		if k, err := EvalRow(&plan.Bin{Op: x.Op, L: &plan.Const{V: l.k}, R: &plan.Const{V: r.k}, T: x.T}, nil); err == nil {
+			return operand{k: k}, nil
+		}
 	}
 	switch x.Op {
 	case sql.OpAnd, sql.OpOr:
-		return compileLogic(x.Op == sql.OpOr, lfn, r), nil
+		_, column := x.L.(*plan.Col)
+		return operand{fn: compileLogic(x.Op == sql.OpOr, !column, l, r)}, nil
 
 	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
-		return byPayload(x.L.Type(), compare[int64], compare[float64], compare[string])(x.Op, lfn, r.fn), nil
+		return operand{fn: byPayload(x.L.Type(), compare[int64], compare[float64], compare[string])(x.Op, l, r.operand)}, nil
 
 	case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod:
-		k, constant := x.R.(*plan.Const) // a NULL or non-zero constant divisor never raises
-		c.raises = c.raises || (x.Op == sql.OpDiv || x.Op == sql.OpMod) && (!constant || (!k.V.Null && k.V.I == 0 && k.V.F == 0))
+		// A NULL or non-zero constant divisor never raises.
+		c.raises = c.raises || (x.Op == sql.OpDiv || x.Op == sql.OpMod) && (r.fn != nil || !r.k.Null && r.k.I == 0 && r.k.F == 0)
 		if x.T != types.Float64 {
-			return arithmetic(x.Op, x.T, func(a, b int64) int64 { return a % b }, lfn, r.fn), nil
+			return operand{fn: arithmetic(x.Op, x.T, func(a, b int64) int64 { return a % b }, l, r.operand)}, nil
 		}
 		if x.Op == sql.OpMod {
-			return nil, fmt.Errorf("exec: %s unsupported for floats", x.Op)
+			return operand{}, fmt.Errorf("exec: %s unsupported for floats", x.Op)
 		}
-		return arithmetic[float64](x.Op, x.T, nil, lfn, r.fn), nil
+		return operand{fn: arithmetic[float64](x.Op, x.T, nil, l, r.operand)}, nil
 
 	default:
-		return nil, fmt.Errorf("exec: cannot compile operator %s", x.Op)
+		return operand{}, fmt.Errorf("exec: cannot compile operator %s", x.Op)
 	}
 }
 
@@ -234,24 +301,25 @@ var cmpHolds = [...][3]bool{
 }
 
 // compare is the comparison kernel.
-func compare[T payload](op sql.BinOp, lfn, rfn VecFn) VecFn {
+func compare[T payload](op sql.BinOp, l, r operand) VecFn {
 	holds := cmpHolds[op]
+	lk, rk := valueOf[T](l.k), valueOf[T](r.k)
 	return func(b *Batch) (*types.Vector, error) {
-		l, r, err := operands(lfn, rfn, b)
+		lv, rv, nulls, err := operands[T](l, r, b)
 		if err != nil {
 			return nil, err
 		}
-		lv, rv := *slots[T](l), *slots[T](r)
-		out := boolVec(len(lv), mergeNulls(l, r))
-		for i := range lv {
-			if out.Nulls != nil && out.Nulls[i] {
+		out := boolVec(b.N, nulls)
+		for i := range out.Ints {
+			if nulls != nil && nulls[i] {
 				continue
 			}
+			x, y := at(lv, i, lk), at(rv, i, rk)
 			c := 1
 			switch {
-			case lv[i] < rv[i]:
+			case x < y:
 				c = 0
-			case lv[i] > rv[i]:
+			case x > y:
 				c = 2
 			}
 			if holds[c] {
@@ -262,50 +330,38 @@ func compare[T payload](op sql.BinOp, lfn, rfn VecFn) VecFn {
 	}
 }
 
-// mergeNulls combines two operands' null masks (nil when neither has one).
-func mergeNulls(l, r *types.Vector) []bool {
-	if l.Nulls == nil && r.Nulls == nil {
-		return nil
-	}
-	out := make([]bool, l.Len())
-	for i := range out {
-		out[i] = l.IsNull(i) || r.IsNull(i)
-	}
-	return out
-}
-
 // arithmetic is the arithmetic kernel; mod is the one operator the payload
 // types do not share. Division and modulo test the divisor of every row
 // that is not NULL — a NULL slot's placeholder never raises.
-func arithmetic[T int64 | float64](op sql.BinOp, t types.Type, mod func(a, b T) T, lfn, rfn VecFn) VecFn {
-	k := mod
-	switch op {
-	case sql.OpAdd:
-		k = func(a, b T) T { return a + b }
-	case sql.OpSub:
-		k = func(a, b T) T { return a - b }
-	case sql.OpMul:
-		k = func(a, b T) T { return a * b }
-	case sql.OpDiv:
-		k = func(a, b T) T { return a / b }
-	}
+func arithmetic[T int64 | float64](op sql.BinOp, t types.Type, mod func(a, b T) T, l, r operand) VecFn {
+	lk, rk := valueOf[T](l.k), valueOf[T](r.k)
 	divides := op == sql.OpDiv || op == sql.OpMod
 	return func(b *Batch) (*types.Vector, error) {
-		l, r, err := operands(lfn, rfn, b)
+		lv, rv, nulls, err := operands[T](l, r, b)
 		if err != nil {
 			return nil, err
 		}
-		lv, rv := *slots[T](l), *slots[T](r)
-		out := make([]T, len(lv))
-		nulls := mergeNulls(l, r)
-		for i := range lv {
+		out := make([]T, b.N)
+		for i := range out {
 			if nulls != nil && nulls[i] {
 				continue
 			}
-			if divides && rv[i] == 0 {
+			x, y := at(lv, i, lk), at(rv, i, rk)
+			if divides && y == 0 {
 				return nil, fmt.Errorf("exec: division by zero")
 			}
-			out[i] = k(lv[i], rv[i])
+			switch op {
+			case sql.OpAdd:
+				out[i] = x + y
+			case sql.OpSub:
+				out[i] = x - y
+			case sql.OpMul:
+				out[i] = x * y
+			case sql.OpDiv:
+				out[i] = x / y
+			default:
+				out[i] = mod(x, y)
+			}
 		}
 		return vecOf(t, out, nulls), nil
 	}
@@ -317,15 +373,15 @@ func arithmetic[T int64 | float64](op sql.BinOp, t types.Type, mod func(a, b T) 
 // the query; one that cannot is evaluated over the whole batch, which is
 // cheaper than gathering.
 type guarded struct {
-	fn     VecFn
+	operand
 	raises bool
 }
 
 func (c *compiler) guarded(e plan.Expr) (guarded, error) {
 	var sub compiler
-	fn, err := sub.compile(e)
+	o, err := sub.compile(e)
 	c.raises = c.raises || sub.raises
-	return guarded{fn: fn, raises: sub.raises}, err
+	return guarded{operand: o, raises: sub.raises}, err
 }
 
 // over evaluates g for the rows sel of b. The result is indexed by b's
@@ -333,11 +389,11 @@ func (c *compiler) guarded(e plan.Expr) (guarded, error) {
 // else's are not to be read.
 func (g guarded) over(b *Batch, sel []int) (*types.Vector, error) {
 	if !g.raises || len(sel) == b.N {
-		return g.fn(b)
+		return g.eval(b)
 	}
 	sub := b.Gather(sel)
 	defer PutBatch(sub)
-	v, err := g.fn(sub)
+	v, err := g.eval(sub)
 	if err != nil {
 		return nil, err
 	}
@@ -348,11 +404,20 @@ func (g guarded) over(b *Batch, sel []int) (*types.Vector, error) {
 
 // nullVec returns n NULL slots of type t.
 func nullVec(t types.Type, n int) *types.Vector {
-	out := types.NewVector(t, n)
-	for i := 0; i < n; i++ {
-		out.AppendNull()
+	return byPayload(t, zeros[int64], zeros[float64], zeros[string])(t, n, allNull(n))
+}
+
+func zeros[T payload](t types.Type, n int, nulls []bool) *types.Vector {
+	return vecOf(t, make([]T, n), nulls)
+}
+
+// allNull is the mask of n NULL rows.
+func allNull(n int) []bool {
+	nulls := make([]bool, n)
+	for i := range nulls {
+		nulls[i] = true
 	}
-	return out
+	return nulls
 }
 
 // assign sets dst's slots at positions sel from src: src's k-th row when src
@@ -386,10 +451,12 @@ func decides(v *types.Vector, i int, or bool) bool { return !v.IsNull(i) && (v.I
 
 // compileLogic is three-valued AND (or OR, its dual: swap true and false).
 // The right operand is guarded by the left: the interpreted engine does not
-// evaluate it where the left already decides the row.
-func compileLogic(or bool, lfn VecFn, r guarded) VecFn {
+// evaluate it where the left already decides the row. The result overwrites
+// the left operand's, which is this kernel's to reuse unless it is a column
+// of the batch (inPlace false).
+func compileLogic(or, inPlace bool, l operand, r guarded) VecFn {
 	return func(b *Batch) (*types.Vector, error) {
-		lv, err := lfn(b)
+		lv, err := l.eval(b)
 		if err != nil {
 			return nil, err
 		}
@@ -403,9 +470,12 @@ func compileLogic(or bool, lfn VecFn, r guarded) VecFn {
 		if err != nil {
 			return nil, err
 		}
+		out := lv
+		if !inPlace {
+			out = boolVec(b.N, nil)
+		}
 		if lv.Nulls == nil && rv.Nulls == nil {
 			// Fast path: no nulls on either side — plain bitwise logic.
-			out := boolVec(len(lv.Ints), nil)
 			for i := range out.Ints {
 				if or {
 					out.Ints[i] = lv.Ints[i] | rv.Ints[i]
@@ -415,19 +485,22 @@ func compileLogic(or bool, lfn VecFn, r guarded) VecFn {
 			}
 			return out, nil
 		}
-		out := boolVec(b.N, make([]bool, b.N))
+		nulls := make([]bool, b.N) // lv's mask may be a column's, and is read below
 		for i := range out.Ints {
+			var v int64
 			switch {
 			case decides(lv, i, or) || decides(rv, i, or):
 				if or {
-					out.Ints[i] = 1
+					v = 1
 				}
 			case lv.IsNull(i) || rv.IsNull(i):
-				out.Nulls[i] = true
+				nulls[i] = true
 			case !or:
-				out.Ints[i] = 1
+				v = 1
 			}
+			out.Ints[i] = v
 		}
+		out.Nulls = nulls
 		return out, nil
 	}
 }
@@ -435,7 +508,7 @@ func compileLogic(or bool, lfn VecFn, r guarded) VecFn {
 // compileCase evaluates branch by branch over the rows no earlier branch
 // took: a condition is guarded by the conditions before it, a result by its
 // own condition, and ELSE — a last branch with no condition — by all of them.
-func (c *compiler) compileCase(x *plan.Case) (VecFn, error) {
+func (c *compiler) compileCase(x *plan.Case) (operand, error) {
 	type branch struct{ cond, then guarded }
 	whens := x.Whens
 	if x.Else != nil {
@@ -446,22 +519,23 @@ func (c *compiler) compileCase(x *plan.Case) (VecFn, error) {
 		var err error
 		if w.Cond != nil {
 			if branches[i].cond, err = c.guarded(w.Cond); err != nil {
-				return nil, err
+				return operand{}, err
 			}
 		}
 		if branches[i].then, err = c.guarded(w.Then); err != nil {
-			return nil, err
+			return operand{}, err
 		}
 	}
-	return func(b *Batch) (*types.Vector, error) {
+	return operand{fn: func(b *Batch) (*types.Vector, error) {
 		out := nullVec(x.T, b.N)
 		rest := make([]int, b.N)
 		for i := range rest {
 			rest[i] = i
 		}
-		for _, br := range branches {
+		for i, br := range branches {
+			w := whens[i]
 			hit, miss := rest, rest[:0]
-			if br.cond.fn != nil {
+			if w.Cond != nil {
 				cond, err := br.cond.over(b, rest)
 				if err != nil {
 					return nil, err
@@ -486,10 +560,10 @@ func (c *compiler) compileCase(x *plan.Case) (VecFn, error) {
 			out.Nulls = nil
 		}
 		return out, nil
-	}, nil
+	}}, nil
 }
 
-func (c *compiler) compileCall(x *plan.Call) (VecFn, error) {
+func (c *compiler) compileCall(x *plan.Call) (operand, error) {
 	// FLOAT (int→float promotion) gets a dedicated tight kernel; it is on
 	// the hot path of promoted arithmetic.
 	if x.Name == sql.FuncFloat {
@@ -502,27 +576,34 @@ func (c *compiler) compileCall(x *plan.Call) (VecFn, error) {
 		})
 	}
 	c.raises = c.raises || x.Name == sql.FuncDateTrunc
-	argEvs := make([]*Evaluator, len(x.Args))
+	args := make([]operand, len(x.Args))
 	for i, a := range x.Args {
-		fn, err := c.compile(a)
-		if err != nil {
-			return nil, err
+		var err error
+		if args[i], err = c.compile(a); err != nil {
+			return operand{}, err
 		}
-		argEvs[i] = &Evaluator{mode: Compiled, expr: a, fn: fn}
 	}
 	// Every other function runs the interpreted engine's evalCall row by
 	// row over arguments evaluated for the whole batch: COALESCE's later
 	// arguments are not guarded, because there they are not either.
-	return func(b *Batch) (*types.Vector, error) {
-		args, err := evalKeys(argEvs, b, make([]*types.Vector, 0, len(argEvs)))
-		if err != nil {
-			return nil, err
+	return operand{fn: func(b *Batch) (*types.Vector, error) {
+		vecs := make([]*types.Vector, len(args))
+		row := make([]types.Value, len(args))
+		for a, o := range args {
+			row[a] = o.k
+			if o.fn != nil {
+				var err error
+				if vecs[a], err = o.fn(b); err != nil {
+					return nil, err
+				}
+			}
 		}
 		out := types.NewVector(x.T, b.N)
-		row := make([]types.Value, len(args))
 		for i := 0; i < b.N; i++ {
-			for a := range args {
-				row[a] = args[a].Get(i)
+			for a, v := range vecs {
+				if v != nil {
+					row[a] = v.Get(i)
+				}
 			}
 			v, err := evalCall(x, row)
 			if err != nil {
@@ -531,5 +612,5 @@ func (c *compiler) compileCall(x *plan.Call) (VecFn, error) {
 			out.Append(v)
 		}
 		return out, nil
-	}, nil
+	}}, nil
 }

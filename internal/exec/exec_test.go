@@ -100,6 +100,57 @@ func TestDivisionByZeroSkippedOnNullRows(t *testing.T) {
 	})
 }
 
+// TestConstantOperandsBothModes pins what a constant operand means on each
+// of the compiled engine's paths for one — held by value on either side,
+// folded with another constant, NULL — by the interpreted engine's answer,
+// errors included.
+func TestConstantOperandsBothModes(t *testing.T) {
+	c0 := col(0, types.Int64)
+	null := &plan.Const{V: types.NewNull(types.Int64)}
+	mod0 := bin(sql.OpEq, bin(sql.OpMod, c0, icon(0), types.Int64), icon(1), types.Bool)
+	fold0 := bin(sql.OpMod, icon(1), icon(0), types.Int64)
+	rows := intBatch([]int64{7, 0, 40}, map[int]bool{1: true})
+	cases := []struct {
+		name string
+		e    plan.Expr
+		b    *Batch
+		want string // the rendered rows, or "error"
+	}{
+		{"const - col", bin(sql.OpSub, icon(100), c0, types.Int64), rows, "[93 NULL 60]"},
+		{"const < col", bin(sql.OpLt, icon(10), c0, types.Bool), rows, "[false NULL true]"},
+		{"const + const < col", bin(sql.OpLt, bin(sql.OpAdd, icon(2), icon(3), types.Int64), c0, types.Bool), rows, "[true NULL true]"},
+		{"col / NULL", bin(sql.OpDiv, c0, null, types.Int64), rows, "[NULL NULL NULL]"},
+		{"NULL = col", bin(sql.OpEq, null, c0, types.Bool), rows, "[NULL NULL NULL]"},
+		{"(100 / col) + NULL", bin(sql.OpAdd, bin(sql.OpDiv, icon(100), c0, types.Int64), null, types.Int64), intBatch([]int64{0}, nil), "error"},
+		{"col % 0", mod0, rows, "error"},
+		{"col % 0, every row NULL", mod0, intBatch([]int64{0, 0}, map[int]bool{0: true, 1: true}), "[NULL NULL]"},
+		{"col % 0, no rows", mod0, intBatch(nil, nil), "[]"},
+		{"col > 100 AND col % 0 = 1", bin(sql.OpAnd, bin(sql.OpGt, c0, icon(100), types.Bool), mod0, types.Bool), intBatch([]int64{7, 40}, nil), "[false false]"},
+		{"1 % 0", fold0, rows, "error"},
+		{"1 % 0, no rows", fold0, intBatch(nil, nil), "[]"},
+		{"CASE WHEN col > 100 THEN 1 % 0 END", &plan.Case{Whens: []plan.CaseWhen{{Cond: bin(sql.OpGt, c0, icon(100), types.Bool), Then: fold0}}, T: types.Int64}, rows, "[NULL NULL NULL]"},
+	}
+	both(t, func(t *testing.T, mode Mode) {
+		for _, c := range cases {
+			ev, err := NewEvaluator(mode, c.e)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			got := "error"
+			if v, err := ev.Eval(c.b); err == nil {
+				vals := make([]types.Value, v.Len())
+				for i := range vals {
+					vals[i] = v.Get(i)
+				}
+				got = fmt.Sprint(vals)
+			}
+			if got != c.want {
+				t.Errorf("%s = %s, want %s", c.name, got, c.want)
+			}
+		}
+	})
+}
+
 func TestComparisonsAndTernaryLogic(t *testing.T) {
 	both(t, func(t *testing.T, mode Mode) {
 		b := intBatch([]int64{1, 5, 9, 0}, map[int]bool{3: true})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"redshift/internal/faults"
 	"redshift/internal/plan"
@@ -34,6 +35,9 @@ type ScanStats struct {
 	// CacheHits/CacheMisses count buffer-cache lookups by this scan.
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
+	// DecodeNs is the time spent decoding (and page-faulting) the blocks
+	// the cache did not hold — per block, the cost the cache is told.
+	DecodeNs atomic.Int64
 	// Retries counts backoff retries the fail-over read path spent;
 	// FailoverReads counts blocks ultimately served by a non-primary
 	// replica (secondary or S3). Both surface in EXPLAIN ANALYZE.
@@ -226,14 +230,17 @@ func (s *Scanner) materialize(ctx context.Context, seg *storage.Segment, c, bi i
 	if s.cache != nil {
 		s.stats.CacheMisses.Add(1)
 	}
+	t0 := time.Now()
 	v, err := s.decode(ctx, blk)
 	if err != nil {
 		return err
 	}
+	ns := time.Since(t0).Nanoseconds()
+	s.stats.DecodeNs.Add(ns)
 	s.stats.BlocksRead.Add(1)
 	s.stats.BytesRead.Add(blk.ByteSize())
 	if s.cache != nil {
-		s.cache.Put(blk.ID, v, s.epoch)
+		s.cache.PutCost(blk.ID, v, s.epoch, ns)
 		v = v.View()
 	}
 	batch.Cols[c] = v
