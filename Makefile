@@ -9,24 +9,30 @@ test: build
 	$(GO) test ./...
 
 # Vet plus race-detector runs over the packages with the most concurrency:
-# the distributed cluster, the query engine and its operators, the shared
+# the distributed cluster, the query engine and its operators, the loader
+# (parse workers, one writer shared by every slice's goroutine), the shared
 # block cache, the codecs (whose inflater and deflater pools every slice
 # goroutine shares), and the telemetry registry — plus the root-level
 # morsel worker suites (twin battery, cancel/fault storm, stats parity).
 # The commit-protocol tests (readers against VACUUM/TRUNCATE, block
-# identities) repeat twenty times: their subject is an interleaving.
+# identities) repeat twenty times: their subject is an interleaving. So is
+# the write path's (slices sorting and sealing at once, a DISTSTYLE ALL
+# write's chunks shared by every node): its differential test repeats five.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/storage ./internal/telemetry ./internal/wire
+	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
 	$(GO) test -race -count=20 -run 'TestVacuum|TestCommitProtocol' ./internal/core
+	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus
 # (testdata/fuzz beside each): arbitrary bytes into the block decoders,
 # fuzzer-built vectors through every encoding and back, arbitrary bytes into
 # the spill frame decoder, bytes read as an expression plus a batch that
-# the compiled and interpreted evaluators must agree on, and arbitrary bytes
-# into the SQL front end (parse, render, re-parse, plan).
+# the compiled and interpreted evaluators must agree on, arbitrary bytes
+# into the SQL front end (parse, render, re-parse, plan), and arbitrary
+# bytes into COPY's delimited and JSON readers, which must read what the
+# row-at-a-time readers they replaced read.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
@@ -34,6 +40,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillFrame$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalCompiledVsInterpreted$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sql
+	$(GO) test -run '^$$' -fuzz '^FuzzCopyCSV$$' -fuzztime $(FUZZTIME) ./internal/load
+	$(GO) test -run '^$$' -fuzz '^FuzzCopyJSON$$' -fuzztime $(FUZZTIME) ./internal/load
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

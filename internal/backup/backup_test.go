@@ -32,21 +32,19 @@ func fixture(t *testing.T, n int) (*cluster.Cluster, *catalog.Catalog) {
 	if err := cat.Create(def); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]types.Row, n)
-	for i := range rows {
-		rows[i] = types.Row{types.NewInt(int64(i)), types.NewString(strings.Repeat("x", i%30))}
-	}
-	parts := c.DistributeRows(def, rows)
-	for s, part := range parts {
-		if len(part) == 0 {
-			continue
+	// Row i goes to slice i mod NumSlices, as an EVEN table's first load.
+	for s := 0; s < c.NumSlices() && s < n; s++ {
+		ids, payloads := types.NewVector(types.Int64, 0), types.NewVector(types.String, 0)
+		for i := s; i < n; i += c.NumSlices() {
+			ids.Append(types.NewInt(int64(i)))
+			payloads.Append(types.NewString(strings.Repeat("x", i%30)))
 		}
 		b, err := storage.NewBuilder(def.ID, int32(s), 0, def.Schema(), def.Encodings(), 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range part {
-			if err := b.Append(r); err != nil {
+		for c, v := range []*types.Vector{ids, payloads} {
+			if err := b.Column(c, v); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"redshift/internal/catalog"
 	"redshift/internal/faults"
 	"redshift/internal/storage"
 	"redshift/internal/telemetry"
@@ -115,7 +114,6 @@ type Slice struct {
 	mu   sync.RWMutex
 	// shards maps table ID → the slice's segments with commit visibility.
 	shards map[int64][]SegmentEntry
-	// rrNext is the round-robin cursor for EVEN distribution.
 }
 
 // SegmentEntry is a segment plus its visibility window: created at Xid,
@@ -193,6 +191,28 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // NumSlices returns the total slice count.
 func (c *Cluster) NumSlices() int { return len(c.slices) }
+
+// EachSlice runs fn for every slice at once — the shape of a write's and of
+// ANALYZE's per-slice work — and returns the error of the lowest slice that
+// failed.
+func (c *Cluster) EachSlice(fn func(slice int) error) error {
+	errs := make([]error, len(c.slices))
+	var wg sync.WaitGroup
+	for s := range c.slices {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = fn(s)
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // NumNodes returns the node count.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
@@ -287,37 +307,15 @@ func (c *Cluster) TargetSliceKey(distValue types.Value) int {
 	return int(h % uint64(len(c.slices)))
 }
 
-// nextRoundRobin returns the next EVEN-distribution slice for a table.
-func (c *Cluster) nextRoundRobin(tableID int64) int {
+// AdvanceRoundRobin returns the slice that owns the table's next
+// EVEN-distributed row and moves the cursor past n rows: row i of the write
+// that asked goes to slice (start + i) mod NumSlices.
+func (c *Cluster) AdvanceRoundRobin(tableID int64, n int) (start int) {
 	c.rrMu.Lock()
 	defer c.rrMu.Unlock()
-	s := c.rr[tableID]
-	c.rr[tableID] = (s + 1) % len(c.slices)
-	return s
-}
-
-// DistributeRows partitions rows to slices per the table's DISTSTYLE.
-// For DistAll every node receives the full row set (on its first slice).
-func (c *Cluster) DistributeRows(def *catalog.TableDef, rows []types.Row) [][]types.Row {
-	out := make([][]types.Row, len(c.slices))
-	switch def.DistStyle {
-	case catalog.DistAll:
-		for n := range c.nodes {
-			s := n * c.cfg.SlicesPerNode
-			out[s] = append(out[s], rows...)
-		}
-	case catalog.DistKey:
-		for _, row := range rows {
-			s := c.TargetSliceKey(row[def.DistKeyCol])
-			out[s] = append(out[s], row)
-		}
-	default: // EVEN
-		for _, row := range rows {
-			s := c.nextRoundRobin(def.ID)
-			out[s] = append(out[s], row)
-		}
-	}
-	return out
+	start = c.rr[tableID]
+	c.rr[tableID] = (start + n) % len(c.slices)
+	return start
 }
 
 // AppendSegment registers a segment on a slice with synchronous secondary

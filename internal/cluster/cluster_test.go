@@ -43,6 +43,24 @@ func mkRows(n int) []types.Row {
 	return rows
 }
 
+// distribute partitions rows the way a write places them: by the hash of
+// the distribution key, or round-robin from the table's cursor.
+func distribute(c *Cluster, def *catalog.TableDef, rows []types.Row) [][]types.Row {
+	out := make([][]types.Row, c.NumSlices())
+	start := 0
+	if def.DistStyle == catalog.DistEven {
+		start = c.AdvanceRoundRobin(def.ID, len(rows))
+	}
+	for i, row := range rows {
+		s := (start + i) % c.NumSlices()
+		if def.DistStyle == catalog.DistKey {
+			s = c.TargetSliceKey(row[def.DistKeyCol])
+		}
+		out[s] = append(out[s], row)
+	}
+	return out
+}
+
 func mkSegment(t *testing.T, table int64, slice int32, rows []types.Row) *storage.Segment {
 	t.Helper()
 	schema := types.NewSchema(
@@ -53,8 +71,12 @@ func mkSegment(t *testing.T, table int64, slice int32, rows []types.Row) *storag
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if err := b.Append(r); err != nil {
+	for c, col := range schema.Columns {
+		v := types.NewVector(col.Type, len(rows))
+		for _, r := range rows {
+			v.Append(r[c])
+		}
+		if err := b.Column(c, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,10 +120,10 @@ func TestCohorts(t *testing.T) {
 	}
 }
 
-func TestDistributeRowsEven(t *testing.T) {
+func TestRoundRobinEven(t *testing.T) {
 	c := testCluster(t, 2, 2)
 	def := intTable(catalog.DistEven)
-	parts := c.DistributeRows(def, mkRows(40))
+	parts := distribute(c, def, mkRows(40))
 	total := 0
 	for s, rows := range parts {
 		if len(rows) != 10 {
@@ -113,7 +135,7 @@ func TestDistributeRowsEven(t *testing.T) {
 		t.Errorf("total = %d", total)
 	}
 	// Round robin continues across calls.
-	parts2 := c.DistributeRows(def, mkRows(2))
+	parts2 := distribute(c, def, mkRows(2))
 	n := 0
 	for _, rows := range parts2 {
 		n += len(rows)
@@ -121,14 +143,22 @@ func TestDistributeRowsEven(t *testing.T) {
 	if n != 2 {
 		t.Error("second distribution lost rows")
 	}
+	// 42 rows dealt over 4 slices: the cursor stands at slice 2, and a
+	// write of n rows moves it n on.
+	if at := c.AdvanceRoundRobin(def.ID, 7); at != 2 {
+		t.Errorf("cursor after 42 rows = %d, want 2", at)
+	}
+	if at := c.AdvanceRoundRobin(def.ID, 0); at != 1 {
+		t.Errorf("cursor after 49 rows = %d, want 1", at)
+	}
 }
 
-func TestDistributeRowsKeyDeterministic(t *testing.T) {
+func TestKeyPlacementDeterministic(t *testing.T) {
 	c := testCluster(t, 4, 2)
 	def := intTable(catalog.DistKey)
 	rows := mkRows(1000)
-	a := c.DistributeRows(def, rows)
-	b := c.DistributeRows(def, rows)
+	a := distribute(c, def, rows)
+	b := distribute(c, def, rows)
 	for s := range a {
 		if len(a[s]) != len(b[s]) {
 			t.Fatal("KEY distribution not deterministic")
@@ -149,20 +179,6 @@ func TestDistributeRowsKeyDeterministic(t *testing.T) {
 	for s, part := range a {
 		if len(part) > 3*ideal {
 			t.Errorf("slice %d has %d rows (ideal %d)", s, len(part), ideal)
-		}
-	}
-}
-
-func TestDistributeRowsAll(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	def := intTable(catalog.DistAll)
-	parts := c.DistributeRows(def, mkRows(5))
-	for n := 0; n < 3; n++ {
-		if got := len(parts[n*2]); got != 5 {
-			t.Errorf("node %d copy has %d rows", n, got)
-		}
-		if got := len(parts[n*2+1]); got != 0 {
-			t.Errorf("node %d second slice has %d rows", n, got)
 		}
 	}
 }
@@ -221,7 +237,7 @@ func TestReplicationAndFailover(t *testing.T) {
 func TestRecoverNode(t *testing.T) {
 	c := testCluster(t, 2, 2)
 	def := intTable(catalog.DistEven)
-	parts := c.DistributeRows(def, mkRows(64))
+	parts := distribute(c, def, mkRows(64))
 	for s, rows := range parts {
 		if len(rows) == 0 {
 			continue
@@ -351,7 +367,7 @@ func TestDropTableReclaimsRoundRobinCursor(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		def := intTable(catalog.DistEven)
 		def.ID = int64(100 + i)
-		c.DistributeRows(def, mkRows(8))
+		distribute(c, def, mkRows(8))
 		c.DropTable(def.ID)
 	}
 	c.rrMu.Lock()
@@ -369,7 +385,7 @@ func TestDiscardXidReclaimsRoundRobinCursor(t *testing.T) {
 	c := testCluster(t, 2, 2)
 	def := intTable(catalog.DistEven)
 	def.ID = 42
-	parts := c.DistributeRows(def, mkRows(16))
+	parts := distribute(c, def, mkRows(16))
 	for s, rows := range parts {
 		if len(rows) == 0 {
 			continue
@@ -390,7 +406,7 @@ func TestDiscardXidReclaimsRoundRobinCursor(t *testing.T) {
 	// segments are discarded.
 	pre := intTable(catalog.DistEven)
 	pre.ID = 43
-	parts = c.DistributeRows(pre, mkRows(16))
+	parts = distribute(c, pre, mkRows(16))
 	for s, rows := range parts {
 		if len(rows) == 0 {
 			continue
@@ -416,7 +432,7 @@ func TestRecoverNodeBytesIsolatedFromConcurrentTraffic(t *testing.T) {
 	// luck needed.
 	c := testCluster(t, 1, 2) // single node: every recovery fetch hits backup
 	def := intTable(catalog.DistEven)
-	parts := c.DistributeRows(def, mkRows(256))
+	parts := distribute(c, def, mkRows(256))
 	for s, rows := range parts {
 		if len(rows) == 0 {
 			continue

@@ -36,7 +36,7 @@ func payloadFetcher(payloads map[storage.BlockID][]byte) func(*storage.Block) ([
 func loadEvenTable(t *testing.T, c *Cluster, rows int) {
 	t.Helper()
 	def := intTable(catalog.DistEven)
-	parts := c.DistributeRows(def, mkRows(rows))
+	parts := distribute(c, def, mkRows(rows))
 	for s, part := range parts {
 		if len(part) == 0 {
 			continue

@@ -134,6 +134,10 @@ type Database struct {
 	// the pre-session semantics. Wire connections get their own sessions.
 	defaultSession *Session
 
+	// loadNs is the time committed COPYs and INSERTs have taken, behind
+	// load_seconds_total.
+	loadNs atomic.Int64
+
 	// qmu guards the running-query registry; nextQID hands out stl_query
 	// ids before execution so CANCEL <id> can find in-flight queries.
 	qmu     sync.Mutex
@@ -186,6 +190,10 @@ type Result struct {
 	// Cached marks a result served from the result cache: no plan, no WLM
 	// slot, no operator execution, Stats all zero.
 	Cached bool
+	// Trace is a COPY's, INSERT's, VACUUM's or ANALYZE's span tree: a
+	// `query` span over the phases it ran, of parse, distribute+sort,
+	// encode, replicate and stats, each with rows and bytes.
+	Trace *telemetry.Span
 }
 
 // sliceStat is one slice's cumulative scan accounting, updated by every
@@ -610,18 +618,32 @@ func (db *Database) supersedeAll(def *catalog.TableDef, xid int64) error {
 }
 
 func (db *Database) runInsert(ctx context.Context, s *sql.Insert) (*Result, error) {
+	var stats load.Stats
+	trace := telemetry.StartSpan("query")
 	err := db.writeTable(ctx, s.Table, false, func(def *catalog.TableDef, xid int64) error {
 		rows, err := insertRows(def, s)
 		if err != nil {
 			return err
 		}
-		_, err = load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid)
+		stats, err = load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid, trace)
 		return err
 	})
+	trace.End()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("INSERT %d", len(s.Rows))}, nil
+	db.countLoad(stats, trace.Duration())
+	return &Result{Message: fmt.Sprintf("INSERT %d", len(s.Rows)), Trace: trace}, nil
+}
+
+// countLoad adds one committed COPY's or INSERT's rows, encoded bytes and
+// seconds to the load_*_total counters; whole seconds carry over from the
+// nanoseconds accumulated so far.
+func (db *Database) countLoad(stats load.Stats, d time.Duration) {
+	db.metrics.Counter("load_rows_total").Add(stats.Rows)
+	db.metrics.Counter("load_bytes_total").Add(stats.BytesWritten)
+	ns := db.loadNs.Add(int64(d))
+	db.metrics.Counter("load_seconds_total").Add(ns/1e9 - (ns-int64(d))/1e9)
 }
 
 // insertRows evaluates an INSERT's VALUES lists into full-width rows.
@@ -721,6 +743,7 @@ func (db *Database) runCopy(ctx context.Context, s *sql.Copy) (*Result, error) {
 	}
 	var start time.Time
 	var stats load.Stats
+	trace := telemetry.StartSpan("query")
 	err := db.writeTable(ctx, s.Table, false, func(def *catalog.TableDef, xid int64) (err error) {
 		start = time.Now()
 		opts := load.Options{
@@ -730,15 +753,18 @@ func (db *Database) runCopy(ctx context.Context, s *sql.Copy) (*Result, error) {
 			StatUpdate: s.StatUpdate,
 			GZip:       s.GZip,
 		}
-		stats, err = load.Run(db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid)
+		stats, err = load.Run(db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid, trace)
 		return err
 	})
+	trace.End()
 	if err != nil {
 		return nil, err
 	}
+	db.countLoad(stats, trace.Duration())
 	return &Result{
 		Message: fmt.Sprintf("COPY %d", stats.Rows),
 		Stats:   ExecStats{ExecTime: time.Since(start), RowsScanned: stats.Rows},
+		Trace:   trace,
 	}, nil
 }
 
@@ -747,12 +773,14 @@ func (db *Database) runVacuum(ctx context.Context, s *sql.Vacuum) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	trace := telemetry.StartSpan("query")
 	for _, def := range defs {
-		if err := db.vacuumTable(ctx, def.Name); err != nil {
+		if err := db.vacuumTable(ctx, def.Name, trace); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Message: fmt.Sprintf("VACUUM %d table(s)", len(defs))}, nil
+	trace.End()
+	return &Result{Message: fmt.Sprintf("VACUUM %d table(s)", len(defs)), Trace: trace}, nil
 }
 
 // maintenanceTargets is VACUUM's and ANALYZE's operand: one table, or all.
@@ -765,23 +793,19 @@ func (db *Database) maintenanceTargets(name string) ([]*catalog.TableDef, error)
 }
 
 // vacuumTable merges each slice's sorted runs into one fully sorted
-// segment and clears the unsorted-rows counter.
-func (db *Database) vacuumTable(ctx context.Context, name string) error {
+// segment and clears the unsorted-rows counter; the rewrite is recorded
+// under trace (nil for the automatic VACUUM).
+func (db *Database) vacuumTable(ctx context.Context, name string, trace *telemetry.Span) error {
 	return db.writeTable(ctx, name, true, func(def *catalog.TableDef, xid int64) error {
-		var wg sync.WaitGroup
-		errs := make([]error, db.cl.NumSlices())
-		for sl := range errs {
-			wg.Add(1)
-			go func(sl int) {
-				defer wg.Done()
-				errs[sl] = db.vacuumSlice(def, sl, xid)
-			}(sl)
+		start := time.Now()
+		w, err := load.NewSegmentWriter(db.cl, db.cat, def, nil, xid)
+		if err != nil {
+			return err
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		err = db.cl.EachSlice(func(sl int) error { return db.vacuumSlice(def, sl, xid, w) })
+		w.Record(trace, time.Since(start))
+		if err != nil {
+			return err
 		}
 		stats, err := db.cat.Stats(def.ID)
 		if err != nil {
@@ -792,35 +816,49 @@ func (db *Database) vacuumTable(ctx context.Context, name string) error {
 	})
 }
 
-// vacuumSlice rewrites one slice's runs as the single segment xid names.
+// vacuumSlice rewrites one slice's runs as the single segment xid names:
+// the runs are decoded block by block and handed to the writer as the
+// slice's chunks, which it concatenates and sorts.
 // It reads at xid, not through a read view: under the table write lock
 // every live segment comes from a writer that has published, and
 // ReplaceSegments supersedes them all, so the merge must read them all. A
 // view's contiguous-prefix snapshot would miss a writer that published past
 // one still unpublished on another table, and drop its rows unread.
-func (db *Database) vacuumSlice(def *catalog.TableDef, sl int, xid int64) error {
+func (db *Database) vacuumSlice(def *catalog.TableDef, sl int, xid int64, w *load.SegmentWriter) error {
 	segs := db.cl.VisibleSegments(sl, def.ID, xid)
 	if len(segs) <= 1 && (len(segs) == 0 || segs[0].Sorted) {
 		return nil // already a single sorted run
 	}
-	var rows []types.Row
+	var chunks []load.Chunk
 	for _, seg := range segs {
-		segRows, err := seg.ReadRows(db.cl.FetchBlock)
-		if err != nil {
-			return err
+		for bi := 0; bi < seg.NumBlocks(); bi++ {
+			cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
+			if err != nil {
+				return err
+			}
+			chunks = append(chunks, load.Chunk{Cols: cols})
 		}
-		rows = append(rows, segRows...)
 	}
-	w, err := load.NewSegmentWriter(db.cl, db.cat, def, rows, xid)
-	if err != nil {
-		return err
-	}
-	seg, err := w.Write(sl, rows)
+	seg, err := w.Write(sl, chunks)
 	if err != nil {
 		return err
 	}
 	db.cl.ReplaceSegments(sl, def.ID, []*storage.Segment{seg}, xid)
 	return nil
+}
+
+// decodeBlocks decodes block bi of every column of seg: the segment's rows
+// [bi*Cap, (bi+1)*Cap), column-wise.
+func decodeBlocks(seg *storage.Segment, bi int, fetch func(*storage.Block) error) (load.Columns, error) {
+	cols := make(load.Columns, len(seg.Cols))
+	for c := range cols {
+		v, err := seg.Block(c, bi).Read(fetch)
+		if err != nil {
+			return nil, err
+		}
+		cols[c] = v
+	}
+	return cols, nil
 }
 
 // ReadTable returns every logical row of a table visible right now —
@@ -854,7 +892,7 @@ func (db *Database) ReplaceTable(name string, rows []types.Row) error {
 		if err := db.supersedeAll(def, xid); err != nil {
 			return err
 		}
-		_, err := load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid)
+		_, err := load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid, nil)
 		return err
 	})
 }
@@ -869,31 +907,54 @@ func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
 	}
 	view := db.beginRead(nil)
 	defer view.release()
+	trace := telemetry.StartSpan("query")
 	for _, def := range defs {
-		// Per-segment streaming: compute each segment's stats in isolation
-		// and Merge into the running total, so ANALYZE's memory is bounded
-		// by one segment regardless of table size. The merge is lossless
+		// Per-segment streaming: compute each segment's stats in isolation,
+		// one decoded block at a time and slices in parallel, and Merge them
+		// in segment and then slice order, so ANALYZE's memory is bounded by
+		// a block per slice regardless of table size. The merge is lossless
 		// because ColumnStats carries the HLL sketch bytes. A replicated
 		// table is scanned on one node only, which yields logical counters
 		// directly (Rows, NullCount, UnsortedRows) instead of
 		// replica-multiplied ones that then need dividing.
-		stats := catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}
-		for _, segs := range view.tableSegments(def) {
-			for si, seg := range segs {
-				segRows, err := seg.ReadRows(db.cl.FetchBlock)
-				if err != nil {
-					return nil, err
+		span := trace.StartChild("stats")
+		bySlice := view.tableSegments(def)
+		parts := make([]catalog.TableStats, len(bySlice))
+		err := db.cl.EachSlice(func(sl int) error {
+			if sl >= len(bySlice) {
+				return nil
+			}
+			parts[sl].Cols = make([]catalog.ColumnStats, len(def.Columns))
+			for si, seg := range bySlice[sl] {
+				sb := load.NewStatsBuilder(len(def.Columns))
+				for bi := 0; bi < seg.NumBlocks(); bi++ {
+					cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
+					if err != nil {
+						return err
+					}
+					sb.Fold(cols)
 				}
-				delta := load.ComputeStats(def, segRows)
+				delta := sb.Stats()
 				if si > 0 || !seg.Sorted {
 					// Everything beyond the slice's first sorted run is
 					// unsorted work for VACUUM, same bookkeeping the
 					// incremental COPY path maintains.
 					delta.UnsortedRows = int64(seg.Rows)
 				}
-				stats.Merge(delta)
+				parts[sl].Merge(delta)
+				span.Add("bytes", seg.ByteSize())
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		stats := catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}
+		for _, part := range parts {
+			stats.Merge(part)
+		}
+		span.Add("rows", stats.Rows)
+		span.End()
 		if err := db.cat.ReplaceStats(def.ID, stats); err != nil {
 			return nil, err
 		}
@@ -902,7 +963,8 @@ func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
 		// takes a harmless spurious miss.
 		db.cat.BumpDataVersion(def.ID)
 	}
-	return &Result{Message: fmt.Sprintf("ANALYZE %d table(s)", len(defs))}, nil
+	trace.End()
+	return &Result{Message: fmt.Sprintf("ANALYZE %d table(s)", len(defs)), Trace: trace}, nil
 }
 
 // analyzeCompression reports per-encoding sizes on a sample of each column,

@@ -61,7 +61,7 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 		}
 		unsorted := stats.Rows > 0 && float64(stats.UnsortedRows)/float64(stats.Rows) > policy.UnsortedFraction
 		if unsorted || db.maxRunsPerSlice(def.ID) > policy.MaxRunsPerSlice {
-			if err := db.vacuumTable(context.Background(), def.Name); err != nil {
+			if err := db.vacuumTable(context.Background(), def.Name, nil); err != nil {
 				return report, fmt.Errorf("core: auto-vacuum %s: %w", def.Name, err)
 			}
 			report.Vacuumed = append(report.Vacuumed, def.Name)

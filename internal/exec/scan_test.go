@@ -32,8 +32,13 @@ func buildSegment(t *testing.T, rows int) (*storage.Segment, *catalog.TableDef) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts, v := types.NewVector(types.Int64, rows), types.NewVector(types.Int64, rows)
 	for i := 0; i < rows; i++ {
-		if err := b.Append(types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 7))}); err != nil {
+		ts.Append(types.NewInt(int64(i)))
+		v.Append(types.NewInt(int64(i % 7)))
+	}
+	for c, col := range []*types.Vector{ts, v} {
+		if err := b.Column(c, col); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,9 +363,15 @@ func buildNoteSegment(t *testing.T, blocks int) (*storage.Segment, *catalog.Tabl
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < blocks*storage.BlockCap; i++ {
-		note, tag := fmt.Sprintf("%064d", i), fmt.Sprintf("%064d", i/storage.BlockCap)
-		if err := b.Append(types.Row{types.NewInt(int64(i)), types.NewString(note), types.NewString(tag)}); err != nil {
+	rows := blocks * storage.BlockCap
+	cols := []*types.Vector{types.NewVector(types.Int64, rows), types.NewVector(types.String, rows), types.NewVector(types.String, rows)}
+	for i := 0; i < rows; i++ {
+		cols[0].Append(types.NewInt(int64(i)))
+		cols[1].Append(types.NewString(fmt.Sprintf("%064d", i)))
+		cols[2].Append(types.NewString(fmt.Sprintf("%064d", i/storage.BlockCap)))
+	}
+	for c, col := range cols {
+		if err := b.Column(c, col); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"compress/gzip"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"redshift/internal/catalog"
 	"redshift/internal/cluster"
 	"redshift/internal/compress"
 	"redshift/internal/s3sim"
+	"redshift/internal/telemetry"
 	"redshift/internal/types"
 )
 
@@ -76,7 +79,7 @@ func TestCopyCSVBasic(t *testing.T) {
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "lake/", 500, 4)
 
-	stats, err := Run(c, cat, def, store, "lake/", Options{}, 1)
+	stats, err := Run(c, cat, def, store, "lake/", Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestCopySortsLocallyBySortkey(t *testing.T) {
 		fmt.Fprintf(&b, "%d|%d|a|1.0\n", i, i%10)
 	}
 	store.Put("x/1.csv", []byte(b.String()))
-	if _, err := Run(c, cat, def, store, "x/", Options{}, 1); err != nil {
+	if _, err := Run(c, cat, def, store, "x/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < c.NumSlices(); s++ {
@@ -144,7 +147,7 @@ func TestCopyInterleavedZOrder(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortInterleaved, []int{0, 1})
 	putCSV(t, store, "z/", 1000, 1)
-	if _, err := Run(c, cat, def, store, "z/", Options{}, 1); err != nil {
+	if _, err := Run(c, cat, def, store, "z/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRows(t, c, def.ID); got != 1000 {
@@ -178,7 +181,7 @@ func TestCopyJSON(t *testing.T) {
 {"ts": 2, "USER_ID": 8, "action": null}
 {"ts": 3, "user_id": 9, "action": "buy", "amount": 2}`
 	store.Put("j/1.json", []byte(lines))
-	stats, err := Run(c, cat, def, store, "j/", Options{Format: "JSON"}, 1)
+	stats, err := Run(c, cat, def, store, "j/", Options{Format: "JSON"}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +202,14 @@ func TestCopyGzip(t *testing.T) {
 	w.Write([]byte("1|2|x|0.5\n3|4|y|1.5\n"))
 	w.Close()
 	store.Put("g/1.csv.gz", buf.Bytes())
-	stats, err := Run(c, cat, def, store, "g/", Options{GZip: true}, 1)
+	stats, err := Run(c, cat, def, store, "g/", Options{GZip: true}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rows != 2 {
 		t.Errorf("rows = %d", stats.Rows)
 	}
-	if _, err := Run(c, cat, def, store, "g/", Options{}, 2); err == nil {
+	if _, err := Run(c, cat, def, store, "g/", Options{}, 2, nil); err == nil {
 		t.Error("gzipped object parsed as plain CSV")
 	}
 }
@@ -214,15 +217,15 @@ func TestCopyGzip(t *testing.T) {
 func TestCopyErrors(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortNone, nil)
-	if _, err := Run(c, cat, def, store, "missing/", Options{}, 1); err == nil {
+	if _, err := Run(c, cat, def, store, "missing/", Options{}, 1, nil); err == nil {
 		t.Error("empty prefix accepted")
 	}
 	store.Put("bad/1.csv", []byte("1|2\n")) // wrong arity
-	if _, err := Run(c, cat, def, store, "bad/", Options{}, 1); err == nil {
+	if _, err := Run(c, cat, def, store, "bad/", Options{}, 1, nil); err == nil {
 		t.Error("wrong field count accepted")
 	}
 	store.Put("bad2/1.csv", []byte("xx|2|a|1.0\n")) // bad int
-	if _, err := Run(c, cat, def, store, "bad2/", Options{}, 1); err == nil {
+	if _, err := Run(c, cat, def, store, "bad2/", Options{}, 1, nil); err == nil {
 		t.Error("bad integer accepted")
 	}
 }
@@ -238,7 +241,7 @@ func TestNotNullEnforced(t *testing.T) {
 	}
 	cat.Create(def)
 	store.Put("s/1.csv", []byte("1\n\n2\n")) // empty line skipped; fine
-	if _, err := Run(c, cat, def, store, "s/", Options{}, 1); err != nil {
+	if _, err := Run(c, cat, def, store, "s/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	store.Put("s2/1.csv", []byte("1|\n"))
@@ -253,7 +256,7 @@ func TestNotNullEnforced(t *testing.T) {
 	}
 	cat.Create(def2)
 	store.Put("s3/1.csv", []byte("|5\n"))
-	if _, err := Run(c, cat, def2, store, "s3/", Options{}, 1); err == nil {
+	if _, err := Run(c, cat, def2, store, "s3/", Options{}, 1, nil); err == nil {
 		t.Error("NULL in NOT NULL column accepted")
 	}
 }
@@ -263,7 +266,7 @@ func TestCompUpdateKnob(t *testing.T) {
 	def := eventsTable(t, cat, catalog.SortNone, nil)
 	putCSV(t, store, "a/", 100, 1)
 	off := false
-	stats, err := Run(c, cat, def, store, "a/", Options{CompUpdate: &off}, 1)
+	stats, err := Run(c, cat, def, store, "a/", Options{CompUpdate: &off}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +278,14 @@ func TestCompUpdateKnob(t *testing.T) {
 	}
 	// Second load into non-empty table: default is to keep encodings.
 	putCSV(t, store, "b/", 100, 1)
-	stats2, _ := Run(c, cat, def, store, "b/", Options{}, 2)
+	stats2, _ := Run(c, cat, def, store, "b/", Options{}, 2, nil)
 	if stats2.EncodingsSet {
 		t.Error("non-empty table load re-chose encodings by default")
 	}
 	// Forced on.
 	on := true
 	putCSV(t, store, "cc/", 100, 1)
-	stats3, _ := Run(c, cat, def, store, "cc/", Options{CompUpdate: &on}, 3)
+	stats3, _ := Run(c, cat, def, store, "cc/", Options{CompUpdate: &on}, 3, nil)
 	if !stats3.EncodingsSet {
 		t.Error("COMPUPDATE ON ignored")
 	}
@@ -292,10 +295,10 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "a/", 200, 1)
-	Run(c, cat, def, store, "a/", Options{}, 1)
+	Run(c, cat, def, store, "a/", Options{}, 1, nil)
 	// Second load: rows counted as unsorted (new sorted run).
 	putCSV(t, store, "b/", 100, 1)
-	Run(c, cat, def, store, "b/", Options{}, 2)
+	Run(c, cat, def, store, "b/", Options{}, 2, nil)
 	ts, _ := cat.Stats(def.ID)
 	if ts.Rows != 300 || ts.UnsortedRows != 100 {
 		t.Errorf("stats = rows %d unsorted %d", ts.Rows, ts.UnsortedRows)
@@ -303,7 +306,7 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	// STATUPDATE OFF skips.
 	off := false
 	putCSV(t, store, "cc/", 50, 1)
-	Run(c, cat, def, store, "cc/", Options{StatUpdate: &off}, 3)
+	Run(c, cat, def, store, "cc/", Options{StatUpdate: &off}, 3, nil)
 	ts2, _ := cat.Stats(def.ID)
 	if ts2.Rows != 300 {
 		t.Errorf("STATUPDATE OFF still updated: %d", ts2.Rows)
@@ -322,14 +325,14 @@ func TestAppendRowsEmptyAndDistAll(t *testing.T) {
 		DistKeyCol: -1,
 	}
 	cat.Create(def)
-	if _, err := AppendRows(c, cat, def, nil, Options{}, 1); err != nil {
+	if _, err := AppendRows(c, cat, def, nil, Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	rows := []types.Row{
 		{types.NewInt(1), types.NewString("a")},
 		{types.NewInt(2), types.NewString("b")},
 	}
-	if _, err := AppendRows(c, cat, def, rows, Options{}, 1); err != nil {
+	if _, err := AppendRows(c, cat, def, rows, Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// DistAll: every node holds a full copy → rows×nodes total.
@@ -347,7 +350,7 @@ func TestLoadDistributionRespectsKey(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortNone, nil)
 	putCSV(t, store, "k/", 400, 2)
-	Run(c, cat, def, store, "k/", Options{}, 1)
+	Run(c, cat, def, store, "k/", Options{}, 1, nil)
 	// Every segment on a slice must contain only user_ids hashing there.
 	for s := 0; s < c.NumSlices(); s++ {
 		for _, seg := range c.VisibleSegments(s, def.ID, 1<<60) {
@@ -364,9 +367,22 @@ func TestLoadDistributionRespectsKey(t *testing.T) {
 	}
 }
 
-// ComputeStats must carry an HLL sketch and width sums per column so
+// foldRows is the statistics of rows, which match def.
+func foldRows(def *catalog.TableDef, rows []types.Row) catalog.TableStats {
+	cols := newColumns(def, len(rows))
+	for _, r := range rows {
+		for c, v := range r {
+			cols[c].Append(v)
+		}
+	}
+	sb := NewStatsBuilder(len(def.Columns))
+	sb.Fold(cols)
+	return sb.Stats()
+}
+
+// The statistics must carry an HLL sketch and width sums per column so
 // per-slice statistics merge losslessly at ANALYZE time.
-func TestComputeStatsSketchAndWidth(t *testing.T) {
+func TestStatsSketchAndWidth(t *testing.T) {
 	_, cat, _ := env(t)
 	def := eventsTable(t, cat, catalog.SortNone, nil)
 	var rows []types.Row
@@ -380,7 +396,7 @@ func TestComputeStatsSketchAndWidth(t *testing.T) {
 			action, types.NewFloat(float64(i)),
 		})
 	}
-	st := ComputeStats(def, rows)
+	st := foldRows(def, rows)
 	if st.Rows != 500 {
 		t.Fatalf("Rows = %d", st.Rows)
 	}
@@ -408,10 +424,114 @@ func TestComputeStatsSketchAndWidth(t *testing.T) {
 		t.Errorf("action AvgWidth = %v, want within [1,4]", w)
 	}
 	// Sketches from two disjoint halves must union, not max.
-	a := ComputeStats(def, rows[:250])
-	b := ComputeStats(def, rows[250:])
+	a := foldRows(def, rows[:250])
+	b := foldRows(def, rows[250:])
 	a.Merge(b)
 	if got := a.Cols[0].NDV; got < 475 || got > 525 {
 		t.Errorf("merged ts NDV = %d, want ~500", got)
+	}
+}
+
+// A CRLF file loads as the LF file does: one '\r' before the '\n' is part
+// of the row terminator, not of a trailing VARCHAR.
+func TestCopyCRLF(t *testing.T) {
+	c, cat, store := env(t)
+	def := &catalog.TableDef{
+		Name: "notes",
+		Columns: []catalog.ColumnDef{
+			{Name: "id", Type: types.Int64, Encoding: compress.Raw},
+			{Name: "note", Type: types.String, Encoding: compress.Raw},
+		},
+		DistStyle:  catalog.DistAll,
+		DistKeyCol: -1,
+	}
+	cat.Create(def)
+	store.Put("crlf/1.csv", []byte("1|ab\r\n2|c\rd\r\n\r\n3|\r\n4|last\r"))
+	if _, err := Run(c, cat, def, store, "crlf/", Options{}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.VisibleSegments(0, def.ID, 1)[0].ReadRows(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, r[1].S)
+	}
+	// A '\r' inside a field, or before the end of a file that does not end
+	// in '\n', is data.
+	if want := []string{"ab", "c\rd", "", "last\r"}; fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+		t.Errorf("notes = %q, want %q", got, want)
+	}
+}
+
+// A failed COPY names the lowest object that failed and that object's first
+// bad line, whichever worker failed first, and its workers are gone when it
+// returns.
+func TestCopyErrorIsLowestObject(t *testing.T) {
+	c, cat, store := env(t)
+	def := eventsTable(t, cat, catalog.SortNone, nil)
+	var big strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&big, "%d|%d|a|1.0\n", i, i)
+	}
+	for i := 0; i < 8; i++ {
+		body := big.String()
+		switch i {
+		case 3:
+			body += "1|2|a|1.0\nx|2|a|1.0\ny|2|a|1.0\n" // slow to reach its bad lines
+		case 4, 5, 6, 7:
+			body = "1|2\n" // fails at once
+		}
+		store.Put(fmt.Sprintf("mixed/part%d.csv", i), []byte(body))
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		_, err := Run(c, cat, def, store, "mixed/", Options{}, int64(i+1), nil)
+		if err == nil || !strings.Contains(err.Error(), "part3.csv: line 20002 column ts") {
+			t.Fatalf("run %d: error = %v, want part3.csv line 20002 column ts", i, err)
+		}
+		// A worker that has reported in may still be on its way out; none
+		// may still be reading.
+		gets := store.Stats().Gets
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before || store.Stats().Gets != gets {
+			t.Fatalf("run %d: %d goroutines (%d before the COPY), %d objects fetched after it failed",
+				i, n, before, store.Stats().Gets-gets)
+		}
+	}
+	if got := countRows(t, c, def.ID); got != 0 {
+		t.Errorf("failed COPYs left %d rows", got)
+	}
+}
+
+// A load records its phases under the span it is given, each with rows and
+// bytes.
+func TestCopyRecordsPhases(t *testing.T) {
+	c, cat, store := env(t)
+	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
+	putCSV(t, store, "p/", 500, 4)
+	trace := telemetry.StartSpan("query")
+	if _, err := Run(c, cat, def, store, "p/", Options{}, 1, trace); err != nil {
+		t.Fatal(err)
+	}
+	trace.End()
+	var names []string
+	for _, sp := range trace.Children() {
+		names = append(names, sp.Name())
+		if sp.Attr("rows") != 500 {
+			t.Errorf("%s rows = %d", sp.Name(), sp.Attr("rows"))
+		}
+		if sp.Name() != "stats" && sp.Attr("bytes") <= 0 {
+			t.Errorf("%s bytes = %d", sp.Name(), sp.Attr("bytes"))
+		}
+		if sp.Duration() > trace.Duration() {
+			t.Errorf("%s took %v of the query's %v", sp.Name(), sp.Duration(), trace.Duration())
+		}
+	}
+	if got := strings.Join(names, " "); got != "parse distribute+sort encode replicate stats" {
+		t.Errorf("phases = %q", got)
 	}
 }

@@ -53,8 +53,9 @@ func (s *Segment) Blocks(fn func(*Block)) {
 	}
 }
 
-// ReadRows decodes every row of the segment — the one whole-segment reader
-// (VACUUM, ANALYZE, ReadTable) — page-faulting through fetch (Block.Read).
+// ReadRows decodes every row of the segment into boxed rows, for the callers
+// whose data is rows by nature (ReadTable: resize and the tools),
+// page-faulting through fetch (Block.Read).
 func (s *Segment) ReadRows(fetch func(*Block) error) ([]types.Row, error) {
 	rows := make([]types.Row, s.Rows)
 	for i := range rows {
@@ -76,13 +77,13 @@ func (s *Segment) ReadRows(fetch func(*Block) error) ([]types.Row, error) {
 	return rows, nil
 }
 
-// Builder accumulates rows into a segment, sealing aligned blocks as each
-// fills. Encodings are fixed per column before the first row.
+// Builder seals a segment one column at a time: a column arrives whole, as
+// the vector of its every row in stored order, and is cut into the chain's
+// aligned blocks. Encodings are fixed per column before the first one.
 type Builder struct {
-	seg      *Segment
-	encs     []compress.Encoding
-	pending  []*types.Vector // per-column buffer of the current block
-	blockIdx int32
+	seg    *Segment
+	encs   []compress.Encoding
+	sealed int // columns sealed so far
 }
 
 // NewBuilder starts a segment for (table, slice, seq) with the given
@@ -100,7 +101,7 @@ func NewBuilder(table int64, slice, seq int32, schema types.Schema, encs []compr
 				e, schema.Columns[i].Name, schema.Columns[i].Type)
 		}
 	}
-	b := &Builder{
+	return &Builder{
 		seg: &Segment{
 			Table:  table,
 			Slice:  slice,
@@ -109,71 +110,51 @@ func NewBuilder(table int64, slice, seq int32, schema types.Schema, encs []compr
 			Schema: schema,
 			Cols:   make([][]*Block, schema.Len()),
 		},
-		encs:    encs,
-		pending: make([]*types.Vector, schema.Len()),
-	}
-	b.resetPending()
-	return b, nil
+		encs: encs,
+	}, nil
 }
 
-func (b *Builder) resetPending() {
-	for i, col := range b.seg.Schema.Columns {
-		b.pending[i] = types.NewVector(col.Type, b.seg.Cap)
+// Column seals column c's chain from v: block i covers v's rows
+// [i*cap, (i+1)*cap). Every column must hold the same number of rows; v is
+// only read, so one vector may feed several builders.
+func (b *Builder) Column(c int, v *types.Vector) error {
+	col := b.seg.Schema.Columns[c]
+	if v.T != col.Type {
+		return fmt.Errorf("storage: column %d: vector type %s != schema type %s", c, v.T, col.Type)
 	}
-}
-
-// Append adds one row. The row must match the schema.
-func (b *Builder) Append(row types.Row) error {
-	if len(row) != b.seg.Schema.Len() {
-		return fmt.Errorf("storage: row has %d values, schema has %d", len(row), b.seg.Schema.Len())
+	n := v.Len()
+	if b.seg.Cols[c] != nil {
+		return fmt.Errorf("storage: column %s sealed twice", col.Name)
 	}
-	for i, v := range row {
-		if !v.Null && v.T != b.seg.Schema.Columns[i].Type {
-			return fmt.Errorf("storage: column %d: value type %s != schema type %s",
-				i, v.T, b.seg.Schema.Columns[i].Type)
-		}
-		b.pending[i].Append(v)
+	if b.sealed > 0 && n != b.seg.Rows {
+		return fmt.Errorf("storage: column %s has %d rows, segment has %d", col.Name, n, b.seg.Rows)
 	}
-	b.seg.Rows++
-	if b.pending[0].Len() == b.seg.Cap {
-		return b.flush()
-	}
-	return nil
-}
-
-// flush seals the pending vectors into one aligned block per column.
-func (b *Builder) flush() error {
-	if b.pending[0].Len() == 0 {
-		return nil
-	}
-	for c := range b.pending {
+	chain := make([]*Block, 0, (n+b.seg.Cap-1)/b.seg.Cap)
+	for lo := 0; lo < n; lo += b.seg.Cap {
 		id := BlockID{
 			Table:   b.seg.Table,
 			Slice:   b.seg.Slice,
 			Segment: b.seg.Seq,
 			Column:  int32(c),
-			Index:   b.blockIdx,
+			Index:   int32(len(chain)),
 		}
-		blk, err := Seal(id, b.pending[c], b.encs[c])
+		blk, err := Seal(id, v.Slice(lo, min(lo+b.seg.Cap, n)), b.encs[c])
 		if err != nil {
 			return err
 		}
-		b.seg.Cols[c] = append(b.seg.Cols[c], blk)
+		chain = append(chain, blk)
 	}
-	b.blockIdx++
-	b.resetPending()
+	b.seg.Cols[c], b.seg.Rows = chain, n
+	b.sealed++
 	return nil
 }
 
-// Finish seals any partial block and returns the segment. The builder must
+// Finish returns the segment once every column is sealed. The builder must
 // not be used afterwards.
 func (b *Builder) Finish(sorted bool) (*Segment, error) {
-	if err := b.flush(); err != nil {
-		return nil, err
+	if b.sealed != len(b.seg.Cols) {
+		return nil, fmt.Errorf("storage: %d of %d columns sealed", b.sealed, len(b.seg.Cols))
 	}
 	b.seg.Sorted = sorted
 	return b.seg, nil
 }
-
-// Rows returns how many rows have been appended so far.
-func (b *Builder) Rows() int { return b.seg.Rows }

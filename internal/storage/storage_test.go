@@ -165,13 +165,14 @@ func TestBuilderAlignedChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rows = 35
+	cols := []*types.Vector{types.NewVector(types.Int64, rows), types.NewVector(types.String, rows), types.NewVector(types.Float64, rows)}
 	for i := 0; i < rows; i++ {
-		row := types.Row{
-			types.NewInt(int64(i)),
-			types.NewString("n"),
-			types.NewFloat(float64(i) / 2),
-		}
-		if err := b.Append(row); err != nil {
+		cols[0].Append(types.NewInt(int64(i)))
+		cols[1].Append(types.NewString("n"))
+		cols[2].Append(types.NewFloat(float64(i) / 2))
+	}
+	for c, v := range cols {
+		if err := b.Column(c, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,20 +233,34 @@ func TestBuilderRejectsBadInput(t *testing.T) {
 	}
 	encs := []compress.Encoding{compress.Raw, compress.Raw, compress.Raw}
 	b, _ := NewBuilder(1, 0, 0, schema, encs, 0)
-	if err := b.Append(types.Row{types.NewInt(1)}); err == nil {
-		t.Error("short row accepted")
+	if err := b.Column(0, types.NewVector(types.String, 0)); err == nil {
+		t.Error("wrong-typed column accepted")
 	}
-	if err := b.Append(types.Row{types.NewString("x"), types.NewString("y"), types.NewFloat(1)}); err == nil {
-		t.Error("wrong-typed row accepted")
+	ids := types.NewVector(types.Int64, 2)
+	ids.AppendNull()
+	ids.Append(types.NewInt(1))
+	if err := b.Column(0, ids); err != nil {
+		t.Errorf("column with a null rejected: %v", err)
 	}
-	if err := b.Append(types.Row{types.NewNull(types.Int64), types.NewString("y"), types.NewFloat(1)}); err != nil {
-		t.Errorf("null row rejected: %v", err)
+	if err := b.Column(0, ids); err == nil {
+		t.Error("column sealed twice")
+	}
+	if err := b.Column(1, types.NewVector(types.String, 0)); err == nil {
+		t.Error("column of another length accepted")
+	}
+	if _, err := b.Finish(true); err == nil {
+		t.Error("segment finished with columns missing")
 	}
 }
 
 func TestBuilderEmptySegment(t *testing.T) {
 	encs := []compress.Encoding{compress.Raw, compress.Raw, compress.Raw}
 	b, _ := NewBuilder(1, 0, 0, testSchema(), encs, 0)
+	for c, col := range testSchema().Columns {
+		if err := b.Column(c, types.NewVector(col.Type, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	seg, err := b.Finish(false)
 	if err != nil {
 		t.Fatal(err)

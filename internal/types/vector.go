@@ -303,24 +303,41 @@ func (v *Vector) Clone() *Vector {
 // MinMax returns the smallest and largest non-null values, for zone maps.
 // ok is false when every value is null or the vector is empty.
 func (v *Vector) MinMax() (min, max Value, ok bool) {
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		if v.IsNull(i) {
-			continue
+	switch v.T {
+	case Float64:
+		var lo, hi float64
+		if lo, hi, ok = minMax(v.Floats, v.Nulls); ok {
+			min, max = Value{T: v.T, F: lo}, Value{T: v.T, F: hi}
 		}
-		val := v.Get(i)
-		if !ok {
-			min, max, ok = val, val, true
-			continue
+	case String:
+		var lo, hi string
+		if lo, hi, ok = minMax(v.Strs, v.Nulls); ok {
+			min, max = Value{T: v.T, S: lo}, Value{T: v.T, S: hi}
 		}
-		if Compare(val, min) < 0 {
-			min = val
-		}
-		if Compare(val, max) > 0 {
-			max = val
+	default:
+		var lo, hi int64
+		if lo, hi, ok = minMax(v.Ints, v.Nulls); ok {
+			min, max = Value{T: v.T, I: lo}, Value{T: v.T, I: hi}
 		}
 	}
 	return min, max, ok
+}
+
+// minMax is MinMax over one payload slice, ordering as Compare does: the
+// first of equal values stays.
+func minMax[T int64 | float64 | string](vals []T, nulls []bool) (lo, hi T, ok bool) {
+	for i, x := range vals {
+		switch {
+		case nulls != nil && nulls[i]:
+		case !ok:
+			lo, hi, ok = x, x, true
+		case x < lo:
+			lo = x
+		case x > hi:
+			hi = x
+		}
+	}
+	return lo, hi, ok
 }
 
 // NullCount returns the number of null positions.
