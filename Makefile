@@ -18,10 +18,14 @@ test: build
 # identities) repeat twenty times: their subject is an interleaving. So is
 # the write path's (slices sorting and sealing at once, a DISTSTYLE ALL
 # write's chunks shared by every node): its differential test repeats five.
+# The statement lifecycle's tests repeat twenty times too: CANCEL against
+# finish, the wire's serialize report against the query log's ring turning.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
 	$(GO) test -race -count=20 -run 'TestVacuum|TestCommitProtocol' ./internal/core
+	$(GO) test -race -count=20 -run 'TestStageClock|TestCancel|TestStatementTimeout' ./internal/core
+	$(GO) test -race -count=20 -run 'TestStageClockWire|TestWireDisconnect' ./internal/wire
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 

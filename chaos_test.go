@@ -193,9 +193,8 @@ func TestChaosAllReplicasDownFailsCleanly(t *testing.T) {
 func TestChaosTimeoutUnderFaultLatency(t *testing.T) {
 	seed := chaosSeed(t)
 	w := launch(t, Options{
-		Nodes:            2,
-		BlockCacheBytes:  -1,
-		StatementTimeout: 5 * time.Millisecond,
+		Nodes:           2,
+		BlockCacheBytes: -1,
 		FaultPlan: &FaultPlan{
 			Seed: seed,
 			Sites: map[string]FaultRule{
@@ -203,7 +202,10 @@ func TestChaosTimeoutUnderFaultLatency(t *testing.T) {
 			},
 		},
 	})
+	// The timeout goes on after the load: statement_timeout bounds writes
+	// too, and a COPY under the race detector does not fit in 5ms.
 	seedEvents(t, w, 1000)
+	w.MustExecute(`SET statement_timeout TO 5`)
 
 	_, err := w.Execute(`SELECT user_id, SUM(amount) FROM events GROUP BY user_id ORDER BY user_id`)
 	if err == nil {

@@ -22,15 +22,19 @@ type Endpoint struct {
 // NewEndpoint wraps a database.
 func NewEndpoint(db *core.Database) *Endpoint {
 	e := &Endpoint{}
-	e.db.Store(db)
+	e.Swap(db)
 	return e
 }
 
 // DB returns the current database.
 func (e *Endpoint) DB() *core.Database { return e.db.Load() }
 
-// Swap atomically moves the endpoint to a new database.
-func (e *Endpoint) Swap(db *core.Database) { e.db.Store(db) }
+// Swap atomically moves the endpoint to a new database, and the shared
+// registry's cache gauges with it: the registry outlives the swap.
+func (e *Endpoint) Swap(db *core.Database) {
+	e.db.Store(db)
+	db.ExportCacheGauges()
+}
 
 // ResizeStats reports what a resize moved and what it cost the client.
 type ResizeStats struct {

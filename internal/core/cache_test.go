@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -73,7 +74,7 @@ func TestBlockCacheWarmsAcrossQueries(t *testing.T) {
 		t.Errorf("bytes/budget = %d/%d", res.Rows[0][2].I, res.Rows[0][3].I)
 	}
 	// …and through /metrics.
-	if got := db.Telemetry().Gauge("block_cache_hits").Value(); got != ws.Hits {
+	if got := renderedMetric(t, db, "block_cache_hits"); got != ws.Hits {
 		t.Errorf("block_cache_hits gauge = %d, want %d", got, ws.Hits)
 	}
 
@@ -87,14 +88,30 @@ func TestBlockCacheWarmsAcrossQueries(t *testing.T) {
 	if got, want := res.Rows[0][2].F, float64(ws.ResidentCostNs)/1e6; res.Rows[0][0].I != ws.Entries || res.Rows[0][1].F <= 0 || got != want {
 		t.Errorf("stv_block_cache = %v, cache = %+v", res.Rows[0], ws)
 	}
-	tel := db.Telemetry()
-	if e, c := tel.Gauge("block_cache_entries").Value(), tel.Gauge("block_cache_resident_cost_ns").Value(); e != ws.Entries || c != ws.ResidentCostNs || tel.Gauge("block_cache_saved_ns").Value() <= 0 {
+	if e, c := renderedMetric(t, db, "block_cache_entries"), renderedMetric(t, db, "block_cache_resident_cost_ns"); e != ws.Entries || c != ws.ResidentCostNs || renderedMetric(t, db, "block_cache_saved_ns") <= 0 {
 		t.Errorf("gauges: entries %d, resident cost %d ns; cache = %+v", e, c, ws)
 	}
 	plan := mustExec(t, db, `EXPLAIN ANALYZE SELECT SUM(product_id) FROM sales`)
 	if text := fmt.Sprint(plan.Rows); !strings.Contains(text, "decode_us=") {
 		t.Errorf("EXPLAIN ANALYZE shows no decode_us on its scan slices:\n%s", text)
 	}
+}
+
+// renderedMetric reads one `name value` line of what /metrics serves: the
+// cache gauges are evaluated when the registry is rendered.
+func renderedMetric(t *testing.T, db *Database, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(db.Telemetry().Render(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s in /metrics", name)
+	return 0
 }
 
 // TestBlockCacheCoherence covers the DDL paths that reuse block identities

@@ -6,6 +6,7 @@ import (
 	"redshift/internal/catalog"
 	"redshift/internal/plan"
 	"redshift/internal/storage"
+	"redshift/internal/telemetry"
 	"redshift/internal/txn"
 )
 
@@ -22,17 +23,21 @@ import (
 // Publish; prune, which only now can reach xid; the superseded table's
 // cached blocks handed back (memory, not coherence: a BlockID is never
 // reused); the data-version bump last, as readers pin versions first.
-func (db *Database) writeTable(ctx context.Context, name string, supersede bool,
+//
+// ctx is observed at the two points where stopping is clean — before
+// anything is taken, and after fn but before Publish — so a cancelled or
+// timed-out write is rolled back whole or committed whole, never reported
+// cancelled after it published. run's clock reads the three steps as queue,
+// exec and leader.
+func (db *Database) writeTable(ctx context.Context, run *stmtRun, name string, supersede bool,
 	fn func(def *catalog.TableDef, xid int64) error) error {
 
-	endWrite, err := db.beginWrite()
+	run.enter(telemetry.StageQueue)
+	endWrite, err := db.beginWrite(ctx)
 	if err != nil {
 		return err
 	}
 	defer endWrite()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if supersede {
 		db.ddlMu.Lock()
 		defer db.ddlMu.Unlock()
@@ -51,11 +56,17 @@ func (db *Database) writeTable(ctx context.Context, name string, supersede bool,
 		db.txm.Abort(t)
 		return err
 	}
-	if err := fn(def, xid); err != nil {
+	run.enter(telemetry.StageExec)
+	err = fn(def, xid)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		db.cl.DiscardXid(def.ID, xid)
 		db.txm.Abort(t)
 		return err
 	}
+	run.enter(telemetry.StageLeader)
 	if err := db.txm.Publish(t); err != nil {
 		return err
 	}

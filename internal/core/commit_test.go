@@ -11,6 +11,7 @@ import (
 	"redshift/internal/exec"
 	"redshift/internal/plan"
 	"redshift/internal/sql"
+	"redshift/internal/telemetry"
 )
 
 func assertQuiescent(t *testing.T, db *Database) {
@@ -132,7 +133,8 @@ func TestVacuumKeepsJoinBuildSideOfARunningQuery(t *testing.T) {
 	view := db.beginRead(nil)
 	mustExec(t, db, `VACUUM d`)
 	mustExec(t, db, `TRUNCATE f`)
-	run := &queryRun{db: db, p: p, mode: db.cfg.Mode, view: view, scans: &exec.ScanStats{}}
+	run := &queryRun{db: db, p: p, mode: db.cfg.Mode, view: view, scans: &exec.ScanStats{},
+		run: db.defaultSession.begin(context.Background(), telemetry.StageOther)}
 	final, err := run.execute(context.Background())
 	view.release()
 	if err != nil {

@@ -62,7 +62,8 @@ type Config struct {
 	// Faults is the fault injector threaded through the storage, cluster
 	// and exchange paths; nil leaves every site inert.
 	Faults *faults.Injector
-	// StatementTimeout bounds every SELECT's wall-clock time; 0 disables.
+	// StatementTimeout bounds every data-plane statement's wall-clock time —
+	// reads and writes alike; 0 disables.
 	// SET statement_timeout overrides it at runtime.
 	StatementTimeout time.Duration
 	// WLMSlotMemBytes is the execution-memory pool divided evenly across
@@ -135,34 +136,17 @@ type Database struct {
 	defaultSession *Session
 
 	// loadNs is the time committed COPYs and INSERTs have taken, behind
-	// load_seconds_total.
-	loadNs atomic.Int64
+	// load_seconds_total; counters are the handles stmtRun.finish bumps.
+	loadNs   atomic.Int64
+	counters stmtCounters
 
-	// qmu guards the running-query registry; nextQID hands out stl_query
-	// ids before execution so CANCEL <id> can find in-flight queries.
+	// nextQID hands out stl_query ids before execution so CANCEL <id> can
+	// find in-flight statements; qmu guards the running set — the registered
+	// statements, behind CANCEL and stv_inflight — and the fields of a
+	// stmtRun the stv_ tables read while it runs.
+	nextQID atomic.Int64
 	qmu     sync.Mutex
-	nextQID int64
-	running map[int64]*runningQuery
-}
-
-// runningQuery is one in-flight SELECT, registered for CANCEL and
-// stv_inflight.
-type runningQuery struct {
-	id     int64
-	sql    string
-	start  time.Time
-	cancel context.CancelCauseFunc
-
-	// Memory governance, attached once the query's grant is issued (nil
-	// for queries that never reach execution). Read by stv_query_memory.
-	mem   *exec.MemTracker
-	spill *exec.SpillDir
-	grant int64
-
-	// par is the query's live intra-slice parallelism state, attached once
-	// the DOP is chosen (nil before then and for serial-only paths). Read
-	// by stv_exec_workers.
-	par *exec.FanoutStats
+	running map[int64]*stmtRun
 }
 
 // ExecStats reports what one statement cost.
@@ -190,10 +174,25 @@ type Result struct {
 	// Cached marks a result served from the result cache: no plan, no WLM
 	// slot, no operator execution, Stats all zero.
 	Cached bool
-	// Trace is a COPY's, INSERT's, VACUUM's or ANALYZE's span tree: a
-	// `query` span over the phases it ran, of parse, distribute+sort,
-	// encode, replicate and stats, each with rows and bytes.
+	// Trace is the statement's span tree (nil for a statement stl_query
+	// does not log, and for a result-cache hit): a `query` span over the
+	// plan and operators of a SELECT, or over the phases a COPY, INSERT,
+	// VACUUM or ANALYZE ran — parse, distribute+sort, encode, replicate and
+	// stats, each with rows and bytes.
 	Trace *telemetry.Span
+	// QueryID is the statement's stl_query id (0 when it is not logged);
+	// qlog is the log holding that row.
+	QueryID int64
+	qlog    *telemetry.QueryLog
+}
+
+// ReportSerialize charges d — what encoding and writing this result's reply
+// took, once the statement had finished — to its stl_query row's serialize
+// stage. The wire calls it after the write.
+func (r *Result) ReportSerialize(d time.Duration) {
+	if r != nil && r.qlog != nil {
+		r.qlog.AddStage(r.QueryID, telemetry.StageSerialize, d)
+	}
 }
 
 // sliceStat is one slice's cumulative scan accounting, updated by every
@@ -211,7 +210,8 @@ func Open(cfg Config) (*Database, error) {
 	if cfg.Plan.BroadcastRows == 0 {
 		cfg.Plan.BroadcastRows = plan.DefaultOptions().BroadcastRows
 	}
-	if cfg.Metrics == nil {
+	ownMetrics := cfg.Metrics == nil
+	if ownMetrics {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
 	if cfg.QueryLogSize <= 0 {
@@ -250,7 +250,8 @@ func Open(cfg Config) (*Database, error) {
 		sliceStats: make([]sliceStat, cl.NumSlices()),
 		cache:      storage.NewBlockCache(cfg.BlockCacheBytes),
 		inj:        cfg.Faults,
-		running:    map[int64]*runningQuery{},
+		counters:   newStmtCounters(cfg.Metrics),
+		running:    map[int64]*stmtRun{},
 	}
 	db.planCache = newLRUCache(int64(cfg.PlanCacheEntries))
 	db.resultCache = newLRUCache(cfg.ResultCacheBytes)
@@ -259,7 +260,36 @@ func Open(cfg Config) (*Database, error) {
 	// fallback so never-ANALYZEd tables still get cardinality estimates.
 	db.cfg.Plan.NumNodes = cfg.Cluster.Nodes
 	db.cfg.Plan.TableRows = db.visibleRowCount
+	if ownMetrics {
+		// A registry passed in outlives this database: whoever shares it
+		// (the endpoint) says which database its cache gauges describe.
+		db.ExportCacheGauges()
+	}
 	return db, nil
+}
+
+// ExportCacheGauges points the registry's block / plan / result cache gauges
+// at this database's caches. They are read when /metrics is rendered, not
+// pushed per statement: the caches already keep these counters, and
+// stv_block_cache / stv_plan_cache / stv_result_cache read the same ones.
+func (db *Database) ExportCacheGauges() {
+	g := db.metrics.GaugeFunc
+	g("block_cache_hits", func() int64 { return db.cache.Stats().Hits })
+	g("block_cache_misses", func() int64 { return db.cache.Stats().Misses })
+	g("block_cache_evictions", func() int64 { return db.cache.Stats().Evictions })
+	g("block_cache_bytes", func() int64 { return db.cache.Stats().Bytes })
+	g("block_cache_budget_bytes", func() int64 { return db.cache.Stats().Budget })
+	g("block_cache_entries", func() int64 { return db.cache.Stats().Entries })
+	g("block_cache_saved_ns", func() int64 { return db.cache.Stats().SavedNs })
+	g("block_cache_resident_cost_ns", func() int64 { return db.cache.Stats().ResidentCostNs })
+	for name, c := range map[string]*lruCache{"plan_cache_": db.planCache, "result_cache_": db.resultCache} {
+		g(name+"hits", func() int64 { return c.Stats().Hits })
+		g(name+"misses", func() int64 { return c.Stats().Misses })
+		g(name+"evictions", func() int64 { return c.Stats().Evictions })
+		g(name+"invalidations", func() int64 { return c.Stats().Invalidations })
+		g(name+"entries", func() int64 { return c.Stats().Entries })
+	}
+	g("result_cache_bytes", func() int64 { return db.resultCache.Stats().Used })
 }
 
 // visibleRowCount sums a table's currently visible segment rows straight
@@ -290,24 +320,20 @@ func (db *Database) spillBase() string {
 	return filepath.Join(os.TempDir(), "redshift-spill")
 }
 
-// attachQueryMem publishes a query's memory tracker and scratch dir on
-// its running-query entry so stv_query_memory can observe it in flight.
-func (db *Database) attachQueryMem(id int64, mem *exec.MemTracker, spill *exec.SpillDir, grant int64) {
-	db.qmu.Lock()
-	if rq := db.running[id]; rq != nil {
-		rq.mem, rq.spill, rq.grant = mem, spill, grant
-	}
-	db.qmu.Unlock()
+// attachMem publishes a query's memory tracker and scratch dir so
+// stv_query_memory can observe it in flight.
+func (r *stmtRun) attachMem(mem *exec.MemTracker, spill *exec.SpillDir, grant int64) {
+	r.db.qmu.Lock()
+	r.mem, r.spill, r.grant = mem, spill, grant
+	r.db.qmu.Unlock()
 }
 
-// attachQueryExec publishes a query's chosen DOP and live worker counters
-// on its running-query entry so stv_exec_workers can observe it in flight.
-func (db *Database) attachQueryExec(id int64, par *exec.FanoutStats) {
-	db.qmu.Lock()
-	if rq := db.running[id]; rq != nil {
-		rq.par = par
-	}
-	db.qmu.Unlock()
+// attachExec publishes a query's chosen DOP and live worker counters so
+// stv_exec_workers can observe it in flight.
+func (r *stmtRun) attachExec(par *exec.FanoutStats) {
+	r.db.qmu.Lock()
+	r.par = par
+	r.db.qmu.Unlock()
 }
 
 // maxParallelWorkers resolves the configured intra-slice DOP cap: 0 means
@@ -425,86 +451,50 @@ func (db *Database) StatementTimeout() time.Duration {
 // Faults exposes the shared fault injector (nil when unconfigured).
 func (db *Database) Faults() *faults.Injector { return db.inj }
 
-// registerQuery assigns the query's stl_query id up front and installs
-// its cancel hook; the returned context is cancelled by Database.Cancel.
-func (db *Database) registerQuery(ctx context.Context, sqlText string) (int64, context.Context, context.CancelCauseFunc) {
-	ctx, cancel := context.WithCancelCause(ctx)
+// registerQuery assigns the statement's stl_query id up front and enters it
+// in the running set, where Database.Cancel finds its cancel hook.
+func (db *Database) registerQuery(r *stmtRun) {
+	r.rec.ID = db.nextQID.Add(1)
 	db.qmu.Lock()
-	db.nextQID++
-	id := db.nextQID
-	db.running[id] = &runningQuery{id: id, sql: sqlText, start: time.Now(), cancel: cancel}
+	db.running[r.rec.ID] = r
 	db.qmu.Unlock()
-	return id, ctx, cancel
 }
 
-// unregisterQuery removes a finished query from the running set.
+// unregisterQuery removes a finished statement from the running set.
 func (db *Database) unregisterQuery(id int64) {
 	db.qmu.Lock()
 	delete(db.running, id)
 	db.qmu.Unlock()
 }
 
-// queryMemRow is one governed in-flight query's memory snapshot.
-type queryMemRow struct {
-	id, grant, used, peak, spilled int64
+// inflight is one registered statement as the stv_ tables see it while it
+// runs: its identity, and — once attached — its memory tracker, scratch dir,
+// grant and parallelism counters, whose methods are safe from any goroutine.
+type inflight struct {
+	id    int64
+	sql   string
+	start time.Time
+	mem   *exec.MemTracker
+	spill *exec.SpillDir
+	grant int64
+	par   *exec.FanoutStats
 }
 
-// queryMemSnapshot reads the running queries' memory state under qmu —
-// attachQueryMem writes rq.mem concurrently, so stv_query_memory must not
-// touch the fields outside the lock.
-func (db *Database) queryMemSnapshot() []queryMemRow {
+// runningQueries snapshots the running set under qmu (attachMem and
+// attachExec write a run's fields under it) for stv_inflight,
+// stv_query_memory and stv_exec_workers.
+func (db *Database) runningQueries() []inflight {
 	db.qmu.Lock()
 	defer db.qmu.Unlock()
-	out := make([]queryMemRow, 0, len(db.running))
-	for _, rq := range db.running {
-		if rq.mem == nil {
-			continue
-		}
-		var spilled int64
-		if rq.spill != nil {
-			spilled = rq.spill.Bytes()
-		}
-		out = append(out, queryMemRow{rq.id, rq.grant, rq.mem.Used(), rq.mem.Peak(), spilled})
+	out := make([]inflight, 0, len(db.running))
+	for _, r := range db.running {
+		out = append(out, inflight{r.rec.ID, r.rec.SQL, r.rec.Start, r.mem, r.spill, r.grant, r.par})
 	}
 	return out
 }
 
-// queryExecRow is one stv_exec_workers row.
-type queryExecRow struct {
-	id      int64
-	dop     int64
-	workers int64
-	morsels int64
-}
-
-// queryExecSnapshot copies the in-flight parallelism counters under the
-// registry lock (rq.par is attached under it).
-func (db *Database) queryExecSnapshot() []queryExecRow {
-	db.qmu.Lock()
-	defer db.qmu.Unlock()
-	out := make([]queryExecRow, 0, len(db.running))
-	for _, rq := range db.running {
-		if rq.par == nil {
-			continue
-		}
-		out = append(out, queryExecRow{rq.id, int64(rq.par.DOP), rq.par.Workers.Load(), rq.par.Morsels.Load()})
-	}
-	return out
-}
-
-// runningQueries snapshots the in-flight set for stv_inflight.
-func (db *Database) runningQueries() []*runningQuery {
-	db.qmu.Lock()
-	defer db.qmu.Unlock()
-	out := make([]*runningQuery, 0, len(db.running))
-	for _, rq := range db.running {
-		out = append(out, rq)
-	}
-	return out
-}
-
-func (db *Database) runCreateTable(s *sql.CreateTable) (*Result, error) {
-	endWrite, err := db.beginWrite()
+func (db *Database) runCreateTable(ctx context.Context, s *sql.CreateTable) (*Result, error) {
+	endWrite, err := db.beginWrite(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -578,8 +568,8 @@ func (db *Database) runCreateTable(s *sql.CreateTable) (*Result, error) {
 	return &Result{Message: "CREATE TABLE"}, nil
 }
 
-func (db *Database) runDropTable(s *sql.DropTable) (*Result, error) {
-	endWrite, err := db.beginWrite()
+func (db *Database) runDropTable(ctx context.Context, s *sql.DropTable) (*Result, error) {
+	endWrite, err := db.beginWrite(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -601,8 +591,8 @@ func (db *Database) runDropTable(s *sql.DropTable) (*Result, error) {
 	return &Result{Message: "DROP TABLE"}, nil
 }
 
-func (db *Database) runTruncate(ctx context.Context, s *sql.Truncate) (*Result, error) {
-	if err := db.writeTable(ctx, s.Table, true, db.supersedeAll); err != nil {
+func (db *Database) runTruncate(ctx context.Context, run *stmtRun, s *sql.Truncate) (*Result, error) {
+	if err := db.writeTable(ctx, run, s.Table, true, db.supersedeAll); err != nil {
 		return nil, err
 	}
 	return &Result{Message: "TRUNCATE"}, nil
@@ -617,33 +607,19 @@ func (db *Database) supersedeAll(def *catalog.TableDef, xid int64) error {
 	return db.cat.ReplaceStats(def.ID, catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))})
 }
 
-func (db *Database) runInsert(ctx context.Context, s *sql.Insert) (*Result, error) {
-	var stats load.Stats
-	trace := telemetry.StartSpan("query")
-	err := db.writeTable(ctx, s.Table, false, func(def *catalog.TableDef, xid int64) error {
+func (db *Database) runInsert(ctx context.Context, run *stmtRun, s *sql.Insert) (*Result, error) {
+	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) error {
 		rows, err := insertRows(def, s)
 		if err != nil {
 			return err
 		}
-		stats, err = load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid, trace)
+		run.load, err = load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid, run.rec.Trace)
 		return err
 	})
-	trace.End()
 	if err != nil {
 		return nil, err
 	}
-	db.countLoad(stats, trace.Duration())
-	return &Result{Message: fmt.Sprintf("INSERT %d", len(s.Rows)), Trace: trace}, nil
-}
-
-// countLoad adds one committed COPY's or INSERT's rows, encoded bytes and
-// seconds to the load_*_total counters; whole seconds carry over from the
-// nanoseconds accumulated so far.
-func (db *Database) countLoad(stats load.Stats, d time.Duration) {
-	db.metrics.Counter("load_rows_total").Add(stats.Rows)
-	db.metrics.Counter("load_bytes_total").Add(stats.BytesWritten)
-	ns := db.loadNs.Add(int64(d))
-	db.metrics.Counter("load_seconds_total").Add(ns/1e9 - (ns-int64(d))/1e9)
+	return &Result{Message: fmt.Sprintf("INSERT %d", len(s.Rows))}, nil
 }
 
 // insertRows evaluates an INSERT's VALUES lists into full-width rows.
@@ -737,15 +713,11 @@ func coerceInsertValue(v types.Value, t types.Type) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("cannot store %s value %s in %s column", v.T, v, t)
 }
 
-func (db *Database) runCopy(ctx context.Context, s *sql.Copy) (*Result, error) {
+func (db *Database) runCopy(ctx context.Context, run *stmtRun, s *sql.Copy) (*Result, error) {
 	if db.cfg.DataStore == nil {
 		return nil, fmt.Errorf("core: no data store configured for COPY")
 	}
-	var start time.Time
-	var stats load.Stats
-	trace := telemetry.StartSpan("query")
-	err := db.writeTable(ctx, s.Table, false, func(def *catalog.TableDef, xid int64) (err error) {
-		start = time.Now()
+	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) (err error) {
 		opts := load.Options{
 			Format:     s.Format,
 			Delimiter:  s.Delimiter,
@@ -753,34 +725,27 @@ func (db *Database) runCopy(ctx context.Context, s *sql.Copy) (*Result, error) {
 			StatUpdate: s.StatUpdate,
 			GZip:       s.GZip,
 		}
-		stats, err = load.Run(db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid, trace)
+		run.load, err = load.Run(db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid, run.rec.Trace)
 		return err
 	})
-	trace.End()
 	if err != nil {
 		return nil, err
 	}
-	db.countLoad(stats, trace.Duration())
-	return &Result{
-		Message: fmt.Sprintf("COPY %d", stats.Rows),
-		Stats:   ExecStats{ExecTime: time.Since(start), RowsScanned: stats.Rows},
-		Trace:   trace,
-	}, nil
+	run.rec.RowsScanned = run.load.Rows
+	return &Result{Message: fmt.Sprintf("COPY %d", run.load.Rows)}, nil
 }
 
-func (db *Database) runVacuum(ctx context.Context, s *sql.Vacuum) (*Result, error) {
+func (db *Database) runVacuum(ctx context.Context, run *stmtRun, s *sql.Vacuum) (*Result, error) {
 	defs, err := db.maintenanceTargets(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	trace := telemetry.StartSpan("query")
 	for _, def := range defs {
-		if err := db.vacuumTable(ctx, def.Name, trace); err != nil {
+		if err := db.vacuumTable(ctx, run, def.Name); err != nil {
 			return nil, err
 		}
 	}
-	trace.End()
-	return &Result{Message: fmt.Sprintf("VACUUM %d table(s)", len(defs)), Trace: trace}, nil
+	return &Result{Message: fmt.Sprintf("VACUUM %d table(s)", len(defs))}, nil
 }
 
 // maintenanceTargets is VACUUM's and ANALYZE's operand: one table, or all.
@@ -794,16 +759,22 @@ func (db *Database) maintenanceTargets(name string) ([]*catalog.TableDef, error)
 
 // vacuumTable merges each slice's sorted runs into one fully sorted
 // segment and clears the unsorted-rows counter; the rewrite is recorded
-// under trace (nil for the automatic VACUUM).
-func (db *Database) vacuumTable(ctx context.Context, name string, trace *telemetry.Span) error {
-	return db.writeTable(ctx, name, true, func(def *catalog.TableDef, xid int64) error {
+// under run's span. A cancelled ctx stops it between slices; writeTable,
+// between tables.
+func (db *Database) vacuumTable(ctx context.Context, run *stmtRun, name string) error {
+	return db.writeTable(ctx, run, name, true, func(def *catalog.TableDef, xid int64) error {
 		start := time.Now()
 		w, err := load.NewSegmentWriter(db.cl, db.cat, def, nil, xid)
 		if err != nil {
 			return err
 		}
-		err = db.cl.EachSlice(func(sl int) error { return db.vacuumSlice(def, sl, xid, w) })
-		w.Record(trace, time.Since(start))
+		err = db.cl.EachSlice(func(sl int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return db.vacuumSlice(def, sl, xid, w)
+		})
+		w.Record(run.rec.Trace, time.Since(start))
 		if err != nil {
 			return err
 		}
@@ -888,7 +859,7 @@ func (db *Database) ReadTable(name string) ([]types.Row, error) {
 // superseded and the copy appended under one xid: readers never see a half
 // table, and a failure discards the attempt wholesale (idempotent retries).
 func (db *Database) ReplaceTable(name string, rows []types.Row) error {
-	return db.writeTable(context.Background(), name, true, func(def *catalog.TableDef, xid int64) error {
+	return db.writeTable(context.Background(), db.offStatement(), name, true, func(def *catalog.TableDef, xid int64) error {
 		if err := db.supersedeAll(def, xid); err != nil {
 			return err
 		}
@@ -897,18 +868,24 @@ func (db *Database) ReplaceTable(name string, rows []types.Row) error {
 	})
 }
 
-func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
+// runAnalyze refreshes statistics. A cancelled ctx stops it between tables
+// and between slices; a table's statistics are replaced whole or not at all.
+func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze) (*Result, error) {
 	defs, err := db.maintenanceTargets(s.Table)
 	if err != nil {
 		return nil, err
 	}
+	run.enter(telemetry.StageExec)
 	if s.Compression {
 		return db.analyzeCompression(defs)
 	}
 	view := db.beginRead(nil)
 	defer view.release()
-	trace := telemetry.StartSpan("query")
 	for _, def := range defs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		run.enter(telemetry.StageExec)
 		// Per-segment streaming: compute each segment's stats in isolation,
 		// one decoded block at a time and slices in parallel, and Merge them
 		// in segment and then slice order, so ANALYZE's memory is bounded by
@@ -917,12 +894,15 @@ func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
 		// table is scanned on one node only, which yields logical counters
 		// directly (Rows, NullCount, UnsortedRows) instead of
 		// replica-multiplied ones that then need dividing.
-		span := trace.StartChild("stats")
+		span := run.rec.Trace.StartChild("stats")
 		bySlice := view.tableSegments(def)
 		parts := make([]catalog.TableStats, len(bySlice))
 		err := db.cl.EachSlice(func(sl int) error {
 			if sl >= len(bySlice) {
 				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			parts[sl].Cols = make([]catalog.ColumnStats, len(def.Columns))
 			for si, seg := range bySlice[sl] {
@@ -955,6 +935,7 @@ func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
 		}
 		span.Add("rows", stats.Rows)
 		span.End()
+		run.enter(telemetry.StageLeader)
 		if err := db.cat.ReplaceStats(def.ID, stats); err != nil {
 			return nil, err
 		}
@@ -963,8 +944,7 @@ func (db *Database) runAnalyze(s *sql.Analyze) (*Result, error) {
 		// takes a harmless spurious miss.
 		db.cat.BumpDataVersion(def.ID)
 	}
-	trace.End()
-	return &Result{Message: fmt.Sprintf("ANALYZE %d table(s)", len(defs)), Trace: trace}, nil
+	return &Result{Message: fmt.Sprintf("ANALYZE %d table(s)", len(defs))}, nil
 }
 
 // analyzeCompression reports per-encoding sizes on a sample of each column,
@@ -1018,13 +998,13 @@ func (db *Database) analyzeCompression(defs []*catalog.TableDef) (*Result, error
 	return res, nil
 }
 
-func (db *Database) runExplain(ctx context.Context, sess *Session, s *sql.Explain) (*Result, error) {
+func (db *Database) runExplain(run *stmtRun, s *sql.Explain) (*Result, error) {
 	sel, ok := s.Stmt.(*sql.Select)
 	if !ok {
 		return nil, fmt.Errorf("core: EXPLAIN supports SELECT only")
 	}
 	if s.Analyze {
-		return db.runExplainAnalyze(ctx, sess, sel)
+		return db.runExplainAnalyze(run, sel)
 	}
 	// System tables live in a transient catalog, not db.cat; bind EXPLAIN
 	// against the same catalog the query itself would run against. User
@@ -1047,38 +1027,40 @@ func (db *Database) runExplain(ctx context.Context, sess *Session, s *sql.Explai
 		}
 	}
 	res := &Result{Schema: types.NewSchema(types.Column{Name: "QUERY PLAN", Type: types.String})}
-	text := p.ExplainWithMemory(sess.effectiveMemBudget())
+	text := p.ExplainWithMemory(run.sess.effectiveMemBudget())
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		res.Rows = append(res.Rows, types.Row{types.NewString(line)})
 	}
 	return res, nil
 }
 
-// runExplainAnalyze executes the query and renders its span tree with
-// actual times, rows, bytes and block counts. A result-cache hit has no
-// span tree — no operator ran — so it renders as the single line
-// production Redshift prints: "cache: result hit".
-func (db *Database) runExplainAnalyze(ctx context.Context, sess *Session, sel *sql.Select) (*Result, error) {
+// runExplainAnalyze runs the query as a SELECT statement would — same
+// lifecycle, same stl_query row — and renders its span tree with actual
+// times, rows, bytes and block counts. A result-cache hit has no span tree
+// — no operator ran — so it renders as the single line production Redshift
+// prints: "cache: result hit".
+func (db *Database) runExplainAnalyze(run *stmtRun, sel *sql.Select) (*Result, error) {
 	if sel.From == nil {
 		return nil, fmt.Errorf("core: EXPLAIN ANALYZE needs a FROM table")
 	}
 	if isSystemTable(sel.From.Table) {
 		return nil, fmt.Errorf("core: EXPLAIN ANALYZE does not cover system tables")
 	}
-	run, trace, err := db.runSelectTraced(ctx, sess, sel, sql.Normalize(sel))
+	ran, err := db.runSelect(run, sel, "")
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Schema: types.NewSchema(types.Column{Name: "QUERY PLAN", Type: types.String}),
-		Stats:  run.Stats,
-		Cached: run.Cached,
+		Cached: ran.Cached,
 	}
-	if run.Cached {
+	if ran.Cached {
 		res.Rows = append(res.Rows, types.Row{types.NewString("cache: result hit")})
 		return res, nil
 	}
-	for _, line := range strings.Split(strings.TrimRight(trace.Render(), "\n"), "\n") {
+	run.enter(telemetry.StageLeader)
+	run.rec.Trace.End()
+	for _, line := range strings.Split(strings.TrimRight(run.rec.Trace.Render(), "\n"), "\n") {
 		res.Rows = append(res.Rows, types.Row{types.NewString(line)})
 	}
 	return res, nil

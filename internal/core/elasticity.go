@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -70,17 +71,21 @@ func (db *Database) errIfReadOnly() error {
 }
 
 // beginWrite admits one write statement: it fails fast when writes are
-// rejected and otherwise registers the statement with the quiesce gate so
-// QuiesceWrites can wait for it to finish publishing. The returned release
-// MUST run on every exit path.
-func (db *Database) beginWrite() (release func(), err error) {
+// rejected — or the statement is already cancelled — and otherwise registers
+// the statement with the quiesce gate so QuiesceWrites can wait for it to
+// finish publishing. The returned release MUST run on every exit path.
+func (db *Database) beginWrite(ctx context.Context) (release func(), err error) {
 	if err := db.errIfReadOnly(); err != nil {
 		return nil, err
 	}
 	db.writeGate.RLock()
 	// Re-check under the gate: a quiesce that won the race flipped the
 	// state before blocking on the gate, so this write must not slip in.
-	if err := db.errIfReadOnly(); err != nil {
+	err = db.errIfReadOnly()
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
 		db.writeGate.RUnlock()
 		return nil, err
 	}

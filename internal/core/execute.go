@@ -43,13 +43,12 @@ type queryRun struct {
 	mode  exec.Mode
 	scans *exec.ScanStats
 	view  *readView // nil for system-table queries, which read no segments
-	// qid is the stl_query id (0 for system-table queries); reqDOP is the
-	// session's SET max_parallel_workers override (-1 = automatic).
-	qid    int64
+	// run is the statement's lifecycle — its id, its stage clock, its root
+	// span (a system-table query has neither id nor span: it is not logged
+	// or traced). reqDOP is the session's SET max_parallel_workers override
+	// (-1 = automatic).
+	run    *stmtRun
 	reqDOP int64
-	// trace is the query's span tree root; nil disables tracing (all span
-	// methods are nil-safe).
-	trace *telemetry.Span
 	// sys, when set, resolves scans from materialized in-memory rows: the
 	// system-table path, which runs leader-only on one "slice".
 	sys map[*catalog.TableDef][]types.Row
@@ -193,9 +192,7 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 	q.dop = q.chooseDOP()
 	if q.sys == nil {
 		q.par = &exec.FanoutStats{DOP: q.dop, Live: m.Gauge("exec_parallel_workers")}
-		if q.qid > 0 {
-			q.db.attachQueryExec(q.qid, q.par)
-		}
+		q.run.attachExec(q.par)
 	}
 
 	if q.p.HasAgg {
@@ -309,6 +306,7 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 		return nil, first
 	}
 
+	q.run.enter(telemetry.StageLeader)
 	return q.runLeader(ctx)
 }
 
@@ -731,11 +729,12 @@ func (q *queryRun) foldScanStats() {
 // per-slice children carrying scan block counters and partial-agg group
 // counts.
 func (q *queryRun) emitSpans() {
-	if q.trace == nil {
+	trace := q.run.rec.Trace
+	if trace == nil {
 		return
 	}
 	for _, n := range q.ph.Nodes {
-		sp := q.trace.StartChild(n.SpanName())
+		sp := trace.StartChild(n.SpanName())
 		st := q.stats[n.ID]
 		sp.Add("rows", st.Rows.Load())
 		if n.EstRows >= 0 {

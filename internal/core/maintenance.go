@@ -54,6 +54,7 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 	if policy.MaxRunsPerSlice <= 0 {
 		policy.MaxRunsPerSlice = 4
 	}
+	ctx, run := context.Background(), db.offStatement()
 	for _, def := range db.cat.List() {
 		stats, err := db.cat.Stats(def.ID)
 		if err != nil {
@@ -61,7 +62,7 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 		}
 		unsorted := stats.Rows > 0 && float64(stats.UnsortedRows)/float64(stats.Rows) > policy.UnsortedFraction
 		if unsorted || db.maxRunsPerSlice(def.ID) > policy.MaxRunsPerSlice {
-			if err := db.vacuumTable(context.Background(), def.Name, nil); err != nil {
+			if err := db.vacuumTable(ctx, run, def.Name); err != nil {
 				return report, fmt.Errorf("core: auto-vacuum %s: %w", def.Name, err)
 			}
 			report.Vacuumed = append(report.Vacuumed, def.Name)
@@ -70,7 +71,7 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 		// stats fresh, so this catches tables populated with STATUPDATE
 		// OFF or restored from old backups.)
 		if stats.Rows == 0 && db.maxRunsPerSlice(def.ID) > 0 {
-			if _, err := db.runAnalyze(&sql.Analyze{Table: def.Name}); err != nil {
+			if _, err := db.runAnalyze(ctx, run, &sql.Analyze{Table: def.Name}); err != nil {
 				return report, fmt.Errorf("core: auto-analyze %s: %w", def.Name, err)
 			}
 			report.Analyzed = append(report.Analyzed, def.Name)

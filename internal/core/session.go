@@ -10,14 +10,15 @@ import (
 	"time"
 
 	"redshift/internal/sql"
+	"redshift/internal/telemetry"
 )
 
 // Session is one client connection's view of the database: its prepared
 // statements and its SET overrides (statement_timeout, work_mem,
-// result_cache). Every statement enters through a session — the staged
-// lifecycle is parse → normalize → bind/plan → execute, with the session
-// supplying stage-relevant state (prepared ASTs, cache opt-out) and the
-// Database owning the shared artifacts (plan cache, result cache).
+// result_cache). Every statement enters through a session, which opens its
+// lifecycle (stmtRun) — the session supplies stage-relevant state (prepared
+// ASTs, cache opt-out, statement_timeout), the Database owns the shared
+// artifacts (plan cache, result cache, running set, query log).
 //
 // Sessions are safe for concurrent use; the embedded Database handle keeps
 // working after Close (Close only discards session-local state).
@@ -108,15 +109,16 @@ func (s *Session) Execute(query string) (*Result, error) {
 	return s.ExecuteContext(context.Background(), query)
 }
 
-// ExecuteContext is the session entry point: stage 1 (parse, pooled) then
-// the statement dispatch. ctx cancellation or deadline aborts the
-// statement within one batch boundary.
+// ExecuteContext is the session entry point: it opens the statement's
+// lifecycle, parses (pooled) and runs it. ctx cancellation or deadline aborts
+// the statement within one batch boundary.
 func (s *Session) ExecuteContext(ctx context.Context, query string) (*Result, error) {
+	run := s.begin(ctx, telemetry.StageParse)
 	stmt, err := sql.Parse(query)
 	if err != nil {
-		return nil, err
+		return run.finish(nil, err)
 	}
-	return s.ExecuteStmtContext(ctx, stmt)
+	return run.finish(s.dispatch(run, stmt, ""))
 }
 
 // ExecuteStmt runs a parsed statement.
@@ -124,10 +126,21 @@ func (s *Session) ExecuteStmt(stmt sql.Statement) (*Result, error) {
 	return s.ExecuteStmtContext(context.Background(), stmt)
 }
 
-// ExecuteStmtContext runs a parsed statement under ctx. Session-scoped
-// statements (PREPARE/EXECUTE/DEALLOCATE/SET) resolve here; everything
-// else dispatches into the shared engine with this session's state.
+// ExecuteStmtContext runs a parsed statement under ctx.
 func (s *Session) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*Result, error) {
+	run := s.begin(ctx, telemetry.StageOther)
+	return run.finish(s.dispatch(run, stmt, ""))
+}
+
+// dispatch routes a parsed statement. Session-scoped statements (PREPARE,
+// EXECUTE, DEALLOCATE, SET) resolve here; everything else goes to the shared
+// engine with this session's state, and every arm that reaches the data
+// plane is admitted first — SELECT admits itself, past its result-cache
+// lookup — and runs under the statement's own context. norm is the
+// statement's normalized text when the caller holds it already (EXECUTE:
+// PREPARE rendered it once), else empty.
+func (s *Session) dispatch(run *stmtRun, stmt sql.Statement, norm string) (*Result, error) {
+	db := s.db
 	switch st := stmt.(type) {
 	case *sql.Prepare:
 		return s.runPrepare(st)
@@ -136,39 +149,27 @@ func (s *Session) ExecuteStmtContext(ctx context.Context, stmt sql.Statement) (*
 		if err != nil {
 			return nil, err
 		}
-		return s.dispatch(ctx, ps.stmt, ps.norm)
+		return s.dispatch(run, ps.stmt, ps.norm)
 	case *sql.Deallocate:
 		return s.runDeallocate(st)
-	default:
-		return s.dispatch(ctx, stmt, "")
-	}
-}
-
-// dispatch routes a parsed statement to the engine. It is the boundary
-// between session-scoped control statements and the shared execution path.
-// norm is the statement's normalized text when the caller holds it already
-// (EXECUTE: PREPARE rendered it once), else empty.
-func (s *Session) dispatch(ctx context.Context, stmt sql.Statement, norm string) (*Result, error) {
-	db := s.db
-	switch st := stmt.(type) {
 	case *sql.Select:
-		return db.runSelect(ctx, s, st, norm)
+		return db.runSelect(run, st, norm)
 	case *sql.Explain:
-		return db.runExplain(ctx, s, st)
+		return db.runExplain(run, st)
 	case *sql.CreateTable:
-		return db.runCreateTable(st)
+		return db.runCreateTable(run.ctx, st)
 	case *sql.DropTable:
-		return db.runDropTable(st)
+		return db.runDropTable(run.ctx, st)
 	case *sql.Truncate:
-		return db.runTruncate(ctx, st)
+		return db.runTruncate(run.admit(st, norm), run, st)
 	case *sql.Insert:
-		return db.runInsert(ctx, st)
+		return db.runInsert(run.admit(st, norm), run, st)
 	case *sql.Copy:
-		return db.runCopy(ctx, st)
+		return db.runCopy(run.admit(st, norm), run, st)
 	case *sql.Vacuum:
-		return db.runVacuum(ctx, st)
+		return db.runVacuum(run.admit(st, norm), run, st)
 	case *sql.Analyze:
-		return db.runAnalyze(st)
+		return db.runAnalyze(run.admit(st, norm), run, st)
 	case *sql.Set:
 		return s.runSet(st)
 	case *sql.Cancel:

@@ -83,12 +83,12 @@ func TestSpillSuccessReleasesEverything(t *testing.T) {
 }
 
 // spilled reports a query whose spill bytes have actually hit disk.
-func spilled(q queryMemRow) bool { return q.spilled > 0 }
+func spilled(q inflight) bool { return q.spill.Bytes() > 0 }
 
 // abortMidSpill starts a slow query, waits until it is demonstrably under
 // way — ready(its memory snapshot) — then aborts it via abort(). Returns the
 // query error.
-func abortMidSpill(t *testing.T, db *Database, query string, ready func(queryMemRow) bool, abort func(qid int64)) error {
+func abortMidSpill(t *testing.T, db *Database, query string, ready func(inflight) bool, abort func(qid int64)) error {
 	t.Helper()
 	type outcome struct {
 		err error
@@ -108,8 +108,8 @@ func abortMidSpill(t *testing.T, db *Database, query string, ready func(queryMem
 		if time.Now().After(deadline) {
 			t.Fatal("query never got under way")
 		}
-		for _, q := range db.queryMemSnapshot() {
-			if ready(q) {
+		for _, q := range db.runningQueries() {
+			if q.mem != nil && ready(q) {
 				target = q.id
 			}
 		}
@@ -209,7 +209,7 @@ func TestSpillDistinctIsCharged(t *testing.T) {
 		assertQuiescent(t, db)
 	}
 
-	charged := func(q queryMemRow) bool { return q.used > 64<<10 }
+	charged := func(q inflight) bool { return q.mem.Used() > 64<<10 }
 	err := abortMidSpill(t, db, query, charged, func(qid int64) { db.Cancel(qid) })
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("query cancelled mid-DISTINCT returned err = %v", err)

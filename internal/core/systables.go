@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"strings"
 
 	"redshift/internal/catalog"
@@ -9,6 +8,7 @@ import (
 	"redshift/internal/exec"
 	"redshift/internal/plan"
 	"redshift/internal/sql"
+	"redshift/internal/telemetry"
 	"redshift/internal/types"
 )
 
@@ -45,40 +45,47 @@ var systemTables = []systemTable{
 			{Name: "mem_peak", Type: types.Int64},
 			{Name: "spill_bytes", Type: types.Int64},
 			{Name: "queue", Type: types.String},
+			// With queue_ms, plan_ms and exec_ms above, the nine stages of
+			// telemetry.Stage: they sum to endtime − starttime.
+			{Name: "parse_ms", Type: types.Float64},
+			{Name: "normalize_ms", Type: types.Float64},
+			{Name: "cache_ms", Type: types.Float64},
+			{Name: "leader_ms", Type: types.Float64},
+			{Name: "serialize_ms", Type: types.Float64},
+			{Name: "other_ms", Type: types.Float64},
 		},
 		rows: func(db *Database) []types.Row {
 			recs := db.qlog.Records()
 			rows := make([]types.Row, 0, len(recs))
 			for _, r := range recs {
+				ms := func(st telemetry.Stage) types.Value { return types.NewFloat(float64(r.Stages[st]) / 1e6) }
 				aborted := int64(0)
-				if r.Error != "" {
+				if r.State != "success" {
 					aborted = 1
-				}
-				state := r.State
-				if state == "" {
-					if aborted == 1 {
-						state = "error"
-					} else {
-						state = "success"
-					}
 				}
 				rows = append(rows, types.Row{
 					types.NewInt(r.ID),
 					types.NewString(r.SQL),
 					types.NewTimestamp(r.Start.UnixMicro()),
 					types.NewTimestamp(r.End.UnixMicro()),
-					types.NewFloat(float64(r.QueueWait.Microseconds()) / 1e3),
-					types.NewFloat(float64(r.PlanTime.Microseconds()) / 1e3),
-					types.NewFloat(float64(r.ExecTime.Microseconds()) / 1e3),
+					ms(telemetry.StageQueue),
+					ms(telemetry.StagePlan),
+					ms(telemetry.StageExec),
 					types.NewInt(r.Rows),
 					types.NewInt(r.BlocksRead),
 					types.NewInt(r.BlocksSkipped),
 					types.NewInt(r.NetBytes),
 					types.NewInt(aborted),
-					types.NewString(state),
+					types.NewString(r.State),
 					types.NewInt(r.MemPeak),
 					types.NewInt(r.SpillBytes),
 					types.NewString(r.Queue),
+					ms(telemetry.StageParse),
+					ms(telemetry.StageNormalize),
+					ms(telemetry.StageCache),
+					ms(telemetry.StageLeader),
+					ms(telemetry.StageSerialize),
+					ms(telemetry.StageOther),
 				})
 			}
 			return rows
@@ -184,14 +191,16 @@ var systemTables = []systemTable{
 			{Name: "morsels_dispatched", Type: types.Int64},
 		},
 		rows: func(db *Database) []types.Row {
-			snap := db.queryExecSnapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for _, q := range snap {
+			var rows []types.Row
+			for _, q := range db.runningQueries() {
+				if q.par == nil {
+					continue // DOP not chosen yet
+				}
 				rows = append(rows, types.Row{
 					types.NewInt(q.id),
-					types.NewInt(q.dop),
-					types.NewInt(q.workers),
-					types.NewInt(q.morsels),
+					types.NewInt(int64(q.par.DOP)),
+					types.NewInt(q.par.Workers.Load()),
+					types.NewInt(q.par.Morsels.Load()),
 				})
 			}
 			return rows
@@ -227,15 +236,17 @@ var systemTables = []systemTable{
 			{Name: "spill_bytes", Type: types.Int64},
 		},
 		rows: func(db *Database) []types.Row {
-			snap := db.queryMemSnapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for _, q := range snap {
+			var rows []types.Row
+			for _, q := range db.runningQueries() {
+				if q.mem == nil {
+					continue // no grant issued yet
+				}
 				rows = append(rows, types.Row{
 					types.NewInt(q.id),
 					types.NewInt(q.grant),
-					types.NewInt(q.used),
-					types.NewInt(q.peak),
-					types.NewInt(q.spilled),
+					types.NewInt(q.mem.Used()),
+					types.NewInt(q.mem.Peak()),
+					types.NewInt(q.spill.Bytes()),
 				})
 			}
 			return rows
@@ -468,8 +479,9 @@ func (db *Database) sysCatalog() (*catalog.Catalog, map[*catalog.TableDef][]type
 // runSystemSelect executes a SELECT over system tables: the full plan and
 // execution pipeline runs, but against a transient catalog of materialized
 // rows, on a single leader "slice". System queries are not themselves
-// logged into stl_query (monitoring shouldn't fill the log it reads).
-func (db *Database) runSystemSelect(ctx context.Context, s *sql.Select) (*Result, error) {
+// logged into stl_query (monitoring shouldn't fill the log it reads) nor
+// shown in stv_inflight.
+func (db *Database) runSystemSelect(run *stmtRun, s *sql.Select) (*Result, error) {
 	cat, sys, err := db.sysCatalog()
 	if err != nil {
 		return nil, err
@@ -483,9 +495,10 @@ func (db *Database) runSystemSelect(ctx context.Context, s *sql.Select) (*Result
 		p:     p,
 		mode:  db.cfg.Mode,
 		scans: &exec.ScanStats{},
+		run:   run,
 		sys:   sys,
 	}
-	final, err := q.execute(ctx)
+	final, err := q.execute(run.deadline())
 	if err != nil {
 		return nil, err
 	}

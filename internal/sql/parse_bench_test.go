@@ -1,6 +1,9 @@
 package sql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // parseFreshForBench is the pre-pooling Parse path: a new parser and a new
 // token slice per statement. It exists only so the benchmark can show what
@@ -63,5 +66,23 @@ func TestParseFreshMatchesPooled(t *testing.T) {
 		if a.String() != b.String() {
 			t.Fatalf("pooled vs fresh mismatch for %q:\n  pooled: %s\n  fresh:  %s", q, a.String(), b.String())
 		}
+	}
+}
+
+// TestParserPoolDoesNotRetainHugeBuffer: one hostile statement must not leave
+// its token buffer — tens of megabytes — in the pool for as long as the
+// process parses. Whatever parser the pool hands out next, recycled or new,
+// holds at most maxPooledTokens.
+func TestParserPoolDoesNotRetainHugeBuffer(t *testing.T) {
+	huge := "SELECT 1" + strings.Repeat(", 1", 4<<20/3) + " FROM t"
+	if _, err := Parse(huge); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		p := parserPool.Get().(*parser)
+		if n := cap(p.toks); n > maxPooledTokens {
+			t.Fatalf("pooled parser kept a %d-token buffer after a %d-byte statement, bound %d", n, len(huge), maxPooledTokens)
+		}
+		defer parserPool.Put(p)
 	}
 }

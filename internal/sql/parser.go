@@ -92,10 +92,19 @@ func (p *parser) reset(input string) error {
 	return err
 }
 
+// maxPooledTokens bounds the token buffer a pooled parser keeps: three
+// orders of magnitude above any workload statement, and far below what a
+// hostile one lexes into (a 4 MB statement: a ~160 MB buffer).
+const maxPooledTokens = 64 << 10
+
 // release clears input references and returns the parser to the pool. The
 // token buffer's capacity is kept, but its strings (which alias the input)
-// are dropped so a pooled parser never pins a dead query's text.
+// are dropped so a pooled parser never pins a dead query's text; a buffer
+// over maxPooledTokens is dropped whole, for the collector.
 func (p *parser) release() {
+	if cap(p.toks) > maxPooledTokens {
+		p.toks = nil
+	}
 	for i := range p.toks {
 		p.toks[i] = token{}
 	}

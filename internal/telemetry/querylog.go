@@ -5,20 +5,41 @@ import (
 	"time"
 )
 
-// QueryRecord is one completed query's accounting — the row shape behind
+// Stage is one of the fixed intervals a statement's wall clock is cut into.
+// Every instant between a record's Start and End belongs to exactly one
+// stage, so a record's stages sum to End − Start exactly.
+type Stage int
+
+const (
+	StageParse     Stage = iota // SQL text to AST
+	StageNormalize              // AST to the text stl_query and the caches key on
+	StageCache                  // result-cache lookup and store
+	StagePlan                   // bind and plan, through the plan cache
+	StageQueue                  // read: WLM slot; write: write gate, ddlMu, table lock
+	StageExec                   // read: the slices' pipelines; write: the closure writeTable runs
+	StageLeader                 // read: leader merge and result rows; write: publish, prune, invalidate
+	StageSerialize              // the reply's encoding and write, reported by the wire
+	StageOther                  // inside the statement, outside every stage above
+	NumStages
+)
+
+// StageNames are the stages' names, in order: stl_query's <name>_ms columns.
+var StageNames = [NumStages]string{"parse", "normalize", "cache", "plan", "queue", "exec", "leader", "serialize", "other"}
+
+// QueryRecord is one completed statement's accounting — the row shape behind
 // the stl_query system table and the input a trace-replay harness needs.
 type QueryRecord struct {
-	// ID is the query's sequence number, assigned at completion.
+	// ID is the statement's sequence number, assigned when it registers for
+	// CANCEL (a result-cache hit draws one without registering).
 	ID int64
 	// SQL is the statement text (reconstructed from the AST).
 	SQL        string
 	Start, End time.Time
 	// Queue is the WLM queue that admitted (or evicted) the query; "" for
 	// cache hits and statements that bypass WLM.
-	Queue     string
-	QueueWait time.Duration
-	PlanTime   time.Duration
-	ExecTime   time.Duration
+	Queue string
+	// Stages is where the time between Start and End went.
+	Stages [NumStages]time.Duration
 	// Rows is the result row count.
 	Rows          int64
 	BlocksRead    int64
@@ -27,16 +48,16 @@ type QueryRecord struct {
 	NetBytes      int64
 	// Error is non-empty for aborted statements.
 	Error string
-	// State is the query's terminal state: "success", "error",
-	// "cancelled" (user CANCEL / context cancellation) or "timeout"
-	// (statement_timeout). Empty means success for old producers.
+	// State is the statement's terminal state: "success", "error",
+	// "cancelled" (user CANCEL / context cancellation), "timeout"
+	// (statement_timeout) or "evicted" (WLM queue timeout).
 	State string
 	// MemPeak is the high-water mark of execution memory tracked against
 	// the query's grant; SpillBytes is what its operators wrote to scratch
 	// files (0 when the query stayed in memory).
 	MemPeak    int64
 	SpillBytes int64
-	// Trace is the query's span tree (may be nil for aborted plans).
+	// Trace is the statement's span tree (nil for a result-cache hit).
 	Trace *Span
 }
 
@@ -79,6 +100,22 @@ func (l *QueryLog) Append(r QueryRecord) int64 {
 		l.filled = true
 	}
 	return r.ID
+}
+
+// AddStage charges d more to one stage of the retained record id (never 0),
+// moving its End out by as much so the stages still sum to End − Start — how
+// the wire reports a reply's serialization after the statement finished.
+// Newest records are searched first; one the ring has dropped is a no-op.
+func (l *QueryLog) AddStage(id int64, st Stage, d time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := 1; i <= len(l.buf); i++ {
+		if r := &l.buf[(l.next-i+len(l.buf))%len(l.buf)]; r.ID == id {
+			r.Stages[st] += d
+			r.End = r.End.Add(d)
+			return
+		}
+	}
 }
 
 // Records returns the retained queries, oldest first.

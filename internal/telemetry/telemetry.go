@@ -156,6 +156,7 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
+	funcs    map[string]func() int64
 	hists    map[string]*Histogram
 }
 
@@ -164,6 +165,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
+		funcs:    map[string]func() int64{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -192,6 +194,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// GaugeFunc registers a gauge whose value is read when the registry is
+// rendered: for levels their owner already keeps (cache counters), so nothing
+// is pushed per statement. Registering a name again replaces its function —
+// the registry outlives the database behind an endpoint.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.funcs[name] = fn
+}
+
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -205,7 +217,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Render writes every metric in a Prometheus-flavored text format, sorted
-// by name: counters and gauges as `name value`, histograms as
+// by name: counters, gauges and gauge functions as `name value`, histograms as
 // `name_count`, `name_sum` and `name{quantile="..."}` lines.
 func (r *Registry) Render() string {
 	r.mu.Lock()
@@ -224,7 +236,15 @@ func (r *Registry) Render() string {
 	for name, h := range r.hists {
 		hs = append(hs, hline{name, h})
 	}
+	funcs := make(map[string]func() int64, len(r.funcs))
+	for name, fn := range r.funcs {
+		funcs[name] = fn
+	}
 	r.mu.Unlock()
+	// Gauge functions take their owners' locks: called outside the registry's.
+	for name, fn := range funcs {
+		lines = append(lines, fmt.Sprintf("%s %d", name, fn()))
+	}
 	for _, hl := range hs {
 		lines = append(lines, fmt.Sprintf("%s_count %d", hl.name, hl.h.Count()))
 		lines = append(lines, fmt.Sprintf("%s_sum %g", hl.name, hl.h.Sum()))

@@ -178,6 +178,29 @@ func TestWireDisconnectMidQueryFreesResources(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// Each abandoned statement left its one stl_query row — cancelled, unless
+	// it won the race and finished — and the serialize report of a reply
+	// nobody read kept every row's stages summing to its wall clock.
+	var selects, cancelled int
+	for _, r := range db.QueryLog().Records() {
+		var sum time.Duration
+		for _, d := range r.Stages {
+			sum += d
+		}
+		if wall := r.End.Sub(r.Start); sum != wall {
+			t.Errorf("query %d (%s): stages sum to %v, End − Start = %v", r.ID, r.State, sum, wall)
+		}
+		if strings.HasPrefix(r.SQL, "SELECT") {
+			selects++
+			if r.State == "cancelled" {
+				cancelled++
+			}
+		}
+	}
+	if selects != 8 || cancelled == 0 {
+		t.Errorf("8 abandoned SELECTs left %d rows, %d of them cancelled", selects, cancelled)
+	}
+
 	// The server is still healthy for new sessions.
 	c, err := Dial(addr)
 	if err != nil {

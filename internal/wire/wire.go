@@ -21,6 +21,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"redshift/internal/core"
@@ -79,11 +80,12 @@ type SessionExecutor interface {
 type Server struct {
 	open func() SessionExecutor
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	handled int64
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+
+	handled atomic.Int64
 }
 
 // NewSessionServer builds a server that opens a fresh session per accepted
@@ -161,25 +163,30 @@ func (s *Server) serve(conn net.Conn) {
 
 	enc := json.NewEncoder(conn)
 	for req := range reqs {
-		resp := s.handle(ctx, sess, req)
-		if err := enc.Encode(resp); err != nil {
+		resp, res, done := s.handle(ctx, sess, req)
+		err := enc.Encode(resp)
+		// The statement finished at done; building and writing its reply is
+		// its stl_query row's serialize stage.
+		res.ReportSerialize(time.Since(done))
+		if err != nil {
 			cancel() // unblocks the reader goroutine
 			return
 		}
 	}
 }
 
-func (s *Server) handle(ctx context.Context, sess SessionExecutor, req Request) *Response {
-	s.mu.Lock()
-	s.handled++
-	s.mu.Unlock()
+// handle runs one request and builds its reply; it also returns the
+// statement's result (nil on error) and when ExecuteContext returned.
+func (s *Server) handle(ctx context.Context, sess SessionExecutor, req Request) (*Response, *core.Result, time.Time) {
+	s.handled.Add(1)
 	start := time.Now()
 	res, err := sess.ExecuteContext(ctx, req.Query)
-	resp := &Response{ExecMillis: float64(time.Since(start).Microseconds()) / 1000}
+	done := time.Now()
+	resp := &Response{ExecMillis: float64(done.Sub(start).Microseconds()) / 1000}
 	if err != nil {
 		resp.Error = err.Error()
 		resp.Retryable = faults.Retryable(err)
-		return resp
+		return resp, nil, done
 	}
 	resp.Message = res.Message
 	resp.Cached = res.Cached
@@ -203,15 +210,11 @@ func (s *Server) handle(ctx context.Context, sess SessionExecutor, req Request) 
 		PlanMillis:    float64(res.Stats.PlanTime.Microseconds()) / 1e3,
 		Queue:         res.Stats.Queue,
 	}
-	return resp
+	return resp, res, done
 }
 
 // Handled returns how many requests the server has processed.
-func (s *Server) Handled() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handled
-}
+func (s *Server) Handled() int64 { return s.handled.Load() }
 
 // Close stops the listener and closes live connections (their in-flight
 // statements are cancelled by the per-connection reader noticing the

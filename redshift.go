@@ -93,8 +93,9 @@ type Options struct {
 	// Toggle at runtime with SET fault_injection TO on|off; inspect with
 	// SELECT * FROM stv_faults.
 	FaultPlan *FaultPlan
-	// StatementTimeout bounds every SELECT's wall-clock time (0 =
-	// unlimited); SET statement_timeout TO <ms> overrides it per session.
+	// StatementTimeout bounds every data-plane statement's wall-clock time,
+	// reads and writes alike (0 = unlimited); SET statement_timeout TO <ms>
+	// overrides it per session.
 	StatementTimeout time.Duration
 	// WLMSlotMemBytes is the execution-memory pool split evenly across WLM
 	// slots: each SELECT runs under pool/slots bytes and spills its joins,
