@@ -20,12 +20,15 @@ test: build
 # write's chunks shared by every node): its differential test repeats five.
 # The statement lifecycle's tests repeat twenty times too: CANCEL against
 # finish, the wire's serialize report against the query log's ring turning.
+# So do the caches': a hit rewrites its entry's rank under the lock the
+# eviction loop re-files entries under.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
 	$(GO) test -race -count=20 -run 'TestVacuum|TestCommitProtocol' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStageClock|TestCancel|TestStatementTimeout' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStageClockWire|TestWireDisconnect' ./internal/wire
+	$(GO) test -race -count=20 -run 'TestBlockCacheConcurrent|TestCache' ./internal/storage
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
@@ -122,7 +125,8 @@ workload:
 # The code-size figure CHANGES.md reports per PR: non-blank, non-comment Go
 # lines outside benchmark/ and _test.go files, per package and in total.
 # `make loc LOC_BASE=<dir>` adds the same count of another checkout (the
-# parent commit, say) and the difference.
+# parent commit, say) and the difference. Fails when the total is over
+# ROADMAP's ratchet (RATCHET in scripts/loc.sh).
 LOC_BASE ?=
 loc:
 	@sh scripts/loc.sh . $(LOC_BASE)

@@ -30,10 +30,10 @@ func NewEndpoint(db *core.Database) *Endpoint {
 func (e *Endpoint) DB() *core.Database { return e.db.Load() }
 
 // Swap atomically moves the endpoint to a new database, and the shared
-// registry's cache gauges with it: the registry outlives the swap.
+// registry's cache and WLM gauges with it: the registry outlives the swap.
 func (e *Endpoint) Swap(db *core.Database) {
 	e.db.Store(db)
-	db.ExportCacheGauges()
+	db.ExportGauges()
 }
 
 // ResizeStats reports what a resize moved and what it cost the client.
@@ -172,20 +172,24 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 				return err
 			}
 			ver := src.Catalog().DataVersion(def.ID)
-			rows, err := src.ReadTable(name)
+			sources, err := src.ReadTable(name)
 			if err != nil {
 				return err
 			}
-			if err := dst.ReplaceTable(name, rows); err != nil {
+			if err := dst.ReplaceTable(name, sources); err != nil {
 				return err
+			}
+			var rows int64
+			for _, cols := range sources {
+				rows += int64(cols.Rows())
 			}
 			copiedMu.Lock()
 			if _, again := copied[name]; !again {
 				prog.TablesCopied++
 			}
 			copied[name] = ver
-			prog.RowsCopied += int64(len(rows))
-			stats.Rows += int64(len(rows))
+			prog.RowsCopied += rows
+			stats.Rows += rows
 			src.SetResizeProgress(prog)
 			copiedMu.Unlock()
 			return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -233,5 +234,78 @@ func TestBlockCacheConcurrentQueries(t *testing.T) {
 	}
 	if s := db.BlockCache().Stats(); s.Bytes > s.Budget {
 		t.Errorf("cache over budget: %+v", s)
+	}
+}
+
+// TestResultCacheBytesAreResident: what stv_result_cache reports cached is
+// what its entries hold — within [0.5×, 2×] of the heap a few hundred
+// one-row, one-column results add, measured after a GC.
+func TestResultCacheBytesAreResident(t *testing.T) {
+	db, err := Open(Config{
+		Cluster:          cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 64},
+		DataStore:        s3sim.New(),
+		PlanCacheEntries: -1, // only the results grow the heap
+		QueryLogSize:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSales(t, db)
+	mustExec(t, db, `SELECT SUM(qty) FROM sales WHERE ts < 20000`) // warms the block cache
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	cached := func() int64 { return mustExec(t, db, `SELECT bytes_cached FROM stv_result_cache`).Rows[0][0].I }
+	c0, h0 := cached(), heap()
+	const n = 400
+	for i := 0; i < n; i++ {
+		mustExec(t, db, fmt.Sprintf(`SELECT SUM(qty) FROM sales WHERE ts < %d`, 10001+i))
+	}
+	h1, c1 := heap(), cached()
+	grew, charged := h1-h0, c1-c0
+	t.Logf("%d results: heap grew %d B (%d a result), the cache charged %d B (%d a result)", n, grew, grew/n, charged, charged/n)
+	if ratio := float64(charged) / float64(grew); ratio < 0.5 || ratio > 2 {
+		t.Errorf("the result cache charges %.2f× the heap its entries hold", ratio)
+	}
+}
+
+// TestResultCacheKeepsExpensiveResults: a spilling join's result outlives a
+// flood of cheap point-lookup results as large as the whole budget — the
+// flood that flushes it from a least-recently-used cache — because the
+// cache prices a result by the execution time it would take to rebuild.
+func TestResultCacheKeepsExpensiveResults(t *testing.T) {
+	const budget = 16 << 10
+	db, err := Open(Config{
+		Cluster:          cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 64},
+		DataStore:        s3sim.New(),
+		ResultCacheBytes: budget,
+		SpillDir:         t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSpillWide(t, db, 6000)
+	mustExec(t, db, `SET work_mem TO '16KB'`)
+	const join = `SELECT a.grp, SUM(b.val) AS s FROM wide a JOIN wide b ON a.id = b.id GROUP BY a.grp ORDER BY a.grp`
+	mustExec(t, db, join)
+	if rec := db.qlog.Records(); rec[len(rec)-1].SpillBytes == 0 {
+		t.Fatal("the join did not spill")
+	}
+	before := db.resultCache.Stats()
+	point := func(i int) { mustExec(t, db, fmt.Sprintf(`SELECT val FROM wide WHERE id = %d`, i)) }
+	point(0)
+	one := db.resultCache.Stats().Bytes - before.Bytes
+	for i := 1; int64(i)*one < budget; i++ {
+		point(i)
+	}
+	if s := db.resultCache.Stats(); s.Evictions == 0 {
+		t.Fatalf("the flood evicted nothing: %+v", s)
+	}
+	if !mustExec(t, db, join).Cached {
+		t.Errorf("the join's result was evicted by %d bytes of point lookups", budget)
 	}
 }

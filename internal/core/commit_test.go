@@ -37,11 +37,7 @@ func viewRows(t *testing.T, v *readView, def *catalog.TableDef) []int64 {
 	var xs []int64
 	for _, segs := range v.tableSegments(def) {
 		for _, seg := range segs {
-			rows, err := seg.ReadRows(v.db.cl.FetchBlock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
+			for _, r := range segmentRows(t, seg, v.db.cl.FetchBlock) {
 				xs = append(xs, r[0].I)
 			}
 		}
@@ -126,7 +122,7 @@ func TestVacuumKeepsJoinBuildSideOfARunningQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, err := db.planFor(stmt.(*sql.Select), q)
+	p, err := db.planFor(db.offStatement(), stmt.(*sql.Select), q)
 	if err != nil {
 		t.Fatal(err)
 	}

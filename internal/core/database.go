@@ -127,8 +127,8 @@ type Database struct {
 	// planCache and resultCache are the serving-path caches, shared across
 	// sessions and keyed on normalized SQL; entries carry catalog/table
 	// versions for lazy invalidation. Either may be nil (disabled).
-	planCache   *lruCache
-	resultCache *lruCache
+	planCache   *storage.Cache[string, planEntry]
+	resultCache *storage.Cache[string, resultEntry]
 
 	// defaultSession backs the Database-level Execute entry points, so
 	// embedded users and tests that SET options through db.Execute keep
@@ -233,11 +233,13 @@ func Open(cfg Config) (*Database, error) {
 	cl.SetMetrics(cfg.Metrics)
 	cl.SetFaults(cfg.Faults)
 	cfg.Faults.SetMetrics(cfg.Metrics)
-	wlm := NewWLM(cfg.QuerySlots, cfg.WLMSlotMemBytes, cfg.Metrics)
-	if len(cfg.WLMQueues) > 0 {
-		if wlm, err = NewWLMQueues(cfg.WLMQueues, cfg.WLMSlotMemBytes, cfg.Metrics); err != nil {
-			return nil, err
-		}
+	specs := cfg.WLMQueues
+	if len(specs) == 0 {
+		specs = []QueueSpec{{Name: DefaultQueueName, Slots: cfg.QuerySlots}}
+	}
+	wlm, err := NewWLMQueues(specs, cfg.WLMSlotMemBytes, cfg.Metrics)
+	if err != nil {
+		return nil, err
 	}
 	db := &Database{
 		cfg:        cfg,
@@ -253,8 +255,8 @@ func Open(cfg Config) (*Database, error) {
 		counters:   newStmtCounters(cfg.Metrics),
 		running:    map[int64]*stmtRun{},
 	}
-	db.planCache = newLRUCache(int64(cfg.PlanCacheEntries))
-	db.resultCache = newLRUCache(cfg.ResultCacheBytes)
+	db.planCache = storage.NewCache[string, planEntry](int64(cfg.PlanCacheEntries))
+	db.resultCache = storage.NewCache[string, resultEntry](cfg.ResultCacheBytes)
 	db.defaultSession = db.NewSession()
 	// Give the planner the cluster's shape and a storage-level row-count
 	// fallback so never-ANALYZEd tables still get cardinality estimates.
@@ -262,34 +264,43 @@ func Open(cfg Config) (*Database, error) {
 	db.cfg.Plan.TableRows = db.visibleRowCount
 	if ownMetrics {
 		// A registry passed in outlives this database: whoever shares it
-		// (the endpoint) says which database its cache gauges describe.
-		db.ExportCacheGauges()
+		// (the endpoint) says which database its gauges describe.
+		db.ExportGauges()
 	}
 	return db, nil
 }
 
-// ExportCacheGauges points the registry's block / plan / result cache gauges
-// at this database's caches. They are read when /metrics is rendered, not
-// pushed per statement: the caches already keep these counters, and
-// stv_block_cache / stv_plan_cache / stv_result_cache read the same ones.
-func (db *Database) ExportCacheGauges() {
-	g := db.metrics.GaugeFunc
-	g("block_cache_hits", func() int64 { return db.cache.Stats().Hits })
-	g("block_cache_misses", func() int64 { return db.cache.Stats().Misses })
-	g("block_cache_evictions", func() int64 { return db.cache.Stats().Evictions })
-	g("block_cache_bytes", func() int64 { return db.cache.Stats().Bytes })
-	g("block_cache_budget_bytes", func() int64 { return db.cache.Stats().Budget })
-	g("block_cache_entries", func() int64 { return db.cache.Stats().Entries })
-	g("block_cache_saved_ns", func() int64 { return db.cache.Stats().SavedNs })
-	g("block_cache_resident_cost_ns", func() int64 { return db.cache.Stats().ResidentCostNs })
-	for name, c := range map[string]*lruCache{"plan_cache_": db.planCache, "result_cache_": db.resultCache} {
-		g(name+"hits", func() int64 { return c.Stats().Hits })
-		g(name+"misses", func() int64 { return c.Stats().Misses })
-		g(name+"evictions", func() int64 { return c.Stats().Evictions })
-		g(name+"invalidations", func() int64 { return c.Stats().Invalidations })
-		g(name+"entries", func() int64 { return c.Stats().Entries })
+// cacheGauges are the /metrics gauges every cache exports, by suffix.
+var cacheGauges = []struct {
+	name string
+	read func(storage.CacheStats) int64
+}{
+	{"hits", func(s storage.CacheStats) int64 { return s.Hits }},
+	{"misses", func(s storage.CacheStats) int64 { return s.Misses }},
+	{"evictions", func(s storage.CacheStats) int64 { return s.Evictions }},
+	{"invalidations", func(s storage.CacheStats) int64 { return s.Invalidations }},
+	{"bytes", func(s storage.CacheStats) int64 { return s.Bytes }},
+	{"budget_bytes", func(s storage.CacheStats) int64 { return s.Budget }},
+	{"entries", func(s storage.CacheStats) int64 { return s.Entries }},
+	{"saved_ns", func(s storage.CacheStats) int64 { return s.SavedNs }},
+	{"resident_cost_ns", func(s storage.CacheStats) int64 { return s.ResidentCostNs }},
+}
+
+// ExportGauges points the registry's block / plan / result cache gauges and
+// its WLM gauges at this database. They are read when /metrics is rendered,
+// not pushed per statement: the caches and the WLM already keep these
+// numbers, and the stv_ tables read the same ones.
+func (db *Database) ExportGauges() {
+	for prefix, stats := range map[string]func() storage.CacheStats{
+		"block_cache_":  db.cache.Stats,
+		"plan_cache_":   db.planCache.Stats,
+		"result_cache_": db.resultCache.Stats,
+	} {
+		for _, g := range cacheGauges {
+			db.metrics.GaugeFunc(prefix+g.name, func() int64 { return g.read(stats()) })
+		}
 	}
-	g("result_cache_bytes", func() int64 { return db.resultCache.Stats().Used })
+	db.wlm.exportGauges(db.metrics)
 }
 
 // visibleRowCount sums a table's currently visible segment rows straight
@@ -832,38 +843,41 @@ func decodeBlocks(seg *storage.Segment, bi int, fetch func(*storage.Block) error
 	return cols, nil
 }
 
-// ReadTable returns every logical row of a table visible right now —
-// resize's node-to-node copy and the admin tools use it.
-func (db *Database) ReadTable(name string) ([]types.Row, error) {
+// ReadTable returns every logical row of a table visible right now, a
+// block's rows at a time — resize's node-to-node copy uses it.
+func (db *Database) ReadTable(name string) ([]load.Columns, error) {
 	def, err := db.cat.Get(name)
 	if err != nil {
 		return nil, err
 	}
 	view := db.beginRead(nil)
 	defer view.release()
-	var rows []types.Row
+	var out []load.Columns
 	for _, segs := range view.tableSegments(def) {
 		for _, seg := range segs {
-			segRows, err := seg.ReadRows(db.cl.FetchBlock)
-			if err != nil {
-				return nil, err
+			for bi := 0; bi < seg.NumBlocks(); bi++ {
+				cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, cols)
 			}
-			rows = append(rows, segRows...)
 		}
 	}
-	return rows, nil
+	return out, nil
 }
 
-// ReplaceTable atomically replaces the named table's contents with rows —
-// how an online resize installs a table on the target. Old segments are
-// superseded and the copy appended under one xid: readers never see a half
-// table, and a failure discards the attempt wholesale (idempotent retries).
-func (db *Database) ReplaceTable(name string, rows []types.Row) error {
+// ReplaceTable atomically replaces the named table's contents with the rows
+// of sources, in order — how an online resize installs a table on the
+// target. Old segments are superseded and the copy appended under one xid:
+// readers never see a half table, and a failure discards the attempt
+// wholesale (idempotent retries).
+func (db *Database) ReplaceTable(name string, sources []load.Columns) error {
 	return db.writeTable(context.Background(), db.offStatement(), name, true, func(def *catalog.TableDef, xid int64) error {
 		if err := db.supersedeAll(def, xid); err != nil {
 			return err
 		}
-		_, err := load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid, nil)
+		_, err := load.Append(db.cl, db.cat, def, sources, load.Options{}, xid, nil)
 		return err
 	})
 }
@@ -1021,7 +1035,7 @@ func (db *Database) runExplain(run *stmtRun, s *sql.Explain) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		p, _, err = db.planFor(sel, sql.Normalize(sel))
+		p, err = db.planFor(run, sel, sql.Normalize(sel))
 		if err != nil {
 			return nil, err
 		}

@@ -188,12 +188,9 @@ func RoutableSelect(stmt sql.Statement) (norm string, tables []string, ok bool) 
 
 // HasFreshResult reports whether the normalized statement currently has a
 // version-valid result-cache entry. The probe is a peek: it touches
-// neither the LRU order nor the hit/miss counters, so routing decisions
+// neither the eviction order nor the hit/miss counters, so routing decisions
 // don't distort stv_result_cache.
 func (db *Database) HasFreshResult(norm string) bool {
-	v, ok := db.resultCache.Peek(norm)
-	if !ok {
-		return false
-	}
-	return db.versionsMatch(v.(*resultEntry).tables)
+	ent, ok := db.resultCache.Peek(norm)
+	return ok && db.versionsMatch(ent.tables)
 }

@@ -423,7 +423,7 @@ func TestMutationInterleavedTwinBattery(t *testing.T) {
 
 // TestResultCacheEviction pins the byte budget: results bigger than a
 // quarter of the budget are never stored, and filling the cache evicts
-// LRU-first without breaking correctness.
+// without breaking correctness.
 func TestResultCacheEviction(t *testing.T) {
 	db, err := Open(Config{
 		Cluster:          cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 64},
@@ -448,7 +448,7 @@ func TestResultCacheEviction(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf(`SELECT SUM(qty) FROM sales WHERE ts < %d`, 10000+i))
 	}
 	s := db.resultCache.Stats()
-	if s.Used > 4096 {
+	if s.Bytes > 4096 {
 		t.Errorf("cache over budget: %+v", s)
 	}
 	if s.Evictions == 0 {

@@ -1,166 +1,15 @@
 package core
 
 import (
-	"container/list"
 	"sort"
-	"sync"
+	"time"
+	"unsafe"
 
 	"redshift/internal/plan"
 	"redshift/internal/sql"
+	"redshift/internal/telemetry"
+	"redshift/internal/types"
 )
-
-// lruCache is the bounded LRU behind both serving-path caches: the plan
-// cache (cost 1 per entry, budget = entry count) and the result cache
-// (cost = approximate result bytes, budget = Config.ResultCacheBytes).
-// Entries carry their own version keys; staleness is detected lazily at
-// lookup by the caller (version mismatch → Invalidate), never by scanning
-// the cache on writes — a mutation costs nothing until the query repeats.
-//
-// A nil *lruCache is a disabled cache: every method is nil-receiver safe
-// and Get always misses.
-type lruCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-
-	hits, misses, evictions, invalidations int64
-}
-
-// lruEntry is one cached artifact.
-type lruEntry struct {
-	key  string
-	val  any
-	cost int64
-}
-
-// cacheStats is a point-in-time snapshot for system tables and metrics.
-type cacheStats struct {
-	Hits, Misses, Evictions, Invalidations int64
-	Entries, Used, Budget                  int64
-}
-
-// newLRUCache builds a cache with the given budget; budget <= 0 returns
-// nil (disabled).
-func newLRUCache(budget int64) *lruCache {
-	if budget <= 0 {
-		return nil
-	}
-	return &lruCache{budget: budget, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-// Get returns the entry under key, promoting it to most recently used.
-func (c *lruCache) Get(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-// Peek returns the entry under key without promoting it or counting a
-// hit/miss — a side-effect-free probe for routing decisions.
-func (c *lruCache) Peek(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*lruEntry).val, true
-}
-
-// Put inserts or replaces the entry under key, evicting from the LRU tail
-// until the budget holds. An entry costing more than the whole budget is
-// silently not cached.
-func (c *lruCache) Put(key string, val any, cost int64) {
-	if c == nil || cost > c.budget {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*lruEntry)
-		c.used += cost - ent.cost
-		ent.val, ent.cost = val, cost
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val, cost: cost})
-		c.used += cost
-	}
-	for c.used > c.budget {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
-		}
-		c.removeLocked(tail)
-		c.evictions++
-	}
-}
-
-// Invalidate removes the entry under key (a version-mismatch discard, not
-// an eviction — counted separately so stv_*_cache distinguishes pressure
-// from staleness).
-func (c *lruCache) Invalidate(key string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeLocked(el)
-		c.invalidations++
-	}
-}
-
-// Clear drops everything — catalog adoption (restore) replaces the version
-// space wholesale, so every key is suspect.
-func (c *lruCache) Clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := int64(len(c.items))
-	c.ll.Init()
-	c.items = map[string]*list.Element{}
-	c.used = 0
-	c.invalidations += n
-}
-
-func (c *lruCache) removeLocked(el *list.Element) {
-	ent := el.Value.(*lruEntry)
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	c.used -= ent.cost
-}
-
-// Stats snapshots the counters; the zero value is returned for a disabled
-// cache.
-func (c *lruCache) Stats() cacheStats {
-	if c == nil {
-		return cacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return cacheStats{
-		Hits: c.hits, Misses: c.misses,
-		Evictions: c.evictions, Invalidations: c.invalidations,
-		Entries: int64(len(c.items)), Used: c.used, Budget: c.budget,
-	}
-}
 
 // tableVersion pins one referenced table's data version at artifact-build
 // time; an artifact is valid only while every pinned version still matches
@@ -184,16 +33,9 @@ type planEntry struct {
 // table it read, captured before the executing query took its snapshot —
 // so a version-matched hit can never be staler than executing again.
 type resultEntry struct {
-	res    *Result
+	schema types.Schema
+	rows   []types.Row
 	tables []tableVersion
-}
-
-// Budget returns the cache's byte (or entry) budget; 0 when disabled.
-func (c *lruCache) Budget() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.budget
 }
 
 // versionsMatch reports whether every pinned table data version still
@@ -230,30 +72,34 @@ func (db *Database) captureTableVersions(p *plan.Plan) []tableVersion {
 	return out
 }
 
-// planFor is stage 3 of the lifecycle: bind/plan with reuse. A cached plan
-// is returned only while the global catalog version AND every referenced
-// table's data version match what it was built under — DDL moves the
-// former, data mutations and ANALYZE move the latter (a plan embeds
+// planFor is the plan stage of run's lifecycle: bind/plan with reuse. A
+// cached plan is returned only while the global catalog version AND every
+// referenced table's data version match what it was built under — DDL moves
+// the former, data mutations and ANALYZE move the latter (a plan embeds
 // cardinality estimates from the statistics it saw, so stale stats must
 // invalidate it). The returned plan is immutable after build and shared
 // across concurrent queries, its lowered physical tree (plan.Physical)
 // included; per-run state (snapshot, visible segments, operator instances)
-// is derived fresh each execution.
-func (db *Database) planFor(sel *sql.Select, norm string) (*plan.Plan, bool, error) {
+// is derived fresh each execution. An entry's cost is its plan stage: on a
+// miss one more clock reading, after the build, closes the stage so far; a
+// hit reads the clock only to enter the stage.
+func (db *Database) planFor(run *stmtRun, sel *sql.Select, norm string) (*plan.Plan, error) {
+	run.enter(telemetry.StagePlan)
 	catVer := db.cat.Version()
-	if v, ok := db.planCache.Get(norm); ok {
-		ent := v.(*planEntry)
+	if ent, ok := db.planCache.Get(norm); ok {
 		if ent.catVersion == catVer && db.versionsMatch(ent.tables) {
-			return ent.p, true, nil
+			return ent.p, nil
 		}
 		db.planCache.Invalidate(norm)
 	}
 	p, err := plan.BuildWith(db.cat, sel, db.cfg.Plan)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	db.planCache.Put(norm, &planEntry{p: p, catVersion: catVer, tables: db.captureTableVersions(p)}, 1)
-	return p, false, nil
+	run.enter(telemetry.StagePlan)
+	cost := run.rec.Stages[telemetry.StagePlan]
+	db.planCache.Put(norm, planEntry{p: p, catVersion: catVer, tables: db.captureTableVersions(p)}, 1, int64(cost))
+	return p, nil
 }
 
 // resultCacheable gates the result cache: it needs the cache enabled, the
@@ -310,37 +156,50 @@ func deterministicExpr(e sql.Expr) bool {
 // cache). The hit shares the stored schema and rows (callers treat results
 // as read-only) under a fresh header with zeroed stats and Cached set.
 func (db *Database) resultLookup(norm string) (*Result, bool) {
-	v, ok := db.resultCache.Get(norm)
+	ent, ok := db.resultCache.Get(norm)
 	if !ok {
 		return nil, false
 	}
-	ent := v.(*resultEntry)
 	if !db.versionsMatch(ent.tables) {
 		db.resultCache.Invalidate(norm)
 		return nil, false
 	}
-	return &Result{Schema: ent.res.Schema, Rows: ent.res.Rows, Cached: true}, true
+	return &Result{Schema: ent.schema, Rows: ent.rows, Cached: true}, true
 }
 
 // resultStore caches a completed result under the version key captured
-// before the query took its snapshot. Oversized results (more than a
-// quarter of the budget) are not stored — one giant result must not wipe
-// the working set.
-func (db *Database) resultStore(norm string, res *Result, tables []tableVersion) {
-	cost := estimateResultBytes(res)
-	if budget := db.resultCache.Budget(); budget == 0 || cost > budget/4 {
+// before the query took its snapshot, priced by cost — what producing it
+// took. Oversized results (more than a quarter of the budget) are not
+// stored — one giant result must not wipe the working set.
+func (db *Database) resultStore(norm string, res *Result, tables []tableVersion, cost time.Duration) {
+	size := resultBytes(norm, res)
+	if size > db.cfg.ResultCacheBytes/4 {
 		return
 	}
-	stored := &Result{Schema: res.Schema, Rows: res.Rows}
-	db.resultCache.Put(norm, &resultEntry{res: stored, tables: tables}, cost)
+	db.resultCache.Put(norm, resultEntry{schema: res.Schema, rows: res.Rows, tables: tables}, size, int64(cost))
 }
 
-// estimateResultBytes approximates a result's resident size for the
-// cache's byte accounting.
-func estimateResultBytes(res *Result) int64 {
-	var n int64 = 128 // header + schema
+// What a cached result holds besides its key's and strings' bytes: per
+// value a types.Value, per row a slice header, per column a types.Column,
+// and per entry the storage.Cache entry (the resultEntry, the key's header,
+// size, cost, two ranks, heap index: 72 B beside the resultEntry) and its
+// map and heap slots (≈ 40 B at Go's map load factor and slice growth).
+const (
+	valueBytes  = int64(unsafe.Sizeof(types.Value{}))
+	rowBytes    = int64(unsafe.Sizeof(types.Row{}))
+	columnBytes = int64(unsafe.Sizeof(types.Column{}))
+	entryBytes  = int64(unsafe.Sizeof(resultEntry{})) + 72 + 40
+)
+
+// resultBytes is what caching res under key holds resident: the budget
+// the result cache charges it.
+func resultBytes(key string, res *Result) int64 {
+	n := entryBytes + int64(len(key)) + int64(len(res.Schema.Columns))*columnBytes
+	for _, c := range res.Schema.Columns {
+		n += int64(len(c.Name))
+	}
 	for _, row := range res.Rows {
-		n += 24 * int64(len(row))
+		n += rowBytes + int64(len(row))*valueBytes
 		for _, v := range row {
 			n += int64(len(v.S))
 		}

@@ -44,9 +44,8 @@ func (db *Database) runSelect(run *stmtRun, s *sql.Select, norm string) (*Result
 	// Bind/plan, through the shared plan cache. Planning happens BEFORE WLM
 	// admission — it is leader-side work that holds no slot, and the plan's
 	// cost estimate is what routes short queries into the fast-lane queue.
-	run.enter(telemetry.StagePlan)
 	planSpan := rec.Trace.StartChild("plan")
-	p, _, err := db.planFor(s, norm)
+	p, err := db.planFor(run, s, norm)
 	planSpan.End()
 	if err != nil {
 		return nil, err
@@ -113,17 +112,15 @@ func (db *Database) runSelect(run *stmtRun, s *sql.Select, norm string) (*Result
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Schema: p.Schema()}
 	// The rows outlive the query (the caller keeps them, the result cache
 	// may): their strings must not hold the scanned blocks' arenas.
 	final.PackStrings()
-	for i := 0; i < final.N; i++ {
-		res.Rows = append(res.Rows, final.Row(i))
-	}
+	res := &Result{Schema: p.Schema(), Rows: final.Rows()}
 	rec.Rows = int64(len(res.Rows))
 	if cacheable {
 		run.enter(telemetry.StageCache)
-		db.resultStore(norm, res, view.versions)
+		st := &rec.Stages
+		db.resultStore(norm, res, view.versions, st[telemetry.StageQueue]+st[telemetry.StageExec]+st[telemetry.StageLeader])
 	}
 	// What is left is handing back the slot, the view and the grant.
 	run.enter(telemetry.StageOther)

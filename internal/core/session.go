@@ -143,7 +143,7 @@ func (s *Session) dispatch(run *stmtRun, stmt sql.Statement, norm string) (*Resu
 	db := s.db
 	switch st := stmt.(type) {
 	case *sql.Prepare:
-		return s.runPrepare(st)
+		return s.runPrepare(run, st)
 	case *sql.Execute:
 		ps, err := s.lookupPrepared(st.Name)
 		if err != nil {
@@ -182,11 +182,11 @@ func (s *Session) dispatch(run *stmtRun, stmt sql.Statement, norm string) (*Resu
 // runPrepare registers a prepared statement. SELECTs are bound eagerly —
 // a bad reference fails at PREPARE, Postgres-style, and the plan lands in
 // the shared plan cache so the first EXECUTE starts warm.
-func (s *Session) runPrepare(st *sql.Prepare) (*Result, error) {
+func (s *Session) runPrepare(run *stmtRun, st *sql.Prepare) (*Result, error) {
 	name := strings.ToLower(st.Name)
 	norm := sql.Normalize(st.Stmt)
 	if sel, ok := st.Stmt.(*sql.Select); ok && sel.From != nil && !isSystemTable(sel.From.Table) {
-		if _, _, err := s.db.planFor(sel, norm); err != nil {
+		if _, err := s.db.planFor(run, sel, norm); err != nil {
 			return nil, err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"redshift/internal/exec"
 	"redshift/internal/plan"
 	"redshift/internal/sql"
+	"redshift/internal/storage"
 	"redshift/internal/telemetry"
 	"redshift/internal/types"
 )
@@ -311,78 +312,12 @@ var systemTables = []systemTable{
 			return rows
 		},
 	},
-	{
-		name: "stv_block_cache",
-		cols: []catalog.ColumnDef{
-			{Name: "hits", Type: types.Int64},
-			{Name: "misses", Type: types.Int64},
-			{Name: "evictions", Type: types.Int64},
-			{Name: "bytes_cached", Type: types.Int64},
-			{Name: "budget_bytes", Type: types.Int64},
-			{Name: "entries", Type: types.Int64},
-			{Name: "saved_ms", Type: types.Float64},
-			{Name: "resident_cost_ms", Type: types.Float64},
-		},
-		rows: func(db *Database) []types.Row {
-			cs := db.cache.Stats()
-			return []types.Row{{
-				types.NewInt(cs.Hits),
-				types.NewInt(cs.Misses),
-				types.NewInt(cs.Evictions),
-				types.NewInt(cs.Bytes),
-				types.NewInt(cs.Budget),
-				types.NewInt(cs.Entries),
-				types.NewFloat(float64(cs.SavedNs) / 1e6),
-				types.NewFloat(float64(cs.ResidentCostNs) / 1e6),
-			}}
-		},
-	},
-	{
-		name: "stv_plan_cache",
-		cols: []catalog.ColumnDef{
-			{Name: "hits", Type: types.Int64},
-			{Name: "misses", Type: types.Int64},
-			{Name: "evictions", Type: types.Int64},
-			{Name: "invalidations", Type: types.Int64},
-			{Name: "entries", Type: types.Int64},
-			{Name: "budget_entries", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			cs := db.planCache.Stats()
-			return []types.Row{{
-				types.NewInt(cs.Hits),
-				types.NewInt(cs.Misses),
-				types.NewInt(cs.Evictions),
-				types.NewInt(cs.Invalidations),
-				types.NewInt(cs.Entries),
-				types.NewInt(cs.Budget),
-			}}
-		},
-	},
-	{
-		name: "stv_result_cache",
-		cols: []catalog.ColumnDef{
-			{Name: "hits", Type: types.Int64},
-			{Name: "misses", Type: types.Int64},
-			{Name: "evictions", Type: types.Int64},
-			{Name: "invalidations", Type: types.Int64},
-			{Name: "entries", Type: types.Int64},
-			{Name: "bytes_cached", Type: types.Int64},
-			{Name: "budget_bytes", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			cs := db.resultCache.Stats()
-			return []types.Row{{
-				types.NewInt(cs.Hits),
-				types.NewInt(cs.Misses),
-				types.NewInt(cs.Evictions),
-				types.NewInt(cs.Invalidations),
-				types.NewInt(cs.Entries),
-				types.NewInt(cs.Used),
-				types.NewInt(cs.Budget),
-			}}
-		},
-	},
+	cacheTable("stv_block_cache", func(db *Database) storage.CacheStats { return db.cache.Stats() },
+		"hits", "misses", "evictions", "bytes_cached", "budget_bytes", "entries", "saved_ms", "resident_cost_ms"),
+	cacheTable("stv_plan_cache", func(db *Database) storage.CacheStats { return db.planCache.Stats() },
+		"hits", "misses", "evictions", "invalidations", "entries", "budget_entries", "saved_ms", "resident_cost_ms"),
+	cacheTable("stv_result_cache", func(db *Database) storage.CacheStats { return db.resultCache.Stats() },
+		"hits", "misses", "evictions", "invalidations", "entries", "bytes_cached", "budget_bytes", "saved_ms", "resident_cost_ms"),
 	{
 		name: "stv_resize",
 		cols: []catalog.ColumnDef{
@@ -444,6 +379,38 @@ var systemTables = []systemTable{
 	},
 }
 
+// cacheColumns are the columns a cache's stv_ table may have, each read
+// from its storage.CacheStats.
+var cacheColumns = map[string]func(storage.CacheStats) types.Value{
+	"hits":             func(s storage.CacheStats) types.Value { return types.NewInt(s.Hits) },
+	"misses":           func(s storage.CacheStats) types.Value { return types.NewInt(s.Misses) },
+	"evictions":        func(s storage.CacheStats) types.Value { return types.NewInt(s.Evictions) },
+	"invalidations":    func(s storage.CacheStats) types.Value { return types.NewInt(s.Invalidations) },
+	"entries":          func(s storage.CacheStats) types.Value { return types.NewInt(s.Entries) },
+	"bytes_cached":     func(s storage.CacheStats) types.Value { return types.NewInt(s.Bytes) },
+	"budget_bytes":     func(s storage.CacheStats) types.Value { return types.NewInt(s.Budget) },
+	"budget_entries":   func(s storage.CacheStats) types.Value { return types.NewInt(s.Budget) },
+	"saved_ms":         func(s storage.CacheStats) types.Value { return types.NewFloat(float64(s.SavedNs) / 1e6) },
+	"resident_cost_ms": func(s storage.CacheStats) types.Value { return types.NewFloat(float64(s.ResidentCostNs) / 1e6) },
+}
+
+// cacheTable is a one-row stv_ view of a cache's stats with the named
+// cacheColumns, in order.
+func cacheTable(name string, stats func(*Database) storage.CacheStats, cols ...string) systemTable {
+	t := systemTable{name: name, rows: func(db *Database) []types.Row {
+		s := stats(db)
+		row := make(types.Row, len(cols))
+		for i, c := range cols {
+			row[i] = cacheColumns[c](s)
+		}
+		return []types.Row{row}
+	}}
+	for _, c := range cols {
+		t.cols = append(t.cols, catalog.ColumnDef{Name: c, Type: cacheColumns[c](storage.CacheStats{}).T})
+	}
+	return t
+}
+
 // isSystemTable reports whether name is a leader-resolved system table.
 func isSystemTable(name string) bool {
 	n := strings.ToLower(name)
@@ -502,9 +469,5 @@ func (db *Database) runSystemSelect(run *stmtRun, s *sql.Select) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Schema: p.Schema()}
-	for i := 0; i < final.N; i++ {
-		res.Rows = append(res.Rows, final.Row(i))
-	}
-	return res, nil
+	return &Result{Schema: p.Schema(), Rows: final.Rows()}, nil
 }

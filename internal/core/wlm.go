@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"redshift/internal/faults"
@@ -93,115 +94,98 @@ type wlmQueue struct {
 	timeouts   int64
 	evictions  int64 // waiters removed without admission (cancel + timeout)
 	waiters    list.List
-
-	mActive   *telemetry.Gauge
-	mQueued   *telemetry.Gauge
-	mWait     *telemetry.Histogram
-	mQueries  *telemetry.Counter
-	mTimeouts *telemetry.Counter
+	mWait      *telemetry.Histogram
 }
 
 // WLM is the workload manager: named queues of query slots, a FIFO waiter
 // list per queue, and one mutex under which every admission decision and
-// every pressure reading happens.
+// every pressure reading happens. Its gauges are read from these books when
+// /metrics is rendered (exportGauges); only the waits, which are
+// observations, are pushed.
 type WLM struct {
-	mu      *lockedWLM
-	memPool int64
-}
-
-// lockedWLM is the mutex-guarded state. (Split from WLM so the zero-value
-// misuse of copying a WLM is caught by vet's lock analysis.)
-type lockedWLM struct {
-	sync  chan struct{} // 1-slot semaphore used as the mutex (select-free)
-	state wlmState
-}
-
-type wlmState struct {
+	mu      sync.Mutex
 	queues  []*wlmQueue
 	byName  map[string]*wlmQueue
 	def     *wlmQueue // routing fallback
 	express *wlmQueue // fast lane, nil when none configured
 
-	// Aggregate mirrors of the legacy single-queue counters/gauges.
+	// Aggregates across every queue.
 	activeTotal int
 	queuedTotal int
-	mActive     *telemetry.Gauge
-	mQueued     *telemetry.Gauge
 	mWait       *telemetry.Histogram
-	mQueries    *telemetry.Counter
 }
-
-func (l *lockedWLM) lock()   { l.sync <- struct{}{} }
-func (l *lockedWLM) unlock() { <-l.sync }
 
 // DefaultQueueName is the queue unrouted queries land in.
 const DefaultQueueName = "default"
 
-// NewWLM builds a single-queue manager with the given concurrency
-// (Redshift's default queue has 5 slots). n <= 0 disables queuing. memPool
-// is the execution-memory budget split across slots (0 = ungoverned).
-func NewWLM(n int, memPool int64, reg *telemetry.Registry) *WLM {
-	w, err := NewWLMQueues([]QueueSpec{{Name: DefaultQueueName, Slots: n}}, memPool, reg)
-	if err != nil { // a single default spec cannot fail validation
-		panic(err)
-	}
-	return w
-}
-
 // NewWLMQueues builds a manager with named queues. Queue names must be
 // unique and non-empty after normalization; the queue named "default" (or
-// the first queue, if none is) receives unrouted queries. When reg is
-// non-nil the manager emits the legacy wlm_active/wlm_queued gauges and
-// wlm_queue_wait_seconds/wlm_queries_total aggregates plus per-queue
-// wlm_queue_<name>_* series.
+// the first queue, if none is) receives unrouted queries. memPool is the
+// execution-memory budget split across slots (0 = ungoverned). The waits
+// are observed into reg's wlm_queue_wait_seconds and per-queue
+// wlm_queue_<name>_wait_seconds histograms.
 func NewWLMQueues(specs []QueueSpec, memPool int64, reg *telemetry.Registry) (*WLM, error) {
 	if len(specs) == 0 {
 		specs = []QueueSpec{{Name: DefaultQueueName}}
 	}
-	w := &WLM{
-		mu:      &lockedWLM{sync: make(chan struct{}, 1)},
-		memPool: memPool,
-	}
-	st := &w.mu.state
-	st.byName = map[string]*wlmQueue{}
+	w := &WLM{byName: map[string]*wlmQueue{}}
 	for _, spec := range specs {
 		spec.Name = strings.ToLower(strings.TrimSpace(spec.Name))
 		if spec.Name == "" {
 			return nil, fmt.Errorf("core: WLM queue with empty name")
 		}
-		if _, dup := st.byName[spec.Name]; dup {
+		if _, dup := w.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("core: duplicate WLM queue %q", spec.Name)
 		}
 		if spec.MemFraction < 0 || spec.MemFraction > 1 {
 			return nil, fmt.Errorf("core: WLM queue %q: MemFraction %v outside [0,1]", spec.Name, spec.MemFraction)
 		}
 		q := &wlmQueue{spec: spec}
-		st.queues = append(st.queues, q)
-		st.byName[spec.Name] = q
-		if spec.MaxEstRows > 0 && st.express == nil {
-			st.express = q
+		w.queues = append(w.queues, q)
+		w.byName[spec.Name] = q
+		if spec.MaxEstRows > 0 && w.express == nil {
+			w.express = q
 		}
 	}
-	if st.def = st.byName[DefaultQueueName]; st.def == nil {
-		st.def = st.queues[0]
+	if w.def = w.byName[DefaultQueueName]; w.def == nil {
+		w.def = w.queues[0]
 	}
-	if err := splitMemPool(st.queues, memPool); err != nil {
+	if err := splitMemPool(w.queues, memPool); err != nil {
 		return nil, err
 	}
-	if reg != nil {
-		st.mActive = reg.Gauge("wlm_active")
-		st.mQueued = reg.Gauge("wlm_queued")
-		st.mWait = reg.Histogram("wlm_queue_wait_seconds")
-		st.mQueries = reg.Counter("wlm_queries_total")
-		for _, q := range st.queues {
-			q.mActive = reg.Gauge("wlm_queue_" + q.spec.Name + "_active")
-			q.mQueued = reg.Gauge("wlm_queue_" + q.spec.Name + "_queued")
-			q.mWait = reg.Histogram("wlm_queue_" + q.spec.Name + "_wait_seconds")
-			q.mQueries = reg.Counter("wlm_queue_" + q.spec.Name + "_queries_total")
-			q.mTimeouts = reg.Counter("wlm_queue_" + q.spec.Name + "_timeouts_total")
-		}
+	w.mWait = reg.Histogram("wlm_queue_wait_seconds")
+	for _, q := range w.queues {
+		q.mWait = reg.Histogram("wlm_queue_" + q.spec.Name + "_wait_seconds")
 	}
 	return w, nil
+}
+
+// exportGauges points reg's wlm_active, wlm_queued and wlm_queries_total
+// gauges, and each queue's wlm_queue_<name>_active / _queued /
+// _queries_total / _timeouts_total, at this manager's books.
+func (w *WLM) exportGauges(reg *telemetry.Registry) {
+	read := func(f func() int64) func() int64 {
+		return func() int64 {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return f()
+		}
+	}
+	reg.GaugeFunc("wlm_active", read(func() int64 { return int64(w.activeTotal) }))
+	reg.GaugeFunc("wlm_queued", read(func() int64 { return int64(w.queuedTotal) }))
+	reg.GaugeFunc("wlm_queries_total", read(func() (n int64) {
+		for _, q := range w.queues {
+			n += q.totalRun
+		}
+		return n
+	}))
+	for _, q := range w.queues {
+		name := "wlm_queue_" + q.spec.Name + "_"
+		reg.GaugeFunc(name+"active", read(func() int64 { return int64(q.active) }))
+		reg.GaugeFunc(name+"queued", read(func() int64 { return int64(q.queued) }))
+		reg.GaugeFunc(name+"queries_total", read(func() int64 { return q.totalRun }))
+		reg.GaugeFunc(name+"timeouts_total", read(func() int64 { return q.timeouts }))
+	}
 }
 
 // splitMemPool assigns each queue's per-slot grant so the per-queue
@@ -247,26 +231,26 @@ func splitMemPool(queues []*wlmQueue, pool int64) error {
 // query gets when no admission ticket is in play (EXPLAIN's memory line,
 // the session fallback). 0 means ungoverned.
 func (w *WLM) Grant() int64 {
-	w.mu.lock()
-	defer w.mu.unlock()
-	return w.mu.state.def.grant
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.def.grant
 }
 
 // HasQueue reports whether a queue with the given name exists (SET
 // query_group validates against it).
 func (w *WLM) HasQueue(name string) bool {
-	w.mu.lock()
-	defer w.mu.unlock()
-	_, ok := w.mu.state.byName[strings.ToLower(name)]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, ok := w.byName[strings.ToLower(name)]
 	return ok
 }
 
 // QueueNames lists the configured queues in configuration order.
 func (w *WLM) QueueNames() []string {
-	w.mu.lock()
-	defer w.mu.unlock()
-	out := make([]string, len(w.mu.state.queues))
-	for i, q := range w.mu.state.queues {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]string, len(w.queues))
+	for i, q := range w.queues {
 		out[i] = q.spec.Name
 	}
 	return out
@@ -277,18 +261,17 @@ func (w *WLM) QueueNames() []string {
 // the session's query_group picks its named queue; otherwise the default
 // queue. estCost < 0 means unknown (never express).
 func (w *WLM) Route(queryGroup string, estCost int64) string {
-	w.mu.lock()
-	defer w.mu.unlock()
-	st := &w.mu.state
-	if st.express != nil && estCost >= 0 && estCost <= st.express.spec.MaxEstRows {
-		return st.express.spec.Name
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.express != nil && estCost >= 0 && estCost <= w.express.spec.MaxEstRows {
+		return w.express.spec.Name
 	}
 	if queryGroup != "" {
-		if q, ok := st.byName[strings.ToLower(queryGroup)]; ok {
+		if q, ok := w.byName[strings.ToLower(queryGroup)]; ok {
 			return q.spec.Name
 		}
 	}
-	return st.def.spec.Name
+	return w.def.spec.Name
 }
 
 // errQueueTimeout marks queue-wait evictions; MarkRetryable wraps it so the
@@ -322,11 +305,10 @@ func IsQueueTimeout(err error) bool {
 // the query, ctx is cancelled, or the queue's wait timeout evicts it. On
 // error the query never occupies a slot and the caller must NOT release.
 func (w *WLM) AcquireQueueCtx(ctx context.Context, name string) (*WLMTicket, error) {
-	w.mu.lock()
-	st := &w.mu.state
-	q := st.def
+	w.mu.Lock()
+	q := w.def
 	if name != "" {
-		if named, ok := st.byName[strings.ToLower(name)]; ok {
+		if named, ok := w.byName[strings.ToLower(name)]; ok {
 			q = named
 		}
 	}
@@ -335,18 +317,17 @@ func (w *WLM) AcquireQueueCtx(ctx context.Context, name string) (*WLMTicket, err
 		// pressure reading takes — an uncontended query is never visible
 		// as queued.
 		w.admitLocked(q)
-		w.mu.unlock()
+		w.mu.Unlock()
 		return &WLMTicket{Queue: q.spec.Name, Grant: q.grant, q: q}, nil
 	}
 	wt := &wlmWaiter{ready: make(chan struct{}), enq: time.Now()}
 	wt.el = q.waiters.PushBack(wt)
 	q.queued++
-	st.queuedTotal++
+	w.queuedTotal++
 	if q.queued > q.peakQueued {
 		q.peakQueued = q.queued
 	}
-	w.setQueuedGauges(q)
-	w.mu.unlock()
+	w.mu.Unlock()
 
 	var timeoutC <-chan time.Time
 	if q.spec.Timeout > 0 {
@@ -365,9 +346,9 @@ func (w *WLM) AcquireQueueCtx(ctx context.Context, name string) (*WLMTicket, err
 		// Lost the race: a releaser admitted us before we left the queue.
 		// Take the slot and hand it straight back so accounting balances.
 		<-wt.ready
-		w.mu.lock()
+		w.mu.Lock()
 		w.releaseLocked(q)
-		w.mu.unlock()
+		w.mu.Unlock()
 		return nil, ctx.Err()
 	case <-timeoutC:
 		if w.abandonWait(q, wt, true) {
@@ -384,53 +365,36 @@ func (w *WLM) AcquireQueueCtx(ctx context.Context, name string) (*WLMTicket, err
 // owns a slot). timeout distinguishes eviction accounting from
 // cancellation.
 func (w *WLM) abandonWait(q *wlmQueue, wt *wlmWaiter, timeout bool) bool {
-	w.mu.lock()
-	defer w.mu.unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if wt.admitted {
 		return false
 	}
 	q.waiters.Remove(wt.el)
 	q.queued--
-	w.mu.state.queuedTotal--
+	w.queuedTotal--
 	q.evictions++
 	if timeout {
 		q.timeouts++
-		if q.mTimeouts != nil {
-			q.mTimeouts.Inc()
-		}
 	}
-	w.setQueuedGauges(q)
 	return true
 }
 
 // Release frees the ticket's slot, admitting the queue's oldest waiter if
 // one is queued. Release a ticket exactly once.
 func (w *WLM) ReleaseTicket(t *WLMTicket) {
-	w.mu.lock()
+	w.mu.Lock()
 	w.releaseLocked(t.q)
-	w.mu.unlock()
+	w.mu.Unlock()
 }
 
 // admitLocked books one admission into q.
 func (w *WLM) admitLocked(q *wlmQueue) {
-	st := &w.mu.state
 	q.active++
 	q.totalRun++
-	st.activeTotal++
+	w.activeTotal++
 	if q.active > q.peakActive {
 		q.peakActive = q.active
-	}
-	if q.mActive != nil {
-		q.mActive.Set(int64(q.active))
-	}
-	if q.mQueries != nil {
-		q.mQueries.Inc()
-	}
-	if st.mActive != nil {
-		st.mActive.Set(int64(st.activeTotal))
-	}
-	if st.mQueries != nil {
-		st.mQueries.Inc()
 	}
 }
 
@@ -438,15 +402,8 @@ func (w *WLM) admitLocked(q *wlmQueue) {
 // admits the oldest waiter — a waiter is never both admitted and visible
 // as queued.
 func (w *WLM) releaseLocked(q *wlmQueue) {
-	st := &w.mu.state
 	q.active--
-	st.activeTotal--
-	if q.mActive != nil {
-		q.mActive.Set(int64(q.active))
-	}
-	if st.mActive != nil {
-		st.mActive.Set(int64(st.activeTotal))
-	}
+	w.activeTotal--
 	if q.spec.Slots <= 0 || q.active >= q.spec.Slots {
 		return
 	}
@@ -459,26 +416,12 @@ func (w *WLM) releaseLocked(q *wlmQueue) {
 	wt.admitted = true
 	wt.wait = time.Since(wt.enq)
 	q.queued--
-	st.queuedTotal--
+	w.queuedTotal--
 	q.totalWait += wt.wait
-	if q.mWait != nil {
-		q.mWait.Observe(wt.wait.Seconds())
-	}
-	if st.mWait != nil {
-		st.mWait.Observe(wt.wait.Seconds())
-	}
-	w.setQueuedGauges(q)
+	q.mWait.Observe(wt.wait.Seconds())
+	w.mWait.Observe(wt.wait.Seconds())
 	w.admitLocked(q)
 	close(wt.ready)
-}
-
-func (w *WLM) setQueuedGauges(q *wlmQueue) {
-	if q.mQueued != nil {
-		q.mQueued.Set(int64(q.queued))
-	}
-	if st := &w.mu.state; st.mQueued != nil {
-		st.mQueued.Set(int64(st.queuedTotal))
-	}
 }
 
 // QueuePressure reports the total queue depth across every queue and how
@@ -490,10 +433,10 @@ func (w *WLM) setQueuedGauges(q *wlmQueue) {
 // a burst cluster, so a stale oldest-wait would hydrate clusters for
 // queues that already drained.
 func (w *WLM) QueuePressure() (depth int, oldestWait time.Duration) {
-	w.mu.lock()
-	defer w.mu.unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	now := time.Now()
-	for _, q := range w.mu.state.queues {
+	for _, q := range w.queues {
 		depth += q.queued
 		if el := q.waiters.Front(); el != nil {
 			if wait := now.Sub(el.Value.(*wlmWaiter).enq); wait > oldestWait {
@@ -518,13 +461,12 @@ type WLMStats struct {
 // Stats snapshots the aggregate counters. PeakActive/PeakQueued are sums
 // of per-queue peaks (an upper bound on the true concurrent peak).
 func (w *WLM) Stats() WLMStats {
-	w.mu.lock()
-	defer w.mu.unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var s WLMStats
-	st := &w.mu.state
-	s.Active = st.activeTotal
-	s.Queued = st.queuedTotal
-	for _, q := range st.queues {
+	s.Active = w.activeTotal
+	s.Queued = w.queuedTotal
+	for _, q := range w.queues {
 		s.PeakActive += q.peakActive
 		s.PeakQueued += q.peakQueued
 		s.TotalQueries += q.totalRun
@@ -535,31 +477,31 @@ func (w *WLM) Stats() WLMStats {
 
 // WLMQueueStats is one queue's configuration and counters.
 type WLMQueueStats struct {
-	Name        string
-	Slots       int
-	Priority    int
-	MemPerSlot  int64
-	MaxEstRows  int64
-	Timeout     time.Duration
-	Active      int
-	PeakActive  int
-	Queued      int
-	PeakQueued  int
-	TotalRun    int64
-	TotalWait   time.Duration
-	Timeouts    int64
-	Evictions   int64
-	OldestWait  time.Duration
+	Name       string
+	Slots      int
+	Priority   int
+	MemPerSlot int64
+	MaxEstRows int64
+	Timeout    time.Duration
+	Active     int
+	PeakActive int
+	Queued     int
+	PeakQueued int
+	TotalRun   int64
+	TotalWait  time.Duration
+	Timeouts   int64
+	Evictions  int64
+	OldestWait time.Duration
 }
 
 // QueueStats snapshots every queue, ordered by descending priority then
 // configuration order.
 func (w *WLM) QueueStats() []WLMQueueStats {
-	w.mu.lock()
-	defer w.mu.unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	now := time.Now()
-	out := make([]WLMQueueStats, 0, len(w.mu.state.queues))
-	for _, q := range w.mu.state.queues {
+	out := make([]WLMQueueStats, 0, len(w.queues))
+	for _, q := range w.queues {
 		s := WLMQueueStats{
 			Name:       q.spec.Name,
 			Slots:      q.spec.Slots,

@@ -10,6 +10,7 @@ import (
 	"redshift/internal/cluster"
 	"redshift/internal/faults"
 	"redshift/internal/s3sim"
+	"redshift/internal/telemetry"
 )
 
 // openQueuedDB builds a database with named WLM queues.
@@ -38,13 +39,13 @@ func TestWLMRoute(t *testing.T) {
 		cost  int64
 		want  string
 	}{
-		{"", 50, "express"},     // cheap and sized ⇒ fast lane
-		{"etl", 50, "express"},  // fast lane wins over query_group
-		{"", 101, "default"},    // over the threshold
-		{"etl", 101, "etl"},     // routed by group
-		{"ETL", 101, "etl"},     // case-insensitive
+		{"", 50, "express"},    // cheap and sized ⇒ fast lane
+		{"etl", 50, "express"}, // fast lane wins over query_group
+		{"", 101, "default"},   // over the threshold
+		{"etl", 101, "etl"},    // routed by group
+		{"ETL", 101, "etl"},    // case-insensitive
 		{"nosuch", 101, "default"},
-		{"", -1, "default"},     // unknown cost must never ride the fast lane
+		{"", -1, "default"}, // unknown cost must never ride the fast lane
 		{"etl", -1, "etl"},
 	}
 	for _, c := range cases {
@@ -153,7 +154,7 @@ func TestWLMMemorySplit(t *testing.T) {
 		{Name: "etl", Slots: 2, MemFraction: 0.5},
 		{Name: "dash", Slots: 6},
 		{Name: "default", Slots: 2},
-	}, pool, nil)
+	}, pool, telemetry.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestWLMMemorySplit(t *testing.T) {
 	if _, err := NewWLMQueues([]QueueSpec{
 		{Name: "a", Slots: 1, MemFraction: 0.7},
 		{Name: "b", Slots: 1, MemFraction: 0.6},
-	}, pool, nil); err == nil {
+	}, pool, telemetry.NewRegistry()); err == nil {
 		t.Error("over-committed memory fractions were accepted")
 	}
 }
@@ -514,4 +515,47 @@ func TestWLMQueueSystemTables(t *testing.T) {
 		}
 	}
 	db.wlm.ReleaseTicket(hold)
+}
+
+// TestWLMGaugesFollowTheExportingDatabase: two databases on one registry,
+// the way a burst cluster is opened beside the primary. The wlm_* gauges
+// the registry renders are the exporting database's books; the other's
+// admissions do not move them.
+func TestWLMGaugesFollowTheExportingDatabase(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	open := func() *Database {
+		db, err := Open(Config{Cluster: cluster.Config{Nodes: 1, SlicesPerNode: 2}, Metrics: reg, QuerySlots: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	primary, burst := open(), open()
+	primary.ExportGauges()
+	ctx := context.Background()
+	ticket, err := burst.wlm.AcquireQueueCtx(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer burst.wlm.ReleaseTicket(ticket)
+	for _, name := range []string{"wlm_active", "wlm_queries_total", "wlm_queue_default_active", "wlm_queue_default_queries_total"} {
+		if got := renderedMetric(t, primary, name); got != 0 {
+			t.Errorf("%s = %d with the primary idle: the burst cluster's admission moved it", name, got)
+		}
+	}
+	held, err := primary.wlm.AcquireQueueCtx(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.wlm.ReleaseTicket(held)
+	if got := renderedMetric(t, primary, "wlm_active"); got != 1 {
+		t.Errorf("wlm_active = %d with one primary slot held, want 1", got)
+	}
+	out := reg.Render()
+	for _, name := range []string{"wlm_queued ", "wlm_queue_default_queued ", "wlm_queue_default_timeouts_total ",
+		"wlm_queue_wait_seconds_count ", "wlm_queue_default_wait_seconds_count "} {
+		if !strings.Contains(out, "\n"+name) {
+			t.Errorf("/metrics renders no %s", name)
+		}
+	}
 }

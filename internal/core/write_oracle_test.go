@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,7 +15,9 @@ import (
 	"redshift/internal/catalog"
 	"redshift/internal/cluster"
 	"redshift/internal/compress"
+	"redshift/internal/exec"
 	"redshift/internal/hll"
+	"redshift/internal/load"
 	"redshift/internal/s3sim"
 	"redshift/internal/storage"
 	"redshift/internal/types"
@@ -283,6 +286,26 @@ func (o *rowOracle) appendRows(rows []types.Row, xid int64) error {
 	return nil
 }
 
+// segmentRows boxes every row of seg, block by block.
+func segmentRows(t *testing.T, seg *storage.Segment, fetch func(*storage.Block) error) []types.Row {
+	t.Helper()
+	var rows []types.Row
+	for bi := 0; bi < seg.NumBlocks(); bi++ {
+		cols, err := decodeBlocks(seg, bi, fetch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cols.Rows(); i++ {
+			row := make(types.Row, len(cols))
+			for c, v := range cols {
+				row[c] = v.Get(i)
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 // vacuum is core's vacuumTable over vacuumSlice.
 func (o *rowOracle) vacuum(t *testing.T, xid int64) {
 	for sl, segs := range o.segs {
@@ -291,11 +314,7 @@ func (o *rowOracle) vacuum(t *testing.T, xid int64) {
 		}
 		var rows []types.Row
 		for _, seg := range segs {
-			segRows, err := seg.ReadRows(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows = append(rows, segRows...)
+			rows = append(rows, segmentRows(t, seg, nil)...)
 		}
 		seg, err := o.write(sl, xid, newOracleSorter(o.def, rows), rows)
 		if err != nil {
@@ -315,11 +334,7 @@ func (o *rowOracle) analyze(t *testing.T) {
 	stats := catalog.TableStats{Cols: make([]catalog.ColumnStats, len(o.def.Columns))}
 	for _, segs := range o.segs[:slices] {
 		for si, seg := range segs {
-			segRows, err := seg.ReadRows(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			delta := oracleComputeStats(o.def, segRows)
+			delta := oracleComputeStats(o.def, segmentRows(t, seg, nil))
 			if si > 0 || !seg.Sorted {
 				delta.UnsortedRows = int64(seg.Rows)
 			}
@@ -334,28 +349,7 @@ func (o *rowOracle) analyze(t *testing.T) {
 func (o *rowOracle) check(t *testing.T, db *Database, step string) {
 	t.Helper()
 	for sl := range o.segs {
-		got := db.cl.VisibleSegments(sl, o.def.ID, db.txm.CurrentXid())
-		if len(got) != len(o.segs[sl]) {
-			t.Fatalf("%s: slice %d holds %d segments, oracle %d", step, sl, len(got), len(o.segs[sl]))
-		}
-		for si, want := range o.segs[sl] {
-			g := got[si]
-			if g.Table != want.Table || g.Slice != want.Slice || g.Seq != want.Seq || g.Rows != want.Rows ||
-				g.Cap != want.Cap || g.Sorted != want.Sorted || len(g.Cols) != len(want.Cols) {
-				t.Fatalf("%s: slice %d segment %d is %+v, oracle %+v", step, sl, si, *g, *want)
-			}
-			for c := range want.Cols {
-				if len(g.Cols[c]) != len(want.Cols[c]) {
-					t.Fatalf("%s: slice %d segment %d column %d has %d blocks, oracle %d", step, sl, si, c, len(g.Cols[c]), len(want.Cols[c]))
-				}
-				for bi, wb := range want.Cols[c] {
-					gb := g.Cols[c][bi]
-					if gb.ID != wb.ID || gb.Rows != wb.Rows || gb.Zone != wb.Zone || gb.Hash != wb.Hash || !bytes.Equal(gb.Payload(), wb.Payload()) {
-						t.Fatalf("%s: block %s differs: rows %d/%d zone %+v/%+v encoding %s/%s", step, wb.ID, gb.Rows, wb.Rows, gb.Zone, wb.Zone, gb.Encoding(), wb.Encoding())
-					}
-				}
-			}
-		}
+		checkSegments(t, step, sl, db.cl.VisibleSegments(sl, o.def.ID, db.txm.CurrentXid()), o.segs[sl])
 	}
 	encs, err := db.cat.Encodings(o.def.ID)
 	if err != nil {
@@ -380,6 +374,130 @@ func (o *rowOracle) check(t *testing.T, db *Database, step string) {
 	}
 	if err := db.Quiescent(); err != nil {
 		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// checkSegments holds one slice's segments to want's, block for block:
+// payload, zone map and hash.
+func checkSegments(t *testing.T, step string, sl int, got, want []*storage.Segment) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: slice %d holds %d segments, want %d", step, sl, len(got), len(want))
+	}
+	for si, w := range want {
+		g := got[si]
+		if g.Table != w.Table || g.Slice != w.Slice || g.Seq != w.Seq || g.Rows != w.Rows ||
+			g.Cap != w.Cap || g.Sorted != w.Sorted || len(g.Cols) != len(w.Cols) {
+			t.Fatalf("%s: slice %d segment %d is %+v, want %+v", step, sl, si, *g, *w)
+		}
+		for c := range w.Cols {
+			if len(g.Cols[c]) != len(w.Cols[c]) {
+				t.Fatalf("%s: slice %d segment %d column %d has %d blocks, want %d", step, sl, si, c, len(g.Cols[c]), len(w.Cols[c]))
+			}
+			for bi, wb := range w.Cols[c] {
+				gb := g.Cols[c][bi]
+				if gb.ID != wb.ID || gb.Rows != wb.Rows || gb.Zone != wb.Zone || gb.Hash != wb.Hash || !bytes.Equal(gb.Payload(), wb.Payload()) {
+					t.Fatalf("%s: block %s differs: rows %d/%d zone %+v/%+v encoding %s/%s", step, wb.ID, gb.Rows, wb.Rows, gb.Zone, wb.Zone, gb.Encoding(), wb.Encoding())
+				}
+			}
+		}
+	}
+}
+
+// TestReplaceTableMatchesRowCopy: resize's table copy moves decoded vectors,
+// block by block, and writes exactly the segments, encodings and statistics
+// that writing the same rows, boxed, through AppendRows does — for every
+// distribution style and sort key, from a source of several runs per slice.
+func TestReplaceTableMatchesRowCopy(t *testing.T) {
+	src := openDB(t, exec.Compiled)
+	seedSales(t, src)
+	ddl := []string{
+		`CREATE TABLE ev (k BIGINT, s VARCHAR(8), f DOUBLE PRECISION) DISTSTYLE EVEN COMPOUND SORTKEY(k)`,
+		`CREATE TABLE al (k BIGINT, s VARCHAR(8)) DISTSTYLE ALL`,
+		`CREATE TABLE zz (a BIGINT, b BIGINT, s VARCHAR(8)) DISTSTYLE KEY DISTKEY(a) INTERLEAVED SORTKEY(a, b)`,
+	}
+	for _, q := range ddl {
+		mustExec(t, src, q)
+	}
+	for run := 0; run < 3; run++ {
+		for _, tbl := range []string{"ev", "al", "zz"} {
+			var vals []string
+			for i := 0; i < 150; i++ {
+				k := (i*37 + run*11) % 500
+				switch tbl {
+				case "ev":
+					vals = append(vals, fmt.Sprintf("(%d, 's%d', %d.5)", k, k%7, k))
+				case "al":
+					vals = append(vals, fmt.Sprintf("(%d, 's%d')", k, k%7))
+				default:
+					vals = append(vals, fmt.Sprintf("(%d, %d, 's%d')", k%23, k, k%5))
+				}
+			}
+			mustExec(t, src, fmt.Sprintf("INSERT INTO %s VALUES %s", tbl, strings.Join(vals, ", ")))
+		}
+	}
+	mustExec(t, src, `INSERT INTO sales VALUES (5, 3, 1, 'ap'), (7, 4, NULL, NULL)`)
+
+	copyDB := func(viaRows bool) *Database {
+		dst := openDB(t, exec.Compiled)
+		for _, q := range append([]string{
+			`CREATE TABLE products (id BIGINT NOT NULL, category VARCHAR(32), price DOUBLE PRECISION) DISTSTYLE KEY DISTKEY(id)`,
+			`CREATE TABLE sales (ts BIGINT NOT NULL, product_id BIGINT, qty BIGINT, region VARCHAR(16)) DISTSTYLE KEY DISTKEY(product_id) COMPOUND SORTKEY(ts)`,
+		}, ddl...) {
+			mustExec(t, dst, q)
+		}
+		for _, name := range []string{"products", "sales", "ev", "al", "zz"} {
+			sources, err := src.ReadTable(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !viaRows {
+				if err := dst.ReplaceTable(name, sources); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			var rows []types.Row
+			for _, cols := range sources {
+				for i := 0; i < cols.Rows(); i++ {
+					row := make(types.Row, len(cols))
+					for c, v := range cols {
+						row[c] = v.Get(i)
+					}
+					rows = append(rows, row)
+				}
+			}
+			err = dst.writeTable(context.Background(), dst.offStatement(), name, true, func(def *catalog.TableDef, xid int64) error {
+				if err := dst.supersedeAll(def, xid); err != nil {
+					return err
+				}
+				_, err := load.AppendRows(dst.cl, dst.cat, def, rows, load.Options{}, xid, nil)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dst
+	}
+	vecs, rows := copyDB(false), copyDB(true)
+	for _, name := range []string{"products", "sales", "ev", "al", "zz"} {
+		def := tableDef(t, rows, name)
+		for sl := 0; sl < rows.cl.NumSlices(); sl++ {
+			checkSegments(t, name, sl, vecs.cl.VisibleSegments(sl, def.ID, vecs.txm.CurrentXid()), rows.cl.VisibleSegments(sl, def.ID, rows.txm.CurrentXid()))
+		}
+		for _, db := range []*Database{vecs, rows} {
+			if got, want := rowsText(mustExec(t, db, "SELECT COUNT(*) FROM "+name)), rowsText(mustExec(t, src, "SELECT COUNT(*) FROM "+name)); got != want {
+				t.Errorf("%s: copy holds %s rows, source %s", name, got, want)
+			}
+		}
+		ve, _ := vecs.cat.Encodings(def.ID)
+		re, _ := rows.cat.Encodings(def.ID)
+		vs, _ := vecs.cat.Stats(def.ID)
+		rs, _ := rows.cat.Stats(def.ID)
+		if !reflect.DeepEqual(ve, re) || !reflect.DeepEqual(vs, rs) {
+			t.Errorf("%s: encodings %v / %v, stats %+v / %+v", name, ve, re, vs, rs)
+		}
 	}
 }
 

@@ -67,8 +67,31 @@ func PutBatch(b *Batch) {
 	batchPool.Put(b)
 }
 
-// Row boxes row i into a types.Row (nil columns yield zero Values). Used by
-// the interpreted engine and by the leader when rendering results.
+// Rows boxes every row (nil columns yield zero Values), all into one
+// backing array: a result's rows are two allocations, not one a row. An
+// empty batch has nil rows.
+func (b *Batch) Rows() []types.Row {
+	if b.N == 0 {
+		return nil
+	}
+	nc := len(b.Cols)
+	rows := make([]types.Row, b.N)
+	vals := make([]types.Value, b.N*nc)
+	for c, v := range b.Cols {
+		if v != nil {
+			for i := range rows {
+				vals[i*nc+c] = v.Get(i)
+			}
+		}
+	}
+	for i := range rows {
+		rows[i] = vals[i*nc : (i+1)*nc : (i+1)*nc]
+	}
+	return rows
+}
+
+// Row boxes row i into a types.Row (nil columns yield zero Values), for the
+// interpreted engine.
 func (b *Batch) Row(i int) types.Row {
 	row := make(types.Row, len(b.Cols))
 	for c, v := range b.Cols {

@@ -85,12 +85,10 @@ type Chunk struct {
 func Run(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	store *s3sim.Store, prefix string, opts Options, xid int64, trace *telemetry.Span) (Stats, error) {
 
-	var stats Stats
 	keys := store.List(prefix)
 	if len(keys) == 0 {
-		return stats, fmt.Errorf("load: no objects under %q", prefix)
+		return Stats{}, fmt.Errorf("load: no objects under %q", prefix)
 	}
-	stats.Objects = len(keys)
 
 	// Phase 1: parallel parse — one worker per slice, like the paper's
 	// "each slice reading data in parallel".
@@ -98,62 +96,62 @@ func Run(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	objects, bytesRead, err := readObjects(c.NumSlices(), store, keys, def, opts)
 	parse.End()
 	if err != nil {
-		return stats, err
+		return Stats{}, err
 	}
-	stats.BytesRead = bytesRead
-	for _, cols := range objects {
-		stats.Rows += int64(cols.Rows())
-	}
+	stats, err := Append(c, cat, def, objects, opts, xid, trace)
+	stats.Objects, stats.BytesRead = len(keys), bytesRead
 	parse.Add("rows", stats.Rows)
 	parse.Add("bytes", bytesRead)
-	err = appendColumns(c, cat, def, objects, opts, xid, trace, &stats)
 	return stats, err
 }
 
 // AppendRows is the door for data that is rows by nature — an INSERT's
-// VALUES, a resize's table copy: the rows become Columns here, once, and
-// take the write path COPY takes. Of the Stats it fills in Rows, Segments,
-// BytesWritten and EncodingsSet.
+// VALUES: the rows become Columns here, once, and take the write path COPY
+// takes. Of the Stats it fills in Rows, Segments, BytesWritten and
+// EncodingsSet.
 func AppendRows(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	rows []types.Row, opts Options, xid int64, trace *telemetry.Span) (Stats, error) {
 
-	out := Stats{Rows: int64(len(rows))}
 	parse := trace.StartChild("parse")
 	cols := newColumns(def, len(rows))
 	for _, row := range rows {
 		if len(row) != len(cols) {
-			return out, fmt.Errorf("load: row has %d values, table has %d columns", len(row), len(cols))
+			return Stats{}, fmt.Errorf("load: row has %d values, table has %d columns", len(row), len(cols))
 		}
 		for i, v := range row {
 			if !v.Null && v.T != cols[i].T {
-				return out, fmt.Errorf("load: column %s: value type %s != column type %s", def.Columns[i].Name, v.T, cols[i].T)
+				return Stats{}, fmt.Errorf("load: column %s: value type %s != column type %s", def.Columns[i].Name, v.T, cols[i].T)
 			}
 			cols[i].Append(v)
 		}
 	}
 	parse.End()
-	parse.Add("rows", out.Rows)
-	err := appendColumns(c, cat, def, []Columns{cols}, opts, xid, trace, &out)
-	return out, err
+	parse.Add("rows", int64(len(rows)))
+	return Append(c, cat, def, []Columns{cols}, opts, xid, trace)
 }
 
-// appendColumns is the write path COPY and INSERT share: it distributes the
-// sources' rows (sources in the order given, rows in each source's), sorts
-// and encodes each slice's share, registers the segments and updates the
-// statistics. Of stats it fills in Segments, BytesWritten and EncodingsSet.
-func appendColumns(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
-	sources []Columns, opts Options, xid int64, trace *telemetry.Span, stats *Stats) error {
+// Append is the write path COPY, INSERT and a resize's table copy share: it
+// distributes the sources' rows (sources in the order given, rows in each
+// source's), sorts and encodes each slice's share, registers the segments
+// and updates the statistics. Of the Stats it fills in Rows, Segments,
+// BytesWritten and EncodingsSet.
+func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
+	sources []Columns, opts Options, xid int64, trace *telemetry.Span) (stats Stats, err error) {
 
 	total := 0
 	for _, cols := range sources {
+		if len(cols) != len(def.Columns) {
+			return stats, fmt.Errorf("load: source has %d columns, table has %d", len(cols), len(def.Columns))
+		}
 		total += cols.Rows()
 	}
+	stats.Rows = int64(total)
 	if total == 0 {
-		return nil
+		return stats, nil
 	}
 	tableStats, err := cat.Stats(def.ID)
 	if err != nil {
-		return err
+		return stats, err
 	}
 	tableEmpty := tableStats.Rows == 0
 	start := time.Now()
@@ -166,7 +164,7 @@ func appendColumns(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableD
 	}
 	if chooseEnc {
 		if err := chooseEncodings(cat, def, sources); err != nil {
-			return err
+			return stats, err
 		}
 		stats.EncodingsSet = true
 	}
@@ -176,13 +174,13 @@ func appendColumns(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableD
 	for ci, col := range def.Columns {
 		for _, cols := range sources {
 			if col.NotNull && cols[ci].HasNulls() {
-				return fmt.Errorf("load: null value in NOT NULL column %s", col.Name)
+				return stats, fmt.Errorf("load: null value in NOT NULL column %s", col.Name)
 			}
 		}
 	}
 	w, err := NewSegmentWriter(c, cat, def, sources, xid)
 	if err != nil {
-		return err
+		return stats, err
 	}
 	segs := make([]*storage.Segment, len(parts))
 	err = c.EachSlice(func(s int) (err error) {
@@ -193,7 +191,7 @@ func appendColumns(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableD
 	})
 	w.Record(trace, time.Since(start))
 	if err != nil {
-		return err
+		return stats, err
 	}
 
 	replicate := trace.StartChild("replicate")
@@ -202,7 +200,7 @@ func appendColumns(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableD
 			continue
 		}
 		if err := c.AppendSegment(s, seg, xid); err != nil {
-			return err
+			return stats, err
 		}
 		stats.Segments++
 		stats.BytesWritten += seg.ByteSize()
@@ -227,9 +225,9 @@ func appendColumns(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableD
 		}
 		span.Add("rows", int64(total))
 		span.End()
-		return cat.UpdateStats(def.ID, delta)
+		return stats, cat.UpdateStats(def.ID, delta)
 	}
-	return nil
+	return stats, nil
 }
 
 // distribute deals the sources' rows to slices per the table's DISTSTYLE —

@@ -13,6 +13,7 @@ import (
 	"redshift/internal/cluster"
 	"redshift/internal/compress"
 	"redshift/internal/s3sim"
+	"redshift/internal/storage"
 	"redshift/internal/telemetry"
 	"redshift/internal/types"
 )
@@ -130,12 +131,9 @@ func TestCopySortsLocallyBySortkey(t *testing.T) {
 			if !seg.Sorted {
 				t.Fatal("segment not marked sorted")
 			}
-			rows, err := seg.ReadRows(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < len(rows); i++ {
-				if rows[i][0].I < rows[i-1][0].I {
+			ts := column(t, seg, 0)
+			for i := 1; i < ts.Len(); i++ {
+				if ts.Get(i).I < ts.Get(i-1).I {
 					t.Fatalf("slice %d not sorted at %d", s, i)
 				}
 			}
@@ -354,17 +352,28 @@ func TestLoadDistributionRespectsKey(t *testing.T) {
 	// Every segment on a slice must contain only user_ids hashing there.
 	for s := 0; s < c.NumSlices(); s++ {
 		for _, seg := range c.VisibleSegments(s, def.ID, 1<<60) {
-			rows, err := seg.ReadRows(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows {
-				if want := c.TargetSliceKey(r[1]); want != s {
-					t.Fatalf("user_id %d on slice %d, expected %d", r[1].I, s, want)
+			uid := column(t, seg, 1)
+			for i := 0; i < uid.Len(); i++ {
+				if want := c.TargetSliceKey(uid.Get(i)); want != s {
+					t.Fatalf("user_id %d on slice %d, expected %d", uid.Get(i).I, s, want)
 				}
 			}
 		}
 	}
+}
+
+// column decodes column c of seg whole.
+func column(t *testing.T, seg *storage.Segment, c int) *types.Vector {
+	t.Helper()
+	out := types.NewVector(seg.Schema.Columns[c].Type, seg.Rows)
+	for _, b := range seg.Cols[c] {
+		v, err := b.Read(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.AppendRange(v, 0, v.Len())
+	}
+	return out
 }
 
 // foldRows is the statistics of rows, which match def.
@@ -450,13 +459,10 @@ func TestCopyCRLF(t *testing.T) {
 	if _, err := Run(c, cat, def, store, "crlf/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := c.VisibleSegments(0, def.ID, 1)[0].ReadRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	notes := column(t, c.VisibleSegments(0, def.ID, 1)[0], 1)
 	var got []string
-	for _, r := range rows {
-		got = append(got, r[1].S)
+	for i := 0; i < notes.Len(); i++ {
+		got = append(got, notes.Get(i).S)
 	}
 	// A '\r' inside a field, or before the end of a file that does not end
 	// in '\n', is data.

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"container/heap"
 	"container/list"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,10 +189,17 @@ func TestBlockCacheConcurrent(t *testing.T) {
 	}
 }
 
-// checkCacheInvariants holds the cache's books to each other: the budget, the
-// byte and cost totals, one queue slot per entry at the index the entry
-// records, and the heap order the next eviction relies on.
-func checkCacheInvariants(t *testing.T, c *BlockCache) {
+// checkCacheInvariants holds the block cache's books to each other.
+func checkCacheInvariants(t *testing.T, b *BlockCache) {
+	t.Helper()
+	checkInvariants(t, b.c)
+}
+
+// checkInvariants holds a cache's books to each other: the budget, the byte
+// and cost totals, one queue slot per entry at the index the entry records,
+// no entry filed above its current rank, and the heap order on filed ranks
+// the next eviction relies on.
+func checkInvariants[K comparable, V any](t *testing.T, c *Cache[K, V]) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -202,8 +211,11 @@ func checkCacheInvariants(t *testing.T, c *BlockCache) {
 	}
 	var bytes, cost int64
 	for i, e := range c.queue {
-		if e.idx != i || c.entries[e.id] != e {
-			t.Fatalf("queue[%d] = %v with idx %d, entries has %p", i, e.id, e.idx, c.entries[e.id])
+		if e.idx != i || c.entries[e.key] != e {
+			t.Fatalf("queue[%d] = %v with idx %d, entries has %p", i, e.key, e.idx, c.entries[e.key])
+		}
+		if e.now.less(e.filed) {
+			t.Fatalf("queue[%d] is filed at %v, above its current rank %v", i, e.filed, e.now)
 		}
 		if i > 0 && c.queue.Less(i, (i-1)/2) {
 			t.Fatalf("queue[%d] sorts before its parent", i)
@@ -216,10 +228,11 @@ func checkCacheInvariants(t *testing.T, c *BlockCache) {
 	}
 }
 
-func (c *BlockCache) resident(id BlockID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[id] != nil
+// resident reports whether id is cached under its table's current epoch.
+func (b *BlockCache) resident(id BlockID) bool {
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	return b.c.entries[blockKey{id, b.epochs[id.Table]}] != nil
 }
 
 // TestBlockCacheEqualDensityIsLRU: with every block costing the same per
@@ -359,11 +372,9 @@ func TestBlockCacheInvariantsUnderAnyInterleaving(t *testing.T) {
 	}
 }
 
-// BenchmarkBlockCacheGet times the hit path — the map lookup and the
-// heap.Fix that re-files the entry, both under the one mutex — over 3000
-// resident entries, from one goroutine on one processor and from every
-// processor at once. The entries share one density, the case in which every
-// hit sifts its entry from wherever it was to a leaf. Budget: 250 ns
+// BenchmarkBlockCacheGet times the hit path — the map lookup and the new
+// rank, under the one mutex — over 3000 resident entries, from one goroutine
+// on one processor and from every processor at once. Budget: 250 ns
 // uncontended.
 func BenchmarkBlockCacheGet(b *testing.B) {
 	const resident = 3000
@@ -390,4 +401,251 @@ func BenchmarkBlockCacheGet(b *testing.B) {
 			}
 		})
 	})
+}
+
+// eagerCache is the policy as the block cache ran it before hits stopped
+// re-filing their entries: every touch re-sorts the queue (heap.Fix). It is
+// the reference the lazy Cache must evict like, entry for entry.
+type eagerCache struct {
+	budget, bytes int64
+	clock         float64
+	touches       uint64
+	entries       map[int]*eagerEntry
+	queue         eagerQueue
+	evicted       []int // keys, in eviction order
+}
+
+type eagerEntry struct {
+	key        int
+	size, cost int64
+	rank       rank
+	idx        int
+}
+
+type eagerQueue []*eagerEntry
+
+func (q eagerQueue) Len() int           { return len(q) }
+func (q eagerQueue) Less(i, j int) bool { return q[i].rank.less(q[j].rank) }
+func (q eagerQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].idx, q[j].idx = i, j
+}
+func (q *eagerQueue) Push(x any) {
+	e := x.(*eagerEntry)
+	e.idx = len(*q)
+	*q = append(*q, e)
+}
+func (q *eagerQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
+func (c *eagerCache) touch(e *eagerEntry) {
+	c.touches++
+	e.rank = rank{c.clock + float64(e.cost)/float64(e.size), c.touches}
+}
+
+func (c *eagerCache) get(key int) {
+	if e, ok := c.entries[key]; ok {
+		c.touch(e)
+		heap.Fix(&c.queue, e.idx)
+	}
+}
+
+func (c *eagerCache) put(key int, size, cost int64) {
+	if size <= 0 || size > c.budget {
+		return
+	}
+	if old, ok := c.entries[key]; ok {
+		c.remove(old)
+	}
+	for c.bytes+size > c.budget {
+		e := heap.Pop(&c.queue).(*eagerEntry)
+		c.clock = e.rank.priority
+		delete(c.entries, e.key)
+		c.bytes -= e.size
+		c.evicted = append(c.evicted, e.key)
+	}
+	e := &eagerEntry{key: key, size: size, cost: cost}
+	c.touch(e)
+	heap.Push(&c.queue, e)
+	c.entries[key] = e
+	c.bytes += size
+}
+
+func (c *eagerCache) remove(e *eagerEntry) {
+	heap.Remove(&c.queue, e.idx)
+	delete(c.entries, e.key)
+	c.bytes -= e.size
+}
+
+func (c *eagerCache) dropIf(drop func(int) bool) {
+	for k, e := range c.entries {
+		if drop(k) {
+			c.remove(e)
+		}
+	}
+}
+
+// TestCacheMatchesEagerReference: over random Put / Get / Invalidate /
+// DropIf / Clear scripts with mixed sizes and costs, the lazy queue evicts
+// exactly the entries the eager one does, in the same order, and every
+// resident entry holds the same rank in both.
+func TestCacheMatchesEagerReference(t *testing.T) {
+	for _, seed := range []int64{1, 32, 20261015} {
+		const budget = 1024
+		lazy := NewCache[int, int](budget)
+		ref := &eagerCache{budget: budget, entries: map[int]*eagerEntry{}}
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 5000; step++ {
+			key := rng.Intn(80)
+			switch op := rng.Intn(1000); {
+			case op < 500:
+				before := map[int]rank{}
+				for k, e := range lazy.entries {
+					before[k] = e.now
+				}
+				evicted := len(ref.evicted)
+				size := int64(1 + rng.Intn(64))
+				cost := []int64{size, 10 * size, 100 * size, rng.Int63n(100_000)}[rng.Intn(4)]
+				lazy.Put(key, key, size, cost)
+				ref.put(key, size, cost)
+				// The lazy victims in the order they went: each was the
+				// lowest-ranked entry left, so in rank order.
+				var victims []int
+				for k := range before {
+					if _, ok := lazy.entries[k]; !ok && k != key {
+						victims = append(victims, k)
+					}
+				}
+				sort.Slice(victims, func(i, j int) bool { return before[victims[i]].less(before[victims[j]]) })
+				if want := ref.evicted[evicted:]; fmt.Sprint(victims) != fmt.Sprint(want) {
+					t.Fatalf("seed %d step %d: lazy evicted %v, eager %v", seed, step, victims, want)
+				}
+			case op < 920:
+				lazy.Get(key)
+				ref.get(key)
+			case op < 988:
+				lazy.Invalidate(key)
+				if e, ok := ref.entries[key]; ok {
+					ref.remove(e)
+				}
+			case op < 998:
+				m, r := 2+rng.Intn(5), rng.Intn(2)
+				drop := func(k int) bool { return k%m == r }
+				lazy.DropIf(drop)
+				ref.dropIf(drop)
+			default:
+				lazy.Clear()
+				ref.dropIf(func(int) bool { return true })
+			}
+			if len(lazy.entries) != len(ref.entries) || lazy.clock != ref.clock || lazy.bytes != ref.bytes {
+				t.Fatalf("seed %d step %d: lazy holds %d entries, %d bytes at clock %v; eager %d, %d at %v",
+					seed, step, len(lazy.entries), lazy.bytes, lazy.clock, len(ref.entries), ref.bytes, ref.clock)
+			}
+			for k, e := range ref.entries {
+				if got, ok := lazy.entries[k]; !ok || got.now != e.rank {
+					t.Fatalf("seed %d step %d: key %d ranks %v lazily, %v eagerly", seed, step, k, got, e.rank)
+				}
+			}
+			checkInvariants(t, lazy)
+		}
+		if s := lazy.Stats(); s.Evictions < 500 || s.Hits < 500 || s.Invalidations < 100 {
+			t.Errorf("seed %d: the script barely exercised the cache: %+v", seed, s)
+		}
+	}
+}
+
+// TestCacheServePointReplay replays a serve_point-shaped statement trace
+// through a result-sized cache twice — priced by each result's fixed rebuild
+// time, and at one uniform density, which is least-recently-used — and holds
+// the rebuild time the priced cache saves to no less than what LRU saves.
+// The trace: hot dashboard repeats, cheap to rebuild; one-shot point
+// lookups, small and dense; one-shot LIMIT 2000 fetches, large and sparse;
+// and one expensive join that repeats every hundred-odd statements.
+func TestCacheServePointReplay(t *testing.T) {
+	type kind struct {
+		share      int // per mille of statements
+		keys       int // distinct statements; 0 = every one new
+		size, cost int64
+	}
+	kinds := []kind{
+		{share: 778, keys: 64, size: 300, cost: 100_000},     // hot
+		{share: 200, size: 400, cost: 150_000},               // point
+		{share: 15, size: 12 << 10, cost: 2_000_000},         // fetch
+		{share: 7, keys: 1, size: 4 << 10, cost: 40_000_000}, // join
+	}
+	replay := func(priced bool) (saved int64, hits int) {
+		c := NewCache[string, int](64 << 10)
+		rng := rand.New(rand.NewSource(20260925))
+		for stmt := 0; stmt < 20_000; stmt++ {
+			k, pick := kinds[0], rng.Intn(1000)
+			for i := 0; pick >= kinds[i].share; i++ {
+				pick -= kinds[i].share
+				k = kinds[i+1]
+			}
+			key := fmt.Sprintf("%d/%d", k.size, stmt)
+			if k.keys > 0 {
+				key = fmt.Sprintf("%d/%d", k.size, rng.Intn(k.keys))
+			}
+			if _, ok := c.Get(key); ok {
+				saved += k.cost
+				hits++
+				continue
+			}
+			cost := k.size // LRU: one density for all
+			if priced {
+				cost = k.cost
+			}
+			c.Put(key, 0, k.size, cost)
+		}
+		return saved, hits
+	}
+	gds, gdsHits := replay(true)
+	lru, lruHits := replay(false)
+	t.Logf("rebuild time saved: priced %.0f ms in %d hits, LRU %.0f ms in %d hits", float64(gds)/1e6, gdsHits, float64(lru)/1e6, lruHits)
+	if gds < lru {
+		t.Errorf("pricing by rebuild time saved %d ns, less than LRU's %d", gds, lru)
+	}
+}
+
+// TestCacheConcurrent drives every method of a small cache from several
+// goroutines at once; under -race it proves a hit's rank rewrite, the
+// eviction loop's re-filing and the invalidations share one lock.
+func TestCacheConcurrent(t *testing.T) {
+	c := NewCache[int, int](512)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 2000; i++ {
+				key := rng.Intn(64)
+				switch op := rng.Intn(100); {
+				case op < 45:
+					if v, ok := c.Get(key); ok && v != key {
+						panic(fmt.Sprintf("key %d holds %d", key, v))
+					}
+				case op < 50:
+					c.Peek(key)
+				case op < 90:
+					c.Put(key, key, int64(1+rng.Intn(32)), rng.Int63n(10_000))
+				case op < 97:
+					c.Invalidate(key)
+				case op < 99:
+					c.DropIf(func(k int) bool { return k%7 == g%7 })
+				default:
+					c.Stats()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	checkInvariants(t, c)
+	if s := c.Stats(); s.Hits == 0 || s.Evictions == 0 {
+		t.Errorf("no traffic recorded: %+v", s)
+	}
 }

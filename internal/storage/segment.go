@@ -53,30 +53,6 @@ func (s *Segment) Blocks(fn func(*Block)) {
 	}
 }
 
-// ReadRows decodes every row of the segment into boxed rows, for the callers
-// whose data is rows by nature (ReadTable: resize and the tools),
-// page-faulting through fetch (Block.Read).
-func (s *Segment) ReadRows(fetch func(*Block) error) ([]types.Row, error) {
-	rows := make([]types.Row, s.Rows)
-	for i := range rows {
-		rows[i] = make(types.Row, len(s.Cols))
-	}
-	for c, chain := range s.Cols {
-		at := 0
-		for _, b := range chain {
-			v, err := b.Read(fetch)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < v.Len(); i++ {
-				rows[at][c] = v.Get(i)
-				at++
-			}
-		}
-	}
-	return rows, nil
-}
-
 // Builder seals a segment one column at a time: a column arrives whole, as
 // the vector of its every row in stored order, and is cut into the chain's
 // aligned blocks. Encodings are fixed per column before the first one.
