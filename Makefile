@@ -21,7 +21,8 @@ test: build
 # The statement lifecycle's tests repeat twenty times too: CANCEL against
 # finish, the wire's serialize report against the query log's ring turning.
 # So do the caches': a hit rewrites its entry's rank under the lock the
-# eviction loop re-files entries under.
+# eviction loop re-files entries under. So does one Filter and one Evaluator
+# shared by four goroutines: every temporary lives in a per-call arena.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -29,6 +30,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestStageClock|TestCancel|TestStatementTimeout' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStageClockWire|TestWireDisconnect' ./internal/wire
 	$(GO) test -race -count=20 -run 'TestBlockCacheConcurrent|TestCache' ./internal/storage
+	$(GO) test -race -count=20 -run 'TestSharedEvaluatorConcurrent' ./internal/exec
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 

@@ -314,4 +314,3 @@ func (m *BurstManager) janitor() {
 		m.mu.Unlock()
 	}
 }
-

@@ -736,7 +736,7 @@ func (db *Database) runCopy(ctx context.Context, run *stmtRun, s *sql.Copy) (*Re
 			StatUpdate: s.StatUpdate,
 			GZip:       s.GZip,
 		}
-		run.load, err = load.Run(db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid, run.rec.Trace)
+		run.load, err = load.Run(ctx, db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid, run.rec.Trace)
 		return err
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"redshift/internal/exec"
 	"redshift/internal/faults"
 	"redshift/internal/s3sim"
+	"redshift/internal/sim"
 	"redshift/internal/sql"
 	"redshift/internal/telemetry"
 )
@@ -332,8 +333,7 @@ func TestCancelAndTimeoutOfWrites(t *testing.T) {
 		t.Errorf("cancelled VACUUM logged as %q", got)
 	}
 
-	// A multi-object COPY under a 1ms statement_timeout: the load does not
-	// watch its context, the commit does.
+	// A multi-object COPY under a 1ms statement_timeout.
 	var big strings.Builder
 	for i := 0; i < 20000; i++ {
 		fmt.Fprintf(&big, "%d\n", i)
@@ -368,6 +368,43 @@ func TestCancelAndTimeoutOfWrites(t *testing.T) {
 	if got := state("ANALYZE"); got != "cancelled" {
 		t.Errorf("cancelled ANALYZE logged as %q", got)
 	}
+}
+
+// A multi-object COPY cancelled once its first object is read stops
+// reading: it ends 'cancelled' having fetched fewer objects than it lists,
+// the table is as before, and nothing is held.
+func TestCopyCancelStopsReading(t *testing.T) {
+	db := openDB(t, exec.Compiled)
+	store := db.cfg.DataStore
+	mustExec(t, db, `CREATE TABLE c (x BIGINT)`)
+	const objects = 64
+	for i := 0; i < objects; i++ {
+		store.Put(fmt.Sprintf("lake/c/part%02d", i), []byte("1\n2\n3\n"))
+	}
+	before := countRows(t, db, "c")
+	store.WithDelays(sim.Wall{}, 2*time.Millisecond, 0) // every GET takes 2ms
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for store.Stats().Gets == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		cancel()
+	}()
+	if _, err := db.ExecuteContext(ctx, `COPY c FROM 's3://lake/c/'`); err == nil || !strings.Contains(err.Error(), "aborted") {
+		t.Fatalf("cancelled COPY returned %v", err)
+	}
+	if gets := store.Stats().Gets; gets >= objects {
+		t.Errorf("cancelled COPY fetched %d of its %d objects", gets, objects)
+	}
+	recs := db.QueryLog().Records()
+	if got := recs[len(recs)-1]; !strings.HasPrefix(got.SQL, "COPY c") || got.State != "cancelled" {
+		t.Errorf("last logged statement is %q in state %q", got.SQL, got.State)
+	}
+	if got := countRows(t, db, "c"); got != before {
+		t.Errorf("c reads %q after the cancelled COPY, %q before", got, before)
+	}
+	assertQuiescent(t, db)
 }
 
 // TestLifecycleAllocationBudget pins what the lifecycle costs the cheapest,

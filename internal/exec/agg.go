@@ -738,7 +738,7 @@ func (g *GroupTable) ResultCtx(ctx context.Context) (*Batch, error) {
 
 func (g *GroupTable) colType(c int) types.Type {
 	if c < len(g.groupEvs) {
-		return exprVecType(g.groupEvs[c].expr)
+		return g.groupEvs[c].t
 	}
 	return g.specs[c-len(g.groupEvs)].T
 }

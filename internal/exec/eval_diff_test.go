@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"redshift/internal/plan"
@@ -439,8 +441,9 @@ func samePayload(a, b *types.Vector) bool {
 
 // checkDiffCase evaluates the case on both engines and demands error parity
 // (both fail or neither does), the same type, length, NULLs and values row by
-// row, and an input batch the compiled engine did not write to. It returns
-// the compiled output (nil when both engines raised).
+// row, and an input batch the compiled engine did not write to; a boolean
+// case also goes through the selection path (checkSelect). It returns the
+// compiled output (nil when both engines raised).
 func checkDiffCase(t testing.TB, c diffCase) *types.Vector {
 	t.Helper()
 	cev, err := NewEvaluator(Compiled, c.e)
@@ -451,6 +454,9 @@ func checkDiffCase(t testing.TB, c diffCase) *types.Vector {
 	before := cloneBatch(c.b)
 	cv, cerr := cev.Eval(c.b)
 	iv, ierr := iev.Eval(c.b)
+	if c.e.Type() == types.Bool {
+		checkSelect(t, c, ierr, iv)
+	}
 	for col := range before.Cols {
 		if !samePayload(before.Cols[col], c.b.Cols[col]) {
 			t.Fatalf("%s: evaluation wrote to input column %d", c.e, col)
@@ -471,6 +477,40 @@ func checkDiffCase(t testing.TB, c diffCase) *types.Vector {
 		}
 	}
 	return cv
+}
+
+// checkSelect holds a boolean case's selection path to the interpreted
+// engine: Filter.Select must fail exactly where the interpreted engine fails
+// — the narrowing AND and OR do must not skip a row it raises on — and
+// otherwise return exactly its TRUE rows.
+func checkSelect(t testing.TB, c diffCase, ierr error, iv *types.Vector) {
+	t.Helper()
+	f, err := NewFilter(Compiled, c.e)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", c.e, err)
+	}
+	sel, all, serr := f.Select(c.b, nil)
+	if (serr == nil) != (ierr == nil) {
+		t.Fatalf("%s over %d rows: Select error = %v, interpreted error = %v", c.e, c.b.N, serr, ierr)
+	}
+	if serr != nil {
+		return
+	}
+	var want []int
+	for i := 0; i < c.b.N; i++ {
+		if iv.Ints[i] != 0 && !iv.IsNull(i) {
+			want = append(want, i)
+		}
+	}
+	if all {
+		sel = sel[:0]
+		for i := 0; i < c.b.N; i++ {
+			sel = append(sel, i)
+		}
+	}
+	if fmt.Sprint(sel) != fmt.Sprint(want) {
+		t.Fatalf("%s: Select = %v, interpreted TRUE rows = %v", c.e, sel, want)
+	}
 }
 
 // parentKernelDigest is the FNV-1a digest of the compiled engine's output
@@ -606,15 +646,130 @@ func TestEvalDiffSeedCorpus(t *testing.T) {
 		sort.Strings(names)
 		t.Errorf("only %d kinds of seed: %v", len(seeds), names)
 	}
+	// The case narrowing gets wrong is one in millions of the property
+	// test's stream, but the first case of the PRNG seeded 439180 (found by
+	// search): (COALESCE(#8) AND (-1.5 / #3) NOT IN (…)) over 22 rows.
+	en = &recorder{rng: rand.New(rand.NewSource(439180))}
+	if c := genDiffCase(en, map[string]int{}); !narrowingTrap(c) {
+		t.Errorf("%s over %d rows is not an AND whose right side raises only where its left is NULL", c.e, c.b.N)
+	}
+	seeds["and-null-left-raises"] = en.log
 	checkSeedCorpus(t, "FuzzEvalCompiledVsInterpreted", seeds)
+}
+
+// TestModuloByConstant holds the modulo kernel's multiply-only path (a
+// constant divisor in (0, 2³²), a dividend in [0, 2³²)) and its fallback to
+// Go's %, across both ranges' edges.
+func TestModuloByConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := []int64{0, 1, 2, 6, 7, 8, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 40,
+		math.MaxInt64, -1, -7, -(1 << 32), math.MinInt64}
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, int64(rng.Uint32()), int64(rng.Uint64()>>30), rng.Int63()-rng.Int63())
+	}
+	for _, d := range []int64{1, 2, 3, 7, 11, 1000, 1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32, -7, math.MaxInt64} {
+		v := evalOne(t, Compiled, bin(sql.OpMod, col(0, types.Int64), icon(d), types.Int64), intBatch(xs, nil))
+		for i, x := range xs {
+			if v.Ints[i] != x%d {
+				t.Fatalf("%d %% %d = %d, want %d", x, d, v.Ints[i], x%d)
+			}
+		}
+	}
+}
+
+// TestSharedEvaluatorConcurrent: one Filter and one Evaluator — as a join's
+// or a group table's clones share theirs — used by four goroutines at once
+// over different batches answer exactly what they answer serially. Run
+// under -race, it holds the evaluators to keeping every temporary in the
+// per-call arena, none on themselves.
+func TestSharedEvaluatorConcurrent(t *testing.T) {
+	i0, f2, s4 := col(0, types.Int64), col(2, types.Float64), col(4, types.String)
+	cmp := func(op sql.BinOp, l, r plan.Expr) plan.Expr { return bin(op, l, r, types.Bool) }
+	pred := cmp(sql.OpOr,
+		cmp(sql.OpAnd, cmp(sql.OpLt, bin(sql.OpMod, i0, icon(3), types.Int64), icon(2)), &plan.Like{E: s4, Pattern: "a%"}),
+		cmp(sql.OpGt, bin(sql.OpMul, f2, &plan.Call{Name: sql.FuncFloat, Args: []plan.Expr{i0}, T: types.Float64}, types.Float64), fcon(1)))
+	expr := &plan.Case{Whens: []plan.CaseWhen{{Cond: cmp(sql.OpGt, i0, icon(0)), Then: bin(sql.OpMul, i0, icon(3), types.Int64)}},
+		Else: &plan.Neg{E: i0}, T: types.Int64}
+	f, err := NewFilter(Compiled, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(Compiled, expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &exprGen{en: &recorder{rng: rand.New(rand.NewSource(7))}, seen: map[string]int{}}
+	batches := make([]*Batch, 16)
+	want := make([]string, len(batches))
+	run := func(b *Batch) string {
+		sel, _, err := f.Select(b, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		v, err := ev.Eval(b)
+		if err != nil {
+			t.Error(err)
+		}
+		vals := make([]types.Value, v.Len())
+		for i := range vals {
+			vals[i] = v.Get(i)
+		}
+		return fmt.Sprint(sel, vals)
+	}
+	for i := range batches {
+		batches[i] = g.batch(i % 4)
+		want[i] = run(batches[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 4*len(batches); k++ {
+				i := (k + w*len(batches)/4) % len(batches)
+				if got := run(batches[i]); got != want[i] {
+					t.Errorf("worker %d, batch %d: %s, serially %s", w, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// narrowingTrap reports a top-level AND with a non-constant left side whose
+// right side, on c's batch, raises on some row where the left is NULL and on
+// none where it is TRUE: the interpreted engine raises there, and an AND that
+// evaluated its right side on the left's TRUE rows alone would not.
+func narrowingTrap(c diffCase) bool {
+	x, ok := c.e.(*plan.Bin)
+	if !ok || x.Op != sql.OpAnd {
+		return false
+	}
+	if _, k := x.L.(*plan.Const); k {
+		return false
+	}
+	onNull := false
+	for i := 0; i < c.b.N; i++ {
+		l, err := EvalRow(x.L, c.b.Row(i))
+		if err != nil {
+			return false
+		}
+		if _, err := EvalRow(x.R, c.b.Row(i)); err != nil {
+			if l.Bool() {
+				return false
+			}
+			onNull = onNull || l.Null
+		}
+	}
+	return onNull
 }
 
 // TestFilterSelectAllocationBudget pins the allocations one Filter.Select
 // (or, for the aggregate argument, one Eval) makes per 1024-row batch for
-// the benchmark's expression shapes: two — the vector and its payload — per
-// comparison, arithmetic or LIKE kernel, none for a constant held by value,
-// none for an AND over a left operand it may overwrite, one more for the
-// all-NULL mask a NULL constant makes.
+// the benchmark's expression shapes at steady state: none for a predicate —
+// its temporaries come from a pooled arena and its positions go into the
+// caller's buffer — and two for an Eval, the result vector and its payload.
 func TestFilterSelectAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -642,16 +797,16 @@ func TestFilterSelectAllocationBudget(t *testing.T) {
 		e      plan.Expr
 		budget float64
 	}{
-		{"col < const", cmp(sql.OpLt, i0, icon(10)), 2},
-		{"between", cmp(sql.OpAnd, cmp(sql.OpGe, i0, icon(20)), cmp(sql.OpLe, i0, icon(60))), 4},
-		{"col % k = c", cmp(sql.OpEq, bin(sql.OpMod, i0, icon(7), types.Int64), icon(3)), 4},
-		{"(a + b) % k < c", cmp(sql.OpLt, bin(sql.OpMod, bin(sql.OpAdd, i0, i1, types.Int64), icon(7), types.Int64), icon(3)), 6},
-		{"a AND b % k = c", cmp(sql.OpAnd, cmp(sql.OpLt, i0, icon(10)), cmp(sql.OpEq, bin(sql.OpMod, i1, icon(7), types.Int64), icon(3))), 6},
-		{"like AND col > const", cmp(sql.OpAnd, &plan.Like{E: col(3, types.String), Pattern: "tag1%"}, cmp(sql.OpGt, i1, icon(9))), 4},
-		{"f_price * f_qty", bin(sql.OpMul, f2, &plan.Call{Name: sql.FuncFloat, Args: []plan.Expr{i1}, T: types.Float64}, types.Float64), 4},
-		{"const - col > const", cmp(sql.OpGt, bin(sql.OpSub, icon(100), i0, types.Int64), icon(50)), 4},
-		{"col < NULL", cmp(sql.OpLt, i0, &plan.Const{V: types.NewNull(types.Int64)}), 3},
-		{"const < const", cmp(sql.OpLt, icon(1), icon(2)), 2},
+		{"col < const", cmp(sql.OpLt, i0, icon(10)), 0},
+		{"between", cmp(sql.OpAnd, cmp(sql.OpGe, i0, icon(20)), cmp(sql.OpLe, i0, icon(60))), 0},
+		{"col % k = c", cmp(sql.OpEq, bin(sql.OpMod, i0, icon(7), types.Int64), icon(3)), 0},
+		{"(a + b) % k < c", cmp(sql.OpLt, bin(sql.OpMod, bin(sql.OpAdd, i0, i1, types.Int64), icon(7), types.Int64), icon(3)), 0},
+		{"a AND b % k = c", cmp(sql.OpAnd, cmp(sql.OpLt, i0, icon(10)), cmp(sql.OpEq, bin(sql.OpMod, i1, icon(7), types.Int64), icon(3))), 0},
+		{"like AND col > const", cmp(sql.OpAnd, &plan.Like{E: col(3, types.String), Pattern: "tag1%"}, cmp(sql.OpGt, i1, icon(9))), 0},
+		{"f_price * f_qty", bin(sql.OpMul, f2, &plan.Call{Name: sql.FuncFloat, Args: []plan.Expr{i1}, T: types.Float64}, types.Float64), 2},
+		{"const - col > const", cmp(sql.OpGt, bin(sql.OpSub, icon(100), i0, types.Int64), icon(50)), 0},
+		{"col < NULL", cmp(sql.OpLt, i0, &plan.Const{V: types.NewNull(types.Int64)}), 0},
+		{"const < const", cmp(sql.OpLt, icon(1), icon(2)), 0},
 	}
 	for _, s := range shapes {
 		var run func()

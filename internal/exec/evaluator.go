@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"redshift/internal/plan"
 	"redshift/internal/types"
@@ -27,42 +28,43 @@ func (m Mode) String() string {
 	return "compiled"
 }
 
-// Evaluator evaluates one bound expression over batches in either mode.
+// Evaluator evaluates one bound expression over batches in either mode. It
+// holds nothing an evaluation writes, so one may be shared by goroutines.
 type Evaluator struct {
-	mode Mode
-	expr plan.Expr
-	fn   VecFn // compiled mode only
+	root operand
+	t    types.Type // the result's type
 }
 
 // NewEvaluator prepares an expression for repeated evaluation. In Compiled
-// mode this is where the per-query fixed cost is paid.
+// mode this is where the per-query fixed cost is paid; in Interpreted mode
+// the expression is one node that runs EvalRow on each row it is asked for.
 func NewEvaluator(mode Mode, expr plan.Expr) (*Evaluator, error) {
-	ev := &Evaluator{mode: mode, expr: expr}
+	ev := &Evaluator{t: exprVecType(expr)}
 	if mode == Compiled {
-		fn, err := CompileVec(expr)
-		if err != nil {
+		var err error
+		if ev.root, err = new(compiler).compile(expr); err != nil {
 			return nil, err
 		}
-		ev.fn = fn
+		return ev, nil
+	}
+	ev.root.fn = func(b *Batch, sel []int, a *arena) (*types.Vector, error) {
+		out := a.vec(ev.t, b.N)
+		out.Nulls = a.masks.take(b.N)
+		for _, i := range sel {
+			v, err := EvalRow(expr, b.Row(i))
+			if err != nil {
+				return nil, err
+			}
+			setAt(out, i, v)
+		}
+		return out, nil
 	}
 	return ev, nil
 }
 
-// Eval evaluates the expression over a batch, returning one vector.
-func (ev *Evaluator) Eval(b *Batch) (*types.Vector, error) {
-	if ev.mode == Compiled {
-		return ev.fn(b)
-	}
-	out := types.NewVector(exprVecType(ev.expr), b.N)
-	for i := 0; i < b.N; i++ {
-		v, err := EvalRow(ev.expr, b.Row(i))
-		if err != nil {
-			return nil, err
-		}
-		out.Append(v)
-	}
-	return out, nil
-}
+// Eval evaluates the expression over a batch, returning one vector: a fresh
+// one, or the batch's own column for a bare column reference.
+func (ev *Evaluator) Eval(b *Batch) (*types.Vector, error) { return ev.root.vector(b, ev.t) }
 
 // newEvaluators prepares a list of expressions; a nil expression yields the
 // nil evaluator that evalKeys answers with a nil vector.
@@ -122,21 +124,18 @@ func (f *Filter) Apply(b *Batch) (*Batch, error) {
 // length). all reports that every row passed, in which case the returned
 // selection must not be used — the batch stands as-is. This is the
 // late-materialization entry point: the scan evaluates the filter before
-// deciding which remaining columns to decode.
+// deciding which remaining columns to decode. The predicate evaluates to
+// positions, not to a vector of booleans (NULL counts as false, per WHERE
+// semantics), and its last step writes them straight into sel: a batch whose
+// sel has room for b.N allocates nothing.
 func (f *Filter) Select(b *Batch, sel []int) ([]int, bool, error) {
 	if f.ev == nil || b.N == 0 {
 		return sel, true, nil
 	}
-	v, err := f.ev.Eval(b)
-	if err != nil {
-		return sel, false, err
-	}
-	for i, n := range v.Ints {
-		if n != 0 && !v.IsNull(i) { // NULL counts as false, per WHERE semantics
-			sel = append(sel, i)
-		}
-	}
-	return sel, len(sel) == b.N, nil
+	a := getArena()
+	defer a.release()
+	sel, err := f.ev.root.where(b, a.all(b.N), slices.Grow(sel, b.N), a)
+	return sel, err == nil && len(sel) == b.N, err
 }
 
 // Projector computes output columns from input batches.

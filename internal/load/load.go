@@ -14,6 +14,7 @@
 package load
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -81,8 +82,9 @@ type Chunk struct {
 }
 
 // Run executes COPY table FROM prefix. Rows become one new sorted segment
-// per slice, committed under xid; the phases are recorded under trace.
-func Run(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
+// per slice, committed under xid; the phases are recorded under trace. Once
+// ctx is done no further object is fetched, and Run returns ctx's error.
+func Run(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	store *s3sim.Store, prefix string, opts Options, xid int64, trace *telemetry.Span) (Stats, error) {
 
 	keys := store.List(prefix)
@@ -93,7 +95,7 @@ func Run(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	// Phase 1: parallel parse — one worker per slice, like the paper's
 	// "each slice reading data in parallel".
 	parse := trace.StartChild("parse")
-	objects, bytesRead, err := readObjects(c.NumSlices(), store, keys, def, opts)
+	objects, bytesRead, err := readObjects(ctx, c.NumSlices(), store, keys, def, opts)
 	parse.End()
 	if err != nil {
 		return Stats{}, err

@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -80,7 +81,7 @@ func TestCopyCSVBasic(t *testing.T) {
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "lake/", 500, 4)
 
-	stats, err := Run(c, cat, def, store, "lake/", Options{}, 1, nil)
+	stats, err := Run(context.Background(), c, cat, def, store, "lake/", Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestCopySortsLocallyBySortkey(t *testing.T) {
 		fmt.Fprintf(&b, "%d|%d|a|1.0\n", i, i%10)
 	}
 	store.Put("x/1.csv", []byte(b.String()))
-	if _, err := Run(c, cat, def, store, "x/", Options{}, 1, nil); err != nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "x/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < c.NumSlices(); s++ {
@@ -145,7 +146,7 @@ func TestCopyInterleavedZOrder(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortInterleaved, []int{0, 1})
 	putCSV(t, store, "z/", 1000, 1)
-	if _, err := Run(c, cat, def, store, "z/", Options{}, 1, nil); err != nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "z/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRows(t, c, def.ID); got != 1000 {
@@ -179,7 +180,7 @@ func TestCopyJSON(t *testing.T) {
 {"ts": 2, "USER_ID": 8, "action": null}
 {"ts": 3, "user_id": 9, "action": "buy", "amount": 2}`
 	store.Put("j/1.json", []byte(lines))
-	stats, err := Run(c, cat, def, store, "j/", Options{Format: "JSON"}, 1, nil)
+	stats, err := Run(context.Background(), c, cat, def, store, "j/", Options{Format: "JSON"}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +201,14 @@ func TestCopyGzip(t *testing.T) {
 	w.Write([]byte("1|2|x|0.5\n3|4|y|1.5\n"))
 	w.Close()
 	store.Put("g/1.csv.gz", buf.Bytes())
-	stats, err := Run(c, cat, def, store, "g/", Options{GZip: true}, 1, nil)
+	stats, err := Run(context.Background(), c, cat, def, store, "g/", Options{GZip: true}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rows != 2 {
 		t.Errorf("rows = %d", stats.Rows)
 	}
-	if _, err := Run(c, cat, def, store, "g/", Options{}, 2, nil); err == nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "g/", Options{}, 2, nil); err == nil {
 		t.Error("gzipped object parsed as plain CSV")
 	}
 }
@@ -215,15 +216,15 @@ func TestCopyGzip(t *testing.T) {
 func TestCopyErrors(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortNone, nil)
-	if _, err := Run(c, cat, def, store, "missing/", Options{}, 1, nil); err == nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "missing/", Options{}, 1, nil); err == nil {
 		t.Error("empty prefix accepted")
 	}
 	store.Put("bad/1.csv", []byte("1|2\n")) // wrong arity
-	if _, err := Run(c, cat, def, store, "bad/", Options{}, 1, nil); err == nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "bad/", Options{}, 1, nil); err == nil {
 		t.Error("wrong field count accepted")
 	}
 	store.Put("bad2/1.csv", []byte("xx|2|a|1.0\n")) // bad int
-	if _, err := Run(c, cat, def, store, "bad2/", Options{}, 1, nil); err == nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "bad2/", Options{}, 1, nil); err == nil {
 		t.Error("bad integer accepted")
 	}
 }
@@ -239,7 +240,7 @@ func TestNotNullEnforced(t *testing.T) {
 	}
 	cat.Create(def)
 	store.Put("s/1.csv", []byte("1\n\n2\n")) // empty line skipped; fine
-	if _, err := Run(c, cat, def, store, "s/", Options{}, 1, nil); err != nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "s/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	store.Put("s2/1.csv", []byte("1|\n"))
@@ -254,7 +255,7 @@ func TestNotNullEnforced(t *testing.T) {
 	}
 	cat.Create(def2)
 	store.Put("s3/1.csv", []byte("|5\n"))
-	if _, err := Run(c, cat, def2, store, "s3/", Options{}, 1, nil); err == nil {
+	if _, err := Run(context.Background(), c, cat, def2, store, "s3/", Options{}, 1, nil); err == nil {
 		t.Error("NULL in NOT NULL column accepted")
 	}
 }
@@ -264,7 +265,7 @@ func TestCompUpdateKnob(t *testing.T) {
 	def := eventsTable(t, cat, catalog.SortNone, nil)
 	putCSV(t, store, "a/", 100, 1)
 	off := false
-	stats, err := Run(c, cat, def, store, "a/", Options{CompUpdate: &off}, 1, nil)
+	stats, err := Run(context.Background(), c, cat, def, store, "a/", Options{CompUpdate: &off}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,14 +277,14 @@ func TestCompUpdateKnob(t *testing.T) {
 	}
 	// Second load into non-empty table: default is to keep encodings.
 	putCSV(t, store, "b/", 100, 1)
-	stats2, _ := Run(c, cat, def, store, "b/", Options{}, 2, nil)
+	stats2, _ := Run(context.Background(), c, cat, def, store, "b/", Options{}, 2, nil)
 	if stats2.EncodingsSet {
 		t.Error("non-empty table load re-chose encodings by default")
 	}
 	// Forced on.
 	on := true
 	putCSV(t, store, "cc/", 100, 1)
-	stats3, _ := Run(c, cat, def, store, "cc/", Options{CompUpdate: &on}, 3, nil)
+	stats3, _ := Run(context.Background(), c, cat, def, store, "cc/", Options{CompUpdate: &on}, 3, nil)
 	if !stats3.EncodingsSet {
 		t.Error("COMPUPDATE ON ignored")
 	}
@@ -293,10 +294,10 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "a/", 200, 1)
-	Run(c, cat, def, store, "a/", Options{}, 1, nil)
+	Run(context.Background(), c, cat, def, store, "a/", Options{}, 1, nil)
 	// Second load: rows counted as unsorted (new sorted run).
 	putCSV(t, store, "b/", 100, 1)
-	Run(c, cat, def, store, "b/", Options{}, 2, nil)
+	Run(context.Background(), c, cat, def, store, "b/", Options{}, 2, nil)
 	ts, _ := cat.Stats(def.ID)
 	if ts.Rows != 300 || ts.UnsortedRows != 100 {
 		t.Errorf("stats = rows %d unsorted %d", ts.Rows, ts.UnsortedRows)
@@ -304,7 +305,7 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	// STATUPDATE OFF skips.
 	off := false
 	putCSV(t, store, "cc/", 50, 1)
-	Run(c, cat, def, store, "cc/", Options{StatUpdate: &off}, 3, nil)
+	Run(context.Background(), c, cat, def, store, "cc/", Options{StatUpdate: &off}, 3, nil)
 	ts2, _ := cat.Stats(def.ID)
 	if ts2.Rows != 300 {
 		t.Errorf("STATUPDATE OFF still updated: %d", ts2.Rows)
@@ -348,7 +349,7 @@ func TestLoadDistributionRespectsKey(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortNone, nil)
 	putCSV(t, store, "k/", 400, 2)
-	Run(c, cat, def, store, "k/", Options{}, 1, nil)
+	Run(context.Background(), c, cat, def, store, "k/", Options{}, 1, nil)
 	// Every segment on a slice must contain only user_ids hashing there.
 	for s := 0; s < c.NumSlices(); s++ {
 		for _, seg := range c.VisibleSegments(s, def.ID, 1<<60) {
@@ -456,7 +457,7 @@ func TestCopyCRLF(t *testing.T) {
 	}
 	cat.Create(def)
 	store.Put("crlf/1.csv", []byte("1|ab\r\n2|c\rd\r\n\r\n3|\r\n4|last\r"))
-	if _, err := Run(c, cat, def, store, "crlf/", Options{}, 1, nil); err != nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "crlf/", Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	notes := column(t, c.VisibleSegments(0, def.ID, 1)[0], 1)
@@ -493,7 +494,7 @@ func TestCopyErrorIsLowestObject(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		_, err := Run(c, cat, def, store, "mixed/", Options{}, int64(i+1), nil)
+		_, err := Run(context.Background(), c, cat, def, store, "mixed/", Options{}, int64(i+1), nil)
 		if err == nil || !strings.Contains(err.Error(), "part3.csv: line 20002 column ts") {
 			t.Fatalf("run %d: error = %v, want part3.csv line 20002 column ts", i, err)
 		}
@@ -520,7 +521,7 @@ func TestCopyRecordsPhases(t *testing.T) {
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "p/", 500, 4)
 	trace := telemetry.StartSpan("query")
-	if _, err := Run(c, cat, def, store, "p/", Options{}, 1, trace); err != nil {
+	if _, err := Run(context.Background(), c, cat, def, store, "p/", Options{}, 1, trace); err != nil {
 		t.Fatal(err)
 	}
 	trace.End()

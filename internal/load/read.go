@@ -20,8 +20,10 @@ import (
 // readObjects reads and parses the source objects, workers of them at a
 // time, each into its own Columns. A failed COPY reports the lowest object
 // that failed (and, of that object, the first bad line) whichever worker got
-// there first, and returns once every worker has stopped.
-func readObjects(workers int, store *s3sim.Store, keys []string,
+// there first, and returns once every worker has stopped. A cancelled or
+// timed-out ctx stops the hand-out: an object in flight finishes, no other
+// starts, and ctx's error is returned.
+func readObjects(ctx context.Context, workers int, store *s3sim.Store, keys []string,
 	def *catalog.TableDef, opts Options) ([]Columns, int64, error) {
 
 	objects := make([]Columns, len(keys))
@@ -36,14 +38,17 @@ func readObjects(workers int, store *s3sim.Store, keys []string,
 			defer wg.Done()
 			// Objects are handed out in order: one past a failure cannot
 			// change the error reported, nor can any after it.
-			for idx := next.Add(1) - 1; idx < int64(len(keys)) && idx < failed.Load(); idx = next.Add(1) - 1 {
-				objects[idx], sizes[idx], errs[idx] = readObject(store, keys[idx], def, opts)
+			for idx := next.Add(1) - 1; idx < int64(len(keys)) && idx < failed.Load() && ctx.Err() == nil; idx = next.Add(1) - 1 {
+				objects[idx], sizes[idx], errs[idx] = readObject(ctx, store, keys[idx], def, opts)
 				for f := failed.Load(); errs[idx] != nil && idx < f && !failed.CompareAndSwap(f, idx); f = failed.Load() {
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	if f := failed.Load(); f < int64(len(keys)) {
 		return nil, 0, errs[f]
 	}
@@ -56,11 +61,11 @@ func readObjects(workers int, store *s3sim.Store, keys []string,
 
 // readObject fetches one object and parses its rows; size is what the store
 // served.
-func readObject(store *s3sim.Store, key string, def *catalog.TableDef, opts Options) (cols Columns, size int64, err error) {
-	// Data-lake reads retry with backoff: one flaky GET must not fail a
-	// whole COPY.
+func readObject(ctx context.Context, store *s3sim.Store, key string, def *catalog.TableDef, opts Options) (cols Columns, size int64, err error) {
+	// Data-lake reads retry with backoff, until ctx is done: one flaky GET
+	// must not fail a whole COPY.
 	var data []byte
-	if _, err := faults.DefaultPolicy.Do(context.Background(), func() error {
+	if _, err := faults.DefaultPolicy.Do(ctx, func() error {
 		var gerr error
 		data, gerr = store.Get(key)
 		return gerr

@@ -174,7 +174,7 @@ func BuildPhysical(p *Plan) *Physical {
 			cur = probeEx
 		}
 		jn := node(&PhysNode{Kind: PhysHashJoin, Scan: right, Join: step,
-			EstRows: estJoinRows(p, step, cur.EstRows, buildScan.EstRows),
+			EstRows:  estJoinRows(p, step, cur.EstRows, buildScan.EstRows),
 			Width:    cur.Width + len(right.Def.Columns),
 			Children: []*PhysNode{build, cur}})
 		pj.Probe = jn
