@@ -22,7 +22,9 @@ test: build
 # finish, the wire's serialize report against the query log's ring turning.
 # So do the caches': a hit rewrites its entry's rank under the lock the
 # eviction loop re-files entries under. So does one Filter and one Evaluator
-# shared by four goroutines: every temporary lives in a per-call arena.
+# shared by four goroutines: every temporary lives in a per-call arena. The
+# wire's reply buffers repeat ten: one pool under connections on goroutines of
+# their own, replies small and over the pooled-size bound, errors mixed.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -31,6 +33,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestStageClockWire|TestWireDisconnect' ./internal/wire
 	$(GO) test -race -count=20 -run 'TestBlockCacheConcurrent|TestCache' ./internal/storage
 	$(GO) test -race -count=20 -run 'TestSharedEvaluatorConcurrent' ./internal/exec
+	$(GO) test -race -count=10 -run 'TestReplyPoolConcurrent' ./internal/wire
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
@@ -41,7 +44,9 @@ race:
 # the compiled and interpreted evaluators must agree on, arbitrary bytes
 # into the SQL front end (parse, render, re-parse, plan), and arbitrary
 # bytes into COPY's delimited and JSON readers, which must read what the
-# row-at-a-time readers they replaced read.
+# row-at-a-time readers they replaced read, and results built from arbitrary
+# bytes into the wire's reply encoder, which must write what encoding/json
+# writes.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
@@ -51,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyCSV$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyJSON$$' -fuzztime $(FUZZTIME) ./internal/load
+	$(GO) test -run '^$$' -fuzz '^FuzzReplyEncoding$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

@@ -17,7 +17,7 @@ import (
 //
 // It works a batch at a time in two steps. The first decides the output
 // order over the bound keys alone, a heap of streams yielding a list of runs
-// — consecutive rows of one source batch — of up to BatchSize rows in all.
+// — consecutive rows of one source batch — of up to size rows in all.
 // The second copies the runs column by column, one typed loop per column.
 type mergeStream struct {
 	streams []batchStream
@@ -25,6 +25,7 @@ type mergeStream struct {
 	in      []mergeInput
 	heap    []int // live streams, heap[0] holding the next row
 	inited  bool
+	size    int // rows per output batch: BatchSize, or the leader's whole result
 
 	// One output's decisions: the source batches its runs refer to, and
 	// those among them already exhausted, which the copy still reads.
@@ -46,7 +47,7 @@ type mergeRun struct{ slot, lo, hi int }
 
 // newMergeStream merges streams each already ordered by keys.
 func newMergeStream(streams []batchStream, keys []plan.OrderKey) *mergeStream {
-	return &mergeStream{streams: streams, keys: keys, in: make([]mergeInput, len(streams))}
+	return &mergeStream{streams: streams, keys: keys, in: make([]mergeInput, len(streams)), size: BatchSize}
 }
 
 // advance loads the next non-empty batch of stream i; in[i].b is nil once
@@ -95,7 +96,7 @@ func (m *mergeStream) siftDown(i int) {
 	}
 }
 
-// Next returns the next up to BatchSize rows, or nil at the end.
+// Next returns the next up to size rows, or nil at the end.
 func (m *mergeStream) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -127,12 +128,12 @@ func (m *mergeStream) Next(ctx context.Context) (*Batch, error) {
 	}()
 
 	n := 0
-	for n < BatchSize && len(m.heap) > 0 {
+	for n < m.size && len(m.heap) > 0 {
 		i := m.heap[0]
 		in := &m.in[i]
 		take := 1
 		if len(m.heap) == 1 {
-			take = min(BatchSize-n, in.b.N-in.pos) // nothing left to compare with
+			take = min(m.size-n, in.b.N-in.pos) // nothing left to compare with
 		}
 		if in.slot < 0 {
 			in.slot = len(m.srcs)

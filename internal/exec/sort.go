@@ -2,6 +2,8 @@ package exec
 
 import (
 	"container/heap"
+	"context"
+	"math"
 	"slices"
 
 	"redshift/internal/plan"
@@ -79,15 +81,20 @@ func SortBatch(b *Batch, keys []plan.OrderKey) *Batch {
 }
 
 // sortedTop is TopN(SortBatch(b, keys), limit) with one gather, of the rows
-// that stay. When the limit drops rows they are never sorted: a heap selects
-// the limit that stay, and only those are.
+// that stay. Input that is a few ascending runs — each slice's scan in
+// sort-key order, the leader's replay of one sorted run per slice — is
+// merged, stopping at the limit. Otherwise, when the limit drops rows they
+// are never sorted: a heap selects the limit that stay, and only those are.
 func sortedTop(b *Batch, keys []plan.OrderKey, limit int64) *Batch {
-	if b.N <= 1 || len(keys) == 0 {
+	if b.N <= 1 || len(keys) == 0 || limit == 0 {
 		return TopN(b, limit)
+	}
+	bound := bindKeys(b, keys)
+	if bounds := runBounds(b, bound); bounds != nil {
+		return mergeRuns(b, bounds, keys, limit)
 	}
 	// Position breaks ties, which makes the order total — an unstable sort
 	// and a selection both realize the stable sort.
-	bound := bindKeys(b, keys)
 	order := func(x, y int) int {
 		if c := compareKeys(bound, x, bound, y); c != 0 {
 			return c
@@ -104,7 +111,7 @@ func sortedTop(b *Batch, keys []plan.OrderKey, limit int64) *Batch {
 		kept := &lastFirst{idx: idx[:limit], order: order}
 		heap.Init(kept)
 		for _, r := range idx[limit:] {
-			if limit > 0 && order(r, kept.idx[0]) < 0 {
+			if order(r, kept.idx[0]) < 0 {
 				kept.idx[0] = r
 				heap.Fix(kept, 0)
 			}
@@ -113,6 +120,54 @@ func sortedTop(b *Batch, keys []plan.OrderKey, limit int64) *Batch {
 	}
 	slices.SortFunc(idx, order)
 	return b.Gather(idx)
+}
+
+// maxMergeRuns is the most ascending runs sortedTop merges rather than sorts.
+const maxMergeRuns = 8
+
+// runBounds returns where b's ascending runs under bound begin, then b.N; or
+// nil when there are more than maxMergeRuns or a float key holds a NaN.
+// compareKeys calls NaN equal to everything, so a NaN can join two
+// out-of-order rows into one false run; without one, runs are truly sorted,
+// and merging them with ties to the earlier run is exactly the stable sort.
+func runBounds(b *Batch, bound []sortKey) []int {
+	bounds := []int{0}
+	for i := 1; i < b.N; i++ {
+		if compareKeys(bound, i-1, bound, i) <= 0 {
+			continue
+		}
+		if bounds = append(bounds, i); len(bounds) > maxMergeRuns {
+			return nil
+		}
+	}
+	for _, k := range bound {
+		if slices.ContainsFunc(k.floats, math.IsNaN) {
+			return nil
+		}
+	}
+	return append(bounds, b.N)
+}
+
+// mergeRuns merges b's runs through mergeStream, over views of b's vectors,
+// into one batch of at most limit rows (all of them when limit < 0).
+func mergeRuns(b *Batch, bounds []int, keys []plan.OrderKey, limit int64) *Batch {
+	streams := make([]batchStream, len(bounds)-1)
+	for i := range streams {
+		lo, hi := bounds[i], bounds[i+1]
+		run := &Batch{Cols: make([]*types.Vector, len(b.Cols)), N: hi - lo}
+		for c, v := range b.Cols {
+			if v != nil {
+				run.Cols[c] = v.Slice(lo, hi)
+			}
+		}
+		streams[i] = &memStream{batches: []*Batch{run}}
+	}
+	m := newMergeStream(streams, keys)
+	if m.size = b.N; limit >= 0 && limit < int64(b.N) {
+		m.size = int(limit)
+	}
+	out, _ := m.Next(context.Background()) // views of one batch: no I/O, no width mismatch
+	return out
 }
 
 // lastFirst is a heap of row positions whose top is the one order puts last.

@@ -143,41 +143,39 @@ func (v Value) AsFloat() float64 {
 	return float64(v.I)
 }
 
-// IsZero reports whether v is the zero Value (no type at all), distinct from
-// a typed NULL.
-func (v Value) IsZero() bool { return v.T == Invalid && !v.Null && v.I == 0 && v.F == 0 && v.S == "" }
-
 // String renders the value the way the CLI and test fixtures expect.
 func (v Value) String() string {
+	if v.T == String && !v.Null {
+		return v.S
+	}
+	return string(v.Append(make([]byte, 0, 32)))
+}
+
+// Append appends the value's text — what String returns — to dst. It is the
+// one place a value becomes text: the wire writes result rows through it.
+func (v Value) Append(dst []byte) []byte {
 	if v.Null {
-		return "NULL"
+		return append(dst, "NULL"...)
 	}
 	switch v.T {
 	case Int64:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case Float64:
-		return formatFloat(v.F)
-	case String:
-		return v.S
-	case Bool:
-		if v.I != 0 {
-			return "true"
+		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
+			return strconv.AppendFloat(dst, v.F, 'f', 1, 64)
 		}
-		return "false"
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case String:
+		return append(dst, v.S...)
+	case Bool:
+		return strconv.AppendBool(dst, v.I != 0)
 	case Date:
-		return DaysToDate(v.I).Format("2006-01-02")
+		return DaysToDate(v.I).AppendFormat(dst, "2006-01-02")
 	case Timestamp:
-		return time.UnixMicro(v.I).UTC().Format("2006-01-02 15:04:05.000000")
+		return time.UnixMicro(v.I).UTC().AppendFormat(dst, "2006-01-02 15:04:05.000000")
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
-}
-
-func formatFloat(f float64) string {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', 1, 64)
-	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 // Compare orders two values of the same type. NULLs sort first (before any
@@ -251,24 +249,6 @@ func (s Schema) Ordinal(name string) int {
 		}
 	}
 	return -1
-}
-
-// Types returns the column types in order.
-func (s Schema) Types() []Type {
-	ts := make([]Type, len(s.Columns))
-	for i, c := range s.Columns {
-		ts[i] = c.Type
-	}
-	return ts
-}
-
-// Names returns the column names in order.
-func (s Schema) Names() []string {
-	ns := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		ns[i] = c.Name
-	}
-	return ns
 }
 
 // Row is one tuple of values, aligned with a Schema.

@@ -15,17 +15,23 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"redshift/internal/core"
 	"redshift/internal/faults"
+	"redshift/internal/types"
 )
 
 // Request is one statement from the client.
@@ -127,9 +133,20 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// maxRequestLine caps one request line at Redshift's documented maximum
+// statement size, 16 MB.
+const maxRequestLine = 16 << 20
+
+// request is one line read off a connection: a statement, or bad — why the
+// line is not one, which is answered before the connection closes.
+type request struct {
+	Request
+	bad error
+}
+
 // serve runs one connection. The read side lives on its own goroutine so a
-// disconnect is noticed even while a statement executes: the decoder fails
-// the moment the peer goes away, which cancels ctx and aborts the in-flight
+// disconnect is noticed even while a statement executes: the read fails the
+// moment the peer goes away, which cancels ctx and aborts the in-flight
 // statement at its next batch boundary.
 func (s *Server) serve(conn net.Conn) {
 	sess := s.open()
@@ -143,14 +160,14 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	reqs := make(chan Request)
+	reqs := make(chan request)
 	go func() {
 		defer close(reqs)
-		dec := json.NewDecoder(bufio.NewReader(conn))
+		r := bufio.NewReader(conn)
 		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				cancel() // EOF or bad framing: drop the session, abort in-flight work
+			req, err := readRequest(r)
+			if err != nil {
+				cancel() // EOF or a broken connection: drop the session, abort in-flight work
 				return
 			}
 			select {
@@ -158,59 +175,187 @@ func (s *Server) serve(conn net.Conn) {
 			case <-ctx.Done():
 				return
 			}
+			if req.bad != nil {
+				return
+			}
 		}
 	}()
 
-	enc := json.NewEncoder(conn)
 	for req := range reqs {
-		resp, res, done := s.handle(ctx, sess, req)
-		err := enc.Encode(resp)
-		// The statement finished at done; building and writing its reply is
-		// its stl_query row's serialize stage.
-		res.ReportSerialize(time.Since(done))
-		if err != nil {
-			cancel() // unblocks the reader goroutine
-			return
+		var res *core.Result
+		err, start := req.bad, time.Now()
+		if err == nil {
+			s.handled.Add(1)
+			res, err = sess.ExecuteContext(ctx, req.Query)
+		}
+		done := time.Now()
+		buf := replyPool.Get().(*[]byte)
+		*buf = appendReply((*buf)[:0], res, err, float64(done.Sub(start).Microseconds())/1000)
+		_, werr := conn.Write(*buf)
+		if cap(*buf) <= maxPooledReply {
+			replyPool.Put(buf)
+		}
+		if err == nil {
+			// The statement finished at done; building and writing its reply
+			// is its stl_query row's serialize stage.
+			res.ReportSerialize(time.Since(done))
+		}
+		if werr != nil || req.bad != nil {
+			return // the deferred cancel unblocks the reader goroutine
 		}
 	}
 }
 
-// handle runs one request and builds its reply; it also returns the
-// statement's result (nil on error) and when ExecuteContext returned.
-func (s *Server) handle(ctx context.Context, sess SessionExecutor, req Request) (*Response, *core.Result, time.Time) {
-	s.handled.Add(1)
-	start := time.Now()
-	res, err := sess.ExecuteContext(ctx, req.Query)
-	done := time.Now()
-	resp := &Response{ExecMillis: float64(done.Sub(start).Microseconds()) / 1000}
-	if err != nil {
-		resp.Error = err.Error()
-		resp.Retryable = faults.Retryable(err)
-		return resp, nil, done
-	}
-	resp.Message = res.Message
-	resp.Cached = res.Cached
-	for _, c := range res.Schema.Columns {
-		resp.Columns = append(resp.Columns, c.Name)
-		resp.Types = append(resp.Types, c.Type.String())
-	}
-	for _, row := range res.Rows {
-		line := make([]string, len(row))
-		for i, v := range row {
-			line[i] = v.String()
+// readRequest reads the next non-blank line. One longer than maxRequestLine
+// is read to its end and dropped; it, and a line that is not a Request, come
+// back as req.bad. err is the connection's own: EOF, or a failed read.
+func readRequest(r *bufio.Reader) (request, error) {
+	for {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			line = append([]byte(nil), line...)
+			for err == bufio.ErrBufferFull {
+				var more []byte
+				if more, err = r.ReadSlice('\n'); len(line) <= maxRequestLine {
+					line = append(line, more...)
+				}
+			}
 		}
-		resp.Rows = append(resp.Rows, line)
+		if len(bytes.TrimSpace(line)) > 0 { // a last line may end at EOF
+			var req request
+			if len(line) > maxRequestLine {
+				req.bad = fmt.Errorf("wire: request line longer than %d bytes", maxRequestLine)
+			} else if err := json.Unmarshal(line, &req.Request); err != nil {
+				req.bad = fmt.Errorf("wire: malformed request: %w", err)
+			}
+			return req, nil
+		}
+		if err != nil {
+			return request{}, err
+		}
 	}
-	resp.Stats = &Stats{
-		BlocksRead:    res.Stats.BlocksRead,
-		BlocksSkipped: res.Stats.BlocksSkipped,
-		RowsScanned:   res.Stats.RowsScanned,
-		NetBytes:      res.Stats.NetBytes,
-		QueueMillis:   float64(res.Stats.QueueWait.Microseconds()) / 1e3,
-		PlanMillis:    float64(res.Stats.PlanTime.Microseconds()) / 1e3,
-		Queue:         res.Stats.Queue,
+}
+
+// maxPooledReply bounds the reply buffers the pool keeps. A buffer that a
+// large result grew past it is dropped, as the pooled parser drops a huge
+// token buffer, so one big fetch does not pin its size for the process's life.
+const maxPooledReply = 1 << 20
+
+var replyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendReply appends the line json.Encoder writes for the Response of one
+// statement's outcome — res, or err — that took execMs: Response's fields in
+// order under their omitempty rules, each row value's text written straight
+// from its types.Value. Nothing is reflected and no Response is built.
+func appendReply(b []byte, res *core.Result, err error, execMs float64) []byte {
+	b = append(b, '{')
+	if err != nil {
+		if msg := err.Error(); msg != "" {
+			b = appendString(append(b, `"error":`...), msg)
+		}
+		if faults.Retryable(err) {
+			b = append(sep(b), `"retryable":true`...)
+		}
+		return append(appendFloat(append(sep(b), `"exec_ms":`...), execMs), '}', '\n')
 	}
-	return resp, res, done
+	if cols := res.Schema.Columns; len(cols) > 0 {
+		b = append(b, `"columns":[`...)
+		for _, c := range cols {
+			b = appendString(sep(b), c.Name)
+		}
+		b = append(b, `],"types":[`...)
+		for _, c := range cols {
+			b = appendString(sep(b), c.Type.String())
+		}
+		b = append(b, ']')
+	}
+	if len(res.Rows) > 0 {
+		b = append(sep(b), `"rows":[`...)
+		for _, row := range res.Rows {
+			b = append(sep(b), '[')
+			for _, v := range row {
+				if b = sep(b); v.Null || v.T != types.String && v.T != types.Invalid {
+					b = append(v.Append(append(b, '"')), '"') // digits, signs, dates: nothing to escape
+				} else {
+					b = appendString(b, v.String())
+				}
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	if res.Message != "" {
+		b = appendString(append(sep(b), `"message":`...), res.Message)
+	}
+	if res.Cached {
+		b = append(sep(b), `"cached":true`...)
+	}
+	st := &res.Stats
+	b = appendFloat(append(sep(b), `"exec_ms":`...), execMs)
+	b = strconv.AppendInt(append(b, `,"stats":{"blocks_read":`...), st.BlocksRead, 10)
+	b = strconv.AppendInt(append(b, `,"blocks_skipped":`...), st.BlocksSkipped, 10)
+	b = strconv.AppendInt(append(b, `,"rows_scanned":`...), st.RowsScanned, 10)
+	b = strconv.AppendInt(append(b, `,"net_bytes":`...), st.NetBytes, 10)
+	b = appendFloat(append(b, `,"queue_ms":`...), float64(st.QueueWait.Microseconds())/1e3)
+	b = appendFloat(append(b, `,"plan_ms":`...), float64(st.PlanTime.Microseconds())/1e3)
+	if st.Queue != "" {
+		b = appendString(append(b, `,"queue":`...), st.Queue)
+	}
+	return append(b, '}', '}', '\n')
+}
+
+// sep separates an object member or array element from the one before it.
+func sep(b []byte) []byte {
+	if c := b[len(b)-1]; c != '{' && c != '[' {
+		return append(b, ',')
+	}
+	return b
+}
+
+// appendFloat writes f as encoding/json does: the shortest 'f' form, or 'e'
+// with a one-digit negative exponent unpadded outside [1e-6, 1e21).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString writes s as a JSON string exactly as encoding/json does: <, >
+// and & HTML-escaped, control bytes as \b \f \n \r \t or \u00XX, U+2028 and
+// U+2029 escaped, each byte of invalid UTF-8 as \ufffd.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
+			c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		b = append(b, s[start:i]...)
+		if k := strings.IndexRune("\"\\\b\f\n\r\t", c); k >= 0 {
+			b = append(b, '\\', `"\bfnrt`[k])
+		} else if c == utf8.RuneError {
+			b = append(b, `\ufffd`...)
+		} else {
+			b = append(b, '\\', 'u', hex[c>>12&0xF], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // Handled returns how many requests the server has processed.
