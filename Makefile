@@ -44,9 +44,11 @@ race:
 # the compiled and interpreted evaluators must agree on, arbitrary bytes
 # into the SQL front end (parse, render, re-parse, plan), and arbitrary
 # bytes into COPY's delimited and JSON readers, which must read what the
-# row-at-a-time readers they replaced read, and results built from arbitrary
+# row-at-a-time readers they replaced read, results built from arbitrary
 # bytes into the wire's reply encoder, which must write what encoding/json
-# writes.
+# writes, and arbitrary bytes into the two settings parsers: -wlm-queues specs,
+# which must never split the memory pool outside [0, pool] per slot, and byte
+# sizes, which must land in [0, 2^62] or be "default".
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
@@ -57,6 +59,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyCSV$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyJSON$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzReplyEncoding$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParseQueueSpecs$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseByteSize$$' -fuzztime $(FUZZTIME) ./internal/sql
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

@@ -321,14 +321,13 @@ func TestChaosResizeCrashAtEachPhase(t *testing.T) {
 func TestChaosBurstRouting(t *testing.T) {
 	seed := chaosSeed(t)
 	w := launch(t, Options{
-		Nodes:      2,
-		QuerySlots: 1,
+		Nodes:     2,
+		WLMQueues: []QueueSpec{{Name: "default", Slots: 1}},
 		// No result cache: the battery repeats identical queries, and a
 		// cache hit would answer them without ever queueing on the WLM —
 		// no queue, no pressure, no scale-out to test.
 		ResultCacheBytes: -1,
 		BurstThreshold:   1e-9, // any measurable queue wait triggers scale-out
-		BurstRetireAfter: 200 * time.Millisecond,
 		FaultPlan: &FaultPlan{
 			Seed: seed,
 			Sites: map[string]FaultRule{

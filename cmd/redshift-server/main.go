@@ -51,15 +51,12 @@ func main() {
 	demo := flag.Bool("demo", false, "preload a small demo dataset")
 	interpreted := flag.Bool("interpreted", false, "use the row-at-a-time engine")
 	encrypted := flag.Bool("encrypted", false, "encrypt all at-rest backup data (§3.2)")
-	slots := flag.Int("slots", 0, "WLM query slots (0 = unlimited)")
-	wlmQueues := flag.String("wlm-queues", "", `named WLM queues, e.g. "express=2,short=20000;dash=4,prio=5;etl=2,mem=50%,timeout=60s" (empty = one default queue of -slots)`)
+	wlmQueues := flag.String("wlm-queues", "", `named WLM queues, e.g. "express=2,short=20000;dash=4,prio=5;etl=2,mem=50%,timeout=60s" (empty = one unlimited default queue; "default=4" bounds it to 4 slots)`)
 	wlmMem := flag.String("wlm-mem", "default", `execution-memory pool split across WLM slots, e.g. "512MB" ("default" disables governance)`)
 	planCache := flag.Int("plan-cache", 0, "plan cache entries (0 = default 256, negative disables)")
 	resultCache := flag.String("result-cache-bytes", "default", `result cache budget, e.g. "64MB" ("default" = 32MiB, "off" disables)`)
 	blockCache := flag.String("block-cache-bytes", "default", `decoded-block buffer cache budget, e.g. "256MB" ("default" = 64MiB, "off" disables)`)
-	maxParallel := flag.Int("max-parallel-workers", 0, "morsel workers per slice per query (0 = all cores, negative forces serial)")
-	burstThreshold := flag.Float64("burst-threshold", 0, "concurrency-scaling threshold in slot-cost units (0 disables; queue depth × oldest wait s × slot cost)")
-	burstSlotCost := flag.Float64("burst-slot-cost", 0, "price of one query-second of WLM queue wait (default 1)")
+	burstThreshold := flag.Float64("burst-threshold", 0, "concurrency-scaling threshold in queue-seconds: WLM queue depth × oldest wait in s (0 disables)")
 	metricsAddr := flag.String("metrics", "127.0.0.1:5440", "metrics HTTP address (empty disables)")
 	flag.Parse()
 
@@ -73,19 +70,16 @@ func main() {
 	}
 
 	wh, err := redshift.Launch(redshift.Options{
-		Nodes:              *nodes,
-		SlicesPerNode:      *slices,
-		Interpreted:        *interpreted,
-		Encrypted:          *encrypted,
-		QuerySlots:         *slots,
-		WLMQueues:          queues,
-		WLMSlotMemBytes:    memPool,
-		PlanCacheEntries:   *planCache,
-		ResultCacheBytes:   byteSizeFlag("result-cache-bytes", *resultCache),
-		BlockCacheBytes:    byteSizeFlag("block-cache-bytes", *blockCache),
-		MaxParallelWorkers: *maxParallel,
-		BurstThreshold:     *burstThreshold,
-		BurstSlotCost:      *burstSlotCost,
+		Nodes:            *nodes,
+		SlicesPerNode:    *slices,
+		Interpreted:      *interpreted,
+		Encrypted:        *encrypted,
+		WLMQueues:        queues,
+		WLMSlotMemBytes:  memPool,
+		PlanCacheEntries: *planCache,
+		ResultCacheBytes: byteSizeFlag("result-cache-bytes", *resultCache),
+		BlockCacheBytes:  byteSizeFlag("block-cache-bytes", *blockCache),
+		BurstThreshold:   *burstThreshold,
 	})
 	if err != nil {
 		log.Fatalf("launch: %v", err)

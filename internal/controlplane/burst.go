@@ -20,28 +20,9 @@ import (
 // answered at the routed snapshot version — a query whose tables moved past
 // the snapshot simply stays on the primary.
 
-// BurstPolicy is the cost-aware scale-out policy. A burst cluster is
-// worth hydrating when the queue's aggregate pain — queue depth × oldest
-// wait × the cost of one slot-second — crosses Threshold.
-type BurstPolicy struct {
-	// Threshold in slot-cost units; <= 0 disables concurrency scaling.
-	Threshold float64
-	// SlotCost prices one query-second of queue wait (default 1).
-	SlotCost float64
-	// RetireAfter is how long the queue must stay empty (and no routed
-	// query in flight) before the burst cluster is retired. Default 500ms.
-	RetireAfter time.Duration
-}
-
-func (p BurstPolicy) withDefaults() BurstPolicy {
-	if p.SlotCost <= 0 {
-		p.SlotCost = 1
-	}
-	if p.RetireAfter <= 0 {
-		p.RetireAfter = 500 * time.Millisecond
-	}
-	return p
-}
+// burstRetireAfter is how long the queue must stay empty (and no routed
+// query in flight) before the burst cluster is retired.
+const burstRetireAfter = 500 * time.Millisecond
 
 // HydrateFunc provisions a read-only cluster from a fresh backup of the
 // primary, returning the database, the backup it was restored from, and
@@ -69,10 +50,13 @@ type burstCluster struct {
 // BurstManager owns the concurrency-scaling lifecycle: watch queue
 // pressure, hydrate, route, retire.
 type BurstManager struct {
-	ep      *Endpoint
-	policy  BurstPolicy
-	hydrate HydrateFunc
-	reg     *telemetry.Registry
+	ep *Endpoint
+	// threshold is the queue pain — depth × oldest wait, in queue-seconds —
+	// at which a burst cluster is worth hydrating; <= 0 disables
+	// concurrency scaling.
+	threshold float64
+	hydrate   HydrateFunc
+	reg       *telemetry.Registry
 
 	mu        sync.Mutex
 	cur       *burstCluster
@@ -90,13 +74,13 @@ type BurstManager struct {
 
 // NewBurstManager builds a manager and starts its retirement janitor. Stop
 // must be called to release it. reg may be nil.
-func NewBurstManager(ep *Endpoint, policy BurstPolicy, hydrate HydrateFunc, reg *telemetry.Registry) *BurstManager {
+func NewBurstManager(ep *Endpoint, threshold float64, hydrate HydrateFunc, reg *telemetry.Registry) *BurstManager {
 	m := &BurstManager{
-		ep:      ep,
-		policy:  policy.withDefaults(),
-		hydrate: hydrate,
-		reg:     reg,
-		stop:    make(chan struct{}),
+		ep:        ep,
+		threshold: threshold,
+		hydrate:   hydrate,
+		reg:       reg,
+		stop:      make(chan struct{}),
 	}
 	m.wg.Add(1)
 	go m.janitor()
@@ -154,13 +138,13 @@ func (m *BurstManager) retireLocked(state string) {
 	}
 }
 
-// shouldScale prices the current queue pain against the threshold.
+// shouldScale weighs the current queue pain against the threshold.
 func (m *BurstManager) shouldScale(primary *core.Database) bool {
 	depth, oldest := primary.QueuePressure()
 	if depth == 0 {
 		return false
 	}
-	return float64(depth)*oldest.Seconds()*m.policy.SlotCost >= m.policy.Threshold
+	return float64(depth)*oldest.Seconds() >= m.threshold
 }
 
 // TryRoute offers stmt to the concurrency-scaling tier. It returns
@@ -172,7 +156,7 @@ func (m *BurstManager) shouldScale(primary *core.Database) bool {
 // the query on the primary as if this tier didn't exist. Routing can delay
 // a read, never corrupt or drop it.
 func (m *BurstManager) TryRoute(ctx context.Context, stmt sql.Statement) (*core.Result, bool) {
-	if m == nil || m.policy.Threshold <= 0 {
+	if m == nil || m.threshold <= 0 {
 		return nil, false
 	}
 	norm, tables, ok := core.RoutableSelect(stmt)
@@ -289,14 +273,10 @@ func (m *BurstManager) hydrateNow(primary *core.Database) *burstCluster {
 }
 
 // janitor retires the burst cluster once the primary's queue has stayed
-// empty (and no routed query is in flight) for RetireAfter.
+// empty (and no routed query is in flight) for burstRetireAfter.
 func (m *BurstManager) janitor() {
 	defer m.wg.Done()
-	tick := m.policy.RetireAfter / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(burstRetireAfter / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -307,7 +287,7 @@ func (m *BurstManager) janitor() {
 		depth, _ := m.ep.DB().QueuePressure()
 		m.mu.Lock()
 		idle := m.cur != nil && depth == 0 && m.inflight.Load() == 0 &&
-			time.Since(m.lastBusy) >= m.policy.RetireAfter
+			time.Since(m.lastBusy) >= burstRetireAfter
 		if idle {
 			m.retireLocked("retired")
 		}

@@ -250,7 +250,7 @@ func TestRealResizePreservesDataAndReadability(t *testing.T) {
 	stats, err := ResizeOnline(ep, core.Config{
 		Cluster:   cluster.Config{Nodes: 4, SlicesPerNode: 2, BlockCap: 32},
 		DataStore: s3sim.New(),
-	}, ResizeOptions{})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestResizeDownToFewerNodes(t *testing.T) {
 	if _, err := ResizeOnline(ep, core.Config{
 		Cluster:   cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 32},
 		DataStore: s3sim.New(),
-	}, ResizeOptions{}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := ep.DB().Execute(`SELECT COUNT(*) FROM m`)
@@ -316,7 +316,7 @@ func TestMaintenanceDaemonLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := NewMaintenanceDaemon(sim.Wall{Scale: 1000}, ep, core.DefaultMaintenancePolicy(), time.Second)
+	d := NewMaintenanceDaemon(sim.Wall{Scale: 1000}, ep, time.Second)
 	d.Start()
 	defer d.Stop()
 	deadline := time.Now().Add(5 * time.Second)
@@ -333,7 +333,7 @@ func TestMaintenanceDaemonLoop(t *testing.T) {
 
 func TestMaintenanceDaemonStop(t *testing.T) {
 	src := realDB(t, 1)
-	d := NewMaintenanceDaemon(sim.Wall{Scale: 1000}, NewEndpoint(src), core.DefaultMaintenancePolicy(), time.Second)
+	d := NewMaintenanceDaemon(sim.Wall{Scale: 1000}, NewEndpoint(src), time.Second)
 	d.Start()
 	d.Stop()
 	d.Stop() // idempotent

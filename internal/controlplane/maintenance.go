@@ -15,7 +15,6 @@ import (
 type MaintenanceDaemon struct {
 	clock    sim.Clock
 	endpoint *Endpoint
-	policy   core.MaintenancePolicy
 	interval time.Duration
 
 	mu      sync.Mutex
@@ -26,11 +25,10 @@ type MaintenanceDaemon struct {
 
 // NewMaintenanceDaemon wires a daemon to the endpoint (it follows the
 // endpoint across resizes and restores).
-func NewMaintenanceDaemon(clock sim.Clock, ep *Endpoint, policy core.MaintenancePolicy, interval time.Duration) *MaintenanceDaemon {
+func NewMaintenanceDaemon(clock sim.Clock, ep *Endpoint, interval time.Duration) *MaintenanceDaemon {
 	return &MaintenanceDaemon{
 		clock:    clock,
 		endpoint: ep,
-		policy:   policy,
 		interval: interval,
 		stop:     make(chan struct{}),
 	}
@@ -38,7 +36,7 @@ func NewMaintenanceDaemon(clock sim.Clock, ep *Endpoint, policy core.Maintenance
 
 // RunOnce executes one maintenance pass immediately.
 func (d *MaintenanceDaemon) RunOnce() (core.MaintenanceReport, error) {
-	report, err := d.endpoint.DB().AutoMaintain(d.policy)
+	report, err := d.endpoint.DB().AutoMaintain()
 	if err == nil {
 		d.mu.Lock()
 		d.reports = append(d.reports, report)

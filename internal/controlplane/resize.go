@@ -50,29 +50,10 @@ type ResizeStats struct {
 	CutoverWindow time.Duration
 }
 
-// ResizeOptions tunes the online workflow; the zero value is sane.
-type ResizeOptions struct {
-	// MaxCatchupRounds bounds the incremental copy loop before the
-	// workflow gives up chasing the write backlog and cuts over anyway
-	// (the final delta under quiesce is exact regardless). Default 3.
-	MaxCatchupRounds int
-	// Retry wraps each per-table copy so transient faults (injected or
-	// real) don't abort the whole resize. Zero value = faults.DefaultPolicy.
-	Retry faults.Policy
-	// Finalize runs inside the cutover window, after the final delta copy
-	// and before the endpoint swap — the warehouse hooks it to install the
-	// target's S3 read tier and warm it with a fresh backup, so the first
-	// post-swap page fault never lands on a cold backup store. An error
-	// here aborts the cutover and rolls back to the source.
-	Finalize func(dst *core.Database) error
-}
-
-func (o ResizeOptions) withDefaults() ResizeOptions {
-	if o.MaxCatchupRounds <= 0 {
-		o.MaxCatchupRounds = 3
-	}
-	return o
-}
+// maxCatchupRounds bounds the incremental copy loop before the workflow
+// gives up chasing the write backlog and cuts over anyway (the final delta
+// under quiesce is exact regardless).
+const maxCatchupRounds = 3
 
 // ResizeOnline performs a phased online resize: writes keep flowing during
 // the bulk of the copy and are rejected (retryably) only during the final
@@ -94,8 +75,13 @@ func (o ResizeOptions) withDefaults() ResizeOptions {
 // never observes it. After a successful swap the source stays permanently
 // non-writable (decommissioned) — a stale handle must not accept writes the
 // new cluster will never see.
-func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeStats, error) {
-	opts = opts.withDefaults()
+//
+// finalize (may be nil) runs inside the cutover window, after the final
+// delta copy and before the endpoint swap — the warehouse hooks it to
+// install the target's S3 read tier and warm it with a fresh backup, so the
+// first post-swap page fault never lands on a cold backup store. An error
+// there aborts the cutover and rolls back to the source.
+func ResizeOnline(ep *Endpoint, target core.Config, finalize func(dst *core.Database) error) (ResizeStats, error) {
 	src := ep.DB()
 	inj := src.Faults()
 	reg := target.Metrics
@@ -161,9 +147,10 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 	// BEFORE the snapshot read. Writers bump the version only after
 	// publishing, so a racing write is either visible to the snapshot
 	// (harmlessly re-copied later if the version moved) or caught by a
-	// catch-up round — never silently missed.
+	// catch-up round — never silently missed. Every error is retried as
+	// transient: per-table copies are idempotent replace-style writes.
 	copyOne := func(site, name string) error {
-		return retryCopy(opts.Retry, func() error {
+		_, err := faults.DefaultPolicy.Do(context.Background(), func() error {
 			if err := inj.Hit(site); err != nil {
 				return err
 			}
@@ -194,6 +181,7 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 			copiedMu.Unlock()
 			return nil
 		})
+		return err
 	}
 
 	publish("snapshot-copy")
@@ -228,7 +216,7 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 	}
 
 	publish("catch-up")
-	for round := 0; round < opts.MaxCatchupRounds; round++ {
+	for round := 0; round < maxCatchupRounds; round++ {
 		stale := staleTables()
 		if len(stale) == 0 {
 			break
@@ -264,8 +252,8 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 	// that saw xid N on the source never observes an older snapshot after
 	// the swap.
 	dst.Txns().SetCommitXid(src.Txns().CurrentXid())
-	if opts.Finalize != nil {
-		if err := opts.Finalize(dst); err != nil {
+	if finalize != nil {
+		if err := finalize(dst); err != nil {
 			return fail("cutover", err)
 		}
 	}
@@ -283,11 +271,4 @@ func ResizeOnline(ep *Endpoint, target core.Config, opts ResizeOptions) (ResizeS
 		reg.Counter("resize_tables_moved_total").Add(int64(stats.Tables))
 	}
 	return stats, nil
-}
-
-// retryCopy runs fn under the policy, treating every error as transient
-// (per-table copies are idempotent replace-style writes).
-func retryCopy(p faults.Policy, fn func() error) error {
-	_, err := p.Do(context.Background(), fn)
-	return err
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,8 +194,22 @@ func TestSetStatementOptions(t *testing.T) {
 	if got := db.StatementTimeout(); got != 250*time.Millisecond {
 		t.Errorf("statement_timeout = %v, want 250ms", got)
 	}
-	if _, err := db.Execute(`SET statement_timeout TO -1`); err == nil {
-		t.Error("negative timeout accepted")
+	// The timeout is kept in nanoseconds, so a millisecond count past
+	// MaxInt64/1e6 has no representation: it must be an error — not a
+	// timeout wrapped to a few hundred microseconds, or to a negative value
+	// that disables it. A rejected SET leaves the timeout as it was.
+	max := int64(math.MaxInt64 / int64(time.Millisecond))
+	for _, v := range []string{"-1", "'18446744073710'", strconv.FormatInt(max+1, 10), "9223372036854775807"} {
+		if _, err := db.Execute(`SET statement_timeout TO ` + v); err == nil {
+			t.Errorf("SET statement_timeout TO %s accepted: stored %v", v, db.StatementTimeout())
+		}
+		if got := db.StatementTimeout(); got != 250*time.Millisecond {
+			t.Errorf("rejected SET statement_timeout TO %s changed the timeout to %v", v, got)
+		}
+	}
+	mustExec(t, db, fmt.Sprintf(`SET statement_timeout TO %d`, max))
+	if got, want := db.StatementTimeout(), time.Duration(max)*time.Millisecond; got != want {
+		t.Errorf("statement_timeout = %v, want %v", got, want)
 	}
 	// No fault plan configured: the toggle must say so.
 	if _, err := db.Execute(`SET fault_injection TO on`); err == nil {

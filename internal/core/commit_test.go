@@ -260,12 +260,12 @@ func TestAutoMaintainDefersToReaders(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO b VALUES (%d), (%d)`, 10-i, 20-i))
 	}
 	view := db.beginRead(nil)
-	rep, err := db.AutoMaintain(DefaultMaintenancePolicy())
+	rep, err := db.AutoMaintain()
 	if err != nil || !rep.Deferred || len(rep.Vacuumed) != 0 {
 		t.Errorf("with a reader in flight: report %+v, err %v; want deferred", rep, err)
 	}
 	view.release()
-	rep, err = db.AutoMaintain(DefaultMaintenancePolicy())
+	rep, err = db.AutoMaintain()
 	if err != nil || rep.Deferred || len(rep.Vacuumed) != 1 {
 		t.Errorf("idle: report %+v, err %v; want b vacuumed", rep, err)
 	}

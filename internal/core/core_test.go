@@ -518,7 +518,7 @@ func TestAutoMaintainVacuumsDegradedTables(t *testing.T) {
 	if stats.UnsortedRows == 0 {
 		t.Fatal("inserts should count as unsorted")
 	}
-	report, err := db.AutoMaintain(DefaultMaintenancePolicy())
+	report, err := db.AutoMaintain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +540,7 @@ func TestAutoMaintainVacuumsDegradedTables(t *testing.T) {
 		t.Errorf("rows after auto-vacuum = %v", res.Rows[0][0])
 	}
 	// A second pass has nothing to do.
-	report, err = db.AutoMaintain(DefaultMaintenancePolicy())
+	report, err = db.AutoMaintain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestAutoMaintainDefersUnderLoad(t *testing.T) {
 	db := openDB(t, exec.Compiled)
 	seedSales(t, db)
 	tx := db.Txns().Begin()
-	report, err := db.AutoMaintain(DefaultMaintenancePolicy())
+	report, err := db.AutoMaintain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestAutoMaintainDefersUnderLoad(t *testing.T) {
 		t.Error("maintenance should defer while transactions are active")
 	}
 	db.Txns().Abort(tx)
-	report, _ = db.AutoMaintain(DefaultMaintenancePolicy())
+	report, _ = db.AutoMaintain()
 	if report.Deferred {
 		t.Error("maintenance still deferred after load cleared")
 	}
@@ -577,7 +577,7 @@ func TestAutoMaintainAnalyzesStatlessTables(t *testing.T) {
 	if stats.Rows != 0 {
 		t.Fatal("precondition: stats should be empty")
 	}
-	report, err := db.AutoMaintain(DefaultMaintenancePolicy())
+	report, err := db.AutoMaintain()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,12 +42,9 @@ type Config struct {
 	// DataStore is the object store COPY reads from (the "data lake").
 	// Optional; COPY fails without it.
 	DataStore *s3sim.Store
-	// QuerySlots bounds concurrent SELECTs (the WLM queue); 0 means
-	// unlimited. Ignored when WLMQueues is set.
-	QuerySlots int
 	// WLMQueues configures named WLM queues (slots, memory shares,
 	// priorities, a short-query fast lane, wait timeouts). Empty means one
-	// default queue of QuerySlots.
+	// unlimited default queue.
 	WLMQueues []QueueSpec
 	// Metrics is the shared telemetry registry; a private one is created
 	// when nil, so emission code never nil-checks. Passing one in lets the
@@ -62,10 +58,6 @@ type Config struct {
 	// Faults is the fault injector threaded through the storage, cluster
 	// and exchange paths; nil leaves every site inert.
 	Faults *faults.Injector
-	// StatementTimeout bounds every data-plane statement's wall-clock time —
-	// reads and writes alike; 0 disables.
-	// SET statement_timeout overrides it at runtime.
-	StatementTimeout time.Duration
 	// WLMSlotMemBytes is the execution-memory pool divided evenly across
 	// WLM slots; each SELECT gets pool/slots as its grant and spills to
 	// disk beyond it. 0 disables memory governance. SET work_mem overrides
@@ -81,10 +73,6 @@ type Config struct {
 	// ResultCacheBytes budgets the shared result cache. 0 means the
 	// default (32 MiB); negative disables result caching.
 	ResultCacheBytes int64
-	// MaxParallelWorkers caps the intra-slice morsel parallelism of a
-	// single query. 0 means runtime.GOMAXPROCS(0); negative forces serial
-	// execution (dop=1). SET max_parallel_workers overrides per session.
-	MaxParallelWorkers int
 }
 
 // Database is one warehouse cluster's SQL engine.
@@ -233,11 +221,7 @@ func Open(cfg Config) (*Database, error) {
 	cl.SetMetrics(cfg.Metrics)
 	cl.SetFaults(cfg.Faults)
 	cfg.Faults.SetMetrics(cfg.Metrics)
-	specs := cfg.WLMQueues
-	if len(specs) == 0 {
-		specs = []QueueSpec{{Name: DefaultQueueName, Slots: cfg.QuerySlots}}
-	}
-	wlm, err := NewWLMQueues(specs, cfg.WLMSlotMemBytes, cfg.Metrics)
+	wlm, err := NewWLMQueues(cfg.WLMQueues, cfg.WLMSlotMemBytes, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -347,19 +331,6 @@ func (r *stmtRun) attachExec(par *exec.FanoutStats) {
 	r.db.qmu.Unlock()
 }
 
-// maxParallelWorkers resolves the configured intra-slice DOP cap: 0 means
-// every available core, negative means serial.
-func (db *Database) maxParallelWorkers() int {
-	n := db.cfg.MaxParallelWorkers
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // BlockCache exposes the decoded-block buffer cache (nil when disabled).
 func (db *Database) BlockCache() *storage.BlockCache { return db.cache }
 
@@ -383,9 +354,6 @@ func (db *Database) Mode() exec.Mode { return db.cfg.Mode }
 
 // DataStore returns the object store COPY reads from (nil when unset).
 func (db *Database) DataStore() *s3sim.Store { return db.cfg.DataStore }
-
-// WLMStats snapshots the workload manager's aggregate counters.
-func (db *Database) WLMStats() WLMStats { return db.wlm.Stats() }
 
 // WLMQueueStats snapshots every WLM queue's configuration and counters.
 func (db *Database) WLMQueueStats() []WLMQueueStats { return db.wlm.QueueStats() }

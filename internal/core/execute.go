@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,7 @@ func (q *queryRun) numSlices() int {
 }
 
 // chooseDOP picks how many workers the query's table-scan pipelines run
-// with, from the cost estimates, the configured cap and the memory grant.
+// with, from the cost estimates, the core count and the memory grant.
 // A session's SET max_parallel_workers override forces it outright (the
 // twin batteries pin it on arbitrarily small tables).
 func (q *queryRun) chooseDOP() int {
@@ -143,14 +144,10 @@ func (q *queryRun) chooseDOP() int {
 	if q.reqDOP >= 1 {
 		return int(q.reqDOP)
 	}
-	max := q.db.maxParallelWorkers()
-	if max <= 1 {
+	dop := runtime.GOMAXPROCS(0)
+	if dop <= 1 || q.ph.Base.EstRows < parallelRowsThreshold {
 		return 1
 	}
-	if q.ph.Base.EstRows < parallelRowsThreshold {
-		return 1
-	}
-	dop := max
 	if q.mem != nil {
 		if grant := q.mem.Limit(); grant > 0 {
 			if byMem := int(grant / parallelWorkerMinBytes); byMem < dop {

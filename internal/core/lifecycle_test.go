@@ -67,7 +67,7 @@ func TestResultCacheHitZeroExecution(t *testing.T) {
 	if cold.Cached {
 		t.Fatal("cold run claims to be cached")
 	}
-	wlmBefore := db.WLMStats().TotalQueries
+	wlmBefore := defaultQueueStats(t, db).TotalRun
 	warm := mustExec(t, db, q)
 	if !warm.Cached {
 		t.Fatal("repeat run missed the result cache")
@@ -77,7 +77,7 @@ func TestResultCacheHitZeroExecution(t *testing.T) {
 	if warm.Stats.BlocksRead != 0 || warm.Stats.RowsScanned != 0 {
 		t.Errorf("cache hit touched storage: %+v", warm.Stats)
 	}
-	if got := db.WLMStats().TotalQueries; got != wlmBefore {
+	if got := defaultQueueStats(t, db).TotalRun; got != wlmBefore {
 		t.Errorf("cache hit acquired a WLM slot: %d -> %d", wlmBefore, got)
 	}
 	if fmt.Sprint(cold.Rows) != fmt.Sprint(warm.Rows) {

@@ -19,40 +19,26 @@ type MaintenanceReport struct {
 	Deferred bool
 }
 
-// MaintenancePolicy tunes the self-correction thresholds.
-type MaintenancePolicy struct {
-	// UnsortedFraction triggers VACUUM when unsorted rows exceed this
-	// share of the table (default 0.1).
-	UnsortedFraction float64
-	// MaxRunsPerSlice triggers VACUUM when any slice holds more sorted
-	// runs than this (default 4) — many small runs degrade zone-map
-	// pruning even when each is individually sorted.
-	MaxRunsPerSlice int
-	// OnlyWhenIdle defers the pass while any writer or reader is in flight
-	// (both hold a registered transaction for as long as they run).
-	OnlyWhenIdle bool
-}
-
-// DefaultMaintenancePolicy returns the paper-shaped defaults.
-func DefaultMaintenancePolicy() MaintenancePolicy {
-	return MaintenancePolicy{UnsortedFraction: 0.1, MaxRunsPerSlice: 4, OnlyWhenIdle: true}
-}
+// Auto-maintenance thresholds: VACUUM a table when unsorted rows exceed
+// maintainUnsortedFraction of it, or when any slice holds more than
+// maintainMaxRunsPerSlice sorted runs — many small runs degrade zone-map
+// pruning even when each is individually sorted.
+const (
+	maintainUnsortedFraction = 0.1
+	maintainMaxRunsPerSlice  = 4
+)
 
 // AutoMaintain is §3.2's future-work made real: it inspects every table's
 // statistics and physical layout, VACUUMs tables whose access performance
 // is degrading (unsorted fraction or run count over threshold), and
-// refreshes missing statistics — no user-initiated administration.
-func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, error) {
+// refreshes missing statistics — no user-initiated administration. The
+// pass defers while any writer or reader is in flight (both hold a
+// registered transaction for as long as they run).
+func (db *Database) AutoMaintain() (MaintenanceReport, error) {
 	var report MaintenanceReport
-	if policy.OnlyWhenIdle && db.txm.ActiveCount() > 0 {
+	if db.txm.ActiveCount() > 0 {
 		report.Deferred = true
 		return report, nil
-	}
-	if policy.UnsortedFraction <= 0 {
-		policy.UnsortedFraction = 0.1
-	}
-	if policy.MaxRunsPerSlice <= 0 {
-		policy.MaxRunsPerSlice = 4
 	}
 	ctx, run := context.Background(), db.offStatement()
 	for _, def := range db.cat.List() {
@@ -60,8 +46,8 @@ func (db *Database) AutoMaintain(policy MaintenancePolicy) (MaintenanceReport, e
 		if err != nil {
 			return report, err
 		}
-		unsorted := stats.Rows > 0 && float64(stats.UnsortedRows)/float64(stats.Rows) > policy.UnsortedFraction
-		if unsorted || db.maxRunsPerSlice(def.ID) > policy.MaxRunsPerSlice {
+		unsorted := stats.Rows > 0 && float64(stats.UnsortedRows)/float64(stats.Rows) > maintainUnsortedFraction
+		if unsorted || db.maxRunsPerSlice(def.ID) > maintainMaxRunsPerSlice {
 			if err := db.vacuumTable(ctx, run, def.Name); err != nil {
 				return report, fmt.Errorf("core: auto-vacuum %s: %w", def.Name, err)
 			}

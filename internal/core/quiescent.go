@@ -18,9 +18,10 @@ func (db *Database) Quiescent() error {
 			held = append(held, fmt.Errorf("%s = %d", what, n))
 		}
 	}
-	w := db.wlm.Stats()
-	hold(int64(w.Active), "wlm slots held")
-	hold(int64(w.Queued), "wlm queue entries")
+	for _, q := range db.wlm.QueueStats() {
+		hold(int64(q.Active), "wlm slots held in queue "+q.Name)
+		hold(int64(q.Queued), "wlm queue entries in queue "+q.Name)
+	}
 	hold(int64(len(db.runningQueries())), "running queries")
 	hold(int64(db.txm.ActiveCount()), "active transactions and read views")
 	hold(db.metrics.Gauge("exec_mem_bytes").Value(), "exec_mem_bytes")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,10 +60,11 @@ type preparedStmt struct {
 	norm string
 }
 
-// NewSession opens a session; settings start from the database config.
+// NewSession opens a session with every setting at its default: no
+// statement_timeout, work_mem and max_parallel_workers deferring to the
+// WLM grant and the core count.
 func (db *Database) NewSession() *Session {
 	s := &Session{db: db, prepared: map[string]*preparedStmt{}}
-	s.stmtTimeout.Store(int64(db.cfg.StatementTimeout))
 	s.workMem.Store(-1)
 	s.maxParallel.Store(-1)
 	return s
@@ -234,9 +236,10 @@ func (s *Session) runDeallocate(st *sql.Deallocate) (*Result, error) {
 func (s *Session) runSet(st *sql.Set) (*Result, error) {
 	switch st.Name {
 	case "statement_timeout":
+		const maxMs = math.MaxInt64 / int64(time.Millisecond) // the most a Duration holds
 		ms, err := strconv.ParseInt(st.Value, 10, 64)
-		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("core: statement_timeout wants milliseconds >= 0, got %q", st.Value)
+		if err != nil || ms < 0 || ms > maxMs {
+			return nil, fmt.Errorf("core: statement_timeout wants milliseconds in [0, %d], got %q", maxMs, st.Value)
 		}
 		s.stmtTimeout.Store(ms * int64(time.Millisecond))
 		return &Result{Message: "SET"}, nil

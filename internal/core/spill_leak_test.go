@@ -23,7 +23,7 @@ func openSpillDB(t *testing.T, grant int64, dir string, perRead time.Duration) *
 		Mode:            exec.Compiled,
 		DataStore:       s3sim.New(),
 		BlockCacheBytes: -1,
-		QuerySlots:      1,
+		WLMQueues:       []QueueSpec{{Name: DefaultQueueName, Slots: 1}},
 		WLMSlotMemBytes: grant,
 		SpillDir:        dir,
 	}

@@ -108,11 +108,7 @@ type WLM struct {
 	byName  map[string]*wlmQueue
 	def     *wlmQueue // routing fallback
 	express *wlmQueue // fast lane, nil when none configured
-
-	// Aggregates across every queue.
-	activeTotal int
-	queuedTotal int
-	mWait       *telemetry.Histogram
+	mWait   *telemetry.Histogram
 }
 
 // DefaultQueueName is the queue unrouted queries land in.
@@ -137,7 +133,7 @@ func NewWLMQueues(specs []QueueSpec, memPool int64, reg *telemetry.Registry) (*W
 		if _, dup := w.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("core: duplicate WLM queue %q", spec.Name)
 		}
-		if spec.MemFraction < 0 || spec.MemFraction > 1 {
+		if !(spec.MemFraction >= 0 && spec.MemFraction <= 1) { // NaN fails both
 			return nil, fmt.Errorf("core: WLM queue %q: MemFraction %v outside [0,1]", spec.Name, spec.MemFraction)
 		}
 		q := &wlmQueue{spec: spec}
@@ -171,14 +167,17 @@ func (w *WLM) exportGauges(reg *telemetry.Registry) {
 			return f()
 		}
 	}
-	reg.GaugeFunc("wlm_active", read(func() int64 { return int64(w.activeTotal) }))
-	reg.GaugeFunc("wlm_queued", read(func() int64 { return int64(w.queuedTotal) }))
-	reg.GaugeFunc("wlm_queries_total", read(func() (n int64) {
-		for _, q := range w.queues {
-			n += q.totalRun
-		}
-		return n
-	}))
+	sum := func(f func(q *wlmQueue) int64) func() int64 {
+		return read(func() (n int64) {
+			for _, q := range w.queues {
+				n += f(q)
+			}
+			return n
+		})
+	}
+	reg.GaugeFunc("wlm_active", sum(func(q *wlmQueue) int64 { return int64(q.active) }))
+	reg.GaugeFunc("wlm_queued", sum(func(q *wlmQueue) int64 { return int64(q.queued) }))
+	reg.GaugeFunc("wlm_queries_total", sum(func(q *wlmQueue) int64 { return q.totalRun }))
 	for _, q := range w.queues {
 		name := "wlm_queue_" + q.spec.Name + "_"
 		reg.GaugeFunc(name+"active", read(func() int64 { return int64(q.active) }))
@@ -196,26 +195,27 @@ func splitMemPool(queues []*wlmQueue, pool int64) error {
 	if pool <= 0 {
 		return nil
 	}
-	var explicit float64
-	var implicitSlots int
+	// Slot counts are summed as floats: a few huge ones must not wrap.
+	var explicit, implicitSlots float64
 	for _, q := range queues {
 		if q.spec.MemFraction > 0 {
 			explicit += q.spec.MemFraction
 		} else {
-			implicitSlots += max(q.spec.Slots, 1)
+			implicitSlots += float64(max(q.spec.Slots, 1))
 		}
 	}
 	if explicit > 1.0000001 {
 		return fmt.Errorf("core: WLM queue memory fractions sum to %.3f > 1", explicit)
 	}
-	leftover := 1 - explicit
+	// The tolerance above must not hand the implicit queues a negative share.
+	leftover := max(1-explicit, 0)
 	for _, q := range queues {
 		frac := q.spec.MemFraction
 		if frac == 0 {
 			if implicitSlots == 0 {
 				continue
 			}
-			frac = leftover * float64(max(q.spec.Slots, 1)) / float64(implicitSlots)
+			frac = leftover * float64(max(q.spec.Slots, 1)) / implicitSlots
 		}
 		budget := int64(float64(pool) * frac)
 		if q.spec.Slots > 0 {
@@ -323,7 +323,6 @@ func (w *WLM) AcquireQueueCtx(ctx context.Context, name string) (*WLMTicket, err
 	wt := &wlmWaiter{ready: make(chan struct{}), enq: time.Now()}
 	wt.el = q.waiters.PushBack(wt)
 	q.queued++
-	w.queuedTotal++
 	if q.queued > q.peakQueued {
 		q.peakQueued = q.queued
 	}
@@ -372,7 +371,6 @@ func (w *WLM) abandonWait(q *wlmQueue, wt *wlmWaiter, timeout bool) bool {
 	}
 	q.waiters.Remove(wt.el)
 	q.queued--
-	w.queuedTotal--
 	q.evictions++
 	if timeout {
 		q.timeouts++
@@ -392,7 +390,6 @@ func (w *WLM) ReleaseTicket(t *WLMTicket) {
 func (w *WLM) admitLocked(q *wlmQueue) {
 	q.active++
 	q.totalRun++
-	w.activeTotal++
 	if q.active > q.peakActive {
 		q.peakActive = q.active
 	}
@@ -403,7 +400,6 @@ func (w *WLM) admitLocked(q *wlmQueue) {
 // as queued.
 func (w *WLM) releaseLocked(q *wlmQueue) {
 	q.active--
-	w.activeTotal--
 	if q.spec.Slots <= 0 || q.active >= q.spec.Slots {
 		return
 	}
@@ -416,7 +412,6 @@ func (w *WLM) releaseLocked(q *wlmQueue) {
 	wt.admitted = true
 	wt.wait = time.Since(wt.enq)
 	q.queued--
-	w.queuedTotal--
 	q.totalWait += wt.wait
 	q.mWait.Observe(wt.wait.Seconds())
 	w.mWait.Observe(wt.wait.Seconds())
@@ -429,7 +424,7 @@ func (w *WLM) releaseLocked(q *wlmQueue) {
 // oldest-wait come from one consistent snapshot under the admission lock:
 // a query is counted (and its wait measured) only while it is actually
 // blocked, never in a post-admission window — the concurrency-scaling
-// policy prices this signal (depth × wait × slot cost) against hydrating
+// policy weighs this signal (depth × wait) against hydrating
 // a burst cluster, so a stale oldest-wait would hydrate clusters for
 // queues that already drained.
 func (w *WLM) QueuePressure() (depth int, oldestWait time.Duration) {
@@ -445,34 +440,6 @@ func (w *WLM) QueuePressure() (depth int, oldestWait time.Duration) {
 		}
 	}
 	return depth, oldestWait
-}
-
-// WLMStats is an aggregate snapshot across every queue (the legacy
-// single-queue shape).
-type WLMStats struct {
-	Active        int
-	PeakActive    int
-	Queued        int
-	PeakQueued    int
-	TotalQueries  int64
-	TotalWaitTime time.Duration
-}
-
-// Stats snapshots the aggregate counters. PeakActive/PeakQueued are sums
-// of per-queue peaks (an upper bound on the true concurrent peak).
-func (w *WLM) Stats() WLMStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var s WLMStats
-	s.Active = w.activeTotal
-	s.Queued = w.queuedTotal
-	for _, q := range w.queues {
-		s.PeakActive += q.peakActive
-		s.PeakQueued += q.peakQueued
-		s.TotalQueries += q.totalRun
-		s.TotalWaitTime += q.totalWait
-	}
-	return s
 }
 
 // WLMQueueStats is one queue's configuration and counters.
@@ -559,7 +526,7 @@ func ParseQueueSpecs(s string) ([]QueueSpec, error) {
 			switch strings.ToLower(k) {
 			case "mem":
 				pct, err := strconv.ParseFloat(strings.TrimSuffix(v, "%"), 64)
-				if err != nil || pct < 0 || pct > 100 {
+				if err != nil || !(pct >= 0 && pct <= 100) {
 					return nil, fmt.Errorf("core: queue %q: bad mem share %q", spec.Name, v)
 				}
 				spec.MemFraction = pct / 100

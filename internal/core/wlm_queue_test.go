@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -140,8 +144,10 @@ func TestWLMNoCrossQueueLeakage(t *testing.T) {
 		db.wlm.ReleaseTicket(tk)
 	}
 	wg.Wait()
-	if s := db.WLMStats(); s.Active != 0 || s.Queued != 0 {
-		t.Errorf("counters not drained: %+v", s)
+	for _, s := range db.WLMQueueStats() {
+		if s.Active != 0 || s.Queued != 0 {
+			t.Errorf("counters not drained: %+v", s)
+		}
 	}
 }
 
@@ -184,6 +190,16 @@ func TestWLMMemorySplit(t *testing.T) {
 		{Name: "b", Slots: 1, MemFraction: 0.6},
 	}, pool, telemetry.NewRegistry()); err == nil {
 		t.Error("over-committed memory fractions were accepted")
+	}
+	// So is a NaN share, which passes both halves of a "< 0 || > 1" check:
+	// accepted, it split the pool into a negative grant, which the memory
+	// tracker reads as "ungoverned".
+	if _, err := Open(Config{
+		Cluster:         cluster.Config{Nodes: 1, SlicesPerNode: 1},
+		WLMQueues:       []QueueSpec{{Name: "etl", Slots: 2, MemFraction: math.NaN()}, {Name: "default", Slots: 2}},
+		WLMSlotMemBytes: pool,
+	}); err == nil {
+		t.Error("Open accepted a NaN memory fraction")
 	}
 }
 
@@ -451,7 +467,7 @@ func TestWLMParseQueueSpecs(t *testing.T) {
 			t.Errorf("spec[%d] = %+v, want %+v", i, specs[i], want[i])
 		}
 	}
-	for _, bad := range []string{"q", "q=x", "q=1,mem=150%", "q=1,short=-5", "q=1,weird=2"} {
+	for _, bad := range []string{"q", "q=x", "q=1,mem=150%", "q=1,short=-5", "q=1,weird=2", "q=1,mem=NaN%"} {
 		if _, err := ParseQueueSpecs(bad); err == nil {
 			t.Errorf("ParseQueueSpecs(%q) accepted", bad)
 		}
@@ -524,7 +540,7 @@ func TestWLMQueueSystemTables(t *testing.T) {
 func TestWLMGaugesFollowTheExportingDatabase(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	open := func() *Database {
-		db, err := Open(Config{Cluster: cluster.Config{Nodes: 1, SlicesPerNode: 2}, Metrics: reg, QuerySlots: 2})
+		db, err := Open(Config{Cluster: cluster.Config{Nodes: 1, SlicesPerNode: 2}, Metrics: reg, WLMQueues: []QueueSpec{{Name: DefaultQueueName, Slots: 2}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -557,5 +573,77 @@ func TestWLMGaugesFollowTheExportingDatabase(t *testing.T) {
 		if !strings.Contains(out, "\n"+name) {
 			t.Errorf("/metrics renders no %s", name)
 		}
+	}
+}
+
+// TestWLMGaugesRenderTheQueues pins every wlm_ gauge /metrics renders — the
+// three aggregates and each queue's four — name for name and value for
+// value, with a slot held in every queue, a query queued and one evicted by
+// its queue's wait timeout. The aggregates are sums over the queues' own
+// books, taken when /metrics is rendered.
+func TestWLMGaugesRenderTheQueues(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	w, err := NewWLMQueues([]QueueSpec{
+		{Name: "express", Slots: 1, MaxEstRows: 100},
+		{Name: "etl", Slots: 1, Timeout: time.Millisecond},
+		{Name: DefaultQueueName, Slots: 1},
+	}, 0, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.exportGauges(reg)
+	ctx := context.Background()
+	acquire := func(queue string) *WLMTicket {
+		t.Helper()
+		tk, err := w.AcquireQueueCtx(ctx, queue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	w.ReleaseTicket(acquire("express"))
+	defer w.ReleaseTicket(acquire("express"))
+	defer w.ReleaseTicket(acquire("etl"))
+	if _, err := w.AcquireQueueCtx(ctx, "etl"); !IsQueueTimeout(err) {
+		t.Fatalf("waiter on a held etl slot: err = %v, want a queue timeout", err)
+	}
+	defer w.ReleaseTicket(acquire(DefaultQueueName))
+	waitCtx, cancel := context.WithCancel(ctx)
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.AcquireQueueCtx(waitCtx, "")
+		done <- err
+	}()
+	for depth, _ := w.QueuePressure(); depth == 0; depth, _ = w.QueuePressure() {
+		time.Sleep(time.Millisecond)
+	}
+
+	want := map[string]int64{
+		"wlm_active": 3, "wlm_queued": 1, "wlm_queries_total": 4,
+		"wlm_queue_express_active": 1, "wlm_queue_express_queued": 0,
+		"wlm_queue_express_queries_total": 2, "wlm_queue_express_timeouts_total": 0,
+		"wlm_queue_etl_active": 1, "wlm_queue_etl_queued": 0,
+		"wlm_queue_etl_queries_total": 1, "wlm_queue_etl_timeouts_total": 1,
+		"wlm_queue_default_active": 1, "wlm_queue_default_queued": 1,
+		"wlm_queue_default_queries_total": 1, "wlm_queue_default_timeouts_total": 0,
+	}
+	got := map[string]int64{}
+	for _, line := range strings.Split(reg.Render(), "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "wlm_") || strings.Contains(name, "wait_seconds") {
+			continue
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		got[name] = n
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("wlm gauges:\n got %v\nwant %v", got, want)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled waiter: err = %v", err)
 	}
 }

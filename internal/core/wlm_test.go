@@ -13,9 +13,9 @@ import (
 
 func TestWLMLimitsConcurrency(t *testing.T) {
 	db, err := Open(Config{
-		Cluster:    cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 64},
-		DataStore:  s3sim.New(),
-		QuerySlots: 2,
+		Cluster:   cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 64},
+		DataStore: s3sim.New(),
+		WLMQueues: []QueueSpec{{Name: DefaultQueueName, Slots: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,12 +36,12 @@ func TestWLMLimitsConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stats := db.WLMStats()
+	stats := defaultQueueStats(t, db)
 	if stats.PeakActive > 2 {
 		t.Errorf("peak concurrent queries = %d, slots = 2", stats.PeakActive)
 	}
-	if stats.TotalQueries < 16 {
-		t.Errorf("total queries = %d", stats.TotalQueries)
+	if stats.TotalRun < 16 {
+		t.Errorf("total queries = %d", stats.TotalRun)
 	}
 	if stats.Active != 0 || stats.Queued != 0 {
 		t.Errorf("counters not drained: %+v", stats)
@@ -50,9 +50,9 @@ func TestWLMLimitsConcurrency(t *testing.T) {
 
 func TestWLMQueueWaitReported(t *testing.T) {
 	db, err := Open(Config{
-		Cluster:    cluster.Config{Nodes: 1, SlicesPerNode: 1, BlockCap: 64},
-		DataStore:  s3sim.New(),
-		QuerySlots: 1,
+		Cluster:   cluster.Config{Nodes: 1, SlicesPerNode: 1, BlockCap: 64},
+		DataStore: s3sim.New(),
+		WLMQueues: []QueueSpec{{Name: DefaultQueueName, Slots: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,20 +101,20 @@ func TestWLMUnlimitedByDefault(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	stats := db.WLMStats()
-	if stats.TotalQueries != 8 {
-		t.Errorf("total = %d", stats.TotalQueries)
+	stats := defaultQueueStats(t, db)
+	if stats.TotalRun != 8 {
+		t.Errorf("total = %d", stats.TotalRun)
 	}
-	if stats.TotalWaitTime != 0 {
-		t.Errorf("unlimited WLM accumulated wait %v", stats.TotalWaitTime)
+	if stats.TotalWait != 0 {
+		t.Errorf("unlimited WLM accumulated wait %v", stats.TotalWait)
 	}
 }
 
 func TestWLMAdminStatementsBypassQueue(t *testing.T) {
 	db, err := Open(Config{
-		Cluster:    cluster.Config{Nodes: 1, SlicesPerNode: 1, BlockCap: 64},
-		DataStore:  s3sim.New(),
-		QuerySlots: 1,
+		Cluster:   cluster.Config{Nodes: 1, SlicesPerNode: 1, BlockCap: 64},
+		DataStore: s3sim.New(),
+		WLMQueues: []QueueSpec{{Name: DefaultQueueName, Slots: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,4 +137,16 @@ func TestWLMAdminStatementsBypassQueue(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("admin statements blocked behind the WLM queue")
 	}
+}
+
+// defaultQueueStats is the default queue's row of the WLM's QueueStats.
+func defaultQueueStats(t *testing.T, db *Database) WLMQueueStats {
+	t.Helper()
+	for _, q := range db.WLMQueueStats() {
+		if q.Name == DefaultQueueName {
+			return q
+		}
+	}
+	t.Fatal("no default WLM queue")
+	return WLMQueueStats{}
 }

@@ -10,7 +10,8 @@ import (
 // ("65536"), a number with a unit suffix ("64KB", "1MB", "2GiB" — both
 // decimal-style and IEC suffixes mean powers of 1024, matching
 // PostgreSQL's work_mem convention), or "default" which returns -1
-// (meaning: defer to the server-side default).
+// (meaning: defer to the server-side default). Sizes past 2^62 bytes are
+// rejected.
 func ParseByteSize(s string) (int64, error) {
 	v := strings.TrimSpace(s)
 	if strings.EqualFold(v, "default") {
@@ -41,7 +42,7 @@ func ParseByteSize(s string) (int64, error) {
 	default:
 		return 0, fmt.Errorf("sql: bad byte-size unit %q in %q", unit, s)
 	}
-	if mult != 1 && n > (1<<62)/mult {
+	if n > (1<<62)/mult {
 		return 0, fmt.Errorf("sql: byte size %q overflows", s)
 	}
 	return n * mult, nil

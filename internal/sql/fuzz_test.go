@@ -159,8 +159,15 @@ func TestParseSeedCorpus(t *testing.T) {
 	if strings.Join(got, " ") != want {
 		t.Errorf("corpus covers %v", got)
 	}
-	for name, input := range parseSeeds {
-		path := filepath.Join("testdata", "fuzz", "FuzzParse", name)
+	checkSeedCorpus(t, "FuzzParse", parseSeeds)
+}
+
+// checkSeedCorpus holds a fuzz target's committed seed files to seeds, name
+// for name and byte for byte; UPDATE_FUZZ_CORPUS=1 writes them instead.
+func checkSeedCorpus(t *testing.T, target string, seeds map[string]string) {
+	t.Helper()
+	for name, input := range seeds {
+		path := filepath.Join("testdata", "fuzz", target, name)
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", input)
 		if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -175,4 +182,56 @@ func TestParseSeedCorpus(t *testing.T) {
 			t.Errorf("%s: seed missing or stale (%v); run with UPDATE_FUZZ_CORPUS=1", path, err)
 		}
 	}
+}
+
+// FuzzParseByteSize: arbitrary bytes into the byte-size parser behind
+// SET work_mem and the server's size flags. It must not panic, and an
+// accepted value is -1 exactly when the input is "default", and otherwise
+// a size in [0, 2^62].
+func FuzzParseByteSize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkByteSize(t, string(data)) })
+}
+
+func checkByteSize(t *testing.T, s string) {
+	n, err := sql.ParseByteSize(s)
+	if err != nil {
+		return
+	}
+	if isDefault := strings.EqualFold(strings.TrimSpace(s), "default"); (n == -1) != isDefault {
+		t.Fatalf("ParseByteSize(%q) = %d", s, n)
+	}
+	if n != -1 && (n < 0 || n > 1<<62) {
+		t.Fatalf("ParseByteSize(%q) = %d, outside [0, 2^62]", s, n)
+	}
+}
+
+// byteSizeSeeds is FuzzParseByteSize's committed corpus: every unit, the
+// bounds, and inputs that must fail.
+var byteSizeSeeds = map[string]string{
+	"bare":             "65536",
+	"kb":               "64KB",
+	"mib":              "1MiB",
+	"g-spaced":         " 2 g ",
+	"default":          "DEFAULT",
+	"max":              "4611686018427387904",
+	"max-gib":          "4294967296GiB",
+	"bad-over-max":     "4611686018427387905",
+	"bad-max-int64":    "9223372036854775807",
+	"bad-gib-overflow": "4294967297GiB",
+	"bad-unit":         "5TB",
+	"bad-negative":     "-1",
+	"bad-empty":        "",
+}
+
+// TestByteSizeSeedCorpus keeps FuzzParseByteSize's committed seeds equal to
+// byteSizeSeeds and holds each to the fuzz target's contract: a "bad-" seed
+// is rejected, every other one accepted.
+func TestByteSizeSeedCorpus(t *testing.T) {
+	for name, input := range byteSizeSeeds {
+		checkByteSize(t, input)
+		if _, err := sql.ParseByteSize(input); (err != nil) != strings.HasPrefix(name, "bad-") {
+			t.Errorf("%s: ParseByteSize(%q) error = %v", name, input, err)
+		}
+	}
+	checkSeedCorpus(t, "FuzzParseByteSize", byteSizeSeeds)
 }

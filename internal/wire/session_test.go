@@ -126,7 +126,7 @@ func TestWireDisconnectMidQueryFreesResources(t *testing.T) {
 		Mode:            exec.Compiled,
 		DataStore:       s3sim.New(),
 		BlockCacheBytes: -1,
-		QuerySlots:      4,
+		WLMQueues:       []core.QueueSpec{{Name: core.DefaultQueueName, Slots: 4}},
 		Faults:          inj,
 	})
 	addr := startSessionServer(t, db)

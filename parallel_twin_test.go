@@ -264,7 +264,7 @@ func TestParallelCancelStorm(t *testing.T) {
 	if n := w.Metrics().Gauge("exec_parallel_workers").Value(); n != 0 {
 		t.Errorf("exec_parallel_workers = %d after storm, want 0", n)
 	}
-	if a := w.DB().WLMStats().Active; a != 0 {
+	if a := w.DB().WLMQueueStats()[0].Active; a != 0 {
 		t.Errorf("wlm active = %d after storm, want 0", a)
 	}
 	assertQuiescent(t, w)

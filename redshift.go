@@ -76,13 +76,11 @@ type Options struct {
 	SyntaxJoinOrder bool
 	// CohortSize overrides the replication cohort size (default 2).
 	CohortSize int
-	// QuerySlots bounds concurrent SELECTs via the workload manager
-	// (0 = unlimited). Ignored when WLMQueues is set.
-	QuerySlots int
 	// WLMQueues configures named WLM queues — per-queue slots, memory
 	// shares, priorities, an EstRows-thresholded short-query fast lane and
 	// wait timeouts. Sessions route with SET query_group TO <name>; empty
-	// means one default queue of QuerySlots. See core.QueueSpec.
+	// means one unlimited default queue, and {{Name: "default", Slots: n}}
+	// bounds it to n concurrent SELECTs. See core.QueueSpec.
 	WLMQueues []QueueSpec
 	// BlockCacheBytes budgets the per-cluster decoded-block buffer cache:
 	// 0 keeps the default (64 MiB), negative disables caching (ablations
@@ -93,10 +91,6 @@ type Options struct {
 	// Toggle at runtime with SET fault_injection TO on|off; inspect with
 	// SELECT * FROM stv_faults.
 	FaultPlan *FaultPlan
-	// StatementTimeout bounds every data-plane statement's wall-clock time,
-	// reads and writes alike (0 = unlimited); SET statement_timeout TO <ms>
-	// overrides it per session.
-	StatementTimeout time.Duration
 	// WLMSlotMemBytes is the execution-memory pool split evenly across WLM
 	// slots: each SELECT runs under pool/slots bytes and spills its joins,
 	// sorts and aggregations to disk beyond that. 0 disables governance.
@@ -115,25 +109,13 @@ type Options struct {
 	// (32 MiB), negative disables it. Sessions opt out with
 	// SET result_cache TO off.
 	ResultCacheBytes int64
-	// MaxParallelWorkers caps a single query's intra-slice morsel
-	// parallelism (workers per slice). 0 means runtime.GOMAXPROCS(0);
-	// negative forces serial execution. Short queries (below the
-	// planner's row threshold) always run serial regardless; sessions
-	// override with SET max_parallel_workers.
-	MaxParallelWorkers int
 	// BurstThreshold enables concurrency scaling: when the WLM queue's
-	// aggregate pain (depth × oldest wait in seconds × BurstSlotCost)
-	// crosses this value, a read-only burst cluster is hydrated from a
-	// fresh backup and cache-ineligible reads are routed to it until the
-	// queue drains. 0 disables the feature. Inspect with
+	// aggregate pain (depth × oldest wait, in queue-seconds) crosses this
+	// value, a read-only burst cluster is hydrated from a fresh backup and
+	// cache-ineligible reads are routed to it until the queue has stayed
+	// empty for half a second. 0 disables the feature. Inspect with
 	// SELECT * FROM stv_burst_clusters.
 	BurstThreshold float64
-	// BurstSlotCost prices one query-second of queue wait for the
-	// scale-out decision (default 1).
-	BurstSlotCost float64
-	// BurstRetireAfter is how long the queue must stay empty before the
-	// burst cluster retires (default 500ms).
-	BurstRetireAfter time.Duration
 }
 
 // Result is one statement's outcome.
@@ -237,11 +219,7 @@ func Launch(opts Options) (*Warehouse, error) {
 		w.backups.WithCipher(cipher)
 	}
 	if opts.BurstThreshold > 0 {
-		w.burst = controlplane.NewBurstManager(w.endpoint, controlplane.BurstPolicy{
-			Threshold:   opts.BurstThreshold,
-			SlotCost:    opts.BurstSlotCost,
-			RetireAfter: opts.BurstRetireAfter,
-		}, w.hydrateBurst, w.metrics)
+		w.burst = controlplane.NewBurstManager(w.endpoint, opts.BurstThreshold, w.hydrateBurst, w.metrics)
 		db.SetBurstInfoSource(w.burst.Snapshot)
 	}
 	return w, nil
@@ -347,20 +325,17 @@ func (w *Warehouse) coreConfig(nodes int) core.Config {
 			BlockCap:      w.opts.BlockCap,
 			CohortSize:    w.opts.CohortSize,
 		},
-		Mode:               mode,
-		Plan:               planOpts,
-		DataStore:          w.dataLake,
-		QuerySlots:         w.opts.QuerySlots,
-		WLMQueues:          w.opts.WLMQueues,
-		Metrics:            w.metrics,
-		BlockCacheBytes:    w.opts.BlockCacheBytes,
-		Faults:             w.inj,
-		StatementTimeout:   w.opts.StatementTimeout,
-		WLMSlotMemBytes:    w.opts.WLMSlotMemBytes,
-		SpillDir:           w.opts.SpillDir,
-		PlanCacheEntries:   w.opts.PlanCacheEntries,
-		ResultCacheBytes:   w.opts.ResultCacheBytes,
-		MaxParallelWorkers: w.opts.MaxParallelWorkers,
+		Mode:             mode,
+		Plan:             planOpts,
+		DataStore:        w.dataLake,
+		WLMQueues:        w.opts.WLMQueues,
+		Metrics:          w.metrics,
+		BlockCacheBytes:  w.opts.BlockCacheBytes,
+		Faults:           w.inj,
+		WLMSlotMemBytes:  w.opts.WLMSlotMemBytes,
+		SpillDir:         w.opts.SpillDir,
+		PlanCacheEntries: w.opts.PlanCacheEntries,
+		ResultCacheBytes: w.opts.ResultCacheBytes,
 	}
 }
 
@@ -541,21 +516,19 @@ func (w *Warehouse) FinishRestore(parallelism int) (int, error) {
 // decommissioned. Writes racing the cutover window see retryable errors;
 // progress is visible in stv_resize.
 func (w *Warehouse) Resize(nodes int) (controlplane.ResizeStats, error) {
-	opts := controlplane.ResizeOptions{
-		// Finalize runs inside the cutover window, before the endpoint
-		// swap: install the target's S3 read tier, wire its system-table
-		// sources, and warm the backup store with the target's blocks so
-		// the very first post-swap page fault can fail over to S3.
-		Finalize: func(dst *core.Database) error {
-			dst.Cluster().SetBackupFetcher(w.active.FetchPayload)
-			if w.burst != nil {
-				dst.SetBurstInfoSource(w.burst.Snapshot)
-			}
-			_, _, err := w.backupDB(dst)
-			return err
-		},
+	// finalize runs inside the cutover window, before the endpoint swap:
+	// install the target's S3 read tier, wire its system-table sources, and
+	// warm the backup store with the target's blocks so the very first
+	// post-swap page fault can fail over to S3.
+	finalize := func(dst *core.Database) error {
+		dst.Cluster().SetBackupFetcher(w.active.FetchPayload)
+		if w.burst != nil {
+			dst.SetBurstInfoSource(w.burst.Snapshot)
+		}
+		_, _, err := w.backupDB(dst)
+		return err
 	}
-	return controlplane.ResizeOnline(w.endpoint, w.coreConfig(nodes), opts)
+	return controlplane.ResizeOnline(w.endpoint, w.coreConfig(nodes), finalize)
 }
 
 // WireSession is a wire.SessionExecutor that survives endpoint swaps: when

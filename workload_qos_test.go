@@ -160,7 +160,7 @@ func TestWorkloadQoSSingleQueueTwin(t *testing.T) {
 			{Name: "etl", Slots: 1},
 		}})
 		named = replayQoS(t, nw, twinWorkload(seed)).Group("wallboard", workload.KindShort)
-		sw := launch(t, Options{Nodes: 2, QuerySlots: 3})
+		sw := launch(t, Options{Nodes: 2, WLMQueues: []QueueSpec{{Name: "default", Slots: 3}}})
 		wl := twinWorkload(seed)
 		wl.Tenants[1].Queue = "" // no named queues to SET query_group to
 		single = replayQoS(t, sw, wl).Group("wallboard", workload.KindShort)
