@@ -39,8 +39,10 @@ race:
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus
 # (testdata/fuzz beside each): arbitrary bytes into the block decoders,
-# fuzzer-built vectors through every encoding and back, arbitrary bytes into
-# the spill frame decoder, bytes read as an expression plus a batch that
+# fuzzer-built vectors through every encoding and back, DEFLATE streams
+# (compress/flate's at every level, flipped, cut short, or arbitrary bytes)
+# into the LZO reader, which must read what compress/flate reads, arbitrary
+# bytes into the spill frame decoder, bytes read as an expression plus a batch that
 # the compiled and interpreted evaluators must agree on, arbitrary bytes
 # into the SQL front end (parse, render, re-parse, plan), and arbitrary
 # bytes into COPY's delimited and JSON readers, which must read what the
@@ -53,6 +55,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz '^FuzzInflate$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillFrame$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalCompiledVsInterpreted$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sql

@@ -22,7 +22,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -900,9 +899,10 @@ func decodeText(p []byte, v *types.Vector, n int) error {
 }
 
 // LZ: DEFLATE over the RAW payload — the heavyweight general-purpose codec,
-// standing in for LZO. The compressor (~600 KB of state) and the
-// decompressor are pooled with their scratch buffers; every slice goroutine
-// and every loader shares the two pools.
+// standing in for LZO. The compressor is compress/flate's at BestSpeed
+// (~600 KB of state); the decompressor is inflate.go's. Both are pooled
+// with their scratch buffers; every slice goroutine and every loader shares
+// the two pools.
 
 type deflater struct {
 	w   *flate.Writer
@@ -939,50 +939,6 @@ func encodeLZ(buf *bytes.Buffer, v *types.Vector) error {
 		return err
 	}
 	return z.w.Close()
-}
-
-type inflater struct {
-	src bytes.Reader // flate wants an io.ByteReader over the payload
-	fr  io.ReadCloser
-	buf []byte // grow-only output scratch
-}
-
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
-// inflate decompresses src to its end into the scratch buffer, sized to
-// hint up front, and fails once the output passes limit; the scratch never
-// grows past limit+1 bytes on the way there.
-func (z *inflater) inflate(src []byte, hint, limit int) ([]byte, error) {
-	z.src.Reset(src)
-	if z.fr == nil {
-		z.fr = flate.NewReader(&z.src)
-	} else if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
-		return nil, err
-	}
-	if cap(z.buf) <= hint {
-		// One byte past the hint: the read that meets end of stream
-		// then needs no growth.
-		z.buf = make([]byte, hint+1)
-	}
-	buf, n := z.buf[:cap(z.buf)], 0
-	for {
-		if n == len(buf) { // and n <= limit
-			buf = append(make([]byte, 0, min(2*n, limit+1)), buf...)
-			buf = buf[:cap(buf)]
-		}
-		m, err := z.fr.Read(buf[n:])
-		n += m
-		if n > limit {
-			return nil, fmt.Errorf("compress: lz: payload inflates past %d bytes", limit)
-		}
-		if err == io.EOF {
-			z.buf = buf
-			return buf[:n], nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("compress: lz: %w", err)
-		}
-	}
 }
 
 func decodeLZ(p []byte, v *types.Vector, n int) error {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -166,6 +168,26 @@ func TestDecodeCorrupt(t *testing.T) {
 		"lz inflates short":   lz(4, make([]byte, 24)),
 		"lz inflates long":    lz(4, make([]byte, 1<<16)),
 		"lz not deflate":      {byte(LZ), byte(types.Int64), 1, 0, 0xff, 0xff},
+	}
+	// A VARCHAR LZO block cut anywhere in its stream fails where the stream
+	// ends, as a truncated stream. The inflate under a limit of the block's
+	// true size comes first: a reader that padded a cut stream with zeros
+	// would fail it at once, where Decode would inflate toward maxInflated.
+	varchar, err := Encode(LZ, fixedVector(types.String, 300, false, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, pos, _ := parseHeader(varchar)
+	pos += (h.rows + 7) / 8
+	raw, err := new(inflater).inflate(varchar[pos:], 0, maxInflated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := pos; cut < len(varchar); cut++ {
+		if _, err := new(inflater).inflate(varchar[pos:cut], 0, len(raw)); !errors.Is(err, errDeflate) {
+			t.Fatalf("LZO VARCHAR stream cut to %d of %d bytes: %v, want a truncated stream", cut-pos, len(varchar)-pos, err)
+		}
+		cases[fmt.Sprintf("lz varchar cut to %d bytes", cut)] = varchar[:cut]
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {

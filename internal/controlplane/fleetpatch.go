@@ -91,8 +91,15 @@ func (f *FleetPatcher) RollOut(newVersion int, nodesOf func(cluster string) int,
 		targets = append(targets, c)
 	}
 	f.mu.Unlock()
-	sort.Strings(targets) // deterministic wave order
+	f.wave(&res, targets, nodesOf, telemetryOK)
+	return res, nil
+}
 
+// wave patches targets to res.Version in sorted (deterministic) order, one
+// cluster at a time. A patch that rolls back leaves its cluster on the old
+// version — the fleet then legally spans two versions.
+func (f *FleetPatcher) wave(res *WaveResult, targets []string, nodesOf func(cluster string) int, telemetryOK func(cluster string) bool) {
+	sort.Strings(targets)
 	for _, c := range targets {
 		nodes := 2
 		if nodesOf != nil {
@@ -106,16 +113,13 @@ func (f *FleetPatcher) RollOut(newVersion int, nodesOf func(cluster string) int,
 		_, err := f.ops.Patch(nodes, ok)
 		f.mu.Lock()
 		if err != nil {
-			// Patch rolled back: the cluster stays on the old version —
-			// the fleet now legally spans two versions.
 			res.RolledBack = append(res.RolledBack, c)
 		} else {
-			f.versions[c] = newVersion
+			f.versions[c] = res.Version
 			res.Patched = append(res.Patched, c)
 		}
 		f.mu.Unlock()
 	}
-	return res, nil
 }
 
 // RetryStragglers re-patches the clusters still below the fleet maximum —
@@ -135,28 +139,8 @@ func (f *FleetPatcher) RetryStragglers(nodesOf func(cluster string) int, telemet
 		}
 	}
 	f.mu.Unlock()
-	sort.Strings(stragglers)
 
 	res := WaveResult{Version: max}
-	for _, c := range stragglers {
-		nodes := 2
-		if nodesOf != nil {
-			nodes = nodesOf(c)
-		}
-		var ok func() bool
-		if telemetryOK != nil {
-			cl := c
-			ok = func() bool { return telemetryOK(cl) }
-		}
-		_, err := f.ops.Patch(nodes, ok)
-		f.mu.Lock()
-		if err != nil {
-			res.RolledBack = append(res.RolledBack, c)
-		} else {
-			f.versions[c] = max
-			res.Patched = append(res.Patched, c)
-		}
-		f.mu.Unlock()
-	}
+	f.wave(&res, stragglers, nodesOf, telemetryOK)
 	return res, nil
 }

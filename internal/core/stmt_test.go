@@ -314,12 +314,25 @@ func TestCancelAndTimeoutOfWrites(t *testing.T) {
 	}
 
 	// VACUUM of every table, cancelled by id once it shows in the running set.
+	// Alone it takes a few milliseconds, less than a busy machine may starve
+	// the poller for; with every block evicted and each fetch back from the
+	// secondary 5ms slower, it takes about a second.
+	db.cl.EvictAll()
+	db.cfg.Faults.SetRule(faults.SiteSecondaryFetch, faults.Rule{Latency: 5 * time.Millisecond, LatencyProb: 1})
 	done := make(chan error, 1)
 	go func() {
 		_, err := db.Execute(`VACUUM`)
 		done <- err
 	}()
+	deadline := time.After(time.Minute)
 	for cancelled := false; !cancelled; time.Sleep(100 * time.Microsecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("waiting for VACUUM in the running set to cancel it: it returned first (%v)", err)
+		case <-deadline:
+			t.Fatalf("waiting for VACUUM in the running set to cancel it: not there after a minute (running %v)", db.runningQueries())
+		default:
+		}
 		for _, rq := range db.runningQueries() {
 			if rq.sql == "VACUUM" {
 				cancelled = db.Cancel(rq.id)
@@ -332,6 +345,7 @@ func TestCancelAndTimeoutOfWrites(t *testing.T) {
 	if got := state("VACUUM"); got != "cancelled" {
 		t.Errorf("cancelled VACUUM logged as %q", got)
 	}
+	db.cfg.Faults.SetRule(faults.SiteSecondaryFetch, faults.Rule{})
 
 	// A multi-object COPY under a 1ms statement_timeout.
 	var big strings.Builder

@@ -303,7 +303,8 @@ func (j *HashJoin) enterSpill() error {
 }
 
 // noteBuildTypes remembers the build side's column types from the first
-// batch that carries them. LEFT JOIN null-extension needs the types to
+// batch that carries them, or that carries rows: a column such a batch
+// lacks is pruned (Invalid). LEFT JOIN null-extension needs the types to
 // materialize NULL columns when a build side (or a grace-spill partition
 // of it) ends up with zero rows — e.g. every build key was NULL.
 func (j *HashJoin) noteBuildTypes(b *Batch) {
@@ -311,14 +312,14 @@ func (j *HashJoin) noteBuildTypes(b *Batch) {
 		return
 	}
 	seen := false
-	ts := make([]types.Type, len(b.Cols))
+	ts := make([]types.Type, j.rightWidth)
 	for c, v := range b.Cols {
 		if v != nil {
 			ts[c] = v.T
 			seen = true
 		}
 	}
-	if seen {
+	if seen || b.N > 0 {
 		j.buildTypes = ts
 	}
 }
@@ -434,18 +435,21 @@ func (j *HashJoin) assemble(left *Batch, leftSel, rightSel []int) *Batch {
 	}
 	for c, v := range j.build.Cols {
 		if v == nil {
-			// A build side with zero materialized rows still null-extends
-			// under LEFT JOIN; emit typed all-NULL columns rather than nil.
+			// A column the build input never carried is pruned: nothing
+			// reads it. Deciding by buildTypes, which every grace partition
+			// shares, keeps the partitions' outputs one shape. Any other nil
+			// column belongs to a build side with zero rows (buildTypes is
+			// set by the first batch with rows), which still null-extends
+			// under LEFT JOIN: a typed all-NULL column, since every rightSel
+			// entry is -1.
+			t := types.Int64
+			if j.buildTypes != nil {
+				if t = j.buildTypes[c]; t == types.Invalid {
+					continue
+				}
+			}
 			if out.N > 0 {
-				t := types.Int64
-				if c < len(j.buildTypes) && j.buildTypes[c] != types.Invalid {
-					t = j.buildTypes[c]
-				}
-				nv := types.NewVector(t, out.N)
-				for i := 0; i < out.N; i++ {
-					nv.AppendNull()
-				}
-				out.Cols[len(left.Cols)+c] = nv
+				out.Cols[len(left.Cols)+c] = (&types.Vector{T: t}).Gather(rightSel)
 			}
 			continue
 		}

@@ -496,3 +496,89 @@ func TestAggAccountingTracksRealAllocations(t *testing.T) {
 	g.ReleaseMem()
 	runtime.KeepAlive(g)
 }
+
+// TestGraceLeftJoinPrunedBuildColumn spills a LEFT JOIN whose build side
+// carries a pruned (nil) column and only three distinct keys, so most
+// grace partitions pair probe rows with an empty build side. Every
+// partition must shape the pruned column the same way, or the seq-merge
+// of their outputs refuses the mismatch.
+func TestGraceLeftJoinPrunedBuildColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(propSeed(t)))
+	ctx := context.Background()
+	var build, probe []*Batch
+	for n := 900; n > 0; n -= BatchSize {
+		kv := randKVBatch(rng, min(n, BatchSize), 3, 0)
+		b := NewBatch(3)
+		b.Cols[0], b.Cols[2], b.N = kv.Cols[0], kv.Cols[1], kv.N
+		build = append(build, b)
+	}
+	for n := 400; n > 0; n -= BatchSize {
+		probe = append(probe, randKVBatch(rng, min(n, BatchSize), 500, 0))
+	}
+	step := mkJoinStep(sql.LeftJoin)
+
+	ref, err := NewHashJoin(Compiled, step, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, b := range build {
+		if err := ref.Build(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range probe {
+		out, err := ref.Probe(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, batchRowStrings(out)...)
+	}
+
+	gov, err := NewHashJoin(Compiled, step, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov.SetMemory(govCtx(t, 4<<10))
+	for _, b := range build {
+		if err := gov.Build(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !gov.Spilled() {
+		t.Fatal("build side never spilled a 4 KiB grant")
+	}
+	for _, p := range probe {
+		if err := gov.spill.addProbe(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	emptyBuild := 0
+	for p := range gov.spill.probe {
+		if gov.spill.probe[p].rows > 0 && gov.spill.build[p].rows == 0 {
+			emptyBuild++
+		}
+	}
+	if emptyBuild == 0 {
+		t.Fatal("no partition pairs probe rows with an empty build side")
+	}
+	st, err := gov.spill.run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		b, err := st.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		view := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
+		got = append(got, batchRowStrings(view)...)
+		PutBatch(b)
+	}
+	sameRows(t, "pruned-build-column", got, want)
+	gov.ReleaseMem()
+}

@@ -194,66 +194,60 @@ func (c *ClusterCipher) Seal(blockAAD, plaintext []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 4, 4+len(wrappedBlockKey)+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(wrappedBlockKey)))
-	out = append(out, wrappedBlockKey...)
-	out = append(out, body...)
-	return out, nil
+	return joinEnvelope(wrappedBlockKey, body), nil
 }
 
 // Open decrypts a sealed block. The same blockAAD used at Seal time is
 // required. Old cluster keys retained by RotateClusterKey are tried for
 // envelopes not yet rewrapped.
 func (c *ClusterCipher) Open(blockAAD, envelope []byte) ([]byte, error) {
-	wrappedBlockKey, body, err := splitEnvelope(envelope)
+	_, blockKey, body, err := c.unwrap(blockAAD, envelope)
 	if err != nil {
 		return nil, err
 	}
+	return open(blockKey, body, blockAAD)
+}
+
+// unwrap splits an envelope and opens its block key under the current
+// cluster key or, for envelopes not yet rewrapped, a retained old one; it
+// also returns the current key.
+func (c *ClusterCipher) unwrap(blockAAD, envelope []byte) (current, blockKey, body []byte, err error) {
+	wrappedBlockKey, body, err := splitEnvelope(envelope)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	c.mu.RLock()
-	keys := append([][]byte{c.clusterKey}, c.oldKeys...)
+	current = c.clusterKey
+	keys := append([][]byte{current}, c.oldKeys...)
 	c.mu.RUnlock()
-	var blockKey []byte
 	for _, k := range keys {
 		if blockKey, err = open(k, wrappedBlockKey, blockAAD); err == nil {
-			break
+			return current, blockKey, body, nil
 		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("kms: cannot unwrap block key: %w", err)
-	}
-	return open(blockKey, body, blockAAD)
+	return nil, nil, nil, fmt.Errorf("kms: cannot unwrap block key: %w", err)
 }
 
 // Rewrap re-encrypts only the envelope's block key under the current
 // cluster key — the cheap rotation path the paper highlights. The payload
 // ciphertext is untouched.
 func (c *ClusterCipher) Rewrap(blockAAD, envelope []byte) ([]byte, error) {
-	wrappedBlockKey, body, err := splitEnvelope(envelope)
+	current, blockKey, body, err := c.unwrap(blockAAD, envelope)
 	if err != nil {
 		return nil, err
-	}
-	c.mu.RLock()
-	current := c.clusterKey
-	keys := append([][]byte{current}, c.oldKeys...)
-	c.mu.RUnlock()
-	var blockKey []byte
-	for _, k := range keys {
-		if blockKey, err = open(k, wrappedBlockKey, blockAAD); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("kms: cannot unwrap block key: %w", err)
 	}
 	rewrapped, err := seal(current, blockKey, blockAAD)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 4, 4+len(rewrapped)+len(body))
-	binary.BigEndian.PutUint32(out, uint32(len(rewrapped)))
-	out = append(out, rewrapped...)
-	out = append(out, body...)
-	return out, nil
+	return joinEnvelope(rewrapped, body), nil
+}
+
+// joinEnvelope lays out [4-byte wrapped-key length][wrapped key][body].
+func joinEnvelope(wrappedKey, body []byte) []byte {
+	out := make([]byte, 4, 4+len(wrappedKey)+len(body))
+	binary.BigEndian.PutUint32(out, uint32(len(wrappedKey)))
+	return append(append(out, wrappedKey...), body...)
 }
 
 func splitEnvelope(envelope []byte) (wrappedKey, body []byte, err error) {
