@@ -24,7 +24,9 @@ test: build
 # eviction loop re-files entries under. So does one Filter and one Evaluator
 # shared by four goroutines: every temporary lives in a per-call arena. The
 # wire's reply buffers repeat ten: one pool under connections on goroutines of
-# their own, replies small and over the pooled-size bound, errors mixed.
+# their own, replies small and over the pooled-size bound, errors mixed. The
+# live statement views repeat ten: stv_inflight, stv_exec_workers and
+# stv_query_memory read a running query's trackers from another goroutine.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -35,6 +37,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestSharedEvaluatorConcurrent' ./internal/exec
 	$(GO) test -race -count=10 -run 'TestReplyPoolConcurrent' ./internal/wire
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
+	$(GO) test -race -count=10 -run 'TestLiveStatementViews|TestStvQueryMemoryVisibility' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus

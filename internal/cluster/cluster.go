@@ -348,10 +348,7 @@ func (c *Cluster) AppendSegment(sliceID int, seg *storage.Segment, xid int64) er
 		})
 		secNode.mu.Unlock()
 	}
-	sl.mu.Lock()
-	sl.shards[seg.Table] = append(sl.shards[seg.Table], SegmentEntry{Seg: seg, Xid: xid})
-	sl.mu.Unlock()
-	return nil
+	return c.RestoreSegment(sliceID, seg, xid)
 }
 
 // RestoreSegment registers a segment without replication — the metadata
@@ -542,16 +539,9 @@ func (c *Cluster) FailNode(nodeID int) {
 	node := c.nodes[nodeID]
 	node.failed.Store(true)
 	for _, sl := range c.slices {
-		if sl.Node != node {
-			continue
+		if sl.Node == node {
+			sl.evict()
 		}
-		sl.mu.Lock()
-		for _, entries := range sl.shards {
-			for _, e := range entries {
-				e.Seg.Blocks(func(b *storage.Block) { b.Evict() })
-			}
-		}
-		sl.mu.Unlock()
 	}
 	node.mu.Lock()
 	node.secondary = map[storage.BlockID][]byte{}
@@ -736,13 +726,18 @@ func (c *Cluster) reReplicateTo(nodeID int) int64 {
 // state right after a streaming restore's catalog phase (§2.3).
 func (c *Cluster) EvictAll() {
 	for _, sl := range c.slices {
-		sl.mu.Lock()
-		for _, entries := range sl.shards {
-			for _, e := range entries {
-				e.Seg.Blocks(func(b *storage.Block) { b.Evict() })
-			}
+		sl.evict()
+	}
+}
+
+// evict drops every payload on the slice, keeping its metadata.
+func (sl *Slice) evict() {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	for _, entries := range sl.shards {
+		for _, e := range entries {
+			e.Seg.Blocks(func(b *storage.Block) { b.Evict() })
 		}
-		sl.mu.Unlock()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"redshift/internal/cluster"
 	"redshift/internal/exec"
@@ -59,6 +60,17 @@ func seedSales(t *testing.T, db *Database) {
 	store.Put("lake/sales/s.csv", []byte(sales.String()))
 	mustExec(t, db, `COPY products FROM 's3://lake/products/'`)
 	mustExec(t, db, `COPY sales FROM 's3://lake/sales/'`)
+}
+
+// waitUntil polls cond every millisecond until it holds, and fails the test
+// if it has not after ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
 }
 
 // bothModes runs the subtest against both engines.

@@ -400,8 +400,10 @@ func TestCopyCancelStopsReading(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		for store.Stats().Gets == 0 {
-			time.Sleep(50 * time.Microsecond)
+		for deadline := time.Now().Add(10 * time.Second); store.Stats().Gets == 0; time.Sleep(50 * time.Microsecond) {
+			if ctx.Err() != nil || time.Now().After(deadline) {
+				return // the test is over, or COPY never read: leave it uncancelled
+			}
 		}
 		cancel()
 	}()

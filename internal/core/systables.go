@@ -1,11 +1,15 @@
 package core
 
 import (
+	"slices"
 	"strings"
+	"time"
 
 	"redshift/internal/catalog"
+	"redshift/internal/cluster"
 	"redshift/internal/compress"
 	"redshift/internal/exec"
+	"redshift/internal/faults"
 	"redshift/internal/plan"
 	"redshift/internal/sql"
 	"redshift/internal/storage"
@@ -19,396 +23,264 @@ import (
 // in-memory rows. They live in a transient per-query catalog, never in the
 // user catalog, so ANALYZE/VACUUM/resize/backup sweeps don't see them.
 
-// systemTable pairs a table definition with its row materializer.
+// systemTable pairs a table definition with its row materializer. Every one
+// is built by sysTable.
 type systemTable struct {
 	name string
 	cols []catalog.ColumnDef
 	rows func(db *Database) []types.Row
 }
 
+// sysCol is one column of a system table over row sources of type R: its
+// name, its type, and how a source yields its value.
+type sysCol[R any] struct {
+	name string
+	typ  types.Type
+	get  func(R) types.Value
+}
+
+func intCol[R any](name string, get func(R) int64) sysCol[R] {
+	return sysCol[R]{name, types.Int64, func(r R) types.Value { return types.NewInt(get(r)) }}
+}
+
+func floatCol[R any](name string, get func(R) float64) sysCol[R] {
+	return sysCol[R]{name, types.Float64, func(r R) types.Value { return types.NewFloat(get(r)) }}
+}
+
+func strCol[R any](name string, get func(R) string) sysCol[R] {
+	return sysCol[R]{name, types.String, func(r R) types.Value { return types.NewString(get(r)) }}
+}
+
+func timeCol[R any](name string, get func(R) time.Time) sysCol[R] {
+	return sysCol[R]{name, types.Timestamp, func(r R) types.Value { return types.NewTimestamp(get(r).UnixMicro()) }}
+}
+
+// oneIf is a boolean as system tables report it: a 0/1 BIGINT.
+func oneIf(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sysTable declares a system table with one row per source rows returns,
+// valued by cols in order.
+func sysTable[R any](name string, rows func(*Database) []R, cols ...sysCol[R]) systemTable {
+	t := systemTable{name: name, rows: func(db *Database) []types.Row {
+		src := rows(db)
+		out := make([]types.Row, len(src))
+		for i, r := range src {
+			out[i] = make(types.Row, len(cols))
+			for j, c := range cols {
+				out[i][j] = c.get(r)
+			}
+		}
+		return out
+	}}
+	for _, c := range cols {
+		t.cols = append(t.cols, catalog.ColumnDef{Name: c.name, Type: c.typ})
+	}
+	return t
+}
+
+// stageCol is stl_query's column for one telemetry.Stage, in milliseconds.
+func stageCol(name string, st telemetry.Stage) sysCol[telemetry.QueryRecord] {
+	return floatCol(name, func(r telemetry.QueryRecord) float64 { return float64(r.Stages[st]) / 1e6 })
+}
+
 var systemTables = []systemTable{
-	{
-		name: "stl_query",
-		cols: []catalog.ColumnDef{
-			{Name: "query", Type: types.Int64},
-			{Name: "querytxt", Type: types.String},
-			{Name: "starttime", Type: types.Timestamp},
-			{Name: "endtime", Type: types.Timestamp},
-			{Name: "queue_ms", Type: types.Float64},
-			{Name: "plan_ms", Type: types.Float64},
-			{Name: "exec_ms", Type: types.Float64},
-			{Name: "rows", Type: types.Int64},
-			{Name: "blocks_read", Type: types.Int64},
-			{Name: "blocks_skipped", Type: types.Int64},
-			{Name: "net_bytes", Type: types.Int64},
-			{Name: "aborted", Type: types.Int64},
-			{Name: "state", Type: types.String},
-			{Name: "mem_peak", Type: types.Int64},
-			{Name: "spill_bytes", Type: types.Int64},
-			{Name: "queue", Type: types.String},
-			// With queue_ms, plan_ms and exec_ms above, the nine stages of
-			// telemetry.Stage: they sum to endtime − starttime.
-			{Name: "parse_ms", Type: types.Float64},
-			{Name: "normalize_ms", Type: types.Float64},
-			{Name: "cache_ms", Type: types.Float64},
-			{Name: "leader_ms", Type: types.Float64},
-			{Name: "serialize_ms", Type: types.Float64},
-			{Name: "other_ms", Type: types.Float64},
+	sysTable("stl_query", func(db *Database) []telemetry.QueryRecord { return db.qlog.Records() },
+		intCol("query", func(r telemetry.QueryRecord) int64 { return r.ID }),
+		strCol("querytxt", func(r telemetry.QueryRecord) string { return r.SQL }),
+		timeCol("starttime", func(r telemetry.QueryRecord) time.Time { return r.Start }),
+		timeCol("endtime", func(r telemetry.QueryRecord) time.Time { return r.End }),
+		stageCol("queue_ms", telemetry.StageQueue),
+		stageCol("plan_ms", telemetry.StagePlan),
+		stageCol("exec_ms", telemetry.StageExec),
+		intCol("rows", func(r telemetry.QueryRecord) int64 { return r.Rows }),
+		intCol("blocks_read", func(r telemetry.QueryRecord) int64 { return r.BlocksRead }),
+		intCol("blocks_skipped", func(r telemetry.QueryRecord) int64 { return r.BlocksSkipped }),
+		intCol("net_bytes", func(r telemetry.QueryRecord) int64 { return r.NetBytes }),
+		intCol("aborted", func(r telemetry.QueryRecord) int64 { return oneIf(r.State != "success") }),
+		strCol("state", func(r telemetry.QueryRecord) string { return r.State }),
+		intCol("mem_peak", func(r telemetry.QueryRecord) int64 { return r.MemPeak }),
+		intCol("spill_bytes", func(r telemetry.QueryRecord) int64 { return r.SpillBytes }),
+		strCol("queue", func(r telemetry.QueryRecord) string { return r.Queue }),
+		// With queue_ms, plan_ms and exec_ms above, the nine stages of
+		// telemetry.Stage: they sum to endtime − starttime.
+		stageCol("parse_ms", telemetry.StageParse),
+		stageCol("normalize_ms", telemetry.StageNormalize),
+		stageCol("cache_ms", telemetry.StageCache),
+		stageCol("leader_ms", telemetry.StageLeader),
+		stageCol("serialize_ms", telemetry.StageSerialize),
+		stageCol("other_ms", telemetry.StageOther),
+	),
+	// Queue configuration plus cumulative service counters — the
+	// "service class" view. Live occupancy is stv_wlm_queue_state.
+	sysTable("stv_wlm_queues", func(db *Database) []WLMQueueStats { return db.wlm.QueueStats() },
+		strCol("queue", func(q WLMQueueStats) string { return q.Name }),
+		intCol("slots", func(q WLMQueueStats) int64 { return int64(q.Slots) }),
+		intCol("priority", func(q WLMQueueStats) int64 { return int64(q.Priority) }),
+		intCol("mem_per_slot", func(q WLMQueueStats) int64 { return q.MemPerSlot }),
+		intCol("short_query_rows", func(q WLMQueueStats) int64 { return q.MaxEstRows }),
+		intCol("timeout_ms", func(q WLMQueueStats) int64 { return q.Timeout.Milliseconds() }),
+		intCol("total_queries", func(q WLMQueueStats) int64 { return q.TotalRun }),
+		floatCol("total_wait_ms", func(q WLMQueueStats) float64 { return float64(q.TotalWait.Microseconds()) / 1e3 }),
+		intCol("timeouts", func(q WLMQueueStats) int64 { return q.Timeouts }),
+		intCol("evictions", func(q WLMQueueStats) int64 { return q.Evictions }),
+		intCol("peak_active", func(q WLMQueueStats) int64 { return int64(q.PeakActive) }),
+		intCol("peak_queued", func(q WLMQueueStats) int64 { return int64(q.PeakQueued) }),
+	),
+	// Live per-queue occupancy. System selects bypass WLM admission, so
+	// this stays queryable while every queue is saturated — the whole
+	// point of a queue-depth monitoring view.
+	sysTable("stv_wlm_queue_state", func(db *Database) []WLMQueueStats { return db.wlm.QueueStats() },
+		strCol("queue", func(q WLMQueueStats) string { return q.Name }),
+		intCol("active", func(q WLMQueueStats) int64 { return int64(q.Active) }),
+		intCol("queued", func(q WLMQueueStats) int64 { return int64(q.Queued) }),
+		floatCol("oldest_wait_ms", func(q WLMQueueStats) float64 { return float64(q.OldestWait.Microseconds()) / 1e3 }),
+	),
+	sysTable("stv_slice_stats", sliceRows,
+		intCol("slice", func(r sliceRow) int64 { return r.slice }),
+		intCol("node", func(r sliceRow) int64 { return r.node }),
+		intCol("scans", func(r sliceRow) int64 { return r.st.scans.Load() }),
+		intCol("blocks_read", func(r sliceRow) int64 { return r.st.blocksRead.Load() }),
+		intCol("blocks_skipped", func(r sliceRow) int64 { return r.st.blocksSkipped.Load() }),
+		intCol("rows_read", func(r sliceRow) int64 { return r.st.rowsRead.Load() }),
+		intCol("bytes_read", func(r sliceRow) int64 { return r.st.bytesRead.Load() }),
+	),
+	sysTable("stv_exec_workers",
+		func(db *Database) []inflight {
+			return slices.DeleteFunc(db.runningQueries(), func(q inflight) bool { return q.par == nil }) // DOP not chosen yet
 		},
-		rows: func(db *Database) []types.Row {
-			recs := db.qlog.Records()
-			rows := make([]types.Row, 0, len(recs))
-			for _, r := range recs {
-				ms := func(st telemetry.Stage) types.Value { return types.NewFloat(float64(r.Stages[st]) / 1e6) }
-				aborted := int64(0)
-				if r.State != "success" {
-					aborted = 1
-				}
-				rows = append(rows, types.Row{
-					types.NewInt(r.ID),
-					types.NewString(r.SQL),
-					types.NewTimestamp(r.Start.UnixMicro()),
-					types.NewTimestamp(r.End.UnixMicro()),
-					ms(telemetry.StageQueue),
-					ms(telemetry.StagePlan),
-					ms(telemetry.StageExec),
-					types.NewInt(r.Rows),
-					types.NewInt(r.BlocksRead),
-					types.NewInt(r.BlocksSkipped),
-					types.NewInt(r.NetBytes),
-					types.NewInt(aborted),
-					types.NewString(r.State),
-					types.NewInt(r.MemPeak),
-					types.NewInt(r.SpillBytes),
-					types.NewString(r.Queue),
-					ms(telemetry.StageParse),
-					ms(telemetry.StageNormalize),
-					ms(telemetry.StageCache),
-					ms(telemetry.StageLeader),
-					ms(telemetry.StageSerialize),
-					ms(telemetry.StageOther),
-				})
-			}
-			return rows
+		intCol("query", func(q inflight) int64 { return q.id }),
+		intCol("dop", func(q inflight) int64 { return int64(q.par.DOP) }),
+		intCol("workers", func(q inflight) int64 { return q.par.Workers.Load() }),
+		intCol("morsels_dispatched", func(q inflight) int64 { return q.par.Morsels.Load() }),
+	),
+	sysTable("stv_inflight", (*Database).runningQueries,
+		intCol("query", func(q inflight) int64 { return q.id }),
+		strCol("querytxt", func(q inflight) string { return q.sql }),
+		timeCol("starttime", func(q inflight) time.Time { return q.start }),
+	),
+	sysTable("stv_query_memory",
+		func(db *Database) []inflight {
+			return slices.DeleteFunc(db.runningQueries(), func(q inflight) bool { return q.mem == nil }) // no grant issued yet
 		},
-	},
-	{
-		// Queue configuration plus cumulative service counters — the
-		// "service class" view. Live occupancy is stv_wlm_queue_state.
-		name: "stv_wlm_queues",
-		cols: []catalog.ColumnDef{
-			{Name: "queue", Type: types.String},
-			{Name: "slots", Type: types.Int64},
-			{Name: "priority", Type: types.Int64},
-			{Name: "mem_per_slot", Type: types.Int64},
-			{Name: "short_query_rows", Type: types.Int64},
-			{Name: "timeout_ms", Type: types.Int64},
-			{Name: "total_queries", Type: types.Int64},
-			{Name: "total_wait_ms", Type: types.Float64},
-			{Name: "timeouts", Type: types.Int64},
-			{Name: "evictions", Type: types.Int64},
-			{Name: "peak_active", Type: types.Int64},
-			{Name: "peak_queued", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			var rows []types.Row
-			for _, q := range db.wlm.QueueStats() {
-				rows = append(rows, types.Row{
-					types.NewString(q.Name),
-					types.NewInt(int64(q.Slots)),
-					types.NewInt(int64(q.Priority)),
-					types.NewInt(q.MemPerSlot),
-					types.NewInt(q.MaxEstRows),
-					types.NewInt(q.Timeout.Milliseconds()),
-					types.NewInt(q.TotalRun),
-					types.NewFloat(float64(q.TotalWait.Microseconds()) / 1e3),
-					types.NewInt(q.Timeouts),
-					types.NewInt(q.Evictions),
-					types.NewInt(int64(q.PeakActive)),
-					types.NewInt(int64(q.PeakQueued)),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		// Live per-queue occupancy. System selects bypass WLM admission, so
-		// this stays queryable while every queue is saturated — the whole
-		// point of a queue-depth monitoring view.
-		name: "stv_wlm_queue_state",
-		cols: []catalog.ColumnDef{
-			{Name: "queue", Type: types.String},
-			{Name: "active", Type: types.Int64},
-			{Name: "queued", Type: types.Int64},
-			{Name: "oldest_wait_ms", Type: types.Float64},
-		},
-		rows: func(db *Database) []types.Row {
-			var rows []types.Row
-			for _, q := range db.wlm.QueueStats() {
-				rows = append(rows, types.Row{
-					types.NewString(q.Name),
-					types.NewInt(int64(q.Active)),
-					types.NewInt(int64(q.Queued)),
-					types.NewFloat(float64(q.OldestWait.Microseconds()) / 1e3),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		name: "stv_slice_stats",
-		cols: []catalog.ColumnDef{
-			{Name: "slice", Type: types.Int64},
-			{Name: "node", Type: types.Int64},
-			{Name: "scans", Type: types.Int64},
-			{Name: "blocks_read", Type: types.Int64},
-			{Name: "blocks_skipped", Type: types.Int64},
-			{Name: "rows_read", Type: types.Int64},
-			{Name: "bytes_read", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			rows := make([]types.Row, 0, len(db.sliceStats))
-			for sl := range db.sliceStats {
-				st := &db.sliceStats[sl]
-				rows = append(rows, types.Row{
-					types.NewInt(int64(sl)),
-					types.NewInt(int64(db.cl.Slice(sl).Node.ID)),
-					types.NewInt(st.scans.Load()),
-					types.NewInt(st.blocksRead.Load()),
-					types.NewInt(st.blocksSkipped.Load()),
-					types.NewInt(st.rowsRead.Load()),
-					types.NewInt(st.bytesRead.Load()),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		name: "stv_exec_workers",
-		cols: []catalog.ColumnDef{
-			{Name: "query", Type: types.Int64},
-			{Name: "dop", Type: types.Int64},
-			{Name: "workers", Type: types.Int64},
-			{Name: "morsels_dispatched", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			var rows []types.Row
-			for _, q := range db.runningQueries() {
-				if q.par == nil {
-					continue // DOP not chosen yet
-				}
-				rows = append(rows, types.Row{
-					types.NewInt(q.id),
-					types.NewInt(int64(q.par.DOP)),
-					types.NewInt(q.par.Workers.Load()),
-					types.NewInt(q.par.Morsels.Load()),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		name: "stv_inflight",
-		cols: []catalog.ColumnDef{
-			{Name: "query", Type: types.Int64},
-			{Name: "querytxt", Type: types.String},
-			{Name: "starttime", Type: types.Timestamp},
-		},
-		rows: func(db *Database) []types.Row {
-			rqs := db.runningQueries()
-			rows := make([]types.Row, 0, len(rqs))
-			for _, rq := range rqs {
-				rows = append(rows, types.Row{
-					types.NewInt(rq.id),
-					types.NewString(rq.sql),
-					types.NewTimestamp(rq.start.UnixMicro()),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		name: "stv_query_memory",
-		cols: []catalog.ColumnDef{
-			{Name: "query", Type: types.Int64},
-			{Name: "grant_bytes", Type: types.Int64},
-			{Name: "used_bytes", Type: types.Int64},
-			{Name: "peak_bytes", Type: types.Int64},
-			{Name: "spill_bytes", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			var rows []types.Row
-			for _, q := range db.runningQueries() {
-				if q.mem == nil {
-					continue // no grant issued yet
-				}
-				rows = append(rows, types.Row{
-					types.NewInt(q.id),
-					types.NewInt(q.grant),
-					types.NewInt(q.mem.Used()),
-					types.NewInt(q.mem.Peak()),
-					types.NewInt(q.spill.Bytes()),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		name: "stv_faults",
-		cols: []catalog.ColumnDef{
-			{Name: "site", Type: types.Int64},
-			{Name: "name", Type: types.String},
-			{Name: "prob", Type: types.Float64},
-			{Name: "hits", Type: types.Int64},
-			{Name: "injected", Type: types.Int64},
-			{Name: "delayed", Type: types.Int64},
-			{Name: "enabled", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			if db.inj == nil {
-				return nil
-			}
-			enabled := int64(0)
-			if db.inj.Enabled() {
-				enabled = 1
-			}
-			snap := db.inj.Snapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for i, s := range snap {
-				rows = append(rows, types.Row{
-					types.NewInt(int64(i)),
-					types.NewString(s.Site),
-					types.NewFloat(s.Rule.Prob),
-					types.NewInt(s.Hits),
-					types.NewInt(s.Injected),
-					types.NewInt(s.Delayed),
-					types.NewInt(enabled),
-				})
-			}
-			return rows
-		},
-	},
-	{
-		name: "stv_node_health",
-		cols: []catalog.ColumnDef{
-			{Name: "node", Type: types.Int64},
-			{Name: "consecutive_failures", Type: types.Int64},
-			{Name: "quarantined", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			snap := db.cl.Health().Snapshot(db.cl.NumNodes())
-			rows := make([]types.Row, 0, len(snap))
-			for _, nh := range snap {
-				q := int64(0)
-				if nh.Quarantined {
-					q = 1
-				}
-				rows = append(rows, types.Row{
-					types.NewInt(int64(nh.Node)),
-					types.NewInt(int64(nh.Consecutive)),
-					types.NewInt(q),
-				})
-			}
-			return rows
-		},
-	},
+		intCol("query", func(q inflight) int64 { return q.id }),
+		intCol("grant_bytes", func(q inflight) int64 { return q.grant }),
+		intCol("used_bytes", func(q inflight) int64 { return q.mem.Used() }),
+		intCol("peak_bytes", func(q inflight) int64 { return q.mem.Peak() }),
+		intCol("spill_bytes", func(q inflight) int64 { return q.spill.Bytes() }),
+	),
+	sysTable("stv_faults", faultRows,
+		intCol("site", func(r faultRow) int64 { return r.site }),
+		strCol("name", func(r faultRow) string { return r.snap.Site }),
+		floatCol("prob", func(r faultRow) float64 { return r.snap.Rule.Prob }),
+		intCol("hits", func(r faultRow) int64 { return r.snap.Hits }),
+		intCol("injected", func(r faultRow) int64 { return r.snap.Injected }),
+		intCol("delayed", func(r faultRow) int64 { return r.snap.Delayed }),
+		intCol("enabled", func(r faultRow) int64 { return oneIf(r.enabled) }),
+	),
+	sysTable("stv_node_health", func(db *Database) []cluster.NodeHealth { return db.cl.Health().Snapshot(db.cl.NumNodes()) },
+		intCol("node", func(h cluster.NodeHealth) int64 { return int64(h.Node) }),
+		intCol("consecutive_failures", func(h cluster.NodeHealth) int64 { return int64(h.Consecutive) }),
+		intCol("quarantined", func(h cluster.NodeHealth) int64 { return oneIf(h.Quarantined) }),
+	),
 	cacheTable("stv_block_cache", func(db *Database) storage.CacheStats { return db.cache.Stats() },
 		"hits", "misses", "evictions", "bytes_cached", "budget_bytes", "entries", "saved_ms", "resident_cost_ms"),
 	cacheTable("stv_plan_cache", func(db *Database) storage.CacheStats { return db.planCache.Stats() },
 		"hits", "misses", "evictions", "invalidations", "entries", "budget_entries", "saved_ms", "resident_cost_ms"),
 	cacheTable("stv_result_cache", func(db *Database) storage.CacheStats { return db.resultCache.Stats() },
 		"hits", "misses", "evictions", "invalidations", "entries", "bytes_cached", "budget_bytes", "saved_ms", "resident_cost_ms"),
-	{
-		name: "stv_resize",
-		cols: []catalog.ColumnDef{
-			{Name: "active", Type: types.Int64},
-			{Name: "phase", Type: types.String},
-			{Name: "from_nodes", Type: types.Int64},
-			{Name: "to_nodes", Type: types.Int64},
-			{Name: "tables_total", Type: types.Int64},
-			{Name: "tables_copied", Type: types.Int64},
-			{Name: "rows_copied", Type: types.Int64},
-			{Name: "catchup_rounds", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			p := db.ResizeProgress()
-			if p.Phase == "" {
-				return nil
+	sysTable("stv_resize",
+		func(db *Database) []ResizeProgress {
+			if p := db.ResizeProgress(); p.Phase != "" {
+				return []ResizeProgress{p}
 			}
-			active := int64(0)
-			if p.Active {
-				active = 1
-			}
-			return []types.Row{{
-				types.NewInt(active),
-				types.NewString(p.Phase),
-				types.NewInt(int64(p.FromNodes)),
-				types.NewInt(int64(p.ToNodes)),
-				types.NewInt(p.TablesTotal),
-				types.NewInt(p.TablesCopied),
-				types.NewInt(p.RowsCopied),
-				types.NewInt(p.CatchupRounds),
-			}}
+			return nil
 		},
-	},
-	{
-		name: "stv_burst_clusters",
-		cols: []catalog.ColumnDef{
-			{Name: "burst_cluster", Type: types.Int64},
-			{Name: "state", Type: types.String},
-			{Name: "backup_id", Type: types.String},
-			{Name: "snapshot_xid", Type: types.Int64},
-			{Name: "routed_queries", Type: types.Int64},
-			{Name: "fallbacks", Type: types.Int64},
-		},
-		rows: func(db *Database) []types.Row {
-			infos := db.burstInfoRows()
-			rows := make([]types.Row, 0, len(infos))
-			for _, b := range infos {
-				rows = append(rows, types.Row{
-					types.NewInt(b.ID),
-					types.NewString(b.State),
-					types.NewString(b.BackupID),
-					types.NewInt(b.SnapshotXid),
-					types.NewInt(b.RoutedQueries),
-					types.NewInt(b.Fallbacks),
-				})
-			}
-			return rows
-		},
-	},
+		intCol("active", func(p ResizeProgress) int64 { return oneIf(p.Active) }),
+		strCol("phase", func(p ResizeProgress) string { return p.Phase }),
+		intCol("from_nodes", func(p ResizeProgress) int64 { return int64(p.FromNodes) }),
+		intCol("to_nodes", func(p ResizeProgress) int64 { return int64(p.ToNodes) }),
+		intCol("tables_total", func(p ResizeProgress) int64 { return p.TablesTotal }),
+		intCol("tables_copied", func(p ResizeProgress) int64 { return p.TablesCopied }),
+		intCol("rows_copied", func(p ResizeProgress) int64 { return p.RowsCopied }),
+		intCol("catchup_rounds", func(p ResizeProgress) int64 { return p.CatchupRounds }),
+	),
+	sysTable("stv_burst_clusters", (*Database).burstInfoRows,
+		intCol("burst_cluster", func(b BurstClusterInfo) int64 { return b.ID }),
+		strCol("state", func(b BurstClusterInfo) string { return b.State }),
+		strCol("backup_id", func(b BurstClusterInfo) string { return b.BackupID }),
+		intCol("snapshot_xid", func(b BurstClusterInfo) int64 { return b.SnapshotXid }),
+		intCol("routed_queries", func(b BurstClusterInfo) int64 { return b.RoutedQueries }),
+		intCol("fallbacks", func(b BurstClusterInfo) int64 { return b.Fallbacks }),
+	),
 }
 
-// cacheColumns are the columns a cache's stv_ table may have, each read
-// from its storage.CacheStats.
-var cacheColumns = map[string]func(storage.CacheStats) types.Value{
-	"hits":             func(s storage.CacheStats) types.Value { return types.NewInt(s.Hits) },
-	"misses":           func(s storage.CacheStats) types.Value { return types.NewInt(s.Misses) },
-	"evictions":        func(s storage.CacheStats) types.Value { return types.NewInt(s.Evictions) },
-	"invalidations":    func(s storage.CacheStats) types.Value { return types.NewInt(s.Invalidations) },
-	"entries":          func(s storage.CacheStats) types.Value { return types.NewInt(s.Entries) },
-	"bytes_cached":     func(s storage.CacheStats) types.Value { return types.NewInt(s.Bytes) },
-	"budget_bytes":     func(s storage.CacheStats) types.Value { return types.NewInt(s.Budget) },
-	"budget_entries":   func(s storage.CacheStats) types.Value { return types.NewInt(s.Budget) },
-	"saved_ms":         func(s storage.CacheStats) types.Value { return types.NewFloat(float64(s.SavedNs) / 1e6) },
-	"resident_cost_ms": func(s storage.CacheStats) types.Value { return types.NewFloat(float64(s.ResidentCostNs) / 1e6) },
+// sliceRow is one slice's stv_slice_stats source: its scan counters and the
+// node it lives on.
+type sliceRow struct {
+	slice, node int64
+	st          *sliceStat
 }
+
+func sliceRows(db *Database) []sliceRow {
+	out := make([]sliceRow, len(db.sliceStats))
+	for sl := range out {
+		out[sl] = sliceRow{int64(sl), int64(db.cl.Slice(sl).Node.ID), &db.sliceStats[sl]}
+	}
+	return out
+}
+
+// faultRow is one fault site's stv_faults source: its position, its rule
+// and counters, and whether injection was live when the table was read.
+type faultRow struct {
+	site    int64
+	snap    faults.SiteSnapshot
+	enabled bool
+}
+
+func faultRows(db *Database) []faultRow {
+	enabled := db.inj.Enabled()
+	snap := db.inj.Snapshot()
+	out := make([]faultRow, len(snap))
+	for i, s := range snap {
+		out[i] = faultRow{int64(i), s, enabled}
+	}
+	return out
+}
+
+// cacheColumns are the columns a cache's stv_ table may have, by name, each
+// read from its storage.CacheStats.
+var cacheColumns = func(cols ...sysCol[storage.CacheStats]) map[string]sysCol[storage.CacheStats] {
+	m := make(map[string]sysCol[storage.CacheStats], len(cols))
+	for _, c := range cols {
+		m[c.name] = c
+	}
+	return m
+}(
+	intCol("hits", func(s storage.CacheStats) int64 { return s.Hits }),
+	intCol("misses", func(s storage.CacheStats) int64 { return s.Misses }),
+	intCol("evictions", func(s storage.CacheStats) int64 { return s.Evictions }),
+	intCol("invalidations", func(s storage.CacheStats) int64 { return s.Invalidations }),
+	intCol("entries", func(s storage.CacheStats) int64 { return s.Entries }),
+	intCol("bytes_cached", func(s storage.CacheStats) int64 { return s.Bytes }),
+	intCol("budget_bytes", func(s storage.CacheStats) int64 { return s.Budget }),
+	intCol("budget_entries", func(s storage.CacheStats) int64 { return s.Budget }),
+	floatCol("saved_ms", func(s storage.CacheStats) float64 { return float64(s.SavedNs) / 1e6 }),
+	floatCol("resident_cost_ms", func(s storage.CacheStats) float64 { return float64(s.ResidentCostNs) / 1e6 }),
+)
 
 // cacheTable is a one-row stv_ view of a cache's stats with the named
 // cacheColumns, in order.
 func cacheTable(name string, stats func(*Database) storage.CacheStats, cols ...string) systemTable {
-	t := systemTable{name: name, rows: func(db *Database) []types.Row {
-		s := stats(db)
-		row := make(types.Row, len(cols))
-		for i, c := range cols {
-			row[i] = cacheColumns[c](s)
-		}
-		return []types.Row{row}
-	}}
-	for _, c := range cols {
-		t.cols = append(t.cols, catalog.ColumnDef{Name: c, Type: cacheColumns[c](storage.CacheStats{}).T})
+	picked := make([]sysCol[storage.CacheStats], len(cols))
+	for i, c := range cols {
+		picked[i] = cacheColumns[c]
 	}
-	return t
+	return sysTable(name, func(db *Database) []storage.CacheStats { return []storage.CacheStats{stats(db)} }, picked...)
 }
 
 // isSystemTable reports whether name is a leader-resolved system table.

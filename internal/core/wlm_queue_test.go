@@ -614,9 +614,15 @@ func TestWLMGaugesRenderTheQueues(t *testing.T) {
 		_, err := w.AcquireQueueCtx(waitCtx, "")
 		done <- err
 	}()
-	for depth, _ := w.QueuePressure(); depth == 0; depth, _ = w.QueuePressure() {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the default-queue waiter queues", func() bool {
+		select {
+		case err := <-done:
+			t.Fatalf("waiter returned before it queued: err = %v", err)
+		default:
+		}
+		depth, _ := w.QueuePressure()
+		return depth > 0
+	})
 
 	want := map[string]int64{
 		"wlm_active": 3, "wlm_queued": 1, "wlm_queries_total": 4,

@@ -74,7 +74,10 @@ func TestWLMQueueWaitReported(t *testing.T) {
 		res, err := db.Execute(`SELECT COUNT(*) FROM sales WHERE qty > 1`)
 		done <- outcome{res, err}
 	}()
-	time.Sleep(30 * time.Millisecond)
+	waitUntil(t, "the query queues behind the held slot", func() bool {
+		depth, _ := db.QueuePressure()
+		return depth == 1
+	})
 	db.wlm.ReleaseTicket(held)
 	out := <-done
 	if out.err != nil {

@@ -166,11 +166,22 @@ func NewInjector(p *Plan) *Injector {
 		sleep:   time.Sleep,
 	}
 	for name, rule := range p.Sites {
-		in.order = append(in.order, name)
-		in.sites[name] = &siteState{rule: rule}
+		in.site(name).rule = rule
 	}
-	sortStrings(in.order)
 	return in
+}
+
+// site returns name's state, registering the site on first use. Callers
+// hold in.mu (or own in, as NewInjector does).
+func (in *Injector) site(name string) *siteState {
+	st := in.sites[name]
+	if st == nil {
+		st = &siteState{}
+		in.sites[name] = st
+		in.order = append(in.order, name)
+		sort.Strings(in.order)
+	}
+	return st
 }
 
 // Seed returns the plan's effective RNG seed (0 for a nil injector) —
@@ -220,14 +231,7 @@ func (in *Injector) SetRule(site string, r Rule) {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	st := in.sites[site]
-	if st == nil {
-		st = &siteState{}
-		in.sites[site] = st
-		in.order = append(in.order, site)
-		sortStrings(in.order)
-	}
-	st.rule = r
+	in.site(site).rule = r
 }
 
 // Hit evaluates site's rule once: it may sleep (latency schedule) and may
@@ -239,13 +243,7 @@ func (in *Injector) Hit(site string) error {
 		return nil
 	}
 	in.mu.Lock()
-	st := in.sites[site]
-	if st == nil {
-		st = &siteState{}
-		in.sites[site] = st
-		in.order = append(in.order, site)
-		sortStrings(in.order)
-	}
+	st := in.site(site)
 	st.hits++
 	if !in.enabled {
 		in.mu.Unlock()
@@ -294,5 +292,3 @@ func (in *Injector) Snapshot() []SiteSnapshot {
 	}
 	return out
 }
-
-func sortStrings(s []string) { sort.Strings(s) }

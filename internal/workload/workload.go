@@ -191,8 +191,8 @@ type statementGen struct {
 	t    TenantSpec
 	rng  *rand.Rand
 	last struct {
-		kind, sql string
-		ok        bool
+		sql string
+		ok  bool
 	}
 	// etlStep cycles write → write → transform → transform → maintenance,
 	// the shape of one ETL wave.
@@ -210,30 +210,43 @@ func (g *statementGen) next() (kind, sqlText string) {
 	case ETL:
 		kind, sqlText = g.nextETL()
 	case AdHoc:
-		kind, sqlText = KindAdHoc, g.nextAdHoc()
+		kind, sqlText = KindAdHoc, g.repeatOrDraw(&adHocQueries)
 	default:
-		kind, sqlText = KindShort, g.nextDashboard()
+		kind, sqlText = KindShort, g.repeatOrDraw(&dashboardQueries)
 	}
 	return kind, sqlText
 }
 
-// nextDashboard draws a short panel query, re-issuing the previous one
-// with probability Repeat.
-func (g *statementGen) nextDashboard() string {
+// dashboardQueries are the short panel queries a dashboard tenant draws.
+var dashboardQueries = [3]template{
+	{`SELECT COUNT(*) FROM wl_events WHERE e_type = %d`, 8},
+	{`SELECT e_type, COUNT(*) FROM wl_events WHERE e_user = %d GROUP BY e_type`, 50},
+	{`SELECT MAX(e_val) FROM wl_events WHERE e_type = %d`, 8},
+}
+
+// adHocQueries are exploration queries: joins and grouped aggregates with
+// shifting predicates.
+var adHocQueries = [3]template{
+	{`SELECT o_custkey, SUM(o_total) FROM wl_orders WHERE o_region = %d GROUP BY o_custkey`, 5},
+	{`SELECT o_id, o_total FROM wl_orders JOIN wl_lineitems ON o_id = l_orderkey WHERE l_qty > %d LIMIT 100`, 6},
+	{`SELECT l_partkey, AVG(l_price) FROM wl_lineitems WHERE l_qty > %d GROUP BY l_partkey`, 6},
+}
+
+// template is a statement with one integer parameter drawn from [0, bound).
+type template struct {
+	format string
+	bound  int
+}
+
+// repeatOrDraw re-issues the previous statement with probability Repeat,
+// else fills one of the three templates.
+func (g *statementGen) repeatOrDraw(ts *[3]template) string {
 	if g.last.ok && g.rng.Float64() < g.t.Repeat {
 		return g.last.sql
 	}
-	var q string
-	switch g.rng.Intn(3) {
-	case 0:
-		q = fmt.Sprintf(`SELECT COUNT(*) FROM wl_events WHERE e_type = %d`, g.rng.Intn(8))
-	case 1:
-		q = fmt.Sprintf(`SELECT e_type, COUNT(*) FROM wl_events WHERE e_user = %d GROUP BY e_type`, g.rng.Intn(50))
-	default:
-		q = fmt.Sprintf(`SELECT MAX(e_val) FROM wl_events WHERE e_type = %d`, g.rng.Intn(8))
-	}
-	g.last.sql, g.last.ok = q, true
-	return q
+	t := ts[g.rng.Intn(3)]
+	g.last.sql, g.last.ok = fmt.Sprintf(t.format, g.rng.Intn(t.bound)), true
+	return g.last.sql
 }
 
 // nextETL cycles a wave: bulk INSERTs, then heavy transforms (each with a
@@ -267,25 +280,6 @@ func (g *statementGen) nextETL() (string, string) {
 		}
 		return KindMaintenance, `ANALYZE wl_stage`
 	}
-}
-
-// nextAdHoc draws an exploration query: joins and grouped aggregates with
-// shifting predicates, occasionally repeated.
-func (g *statementGen) nextAdHoc() string {
-	if g.last.ok && g.rng.Float64() < g.t.Repeat {
-		return g.last.sql
-	}
-	var q string
-	switch g.rng.Intn(3) {
-	case 0:
-		q = fmt.Sprintf(`SELECT o_custkey, SUM(o_total) FROM wl_orders WHERE o_region = %d GROUP BY o_custkey`, g.rng.Intn(5))
-	case 1:
-		q = fmt.Sprintf(`SELECT o_id, o_total FROM wl_orders JOIN wl_lineitems ON o_id = l_orderkey WHERE l_qty > %d LIMIT 100`, g.rng.Intn(6))
-	default:
-		q = fmt.Sprintf(`SELECT l_partkey, AVG(l_price) FROM wl_lineitems WHERE l_qty > %d GROUP BY l_partkey`, g.rng.Intn(6))
-	}
-	g.last.sql, g.last.ok = q, true
-	return q
 }
 
 // setupSQL builds the shared schema and its deterministic seed data. Three

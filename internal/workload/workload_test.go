@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -33,6 +35,12 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	}
 	if b := Synthesize(testWorkload(43)).Render(); b == a {
 		t.Fatal("different seeds rendered identical streams")
+	}
+	// The stream's digest: a generator change that moves a byte, or
+	// reorders an RNG draw, fails here rather than in a QoS replay.
+	const want = "b88ba76c4a6100aabdc73ee3fa0a61ae8084c8b685e66268ebe6676911bfd2fb"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(a))); got != want {
+		t.Fatalf("seed 42 stream digest = %s, want %s", got, want)
 	}
 }
 
