@@ -21,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"redshift/internal/bench"
 	"redshift/internal/controlplane"
 	"redshift/internal/sim"
 )
@@ -96,7 +97,7 @@ func main() {
 			return err
 		}))
 	case "figure2":
-		figure2()
+		fmt.Print(bench.Figure2())
 	default:
 		usage()
 	}
@@ -118,24 +119,6 @@ func run(fn func(o *controlplane.Ops) error) time.Duration {
 
 func report(name string, d time.Duration) {
 	fmt.Printf("%-14s %s (simulated wall-clock the customer waits)\n", name, d.Round(time.Second))
-}
-
-// figure2 prints the full Figure 2 table.
-func figure2() {
-	fmt.Println("Time to deploy and manage a cluster (simulated minutes, Figure 2)")
-	fmt.Printf("%-10s %10s %10s %10s %10s %12s\n", "nodes", "deploy", "connect", "backup", "restore", "resize(2→N)")
-	for _, n := range []int{2, 16, 128} {
-		deploy := run(func(o *controlplane.Ops) error { _, err := o.Provision(n, true); return err })
-		connect := run(func(o *controlplane.Ops) error { _, err := o.Connect(); return err })
-		backupD := run(func(o *controlplane.Ops) error { _, err := o.Backup(n, int64(100e9*float64(n))); return err })
-		restore := run(func(o *controlplane.Ops) error {
-			_, err := o.Restore(n, int64(500e9*float64(n)), true, 0.15)
-			return err
-		})
-		resize := run(func(o *controlplane.Ops) error { _, err := o.Resize(2, n, 2e12); return err })
-		fmt.Printf("%-10d %10.1f %10.1f %10.1f %10.1f %12.1f\n",
-			n, deploy.Minutes(), connect.Minutes(), backupD.Minutes(), restore.Minutes(), resize.Minutes())
-	}
 }
 
 func usage() {

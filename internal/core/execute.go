@@ -314,7 +314,8 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 // collect cut at LIMIT — behind a DISTINCT sieve when one is asked for.
 // Either sink yields exactly one freshly materialized, possibly empty batch;
 // what the sieve and the collect charge for it stays charged until the
-// query's tracker is released, since the caller still reads the batch.
+// query's tracker is released, since the caller still reads the batch. The
+// group tables, slice and leader, are released on the way out.
 func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
 	ph := q.ph
 	var p *exec.Pipeline
@@ -325,10 +326,16 @@ func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
 			q.account(q.db.cl.Slice(sl).Node.ID, -1, shipped, cluster.TransferGather)
 			q.gatherBytes.Add(shipped)
 		}
+		defer func() {
+			for _, t := range q.aggTables {
+				t.ReleaseMem()
+			}
+		}()
 		leaderGt, err := exec.NewGroupTable(q.mode, q.p.GroupBy, q.p.Aggs)
 		if err != nil {
 			return nil, err
 		}
+		defer leaderGt.ReleaseMem()
 		leaderGt.SetMemory(q.memCtx(ph.LeaderAgg))
 		q.leaderAgg = leaderGt
 		p = q.opPipeline(exec.NewGroupMergeOp(leaderGt, q.aggTables, ship), ph.LeaderAgg)

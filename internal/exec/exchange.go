@@ -201,8 +201,6 @@ type RecvOp struct {
 // NewRecvOp returns dst's receiving operator.
 func NewRecvOp(e *Exchange, dst int) *RecvOp { return &RecvOp{e: e, dst: dst} }
 
-func (o *RecvOp) Open(ctx context.Context) error { return nil }
-
 func (o *RecvOp) Next(ctx context.Context) (*Batch, error) {
 	for o.src < o.e.n {
 		select {
@@ -222,8 +220,6 @@ func (o *RecvOp) Next(ctx context.Context) (*Batch, error) {
 	// All producers closed cleanly; surface a late abort if one happened.
 	return nil, o.e.Err()
 }
-
-func (o *RecvOp) Close() error { return nil }
 
 // BroadcastRoute replicates every batch to all n destinations. Consumers
 // must treat inbound batches as read-only (hash-join build does).

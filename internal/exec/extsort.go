@@ -199,19 +199,17 @@ func (s *ExternalSorter) flushRun() error {
 	return nil
 }
 
-// Stream returns the fully sorted output as a batch stream. The sorter
-// must not receive further Adds.
-func (s *ExternalSorter) Stream(ctx context.Context) (batchStream, error) {
+// Stream returns the fully sorted output as an Operator. The sorter must
+// not receive further Adds.
+func (s *ExternalSorter) Stream(ctx context.Context) (Operator, error) {
 	if s.cur != nil && s.cur.N > 0 {
 		s.sortResident()
 	}
+	resident := NewBatchSource([]*Batch{s.cur})
 	if len(s.runs) == 0 {
-		if s.cur == nil {
-			return &memStream{}, nil
-		}
-		return &memStream{batches: []*Batch{s.cur}}, nil
+		return resident, nil
 	}
-	streams := make([]batchStream, 0, len(s.runs)+1)
+	streams := make([]Operator, 0, len(s.runs)+1)
 	for _, run := range s.runs {
 		r, err := run.reader()
 		if err != nil {
@@ -219,8 +217,5 @@ func (s *ExternalSorter) Stream(ctx context.Context) (batchStream, error) {
 		}
 		streams = append(streams, r)
 	}
-	if s.cur != nil && s.cur.N > 0 {
-		streams = append(streams, &memStream{batches: []*Batch{s.cur}})
-	}
-	return newMergeStream(streams, s.keys), nil
+	return newMergeStream(append(streams, resident), s.keys), nil
 }

@@ -125,33 +125,38 @@ func (g *graceSpill) withSeqCol(b *Batch) *Batch {
 
 // SpillProbe partitions one probe batch of a spilled join to scratch,
 // consuming it. The whole probe stream must pass through before SpillOutput
-// is opened.
+// is pulled.
 func (j *HashJoin) SpillProbe(b *Batch) error {
 	err := j.spill.addProbe(b)
 	PutBatch(b)
 	return err
 }
 
-// SpillOutput returns a spilled join's result as an Operator: Open joins
-// every partition pair, Next streams the seq-merged output — row for row
-// the in-memory probe order — with the carry column stripped.
+// SpillOutput returns a spilled join's result as an Operator: its first
+// pull joins every partition pair, and it streams the seq-merged output —
+// row for row the in-memory probe order — with the carry column stripped.
+// Read to the end, it gives the join's scratch file back; on any other exit
+// ReleaseMem does.
 func (j *HashJoin) SpillOutput() Operator { return &graceOutput{g: j.spill} }
 
 type graceOutput struct {
 	g   *graceSpill
-	out batchStream
+	out Operator
 }
 
-func (o *graceOutput) Open(ctx context.Context) (err error) {
-	o.out, err = o.g.run(ctx)
-	return err
-}
-
-func (o *graceOutput) Next(ctx context.Context) (*Batch, error) {
-	for {
-		b, err := o.out.Next(ctx)
-		if err != nil || b == nil {
+func (o *graceOutput) Next(ctx context.Context) (b *Batch, err error) {
+	if o.out == nil {
+		if o.out, err = o.g.run(ctx); err != nil {
 			return nil, err
+		}
+	}
+	for {
+		if b, err = o.out.Next(ctx); err != nil {
+			return nil, err
+		}
+		if b == nil {
+			o.g.sf.Close()
+			return nil, nil
 		}
 		b.Cols = b.Cols[:len(b.Cols)-1] // strip the probe-sequence carry
 		if b.N > 0 {
@@ -161,25 +166,19 @@ func (o *graceOutput) Next(ctx context.Context) (*Batch, error) {
 	}
 }
 
-// Close gives the join's scratch file back: the output has been read.
-func (o *graceOutput) Close() error {
-	o.g.sf.Close()
-	return nil
-}
-
 // seqOrder orders joined rows by their trailing probe-sequence column.
 func (g *graceSpill) seqOrder() []plan.OrderKey { return []plan.OrderKey{{Index: g.seqCol}} }
 
 // run joins every partition pair and returns the merged output stream
 // (joined layout plus the trailing sequence column, in probe order).
-func (g *graceSpill) run(ctx context.Context) (batchStream, error) {
+func (g *graceSpill) run(ctx context.Context) (Operator, error) {
 	return g.joinPairs(ctx, g.build, g.probe, 0)
 }
 
 // joinPairs joins one level's partition pairs, each into an output of its
 // own, and returns the outputs seq-merged.
-func (g *graceSpill) joinPairs(ctx context.Context, build, probe []*frames, depth int) (batchStream, error) {
-	var outs []batchStream
+func (g *graceSpill) joinPairs(ctx context.Context, build, probe []*frames, depth int) (Operator, error) {
+	var outs []Operator
 	for p := range probe {
 		if probe[p].rows == 0 || (build[p].rows == 0 && g.j.kind != sql.LeftJoin) {
 			// No probe rows → no output rows; empty build produces output
@@ -199,15 +198,10 @@ func (g *graceSpill) joinPairs(ctx context.Context, build, probe []*frames, dept
 	return newMergeStream(outs, g.seqOrder()), nil
 }
 
-// drainFrames hands every batch of a partition to fn, which keeps no
-// reference to it.
-func drainFrames(ctx context.Context, p *frames, fn func(*Batch) error) error {
-	r, err := p.reader()
-	if err != nil {
-		return err
-	}
+// drain hands every batch of src to fn, which keeps no reference to it.
+func drain(ctx context.Context, src Operator, fn func(*Batch) error) error {
 	for {
-		b, err := r.Next(ctx)
+		b, err := src.Next(ctx)
 		if err != nil || b == nil {
 			return err
 		}
@@ -217,6 +211,15 @@ func drainFrames(ctx context.Context, p *frames, fn func(*Batch) error) error {
 			return err
 		}
 	}
+}
+
+// drainFrames drains a partition through fn.
+func drainFrames(ctx context.Context, p *frames, fn func(*Batch) error) error {
+	r, err := p.reader()
+	if err != nil {
+		return err
+	}
+	return drain(ctx, r, fn)
 }
 
 // processPair joins one build/probe partition pair into out. If the build
@@ -281,15 +284,5 @@ func (g *graceSpill) subdivide(ctx context.Context, build, probe *frames, depth 
 	if err != nil {
 		return err
 	}
-	for {
-		b, err := merged.Next(ctx)
-		if err != nil || b == nil {
-			return err
-		}
-		err = out.appendBatch(b)
-		PutBatch(b)
-		if err != nil {
-			return err
-		}
-	}
+	return drain(ctx, merged, out.appendBatch)
 }

@@ -17,7 +17,7 @@ func KeyEncoder(vals []types.Value) string {
 		buf = append(buf, 1, byte(v.T))
 		switch v.T {
 		case types.Float64:
-			buf = appendUint64(buf, floatKeyBits(v.F))
+			buf = appendUint64(buf, types.FloatKeyBits(v.F))
 		case types.String:
 			buf = appendUint64(buf, uint64(len(v.S)))
 			buf = append(buf, v.S...)

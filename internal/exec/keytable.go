@@ -142,7 +142,7 @@ func hashKeys(vecs []*types.Vector, n int, hashes []uint64) []uint64 {
 			for r, f := range v.Floats[:n] {
 				x := uint64(hashNull)
 				if nulls == nil || !nulls[r] {
-					x = floatKeyBits(f)
+					x = types.FloatKeyBits(f)
 				}
 				hashes[r] = mix(hashes[r], x)
 			}
@@ -263,7 +263,7 @@ func (t *KeyTable) lookupFixed(v *types.Vector, r int, h uint64, insert bool) ui
 	switch {
 	case v.Nulls != nil && v.Nulls[r]:
 	case v.T == types.Float64:
-		k, tag = floatKeyBits(v.Floats[r]), uint8(v.T)
+		k, tag = types.FloatKeyBits(v.Floats[r]), uint8(v.T)
 	default:
 		k, tag = uint64(v.Ints[r]), uint8(v.T)
 	}
@@ -344,14 +344,6 @@ func appendUint64(b []byte, x uint64) []byte {
 		byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
 }
 
-func floatKeyBits(f float64) uint64 {
-	// Normalize -0 and +0 so they are one key.
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
-}
-
 // appendKeyAt appends position r of v in KeyEncoder's encoding. A nil
 // (unmaterialized) column encodes as KeyEncoder's zero Value does.
 func appendKeyAt(buf []byte, v *types.Vector, r int) []byte {
@@ -361,7 +353,7 @@ func appendKeyAt(buf []byte, v *types.Vector, r int) []byte {
 	case v.Nulls != nil && v.Nulls[r]:
 		return append(buf, 0)
 	case v.T == types.Float64:
-		return appendUint64(append(buf, 1, byte(v.T)), floatKeyBits(v.Floats[r]))
+		return appendUint64(append(buf, 1, byte(v.T)), types.FloatKeyBits(v.Floats[r]))
 	case v.T == types.String:
 		s := v.Strs[r]
 		return append(appendUint64(append(buf, 1, byte(v.T)), uint64(len(s))), s...)
@@ -385,7 +377,7 @@ func keyEqualAt(vecs []*types.Vector, r int, key []byte) bool {
 		if v != nil {
 			switch t = v.T; t {
 			case types.Float64:
-				bits = floatKeyBits(v.Floats[r])
+				bits = types.FloatKeyBits(v.Floats[r])
 			case types.String:
 				s = v.Strs[r]
 				bits = uint64(len(s))

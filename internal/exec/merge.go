@@ -20,7 +20,7 @@ import (
 // — consecutive rows of one source batch — of up to size rows in all.
 // The second copies the runs column by column, one typed loop per column.
 type mergeStream struct {
-	streams []batchStream
+	streams []Operator
 	keys    []plan.OrderKey
 	in      []mergeInput
 	heap    []int // live streams, heap[0] holding the next row
@@ -46,7 +46,7 @@ type mergeInput struct {
 type mergeRun struct{ slot, lo, hi int }
 
 // newMergeStream merges streams each already ordered by keys.
-func newMergeStream(streams []batchStream, keys []plan.OrderKey) *mergeStream {
+func newMergeStream(streams []Operator, keys []plan.OrderKey) *mergeStream {
 	return &mergeStream{streams: streams, keys: keys, in: make([]mergeInput, len(streams)), size: BatchSize}
 }
 

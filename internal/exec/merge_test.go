@@ -122,9 +122,9 @@ func TestPropMergeKernel(t *testing.T) {
 					t.Fatalf("reference merged %d rows of %d", len(want), total)
 				}
 
-				ins := make([]batchStream, k)
+				ins := make([]Operator, k)
 				for i, bs := range streams {
-					ins[i] = &memStream{batches: bs}
+					ins[i] = NewBatchSource(bs)
 				}
 				m := newMergeStream(ins, sh.keys)
 				var got []string
@@ -157,7 +157,7 @@ func TestMergeKernelRejectsMismatchedShapes(t *testing.T) {
 	sh := mergeShape{"mismatch", []plan.OrderKey{{Index: 1}, {Index: 0, Desc: true}}, 0.1, 9}
 	a, b := SortBatch(mergeBatch(rng, 3, sh), sh.keys), SortBatch(mergeBatch(rng, 3, sh), sh.keys)
 	b.Cols[3] = nil
-	m := newMergeStream([]batchStream{&memStream{batches: []*Batch{a}}, &memStream{batches: []*Batch{b}}}, sh.keys)
+	m := newMergeStream([]Operator{NewBatchSource([]*Batch{a}), NewBatchSource([]*Batch{b})}, sh.keys)
 	if _, err := m.Next(context.Background()); err == nil {
 		t.Error("merging batches that materialize different columns did not fail")
 	}

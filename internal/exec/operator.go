@@ -7,25 +7,28 @@ import (
 	"redshift/internal/telemetry"
 )
 
-// Operator is a Pipeline's serial source: a batch stream one goroutine
-// pulls — exchange receive, materialized rows, a grace join's output, the
-// leader's merge of the slice results. It is never composed into chains;
-// everything downstream of a source is the pipeline's stages and sink. Next
-// returns (nil, nil) at end of stream, and the batch it returns belongs to
-// the caller.
+// Operator is the engine's one pull interface: a batch stream one goroutine
+// pulls. It has two uses — a Pipeline's serial source (exchange receive,
+// materialized rows, a grace join's output, the leader's merge of the slice
+// results) and an input of the k-way merge (a spill frame reader, a resident
+// run, another merge). It is never composed into chains; everything
+// downstream of a pipeline's source is its stages and sink. Next returns
+// (nil, nil) at end of stream, and the batch it returns belongs to the
+// caller. There is no lifecycle: a source does its setup on its first pull
+// and gives back what it holds when it reaches the end; what an early stop
+// leaves behind belongs to the owner that made the source.
 //
 // The context flows through every pull so cancellation (Database.Cancel,
 // statement_timeout) reaches the leaves: exchange receives select on it,
-// bounding abort latency to one batch boundary. Close never takes a
-// context — cleanup must run even after cancellation.
+// bounding abort latency to one batch boundary.
 type Operator interface {
-	Open(ctx context.Context) error
 	Next(ctx context.Context) (*Batch, error)
-	Close() error
 }
 
-// BatchSource replays a fixed batch list — system-table rows and other
-// already-materialized inputs.
+// BatchSource replays a fixed batch list — system-table rows, a sorter's
+// resident run, other already-materialized inputs — handing off ownership:
+// each batch leaves its slot as it is returned, and empty ones go back to
+// the pool.
 type BatchSource struct {
 	batches []*Batch
 	i       int
@@ -34,20 +37,21 @@ type BatchSource struct {
 // NewBatchSource wraps batches as an Operator.
 func NewBatchSource(batches []*Batch) *BatchSource { return &BatchSource{batches: batches} }
 
-func (s *BatchSource) Open(ctx context.Context) error { return nil }
-
 func (s *BatchSource) Next(ctx context.Context) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	for s.i < len(s.batches) {
 		b := s.batches[s.i]
+		s.batches[s.i] = nil
 		s.i++
 		if b != nil && b.N > 0 {
 			return b, nil
 		}
+		PutBatch(b)
 	}
 	return nil, nil
 }
-
-func (s *BatchSource) Close() error { return nil }
 
 // GroupMergeOp is the leader's aggregation phase: it merges the per-slice
 // partial tables into a fresh leader table and emits the aggregate layout
@@ -55,7 +59,8 @@ func (s *BatchSource) Close() error { return nil }
 // the merge correct when slice tables spilled: draining a spilled table
 // interleaves resident and re-aggregated groups, and merging into a table
 // with its own pending partitions would double-emit keys. ship observes
-// each non-leader table before merging (gather-transfer accounting).
+// each non-leader table before merging (gather-transfer accounting). The
+// tables stay the caller's to release.
 type GroupMergeOp struct {
 	leader *GroupTable
 	tables []*GroupTable
@@ -67,8 +72,6 @@ type GroupMergeOp struct {
 func NewGroupMergeOp(leader *GroupTable, tables []*GroupTable, ship func(sl int, t *GroupTable)) *GroupMergeOp {
 	return &GroupMergeOp{leader: leader, tables: tables, ship: ship}
 }
-
-func (o *GroupMergeOp) Open(ctx context.Context) error { return nil }
 
 func (o *GroupMergeOp) Next(ctx context.Context) (*Batch, error) {
 	if o.done {
@@ -84,14 +87,6 @@ func (o *GroupMergeOp) Next(ctx context.Context) (*Batch, error) {
 		}
 	}
 	return o.leader.ResultCtx(ctx)
-}
-
-func (o *GroupMergeOp) Close() error {
-	o.leader.ReleaseMem()
-	for _, t := range o.tables {
-		t.ReleaseMem()
-	}
-	return nil
 }
 
 // LeaderMergeOp is the receive side of the gather to the leader: a
@@ -114,8 +109,6 @@ func NewLeaderMergeOp(perSlice [][]*Batch, fl *FlightTracker) *LeaderMergeOp {
 	return &LeaderMergeOp{perSlice: perSlice, fl: fl}
 }
 
-func (o *LeaderMergeOp) Open(ctx context.Context) error { return nil }
-
 // Next walks the lists in slice order, unparking each batch as it comes to it.
 func (o *LeaderMergeOp) Next(ctx context.Context) (*Batch, error) {
 	for ; o.sl < len(o.perSlice); o.sl, o.i = o.sl+1, 0 {
@@ -130,8 +123,6 @@ func (o *LeaderMergeOp) Next(ctx context.Context) (*Batch, error) {
 	}
 	return nil, nil
 }
-
-func (o *LeaderMergeOp) Close() error { return nil }
 
 // FlightTracker counts batches that have been produced but not yet retired
 // anywhere in a query's pipelines — including batches parked in exchange

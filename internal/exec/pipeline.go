@@ -166,7 +166,12 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	var err error
 	switch {
 	case p.Scan == nil:
-		err = p.runOp(ctx)
+		var seq int64
+		err = p.work(ctx, 0, func(ctx context.Context) (int64, *Batch, bool, error) {
+			b, err := p.Op.Next(ctx)
+			seq++
+			return seq - 1, b, b != nil, err
+		})
 	case n == 1:
 		err = p.work(ctx, 0, p.scanPull(0))
 	default:
@@ -204,25 +209,6 @@ func (p *Pipeline) scanPull(w int) pullFn {
 		b, err := sc.ScanBlock(ctx, m.Seg, m.Block)
 		return m.Seq, b, true, err
 	}
-}
-
-// runOp drains an Operator source on the calling goroutine.
-func (p *Pipeline) runOp(ctx context.Context) error {
-	start := time.Now()
-	err := p.Op.Open(ctx)
-	p.SrcStats.addNanos(int64(time.Since(start)))
-	if err == nil {
-		var seq int64
-		err = p.work(ctx, 0, func(ctx context.Context) (int64, *Batch, bool, error) {
-			b, err := p.Op.Next(ctx)
-			seq++
-			return seq - 1, b, b != nil, err
-		})
-	}
-	if cerr := p.Op.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // fanOut runs n workers over the shared queue and joins them, preferring

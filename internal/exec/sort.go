@@ -151,7 +151,7 @@ func runBounds(b *Batch, bound []sortKey) []int {
 // mergeRuns merges b's runs through mergeStream, over views of b's vectors,
 // into one batch of at most limit rows (all of them when limit < 0).
 func mergeRuns(b *Batch, bounds []int, keys []plan.OrderKey, limit int64) *Batch {
-	streams := make([]batchStream, len(bounds)-1)
+	streams := make([]Operator, len(bounds)-1)
 	for i := range streams {
 		lo, hi := bounds[i], bounds[i+1]
 		run := &Batch{Cols: make([]*types.Vector, len(b.Cols)), N: hi - lo}
@@ -160,7 +160,7 @@ func mergeRuns(b *Batch, bounds []int, keys []plan.OrderKey, limit int64) *Batch
 				run.Cols[c] = v.Slice(lo, hi)
 			}
 		}
-		streams[i] = &memStream{batches: []*Batch{run}}
+		streams[i] = NewBatchSource([]*Batch{run})
 	}
 	m := newMergeStream(streams, keys)
 	if m.size = b.N; limit >= 0 && limit < int64(b.N) {

@@ -480,34 +480,3 @@ func newPartitions(sf *scratchFile) []*frames {
 	}
 	return parts
 }
-
-// batchStream is the minimal pull interface shared by frame readers,
-// in-memory batch lists and k-way merges. Next returns (nil, nil) when
-// exhausted; returned batches are owned by the caller.
-type batchStream interface {
-	Next(ctx context.Context) (*Batch, error)
-}
-
-// memStream replays a fixed list of batches, handing off ownership.
-type memStream struct {
-	batches []*Batch
-	i       int
-}
-
-func (s *memStream) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for s.i < len(s.batches) {
-		b := s.batches[s.i]
-		s.batches[s.i] = nil
-		s.i++
-		if b != nil && b.N > 0 {
-			return b, nil
-		}
-		if b != nil {
-			PutBatch(b)
-		}
-	}
-	return nil, nil
-}

@@ -582,3 +582,86 @@ func TestGraceLeftJoinPrunedBuildColumn(t *testing.T) {
 	sameRows(t, "pruned-build-column", got, want)
 	gov.ReleaseMem()
 }
+
+// TestSpillOutputGivesItsFileBack pins when a spilled join's scratch file
+// goes. Read to the end, the output gives it back by itself, so a segment
+// with two spilled joins never holds the first one's file while it reads the
+// second's. Abandoned after its first batch, the output leaves the file to
+// ReleaseMem. Both cases end with the tracker at zero (govCtx checks).
+func TestSpillOutputGivesItsFileBack(t *testing.T) {
+	ctx := context.Background()
+	keys := []plan.Expr{col(0, types.Int64)}
+	step := plan.JoinStep{Kind: sql.InnerJoin, LeftKeys: keys, RightKeys: keys}
+	const probeBatches = 4
+	// spilled returns a join whose build side spilled a 4 KiB grant and whose
+	// probe side is partitioned, and a count of the files in its scratch dir.
+	spilled := func(t *testing.T) (*HashJoin, func() int) {
+		mc := govCtx(t, 4<<10)
+		j, err := NewHashJoin(Compiled, step, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SetMemory(mc)
+		if err := j.Build(kvBatch(BatchSize, 0, BatchSize)); err != nil {
+			t.Fatal(err)
+		}
+		if !j.Spilled() {
+			t.Fatal("the build side fit a 4 KiB grant")
+		}
+		for i := 0; i < probeBatches; i++ {
+			if err := j.SpillProbe(kvBatch(BatchSize, 0, BatchSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files := func() int {
+			ents, err := os.ReadDir(mc.Dir.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(ents)
+		}
+		if n := files(); n != 1 {
+			t.Fatalf("%d scratch files before the output is read, want 1", n)
+		}
+		return j, files
+	}
+
+	t.Run("read-to-end", func(t *testing.T) {
+		j, files := spilled(t)
+		defer j.ReleaseMem()
+		out, rows := j.SpillOutput(), 0
+		for {
+			b, err := out.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			rows += b.N
+			PutBatch(b)
+		}
+		if rows != probeBatches*BatchSize {
+			t.Fatalf("joined %d rows, want %d", rows, probeBatches*BatchSize)
+		}
+		if n := files(); n != 0 {
+			t.Errorf("%d scratch files left once the output was read to the end, want 0", n)
+		}
+	})
+
+	t.Run("abandoned", func(t *testing.T) {
+		j, files := spilled(t)
+		b, err := j.SpillOutput().Next(ctx)
+		if err != nil || b == nil {
+			t.Fatalf("first batch: %v, %v", b, err)
+		}
+		PutBatch(b)
+		if n := files(); n != 1 {
+			t.Errorf("%d scratch files after the output's first batch, want 1", n)
+		}
+		j.ReleaseMem()
+		if n := files(); n != 0 {
+			t.Errorf("%d scratch files left after ReleaseMem, want 0", n)
+		}
+	})
+}

@@ -19,7 +19,7 @@ func HashValues(vals []Value) uint64 {
 		h = fnvByte(fnvByte(h, 1), byte(v.T))
 		switch v.T {
 		case Float64:
-			h = fnvUint64(h, floatKeyBits(v.F))
+			h = fnvUint64(h, FloatKeyBits(v.F))
 		case String:
 			h = fnvUint64(h, uint64(len(v.S)))
 			for i := 0; i < len(v.S); i++ {
@@ -47,8 +47,10 @@ func fnvUint64(h, x uint64) uint64 {
 	return h
 }
 
-func floatKeyBits(f float64) uint64 {
-	// Normalize -0 and +0 so they hash identically.
+// FloatKeyBits is a float's bits as a key: -0 and +0 are one key. Hashing
+// for distribution and the executor's key tables both go through it, so a
+// shuffle and a hash table agree on which floats are equal.
+func FloatKeyBits(f float64) uint64 {
 	if f == 0 {
 		f = 0
 	}
