@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz-smoke bench-smoke perf perf-smoke perf-compare perf-pairs chaos chaos-resize spill workload loc
+.PHONY: build test race stress fuzz-smoke bench-smoke perf perf-smoke perf-compare perf-pairs chaos chaos-resize spill workload loc
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,17 @@ race:
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	$(GO) test -race -count=10 -run 'TestLiveStatementViews|TestStvQueryMemoryVisibility' ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
+
+# The suites whose subject is an interleaving, ten times over at one, two and
+# four Ps: the statement lifecycle (stage clock, CANCEL against finish,
+# statement timeouts, cancelled writes), the chaos batteries, online resize
+# and burst routing, the parallel cancel storm and the wire's disconnect
+# mid-query. Outside tier-1 (it takes minutes); a failure it finds is fixed in
+# the program or the test, never skipped.
+stress:
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestStageClock|TestCancel|TestStatementTimeout|TestContextCancel|TestConcurrentCancellationStorm' ./internal/core
+	$(GO) test -count=10 -cpu 1,2,4 -run 'TestStageClockWire|TestWireDisconnect' ./internal/wire
+	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -count=10 -cpu 1,2,4 -run 'TestChaos|TestParallelCancelStorm' .
 
 # Each native fuzz target for FUZZTIME on top of its committed seed corpus
 # (testdata/fuzz beside each): arbitrary bytes into the block decoders,

@@ -57,8 +57,8 @@ func (rw *resizeWriter) run(w *Warehouse, id int, stop <-chan struct{}) {
 	}
 }
 
-// TestChaosResizeLiveTraffic runs the PR-4 fault battery concurrently with
-// an online resize and live writers. Invariants checked:
+// TestChaosResizeLiveTraffic runs the PR-4 fault battery, plus DISTKEY point
+// lookups, concurrently with an online resize and live writers. Invariants checked:
 //
 //   - every battery read, before/during/after the endpoint swap, is
 //     bit-identical to a fault-free static twin
@@ -106,8 +106,14 @@ func TestChaosResizeLiveTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := make([]string, len(chaosBattery))
-	for i, q := range chaosBattery {
+	// Beside the fault battery, DISTKEY point lookups: each scans only the
+	// slices that own its keys on whichever cluster answers it.
+	battery := append(chaosBattery[:len(chaosBattery):len(chaosBattery)],
+		`SELECT ts, kind, amount FROM events WHERE user_id = 42 ORDER BY ts`,
+		`SELECT user_id, COUNT(*), SUM(amount) FROM events WHERE user_id IN (3, 57, 99, 250)
+			GROUP BY user_id ORDER BY user_id`)
+	want := make([]string, len(battery))
+	for i, q := range battery {
 		want[i] = rowsString(clean.MustExecute(q).Rows)
 	}
 
@@ -143,7 +149,7 @@ func TestChaosResizeLiveTraffic(t *testing.T) {
 			done = true
 		default:
 		}
-		for i, q := range chaosBattery {
+		for i, q := range battery {
 			res, err := chaos.Execute(q)
 			if err != nil {
 				t.Fatalf("seed %d round %d query %d failed during live resize: %v", seed, round, i, err)
@@ -227,10 +233,13 @@ func TestChaosResizeCrashAtEachPhase(t *testing.T) {
 				},
 			})
 			// The catch-up phase only runs when a write lands between the
-			// snapshot copy reading the table and the staleness check. That
-			// window is as long as the copy, so the case that needs it copies
-			// a table large enough for the writer below to land in it even
-			// on a loaded 2-core host.
+			// snapshot copy reading the table's data version and the
+			// staleness check. That window is as long as the copy, so the
+			// case that needs it copies a large table, and slows the copy's
+			// own writes to the target (the replica write of every segment
+			// it appends) so the writer below gets the CPU inside the window
+			// even at GOMAXPROCS=1, where a copy that never blocks would
+			// leave it no turn.
 			rows := 500
 			if tc.site == faults.SiteResizeCatchup {
 				rows = 8000
@@ -242,7 +251,7 @@ func TestChaosResizeCrashAtEachPhase(t *testing.T) {
 			stop := make(chan struct{})
 			var writerWg sync.WaitGroup
 			if tc.site == faults.SiteResizeCatchup {
-				w.Faults().SetRule(faults.SiteResizeCopy,
+				w.Faults().SetRule(faults.SiteReplicate,
 					FaultRule{Latency: 2 * time.Millisecond, LatencyProb: 1})
 				writerWg.Add(1)
 				go func() {
@@ -299,7 +308,7 @@ func TestChaosResizeCrashAtEachPhase(t *testing.T) {
 
 			// The workflow is retryable: clear the fault and resize again.
 			w.Faults().SetRule(tc.site, FaultRule{})
-			w.Faults().SetRule(faults.SiteResizeCopy, FaultRule{})
+			w.Faults().SetRule(faults.SiteReplicate, FaultRule{})
 			if _, err := w.Resize(4); err != nil {
 				t.Fatalf("clean resize after rollback failed: %v", err)
 			}

@@ -58,8 +58,11 @@ type TableMeta struct {
 type Manifest struct {
 	ID        string
 	CommitXid int64
-	Catalog   json.RawMessage
-	Tables    []TableMeta
+	// Slices is the source cluster's slice count: a KEY table's rows sit on
+	// the slice their key hashes to modulo it.
+	Slices  int
+	Catalog json.RawMessage
+	Tables  []TableMeta
 }
 
 // Stats summarizes one backup run.
@@ -137,7 +140,7 @@ func (m *Manager) Backup(c *cluster.Cluster, cat *catalog.Catalog, xid int64, id
 	if err != nil {
 		return nil, stats, fmt.Errorf("backup: catalog: %w", err)
 	}
-	man := &Manifest{ID: id, CommitXid: xid, Catalog: catBytes}
+	man := &Manifest{ID: id, CommitXid: xid, Slices: c.NumSlices(), Catalog: catBytes}
 
 	byTable := map[int64]*TableMeta{}
 	for _, tableID := range c.Tables() {
@@ -285,58 +288,80 @@ func (m *Manager) GC() (int, error) {
 // ("allowing the database to be opened for SQL operations after metadata
 // and catalog restoration").
 //
-// The target cluster may have a different slice count than the source;
-// segments are remapped slice-by-slice modulo the new topology, as the
-// restore-to-new-cluster workflow does.
-func (m *Manager) RestoreMetadata(id string, c *cluster.Cluster) (*catalog.Catalog, int64, error) {
+// The target cluster may have a different shape than the source. A
+// DISTSTYLE ALL table's first copy goes to every target node; every other
+// segment is remapped slice-by-slice modulo the new slice count, as the
+// restore-to-new-cluster workflow does. That leaves a DISTSTYLE KEY table's
+// rows off the slices their keys hash to when the count changed, so those
+// tables are returned as misplaced: the caller re-places them through the
+// loader's placement.
+func (m *Manager) RestoreMetadata(id string, c *cluster.Cluster) (cat *catalog.Catalog, xid int64, misplaced []string, err error) {
 	man, err := m.LoadManifest(id)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	cat, err := catalog.Unmarshal(man.Catalog)
-	if err != nil {
-		return nil, 0, err
+	if cat, err = catalog.Unmarshal(man.Catalog); err != nil {
+		return nil, 0, nil, err
 	}
 	for _, tm := range man.Tables {
 		def, err := cat.GetByID(tm.TableID)
 		if err != nil {
-			return nil, 0, fmt.Errorf("backup: manifest references unknown table %d", tm.TableID)
+			return nil, 0, nil, fmt.Errorf("backup: manifest references unknown table %d", tm.TableID)
+		}
+		if def.DistStyle == catalog.DistKey && man.Slices != c.NumSlices() {
+			misplaced = append(misplaced, def.Name)
 		}
 		schema := def.Schema()
 		for _, sm := range tm.Segments {
-			target := int(sm.Slice) % c.NumSlices()
-			seg := &storage.Segment{
-				Table:  tm.TableID,
-				Slice:  int32(target),
-				Seq:    sm.Seq,
-				Rows:   sm.Rows,
-				Cap:    sm.Cap,
-				Schema: schema,
-				Sorted: sm.Sorted,
-				Cols:   make([][]*storage.Block, len(sm.Cols)),
-			}
-			for col, chain := range sm.Cols {
-				for _, bm := range chain {
-					hashBytes, err := hex.DecodeString(bm.Hash)
-					if err != nil || len(hashBytes) != 32 {
-						return nil, 0, fmt.Errorf("backup: corrupt block hash %q", bm.Hash)
-					}
-					blk := &storage.Block{
-						ID:   bm.ID,
-						Rows: bm.Rows,
-						Zone: storage.ZoneMap{Min: bm.Min, Max: bm.Max, AllNull: bm.AllNull, HasNulls: bm.HasNulls},
-					}
-					copy(blk.Hash[:], hashBytes)
-					seg.Cols[col] = append(seg.Cols[col], blk)
+			targets := []int{int(sm.Slice) % c.NumSlices()}
+			if def.DistStyle == catalog.DistAll {
+				// One copy per node, on its first slice: node 0's copy (the
+				// first slice's) goes to every node of the target.
+				if sm.Slice != 0 {
+					continue
+				}
+				targets = targets[:0]
+				for sl := 0; sl < c.NumSlices(); sl += c.Config().SlicesPerNode {
+					targets = append(targets, sl)
 				}
 			}
-			if err := c.RestoreSegment(target, seg, sm.Xid); err != nil {
-				return nil, 0, err
+			for _, target := range targets {
+				seg := &storage.Segment{
+					Table:  tm.TableID,
+					Slice:  int32(target),
+					Seq:    sm.Seq,
+					Rows:   sm.Rows,
+					Cap:    sm.Cap,
+					Schema: schema,
+					Sorted: sm.Sorted,
+					Cols:   make([][]*storage.Block, len(sm.Cols)),
+				}
+				for col, chain := range sm.Cols {
+					for _, bm := range chain {
+						hashBytes, err := hex.DecodeString(bm.Hash)
+						if err != nil || len(hashBytes) != 32 {
+							return nil, 0, nil, fmt.Errorf("backup: corrupt block hash %q", bm.Hash)
+						}
+						blk := &storage.Block{
+							ID:   bm.ID,
+							Rows: bm.Rows,
+							Zone: storage.ZoneMap{Min: bm.Min, Max: bm.Max, AllNull: bm.AllNull, HasNulls: bm.HasNulls},
+						}
+						if def.DistStyle == catalog.DistAll {
+							blk.ID.Slice = int32(target) // each node's copy names its own blocks
+						}
+						copy(blk.Hash[:], hashBytes)
+						seg.Cols[col] = append(seg.Cols[col], blk)
+					}
+				}
+				if err := c.RestoreSegment(target, seg, sm.Xid); err != nil {
+					return nil, 0, nil, err
+				}
 			}
 		}
 	}
 	c.SetBackupFetcher(m.FetchPayload)
-	return cat, man.CommitXid, nil
+	return cat, man.CommitXid, misplaced, nil
 }
 
 // FetchPayload resolves one block's payload from the object store by

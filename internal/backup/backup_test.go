@@ -99,9 +99,13 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat2, xid, err := m.RestoreMetadata("backup-1", c2)
+	cat2, xid, misplaced, err := m.RestoreMetadata("backup-1", c2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if man.Slices != c.NumSlices() || len(misplaced) != 0 {
+		t.Errorf("manifest slices = %d (source has %d), misplaced = %v: an EVEN table stays where it lands",
+			man.Slices, c.NumSlices(), misplaced)
 	}
 	if xid != 1 {
 		t.Errorf("restored xid = %d", xid)
@@ -206,7 +210,7 @@ func TestGCKeepsSharedBlocks(t *testing.T) {
 	}
 	// b2 must still restore.
 	c2, _ := cluster.New(cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 16})
-	if _, _, err := m.RestoreMetadata("b2", c2); err != nil {
+	if _, _, _, err := m.RestoreMetadata("b2", c2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.BackgroundRestore(c2, 2); err != nil {
@@ -224,7 +228,7 @@ func TestCrossRegionDisasterRecovery(t *testing.T) {
 	// The primary region burns down; restore from the second region.
 	m2 := New(dr, "cl")
 	c2, _ := cluster.New(cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 16})
-	if _, _, err := m2.RestoreMetadata("b1", c2); err != nil {
+	if _, _, _, err := m2.RestoreMetadata("b1", c2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m2.BackgroundRestore(c2, 2); err != nil {
@@ -255,7 +259,7 @@ func TestCorruptPayloadDetected(t *testing.T) {
 func TestRestoreMissingManifest(t *testing.T) {
 	m := New(s3sim.New(), "cl")
 	c, _ := cluster.New(cluster.Config{Nodes: 1, SlicesPerNode: 1})
-	if _, _, err := m.RestoreMetadata("nope", c); err == nil {
+	if _, _, _, err := m.RestoreMetadata("nope", c); err == nil {
 		t.Error("missing manifest restored")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,6 +123,9 @@ type scanInstance struct {
 	// same local copy).
 	slice int
 	stats *exec.ScanStats
+	// pruned: the filter pins the table's DISTKEY to values the slice does
+	// not own, so no Scanner ran and its blocks count as skipped.
+	pruned bool
 }
 
 // numSlices returns the execution width: every slice for data-plane
@@ -613,9 +617,16 @@ func (q *queryRun) scanPipeline(n *plan.PhysNode, statSlice, workers int) (*exec
 		return q.opPipeline(op, n), err
 	}
 	local := &exec.ScanStats{}
+	owns := q.owns(n.Scan, statSlice)
 	q.mu.Lock()
-	q.scanInsts[n.ID] = append(q.scanInsts[n.ID], scanInstance{slice: statSlice, stats: local})
+	q.scanInsts[n.ID] = append(q.scanInsts[n.ID], scanInstance{slice: statSlice, stats: local, pruned: !owns})
 	q.mu.Unlock()
+	if !owns {
+		for _, seg := range q.view.segments(statSlice, n.Scan.Def.ID) {
+			local.BlocksSkipped.Add(int64(seg.NumBlocks() * len(n.Scan.NeedCols)))
+		}
+		return q.opPipeline(exec.NewBatchSource(nil), n), nil
+	}
 	scanners := make([]*exec.Scanner, workers)
 	for w := range scanners {
 		sc, err := exec.NewScanner(q.mode, n.Scan, q.db.cl.FetchBlockCtx, local)
@@ -633,6 +644,21 @@ func (q *queryRun) scanPipeline(n *plan.PhysNode, statSlice, workers int) (*exec
 		Scanners: scanners,
 	}
 	return p, nil
+}
+
+// owns reports whether slice sl may hold a row the scan's filter admits:
+// false when the filter pins the table's DISTKEY to values all placed
+// elsewhere. Placement is read now, not at plan time: a plan outlives a
+// resize.
+func (q *queryRun) owns(scan *plan.TableScan, sl int) bool {
+	def := scan.Def
+	for _, r := range scan.Ranges {
+		if def.DistStyle == catalog.DistKey && r.Col == def.DistKeyCol && r.Eq != nil &&
+			!slices.ContainsFunc(r.Eq, func(v types.Value) bool { return q.db.cl.TargetSliceKey(v) == sl }) {
+			return false
+		}
+	}
+	return true
 }
 
 // sysRows materializes a system table's rows and applies the pushed-down
@@ -750,12 +776,19 @@ func (q *queryRun) emitSpans() {
 			if n == q.ph.Base && q.sys == nil {
 				sp.Add("dop", int64(q.dop))
 			}
+			if q.sys == nil {
+				sp.Add("slices_scanned", 0)
+				sp.Add("slices", int64(len(q.scanInsts[n.ID])))
+			}
 			// Parallel slices register their instances in completion order;
 			// render in slice order so traces compare across runs.
 			sort.Slice(q.scanInsts[n.ID], func(a, b int) bool {
 				return q.scanInsts[n.ID][a].slice < q.scanInsts[n.ID][b].slice
 			})
 			for _, inst := range q.scanInsts[n.ID] {
+				if !inst.pruned {
+					sp.Add("slices_scanned", 1)
+				}
 				child := sp.StartChild(fmt.Sprintf("slice %d", inst.slice))
 				child.Add("rows", inst.stats.RowsRead.Load())
 				child.Add("blocks_read", inst.stats.BlocksRead.Load())

@@ -129,12 +129,23 @@ func (f *Filter) Apply(b *Batch) (*Batch, error) {
 // semantics), and its last step writes them straight into sel: a batch whose
 // sel has room for b.N allocates nothing.
 func (f *Filter) Select(b *Batch, sel []int) ([]int, bool, error) {
-	if f.ev == nil || b.N == 0 {
+	return f.SelectRun(b, 0, b.N, sel)
+}
+
+// SelectRun is Select over the rows [lo, hi) of b only: the rows outside the
+// run are not evaluated and do not pass — the scan hands it the run of a
+// sorted block that bounds on the block's sort key leave standing.
+func (f *Filter) SelectRun(b *Batch, lo, hi int, sel []int) ([]int, bool, error) {
+	if hi-lo == b.N && (f.ev == nil || b.N == 0) {
 		return sel, true, nil
 	}
 	a := getArena()
 	defer a.release()
-	sel, err := f.ev.root.where(b, a.all(b.N), slices.Grow(sel, b.N), a)
+	run := a.all(hi)[lo:]
+	if f.ev == nil {
+		return append(sel, run...), false, nil
+	}
+	sel, err := f.ev.root.where(b, run, slices.Grow(sel, len(run)), a)
 	return sel, err == nil && len(sel) == b.N, err
 }
 

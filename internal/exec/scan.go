@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
+	"redshift/internal/catalog"
 	"redshift/internal/faults"
 	"redshift/internal/plan"
 	"redshift/internal/storage"
@@ -47,15 +50,17 @@ type ScanStats struct {
 
 // Scanner reads one table's segments on one slice: zone-map pruning
 // first, then predicate-first late materialization — decode only the
-// filter's input columns, evaluate to a selection, and decode the rest
-// only when rows survive. A Scanner instance is driven by one goroutine,
-// so its scratch buffers need no locking.
+// filter's input columns, evaluate to a selection (in a sorted block, over
+// the run that bounds on its leading sort key leave standing), and decode
+// the rest only when rows survive. A Scanner instance is driven by one
+// goroutine, so its scratch buffers need no locking.
 type Scanner struct {
 	width      int
 	needCols   []int // filter columns first, then the rest
 	filterCols []int // the filter's input columns (prefix of needCols)
 	restCols   []int // needCols minus filterCols
 	ranges     []plan.ColRange
+	sortKey    int // the leading compound sort column when ranges bound it, else -1
 	filter     *Filter
 	fetch      BlockFetcher
 	stats      *ScanStats
@@ -87,9 +92,14 @@ func NewScanner(mode Mode, scan *plan.TableScan, fetch BlockFetcher, stats *Scan
 		tableID:  scan.Def.ID,
 		needCols: scan.NeedCols,
 		ranges:   scan.Ranges,
+		sortKey:  -1,
 		filter:   filter,
 		fetch:    fetch,
 		stats:    stats,
+	}
+	if d := scan.Def; d.SortStyle == catalog.SortCompound && len(d.SortKeyCols) > 0 &&
+		slices.ContainsFunc(s.ranges, func(r plan.ColRange) bool { return r.Col == d.SortKeyCols[0] }) {
+		s.sortKey = d.SortKeyCols[0]
 	}
 	// Split needCols into the filter's inputs and the rest. The binder
 	// orders filter columns first, but recompute here so hand-built specs
@@ -181,8 +191,10 @@ func (s *Scanner) ScanBlock(ctx context.Context, seg *storage.Segment, bi int) (
 		}
 	}
 
-	// Evaluate the predicate over the filter columns alone.
-	sel, all, err := s.filter.Select(batch, s.selbuf[:0])
+	// Evaluate the predicate over the filter columns alone — in a sorted
+	// block, over the run its leading sort key's bounds leave standing.
+	lo, hi := s.sortedRun(seg, batch)
+	sel, all, err := s.filter.SelectRun(batch, lo, hi, s.selbuf[:0])
 	if err != nil {
 		PutBatch(batch)
 		return nil, err
@@ -256,6 +268,43 @@ func (s *Scanner) pruned(seg *storage.Segment, bi int) bool {
 		}
 	}
 	return false
+}
+
+// sortedRun is the run [lo, hi) of batch's rows that the scan's bounds on the
+// leading compound sort key admit, found by binary search: the whole block
+// unless the segment is sorted and the key's column is in the batch. NULLs
+// sort first and no bound admits one. A block holding a NaN is read whole:
+// the writer sorts NaN before every number, but a comparison with a NaN is
+// TRUE wherever types.Compare calls it equal — to everything.
+func (s *Scanner) sortedRun(seg *storage.Segment, batch *Batch) (lo, hi int) {
+	if s.sortKey < 0 || !seg.Sorted || batch.Cols[s.sortKey] == nil {
+		return 0, batch.N
+	}
+	v := batch.Cols[s.sortKey]
+	return byPayload(v.T, boundRun[int64], boundRun[float64], boundRun[string])(v, s.ranges, s.sortKey)
+}
+
+func boundRun[T payload](v *types.Vector, ranges []plan.ColRange, col int) (lo, hi int) {
+	xs := *slots[T](v)
+	hi = len(xs)
+	lo = sort.Search(hi, func(i int) bool { return !v.IsNull(i) })
+	if lo < hi && xs[lo] != xs[lo] { // only a NaN differs from itself
+		return 0, hi
+	}
+	for _, r := range ranges {
+		if r.Col != col {
+			continue
+		}
+		if r.HasLo {
+			x, from := valueOf[T](r.Lo), lo
+			lo = from + sort.Search(hi-from, func(i int) bool { return !(xs[from+i] < x) })
+		}
+		if r.HasHi {
+			x := valueOf[T](r.Hi)
+			hi = lo + sort.Search(hi-lo, func(i int) bool { return xs[lo+i] > x })
+		}
+	}
+	return lo, hi
 }
 
 // decode reads a block, page-faulting its payload if evicted. An

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"redshift/internal/catalog"
@@ -586,6 +587,9 @@ func extractRanges(filter Expr) []ColRange {
 			switch op {
 			case sql.OpEq:
 				r.Lo, r.Hi, r.HasLo, r.HasHi = v, v, true, true
+				if !isNaN(v) {
+					r.Eq = []types.Value{v}
+				}
 			case sql.OpGt, sql.OpGe:
 				r.Lo, r.HasLo = v, true
 			case sql.OpLt, sql.OpLe:
@@ -595,31 +599,39 @@ func extractRanges(filter Expr) []ColRange {
 			}
 			out = append(out, r)
 		case *InList:
+			// A NULL item matches no row, so only the others bound the column;
+			// a NaN item matches every row interpreted, so it bounds nothing.
 			col, ok := x.E.(*Col)
-			if !ok || x.Not || len(x.Vals) == 0 {
+			if !ok || x.Not {
 				continue
 			}
-			lo, hi := x.Vals[0], x.Vals[0]
-			valid := true
-			for _, v := range x.Vals[1:] {
-				if v.T != lo.T {
-					valid = false
+			r := ColRange{Col: col.Index, HasLo: true, HasHi: true}
+			for _, v := range x.Vals {
+				if v.Null {
+					continue
+				}
+				if v.T != col.T || isNaN(v) {
+					r.Eq = nil
 					break
 				}
-				if types.Compare(v, lo) < 0 {
-					lo = v
+				if r.Eq == nil || types.Compare(v, r.Lo) < 0 {
+					r.Lo = v
 				}
-				if types.Compare(v, hi) > 0 {
-					hi = v
+				if r.Eq == nil || types.Compare(v, r.Hi) > 0 {
+					r.Hi = v
 				}
+				r.Eq = append(r.Eq, v)
 			}
-			if valid {
-				out = append(out, ColRange{Col: col.Index, Lo: lo, Hi: hi, HasLo: true, HasHi: true})
+			if r.Eq != nil {
+				out = append(out, r)
 			}
 		}
 	}
 	return out
 }
+
+// isNaN reports a float NaN, which types.Compare calls equal to everything.
+func isNaN(v types.Value) bool { return v.T == types.Float64 && math.IsNaN(v.F) }
 
 // colConstCmp matches `col OP const` or `const OP col` (flipping the
 // operator), with matching types.

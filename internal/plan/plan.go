@@ -47,6 +47,9 @@ type ColRange struct {
 	Lo, Hi types.Value
 	HasLo  bool
 	HasHi  bool
+	// Eq lists the non-NULL values an = or an IN list pins the column to;
+	// nil for a one-sided bound.
+	Eq []types.Value
 }
 
 // TableScan is one base-table access.

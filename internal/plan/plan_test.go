@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -146,6 +147,44 @@ func TestZoneMapRangeExtraction(t *testing.T) {
 	}
 	if !tsLo || !tsHi || !inRange || !latRange {
 		t.Errorf("ranges = %+v", scan.Ranges)
+	}
+}
+
+// TestRangesPinValues: an = or IN conjunct lists the values it pins its
+// column to — what slice pruning on a DISTKEY reads — with NULL items
+// dropped (they match no row). A NaN pins nothing: a comparison with NaN is
+// TRUE for every non-NULL row, so no owner slice can be named for it.
+func TestRangesPinValues(t *testing.T) {
+	cat := testCatalog(t)
+	pins := func(where string) []ColRange {
+		t.Helper()
+		return build(t, cat, "SELECT url FROM clicks WHERE "+where).Tables[0].Ranges
+	}
+	if r := pins("product_id = 5"); len(r) != 1 || len(r[0].Eq) != 1 || r[0].Eq[0].I != 5 {
+		t.Errorf("= 5: ranges = %+v", r)
+	}
+	if r := pins("product_id IN (3, NULL, 1, 7)"); len(r) != 1 || len(r[0].Eq) != 3 || r[0].Lo.I != 1 || r[0].Hi.I != 7 {
+		t.Errorf("IN (3, NULL, 1, 7): ranges = %+v", r)
+	}
+	for _, where := range []string{"product_id IN (NULL)", "product_id = NULL", "product_id NOT IN (1, 2)"} {
+		if r := pins(where); len(r) != 0 {
+			t.Errorf("%s: ranges = %+v, want none", where, r)
+		}
+	}
+	if r := pins("latency > 0.5 AND product_id <= 3"); len(r) != 2 || r[0].Eq != nil || r[1].Eq != nil {
+		t.Errorf("one-sided bounds pin nothing: ranges = %+v", r)
+	}
+
+	// SQL has no NaN literal; the binder's constants are built by hand.
+	lat := &Col{Index: 4, T: types.Float64, Name: "latency"}
+	nan := types.NewFloat(math.NaN())
+	eq := &Bin{Op: sql.OpEq, L: lat, R: &Const{V: nan}, T: types.Bool}
+	if r := extractRanges(eq); len(r) != 1 || r[0].Eq != nil || !r[0].HasLo || !r[0].HasHi {
+		t.Errorf("= NaN: ranges = %+v, want a bound that pins nothing", r)
+	}
+	in := &InList{E: lat, Vals: []types.Value{types.NewFloat(1), nan}}
+	if r := extractRanges(in); len(r) != 0 {
+		t.Errorf("IN (1, NaN): ranges = %+v, want none", r)
 	}
 }
 

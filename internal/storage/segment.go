@@ -19,7 +19,15 @@ type Segment struct {
 	Cap    int // rows per block
 	Schema types.Schema
 	Cols   [][]*Block // [column][chain index]
-	Sorted bool       // produced by a sorting writer (COPY, VACUUM)
+	// Sorted: the rows are in the order the table's sort key gives them
+	// within this segment (not across segments). For a COMPOUND key that is
+	// by the key columns in turn, NULLs first, then a float NaN, then
+	// ascending values, ties in arrival order; for an INTERLEAVED key it is
+	// z-value order; a table without a sort key keeps arrival order. The
+	// loader's SegmentWriter seals every segment it writes — COPY, INSERT,
+	// VACUUM, a resize copy — with Sorted set, so only the COMPOUND case
+	// says anything about a column's values.
+	Sorted bool
 }
 
 // NumBlocks returns the chain length (identical for every column).

@@ -168,6 +168,80 @@ func TestParallelTwinMatchesSerial(t *testing.T) {
 	})
 }
 
+// pruningBattery pins a DISTSTYLE KEY column with = and IN: such a scan runs
+// only on the slices that own the values, so every cluster shape must return
+// what one slice does. fk's DOUBLE key holds -0 beside 0, one key to the
+// placement hash; a NULL item in an IN list pins nothing, and = NULL pins
+// nothing at all.
+var pruningBattery = []string{
+	`SELECT ts, kind, amount FROM events WHERE user_id = 17 ORDER BY ts`,
+	`SELECT ts, user_id FROM events WHERE user_id IN (3, 17, 2500, NULL) ORDER BY ts`,
+	`SELECT COUNT(*), SUM(amount) FROM events WHERE user_id IN (5, 6, 7, 8, 9, 10, 11, 12)`,
+	`SELECT ts FROM events WHERE user_id = 17 AND ts BETWEEN 100 AND 4000 ORDER BY ts`,
+	`SELECT e.ts, u.segment FROM events e JOIN users u ON e.user_id = u.id WHERE e.user_id = 42 ORDER BY e.ts`,
+	`SELECT u.id, COUNT(*) FROM events e JOIN users u ON e.user_id = u.id WHERE u.id IN (7, 70, 700)
+		GROUP BY u.id ORDER BY u.id`,
+	`SELECT COUNT(*) FROM events WHERE user_id = NULL`,
+	`SELECT k, v FROM fk WHERE k = 0.0 ORDER BY v`,
+	`SELECT k, v FROM fk WHERE k IN (0.0, 1.5, NULL) ORDER BY v`,
+	`SELECT COUNT(*) FROM fk WHERE k = 2.5`,
+}
+
+// TestParallelTwinDistKeyPruning runs pruningBattery at 1x1, 2x2 and 3x2
+// (nodes x slices per node), one worker and four: every shape returns what
+// the one-slice cluster returns, and EXPLAIN ANALYZE shows that a multi-slice
+// cluster scanned one slice for an = and every slice for = NULL.
+func TestParallelTwinDistKeyPruning(t *testing.T) {
+	seed := spillSeed(t)
+	var want []string
+	for _, shape := range [][2]int{{1, 1}, {2, 2}, {3, 2}} {
+		nodes, spn := shape[0], shape[1]
+		t.Run(fmt.Sprintf("%dx%d", nodes, spn), func(t *testing.T) {
+			w := launch(t, Options{Nodes: nodes, SlicesPerNode: spn})
+			seedSpillTables(t, w, seed, 4000, 1000)
+			w.MustExecute(`CREATE TABLE fk (k DOUBLE PRECISION, v BIGINT) DISTSTYLE KEY DISTKEY(k) COMPOUND SORTKEY(k)`)
+			var fk strings.Builder
+			for i := 0; i < 300; i++ {
+				k := fmt.Sprint(float64(i%12) / 2)
+				if i%12 == 0 && i%24 != 0 {
+					k = "-0.0"
+				}
+				fmt.Fprintf(&fk, "%s|%d\n", k, i)
+			}
+			if err := w.PutObject("lake/fk/part0.csv", []byte(fk.String())); err != nil {
+				t.Fatal(err)
+			}
+			w.MustExecute(`COPY fk FROM 's3://lake/fk/'`)
+			w.MustExecute(`SET result_cache TO off`)
+			for _, dop := range []int{1, 4} {
+				w.MustExecute(fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
+				for i, q := range pruningBattery {
+					got := rowsString(w.MustExecute(q).Rows)
+					if want == nil || len(want) < len(pruningBattery) {
+						want = append(want, got)
+						continue
+					}
+					if got != want[i] {
+						t.Errorf("seed %d %dx%d dop %d query %d diverged from 1x1:\n%s\ngot:\n%swant:\n%s",
+							seed, nodes, spn, dop, i, q, got, want[i])
+					}
+				}
+				assertQuiescent(t, w)
+			}
+			slices := nodes * spn
+			for q, scanned := range map[string]int{pruningBattery[0]: 1, pruningBattery[6]: slices} {
+				out := rowsString(w.MustExecute(`EXPLAIN ANALYZE ` + q).Rows)
+				if tag := fmt.Sprintf("slices_scanned=%d slices=%d", scanned, slices); !strings.Contains(out, tag) {
+					t.Errorf("%dx%d: EXPLAIN ANALYZE %s lacks %q:\n%s", nodes, spn, q, tag, out)
+				}
+			}
+		})
+	}
+	if want[7] == "" || !strings.Contains(want[7], "-0") {
+		t.Errorf("k = 0.0 did not find the stored -0:\n%s", want[7])
+	}
+}
+
 // TestParallelCancelStorm hammers the morsel workers with concurrent
 // sessions, mid-query cancellations and injected read faults, all under a
 // spill-forcing work_mem. Whatever mix of success and abort comes out, the

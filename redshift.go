@@ -244,13 +244,34 @@ func (w *Warehouse) hydrateBurst() (*core.Database, string, int64, error) {
 	if err != nil {
 		return nil, "", 0, err
 	}
-	cat, xid, err := w.active.RestoreMetadata(id, db.Cluster())
+	xid, err := restoreInto(w.active, id, db)
 	if err != nil {
 		return nil, "", 0, err
 	}
+	return db, id, xid, nil
+}
+
+// restoreInto restores backup id into db's fresh cluster: the segment
+// skeletons and the catalog, open for SQL at once. A KEY table restored to
+// another slice count is then rewritten through the loader, which places
+// every row on the slice its key hashes to — as a resize does.
+func restoreInto(mgr *backup.Manager, id string, db *core.Database) (int64, error) {
+	cat, xid, misplaced, err := mgr.RestoreMetadata(id, db.Cluster())
+	if err != nil {
+		return 0, err
+	}
 	db.AdoptCatalog(cat)
 	db.Txns().SetCommitXid(xid)
-	return db, id, xid, nil
+	for _, name := range misplaced {
+		rows, err := db.ReadTable(name)
+		if err == nil {
+			err = db.ReplaceTable(name, rows)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("redshift: restore: re-placing %s: %w", name, err)
+		}
+	}
+	return xid, nil
 }
 
 // Encrypted reports whether at-rest encryption is on.
@@ -490,12 +511,9 @@ func (w *Warehouse) Restore(id string, nodes int) error {
 			mgr.WithCipher(w.cipher)
 		}
 	}
-	cat, xid, err := mgr.RestoreMetadata(id, db.Cluster())
-	if err != nil {
+	if _, err := restoreInto(mgr, id, db); err != nil {
 		return err
 	}
-	db.AdoptCatalog(cat)
-	db.Txns().SetCommitXid(xid)
 	if w.burst != nil {
 		db.SetBurstInfoSource(w.burst.Snapshot)
 	}

@@ -341,3 +341,57 @@ func TestArchitectureTopology(t *testing.T) {
 		t.Fatal("backup produced no S3 objects")
 	}
 }
+
+// TestRestoreToOtherSliceCountKeepsKeyPlacement: a backup restored to a
+// cluster with another slice count must leave every DISTSTYLE KEY row on the
+// slice its key hashes to there, or a collocated join with rows written
+// after the restore, and a point lookup that scans only the key's slice,
+// miss rows.
+func TestRestoreToOtherSliceCountKeepsKeyPlacement(t *testing.T) {
+	values := func(n int, f func(i int) string) string {
+		rows := make([]string, n)
+		for i := range rows {
+			rows[i] = f(i)
+		}
+		return strings.Join(rows, ", ")
+	}
+	for _, nodes := range []int{3, 1} {
+		t.Run(fmt.Sprintf("2to%d", nodes), func(t *testing.T) {
+			w := launch(t, Options{Nodes: 2})
+			w.MustExecute(`CREATE TABLE a (k BIGINT, x BIGINT) DISTSTYLE KEY DISTKEY(k)`)
+			w.MustExecute(`CREATE TABLE b (k BIGINT, y BIGINT) DISTSTYLE KEY DISTKEY(k)`)
+			w.MustExecute(`CREATE TABLE r (k BIGINT, z BIGINT) DISTSTYLE ALL`)
+			w.MustExecute(`INSERT INTO a VALUES ` + values(200, func(i int) string { return fmt.Sprintf("(%d, %d)", i, 10*i) }))
+			w.MustExecute(`INSERT INTO r VALUES ` + values(200, func(i int) string { return fmt.Sprintf("(%d, %d)", i, i%3) }))
+			id, _, err := w.Backup()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Restore(id, nodes); err != nil {
+				t.Fatal(err)
+			}
+			w.MustExecute(`SET result_cache TO off`)
+			w.MustExecute(`INSERT INTO b VALUES ` + values(200, func(i int) string { return fmt.Sprintf("(%d, %d)", i, i) }))
+
+			join := `SELECT COUNT(*), SUM(a.x + b.y) FROM a JOIN b ON a.k = b.k`
+			if out := rowsString(w.MustExecute(`EXPLAIN ` + join).Rows); !strings.Contains(out, "DS_DIST_NONE") {
+				t.Fatalf("join is not collocated:\n%s", out)
+			}
+			if got := rowsString(w.MustExecute(join).Rows); got != "200|218900\n" {
+				t.Errorf("collocated join after restore = %q, want 200 rows summing to 218900", got)
+			}
+			if got := rowsString(w.MustExecute(`SELECT COUNT(*), SUM(r.z) FROM a JOIN r ON a.k = r.k`).Rows); got != "200|199\n" {
+				t.Errorf("join with the replicated table after restore = %q, want 200|199", got)
+			}
+			for k := 0; k < 200; k += 13 {
+				if got := rowsString(w.MustExecute(fmt.Sprintf(`SELECT x FROM a WHERE k = %d`, k)).Rows); got != fmt.Sprintf("%d\n", 10*k) {
+					t.Errorf("point lookup k = %d after restore = %q, want %d", k, got, 10*k)
+				}
+			}
+			if got := rowsString(w.MustExecute(`SELECT SUM(x) FROM a WHERE k IN (5, 77, 150, 300)`).Rows); got != "2320\n" {
+				t.Errorf("IN lookup after restore = %q, want 2320", got)
+			}
+			assertQuiescent(t, w)
+		})
+	}
+}
