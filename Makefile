@@ -62,9 +62,11 @@ stress:
 # bytes into COPY's delimited and JSON readers, which must read what the
 # row-at-a-time readers they replaced read, results built from arbitrary
 # bytes into the wire's reply encoder, which must write what encoding/json
-# writes, and arbitrary bytes into the two settings parsers: -wlm-queues specs,
-# which must never split the memory pool outside [0, pool] per slot, and byte
-# sizes, which must land in [0, 2^62] or be "default".
+# writes, arbitrary bytes into the wire's request reader, which must frame
+# and decode the lines a plain split of the bytes finds, and arbitrary bytes
+# into the two settings parsers: -wlm-queues specs, which must never split
+# the memory pool outside [0, pool] per slot, and byte sizes, which must land
+# in [0, 2^62] or be "default".
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/compress
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyCSV$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyJSON$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzReplyEncoding$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQueueSpecs$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseByteSize$$' -fuzztime $(FUZZTIME) ./internal/sql
 

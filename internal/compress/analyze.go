@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"math"
 	"sort"
 
 	"redshift/internal/types"
@@ -19,10 +20,11 @@ type Result struct {
 	Applicable bool
 }
 
-// lzPenalty is how much smaller (multiplicatively) the heavyweight LZ codec
-// must be than the best lightweight codec before the chooser prefers it,
-// charging for its decode CPU cost. §2.1 stresses sequential-scan speed;
-// a lightweight codec that scans faster wins near-ties.
+// lzPenalty is LZ's weight in the codecs table: how much smaller
+// (multiplicatively) the heavyweight LZ codec must be than the best
+// lightweight codec before the chooser prefers it, charging for its decode
+// CPU cost. §2.1 stresses sequential-scan speed; a lightweight codec that
+// scans faster wins near-ties.
 const lzPenalty = 1.25
 
 // Analyze encodes the sample under every applicable encoding and reports
@@ -62,38 +64,30 @@ func encodedSize(e Encoding, v *types.Vector) int {
 }
 
 // Choose picks the encoding COPY applies to a column, given a sample of its
-// data: the smallest lightweight encoding, unless LZ beats it by more than
-// lzPenalty. An empty sample chooses Raw.
+// data: the applicable encoding with the smallest weighted size. An empty
+// sample chooses Raw.
 func Choose(sample *types.Vector) Encoding {
 	if sample.Len() == 0 {
 		return Raw
 	}
-	results := Analyze(sample)
-	bestLight, bestLZ := -1, -1
-	for i, r := range results {
+	return cheapest(Analyze(sample))
+}
+
+// cheapest returns the applicable result whose size times its codec's weight
+// is least. A tie goes to the lighter codec; one between equal weights is a
+// tie in size too, and goes to the first result. None applicable is Raw.
+func cheapest(results []Result) Encoding {
+	best, cost := Raw, math.Inf(1)
+	for _, r := range results {
 		if !r.Applicable {
 			continue
 		}
-		if r.Encoding == LZ {
-			if bestLZ < 0 {
-				bestLZ = i
-			}
-		} else if bestLight < 0 {
-			bestLight = i
+		w := codecs[r.Encoding].weight
+		if c := float64(r.Bytes) * w; c < cost || c == cost && w < codecs[best].weight {
+			best, cost = r.Encoding, c
 		}
 	}
-	switch {
-	case bestLight < 0 && bestLZ < 0:
-		return Raw
-	case bestLight < 0:
-		return LZ
-	case bestLZ < 0:
-		return results[bestLight].Encoding
-	}
-	if float64(results[bestLZ].Bytes)*lzPenalty < float64(results[bestLight].Bytes) {
-		return LZ
-	}
-	return results[bestLight].Encoding
+	return best
 }
 
 // Sample extracts at most max values as a handful of contiguous runs
@@ -110,9 +104,7 @@ func Sample(v *types.Vector, max int) *types.Vector {
 	out := types.NewVector(v.T, max)
 	for c := 0; c < chunks; c++ {
 		start := c * (n - chunkLen) / (chunks - 1)
-		for i := start; i < start+chunkLen && i < n && out.Len() < max; i++ {
-			out.Append(v.Get(i))
-		}
+		out.AppendRange(v, start, start+chunkLen)
 	}
 	return out
 }

@@ -4,10 +4,13 @@
 // accurately ourselves").
 //
 // The encoding set mirrors Redshift's: RAW, RUNLENGTH, DELTA, MOSTLY8/16/32,
-// BYTEDICT, TEXT (string dictionary) and LZO (stand-in: DEFLATE, the stdlib
-// Lempel-Ziv). Every encoded block is self-describing: a fixed header carries
-// the encoding, the value type, the row count and the null bitmap, so blocks
-// can be shipped to S3, replicated and page-faulted back without side tables.
+// BYTEDICT, TEXT (string dictionary) and LZO (stand-in: DEFLATE, written by
+// the stdlib's compress/flate and read by this package's own inflater). Each
+// is one row of the codecs table: its names, the column types it holds, its
+// price and its coder. Every encoded block is self-describing: a fixed header
+// carries the encoding, the value type, the row count and the null bitmap, so
+// blocks can be shipped to S3, replicated and page-faulted back without side
+// tables.
 //
 // Decoding reads the payload through an index into the byte slice and copies
 // everything out of it — integers by value, strings into one arena per block
@@ -49,81 +52,81 @@ const (
 	numEncodings
 )
 
+// codec is everything one encoding is, declared once: the names the ENCODE
+// clause knows it by (the first is the one String prints), the column types
+// it can hold (nil: every type), whether every row costs at least one payload
+// byte, its price and its coder.
+//
+// A row that costs a byte vouches for the header's row count with the
+// payload's length. A RUNLENGTH or LZO payload of a few bytes can stand for
+// any number of rows: those are held to maxRows instead, which Encode refuses
+// to exceed so that it never writes a block Decode would refuse.
+//
+// weight is what Choose charges per encoded byte: 1 for a lightweight codec,
+// lzPenalty for LZ, whose decode costs more CPU.
+type codec struct {
+	names    []string
+	holds    []types.Type
+	byteARow bool
+	weight   float64
+	encode   func(buf *bytes.Buffer, v *types.Vector) error
+	decode   func(p []byte, v *types.Vector, n int) error
+}
+
+// integral is the types DELTA and MOSTLY hold: those stored as int64.
+var integral = []types.Type{types.Int64, types.Date, types.Timestamp, types.Bool}
+
+// codecs is indexed by Encoding; every index is below numEncodings.
+var codecs = [numEncodings]codec{
+	Raw: {names: []string{"RAW", "NONE"}, byteARow: true, weight: 1,
+		encode: encodeRaw, decode: decodeRaw},
+	RunLength: {names: []string{"RUNLENGTH"}, weight: 1,
+		encode: encodeRunLength, decode: decodeRunLength},
+	Delta: {names: []string{"DELTA", "DELTA32K"}, holds: integral, byteARow: true, weight: 1,
+		encode: encodeDelta, decode: decodeDelta},
+	Mostly8: {names: []string{"MOSTLY8"}, holds: integral, byteARow: true, weight: 1,
+		encode: mostly(1).encode, decode: mostly(1).decode},
+	Mostly16: {names: []string{"MOSTLY16"}, holds: integral, byteARow: true, weight: 1,
+		encode: mostly(2).encode, decode: mostly(2).decode},
+	Mostly32: {names: []string{"MOSTLY32"}, holds: integral, byteARow: true, weight: 1,
+		encode: mostly(4).encode, decode: mostly(4).decode},
+	ByteDict: {names: []string{"BYTEDICT"}, byteARow: true, weight: 1,
+		encode: encodeByteDict, decode: decodeByteDict},
+	Text: {names: []string{"TEXT", "TEXT255", "TEXT32K"}, holds: []types.Type{types.String}, byteARow: true, weight: 1,
+		encode: encodeText, decode: decodeText},
+	LZ: {names: []string{"LZO", "LZ", "ZSTD"}, weight: lzPenalty,
+		encode: encodeLZ, decode: decodeLZ},
+}
+
 // String returns the CREATE TABLE ... ENCODE name of the encoding.
 func (e Encoding) String() string {
-	switch e {
-	case Raw:
-		return "RAW"
-	case RunLength:
-		return "RUNLENGTH"
-	case Delta:
-		return "DELTA"
-	case Mostly8:
-		return "MOSTLY8"
-	case Mostly16:
-		return "MOSTLY16"
-	case Mostly32:
-		return "MOSTLY32"
-	case ByteDict:
-		return "BYTEDICT"
-	case Text:
-		return "TEXT"
-	case LZ:
-		return "LZO"
-	default:
-		return fmt.Sprintf("ENCODING(%d)", uint8(e))
+	if e < numEncodings {
+		return codecs[e].names[0]
 	}
+	return fmt.Sprintf("ENCODING(%d)", uint8(e))
 }
 
 // ParseEncoding maps an ENCODE clause name to an Encoding.
 func ParseEncoding(s string) (Encoding, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "RAW", "NONE":
-		return Raw, nil
-	case "RUNLENGTH":
-		return RunLength, nil
-	case "DELTA", "DELTA32K":
-		return Delta, nil
-	case "MOSTLY8":
-		return Mostly8, nil
-	case "MOSTLY16":
-		return Mostly16, nil
-	case "MOSTLY32":
-		return Mostly32, nil
-	case "BYTEDICT":
-		return ByteDict, nil
-	case "TEXT", "TEXT255", "TEXT32K":
-		return Text, nil
-	case "LZO", "LZ", "ZSTD":
-		return LZ, nil
-	default:
-		return Raw, fmt.Errorf("compress: unknown encoding %q", s)
+	name := strings.ToUpper(strings.TrimSpace(s))
+	for e := range codecs {
+		if slices.Contains(codecs[e].names, name) {
+			return Encoding(e), nil
+		}
 	}
+	return Raw, fmt.Errorf("compress: unknown encoding %q", s)
 }
 
 // Applicable reports whether encoding e can represent columns of type t.
 func Applicable(e Encoding, t types.Type) bool {
-	switch e {
-	case Raw, RunLength, ByteDict, LZ:
-		return true
-	case Delta, Mostly8, Mostly16, Mostly32:
-		return t == types.Int64 || t == types.Date || t == types.Timestamp || t == types.Bool
-	case Text:
-		return t == types.String
-	default:
-		return false
-	}
+	return e < numEncodings && (codecs[e].holds == nil || slices.Contains(codecs[e].holds, t))
 }
 
-// Every other encoding spends at least a byte of payload on a row, so the
-// payload's length vouches for the header's row count. A RUNLENGTH or LZO
-// payload of a few bytes can stand for any number of rows: those two are
-// held to package maximums instead, which Encode refuses to exceed so that
-// it never writes a block Decode would refuse. Storage blocks hold 4096
-// rows; the compression ablation encodes 256k-row columns whole. (RAW, which
-// frames spill batches of any size, has no maximum.)
 const (
-	// maxRows is the most values one RUNLENGTH or LZO block may hold.
+	// maxRows is the most values one block of a codec without byteARow may
+	// hold. Storage blocks hold 4096 rows; the compression ablation encodes
+	// 256k-row columns whole. (RAW, which frames spill batches of any size,
+	// costs a byte a row and so has no maximum.)
 	maxRows = 1 << 20
 	// maxInflated is the most bytes an LZO string block may inflate to: a
 	// storage block of 64 KB strings, the widest VARCHAR Redshift declares.
@@ -139,38 +142,16 @@ func Encode(e Encoding, v *types.Vector) ([]byte, error) {
 	if !Applicable(e, v.T) {
 		return nil, fmt.Errorf("compress: %s not applicable to %s", e, v.T)
 	}
-	if (e == RunLength || e == LZ) && v.Len() > maxRows {
+	c := &codecs[e]
+	if !c.byteARow && v.Len() > maxRows {
 		return nil, fmt.Errorf("compress: %d rows in one %s block, maximum %d", v.Len(), e, maxRows)
-	}
-	if e == Raw {
-		return AppendRaw(make([]byte, 0, RawLen(v)), v), nil
 	}
 	var buf bytes.Buffer
 	buf.WriteByte(byte(e))
 	buf.WriteByte(byte(v.T))
 	writeUvarint(&buf, uint64(v.Len()))
 	writeNulls(&buf, v)
-
-	var err error
-	switch e {
-	case RunLength:
-		err = encodeRunLength(&buf, v)
-	case Delta:
-		err = encodeDelta(&buf, v)
-	case Mostly8:
-		err = encodeMostly(&buf, v, 1)
-	case Mostly16:
-		err = encodeMostly(&buf, v, 2)
-	case Mostly32:
-		err = encodeMostly(&buf, v, 4)
-	case ByteDict:
-		err = encodeByteDict(&buf, v)
-	case Text:
-		err = encodeText(&buf, v)
-	case LZ:
-		err = encodeLZ(&buf, v)
-	}
-	if err != nil {
+	if err := c.encode(&buf, v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -207,7 +188,7 @@ func parseHeader(data []byte) (header, int, error) {
 		return h, 0, fmt.Errorf("compress: corrupt block length")
 	}
 	most := uint64(len(data)) // a byte a row at the least
-	if h.enc == RunLength || h.enc == LZ {
+	if !codecs[h.enc].byteARow {
 		most = maxRows
 	}
 	if n > most {
@@ -239,27 +220,7 @@ func Decode(data []byte) (*types.Vector, error) {
 	p := data[pos:]
 
 	v := &types.Vector{T: h.typ}
-	switch h.enc {
-	case Raw:
-		err = decodeRaw(p, v, n)
-	case RunLength:
-		err = decodeRunLength(p, v, n)
-	case Delta:
-		err = decodeDelta(p, v, n)
-	case Mostly8:
-		err = decodeMostly(p, v, n, 1)
-	case Mostly16:
-		err = decodeMostly(p, v, n, 2)
-	case Mostly32:
-		err = decodeMostly(p, v, n, 4)
-	case ByteDict:
-		err = decodeByteDict(p, v, n)
-	case Text:
-		err = decodeText(p, v, n)
-	case LZ:
-		err = decodeLZ(p, v, n)
-	}
-	if err != nil {
+	if err := codecs[h.enc].decode(p, v, n); err != nil {
 		return nil, err
 	}
 	if packed != nil {
@@ -638,6 +599,10 @@ func decodeDelta(p []byte, v *types.Vector, n int) error {
 // values outside the narrow range. Ideal for columns declared BIGINT that
 // mostly hold small values.
 
+// mostly is the one MOSTLY coder, parameterised by the width of its narrow
+// values in bytes: 1, 2 or 4.
+type mostly int
+
 func mostlyFits(x int64, width int) bool {
 	switch width {
 	case 1:
@@ -649,7 +614,8 @@ func mostlyFits(x int64, width int) bool {
 	}
 }
 
-func encodeMostly(buf *bytes.Buffer, v *types.Vector, width int) error {
+func (w mostly) encode(buf *bytes.Buffer, v *types.Vector) error {
+	width := int(w)
 	type exception struct {
 		pos int
 		val int64
@@ -684,7 +650,8 @@ func encodeMostly(buf *bytes.Buffer, v *types.Vector, width int) error {
 	return nil
 }
 
-func decodeMostly(p []byte, v *types.Vector, n, width int) error {
+func (w mostly) decode(p []byte, v *types.Vector, n int) error {
+	width := int(w)
 	nExc, pos := uvarint(p, 0)
 	if pos < 0 || nExc > uint64(n) || len(p)-pos < n*width {
 		return fmt.Errorf("compress: mostly%d: corrupt exception count or %d bytes for %d values", 8*width, len(p), n)

@@ -432,6 +432,41 @@ func TestSample(t *testing.T) {
 	if Sample(small, 100) != small {
 		t.Error("small vectors should be returned as-is")
 	}
+	// The runs are copied whole, and the sample is the one a value-at-a-time
+	// copy takes, to the byte: every type, NULLs included, and maxima below
+	// the chunk count (an empty sample).
+	for _, typ := range allTypes {
+		for _, nulls := range []bool{false, true} {
+			v := fixedVector(typ, 10000, false, nulls)
+			for _, max := range []int{4096, 100, 7} {
+				want := boxedSample(v, max)
+				got := Sample(v, max)
+				g, err1 := Encode(Raw, got)
+				w, err2 := Encode(Raw, want)
+				if err1 != nil || err2 != nil || !bytes.Equal(g, w) || got.HasNulls() != want.HasNulls() {
+					t.Errorf("%s nulls=%v max=%d: sample differs from the value-at-a-time copy", typ, nulls, max)
+				}
+			}
+		}
+	}
+}
+
+// boxedSample is Sample as it was written first: one boxed value at a time.
+func boxedSample(v *types.Vector, max int) *types.Vector {
+	n := v.Len()
+	if n <= max {
+		return v
+	}
+	const chunks = 8
+	chunkLen := max / chunks
+	out := types.NewVector(v.T, max)
+	for c := 0; c < chunks; c++ {
+		start := c * (n - chunkLen) / (chunks - 1)
+		for i := start; i < start+chunkLen && i < n && out.Len() < max; i++ {
+			out.Append(v.Get(i))
+		}
+	}
+	return out
 }
 
 func TestParseEncodingRoundTrip(t *testing.T) {
@@ -441,10 +476,19 @@ func TestParseEncodingRoundTrip(t *testing.T) {
 			t.Errorf("ParseEncoding(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	if _, err := ParseEncoding("bogus"); err == nil {
-		t.Error("ParseEncoding accepted bogus name")
+	_, err := ParseEncoding("bogus")
+	if err == nil || err.Error() != `compress: unknown encoding "bogus"` {
+		t.Errorf("ParseEncoding(bogus) error = %v", err)
 	}
-	if e, err := ParseEncoding("none"); err != nil || e != Raw {
-		t.Errorf("ParseEncoding(none) = %v, %v", e, err)
+	for name, want := range map[string]Encoding{
+		"none": Raw, "DELTA32K": Delta, "TEXT255": Text, "TEXT32K": Text,
+		"LZ": LZ, "ZSTD": LZ, "  mostly16\t": Mostly16,
+	} {
+		if e, err := ParseEncoding(name); err != nil || e != want {
+			t.Errorf("ParseEncoding(%q) = %v, %v; want %v", name, e, err, want)
+		}
+	}
+	if got := Encoding(numEncodings).String(); got != "ENCODING(9)" {
+		t.Errorf("String of an unknown tag = %q", got)
 	}
 }

@@ -157,10 +157,20 @@ func roundTripSpec(e Encoding, v *types.Vector) []byte {
 	return spec
 }
 
+// refusedHeaders are FuzzDecode seeds whose header parseHeader must refuse
+// before anything indexes the codecs table with its tag: a tag one past the
+// last encoding, the largest tag a byte holds, and an encoding over a type
+// it cannot hold.
+var refusedHeaders = map[string][]byte{
+	"tag-numEncodings": {byte(numEncodings), byte(types.Int64), 1, 0, 0},
+	"tag-0xFF":         {0xFF, byte(types.String), 1, 0, 0},
+	"TEXT-over-BIGINT": {byte(Text), byte(types.Int64), 1, 0, 1, 1, 'x', 0},
+}
+
 // TestFuzzSeedCorpus keeps the committed seed corpus — one valid payload
-// per encoding × type for each target — equal to what the fixed vectors
-// encode to. The format is frozen, so the files only change when a case is
-// added; UPDATE_FUZZ_CORPUS=1 writes them.
+// per encoding × type for each target, and refusedHeaders — equal to what
+// the fixed vectors encode to. The format is frozen, so the files only change
+// when a case is added; UPDATE_FUZZ_CORPUS=1 writes them.
 func TestFuzzSeedCorpus(t *testing.T) {
 	update := os.Getenv("UPDATE_FUZZ_CORPUS") != ""
 	check := func(target, key string, input []byte) {
@@ -179,6 +189,12 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		if got, err := os.ReadFile(path); err != nil || string(got) != want {
 			t.Errorf("%s: seed missing or stale (%v); run with UPDATE_FUZZ_CORPUS=1", path, err)
 		}
+	}
+	for name, data := range refusedHeaders {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: Decode accepted the block", name)
+		}
+		check("FuzzDecode", name, data)
 	}
 	forEachFixed(40, func(key string, e Encoding, v *types.Vector) {
 		if !strings.HasSuffix(key, "narrow+nulls") {

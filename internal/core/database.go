@@ -954,9 +954,7 @@ func (db *Database) analyzeCompression(defs []*catalog.TableDef) (*Result, error
 					if err != nil {
 						return nil, err
 					}
-					for i := 0; i < v.Len() && sample.Len() < 4096; i++ {
-						sample.Append(v.Get(i))
-					}
+					sample.AppendRange(v, 0, min(v.Len(), 4096-sample.Len()))
 				}
 			}
 			if sample.Len() == 0 {
