@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInflate$$' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillFrame$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalCompiledVsInterpreted$$' -fuzztime $(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz '^FuzzLike$$' -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyCSV$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyJSON$$' -fuzztime $(FUZZTIME) ./internal/load

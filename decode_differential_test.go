@@ -15,6 +15,9 @@ import (
 // engine that never encodes anything — and demands that every block of the
 // table decodes to exactly the row store's values. Low ids carry no NULLs
 // and high ids do, so each encoding is seen with and without a null bitmap.
+// The encodings are every tag Applicable accepts, and one more PACK column
+// holds thirds, which no power of ten scales to integers: PACK's bit-pattern
+// form goes through COPY as well as its decimal one.
 func TestDecodeMatchesRowStore(t *testing.T) {
 	type column struct {
 		name string
@@ -22,13 +25,15 @@ func TestDecodeMatchesRowStore(t *testing.T) {
 		enc  compress.Encoding
 	}
 	cols := []column{{"id", types.Int64, compress.Raw}}
-	for e := compress.Raw; e <= compress.LZ; e++ {
+	for tag := 0; tag < 256; tag++ {
+		e := compress.Encoding(tag)
 		for _, typ := range []types.Type{types.Int64, types.Float64, types.String} {
 			if compress.Applicable(e, typ) {
 				cols = append(cols, column{fmt.Sprintf("c%d", len(cols)), typ, e})
 			}
 		}
 	}
+	cols = append(cols, column{"thirds", types.Float64, compress.Pack})
 	var ddl []string
 	schema := types.Schema{}
 	for _, c := range cols {
@@ -57,8 +62,12 @@ func TestDecodeMatchesRowStore(t *testing.T) {
 				row = append(row, types.NewInt(int64(k*k*k*40-500)))
 				fmt.Fprintf(&json, `, %q: %d`, c.name, k*k*k*40-500)
 			case c.typ == types.Float64:
-				row = append(row, types.NewFloat(float64(k)/4))
-				fmt.Fprintf(&json, `, %q: %g`, c.name, float64(k)/4)
+				f := float64(k) / 4
+				if c.name == "thirds" {
+					f = float64(k) / 3
+				}
+				row = append(row, types.NewFloat(f))
+				fmt.Fprintf(&json, `, %q: %g`, c.name, f)
 			default:
 				s := strings.Repeat("v", k) + fmt.Sprint(k)
 				row = append(row, types.NewString(s))

@@ -32,14 +32,17 @@ func AblationCompression(quick bool) Table {
 		},
 	}
 	rng := rand.New(rand.NewSource(20150531))
+	statuses := []string{"open", "shipped", "returned", "cancelled", "pending"}
 	columns := map[string]*types.Vector{
-		"sorted_timestamps": intColumn(n, func(i int) int64 { return 1_400_000_000_000 + int64(i)*250 }),
-		"small_ints":        intColumn(n, func(i int) int64 { return rng.Int63n(120) }),
-		"low_card_strings":  strColumn(n, func(i int) string { return []string{"us-east", "us-west", "eu", "ap"}[rng.Intn(4)] }),
-		"unique_strings":    strColumn(n, func(i int) string { return fmt.Sprintf("user-%08d-%d", rng.Int63n(1e8), i) }),
-		"constant":          intColumn(n, func(int) int64 { return 42 }),
+		"sorted_timestamps": column(types.Int64, n, func(i int) types.Value { return types.NewInt(1_400_000_000_000 + int64(i)*250) }),
+		"small_ints":        column(types.Int64, n, func(int) types.Value { return types.NewInt(rng.Int63n(120)) }),
+		"low_card_strings":  column(types.String, n, func(int) types.Value { return types.NewString([]string{"us-east", "us-west", "eu", "ap"}[rng.Intn(4)]) }),
+		"unique_strings":    column(types.String, n, func(i int) types.Value { return types.NewString(fmt.Sprintf("user-%08d-%d", rng.Int63n(1e8), i)) }),
+		"constant":          column(types.Int64, n, func(int) types.Value { return types.NewInt(42) }),
+		"prices":            column(types.Float64, n, func(int) types.Value { return types.NewFloat(float64(1+rng.Intn(4000)) * 0.25) }),
+		"status":            column(types.String, n, func(int) types.Value { return types.NewString(statuses[rng.Intn(5)]) }),
 	}
-	for _, name := range []string{"sorted_timestamps", "small_ints", "low_card_strings", "unique_strings", "constant"} {
+	for _, name := range []string{"sorted_timestamps", "small_ints", "low_card_strings", "unique_strings", "constant", "prices", "status"} {
 		col := columns[name]
 		auto := compress.Choose(compress.Sample(col, 4096))
 		for _, r := range compress.Analyze(col) {
@@ -70,18 +73,10 @@ func AblationCompression(quick bool) Table {
 	return t
 }
 
-func intColumn(n int, f func(int) int64) *types.Vector {
-	v := types.NewVector(types.Int64, n)
+func column(t types.Type, n int, f func(int) types.Value) *types.Vector {
+	v := types.NewVector(t, n)
 	for i := 0; i < n; i++ {
-		v.Append(types.NewInt(f(i)))
-	}
-	return v
-}
-
-func strColumn(n int, f func(int) string) *types.Vector {
-	v := types.NewVector(types.String, n)
-	for i := 0; i < n; i++ {
-		v.Append(types.NewString(f(i)))
+		v.Append(f(i))
 	}
 	return v
 }

@@ -56,6 +56,7 @@ func chooseSamples() map[string]*types.Vector {
 		{"constant-ints", types.Int64, func(int) int64 { return 42 }},
 		{"small-ints", types.Int64, func(int) int64 { return rng.Int63n(200) - 100 }},
 		{"mid-ints", types.Int64, func(int) int64 { return rng.Int63n(1 << 20) }},
+		{"far-apart-ints", types.Int64, func(int) int64 { return rng.Int63n(200) << 40 }}, // 200 values too far apart to pack
 		{"dates", types.Date, func(i int) int64 { return 19000 + int64(i/40) }},
 		{"bools", types.Bool, func(int) int64 { return rng.Int63n(2) }},
 		{"low-card-strs", types.String, func(int) int64 { return rng.Int63n(3) }},
@@ -125,7 +126,7 @@ func TestChooseMatchesTwoPassRule(t *testing.T) {
 		picked[got]++
 	}
 	// The samples must reach both sides of the rule, or agreeing proves little.
-	for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, ByteDict, LZ} {
+	for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, ByteDict, LZ, Pack, Dict} {
 		if picked[e] == 0 {
 			t.Errorf("no generated sample chose %v: %v", e, picked)
 		}

@@ -5,12 +5,16 @@
 //
 // The encoding set mirrors Redshift's: RAW, RUNLENGTH, DELTA, MOSTLY8/16/32,
 // BYTEDICT, TEXT (string dictionary) and LZO (stand-in: DEFLATE, written by
-// the stdlib's compress/flate and read by this package's own inflater). Each
-// is one row of the codecs table: its names, the column types it holds, its
-// price and its coder. Every encoded block is self-describing: a fixed header
-// carries the encoding, the value type, the row count and the null bitmap, so
-// blocks can be shipped to S3, replicated and page-faulted back without side
-// tables.
+// the stdlib's compress/flate and read by this package's own inflater), plus
+// two bit-packed codecs: PACK (frame of reference: the block minimum, then
+// every value minus it at the block's bit width; a DOUBLE block as decimal
+// integers k with k/10^e its exact value, the ALP idea, or else as its IEEE
+// bit patterns) and DICT (a first-seen dictionary, then the codes at
+// ⌈log₂ distinct⌉ bits). Each is one row of the codecs table: its names, the
+// column types it holds, its price and its coder. Every encoded block is
+// self-describing: a fixed header carries the encoding, the value type, the
+// row count and the null bitmap, so blocks can be shipped to S3, replicated
+// and page-faulted back without side tables.
 //
 // Decoding reads the payload through an index into the byte slice and copies
 // everything out of it — integers by value, strings into one arena per block
@@ -48,6 +52,8 @@ const (
 	ByteDict
 	Text
 	LZ
+	Pack
+	Dict
 
 	numEncodings
 )
@@ -59,8 +65,9 @@ const (
 //
 // A row that costs a byte vouches for the header's row count with the
 // payload's length. A RUNLENGTH or LZO payload of a few bytes can stand for
-// any number of rows: those are held to maxRows instead, which Encode refuses
-// to exceed so that it never writes a block Decode would refuse.
+// any number of rows, and so can a PACK or DICT one at width 0: those are
+// held to maxRows instead, which Encode refuses to exceed so that it never
+// writes a block Decode would refuse.
 //
 // weight is what Choose charges per encoded byte: 1 for a lightweight codec,
 // lzPenalty for LZ, whose decode costs more CPU.
@@ -73,7 +80,8 @@ type codec struct {
 	decode   func(p []byte, v *types.Vector, n int) error
 }
 
-// integral is the types DELTA and MOSTLY hold: those stored as int64.
+// integral is the types DELTA and MOSTLY hold, and PACK with DOUBLE: those
+// stored as int64.
 var integral = []types.Type{types.Int64, types.Date, types.Timestamp, types.Bool}
 
 // codecs is indexed by Encoding; every index is below numEncodings.
@@ -91,11 +99,15 @@ var codecs = [numEncodings]codec{
 	Mostly32: {names: []string{"MOSTLY32"}, holds: integral, byteARow: true, weight: 1,
 		encode: mostly(4).encode, decode: mostly(4).decode},
 	ByteDict: {names: []string{"BYTEDICT"}, byteARow: true, weight: 1,
-		encode: encodeByteDict, decode: decodeByteDict},
+		encode: dictCoder(8).encode, decode: dictCoder(8).decode},
 	Text: {names: []string{"TEXT", "TEXT255", "TEXT32K"}, holds: []types.Type{types.String}, byteARow: true, weight: 1,
 		encode: encodeText, decode: decodeText},
 	LZ: {names: []string{"LZO", "LZ", "ZSTD"}, weight: lzPenalty,
 		encode: encodeLZ, decode: decodeLZ},
+	Pack: {names: []string{"PACK"}, holds: append([]types.Type{types.Float64}, integral...), weight: 1,
+		encode: encodePack, decode: decodePack},
+	Dict: {names: []string{"DICT"}, weight: 1,
+		encode: dictCoder(0).encode, decode: dictCoder(0).decode},
 }
 
 // String returns the CREATE TABLE ... ENCODE name of the encoding.
@@ -319,7 +331,7 @@ func unpackNulls(packed []byte, n int) []bool {
 	return nulls
 }
 
-// Length-prefixed strings, the form RAW, BYTEDICT, TEXT and LZO share.
+// Length-prefixed strings, the form RAW, BYTEDICT, DICT, TEXT and LZO share.
 // Decoding is two walks over the prefixes: the first validates them and
 // finds where the region ends, the second slices one arena — the region
 // converted to a string once — so a block of strings costs one allocation
@@ -479,8 +491,8 @@ func encodeRunLength(buf *bytes.Buffer, v *types.Vector) error {
 
 func sameAt(v *types.Vector, i, j int) bool {
 	switch v.T {
-	case types.Float64:
-		return v.Floats[i] == v.Floats[j]
+	case types.Float64: // by bits: -0 is not 0, and a NaN is itself
+		return math.Float64bits(v.Floats[i]) == math.Float64bits(v.Floats[j])
 	case types.String:
 		return v.Strs[i] == v.Strs[j]
 	default:
@@ -693,48 +705,67 @@ func (w mostly) decode(p []byte, v *types.Vector, n int) error {
 	return nil
 }
 
-// BYTEDICT: per-block dictionary of up to 256 distinct values with one-byte
-// indexes. Ideal for low-cardinality columns of any type.
+// BYTEDICT and DICT: a per-block dictionary of the distinct values in
+// first-seen order, written as a RAW payload after its size, then one code
+// per value, packed by the bit coder below: BYTEDICT's are a byte each (so at
+// most 256 entries), DICT's ⌈log₂ distinct⌉ bits. Ideal for low-cardinality
+// columns of any type. DOUBLE values are keyed by their bits, so -0 and 0 are
+// two entries and a NaN is one.
 
 // ErrDictOverflow reports that a block has too many distinct values for
 // BYTEDICT; the automatic chooser treats it as "not applicable here".
 var ErrDictOverflow = fmt.Errorf("compress: more than 256 distinct values in block")
 
-func encodeByteDict(buf *bytes.Buffer, v *types.Vector) error {
-	index := make([]byte, v.Len())
+// dictCoder is the one dictionary coder, parameterised by the width of its
+// codes in bits: 8 for BYTEDICT, 0 for DICT's ⌈log₂ distinct⌉.
+type dictCoder int
+
+// width is the bit width of the codes into a dictionary of dn entries.
+func (w dictCoder) width(dn int) int {
+	if w > 0 {
+		return int(w)
+	}
+	return bits.Len(uint(max(dn, 1) - 1))
+}
+
+func (w dictCoder) encode(buf *bytes.Buffer, v *types.Vector) error {
+	codes := make([]int64, v.Len())
+	limit := math.MaxInt
+	if w > 0 {
+		limit = 1 << w
+	}
 	dict := &types.Vector{T: v.T}
 	var err error
 	switch v.T {
-	case types.Float64:
-		dict.Floats, err = dictSlots(v.Floats, v.Nulls, index)
+	case types.Float64: // a dictionary of bit patterns is written as the DOUBLE one
+		dict.T = types.Int64
+		dict.Ints, err = dictSlots(floatBits(v.Floats), v.Nulls, codes, limit)
 	case types.String:
-		dict.Strs, err = dictSlots(v.Strs, v.Nulls, index)
+		dict.Strs, err = dictSlots(v.Strs, v.Nulls, codes, limit)
 	default:
-		dict.Ints, err = dictSlots(v.Ints, v.Nulls, index)
+		dict.Ints, err = dictSlots(v.Ints, v.Nulls, codes, limit)
 	}
 	if err != nil {
 		return err
 	}
 	writeUvarint(buf, uint64(dict.Len()))
-	if err := encodeRaw(buf, dict); err != nil {
-		return err
-	}
-	buf.Write(index)
+	encodeRaw(buf, dict)
+	buf.Write(appendPacked(buf.AvailableBuffer(), codes, 0, w.width(dict.Len())))
 	return nil
 }
 
 // dictSlots builds the dictionary in first-seen order and writes each
-// value's slot to index. A NULL position is looked up by whatever payload
+// value's slot to codes. A NULL position is looked up by whatever payload
 // it carries but enters the dictionary as the zero placeholder, and a
 // value found twice in the dictionary resolves to its first slot: both are
 // what the format has always written, and blocks are content-hashed.
-func dictSlots[T comparable](vals []T, nulls []bool, index []byte) ([]T, error) {
+func dictSlots[T comparable](vals []T, nulls []bool, codes []int64, limit int) ([]T, error) {
 	slot := make(map[T]int, 16)
 	dict := make([]T, 0, 16)
 	for i, x := range vals {
 		d, ok := slot[x]
 		if !ok {
-			if len(dict) == 256 {
+			if len(dict) == limit {
 				return nil, ErrDictOverflow
 			}
 			d = len(dict)
@@ -747,64 +778,221 @@ func dictSlots[T comparable](vals []T, nulls []bool, index []byte) ([]T, error) 
 				slot[x] = d
 			}
 		}
-		index[i] = byte(d)
+		codes[i] = int64(d)
 	}
 	return dict, nil
 }
 
-func decodeByteDict(p []byte, v *types.Vector, n int) error {
+func (w dictCoder) decode(p []byte, v *types.Vector, n int) error {
 	dn64, pos := uvarint(p, 0)
-	if pos < 0 || dn64 > 256 {
-		return fmt.Errorf("compress: corrupt bytedict size")
+	if pos < 0 || dn64 > uint64(n) || w > 0 && dn64 > 1<<w {
+		return fmt.Errorf("compress: corrupt dictionary size %d for %d rows", dn64, n)
 	}
 	dn := int(dn64)
-	// The dictionary is at most 256 entries: it lives on the stack, and a
-	// string dictionary's arena is the block's.
-	dictEnd := pos + dn*8
+	end := pos + dn*8
 	if v.T == types.String {
 		var err error
-		if dictEnd, err = stringsEnd(p, pos, dn); err != nil {
+		if end, err = stringsEnd(p, pos, dn); err != nil {
 			return err
 		}
 	}
-	if dictEnd > len(p) || len(p)-dictEnd < n {
-		return fmt.Errorf("compress: bytedict: truncated")
+	width := w.width(dn)
+	if end > len(p) || len(p)-end != (n*width+7)/8 {
+		return fmt.Errorf("compress: dictionary: %d bytes for %d codes of %d bits", len(p)-end, n, width)
 	}
-	index := p[dictEnd : dictEnd+n]
-	for _, b := range index {
-		if int(b) >= dn {
-			return fmt.Errorf("compress: bytedict index %d out of range", b)
-		}
-	}
-	switch v.T {
+	var err error
+	switch codes := p[end:]; v.T {
 	case types.String:
-		var dict [256]string
-		arenaStrings(p, pos, dictEnd, dict[:dn])
-		v.Strs = lookup(&dict, index)
+		v.Strs, err = expand(codes, width, n, dn, func(dict []string) { arenaStrings(p, pos, end, dict) })
 	case types.Float64:
-		var dict [256]float64
-		for d := 0; d < dn; d++ {
-			dict[d] = math.Float64frombits(binary.LittleEndian.Uint64(p[pos+d*8:]))
-		}
-		v.Floats = lookup(&dict, index)
+		v.Floats, err = expand(codes, width, n, dn, func(dict []float64) {
+			for d := range dict {
+				dict[d] = math.Float64frombits(binary.LittleEndian.Uint64(p[pos+d*8:]))
+			}
+		})
 	default:
-		var dict [256]int64
-		for d := 0; d < dn; d++ {
-			dict[d] = int64(binary.LittleEndian.Uint64(p[pos+d*8:]))
+		v.Ints, err = expand(codes, width, n, dn, func(dict []int64) {
+			for d := range dict {
+				dict[d] = int64(binary.LittleEndian.Uint64(p[pos+d*8:]))
+			}
+		})
+	}
+	return err
+}
+
+// expand maps the n w-bit codes in p through a dictionary of dn entries,
+// which fill writes. The dictionary lives in the spare capacity past the n
+// values, so a block costs one allocation whatever its dictionary's size.
+func expand[T any](p []byte, w, n, dn int, fill func(dict []T)) ([]T, error) {
+	out := make([]T, n+dn)
+	dict := out[n:]
+	fill(dict)
+	r := bitReader{p: p}
+	var buf [256]uint64
+	for at := 0; at < n; at += len(buf) {
+		xs := buf[:min(len(buf), n-at)]
+		unpack(&r, w, 0, xs)
+		o := out[at : at+len(xs)]
+		for i, c := range xs {
+			if c >= uint64(dn) {
+				return nil, fmt.Errorf("compress: dictionary code %d out of range", c)
+			}
+			o[i] = dict[c]
 		}
-		v.Ints = lookup(&dict, index)
+	}
+	return out[:n:n], nil
+}
+
+// PACK: frame of reference. A scale byte (a DOUBLE block's decimal exponent
+// e, or packIEEE; 0 for the integral types), the bit width w, the block
+// minimum as a varint, then every value minus the minimum at w bits. A
+// DOUBLE block packs integers k with float64(k)/10^e its exact bits, for the
+// least e ≤ 4 that has them, or else the values' IEEE bit patterns.
+
+const packIEEE = 0xff
+
+var pow10 = [...]float64{1, 10, 100, 1000, 10000}
+
+func encodePack(buf *bytes.Buffer, v *types.Vector) error {
+	xs, scale := v.Ints, byte(0)
+	if v.T == types.Float64 {
+		xs, scale = decimals(v.Floats)
+	}
+	lo, hi := int64(0), int64(0)
+	if len(xs) > 0 {
+		lo, hi = slices.Min(xs), slices.Max(xs)
+	}
+	w := bits.Len64(uint64(hi) - uint64(lo)) // uint64: MinInt64..MaxInt64 is width 64
+	buf.WriteByte(scale)
+	buf.WriteByte(byte(w))
+	writeVarint(buf, lo)
+	buf.Write(appendPacked(buf.AvailableBuffer(), xs, lo, w))
+	return nil
+}
+
+// decimals returns fs as the integers k of the least decimal exponent e ≤ 4
+// at which float64(k)/10^e gives back every value bit for bit, with e; or
+// else as their bit patterns, with packIEEE. (-0, NaN and ±Inf never scale.)
+func decimals(fs []float64) ([]int64, byte) {
+	ks := make([]int64, len(fs))
+next:
+	for e, p := range pow10 {
+		for i, f := range fs {
+			k := math.Round(f * p)
+			if !(math.Abs(k) < 1<<62) || math.Float64bits(float64(int64(k))/p) != math.Float64bits(f) {
+				continue next
+			}
+			ks[i] = int64(k)
+		}
+		return ks, byte(e)
+	}
+	return floatBits(fs), packIEEE
+}
+
+func floatBits(fs []float64) []int64 {
+	out := make([]int64, len(fs))
+	for i, f := range fs {
+		out[i] = int64(math.Float64bits(f))
+	}
+	return out
+}
+
+func decodePack(p []byte, v *types.Vector, n int) error {
+	if len(p) < 2 {
+		return fmt.Errorf("compress: pack: truncated")
+	}
+	scale, w := p[0], int(p[1])
+	lo, pos := uvarint(p, 2)
+	if pos < 0 || w > 64 || len(p)-pos != (n*w+7)/8 ||
+		scale != 0 && (v.T != types.Float64 || scale >= byte(len(pow10)) && scale != packIEEE) {
+		return fmt.Errorf("compress: pack: corrupt header or %d bytes for %d values of %d bits", len(p), n, w)
+	}
+	base, r := uint64(unzigzag(lo)), bitReader{p: p[pos:]}
+	switch {
+	case v.T != types.Float64:
+		v.Ints = make([]int64, n)
+		unpack(&r, w, base, v.Ints)
+	case scale != packIEEE:
+		v.Floats = make([]float64, n)
+		unpack(&r, w, base, v.Floats)
+		if d := pow10[scale]; scale > 0 {
+			for i := range v.Floats {
+				v.Floats[i] /= d
+			}
+		}
+	default:
+		v.Floats = make([]float64, n)
+		var buf [256]uint64
+		for at := 0; at < n; at += len(buf) {
+			xs := buf[:min(len(buf), n-at)]
+			unpack(&r, w, base, xs)
+			for i, x := range xs {
+				v.Floats[at+i] = math.Float64frombits(x)
+			}
+		}
 	}
 	return nil
 }
 
-// lookup expands one-byte indexes through a full-size dictionary, which no
-// index can overrun.
-func lookup[T any](dict *[256]T, index []byte) []T {
-	out := make([]T, len(index))
-	for i, b := range index {
-		out[i] = dict[b]
+// The bit coder PACK and the dictionaries share: value i of a run of w-bit
+// values occupies bits i·w .. i·w+w-1 of the little-endian payload, so a
+// width-8 run is one byte a value and n values take ⌈n·w/8⌉ bytes.
+
+// appendPacked appends x - base for every x of xs at w bits each, w the
+// bit length of the largest difference.
+func appendPacked(dst []byte, xs []int64, base int64, w int) []byte {
+	var acc uint64
+	held := 0 // bits of acc in use
+	for _, x := range xs {
+		d := uint64(x) - uint64(base)
+		acc |= d << held
+		if held += w; held >= 64 {
+			dst = binary.LittleEndian.AppendUint64(dst, acc)
+			held -= 64
+			acc = d >> (w - held) // d >> w, 0, when d fit exactly
+		}
 	}
-	return out
+	for ; held > 0; held -= 8 {
+		dst, acc = append(dst, byte(acc)), acc>>8
+	}
+	return dst
+}
+
+// bitReader is a cursor over a run of packed values, read a 64-bit word at
+// a time.
+type bitReader struct {
+	p    []byte
+	acc  uint64 // bits read from p and not yet handed out
+	have int    // how many
+}
+
+// unpack fills out with the next len(out) values of width w, each plus base
+// and converted as T(int64(base + x)): itself for int64 and uint64, the
+// integer's value for float64. Past the end of p it reads zeros. A width of
+// 0 reads nothing and gives base.
+func unpack[T int64 | uint64 | float64](r *bitReader, w int, base uint64, out []T) {
+	mask := uint64(1)<<w - 1 // all ones at w = 64
+	acc, have, p := r.acc, r.have, r.p
+	for i := range out {
+		if have >= w {
+			out[i] = T(int64(base + acc&mask))
+			acc >>= w
+			have -= w
+			continue
+		}
+		var word uint64
+		if len(p) >= 8 {
+			word, p = binary.LittleEndian.Uint64(p), p[8:]
+		} else { // the last few bytes
+			var tail [8]byte
+			copy(tail[:], p)
+			word, p = binary.LittleEndian.Uint64(tail[:]), nil
+		}
+		out[i] = T(int64(base + (acc|word<<have)&mask))
+		acc = word >> (w - have) // 0 when the value took the whole word
+		have += 64 - w
+	}
+	r.acc, r.have, r.p = acc, have, p
 }
 
 // TEXT: unbounded string dictionary with varint indexes (generalizes

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,7 +67,7 @@ func roundTrip(t *testing.T, e Encoding, v *types.Vector) {
 func TestRoundTripAllEncodingsInt(t *testing.T) {
 	vals := []int64{0, 1, -1, 127, -128, 300, 70000, math.MaxInt64, math.MinInt64, 42, 42, 42}
 	nulls := []bool{false, true, false, false, false, false, false, false, false, true, false, false}
-	for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, Mostly16, Mostly32, LZ} {
+	for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, Mostly16, Mostly32, LZ, Pack, Dict} {
 		roundTrip(t, e, mkInts(vals, nulls))
 	}
 }
@@ -90,28 +92,109 @@ func TestByteDictOverflow(t *testing.T) {
 
 func TestRoundTripStrings(t *testing.T) {
 	vals := []string{"us-east-1", "us-west-2", "", "eu-west-1", "us-east-1", "héllo wörld", strings.Repeat("x", 5000)}
-	for _, e := range []Encoding{Raw, RunLength, Text, LZ} {
+	for _, e := range []Encoding{Raw, RunLength, Text, LZ, Dict} {
 		roundTrip(t, e, mkStrs(vals))
 	}
 	v := mkStrs([]string{"a", "b", "a"})
 	v.AppendNull()
-	for _, e := range []Encoding{Raw, RunLength, Text, LZ, ByteDict} {
+	for _, e := range []Encoding{Raw, RunLength, Text, LZ, ByteDict, Dict} {
 		roundTrip(t, e, v)
 	}
 }
 
 func TestRoundTripFloats(t *testing.T) {
 	vals := []float64{0, 1.5, -2.25, math.Pi, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1)}
-	for _, e := range []Encoding{Raw, RunLength, LZ} {
+	for _, e := range []Encoding{Raw, RunLength, LZ, Pack, Dict} {
 		roundTrip(t, e, mkFloats(vals))
 	}
 }
 
+// TestSignedZeroAndNaNRoundTrip: every codec that holds DOUBLE hands back
+// -0, NaN and the infinities bit for bit, -0 beside 0 included (RUNLENGTH
+// and the dictionaries once compared them as equal).
+func TestSignedZeroAndNaNRoundTrip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	v := mkFloats([]float64{0, negZero, math.NaN(), math.NaN(), math.Inf(1), math.Inf(-1), negZero, 0})
+	for e := Encoding(0); e < numEncodings; e++ {
+		if !Applicable(e, types.Float64) {
+			continue
+		}
+		data, err := Encode(e, v)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if got, err := Decode(data); err != nil || !sameVector(got, v) {
+			t.Errorf("%s: %v, or %v decoded as %v", e, err, v, got)
+		}
+	}
+}
+
+// TestPackMatchesRaw is PACK's differential against RAW over generated
+// blocks: every width from 0 to 64, with and without negatives, the int64
+// extremes, all-NULL and one-row blocks, and DOUBLE blocks that scale and
+// that do not. Each decodes to what RAW does, at the least width its range
+// needs; DICT runs over the same blocks.
+func TestPackMatchesRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	blocks := map[string]*types.Vector{}
+	for w := 0; w <= 64; w++ {
+		for _, lo := range []int64{0, -1 << 40, math.MinInt64} {
+			span := uint64(1)<<w - 1
+			vals := []int64{lo, int64(uint64(lo) + span)}
+			for len(vals) < 300 {
+				vals = append(vals, int64(uint64(lo)+rng.Uint64()&span))
+			}
+			blocks[fmt.Sprintf("width %d from %d", w, lo)] = mkInts(vals, nil)
+		}
+	}
+	blocks["extremes"] = mkInts([]int64{math.MaxInt64, math.MinInt64, 0, -1, 1}, []bool{false, false, true})
+	blocks["one row"] = mkInts([]int64{-7}, nil)
+	blocks["all null"] = mkInts(make([]int64, 9), []bool{true, true, true, true, true, true, true, true, true})
+	blocks["prices"] = mkFloats([]float64{0.25, 999.75, 12.5, 0.01, -3.1})
+	blocks["integral doubles"] = mkFloats([]float64{-4, 8, 1e15})
+	blocks["thirds"] = mkFloats([]float64{1.0 / 3, 2.0 / 3, 1})
+	blocks["signed zero"] = mkFloats([]float64{1.5, math.Copysign(0, -1), 2})
+	blocks["edges"] = mkFloats([]float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64})
+	for name, v := range blocks {
+		raw, _ := Encode(Raw, v)
+		want, err := Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []Encoding{Pack, Dict} {
+			data, err := Encode(e, v)
+			if err != nil {
+				t.Fatalf("%s %s: %v", e, name, err)
+			}
+			if got, err := Decode(data); err != nil || !sameVector(got, want) {
+				t.Fatalf("%s %s: %v, or decoded differently from RAW", e, name, err)
+			}
+		}
+		if v.T == types.Int64 && v.Len() > 1 && !v.HasNulls() {
+			data, _ := Encode(Pack, v)
+			_, pos, _ := parseHeader(data)
+			lo, hi := slices.Min(v.Ints), slices.Max(v.Ints)
+			if w := int(data[pos+1]); w != bits.Len64(uint64(hi)-uint64(lo)) {
+				t.Errorf("%s: packed at %d bits", name, w)
+			}
+		}
+	}
+	// The DOUBLE blocks' forms: ×100, ×1, and bit patterns where no scale
+	// gives every value back, -0 included.
+	for name, scale := range map[string]byte{"prices": 2, "integral doubles": 0, "thirds": packIEEE, "signed zero": packIEEE} {
+		data, _ := Encode(Pack, blocks[name])
+		if _, pos, _ := parseHeader(data); data[pos] != scale {
+			t.Errorf("%s: scale byte %d, want %d", name, data[pos], scale)
+		}
+	}
+}
+
 func TestRoundTripEmpty(t *testing.T) {
-	for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, ByteDict, LZ} {
+	for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, ByteDict, LZ, Pack, Dict} {
 		roundTrip(t, e, mkInts(nil, nil))
 	}
 	roundTrip(t, Text, mkStrs(nil))
+	roundTrip(t, Dict, mkStrs(nil))
 }
 
 func TestEncodeNotApplicable(t *testing.T) {
@@ -168,6 +251,14 @@ func TestDecodeCorrupt(t *testing.T) {
 		"lz inflates short":   lz(4, make([]byte, 24)),
 		"lz inflates long":    lz(4, make([]byte, 1<<16)),
 		"lz not deflate":      {byte(LZ), byte(types.Int64), 1, 0, 0xff, 0xff},
+		"pack width 65":       {byte(Pack), byte(types.Int64), 1, 0, 0, 65, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		"pack scale on ints":  {byte(Pack), byte(types.Int64), 1, 0, 2, 8, 0, 1},
+		"pack scale 5":        {byte(Pack), byte(types.Float64), 1, 0, 5, 8, 0, 1},
+		"pack body long":      {byte(Pack), byte(types.Int64), 2, 0, 0, 4, 0, 0x21, 0},
+		"pack body short":     {byte(Pack), byte(types.Int64), 3, 0, 0, 8, 0, 1, 2},
+		"pack rows over max":  binary.AppendUvarint([]byte{byte(Pack), byte(types.Int64)}, maxRows+1),
+		"dict code":           {byte(Dict), byte(types.Int64), 3, 0, 3, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0x3c},
+		"dict size over rows": {byte(Dict), byte(types.String), 1, 0, 2, 1, 'a', 1, 'b', 0},
 	}
 	// A VARCHAR LZO block cut anywhere in its stream fails where the stream
 	// ends, as a truncated stream. The inflate under a limit of the block's
@@ -208,7 +299,8 @@ func TestDecodeCorrupt(t *testing.T) {
 	})
 }
 
-// TestBlockMaximums: the row maximum is RUNLENGTH's and LZO's alone — RAW
+// TestBlockMaximums: the row maximum is for the codecs whose payload need not
+// spend a byte a row (RUNLENGTH, LZO, and PACK and DICT at width 0) — RAW
 // frames spill batches, which a skewed join fans out to any size — and an
 // LZO string block may inflate only so far, through a scratch the pool does
 // not keep when it is outsized.
@@ -223,7 +315,7 @@ func TestBlockMaximums(t *testing.T) {
 			t.Fatalf("%s: %d rows do not decode: %v", e, big.Len(), err)
 		}
 	}
-	for _, e := range []Encoding{RunLength, LZ} {
+	for _, e := range []Encoding{RunLength, LZ, Pack, Dict} {
 		if _, err := Encode(e, big); err == nil {
 			t.Errorf("%s: encoded %d rows, a block Decode refuses", e, big.Len())
 		}
@@ -261,7 +353,7 @@ func TestPropertyRoundTripIntsEveryEncoding(t *testing.T) {
 			nulls[i] = (int(nullSeed)+i)%5 == 0
 		}
 		v := mkInts(vals, nulls)
-		for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, Mostly16, Mostly32, LZ} {
+		for _, e := range []Encoding{Raw, RunLength, Delta, Mostly8, Mostly16, Mostly32, LZ, Pack, Dict} {
 			data, err := Encode(e, v)
 			if err != nil {
 				return false
@@ -281,7 +373,7 @@ func TestPropertyRoundTripIntsEveryEncoding(t *testing.T) {
 func TestPropertyRoundTripStrings(t *testing.T) {
 	f := func(vals []string) bool {
 		v := mkStrs(vals)
-		for _, e := range []Encoding{Raw, RunLength, Text, LZ} {
+		for _, e := range []Encoding{Raw, RunLength, Text, LZ, Dict} {
 			data, err := Encode(e, v)
 			if err != nil {
 				return false
@@ -340,7 +432,7 @@ func TestChooseLowCardinalityStringsPrefersDictionary(t *testing.T) {
 		v.Append(types.NewString(regions[rng.Intn(len(regions))]))
 	}
 	got := Choose(v)
-	if got != ByteDict && got != Text {
+	if got != ByteDict && got != Text && got != Dict {
 		t.Errorf("Choose(low-card strings) = %v, want a dictionary encoding", got)
 	}
 }
@@ -358,7 +450,7 @@ func TestChooseHighEntropyStringsAvoidsDictionaryBloat(t *testing.T) {
 	}
 	got := Choose(v)
 	// Unique random strings: dictionary adds overhead; RAW or LZ should win.
-	if got == Text || got == ByteDict {
+	if got == Text || got == ByteDict || got == Dict {
 		t.Errorf("Choose(unique strings) = %v; dictionary should not win", got)
 	}
 }
@@ -375,7 +467,7 @@ func TestAnalyzeReportsAllApplicable(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	results := Analyze(mkInts(vals, nil))
-	if len(results) != 8 { // all but Text apply to ints
+	if len(results) != 10 { // all but Text apply to ints
 		t.Fatalf("got %d results: %+v", len(results), results)
 	}
 	// Sorted ascending by size among applicable.
@@ -488,7 +580,7 @@ func TestParseEncodingRoundTrip(t *testing.T) {
 			t.Errorf("ParseEncoding(%q) = %v, %v; want %v", name, e, err, want)
 		}
 	}
-	if got := Encoding(numEncodings).String(); got != "ENCODING(9)" {
+	if got := Encoding(numEncodings).String(); got != "ENCODING(11)" {
 		t.Errorf("String of an unknown tag = %q", got)
 	}
 }

@@ -101,7 +101,7 @@ func BenchmarkDecode(b *testing.B) {
 			if !Applicable(e, typ) {
 				continue
 			}
-			narrow := e == ByteDict || e == RunLength || e == Delta
+			narrow := e == ByteDict || e == Dict || e == RunLength || e == Delta
 			data, v := mustEncode(b, e, typ, narrow)
 			b.Run(e.String()+"/"+typ.String(), func(b *testing.B) {
 				b.ReportAllocs()

@@ -86,8 +86,8 @@ func fuzzVector(spec []byte) (Encoding, *types.Vector) {
 	return e, v
 }
 
-// sameVector is Vector.Equal with NaN equal to NaN: a codec must hand back
-// what it was given, whatever SQL makes of the value.
+// sameVector is Vector.Equal to the bit: a codec must hand back what it was
+// given, -0 and every NaN included, whatever SQL makes of the value.
 func sameVector(a, b *types.Vector) bool {
 	if a.T != b.T || a.Len() != b.Len() {
 		return false
@@ -100,7 +100,11 @@ func sameVector(a, b *types.Vector) bool {
 			continue
 		}
 		x, y := a.Get(i), b.Get(i)
-		if !types.Equal(x, y) && !(a.T == types.Float64 && math.IsNaN(x.F) && math.IsNaN(y.F)) {
+		if a.T == types.Float64 {
+			if math.Float64bits(x.F) != math.Float64bits(y.F) {
+				return false
+			}
+		} else if !types.Equal(x, y) {
 			return false
 		}
 	}
@@ -167,9 +171,37 @@ var refusedHeaders = map[string][]byte{
 	"TEXT-over-BIGINT": {byte(Text), byte(types.Int64), 1, 0, 1, 1, 'x', 0},
 }
 
+// edgeBlock is one encoding of one vector.
+type edgeBlock struct {
+	e Encoding
+	v *types.Vector
+}
+
+// edgeBlocks are the bit-packed codecs' edge cases, committed as seeds of
+// both targets: width 0, width 64 at the int64 extremes, an all-NULL and a
+// one-row block, a DOUBLE block that scales, one that packs bit patterns, a
+// dictionary of one entry, and -0 beside 0 where a codec compares values.
+func edgeBlocks() map[string]edgeBlock {
+	allNull := mkInts(make([]int64, 3), []bool{true, true, true})
+	negZero := math.Copysign(0, -1)
+	return map[string]edgeBlock{
+		"PACK-width-0":            {Pack, mkInts([]int64{7, 7, 7, 7, 7}, nil)},
+		"PACK-width-64-extremes":  {Pack, mkInts([]int64{math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64 + 1}, nil)},
+		"PACK-all-null":           {Pack, allNull},
+		"PACK-one-row":            {Pack, mkInts([]int64{-12345}, nil)},
+		"PACK-scaled-double":      {Pack, mkFloats([]float64{0.25, 1000, 17.5, -3.75, 0.01})},
+		"PACK-bit-pattern-double": {Pack, mkFloats([]float64{0, negZero, math.NaN(), math.Inf(1), 1.0 / 3})},
+		"DICT-one-entry":          {Dict, mkStrs([]string{"open", "open", "open"})},
+		"DICT-all-null":           {Dict, allNull},
+		"DICT-one-row-double":     {Dict, mkFloats([]float64{2.5})},
+		"BYTEDICT-signed-zeros":   {ByteDict, mkFloats([]float64{0, negZero, 1, negZero})},
+		"RUNLENGTH-signed-zeros":  {RunLength, mkFloats([]float64{0, negZero, 1, negZero})},
+	}
+}
+
 // TestFuzzSeedCorpus keeps the committed seed corpus — one valid payload
-// per encoding × type for each target, and refusedHeaders — equal to what
-// the fixed vectors encode to. The format is frozen, so the files only change
+// per encoding × type for each target, edgeBlocks and refusedHeaders —
+// equal to what the fixed vectors encode to. The format is frozen, so the files only change
 // when a case is added; UPDATE_FUZZ_CORPUS=1 writes them.
 func TestFuzzSeedCorpus(t *testing.T) {
 	update := os.Getenv("UPDATE_FUZZ_CORPUS") != ""
@@ -195,6 +227,14 @@ func TestFuzzSeedCorpus(t *testing.T) {
 			t.Errorf("%s: Decode accepted the block", name)
 		}
 		check("FuzzDecode", name, data)
+	}
+	for name, b := range edgeBlocks() {
+		data, err := Encode(b.e, b.v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check("FuzzDecode", name, data)
+		check("FuzzRoundTrip", name, roundTripSpec(b.e, b.v))
 	}
 	forEachFixed(40, func(key string, e Encoding, v *types.Vector) {
 		if !strings.HasSuffix(key, "narrow+nulls") {

@@ -293,38 +293,29 @@ func evalCall(x *plan.Call, args []types.Value) (types.Value, error) {
 	}
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards.
+// likeMatch implements SQL LIKE with % and _ wildcards, a byte at a time and
+// with no ESCAPE, in O(len(s)·len(pattern)) and no recursion: on a mismatch
+// it retries only the last % passed, one byte further into s.
 func likeMatch(pattern, s string) bool {
-	return likeRec(pattern, s)
-}
-
-func likeRec(p, s string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
+	p, i, star, mark := 0, 0, -1, 0 // star: where the pattern resumes after its last %
+	for i < len(s) {
+		switch {
+		case p < len(pattern) && pattern[p] == '%':
+			if p++; p == len(pattern) {
+				return true // a trailing % takes the rest of s
 			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(p, s[i:]) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			p, s = p[1:], s[1:]
+			star, mark = p, i
+		case p < len(pattern) && (pattern[p] == '_' || pattern[p] == s[i]):
+			p, i = p+1, i+1
+		case star >= 0:
+			mark++
+			p, i = star, mark
 		default:
-			if len(s) == 0 || p[0] != s[0] {
-				return false
-			}
-			p, s = p[1:], s[1:]
+			return false
 		}
 	}
-	return len(s) == 0
+	for p < len(pattern) && pattern[p] == '%' {
+		p++
+	}
+	return p == len(pattern)
 }

@@ -3,7 +3,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"redshift/internal/plan"
 	"redshift/internal/sql"
@@ -209,29 +211,112 @@ func TestStringOpsBothModes(t *testing.T) {
 	})
 }
 
+// likeCases are LIKE's hand-written cases, and FuzzLike's seeds.
+var likeCases = []struct {
+	pattern, s string
+	want       bool
+}{
+	{"abc", "abc", true},
+	{"abc", "abd", false},
+	{"a%", "abc", true},
+	{"%c", "abc", true},
+	{"%b%", "abc", true},
+	{"a_c", "abc", true},
+	{"a_c", "ac", false},
+	{"%", "", true},
+	{"_", "", false},
+	{"a%b%c", "aXbYc", true},
+	{"a%b%c", "acb", false},
+	{"%%x", "x", true},
+	{"a%%_", "ab", true},
+	{"%_%", "", false},
+	{"_%_", "a", false},
+	{"%ab%b", "aabab", true},
+	{"a%", "b%a", false},
+	{"100%", "100%", true},
+	{"%a%a%b", "aaaa", false},
+}
+
 func TestLikePatterns(t *testing.T) {
-	cases := []struct {
-		pattern, s string
-		want       bool
-	}{
-		{"abc", "abc", true},
-		{"abc", "abd", false},
-		{"a%", "abc", true},
-		{"%c", "abc", true},
-		{"%b%", "abc", true},
-		{"a_c", "abc", true},
-		{"a_c", "ac", false},
-		{"%", "", true},
-		{"_", "", false},
-		{"a%b%c", "aXbYc", true},
-		{"a%b%c", "acb", false},
-		{"%%x", "x", true},
-	}
-	for _, c := range cases {
+	for _, c := range likeCases {
 		if got := likeMatch(c.pattern, c.s); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v", c.pattern, c.s, got)
 		}
 	}
+}
+
+// likeRec is the recursive backtracking matcher likeMatch replaced, whose
+// time grows exponentially with the %s: the oracle FuzzLike holds the
+// linear one to, on inputs short enough for it.
+func likeRec(p, s string) bool {
+	for len(p) > 0 {
+		switch p[0] {
+		case '%':
+			for len(p) > 0 && p[0] == '%' {
+				p = p[1:]
+			}
+			if len(p) == 0 {
+				return true
+			}
+			for i := 0; i <= len(s); i++ {
+				if likeRec(p, s[i:]) {
+					return true
+				}
+			}
+			return false
+		case '_':
+			if len(s) == 0 {
+				return false
+			}
+			p, s = p[1:], s[1:]
+		default:
+			if len(s) == 0 || p[0] != s[0] {
+				return false
+			}
+			p, s = p[1:], s[1:]
+		}
+	}
+	return len(s) == 0
+}
+
+// FuzzLike holds likeMatch to the recursive matcher it replaced.
+func FuzzLike(f *testing.F) {
+	for _, c := range likeCases {
+		f.Add(c.pattern, c.s)
+	}
+	f.Fuzz(func(t *testing.T, pattern, s string) {
+		if len(pattern) > 12 || len(s) > 24 {
+			return // the oracle is exponential in the %s
+		}
+		if got, want := likeMatch(pattern, s), likeRec(pattern, s); got != want {
+			t.Fatalf("likeMatch(%q, %q) = %v, the backtracking matcher says %v", pattern, s, got, want)
+		}
+	})
+}
+
+// TestLikeIsLinear runs the pattern that made the backtracking matcher take
+// seconds on one 32-byte row (and far longer per extra %a) over a whole
+// 4096-row block, in both engines.
+func TestLikeIsLinear(t *testing.T) {
+	v := types.NewVector(types.String, BatchSize)
+	for i := 0; i < 4096; i++ {
+		v.Append(types.NewString(strings.Repeat("a", 32)))
+	}
+	b := NewBatch(1)
+	b.Cols[0], b.N = v, v.Len()
+	like := &plan.Like{E: col(0, types.String), Pattern: "%a%a%a%a%a%a%a%a%a%a%b"}
+	both(t, func(t *testing.T, mode Mode) {
+		start := time.Now()
+		got := evalOne(t, mode, like, b)
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%v for one block", d)
+		}
+		for i := 0; i < got.Len(); i++ {
+			if got.Ints[i] != 0 {
+				t.Fatalf("row %d matched", i)
+			}
+		}
+	})
 }
 
 func TestInListBothModes(t *testing.T) {
