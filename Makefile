@@ -9,10 +9,10 @@ test: build
 	$(GO) test ./...
 
 # Vet plus race-detector runs over the packages with the most concurrency:
-# the distributed cluster, the query engine and its operators, the loader
-# (parse workers, one writer shared by every slice's goroutine), the shared
-# block cache, the codecs (whose inflater and deflater pools every slice
-# goroutine shares), and the telemetry registry — plus the root-level
+# the distributed cluster, the catalog, the query engine and its operators,
+# the loader (parse workers, one writer shared by every slice's goroutine),
+# the shared block cache, the codecs (whose inflater and deflater pools every
+# slice goroutine shares), and the telemetry registry — plus the root-level
 # morsel worker suites (twin battery, cancel/fault storm, stats parity).
 # The commit-protocol tests (readers against VACUUM/TRUNCATE, block
 # identities) repeat twenty times: their subject is an interleaving. So is
@@ -27,9 +27,12 @@ test: build
 # their own, replies small and over the pooled-size bound, errors mixed. The
 # live statement views repeat ten: stv_inflight, stv_exec_workers and
 # stv_query_memory read a running query's trackers from another goroutine.
+# The catalog's statistics snapshots repeat twenty: readers bind plans over a
+# shared snapshot while a writer publishes new ones, and a write to a
+# published one is a race.
 race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
+	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
 	$(GO) test -race -count=20 -run 'TestVacuum|TestCommitProtocol' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStageClock|TestCancel|TestStatementTimeout' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStageClockWire|TestWireDisconnect' ./internal/wire
@@ -38,6 +41,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestReplyPoolConcurrent' ./internal/wire
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	$(GO) test -race -count=10 -run 'TestLiveStatementViews|TestStvQueryMemoryVisibility' ./internal/core
+	$(GO) test -race -count=20 -run 'TestStatsConcurrentReadersAndWriters' ./internal/catalog
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and

@@ -7,6 +7,7 @@ package catalog
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -181,12 +182,12 @@ type ColumnStats struct {
 	NullCount int64
 	// NDV is the estimated number of distinct values (HyperLogLog).
 	NDV int64
-	// Sketch is the serialized HLL sketch behind NDV. Keeping the sketch
-	// lets per-slice (and per-segment) statistics merge losslessly: unioning
-	// sketches estimates the distinct count of the union, where taking the
-	// max of per-slice NDVs collapses a hash-distributed column to a
-	// one-slice lower bound (~NDV/slices).
-	Sketch []byte `json:",omitempty"`
+	// Sketch is the HLL sketch behind NDV. Keeping the sketch lets
+	// per-slice statistics merge losslessly: unioning registers estimates the
+	// distinct count of the union, where taking the max of per-slice NDVs
+	// collapses a hash-distributed column to a one-slice lower bound
+	// (~NDV/slices). A backup stores it as base64 text.
+	Sketch *hll.Sketch `json:",omitempty"`
 	// WidthSum is the total byte width of the column's non-null values
 	// (8 for fixed-width types, len(s) for strings); WidthSum/(rows-nulls)
 	// is the average row width the cost model prices data movement with.
@@ -213,6 +214,10 @@ func (c *ColumnStats) AvgWidth(rows int64, def float64) float64 {
 
 // TableStats summarizes a table. Stats update automatically on COPY (§2.1:
 // "optimizer statistics are updated with load").
+//
+// A TableStats the catalog publishes is an immutable snapshot that every
+// reader shares: a bound plan, a load and the maintenance pass all hold the
+// same value, and nobody writes through it. A change publishes a new value.
 type TableStats struct {
 	Rows int64
 	Cols []ColumnStats
@@ -222,66 +227,54 @@ type TableStats struct {
 	UnsortedRows int64
 }
 
-// Merge folds other into s column-wise (used when slices report local
-// statistics to the leader).
+// Merge folds other into s column-wise: slices' statistics into a table's,
+// and a table's published snapshot into a delta (UpdateStats). Two sketches
+// union register by register into s's own, which forgets both NDVs: the
+// union's estimate replaces them. A side without a sketch contributes its
+// NDV as a lower bound, and a sketch only other has is copied.
+//
+// Merge writes only sketches s owns, so a published snapshot's registers are
+// never written again. It estimates nothing: a sketched column's NDV is only
+// a lower bound until EstimateNDV runs where the result is published.
 func (s *TableStats) Merge(other TableStats) {
 	s.Rows += other.Rows
 	s.UnsortedRows += other.UnsortedRows
 	if len(s.Cols) == 0 {
 		s.Cols = make([]ColumnStats, len(other.Cols))
-		for i := range s.Cols {
-			s.Cols[i] = other.Cols[i]
-			s.Cols[i].Sketch = append([]byte(nil), other.Cols[i].Sketch...)
-		}
-		return
 	}
-	for i := range s.Cols {
-		if i >= len(other.Cols) {
-			break
+	for i := range min(len(s.Cols), len(other.Cols)) {
+		c, o := &s.Cols[i], other.Cols[i]
+		c.NullCount += o.NullCount
+		c.WidthSum += o.WidthSum
+		if o.Min.T != types.Invalid && (c.Min.T == types.Invalid || types.Compare(o.Min, c.Min) < 0) {
+			c.Min = o.Min
 		}
-		o := other.Cols[i]
-		s.Cols[i].NullCount += o.NullCount
-		s.Cols[i].WidthSum += o.WidthSum
-		if o.Min.T != types.Invalid {
-			if s.Cols[i].Min.T == types.Invalid || types.Compare(o.Min, s.Cols[i].Min) < 0 {
-				s.Cols[i].Min = o.Min
-			}
+		if o.Max.T != types.Invalid && (c.Max.T == types.Invalid || types.Compare(o.Max, c.Max) > 0) {
+			c.Max = o.Max
 		}
-		if o.Max.T != types.Invalid {
-			if s.Cols[i].Max.T == types.Invalid || types.Compare(o.Max, s.Cols[i].Max) > 0 {
-				s.Cols[i].Max = o.Max
-			}
+		c.NDV = max(c.NDV, o.NDV)
+		if c.Sketch != nil && o.Sketch != nil {
+			c.Sketch.Merge(o.Sketch)
+			c.NDV = 0
+		} else if o.Sketch != nil {
+			sk := *o.Sketch
+			c.Sketch = &sk
 		}
-		mergeNDV(&s.Cols[i], o)
 	}
 }
 
-// mergeNDV folds the other side's distinct-value estimate into dst. When
-// both sides carry HLL sketches the union is lossless: register-wise max
-// then re-estimate. A side without a sketch (stats written before sketches
-// were persisted) degrades to the old max-as-lower-bound rule, and the
-// surviving sketch — now covering only part of the data — stays as a
-// lower-bound witness.
-func mergeNDV(dst *ColumnStats, o ColumnStats) {
-	if len(o.Sketch) > 0 {
-		if len(dst.Sketch) > 0 {
-			a, errA := hll.Unmarshal(dst.Sketch)
-			b, errB := hll.Unmarshal(o.Sketch)
-			if errA == nil && errB == nil {
-				a.Merge(b)
-				dst.Sketch = a.Marshal()
-				dst.NDV = a.Estimate()
-				return
+// EstimateNDV derives each sketched column's NDV from its registers, keeping
+// a larger lower bound that a sketch-less side contributed. It is the one
+// place an NDV is estimated: UpdateStats and ReplaceStats call it as they
+// publish. A published snapshot's NDV is already at least its estimate, so
+// republishing one (VACUUM's) writes nothing to the Cols it shares.
+func (s *TableStats) EstimateNDV() {
+	for i := range s.Cols {
+		if c := &s.Cols[i]; c.Sketch != nil {
+			if e := c.Sketch.Estimate(); e > c.NDV {
+				c.NDV = e
 			}
-		} else if dst.NDV == 0 {
-			// dst has seen no values yet: adopt the other side wholesale.
-			dst.Sketch = append([]byte(nil), o.Sketch...)
-			dst.NDV = o.NDV
-			return
 		}
-	}
-	if o.NDV > dst.NDV {
-		dst.NDV = o.NDV
 	}
 }
 
@@ -428,49 +421,53 @@ func (c *Catalog) List() []*TableDef {
 	return out
 }
 
-// Stats returns a copy of the table's statistics.
-func (c *Catalog) Stats(id int64) (TableStats, error) {
+// Stats returns the table's published statistics: a snapshot shared with
+// every other reader, which callers must not write to.
+func (c *Catalog) Stats(id int64) (*TableStats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s, ok := c.stats[id]
 	if !ok {
-		return TableStats{}, fmt.Errorf("catalog: no stats for table id %d", id)
+		return nil, fmt.Errorf("catalog: no stats for table id %d", id)
 	}
-	return copyStats(s), nil
+	return s, nil
 }
 
-// copyStats deep-copies table statistics so callers (and concurrent
-// merges) never alias the catalog's sketch buffers.
-func copyStats(s *TableStats) TableStats {
-	cp := *s
-	cp.Cols = append([]ColumnStats(nil), s.Cols...)
-	for i := range cp.Cols {
-		cp.Cols[i].Sketch = append([]byte(nil), cp.Cols[i].Sketch...)
-	}
-	return cp
-}
-
-// UpdateStats folds a statistics delta into the table's stats.
+// UpdateStats folds a statistics delta into the table's stats. It takes
+// ownership of delta: the current snapshot is merged into it, and it is
+// published in the current one's place.
 func (c *Catalog) UpdateStats(id int64, delta TableStats) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.stats[id]
+	cur, ok := c.stats[id]
 	if !ok {
 		return fmt.Errorf("catalog: no stats for table id %d", id)
 	}
-	s.Merge(delta)
+	for i := range delta.Cols {
+		// A column whose statistics predate sketches stays a max-NDV lower
+		// bound: the delta's sketch covers only the new rows, so it is
+		// estimated and dropped rather than kept for later unions.
+		if d := &delta.Cols[i]; d.Sketch != nil && i < len(cur.Cols) && cur.Cols[i].Sketch == nil && cur.Cols[i].NDV > 0 {
+			d.NDV, d.Sketch = max(d.NDV, d.Sketch.Estimate()), nil
+		}
+	}
+	delta.Merge(*cur)
+	delta.EstimateNDV()
+	c.stats[id] = &delta
 	return nil
 }
 
-// ReplaceStats overwrites the table's statistics (VACUUM/ANALYZE result).
+// ReplaceStats publishes stats as the table's statistics (the result of
+// ANALYZE, VACUUM or TRUNCATE). The caller hands stats over and writes to it
+// no more.
 func (c *Catalog) ReplaceStats(id int64, stats TableStats) error {
+	stats.EstimateNDV()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.stats[id]; !ok {
 		return fmt.Errorf("catalog: no stats for table id %d", id)
 	}
-	cp := copyStats(&stats)
-	c.stats[id] = &cp
+	c.stats[id] = &stats
 	return nil
 }
 
@@ -539,9 +536,7 @@ func Unmarshal(data []byte) (*Catalog, error) {
 		c.byID[def.ID] = def
 		c.dataVer[def.ID] = 1
 	}
-	for id, s := range snap.Stats {
-		c.stats[id] = s
-	}
+	maps.Copy(c.stats, snap.Stats)
 	for id, encs := range snap.Encodings {
 		c.encodings[id] = encs
 	}

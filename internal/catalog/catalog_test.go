@@ -190,18 +190,32 @@ func TestStatsLifecycle(t *testing.T) {
 	}
 }
 
+// A copy a caller makes of a snapshot to publish (as VACUUM does) is its
+// own: changing it, before or after ReplaceStats, leaves the snapshot it was
+// copied from as it was.
 func TestStatsCopyIsolated(t *testing.T) {
 	c := New()
 	def := clickTable()
 	c.Create(def)
 	s, _ := c.Stats(def.ID)
-	s.Rows = 999999
-	if len(s.Cols) > 0 {
-		s.Cols[0].NDV = 123
+	cp := *s
+	cp.Rows = 999999
+	cp.Cols = append([]ColumnStats(nil), s.Cols...)
+	if len(cp.Cols) > 0 {
+		cp.Cols[0].NDV = 123
 	}
 	s2, _ := c.Stats(def.ID)
 	if s2.Rows == 999999 || (len(s2.Cols) > 0 && s2.Cols[0].NDV == 123) {
-		t.Error("Stats returned shared state")
+		t.Error("a copy of the snapshot shares state with the catalog")
+	}
+	if err := c.ReplaceStats(def.ID, cp); err != nil {
+		t.Fatal(err)
+	}
+	if s.Rows == 999999 || (len(s.Cols) > 0 && s.Cols[0].NDV == 123) {
+		t.Error("publishing a copy changed the snapshot it was copied from")
+	}
+	if s3, _ := c.Stats(def.ID); s3.Rows != 999999 {
+		t.Errorf("after ReplaceStats: rows %d, want 999999", s3.Rows)
 	}
 }
 
@@ -310,7 +324,7 @@ func sliceStats(vals []int64) TableStats {
 		}
 	}
 	cs.NDV = sk.Estimate()
-	cs.Sketch = sk.Marshal()
+	cs.Sketch = sk
 	return TableStats{Rows: int64(len(vals)), Cols: []ColumnStats{cs}}
 }
 
@@ -327,6 +341,7 @@ func TestMergeUnionsNDVSketches(t *testing.T) {
 		}
 		merged.Merge(sliceStats(vals))
 	}
+	merged.EstimateNDV()
 	const truth = slices * perSlice
 	if merged.Rows != truth {
 		t.Fatalf("Rows = %d, want %d", merged.Rows, truth)
@@ -372,7 +387,8 @@ func TestNullFracAndAvgWidth(t *testing.T) {
 	}
 }
 
-// Stats copies must not alias the stored sketch buffers.
+// A copy made of a snapshot by Merge owns its sketches: folding more values
+// into the copy's registers leaves the stored sketch as it was.
 func TestStatsCopyDoesNotAliasSketches(t *testing.T) {
 	c := New()
 	def := clickTable()
@@ -384,16 +400,14 @@ func TestStatsCopyDoesNotAliasSketches(t *testing.T) {
 		t.Fatal(err)
 	}
 	got1, _ := c.Stats(def.ID)
-	for i := range got1.Cols[1].Sketch {
-		got1.Cols[1].Sketch[i] = 0xFF // scribble on the copy
+	var cp TableStats
+	cp.Merge(*got1)
+	for v := int64(100); v < 5000; v++ {
+		cp.Cols[1].Sketch.AddInt64(v) // scribble on the copy
 	}
 	got2, _ := c.Stats(def.ID)
-	sk, err := hll.Unmarshal(got2.Cols[1].Sketch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est := sk.Estimate(); est != 3 {
-		t.Errorf("stored sketch corrupted through copy: estimate %d", est)
+	if est := got2.Cols[1].Sketch.Estimate(); est != 3 || got2.Cols[1].NDV != 3 {
+		t.Errorf("stored sketch corrupted through copy: estimate %d, NDV %d", est, got2.Cols[1].NDV)
 	}
 }
 

@@ -757,12 +757,13 @@ func (db *Database) vacuumTable(ctx context.Context, run *stmtRun, name string) 
 		if err != nil {
 			return err
 		}
-		stats, err := db.cat.Stats(def.ID)
+		cur, err := db.cat.Stats(def.ID)
 		if err != nil {
 			return err
 		}
-		stats.UnsortedRows = 0
-		return db.cat.ReplaceStats(def.ID, stats)
+		// The same rows and columns, none unsorted: a snapshot's Cols never
+		// change, so the new one shares them.
+		return db.cat.ReplaceStats(def.ID, catalog.TableStats{Rows: cur.Rows, Cols: cur.Cols})
 	})
 }
 
@@ -868,13 +869,13 @@ func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze
 			return nil, err
 		}
 		run.enter(telemetry.StageExec)
-		// Per-segment streaming: compute each segment's stats in isolation,
-		// one decoded block at a time and slices in parallel, and Merge them
-		// in segment and then slice order, so ANALYZE's memory is bounded by
-		// a block per slice regardless of table size. The merge is lossless
-		// because ColumnStats carries the HLL sketch bytes. A replicated
-		// table is scanned on one node only, which yields logical counters
-		// directly (Rows, NullCount, UnsortedRows) instead of
+		// Streaming: each slice folds its segments into one builder, one
+		// decoded block at a time and slices in parallel, so ANALYZE's memory
+		// is bounded by a block per slice regardless of table size. The
+		// slices' sketches then union register by register, and the catalog
+		// estimates each column's NDV once, as it publishes the result. A
+		// replicated table is scanned on one node only, which yields logical
+		// counters directly (Rows, NullCount, UnsortedRows) instead of
 		// replica-multiplied ones that then need dividing.
 		span := run.rec.Trace.StartChild("stats")
 		bySlice := view.tableSegments(def)
@@ -886,9 +887,9 @@ func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			parts[sl].Cols = make([]catalog.ColumnStats, len(def.Columns))
+			sb := load.NewStatsBuilder(len(def.Columns))
+			var unsorted int64
 			for si, seg := range bySlice[sl] {
-				sb := load.NewStatsBuilder(len(def.Columns))
 				for bi := 0; bi < seg.NumBlocks(); bi++ {
 					cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
 					if err != nil {
@@ -896,23 +897,23 @@ func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze
 					}
 					sb.Fold(cols)
 				}
-				delta := sb.Stats()
 				if si > 0 || !seg.Sorted {
 					// Everything beyond the slice's first sorted run is
 					// unsorted work for VACUUM, same bookkeeping the
 					// incremental COPY path maintains.
-					delta.UnsortedRows = int64(seg.Rows)
+					unsorted += int64(seg.Rows)
 				}
-				parts[sl].Merge(delta)
 				span.Add("bytes", seg.ByteSize())
 			}
+			parts[sl] = sb.Stats()
+			parts[sl].UnsortedRows = unsorted
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		stats := catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}
-		for _, part := range parts {
+		stats := parts[0]
+		for _, part := range parts[1:] {
 			stats.Merge(part)
 		}
 		span.Add("rows", stats.Rows)

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -246,7 +247,11 @@ func oracleComputeStats(def *catalog.TableDef, rows []types.Row) catalog.TableSt
 				sketches[ci].AddString(v.S)
 			case types.Float64:
 				cs.WidthSum += 8
-				sketches[ci].AddInt64(int64(v.F*1e6) ^ v.I)
+				key := int64(math.Float64bits(v.F))
+				if y := v.F * 1e6; -1<<63 <= y && y < 1<<63 {
+					key = int64(y)
+				}
+				sketches[ci].AddInt64(key ^ v.I)
 			default:
 				cs.WidthSum += 8
 				sketches[ci].AddInt64(v.I)
@@ -255,7 +260,7 @@ func oracleComputeStats(def *catalog.TableDef, rows []types.Row) catalog.TableSt
 	}
 	for ci := range stats.Cols {
 		stats.Cols[ci].NDV = sketches[ci].Estimate()
-		stats.Cols[ci].Sketch = sketches[ci].Marshal()
+		stats.Cols[ci].Sketch = sketches[ci]
 	}
 	return stats
 }
@@ -283,6 +288,7 @@ func (o *rowOracle) appendRows(rows []types.Row, xid int64) error {
 		delta.UnsortedRows = int64(len(rows))
 	}
 	o.stats.Merge(delta)
+	o.stats.EstimateNDV()
 	return nil
 }
 
@@ -341,6 +347,7 @@ func (o *rowOracle) analyze(t *testing.T) {
 			stats.Merge(delta)
 		}
 	}
+	stats.EstimateNDV()
 	o.stats = stats
 }
 
@@ -369,7 +376,7 @@ func (o *rowOracle) check(t *testing.T, db *Database, step string) {
 		if g, w := stats.Cols[c], o.stats.Cols[c]; !reflect.DeepEqual(g, w) {
 			g.Sketch, w.Sketch = nil, nil
 			t.Fatalf("%s: column %s stats %+v, oracle %+v (sketches equal: %v)", step, o.def.Columns[c].Name, g, w,
-				bytes.Equal(stats.Cols[c].Sketch, o.stats.Cols[c].Sketch))
+				reflect.DeepEqual(stats.Cols[c].Sketch, o.stats.Cols[c].Sketch))
 		}
 	}
 	if err := db.Quiescent(); err != nil {
@@ -689,9 +696,12 @@ func (c oracleCase) run(t *testing.T, seed int64) {
 	if o.encs, err = db.cat.Encodings(def.ID); err != nil {
 		t.Fatal(err)
 	}
-	if o.stats, err = db.cat.Stats(def.ID); err != nil {
+	stats, err := db.cat.Stats(def.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
+	o.stats = *stats // the oracle merges into its own copy of the snapshot
+	o.stats.Cols = append([]catalog.ColumnStats(nil), stats.Cols...)
 	o.check(t, db, "CREATE")
 
 	// Delimited text cannot say NULL for a VARCHAR; JSON and VALUES can.

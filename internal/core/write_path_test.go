@@ -184,18 +184,38 @@ func BenchmarkVacuum(b *testing.B) {
 	reportPerRow(b, rows+8*50, mallocs, bytes)
 }
 
-// BenchmarkAnalyze recomputes the statistics of a 100 000-row table.
+// BenchmarkAnalyze recomputes the statistics of a 100 000-row table one COPY
+// loaded, one run per slice, and of the table 64 INSERTs of 200 rows leave:
+// 64 small runs per slice, the trickle loader's shape.
 func BenchmarkAnalyze(b *testing.B) {
-	const rows = 100_000
-	db := writeBenchDB(b)
-	copyFact(b, db, rows)
-	var mallocs, bytes uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, n := measured(b, func() error { _, err := db.Execute("ANALYZE fact"); return err })
-		mallocs, bytes = mallocs+m, bytes+n
+	for _, shape := range []struct {
+		name          string
+		rows, inserts int
+	}{{"1run", 100_000, 0}, {"64runs", 200, 64}} {
+		b.Run(shape.name, func(b *testing.B) {
+			db := writeBenchDB(b)
+			rows := shape.rows
+			if shape.inserts == 0 {
+				copyFact(b, db, rows)
+			} else {
+				stmt := insertFact(b, rows)
+				for i := 0; i < shape.inserts; i++ {
+					if _, err := db.ExecuteStmt(stmt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				rows *= shape.inserts
+			}
+			var mallocs, bytes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, n := measured(b, func() error { _, err := db.Execute("ANALYZE fact"); return err })
+				mallocs, bytes = mallocs+m, bytes+n
+			}
+			reportPerRow(b, rows, mallocs, bytes)
+		})
 	}
-	reportPerRow(b, rows, mallocs, bytes)
 }
 
 // TestWritePathAllocationBudget: the statements of the write path allocate

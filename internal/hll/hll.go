@@ -9,6 +9,7 @@
 package hll
 
 import (
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -84,6 +85,14 @@ func (s *Sketch) Merge(other *Sketch) {
 	}
 }
 
+// inv[r] is 2^-r, the term a register of rank r adds to Estimate's sum.
+var inv = func() (t [64]float64) {
+	for r := range t {
+		t[r] = 1 / float64(uint64(1)<<r)
+	}
+	return t
+}()
+
 // Estimate returns the estimated number of distinct values added.
 func (s *Sketch) Estimate() int64 {
 	// Standard HLL estimator with the small-range (linear counting)
@@ -92,7 +101,7 @@ func (s *Sketch) Estimate() int64 {
 	var sum float64
 	zeros := 0
 	for _, r := range s.reg {
-		sum += 1 / float64(uint64(1)<<r)
+		sum += inv[r]
 		if r == 0 {
 			zeros++
 		}
@@ -108,19 +117,18 @@ func (s *Sketch) Estimate() int64 {
 // cardinality, which is the whole point of approximate distinct (§4).
 func (s *Sketch) ByteSize() int64 { return m }
 
-// Marshal serializes the sketch for shipment from slices to the leader.
-func (s *Sketch) Marshal() []byte {
-	out := make([]byte, m)
-	copy(out, s.reg[:])
-	return out
+// MarshalText encodes the registers as base64, the form a catalog backup
+// stores them in (the JSON shape of a []byte).
+func (s *Sketch) MarshalText() ([]byte, error) {
+	return base64.StdEncoding.AppendEncode(nil, s.reg[:]), nil
 }
 
-// Unmarshal reconstructs a sketch serialized with Marshal.
-func Unmarshal(b []byte) (*Sketch, error) {
-	if len(b) != m {
-		return nil, fmt.Errorf("hll: sketch must be %d bytes, got %d", m, len(b))
+// UnmarshalText decodes registers written by MarshalText.
+func (s *Sketch) UnmarshalText(text []byte) error {
+	reg, err := base64.StdEncoding.AppendDecode(nil, text)
+	if err != nil || len(reg) != m {
+		return fmt.Errorf("hll: sketch must be %d base64-encoded bytes", m)
 	}
-	s := New()
-	copy(s.reg[:], b)
-	return s, nil
+	copy(s.reg[:], reg)
+	return nil
 }

@@ -92,15 +92,21 @@ func TestMarshalRoundTrip(t *testing.T) {
 	for i := 0; i < 12345; i++ {
 		s.AddInt64(int64(i))
 	}
-	got, err := Unmarshal(s.Marshal())
+	text, err := s.MarshalText()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Estimate() != s.Estimate() {
-		t.Errorf("round trip changed estimate: %d vs %d", got.Estimate(), s.Estimate())
+	got := New()
+	if err := got.UnmarshalText(text); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
-		t.Error("Unmarshal accepted short buffer")
+	if *got != *s {
+		t.Errorf("round trip changed the registers: estimate %d vs %d", got.Estimate(), s.Estimate())
+	}
+	for _, bad := range []string{"AQID", "not base64", string(text) + "AAAA"} {
+		if err := got.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText accepted %.20q", bad)
+		}
 	}
 }
 

@@ -407,12 +407,13 @@ func TestStatsSketchAndWidth(t *testing.T) {
 		})
 	}
 	st := foldRows(def, rows)
+	st.EstimateNDV()
 	if st.Rows != 500 {
 		t.Fatalf("Rows = %d", st.Rows)
 	}
 	ts, uid, action := st.Cols[0], st.Cols[1], st.Cols[2]
 	for ci, cs := range []catalog.ColumnStats{ts, uid, action} {
-		if len(cs.Sketch) == 0 {
+		if cs.Sketch == nil {
 			t.Errorf("col %d: no sketch", ci)
 		}
 	}
@@ -437,8 +438,31 @@ func TestStatsSketchAndWidth(t *testing.T) {
 	a := foldRows(def, rows[:250])
 	b := foldRows(def, rows[250:])
 	a.Merge(b)
+	a.EstimateNDV()
 	if got := a.Cols[0].NDV; got < 475 || got > 525 {
 		t.Errorf("merged ts NDV = %d, want ~500", got)
+	}
+}
+
+// A DOUBLE too large to count in millionths keeps its distinct values apart:
+// 10 000 of them from 1e13 upward once all hashed as one integer (NDV 1).
+func TestStatsLargeDoublesKeepDistinctValues(t *testing.T) {
+	const n = 10_000
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 1e13 + float64(i)
+	}
+	sb := NewStatsBuilder(1)
+	sb.Fold(Columns{&types.Vector{T: types.Float64, Floats: vals}})
+	st := sb.Stats()
+	st.EstimateNDV()
+	if ndv := st.Cols[0].NDV; ndv < n*95/100 || ndv > n*105/100 {
+		t.Errorf("NDV = %d, want within 5%% of %d", ndv, n)
+	}
+	for _, x := range []float64{0, -0.5, 1.25, 9.2e12, -9.2e12} {
+		if got, want := floatKey(x), int64(x*1e6); got != want {
+			t.Errorf("floatKey(%v) = %d, want %d: an in-range value must hash as before", x, got, want)
+		}
 	}
 }
 

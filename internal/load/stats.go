@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"strings"
 
 	"redshift/internal/catalog"
@@ -10,29 +11,26 @@ import (
 
 // StatsBuilder folds runs of rows, column vector by column vector, into
 // table statistics — shared by the statistics a load updates and ANALYZE.
-// The per-column HLL sketches are serialized into the stats so later Merges
-// union them losslessly instead of falling back to max-NDV lower bounds, and
-// per-column width sums feed the cost model's row-width estimates.
-type StatsBuilder struct {
-	rows     int64
-	cols     []catalog.ColumnStats
-	sketches []*hll.Sketch
-}
+// Each column carries its HLL sketch, so later Merges union registers
+// losslessly instead of falling back to max-NDV lower bounds; the NDV is
+// estimated where the catalog publishes the result. Per-column width sums
+// feed the cost model's row-width estimates.
+type StatsBuilder struct{ stats catalog.TableStats }
 
 // NewStatsBuilder starts the statistics of a table of ncols columns.
 func NewStatsBuilder(ncols int) *StatsBuilder {
-	s := &StatsBuilder{cols: make([]catalog.ColumnStats, ncols), sketches: make([]*hll.Sketch, ncols)}
-	for i := range s.sketches {
-		s.sketches[i] = hll.New()
+	s := &StatsBuilder{catalog.TableStats{Cols: make([]catalog.ColumnStats, ncols)}}
+	for i := range s.stats.Cols {
+		s.stats.Cols[i].Sketch = hll.New()
 	}
 	return s
 }
 
 // Fold adds a run of rows.
 func (s *StatsBuilder) Fold(cols Columns) {
-	s.rows += int64(cols.Rows())
+	s.stats.Rows += int64(cols.Rows())
 	for c, v := range cols {
-		cs, sketch := &s.cols[c], s.sketches[c]
+		cs := &s.stats.Cols[c]
 		nulls := int64(v.NullCount())
 		cs.NullCount += nulls
 		if v.T != types.String {
@@ -43,14 +41,24 @@ func (s *StatsBuilder) Fold(cols Columns) {
 		case types.String:
 			each(v.Strs, v.Nulls, func(x string) {
 				cs.WidthSum += int64(len(x))
-				sketch.AddString(x)
+				cs.Sketch.AddString(x)
 			})
 		case types.Float64:
-			each(v.Floats, v.Nulls, func(x float64) { sketch.AddInt64(int64(x * 1e6)) })
+			each(v.Floats, v.Nulls, func(x float64) { cs.Sketch.AddInt64(floatKey(x)) })
 		default:
-			each(v.Ints, v.Nulls, sketch.AddInt64)
+			each(v.Ints, v.Nulls, cs.Sketch.AddInt64)
 		}
 	}
+}
+
+// floatKey is the value a DOUBLE's distinct count hashes: the value in
+// millionths, or its bits where that is out of int64's range (|x| ≥ ~9.2e12,
+// ±Inf, NaN), which would otherwise all convert to one integer.
+func floatKey(x float64) int64 {
+	if y := x * 1e6; -1<<63 <= y && y < 1<<63 {
+		return int64(y)
+	}
+	return int64(math.Float64bits(x))
 }
 
 // each visits the non-null values.
@@ -62,15 +70,13 @@ func each[T any](vals []T, nulls []bool, visit func(T)) {
 	}
 }
 
-// Stats returns the statistics of the rows folded so far. String bounds are
-// copied out of whatever text or block they were read from.
+// Stats hands over the statistics of the rows folded so far, sketches
+// included; the builder takes no more rows. String bounds are copied out of
+// whatever text or block they were read from.
 func (s *StatsBuilder) Stats() catalog.TableStats {
-	stats := catalog.TableStats{Rows: s.rows, Cols: make([]catalog.ColumnStats, len(s.cols))}
-	for c, cs := range s.cols {
+	for c := range s.stats.Cols {
+		cs := &s.stats.Cols[c]
 		cs.Min.S, cs.Max.S = strings.Clone(cs.Min.S), strings.Clone(cs.Max.S)
-		cs.NDV = s.sketches[c].Estimate()
-		cs.Sketch = s.sketches[c].Marshal()
-		stats.Cols[c] = cs
 	}
-	return stats
+	return s.stats
 }

@@ -137,8 +137,7 @@ func (b *binder) addTable(ref *sql.TableRef) (*TableScan, error) {
 // fresh tables), else the storage layer's visible-segment count, else -1.
 func (b *binder) tableEstRows(def *catalog.TableDef) (int64, *catalog.TableStats) {
 	if stats, err := b.cat.Stats(def.ID); err == nil && stats.Rows > 0 {
-		s := stats
-		return stats.Rows, &s
+		return stats.Rows, stats
 	}
 	if b.opts.TableRows != nil {
 		if n := b.opts.TableRows(def.ID); n >= 0 {

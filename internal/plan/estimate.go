@@ -336,12 +336,7 @@ func colBytes(t types.Type, cs *catalog.ColumnStats, rows int64) float64 {
 func estRowBytes(scan *TableScan) float64 {
 	w := 0.0
 	for ci, col := range scan.Def.Columns {
-		var cs *catalog.ColumnStats
-		var rows int64 = -1
-		if scan.Stats != nil && ci < len(scan.Stats.Cols) {
-			cs = &scan.Stats.Cols[ci]
-			rows = scan.Stats.Rows
-		}
+		cs, rows := scanResolver(scan)(ci)
 		w += colBytes(col.Type, cs, rows)
 	}
 	return w
