@@ -29,7 +29,8 @@ test: build
 # stv_query_memory read a running query's trackers from another goroutine.
 # The catalog's statistics snapshots repeat twenty: readers bind plans over a
 # shared snapshot while a writer publishes new ones, and a write to a
-# published one is a race.
+# published one is a race. So does the result cache's admission test: the
+# ghost of seen keys is atomics every session reads and writes unlocked.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -42,6 +43,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestVectorWriterMatchesRowOracle' ./internal/core
 	$(GO) test -race -count=10 -run 'TestLiveStatementViews|TestStvQueryMemoryVisibility' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStatsConcurrentReadersAndWriters' ./internal/catalog
+	$(GO) test -race -count=20 -run TestResultCacheAdmitsOnSecondSight ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and
@@ -66,8 +68,10 @@ stress:
 # bytes into COPY's delimited and JSON readers, which must read what the
 # row-at-a-time readers they replaced read, results built from arbitrary
 # bytes into the wire's reply encoder, which must write what encoding/json
-# writes, arbitrary bytes into the wire's request reader, which must frame
-# and decode the lines a plain split of the bytes finds, and arbitrary bytes
+# writes, arbitrary bytes into the client's reply decoder, which must fail
+# where encoding/json fails and read what it reads otherwise, arbitrary bytes
+# into the wire's request reader, which must frame and decode the lines a
+# plain split of the bytes finds, and arbitrary bytes
 # into the two settings parsers: -wlm-queues specs, which must never split
 # the memory pool outside [0, pool] per slot, and byte sizes, which must land
 # in [0, 2^62] or be "default".
@@ -83,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyCSV$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyJSON$$' -fuzztime $(FUZZTIME) ./internal/load
 	$(GO) test -run '^$$' -fuzz '^FuzzReplyEncoding$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQueueSpecs$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParseByteSize$$' -fuzztime $(FUZZTIME) ./internal/sql

@@ -263,7 +263,9 @@ func TestResultCacheBytesAreResident(t *testing.T) {
 	c0, h0 := cached(), heap()
 	const n = 400
 	for i := 0; i < n; i++ {
-		mustExec(t, db, fmt.Sprintf(`SELECT SUM(qty) FROM sales WHERE ts < %d`, 10001+i))
+		q := fmt.Sprintf(`SELECT SUM(qty) FROM sales WHERE ts < %d`, 10001+i)
+		mustExec(t, db, q) // first sight: not stored
+		mustExec(t, db, q)
 	}
 	h1, c1 := heap(), cached()
 	grew, charged := h1-h0, c1-c0
@@ -273,10 +275,89 @@ func TestResultCacheBytesAreResident(t *testing.T) {
 	}
 }
 
+// TestResultCacheAdmitsOnSecondSight pins admission. A result is stored the
+// second time its key runs and served the third; a key that runs once is
+// never stored, and each such run counts in result_cache_declined_total. A
+// key whose entry a write made stale is stored again on its very next run,
+// and EXECUTE shares its key with the SELECT text it was prepared from. An
+// 8 KiB budget leaves the ghost one slot, so every other key run in between
+// overwrites what it remembers.
+func TestResultCacheAdmitsOnSecondSight(t *testing.T) {
+	db, err := Open(Config{
+		Cluster:          cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 64},
+		DataStore:        s3sim.New(),
+		ResultCacheBytes: 8 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSales(t, db)
+	run := func(q string, wantCached bool, wantEntries, wantDeclined int64) {
+		t.Helper()
+		res := mustExec(t, db, q)
+		entries := db.resultCache.Stats().Entries
+		declined := renderedMetric(t, db, "result_cache_declined_total")
+		if res.Cached != wantCached || entries != wantEntries || declined != wantDeclined {
+			t.Fatalf("%s: cached %v, %d entries, %d declined; want %v, %d, %d",
+				q, res.Cached, entries, declined, wantCached, wantEntries, wantDeclined)
+		}
+	}
+	const q = `SELECT region, SUM(qty) FROM sales GROUP BY region ORDER BY region`
+	run(q, false, 0, 1)
+	run(q, false, 1, 1)
+	run(q, true, 1, 1)
+
+	const once = `SELECT COUNT(*) FROM sales WHERE qty > 3`
+	run(once, false, 1, 2)
+
+	mustExec(t, db, `INSERT INTO sales (ts, product_id, qty, region) VALUES (99999, 1, 5, 'us')`)
+	run(q, false, 1, 2)
+	run(q, true, 1, 2)
+
+	mustExec(t, db, `PREPARE byregion AS SELECT COUNT(*) FROM sales WHERE region = 'eu'`)
+	run(`EXECUTE byregion`, false, 1, 3)
+	run(`SELECT COUNT(*) FROM sales WHERE region = 'eu'`, false, 2, 3)
+	run(`EXECUTE byregion`, true, 2, 3)
+
+	// Sessions share the ghost: four of them run eight keys at once, and
+	// every answer, stored, served or declined, is the uncached one.
+	want := make([]int64, 8)
+	for k := range want {
+		want[k] = mustExec(t, db, fmt.Sprintf(`SELECT COUNT(*) FROM sales WHERE qty > %d`, k)).Rows[0][0].I
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sess := db.NewSession()
+			defer sess.Close()
+			for i := 0; i < 48 && errs[g] == nil; i++ {
+				k := (i + g) % len(want)
+				res, err := sess.Execute(fmt.Sprintf(`SELECT COUNT(*) FROM sales WHERE qty > %d`, k))
+				if err == nil && res.Rows[0][0].I != want[k] {
+					err = fmt.Errorf("qty > %d: %v, want %d (cached %v)", k, res.Rows[0][0], want[k], res.Cached)
+				}
+				errs[g] = err
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	assertQuiescent(t, db)
+}
+
 // TestResultCacheKeepsExpensiveResults: a spilling join's result outlives a
 // flood of cheap point-lookup results as large as the whole budget — the
 // flood that flushes it from a least-recently-used cache — because the
-// cache prices a result by the execution time it would take to rebuild.
+// cache prices a result by the execution time it would take to rebuild. A
+// flood of keys that run once stores nothing at all: a result is admitted
+// on its key's second sight, so every flood key runs twice.
 func TestResultCacheKeepsExpensiveResults(t *testing.T) {
 	const budget = 16 << 10
 	db, err := Open(Config{
@@ -291,15 +372,27 @@ func TestResultCacheKeepsExpensiveResults(t *testing.T) {
 	seedSpillWide(t, db, 6000)
 	mustExec(t, db, `SET work_mem TO '16KB'`)
 	const join = `SELECT a.grp, SUM(b.val) AS s FROM wide a JOIN wide b ON a.id = b.id GROUP BY a.grp ORDER BY a.grp`
+	mustExec(t, db, join) // first sight: not stored
 	mustExec(t, db, join)
 	if rec := db.qlog.Records(); rec[len(rec)-1].SpillBytes == 0 {
 		t.Fatal("the join did not spill")
 	}
 	before := db.resultCache.Stats()
 	point := func(i int) { mustExec(t, db, fmt.Sprintf(`SELECT val FROM wide WHERE id = %d`, i)) }
+	for i := 0; int64(i)*64 < budget; i++ {
+		point(3000 + i)
+	}
+	if s := db.resultCache.Stats(); s.Entries != before.Entries || s.Bytes != before.Bytes {
+		t.Fatalf("a flood of one-shot keys was stored: %+v -> %+v", before, s)
+	}
+	point(0)
 	point(0)
 	one := db.resultCache.Stats().Bytes - before.Bytes
+	if one == 0 {
+		t.Fatal("a point lookup run twice was not stored")
+	}
 	for i := 1; int64(i)*one < budget; i++ {
+		point(i)
 		point(i)
 	}
 	if s := db.resultCache.Stats(); s.Evictions == 0 {

@@ -303,3 +303,33 @@ func TestQueryStateLogged(t *testing.T) {
 		t.Error("failed query not logged in state 'error'")
 	}
 }
+
+// TestLikeScanStopsAtStatementTimeout: statement_timeout stops a scan whose
+// predicate is the LIKE pattern that once backtracked exponentially on
+// strings of 'a's — the error names the timeout, and nothing is left held.
+// The scan, untimed, must outlast the timeout ten times over.
+func TestLikeScanStopsAtStatementTimeout(t *testing.T) {
+	db := openDB(t, exec.Compiled)
+	mustExec(t, db, `CREATE TABLE longs (k BIGINT, s VARCHAR(1024))`)
+	var b strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&b, "%d|%s\n", i, strings.Repeat("a", 1000+i%24))
+	}
+	db.cfg.DataStore.Put("lake/longs/l", []byte(b.String()))
+	mustExec(t, db, `COPY longs FROM 's3://lake/longs/'`)
+	mustExec(t, db, `SET result_cache TO off`)
+	const q = `SELECT COUNT(*) FROM longs WHERE s LIKE '%a%a%a%a%a%a%a%a%a%a%b'`
+	if res := mustExec(t, db, q); res.Rows[0][0].I != 0 {
+		t.Fatalf("LIKE matched %v rows", res.Rows[0][0])
+	}
+	start := time.Now()
+	mustExec(t, db, q) // with the blocks cached, as the timed run finds them
+	if untimed := time.Since(start); untimed < 10*time.Millisecond {
+		t.Fatalf("the scan takes %v: too short to outlast a 1 ms timeout", untimed)
+	}
+	mustExec(t, db, `SET statement_timeout TO 1`)
+	if _, err := db.Execute(q); err == nil || !strings.Contains(err.Error(), "statement timeout") {
+		t.Fatalf("LIKE scan under a 1 ms statement_timeout: %v", err)
+	}
+	assertQuiescent(t, db)
+}

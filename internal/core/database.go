@@ -117,6 +117,9 @@ type Database struct {
 	// versions for lazy invalidation. Either may be nil (disabled).
 	planCache   *storage.Cache[string, planEntry]
 	resultCache *storage.Cache[string, resultEntry]
+	// ghost admits results on second sight: one slot of normalized-key hash
+	// per 8 KiB of result budget (sawBefore).
+	ghost []atomic.Uint64
 
 	// defaultSession backs the Database-level Execute entry points, so
 	// embedded users and tests that SET options through db.Execute keep
@@ -241,6 +244,7 @@ func Open(cfg Config) (*Database, error) {
 	}
 	db.planCache = storage.NewCache[string, planEntry](int64(cfg.PlanCacheEntries))
 	db.resultCache = storage.NewCache[string, resultEntry](cfg.ResultCacheBytes)
+	db.ghost = make([]atomic.Uint64, max(cfg.ResultCacheBytes>>13, 1))
 	db.defaultSession = db.NewSession()
 	// Give the planner the cluster's shape and a storage-level row-count
 	// fallback so never-ANALYZEd tables still get cardinality estimates.

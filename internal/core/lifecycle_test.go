@@ -20,6 +20,7 @@ func TestPrepareExecuteDeallocate(t *testing.T) {
 	if len(r1.Rows) != 2 {
 		t.Fatalf("EXECUTE rows = %v", r1.Rows)
 	}
+	mustExec(t, db, `EXECUTE top_regions`) // second sight: stored
 	r2 := mustExec(t, db, `EXECUTE top_regions`)
 	if fmt.Sprint(r1.Rows) != fmt.Sprint(r2.Rows) {
 		t.Fatalf("EXECUTE not stable: %v vs %v", r1.Rows, r2.Rows)
@@ -67,6 +68,7 @@ func TestResultCacheHitZeroExecution(t *testing.T) {
 	if cold.Cached {
 		t.Fatal("cold run claims to be cached")
 	}
+	mustExec(t, db, q) // second sight: stored
 	wlmBefore := defaultQueueStats(t, db).TotalRun
 	warm := mustExec(t, db, q)
 	if !warm.Cached {
@@ -108,6 +110,7 @@ func TestResultCacheInvalidatedByMutation(t *testing.T) {
 	const q = `SELECT COUNT(*) FROM sales WHERE qty >= 1`
 
 	first := mustExec(t, db, q)
+	mustExec(t, db, q) // second sight: stored
 	if hit := mustExec(t, db, q); !hit.Cached {
 		t.Fatal("repeat missed")
 	}
@@ -226,6 +229,7 @@ func TestResultCacheBypasses(t *testing.T) {
 	}
 	mustExec(t, db, `SET result_cache TO on`)
 	mustExec(t, db, `SELECT COUNT(*) FROM products`)
+	mustExec(t, db, `SELECT COUNT(*) FROM products`) // second sight: stored
 	if res := mustExec(t, db, `SELECT COUNT(*) FROM products`); !res.Cached {
 		t.Error("result cache did not resume after SET result_cache TO on")
 	}
@@ -240,6 +244,7 @@ func TestExplainAnalyzeReportsCacheHit(t *testing.T) {
 	if cold.Cached {
 		t.Fatal("cold EXPLAIN ANALYZE claims cached")
 	}
+	mustExec(t, db, q) // second sight: stored
 	warm := mustExec(t, db, q)
 	if !warm.Cached {
 		t.Fatal("warm EXPLAIN ANALYZE missed the cache")
@@ -442,10 +447,15 @@ func TestResultCacheEviction(t *testing.T) {
 		t.Error("oversized result was cached")
 	}
 
-	// Many small distinct results overflow the budget and evict.
+	// Many small distinct results overflow the budget and evict. Each runs
+	// twice: a result is admitted on its key's second sight.
 	for i := 0; i < 64; i++ {
-		mustExec(t, db, fmt.Sprintf(`SELECT COUNT(*) FROM sales WHERE qty = %d`, i%8))
-		mustExec(t, db, fmt.Sprintf(`SELECT SUM(qty) FROM sales WHERE ts < %d`, 10000+i))
+		for range 2 {
+			mustExec(t, db, fmt.Sprintf(`SELECT COUNT(*) FROM sales WHERE qty = %d`, i%8))
+		}
+		for range 2 {
+			mustExec(t, db, fmt.Sprintf(`SELECT SUM(qty) FROM sales WHERE ts < %d`, 10000+i))
+		}
 	}
 	s := db.resultCache.Stats()
 	if s.Bytes > 4096 {

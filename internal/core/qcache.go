@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"hash/maphash"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -53,22 +54,15 @@ func (db *Database) versionsMatch(tvs []tableVersion) bool {
 // references, sorted by table id (deterministic, deduplicated — a
 // self-join references one version, not two).
 func (db *Database) captureTableVersions(p *plan.Plan) []tableVersion {
-	out := make([]tableVersion, 0, len(p.Tables))
-	for _, t := range p.Tables {
-		id := t.Def.ID
-		dup := false
-		for _, tv := range out {
-			if tv.id == id {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
+	ids := make([]int64, len(p.Tables))
+	for i, t := range p.Tables {
+		ids[i] = t.Def.ID
+	}
+	slices.Sort(ids)
+	out := make([]tableVersion, 0, len(ids))
+	for _, id := range slices.Compact(ids) {
 		out = append(out, tableVersion{id: id, ver: db.cat.DataVersion(id)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -153,8 +147,9 @@ func deterministicExpr(e sql.Expr) bool {
 
 // resultLookup serves a stored result if its version key still matches; a
 // mismatch deletes the entry (lazy invalidation — mutations never scan the
-// cache). The hit shares the stored schema and rows (callers treat results
-// as read-only) under a fresh header with zeroed stats and Cached set.
+// cache) and marks the key seen, so its next run is stored again at once.
+// The hit shares the stored schema and rows (callers treat results as
+// read-only) under a fresh header with zeroed stats and Cached set.
 func (db *Database) resultLookup(norm string) (*Result, bool) {
 	ent, ok := db.resultCache.Get(norm)
 	if !ok {
@@ -162,21 +157,35 @@ func (db *Database) resultLookup(norm string) (*Result, bool) {
 	}
 	if !db.versionsMatch(ent.tables) {
 		db.resultCache.Invalidate(norm)
+		db.sawBefore(norm)
 		return nil, false
 	}
 	return &Result{Schema: ent.schema, Rows: ent.rows, Cached: true}, true
 }
 
+// ghostSeed seeds the admission ghost's hashes of normalized keys.
+var ghostSeed = maphash.MakeSeed()
+
+// sawBefore marks norm seen in the admission ghost and reports whether it
+// was already. The ghost is direct-mapped: a colliding key overwrites the
+// slot, which costs the key it held one more miss.
+func (db *Database) sawBefore(norm string) bool {
+	h := maphash.String(ghostSeed, norm)
+	return db.ghost[h%uint64(len(db.ghost))].Swap(h) == h
+}
+
 // resultStore caches a completed result under the version key captured
 // before the query took its snapshot, priced by cost — what producing it
-// took. Oversized results (more than a quarter of the budget) are not
-// stored — one giant result must not wipe the working set.
+// took. A key is admitted on second sight (TinyLFU's doorkeeper): the first
+// run only marks it seen, so one-shot results never occupy the cache.
+// Oversized results (more than a quarter of the budget) are not stored —
+// one giant result must not wipe the working set.
 func (db *Database) resultStore(norm string, res *Result, tables []tableVersion, cost time.Duration) {
-	size := resultBytes(norm, res)
-	if size > db.cfg.ResultCacheBytes/4 {
-		return
+	if !db.sawBefore(norm) {
+		db.metrics.Counter("result_cache_declined_total").Add(1)
+	} else if size := resultBytes(norm, res); size <= db.cfg.ResultCacheBytes/4 {
+		db.resultCache.Put(norm, resultEntry{schema: res.Schema, rows: res.Rows, tables: tables}, size, int64(cost))
 	}
-	db.resultCache.Put(norm, resultEntry{schema: res.Schema, rows: res.Rows, tables: tables}, size, int64(cost))
 }
 
 // What a cached result holds besides its key's and strings' bytes: per

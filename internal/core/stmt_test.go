@@ -151,6 +151,7 @@ func TestStageClock(t *testing.T) {
 	c.kind(db, "SELECT point", true, func(i int) (*Result, error) {
 		return db.Execute(fmt.Sprintf(`SELECT v FROM facts WHERE k = %d`, 100+i))
 	})
+	mustExec(t, db, `SELECT v FROM facts WHERE k = 100`) // second sight: stored
 	hit := c.kind(db, "result-cache hit", false, func(int) (*Result, error) { return db.Execute(`SELECT v FROM facts WHERE k = 100`) })
 	if hit.Stages[telemetry.StageExec] != 0 || hit.Stages[telemetry.StageOther] != 0 || hit.Trace != nil {
 		t.Errorf("result-cache hit executed or registered: %v", hit.Stages)
@@ -437,6 +438,7 @@ func TestLifecycleAllocationBudget(t *testing.T) {
 	seedSales(t, db)
 	const q = `SELECT SUM(qty) FROM sales WHERE region = 'us'`
 	mustExec(t, db, q)
+	mustExec(t, db, q) // second sight: stored
 	if res := mustExec(t, db, q); !res.Cached {
 		t.Fatal("second run missed the result cache")
 	}

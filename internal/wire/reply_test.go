@@ -14,12 +14,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"redshift/internal/cluster"
 	"redshift/internal/core"
@@ -107,6 +109,22 @@ func checkReply(t testing.TB, res *core.Result, err error, execMs float64) {
 	}
 	if v := types.NewString(string(want)); string(v.Append(nil)) != v.String() {
 		t.Fatal("Value.Append and Value.String disagree on a string")
+	}
+	checkDecode(t, want)
+}
+
+// checkDecode holds decodeReply to json.Unmarshal on one line: it errs
+// exactly when encoding/json does, and otherwise gives an equal Response.
+func checkDecode(t testing.TB, line []byte) {
+	t.Helper()
+	var want Response
+	wantErr := json.Unmarshal(line, &want)
+	got, err := decodeReply(line)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("decodeReply(%q): error %v; encoding/json's %v", line, err, wantErr)
+	}
+	if err == nil && !reflect.DeepEqual(*got, want) {
+		t.Fatalf("decodeReply(%q)\n got: %#v\nwant: %#v", line, *got, want)
 	}
 }
 
@@ -329,6 +347,98 @@ func TestReplySeedCorpus(t *testing.T) {
 	}
 }
 
+// FuzzDecodeReply holds decodeReply to encoding/json on arbitrary bytes (see
+// checkDecode): rows it cuts by hand, rows it leaves to encoding/json, and
+// lines that are not replies at all.
+func FuzzDecodeReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkDecode(t, line)
+	})
+}
+
+// decodeSeeds is FuzzDecodeReply's committed corpus.
+var decodeSeeds = map[string]string{
+	"fetch":         `{"columns":["k","s"],"types":["BIGINT","VARCHAR"],"rows":[["1","a"],["2","é日本"]],"exec_ms":0.5,"stats":{"blocks_read":1,"blocks_skipped":0,"rows_scanned":2,"net_bytes":0,"queue_ms":0,"plan_ms":0.01,"queue":"fast"}}` + "\n",
+	"empty-rows":    `{"rows":[[],[]],"exec_ms":0}`,
+	"rows-empty":    `{"rows":[],"exec_ms":0}`,
+	"escapes":       `{"rows":[["a\"b","c\\d","\u003c\u2028","\n\t"]],"message":"\u0026"}`,
+	"whitespace":    "{ \"rows\" : [ [ \"a\" , \"b\" ] ,[\"c\"]] }\r\n",
+	"rows-null":     `{"rows":null,"error":"x","retryable":true}`,
+	"numeric-cells": `{"rows":[["1",2],[3.5,null]]}`,
+	"nested-cells":  `{"rows":[[["a"]],[{"b":"c"}]]}`,
+	"invalid-utf8":  "{\"rows\":[[\"\xff\xfe\",\"\xc3(\"]],\"columns\":[\"\xed\xa0\x80\"]}",
+	"control-bytes": "{\"rows\":[[\"a\x01b\",\"\x1f\"]]}",
+	"duplicate":     `{"rows":5,"rows":[["a"]]}`,
+	"case-folded":   `{"ROWS":[["a"]],"Rows":[["b","c"]],"Cached":true}`,
+	"unterminated":  `{"rows":[["a"],`,
+	"not-an-object": `[["a"]]`,
+}
+
+// TestDecodeReplySeedCorpus keeps FuzzDecodeReply's committed seeds equal to
+// decodeSeeds (UPDATE_FUZZ_CORPUS=1 writes them) and runs each through the
+// fuzz target's check.
+func TestDecodeReplySeedCorpus(t *testing.T) {
+	for name, seed := range decodeSeeds {
+		checkDecode(t, []byte(seed))
+		path := filepath.Join("testdata", "fuzz", "FuzzDecodeReply", name)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+		if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s: seed missing or stale (%v); run with UPDATE_FUZZ_CORPUS=1", path, err)
+		}
+	}
+}
+
+// TestDecodedReplySharesOnlyRows: the cells of a decoded reply share one
+// string, and nothing else does — no other string of the Response lies in
+// it or in the line — so a caller that keeps a reply's Stats, say, does not
+// keep its rows alive.
+func TestDecodedReplySharesOnlyRows(t *testing.T) {
+	line, err := json.Marshal(Response{
+		Columns: []string{"k", "note"}, Types: []string{"BIGINT", "VARCHAR"},
+		Rows:    [][]string{{"1", "one"}, {"2", "two"}, {"3", "three"}},
+		Message: "SELECT", Error: "not really", ExecMillis: 1,
+		Stats: &Stats{BlocksRead: 1, Queue: "fast"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeReply(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := func(s string) (uintptr, uintptr) {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p, p + uintptr(len(s))
+	}
+	lo, hi := span(resp.Rows[0][0])
+	for _, row := range resp.Rows {
+		for _, cell := range row {
+			p, e := span(cell)
+			lo, hi = min(lo, p), max(hi, e)
+		}
+	}
+	if hi-lo > uintptr(len(line)) {
+		t.Fatalf("the cells span %d bytes, more than the %d-byte line: not one string", hi-lo, len(line))
+	}
+	lineLo := uintptr(unsafe.Pointer(unsafe.SliceData(line)))
+	lineHi := lineLo + uintptr(len(line))
+	others := append(append([]string{resp.Message, resp.Error, resp.Stats.Queue}, resp.Columns...), resp.Types...)
+	for _, s := range others {
+		if p, e := span(s); p < hi && e > lo || p < lineHi && e > lineLo {
+			t.Errorf("%q shares the rows' or the line's memory", s)
+		}
+	}
+}
+
 // rowsExec answers "ROWS n" with n rows of four columns and "FAIL" with a
 // retryable error.
 type rowsExec struct{}
@@ -530,5 +640,32 @@ func BenchmarkReplyEncode(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})
+	}
+}
+
+// BenchmarkReplyDecode times the client's decodeReply on the replies
+// BenchmarkReplyEncode writes, and encoding/json on the same lines.
+func BenchmarkReplyDecode(b *testing.B) {
+	for _, n := range []int{2000, 3} {
+		res := fetchResult(n)
+		res.Cached = n == 3
+		line := appendReply(nil, res, nil, 0.123)
+		for _, dec := range []struct {
+			name string
+			fn   func([]byte) error
+		}{
+			{"decodeReply", func(l []byte) error { _, err := decodeReply(l); return err }},
+			{"encoding-json", func(l []byte) error { return json.Unmarshal(l, new(Response)) }},
+		} {
+			b.Run(fmt.Sprintf("rows=%d/%s", n, dec.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := dec.fn(line); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
 	}
 }

@@ -121,3 +121,29 @@ func TestReadRequestSeedCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestPlainRequestPath: readRequest reads a line without encoding/json only
+// when it is exactly {"query":"…"}\n with plain text inside, and what it
+// reads either way is what checkReadRequest's oracle reads.
+func TestPlainRequestPath(t *testing.T) {
+	for line, plain := range map[string]bool{
+		"{\"query\":\"SELECT 1\"}\n":      true,
+		"{\"query\":\"\"}\n":              true,
+		"{\"query\":\"é日本\"}\n":           true,
+		"\"}\n":                           false,
+		"{\"query\":\"}\n":                false,
+		"{\"query\":\"a\"}":               false,
+		"{\"query\":\"a\"}\r\n":           false,
+		"{\"query\":\"a\\\"b\"}\n":        false,
+		"{\"query\":\"a\",\"x\":\"b\"}\n": false,
+		"{\"query\":\"\\u003c\"}\n":       false,
+		"{\"query\":\"a\tb\"}\n":          false,
+		"{\"query\":\"\xff\"}\n":          false,
+		"{\"query\": \"a\"}\n":            false,
+	} {
+		if _, ok := plainRequest([]byte(line)); ok != plain {
+			t.Errorf("plainRequest(%q) = %v, want %v", line, ok, plain)
+		}
+		checkReadRequest(t, []byte(line))
+	}
+}

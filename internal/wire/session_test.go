@@ -231,6 +231,7 @@ func TestWireCachedFlagTravels(t *testing.T) {
 	if cold.Error != "" || cold.Cached {
 		t.Fatalf("cold = %+v", cold)
 	}
+	c.Query(`SELECT SUM(v) FROM kv`) // second sight: stored
 	warm, _ := c.Query(`SELECT SUM(v) FROM kv`)
 	if warm.Error != "" || !warm.Cached {
 		t.Fatalf("warm = %+v", warm)

@@ -91,6 +91,7 @@ func TestStageClockWire(t *testing.T) {
 	send(`VACUUM facts`, true)
 	send(`ANALYZE facts`, true)
 	send(`SELECT v FROM facts WHERE k = 77`, true)
+	send(`SELECT v FROM facts WHERE k = 77`, true) // second sight: stored
 	if hit := send(`SELECT v FROM facts WHERE k = 77`, true); hit.Stages[telemetry.StageExec] != 0 {
 		t.Errorf("second run executed: %v", hit.Stages)
 	}

@@ -41,8 +41,11 @@ type Request struct {
 
 // Response is one statement's outcome.
 type Response struct {
-	Columns []string   `json:"columns,omitempty"`
-	Types   []string   `json:"types,omitempty"`
+	Columns []string `json:"columns,omitempty"`
+	Types   []string `json:"types,omitempty"`
+	// Rows, as Client decodes them, are windows of one backing and their
+	// cells substrings of one string, the reply's rows array: holding any
+	// cell holds every row's text. No other field shares that memory.
 	Rows    [][]string `json:"rows,omitempty"`
 	Message string     `json:"message,omitempty"`
 	Error   string     `json:"error,omitempty"`
@@ -225,6 +228,8 @@ func readRequest(r *bufio.Reader) (request, error) {
 			var req request
 			if len(line) > maxRequestLine {
 				req.bad = fmt.Errorf("wire: request line longer than %d bytes", maxRequestLine)
+			} else if q, ok := plainRequest(line); ok {
+				req.Query = q
 			} else if err := json.Unmarshal(line, &req.Request); err != nil {
 				req.bad = fmt.Errorf("wire: malformed request: %w", err)
 			}
@@ -234,6 +239,19 @@ func readRequest(r *bufio.Reader) (request, error) {
 			return request{}, err
 		}
 	}
+}
+
+// plainRequest reads a line that is exactly {"query":"…"}\n with nothing in
+// the text to unescape — valid UTF-8 without quotes, backslashes or control
+// bytes, as Client.Send writes a statement with no <, > or & in it — without
+// encoding/json.
+func plainRequest(line []byte) (string, bool) {
+	body, ok := bytes.CutPrefix(line, []byte(`{"query":"`))
+	body, ok2 := bytes.CutSuffix(body, []byte("\"}\n"))
+	for _, c := range body {
+		ok = ok && c >= 0x20 && c != '"' && c != '\\'
+	}
+	return string(body), ok && ok2 && utf8.Valid(body)
 }
 
 // maxPooledReply bounds the reply buffers the pool keeps. A buffer that a
@@ -381,8 +399,7 @@ func (s *Server) Close() error {
 // Client is a minimal driver.
 type Client struct {
 	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
+	r    *bufio.Reader
 }
 
 // Dial connects to a server.
@@ -391,26 +408,15 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		enc:  json.NewEncoder(conn),
-	}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Query sends one statement and waits for its response.
 func (c *Client) Query(query string) (*Response, error) {
-	if err := c.enc.Encode(Request{Query: query}); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
+	if err := c.Send(query); err != nil {
+		return nil, err
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("wire: server closed the connection")
-		}
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	return &resp, nil
+	return c.Recv()
 }
 
 // QueryRetry sends the statement and, when the server classifies the
@@ -444,9 +450,10 @@ func (c *Client) QueryRetry(ctx context.Context, query string, p faults.Policy) 
 }
 
 // Send transmits one statement without waiting for its response; pair with
-// Recv. Useful for tests that disconnect mid-query.
+// Recv. Useful for tests that disconnect mid-query. The line is the one
+// json.Encoder writes for Request: appendString escapes as it does.
 func (c *Client) Send(query string) error {
-	if err := c.enc.Encode(Request{Query: query}); err != nil {
+	if _, err := c.conn.Write(append(appendString([]byte(`{"query":`), query), '}', '\n')); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	return nil
@@ -454,11 +461,62 @@ func (c *Client) Send(query string) error {
 
 // Recv waits for the next response.
 func (c *Client) Recv() (*Response, error) {
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	line, err := c.r.ReadBytes('\n')
+	if err == nil {
+		return decodeReply(line)
+	} else if err == io.EOF && len(line) == 0 {
+		return nil, fmt.Errorf("wire: server closed the connection")
+	}
+	return nil, fmt.Errorf("wire: receive: %w", err)
+}
+
+// decodeReply reads one reply line with encoding/json, replyRows reading the
+// rows member in its place.
+func decodeReply(line []byte) (*Response, error) {
+	var r struct {
+		Response
+		Rows replyRows `json:"rows"`
+	}
+	if err := json.Unmarshal(line, &r); err != nil {
 		return nil, fmt.Errorf("wire: receive: %w", err)
 	}
-	return &resp, nil
+	r.Response.Rows = r.Rows
+	return &r.Response, nil
+}
+
+// replyRows is a reply's rows member: cut by hand when it is exactly
+// [["…",…],…] with no whitespace, backslash or invalid UTF-8 in it, as
+// appendReply writes most rows, and read by encoding/json otherwise. (A raw
+// value decoded after the rest would keep only a repeated member's last
+// value, where encoding/json fails on any one of them that is not rows.)
+type replyRows [][]string
+
+// UnmarshalJSON cuts b, which encoding/json has checked is one JSON value —
+// so a string in it holds no control byte — into one string, one backing of
+// cells that are substrings of it, and rows that are windows of that backing.
+func (r *replyRows) UnmarshalJSON(b []byte) error {
+	s := string(b)
+	if strings.IndexByte(s, '\\') >= 0 || !utf8.ValidString(s) {
+		return json.Unmarshal(b, (*[][]string)(r))
+	}
+	cells := make([]string, 0, strings.Count(s, `"`)/2)
+	*r = make([][]string, 0, strings.Count(s, "["))
+	for i, depth, start := 0, 0, 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '[' && depth < 2:
+			depth, start = depth+1, len(cells)
+		case c == ']':
+			if depth--; depth == 1 {
+				*r = append(*r, cells[start:len(cells):len(cells)])
+			}
+		case c == '"' && depth == 2:
+			j := strings.IndexByte(s[i+1:], '"') + i + 1
+			cells, i = append(cells, s[i+1:j]), j
+		case c != ',':
+			return json.Unmarshal(b, (*[][]string)(r))
+		}
+	}
+	return nil
 }
 
 // Close ends the session.
