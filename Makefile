@@ -30,7 +30,9 @@ test: build
 # The catalog's statistics snapshots repeat twenty: readers bind plans over a
 # shared snapshot while a writer publishes new ones, and a write to a
 # published one is a race. So does the result cache's admission test: the
-# ghost of seen keys is atomics every session reads and writes unlocked.
+# ghost of seen keys is atomics every session reads and writes unlocked. The
+# join's pass-through probe repeats ten: four probers share one built join,
+# and an output whose rows each match once holds its input's own vectors.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -44,6 +46,7 @@ race:
 	$(GO) test -race -count=10 -run 'TestLiveStatementViews|TestStvQueryMemoryVisibility' ./internal/core
 	$(GO) test -race -count=20 -run 'TestStatsConcurrentReadersAndWriters' ./internal/catalog
 	$(GO) test -race -count=20 -run TestResultCacheAdmitsOnSecondSight ./internal/core
+	$(GO) test -race -count=10 -run TestProbePassesLeftThrough ./internal/exec
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and
@@ -63,7 +66,10 @@ stress:
 # (compress/flate's at every level, flipped, cut short, or arbitrary bytes)
 # into the LZO reader, which must read what compress/flate reads, arbitrary
 # bytes into the spill frame decoder, bytes read as an expression plus a batch that
-# the compiled and interpreted evaluators must agree on, arbitrary bytes
+# the compiled and interpreted evaluators must agree on, LIKE patterns and
+# strings that the linear matcher and the compiled one (a string compare when
+# the pattern is a literal between %s) must match as the recursive matcher
+# does, arbitrary bytes
 # into the SQL front end (parse, render, re-parse, plan), and arbitrary
 # bytes into COPY's delimited and JSON readers, which must read what the
 # row-at-a-time readers they replaced read, results built from arbitrary

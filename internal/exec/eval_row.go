@@ -293,6 +293,26 @@ func evalCall(x *plan.Call, args []types.Value) (types.Value, error) {
 	}
 }
 
+// likeMatcher compiles a LIKE pattern once: a literal with nothing but %s
+// before and after it matches by ==, strings.HasPrefix, strings.HasSuffix or
+// strings.Contains; any other pattern runs likeMatch.
+func likeMatcher(pattern string) func(string) bool {
+	inner := strings.TrimLeft(pattern, "%")
+	lit := strings.TrimRight(inner, "%")
+	lead, trail := len(inner) < len(pattern), len(lit) < len(inner)
+	switch {
+	case strings.ContainsAny(lit, "%_"):
+		return func(s string) bool { return likeMatch(pattern, s) }
+	case lead && trail:
+		return func(s string) bool { return strings.Contains(s, lit) }
+	case lead:
+		return func(s string) bool { return strings.HasSuffix(s, lit) }
+	case trail:
+		return func(s string) bool { return strings.HasPrefix(s, lit) }
+	}
+	return func(s string) bool { return s == lit }
+}
+
 // likeMatch implements SQL LIKE with % and _ wildcards, a byte at a time and
 // with no ESCAPE, in O(len(s)·len(pattern)) and no recursion: on a mismatch
 // it retries only the last % passed, one byte further into s.

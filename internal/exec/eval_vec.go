@@ -271,8 +271,9 @@ func (c *compiler) compile(e plan.Expr) (operand, error) {
 		return c.unary(x, x.E, byPayload(x.E.Type(), inList[int64], inList[float64], inList[string])(x))
 
 	case *plan.Like:
+		match := likeMatcher(x.Pattern)
 		return c.unary(x, x.E, func(v *types.Vector, sel []int, a *arena) *types.Vector {
-			return boolsWhere(v, v.Strs, sel, a, func(s string) bool { return likeMatch(x.Pattern, s) != x.Not })
+			return boolsWhere(v, v.Strs, sel, a, func(s string) bool { return match(s) != x.Not })
 		})
 
 	case *plan.Case:

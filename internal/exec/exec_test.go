@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -235,12 +236,27 @@ var likeCases = []struct {
 	{"a%", "b%a", false},
 	{"100%", "100%", true},
 	{"%a%a%b", "aaaa", false},
+	{"%", "abc", true},
+	{"%%", "abc", true},
+	{"", "", true},
+	{"", "a", false},
+	{"a%%", "ab", true},
+	{"a%%", "ba", false},
+	{"%%a", "ba", true},
+	{"%%a", "ab", false},
+	{"100%", "1000", true},
+	{"100%", "10", false},
+	{"%_%", "x", true},
+	{"%b%", "ac", false},
 }
 
 func TestLikePatterns(t *testing.T) {
 	for _, c := range likeCases {
 		if got := likeMatch(c.pattern, c.s); got != c.want {
 			t.Errorf("likeMatch(%q, %q) = %v", c.pattern, c.s, got)
+		}
+		if got := likeMatcher(c.pattern)(c.s); got != c.want {
+			t.Errorf("likeMatcher(%q)(%q) = %v", c.pattern, c.s, got)
 		}
 	}
 }
@@ -279,7 +295,8 @@ func likeRec(p, s string) bool {
 	return len(s) == 0
 }
 
-// FuzzLike holds likeMatch to the recursive matcher it replaced.
+// FuzzLike holds likeMatch, and the compiled likeMatcher, to the recursive
+// matcher likeMatch replaced.
 func FuzzLike(f *testing.F) {
 	for _, c := range likeCases {
 		f.Add(c.pattern, c.s)
@@ -290,6 +307,9 @@ func FuzzLike(f *testing.F) {
 		}
 		if got, want := likeMatch(pattern, s), likeRec(pattern, s); got != want {
 			t.Fatalf("likeMatch(%q, %q) = %v, the backtracking matcher says %v", pattern, s, got, want)
+		}
+		if got, want := likeMatcher(pattern)(s), likeRec(pattern, s); got != want {
+			t.Fatalf("likeMatcher(%q)(%q) = %v, the backtracking matcher says %v", pattern, s, got, want)
 		}
 	})
 }
@@ -510,6 +530,121 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 			t.Errorf("NULL keys matched: %d rows", out.N)
 		}
 	})
+}
+
+// nestedLoopJoin is the join by definition, row by row on column 0: each
+// probe row in order, its matches in build order, a LEFT JOIN's misses
+// null-extended.
+func nestedLoopJoin(kind sql.JoinKind, build, probe *Batch) []types.Row {
+	var out []types.Row
+	rights := build.Rows()
+	for i := 0; i < probe.N; i++ {
+		l, matched := probe.Row(i), false
+		for _, r := range rights {
+			if !l[0].Null && !r[0].Null && types.Equal(l[0], r[0]) {
+				out, matched = append(out, append(l.Clone(), r...)), true
+			}
+		}
+		if !matched && kind == sql.LeftJoin {
+			row := l.Clone()
+			for _, v := range build.Cols {
+				row = append(row, types.NewNull(v.T))
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// TestProbePassesLeftThrough: a probe whose rows each come out exactly once
+// hands its own left vectors, and the carry, on instead of copying them; a
+// miss (inner join) or a duplicate build key makes it gather. Either way the
+// rows are the join's by definition, also with four probers sharing one
+// built join.
+func TestProbePassesLeftThrough(t *testing.T) {
+	carry := func(n int) *types.Vector {
+		v := types.NewVector(types.Int64, n)
+		for i := 0; i < n; i++ {
+			v.Append(types.NewInt(int64(100 + i)))
+		}
+		return v
+	}
+	for _, c := range []struct {
+		name        string
+		kind        sql.JoinKind
+		build       *Batch
+		probe       *Batch
+		passThrough bool
+	}{
+		{"each-once", sql.InnerJoin, twoColBatch([]int64{1, 2, 3}, []string{"a", "b", "c"}),
+			twoColBatch([]int64{3, 1, 2}, []string{"x", "y", "z"}), true},
+		{"inner-miss", sql.InnerJoin, twoColBatch([]int64{1, 2, 3}, []string{"a", "b", "c"}),
+			twoColBatch([]int64{3, 9, 1}, []string{"x", "y", "z"}), false},
+		{"duplicate-key", sql.InnerJoin, twoColBatch([]int64{1, 2, 2}, []string{"a", "b", "b2"}),
+			twoColBatch([]int64{2, 1}, []string{"x", "y"}), false},
+		{"left-misses", sql.LeftJoin, twoColBatch([]int64{1, 2}, []string{"a", "b"}),
+			twoColBatch([]int64{9, 1, 8}, []string{"x", "y", "z"}), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			both(t, func(t *testing.T, mode Mode) {
+				j, err := NewHashJoin(mode, mkJoinStep(c.kind), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Build(c.build); err != nil {
+					t.Fatal(err)
+				}
+				seq := carry(c.probe.N)
+				out, err := j.ProbeCarry(c.probe, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared := out.Cols[0] == c.probe.Cols[0] && out.Cols[1] == c.probe.Cols[1] && out.Cols[4] == seq
+				if shared != c.passThrough {
+					t.Errorf("left and carry handed through = %v, want %v", shared, c.passThrough)
+				}
+				out.Cols = out.Cols[:4]
+				if got, want := fmt.Sprint(out.Rows()), fmt.Sprint(nestedLoopJoin(c.kind, c.build, c.probe)); got != want {
+					t.Errorf("rows %s, want %s", got, want)
+				}
+			})
+		})
+	}
+
+	// Four probers share one built join; build keys are unique, so every
+	// matching probe batch passes through.
+	j, err := NewHashJoin(Compiled, mkJoinStep(sql.LeftJoin), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := kvBatch(256, 0, 256)
+	if err := j.Build(build); err != nil {
+		t.Fatal(err)
+	}
+	probes := make([]*Batch, 8)
+	want := make([]string, len(probes))
+	for i := range probes {
+		probes[i] = kvBatch(256, i*50, 256)
+		want[i] = fmt.Sprint(nestedLoopJoin(sql.LeftJoin, build, probes[i]))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range probes {
+				out, err := j.Probe(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := fmt.Sprint(out.Rows()); got != want[i] {
+					t.Errorf("probe %d differs from the serial join", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestHashJoinResidual(t *testing.T) {

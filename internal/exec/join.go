@@ -373,16 +373,21 @@ func (j *HashJoin) reserve(n int) {
 }
 
 // Probe joins one left batch, returning the joined batch (left columns
-// followed by right columns).
+// followed by right columns). When every left row yields exactly one output
+// row — each matched at most one build row and, unless LEFT JOIN
+// null-extends it, at least one — the output holds left's own vectors, not
+// copies: the aliasing Filter.Apply's all-pass path and projections already
+// do, safe because PutBatch never recycles vectors.
 func (j *HashJoin) Probe(left *Batch) (*Batch, error) {
 	return j.ProbeCarry(left, nil)
 }
 
 // ProbeCarry probes like Probe but additionally gathers carry (a
 // probe-aligned vector) through the match expansion, appending it as one
-// extra trailing column. The grace join uses it to thread each probe
-// row's global sequence number through per-partition joins so partition
-// outputs can be merged back into the exact in-memory probe order.
+// extra trailing column — carry itself when the left rows pass through as
+// Probe describes. The grace join uses it to thread each probe row's global
+// sequence number through per-partition joins so partition outputs can be
+// merged back into the exact in-memory probe order.
 func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) {
 	// The join is shared by every probing worker, so the scratch is not its
 	// own.
@@ -394,6 +399,7 @@ func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) 
 	sc.ids = j.kt.Find(sc.vecs, sc.hashes, sc.skip, sc.ids)
 	clear(sc.vecs)
 	leftSel, rightSel := sc.left[:0], sc.right[:0]
+	dup := false
 	for r, id := range sc.ids {
 		if id == NoID {
 			if j.kind == sql.LeftJoin {
@@ -402,15 +408,21 @@ func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) 
 			}
 			continue
 		}
+		dup = dup || j.next[j.head[id]] >= 0
 		for m := j.head[id]; m >= 0; m = j.next[m] {
 			leftSel = append(leftSel, r)
 			rightSel = append(rightSel, int(m))
 		}
 	}
 	sc.left, sc.right = leftSel, rightSel
-	out := j.assemble(left, leftSel, rightSel)
+	// No row emitted twice and none dropped: leftSel is the identity.
+	through := !dup && len(leftSel) == left.N
+	out := j.assemble(left, leftSel, rightSel, through)
 	if carry != nil {
-		out.Cols = append(out.Cols, carry.Gather(leftSel))
+		if !through {
+			carry = carry.Gather(leftSel)
+		}
+		out.Cols = append(out.Cols, carry)
 	}
 	return j.residual.Apply(out)
 }
@@ -423,15 +435,16 @@ type probeBufs struct {
 
 var probeScratch = sync.Pool{New: func() any { return new(probeBufs) }}
 
-// assemble gathers matched left rows and build rows into the joined layout.
-func (j *HashJoin) assemble(left *Batch, leftSel, rightSel []int) *Batch {
+// assemble gathers matched left rows and build rows into the joined layout;
+// through hands left's vectors on instead of gathering them.
+func (j *HashJoin) assemble(left *Batch, leftSel, rightSel []int, through bool) *Batch {
 	out := NewBatch(len(left.Cols) + j.rightWidth)
 	out.N = len(leftSel)
 	for c, v := range left.Cols {
-		if v == nil {
-			continue
+		if v != nil && !through {
+			v = v.Gather(leftSel)
 		}
-		out.Cols[c] = v.Gather(leftSel)
+		out.Cols[c] = v
 	}
 	for c, v := range j.build.Cols {
 		if v == nil {

@@ -59,6 +59,7 @@ type Scanner struct {
 	needCols   []int // filter columns first, then the rest
 	filterCols []int // the filter's input columns (prefix of needCols)
 	restCols   []int // needCols minus filterCols
+	filterOnly []int // filter columns nothing past the scan reads
 	ranges     []plan.ColRange
 	sortKey    int // the leading compound sort column when ranges bound it, else -1
 	filter     *Filter
@@ -88,14 +89,15 @@ func NewScanner(mode Mode, scan *plan.TableScan, fetch BlockFetcher, stats *Scan
 		stats = &ScanStats{}
 	}
 	s := &Scanner{
-		width:    len(scan.Def.Columns),
-		tableID:  scan.Def.ID,
-		needCols: scan.NeedCols,
-		ranges:   scan.Ranges,
-		sortKey:  -1,
-		filter:   filter,
-		fetch:    fetch,
-		stats:    stats,
+		width:      len(scan.Def.Columns),
+		tableID:    scan.Def.ID,
+		needCols:   scan.NeedCols,
+		filterOnly: scan.FilterOnly,
+		ranges:     scan.Ranges,
+		sortKey:    -1,
+		filter:     filter,
+		fetch:      fetch,
+		stats:      stats,
 	}
 	if d := scan.Def; d.SortStyle == catalog.SortCompound && len(d.SortKeyCols) > 0 &&
 		slices.ContainsFunc(s.ranges, func(r plan.ColRange) bool { return r.Col == d.SortKeyCols[0] }) {
@@ -204,6 +206,9 @@ func (s *Scanner) ScanBlock(ctx context.Context, seg *storage.Segment, bi int) (
 		// Nothing survives: the non-filter columns are never decoded.
 		PutBatch(batch)
 		return nil, nil
+	}
+	for _, c := range s.filterOnly {
+		batch.Cols[c] = nil // read by the predicate alone: never gathered
 	}
 
 	for _, c := range s.restCols {

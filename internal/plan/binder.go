@@ -510,17 +510,16 @@ func (b *binder) pruneColumns() {
 	// reference no base columns.
 
 	for ti, scan := range b.plan.Tables {
-		local := map[int]bool{}
+		read := map[int]bool{} // the columns read past the scan
 		for c := range global {
 			if b.tableOfCol(c) == ti {
-				local[c-scan.BaseCol] = true
+				read[c-scan.BaseCol] = true
 			}
 		}
-		ColsUsed(scan.Filter, local)
 		for _, j := range b.plan.Joins {
 			if j.Right == ti {
 				for _, k := range j.RightKeys {
-					ColsUsed(k, local)
+					ColsUsed(k, read)
 				}
 			}
 		}
@@ -529,14 +528,17 @@ func (b *binder) pruneColumns() {
 		// (predicate-first late materialization).
 		inFilter := map[int]bool{}
 		ColsUsed(scan.Filter, inFilter)
-		scan.NeedCols = scan.NeedCols[:0]
+		scan.NeedCols, scan.FilterOnly = scan.NeedCols[:0], nil
 		for c := 0; c < len(scan.Def.Columns); c++ {
-			if local[c] && inFilter[c] {
+			if inFilter[c] {
 				scan.NeedCols = append(scan.NeedCols, c)
+				if !read[c] {
+					scan.FilterOnly = append(scan.FilterOnly, c)
+				}
 			}
 		}
 		for c := 0; c < len(scan.Def.Columns); c++ {
-			if local[c] && !inFilter[c] {
+			if read[c] && !inFilter[c] {
 				scan.NeedCols = append(scan.NeedCols, c)
 			}
 		}

@@ -71,6 +71,9 @@ type TableScan struct {
 	// needs row counts only (COUNT(*) with no filter) — served from
 	// block metadata with zero decodes.
 	NeedCols []int
+	// FilterOnly lists the NeedCols only Filter reads: the scan drops them
+	// once the predicate has run, so they are never gathered or carried.
+	FilterOnly []int
 	// EstRows is the table's estimated row count: catalog statistics when
 	// present, else the visible-segment fallback, else -1 (unknown).
 	EstRows int64

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,6 +120,35 @@ func TestSimpleProjectionPlan(t *testing.T) {
 	// NeedCols: product_id (filter), url, latency.
 	if got := scan.NeedCols; len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
 		t.Errorf("NeedCols = %v", got)
+	}
+}
+
+// TestFilterOnlyColumns: a scan drops after its filter exactly the filter
+// columns nothing else reads — the remaining WHERE, a join key on either
+// side, GROUP BY, an aggregate's argument or the projection.
+func TestFilterOnlyColumns(t *testing.T) {
+	cat := testCatalog(t)
+	for _, c := range []struct {
+		query, table string
+		want         []int
+	}{
+		{"SELECT url FROM clicks WHERE latency > 1 AND user_id = 2", "clicks", []int{2, 4}},
+		{"SELECT latency FROM clicks WHERE latency > 1", "clicks", nil},
+		{"SELECT user_id, COUNT(*) FROM clicks WHERE user_id > 3 AND latency > 1 GROUP BY user_id", "clicks", []int{4}},
+		{"SELECT SUM(latency) FROM clicks WHERE latency > 1", "clicks", nil},
+		{"SELECT COUNT(*) FROM clicks WHERE latency > 1", "clicks", []int{4}},
+		{"SELECT c.url FROM clicks c JOIN products p ON c.product_id = p.id WHERE c.product_id > 3", "clicks", nil},
+		{"SELECT c.url FROM clicks c JOIN products p ON c.product_id = p.id WHERE p.id > 3 AND p.price > 1", "products", []int{2}},
+		{"SELECT c.url FROM clicks c JOIN products p ON c.product_id = p.id WHERE c.latency > 1 AND (c.latency > 5 OR p.price > 2)", "clicks", nil},
+		{"SELECT c.url FROM clicks c JOIN products p ON c.product_id = p.id WHERE c.user_id = 7 AND (c.latency > 5 OR p.price > 2)", "clicks", []int{2}},
+		{"SELECT c.url, p.category FROM clicks c LEFT JOIN products p ON c.product_id = p.id WHERE c.latency > 1", "clicks", []int{4}},
+	} {
+		p := build(t, cat, c.query)
+		for _, scan := range p.Tables {
+			if scan.Def.Name == c.table && !slices.Equal(scan.FilterOnly, c.want) {
+				t.Errorf("%s: %s FilterOnly = %v, want %v (NeedCols %v)", c.query, c.table, scan.FilterOnly, c.want, scan.NeedCols)
+			}
+		}
 	}
 }
 

@@ -114,6 +114,26 @@ func TestAppendRangeAndSelMatchAppendFrom(t *testing.T) {
 	}
 }
 
+// TestAppendSelNullExtends: AppendSel takes Gather's negative positions too,
+// onto a destination with a null mask or without one: the prefix, then the
+// boxed gather of sel.
+func TestAppendSelNullExtends(t *testing.T) {
+	sel := []int{5, -1, 10, -1, 0}
+	for vn, v := range gatherFixtures() {
+		for pn, prefix := range map[string]*Vector{"unmasked": v.Slice(1, 4), "masked": boxedGather(v, []int{-1, 2})} {
+			got, want := prefix.Clone(), prefix.Clone()
+			got.AppendSel(v, sel)
+			gathered := boxedGather(v, sel)
+			for i := 0; i < gathered.Len(); i++ {
+				want.Append(gathered.Get(i))
+			}
+			if !got.Equal(want) || len(got.Nulls) != got.Len() {
+				t.Errorf("%s onto %s: got %+v want %+v", vn, pn, got, want)
+			}
+		}
+	}
+}
+
 // benchSel gathers every other row — the shape a filter or join produces.
 func benchSel(n int) []int {
 	sel := make([]int, 0, n/2)

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Vector is a typed column batch: the unit the compiled engine, the codecs
 // and the block store all operate on. Fixed-width types live in Ints or
@@ -113,62 +116,10 @@ func (v *Vector) Get(i int) Value {
 }
 
 // Gather returns a new vector holding the values at the selected positions,
-// in selection order, copying payload slices directly instead of boxing each
-// value through Value. A negative position yields SQL NULL — the hash join's
-// null-extension for unmatched left rows.
+// in selection order: AppendSel onto an empty vector.
 func (v *Vector) Gather(sel []int) *Vector {
-	out := &Vector{T: v.T}
-	n := len(sel)
-	masked := v.Nulls != nil
-	if !masked {
-		for _, i := range sel {
-			if i < 0 {
-				masked = true
-				break
-			}
-		}
-	}
-	if masked {
-		out.Nulls = make([]bool, n)
-	}
-	switch v.T {
-	case Float64:
-		out.Floats = make([]float64, n)
-		for o, i := range sel {
-			if i < 0 {
-				out.Nulls[o] = true
-				continue
-			}
-			out.Floats[o] = v.Floats[i]
-			if v.Nulls != nil {
-				out.Nulls[o] = v.Nulls[i]
-			}
-		}
-	case String:
-		out.Strs = make([]string, n)
-		for o, i := range sel {
-			if i < 0 {
-				out.Nulls[o] = true
-				continue
-			}
-			out.Strs[o] = v.Strs[i]
-			if v.Nulls != nil {
-				out.Nulls[o] = v.Nulls[i]
-			}
-		}
-	default:
-		out.Ints = make([]int64, n)
-		for o, i := range sel {
-			if i < 0 {
-				out.Nulls[o] = true
-				continue
-			}
-			out.Ints[o] = v.Ints[i]
-			if v.Nulls != nil {
-				out.Nulls[o] = v.Nulls[i]
-			}
-		}
-	}
+	out := NewVector(v.T, len(sel))
+	out.AppendSel(v, sel)
 	return out
 }
 
@@ -218,35 +169,48 @@ func (v *Vector) AppendRange(src *Vector, lo, hi int) {
 	}
 }
 
-// AppendSel appends src's positions sel, in selection order: Gather onto
-// the end of an existing vector.
+// AppendSel appends src's positions sel, in selection order, copying payload
+// slices directly instead of boxing each value through Value. A negative
+// position appends SQL NULL — the hash join's null-extension for unmatched
+// left rows.
 func (v *Vector) AppendSel(src *Vector, sel []int) {
 	if src.T != v.T {
 		panic(fmt.Sprintf("types: appending from %s to %s vector", src.T, v.T))
 	}
-	switch {
-	case src.Nulls != nil:
+	if v.Nulls != nil || src.Nulls != nil || slices.ContainsFunc(sel, func(i int) bool { return i < 0 }) {
 		v.ensureNulls()
-		for _, i := range sel {
-			v.Nulls = append(v.Nulls, src.Nulls[i])
+		// Writes by index into the grown mask: an append per row costs half
+		// again as much.
+		n := len(v.Nulls)
+		v.Nulls = slices.Grow(v.Nulls, len(sel))[:n+len(sel)]
+		for o, i := range sel {
+			v.Nulls[n+o] = i < 0 || src.Nulls != nil && src.Nulls[i]
 		}
-	case v.Nulls != nil:
-		v.Nulls = append(v.Nulls, make([]bool, len(sel))...)
 	}
 	switch v.T {
 	case Float64:
-		for _, i := range sel {
-			v.Floats = append(v.Floats, src.Floats[i])
-		}
+		v.Floats = appendSel(v.Floats, src.Floats, sel)
 	case String:
-		for _, i := range sel {
-			v.Strs = append(v.Strs, src.Strs[i])
-		}
+		v.Strs = appendSel(v.Strs, src.Strs, sel)
 	default:
-		for _, i := range sel {
-			v.Ints = append(v.Ints, src.Ints[i])
+		v.Ints = appendSel(v.Ints, src.Ints, sel)
+	}
+}
+
+// appendSel is AppendSel over one payload slice; a negative position
+// appends the zero value.
+func appendSel[T int64 | float64 | string](dst, src []T, sel []int) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
+	var zero T
+	for o, i := range sel {
+		if i < 0 {
+			dst[n+o] = zero
+		} else {
+			dst[n+o] = src[i]
 		}
 	}
+	return dst
 }
 
 // Slice returns a view of positions [lo, hi). The view shares storage.

@@ -127,19 +127,23 @@ func TestReadRequestSeedCorpus(t *testing.T) {
 // reads either way is what checkReadRequest's oracle reads.
 func TestPlainRequestPath(t *testing.T) {
 	for line, plain := range map[string]bool{
-		"{\"query\":\"SELECT 1\"}\n":      true,
-		"{\"query\":\"\"}\n":              true,
-		"{\"query\":\"é日本\"}\n":           true,
-		"\"}\n":                           false,
-		"{\"query\":\"}\n":                false,
-		"{\"query\":\"a\"}":               false,
-		"{\"query\":\"a\"}\r\n":           false,
-		"{\"query\":\"a\\\"b\"}\n":        false,
-		"{\"query\":\"a\",\"x\":\"b\"}\n": false,
-		"{\"query\":\"\\u003c\"}\n":       false,
-		"{\"query\":\"a\tb\"}\n":          false,
-		"{\"query\":\"\xff\"}\n":          false,
-		"{\"query\": \"a\"}\n":            false,
+		"{\"query\":\"SELECT 1\"}\n":                true,
+		"{\"query\":\"\"}\n":                        true,
+		"{\"query\":\"é日本\"}\n":                     true,
+		"\"}\n":                                     false,
+		"{\"query\":\"}\n":                          false,
+		"{\"query\":\"a\"}":                         false,
+		"{\"query\":\"a\"}\r\n":                     false,
+		"{\"query\":\"a\\\"b\"}\n":                  false,
+		"{\"query\":\"a\",\"x\":\"b\"}\n":           false,
+		"{\"query\":\"\\u003c\"}\n":                 true,
+		"{\"query\":\"a\\u003e\\u0026\\u003cb\"}\n": true,
+		"{\"query\":\"\\\\u003c\"}\n":               false,
+		"{\"query\":\"\\u003C\"}\n":                 false,
+		"{\"query\":\"\\u003\"}\n":                  false,
+		"{\"query\":\"a\tb\"}\n":                    false,
+		"{\"query\":\"\xff\"}\n":                    false,
+		"{\"query\": \"a\"}\n":                      false,
 	} {
 		if _, ok := plainRequest([]byte(line)); ok != plain {
 			t.Errorf("plainRequest(%q) = %v, want %v", line, ok, plain)

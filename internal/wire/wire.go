@@ -242,17 +242,21 @@ func readRequest(r *bufio.Reader) (request, error) {
 }
 
 // plainRequest reads a line that is exactly {"query":"…"}\n with nothing in
-// the text to unescape — valid UTF-8 without quotes, backslashes or control
-// bytes, as Client.Send writes a statement with no <, > or & in it — without
-// encoding/json.
+// the text to unescape but the \u003c, \u003e and \u0026 that Client.Send
+// (and encoding/json) write for <, > and & — valid UTF-8 without quotes,
+// other backslashes or control bytes — without encoding/json.
 func plainRequest(line []byte) (string, bool) {
 	body, ok := bytes.CutPrefix(line, []byte(`{"query":"`))
 	body, ok2 := bytes.CutSuffix(body, []byte("\"}\n"))
-	for _, c := range body {
-		ok = ok && c >= 0x20 && c != '"' && c != '\\'
+	q := string(body)
+	if strings.IndexByte(q, '\\') >= 0 {
+		q = htmlUnescaper.Replace(q) // a backslash it leaves declines the line
 	}
-	return string(body), ok && ok2 && utf8.Valid(body)
+	clean := !strings.ContainsFunc(q, func(r rune) bool { return r < 0x20 || r == '"' || r == '\\' })
+	return q, ok && ok2 && clean && utf8.ValidString(q)
 }
+
+var htmlUnescaper = strings.NewReplacer(`\u003c`, "<", `\u003e`, ">", `\u0026`, "&")
 
 // maxPooledReply bounds the reply buffers the pool keeps. A buffer that a
 // large result grew past it is dropped, as the pooled parser drops a huge

@@ -82,6 +82,14 @@ var spillBattery = []string{
 	`SELECT DISTINCT user_id, kind FROM events ORDER BY user_id, kind`,
 	`SELECT kind, COUNT(*) AS n, SUM(amount) AS total, MIN(ts), MAX(ts)
 		FROM events GROUP BY kind ORDER BY kind`,
+	// Filter-only columns, dropped by the scans after their filters: kind
+	// and amount on the probe side, pad on the build side.
+	`SELECT e.ts, u.segment FROM events e JOIN users u ON e.user_id = u.id
+		WHERE e.kind <> 'view' AND e.amount > 10
+		AND u.pad LIKE '%xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx' ORDER BY e.ts`,
+	`SELECT e.ts, e.kind, u.segment FROM events e LEFT JOIN users u ON e.user_id = u.id
+		WHERE e.amount < 20 ORDER BY e.ts`,
+	`SELECT ts, amount FROM events WHERE kind LIKE 'c%' ORDER BY ts`,
 }
 
 // TestSpillTwinMatchesUnlimited is the tentpole's headline invariant: the
