@@ -152,15 +152,16 @@ perf-smoke:
 
 # Memory-governance suite under the race detector: the spill twin battery
 # (bit-identical results at unlimited/256KiB/64KiB grants), the mid-spill
-# cancellation/timeout leak checks, the operator-level property tests, and
+# cancellation/timeout leak checks, the operator-level property tests,
 # TestSpillOutputGivesItsFileBack (a spilled join's scratch file goes at the
-# end of its output, or at ReleaseMem).
+# end of its output, or at ReleaseMem) and TestGraceJoinWritesOnlyItsPartitions
+# (a spilled join writes its partitions and no output frames).
 # The seed is pinned for CI; replay with SPILL_SEED=<seed> make spill.
 SPILL_SEED ?= 20260805
 spill:
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run 'TestSpill|TestWorkMem' -v .
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run 'TestSpill|TestStvQueryMemory' ./internal/core
-	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run 'TestProp|TestAggAccounting|TestSpillOutput' ./internal/exec
+	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run 'TestProp|TestAggAccounting|TestSpillOutput|TestGraceJoinWritesOnlyItsPartitions' ./internal/exec
 
 # Multi-tenant QoS battery under the race detector: the pinned-seed
 # workload replay against named queues (fast-lane p99 bounded under ETL

@@ -307,25 +307,34 @@ func TestQueryStateLogged(t *testing.T) {
 // TestLikeScanStopsAtStatementTimeout: statement_timeout stops a scan whose
 // predicate is the LIKE pattern that once backtracked exponentially on
 // strings of 'a's — the error names the timeout, and nothing is left held.
-// The scan, untimed, must outlast the timeout ten times over.
+// The scan, untimed, must outlast the timeout ten times over: the table
+// doubles, at most four times, until it does on this host.
 func TestLikeScanStopsAtStatementTimeout(t *testing.T) {
 	db := openDB(t, exec.Compiled)
 	mustExec(t, db, `CREATE TABLE longs (k BIGINT, s VARCHAR(1024))`)
-	var b strings.Builder
-	for i := 0; i < 20000; i++ {
-		fmt.Fprintf(&b, "%d|%s\n", i, strings.Repeat("a", 1000+i%24))
-	}
-	db.cfg.DataStore.Put("lake/longs/l", []byte(b.String()))
-	mustExec(t, db, `COPY longs FROM 's3://lake/longs/'`)
 	mustExec(t, db, `SET result_cache TO off`)
 	const q = `SELECT COUNT(*) FROM longs WHERE s LIKE '%a%a%a%a%a%a%a%a%a%a%b'`
-	if res := mustExec(t, db, q); res.Rows[0][0].I != 0 {
-		t.Fatalf("LIKE matched %v rows", res.Rows[0][0])
-	}
-	start := time.Now()
-	mustExec(t, db, q) // with the blocks cached, as the timed run finds them
-	if untimed := time.Since(start); untimed < 10*time.Millisecond {
-		t.Fatalf("the scan takes %v: too short to outlast a 1 ms timeout", untimed)
+	for rows, doublings := 0, 0; ; doublings++ {
+		n := max(rows, 20000) // the first load, then as many rows again
+		var b strings.Builder
+		for i := rows; i < rows+n; i++ {
+			fmt.Fprintf(&b, "%d|%s\n", i, strings.Repeat("a", 1000+i%24))
+		}
+		rows += n
+		db.cfg.DataStore.Put(fmt.Sprintf("lake/longs%d/l", doublings), []byte(b.String()))
+		mustExec(t, db, fmt.Sprintf(`COPY longs FROM 's3://lake/longs%d/'`, doublings))
+		if res := mustExec(t, db, q); res.Rows[0][0].I != 0 {
+			t.Fatalf("LIKE matched %v rows", res.Rows[0][0])
+		}
+		start := time.Now()
+		mustExec(t, db, q) // with the blocks cached, as the timed run finds them
+		untimed := time.Since(start)
+		if untimed >= 10*time.Millisecond {
+			break
+		}
+		if doublings == 4 {
+			t.Fatalf("the scan of %d rows takes %v: too short to outlast a 1 ms timeout", rows, untimed)
+		}
 	}
 	mustExec(t, db, `SET statement_timeout TO 1`)
 	if _, err := db.Execute(q); err == nil || !strings.Contains(err.Error(), "statement timeout") {

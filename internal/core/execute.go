@@ -386,10 +386,11 @@ func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
 // partial aggregation, ordered distinct, top-N or the plain ordered gather.
 //
 // A join whose build overflowed its grant pins the segment to one worker
-// (the grace join threads probe sequence numbers through scratch files,
-// which has no morsel decomposition) and cuts it in two pipelines run back
-// to back: everything up to the join drains into its probe partitions, and
-// its merged output — row for row the in-memory order — sources the rest.
+// (the join is already over its grant, and more workers would each hold a
+// probe's worth more) and cuts it in two pipelines run back to back:
+// everything up to the join drains into its probe partitions, and its
+// output — the in-memory join's rows, partition pair by pair — sources the
+// rest.
 func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, lo, hi int) error {
 	ph := q.ph
 	nslices := q.numSlices()

@@ -379,16 +379,6 @@ func (j *HashJoin) reserve(n int) {
 // copies: the aliasing Filter.Apply's all-pass path and projections already
 // do, safe because PutBatch never recycles vectors.
 func (j *HashJoin) Probe(left *Batch) (*Batch, error) {
-	return j.ProbeCarry(left, nil)
-}
-
-// ProbeCarry probes like Probe but additionally gathers carry (a
-// probe-aligned vector) through the match expansion, appending it as one
-// extra trailing column — carry itself when the left rows pass through as
-// Probe describes. The grace join uses it to thread each probe row's global
-// sequence number through per-partition joins so partition outputs can be
-// merged back into the exact in-memory probe order.
-func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) {
 	// The join is shared by every probing worker, so the scratch is not its
 	// own.
 	sc := probeScratch.Get().(*probeBufs)
@@ -416,14 +406,7 @@ func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) 
 	}
 	sc.left, sc.right = leftSel, rightSel
 	// No row emitted twice and none dropped: leftSel is the identity.
-	through := !dup && len(leftSel) == left.N
-	out := j.assemble(left, leftSel, rightSel, through)
-	if carry != nil {
-		if !through {
-			carry = carry.Gather(leftSel)
-		}
-		out.Cols = append(out.Cols, carry)
-	}
+	out := j.assemble(left, leftSel, rightSel, !dup && len(leftSel) == left.N)
 	return j.residual.Apply(out)
 }
 

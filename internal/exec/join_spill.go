@@ -3,9 +3,7 @@ package exec
 import (
 	"context"
 
-	"redshift/internal/plan"
 	"redshift/internal/sql"
-	"redshift/internal/types"
 )
 
 const (
@@ -30,26 +28,19 @@ func spillPart(hash uint64, depth int) int {
 // graceSpill is the disk-backed half of HashJoin: a grace hash join.
 // Build and probe rows are hash-partitioned on the join key into the join's
 // scratch file; each partition pair is then joined independently by a fresh
-// in-memory shadow join, recursing into sub-partitions when a build
-// partition still exceeds the grant. Probe rows carry a global sequence
-// number so partition outputs merge back into exactly the order the
-// in-memory join would have produced. Partitions, sub-partitions and
-// partition outputs are all frame lists in the one file, which is given back
-// when the join's output has been read.
+// in-memory shadow join, re-partitioned one level deeper when its build side
+// still exceeds the grant. Matches stream out pair by pair, so the join's
+// rows are the in-memory join's as a multiset, in no promised order.
+// Partitions and sub-partitions are all frame lists in the one file, which
+// is given back when the join's output has been read.
 type graceSpill struct {
 	j  *HashJoin
 	mc *MemContext
 	sf *scratchFile
 
 	build, probe []*frames
-	seq          int64
-	seqCol       int // where the sequence column sits in the joined layout
 	sc           keyScratch
 	sels         [][]int // scatter scratch: the current batch's rows, by partition
-	// The probe batch being scattered, seen with its sequence column: scatter
-	// copies the rows out, so one view and one vector serve every batch.
-	seqView Batch
-	seqVec  types.Vector
 }
 
 func newGraceSpill(j *HashJoin) (*graceSpill, error) {
@@ -92,35 +83,18 @@ func (g *graceSpill) addBuild(b *Batch) error {
 	return g.scatter(g.j.buildKeys, b, 0, -1, g.build)
 }
 
-// addProbe partitions one probe batch to disk, appending each row's
-// global sequence number as a trailing Int64 column. NULL-key probe rows
-// are dropped for inner joins; for LEFT JOIN they ride along in partition
-// 0 (they match nothing and null-extend there).
+// addProbe partitions one probe batch to disk. NULL-key probe rows are
+// dropped for inner joins; for LEFT JOIN they ride along in partition 0
+// (they match nothing and null-extend there).
 func (g *graceSpill) addProbe(b *Batch) error {
 	if b == nil || b.N == 0 {
 		return nil
 	}
-	g.seqCol = len(b.Cols) + g.j.rightWidth
 	nullPart := -1
 	if g.j.kind == sql.LeftJoin {
 		nullPart = 0
 	}
-	// The keys read the left layout; the trailing column is out of their way.
-	return g.scatter(g.j.leftKeys, g.withSeqCol(b), 0, nullPart, g.probe)
-}
-
-// withSeqCol returns a view of b, valid until the next call, with one extra
-// Int64 column numbering the rows from g.seq on.
-func (g *graceSpill) withSeqCol(b *Batch) *Batch {
-	seqs := g.seqVec.Ints[:0]
-	for i := 0; i < b.N; i++ {
-		seqs = append(seqs, g.seq+int64(i))
-	}
-	g.seq += int64(b.N)
-	g.seqVec = types.Vector{T: types.Int64, Ints: seqs}
-	g.seqView.Cols = append(append(g.seqView.Cols[:0], b.Cols...), &g.seqVec)
-	g.seqView.N = b.N
-	return &g.seqView
+	return g.scatter(g.j.leftKeys, b, 0, nullPart, g.probe)
 }
 
 // SpillProbe partitions one probe batch of a spilled join to scratch,
@@ -132,70 +106,110 @@ func (j *HashJoin) SpillProbe(b *Batch) error {
 	return err
 }
 
-// SpillOutput returns a spilled join's result as an Operator: its first
-// pull joins every partition pair, and it streams the seq-merged output —
-// row for row the in-memory probe order — with the carry column stripped.
-// Read to the end, it gives the join's scratch file back; on any other exit
-// ReleaseMem does.
-func (j *HashJoin) SpillOutput() Operator { return &graceOutput{g: j.spill} }
-
-type graceOutput struct {
-	g   *graceSpill
-	out Operator
+// SpillOutput returns a spilled join's result as an Operator that joins
+// one partition pair at a time and streams its matches as they come: the
+// in-memory join's rows, in no promised order. Read to the end, it gives the
+// join's scratch file back; on any other exit ReleaseMem does.
+func (j *HashJoin) SpillOutput() Operator {
+	g := j.spill
+	o := &graceOutput{g: g}
+	o.push(g.build, g.probe, 0)
+	return o
 }
 
-func (o *graceOutput) Next(ctx context.Context) (b *Batch, err error) {
-	if o.out == nil {
-		if o.out, err = o.g.run(ctx); err != nil {
-			return nil, err
-		}
+// gracePair is one build/probe partition pair and the level that cut it.
+type gracePair struct {
+	build, probe *frames
+	depth        int
+}
+
+// graceOutput pulls a spilled join's rows: it probes the open pair's shadow
+// join with that pair's probe frames, then gives the pair's charge back and
+// opens the next. Pairs are joined in the order they were cut, a
+// subdivided pair's sub-pairs after the rest; every pair stays listed, so
+// what the join wrote is its partitions' frames and nothing else.
+type graceOutput struct {
+	g      *graceSpill
+	pairs  []gracePair
+	at     int          // the next pair to open
+	shadow *HashJoin    // the open pair's in-memory join
+	probe  *frameReader // the open pair's probe frames; nil when none is open
+	charge int64        // the open pair's build bytes, charged to the grant
+}
+
+// push lists one level's partition pairs.
+func (o *graceOutput) push(build, probe []*frames, depth int) {
+	for p := range probe {
+		o.pairs = append(o.pairs, gracePair{build[p], probe[p], depth})
 	}
+}
+
+func (o *graceOutput) Next(ctx context.Context) (*Batch, error) {
 	for {
-		if b, err = o.out.Next(ctx); err != nil {
-			return nil, err
+		if o.probe != nil {
+			b, err := o.probe.Next(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if b != nil {
+				out, err := o.shadow.Probe(b)
+				PutBatch(b)
+				if err != nil || out.N > 0 {
+					return out, err
+				}
+				PutBatch(out)
+				continue
+			}
+			o.g.mc.shrink(o.charge)
+			o.shadow, o.probe, o.charge = nil, nil, 0
 		}
-		if b == nil {
+		if o.at == len(o.pairs) {
 			o.g.sf.Close()
 			return nil, nil
 		}
-		b.Cols = b.Cols[:len(b.Cols)-1] // strip the probe-sequence carry
-		if b.N > 0 {
-			return b, nil
+		o.at++
+		if err := o.open(ctx, o.pairs[o.at-1]); err != nil {
+			return nil, err
 		}
-		PutBatch(b)
 	}
 }
 
-// seqOrder orders joined rows by their trailing probe-sequence column.
-func (g *graceSpill) seqOrder() []plan.OrderKey { return []plan.OrderKey{{Index: g.seqCol}} }
-
-// run joins every partition pair and returns the merged output stream
-// (joined layout plus the trailing sequence column, in probe order).
-func (g *graceSpill) run(ctx context.Context) (Operator, error) {
-	return g.joinPairs(ctx, g.build, g.probe, 0)
-}
-
-// joinPairs joins one level's partition pairs, each into an output of its
-// own, and returns the outputs seq-merged.
-func (g *graceSpill) joinPairs(ctx context.Context, build, probe []*frames, depth int) (Operator, error) {
-	var outs []Operator
-	for p := range probe {
-		if probe[p].rows == 0 || (build[p].rows == 0 && g.j.kind != sql.LeftJoin) {
-			// No probe rows → no output rows; empty build produces output
-			// only for LEFT JOIN (null-extension).
-			continue
-		}
-		out := &frames{sf: g.sf}
-		if err := g.processPair(ctx, build[p], probe[p], depth, out); err != nil {
-			return nil, err
-		}
-		r, err := out.reader()
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, r)
+// open builds pair p's shadow join and readies its probe frames when its
+// build side fits the grant; otherwise it re-partitions the pair one level
+// deeper and lists the sub-pairs. A pair without probe rows produces no
+// rows, and one without build rows only null-extends under LEFT JOIN.
+func (o *graceOutput) open(ctx context.Context, p gracePair) error {
+	g := o.g
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return newMergeStream(outs, g.seqOrder()), nil
+	if p.probe.rows == 0 || (p.build.rows == 0 && g.j.kind != sql.LeftJoin) {
+		return nil
+	}
+	if err := p.build.flush(); err != nil {
+		return err
+	}
+	sz := p.build.bytes
+	if !g.mc.tryGrow(sz) {
+		if p.depth < maxSpillDepth {
+			return o.subdivide(ctx, p)
+		}
+		// Skew floor: this partition cannot be split further by key hash.
+		// Charge it anyway — degrade honestly rather than fail the query.
+		g.mc.grow(sz)
+	}
+	o.charge = sz
+	shadow := g.j.shadow()
+	shadow.reserve(int(p.build.rows))
+	if err := drainFrames(ctx, p.build, shadow.Build); err != nil {
+		return err
+	}
+	r, err := p.probe.reader()
+	if err != nil {
+		return err
+	}
+	o.shadow, o.probe = shadow, r
+	return nil
 }
 
 // drain hands every batch of src to fn, which keeps no reference to it.
@@ -222,67 +236,25 @@ func drainFrames(ctx context.Context, p *frames, fn func(*Batch) error) error {
 	return drain(ctx, r, fn)
 }
 
-// processPair joins one build/probe partition pair into out. If the build
-// partition fits the grant it is joined in memory; otherwise it is
-// re-partitioned one level deeper.
-func (g *graceSpill) processPair(ctx context.Context, build, probe *frames, depth int, out *frames) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := build.flush(); err != nil {
-		return err
-	}
-	sz := build.bytes
-	if !g.mc.tryGrow(sz) {
-		if depth < maxSpillDepth {
-			return g.subdivide(ctx, build, probe, depth, out)
-		}
-		// Skew floor: this partition cannot be split further by key hash.
-		// Charge it anyway — degrade honestly rather than fail the query.
-		g.mc.grow(sz)
-	}
-	defer g.mc.shrink(sz)
-
-	shadow := g.j.shadow()
-	shadow.reserve(int(build.rows))
-	if err := drainFrames(ctx, build, shadow.Build); err != nil {
-		return err
-	}
-	return drainFrames(ctx, probe, func(b *Batch) error {
-		left := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
-		joined, err := shadow.ProbeCarry(left, b.Cols[len(b.Cols)-1])
-		if err != nil {
-			return err
-		}
-		err = out.appendBatch(joined)
-		PutBatch(joined)
-		return err
-	})
-}
-
-// subdivide re-partitions a too-large pair one level deeper, joins each
-// sub-pair, and seq-merges the sub-outputs into out so ordering survives
-// the recursion.
-func (g *graceSpill) subdivide(ctx context.Context, build, probe *frames, depth int, out *frames) error {
-	nd := depth + 1
+// subdivide re-partitions a too-large pair one level deeper and lists the
+// sub-pairs.
+func (o *graceOutput) subdivide(ctx context.Context, p gracePair) error {
+	g, nd := o.g, p.depth+1
 	subB, subP := newPartitions(g.sf), newPartitions(g.sf)
 	g.mc.addPartitions(spillFanout)
-	err := drainFrames(ctx, build, func(b *Batch) error {
+	err := drainFrames(ctx, p.build, func(b *Batch) error {
 		return g.scatter(g.j.buildKeys, b, nd, -1, subB) // no NULL key got this far
 	})
 	if err != nil {
 		return err
 	}
-	err = drainFrames(ctx, probe, func(b *Batch) error {
+	err = drainFrames(ctx, p.probe, func(b *Batch) error {
 		// NULL keys here are LEFT JOIN's; an inner join dropped its at depth 0.
 		return g.scatter(g.j.leftKeys, b, nd, 0, subP)
 	})
 	if err != nil {
 		return err
 	}
-	merged, err := g.joinPairs(ctx, subB, subP, nd)
-	if err != nil {
-		return err
-	}
-	return drain(ctx, merged, out.appendBatch)
+	o.push(subB, subP, nd)
+	return nil
 }

@@ -250,10 +250,9 @@ func TestHashKernelsAllocationGuard(t *testing.T) {
 }
 
 // TestSpilledJoinAllocationGuard is the same guard over the grace join: to
-// partition both sides to scratch, replay every partition pair and merge the
-// outputs back into probe order allocates per batch and per frame — under
-// 0.1 allocations per probe row, the scratch directory, its file and every
-// output vector included.
+// partition both sides to scratch and replay every partition pair allocates
+// per batch and per frame — under 0.1 allocations per probe row, the scratch
+// directory, its file and every output vector included.
 func TestSpilledJoinAllocationGuard(t *testing.T) {
 	const buildBatches, probeBatches = 8, 32
 	var build, probe []*Batch
@@ -284,26 +283,16 @@ func TestSpilledJoinAllocationGuard(t *testing.T) {
 		if !j.Spilled() {
 			t.Fatal("the build side fit a 64 KB grant")
 		}
-		for _, b := range probe {
-			if err := j.spill.addProbe(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out, err := j.spill.run(ctx)
-		if err != nil {
+		if err := spillProbes(j, probe); err != nil {
 			t.Fatal(err)
 		}
 		rows := 0
-		for {
-			b, err := out.Next(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
+		err = drain(ctx, j.SpillOutput(), func(b *Batch) error {
 			rows += b.N
-			PutBatch(b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if rows != probeBatches*BatchSize {
 			t.Fatalf("joined %d rows, want %d", rows, probeBatches*BatchSize)

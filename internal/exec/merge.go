@@ -9,11 +9,10 @@ import (
 )
 
 // mergeStream is the engine's one k-way merge over already-ordered input
-// streams: the grace join's restoration of probe order, the external sort's
-// merge of its runs, the leader's merge of the slices' sorted results. Ties
-// go to the lowest stream index, which makes the merge stable when streams
-// are appended in temporal order — the property the external sort and the
-// spilled join rely on for deterministic, tier-independent output.
+// streams: the external sort's merge of its runs and sortedTop's merge of
+// presorted runs. Ties go to the lowest stream index, which makes the merge
+// stable when streams are appended in temporal order — the property the
+// external sort relies on for deterministic, tier-independent output.
 //
 // It works a batch at a time in two steps. The first decides the output
 // order over the bound keys alone, a heap of streams yielding a list of runs

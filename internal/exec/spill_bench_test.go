@@ -95,25 +95,15 @@ func BenchmarkSpillJoin(b *testing.B) {
 					PutBatch(out)
 				}
 			} else {
-				for _, pb := range probe {
-					if err := j.spill.addProbe(pb); err != nil {
-						b.Fatal(err)
-					}
-				}
-				st, err := j.spill.run(ctx)
-				if err != nil {
+				if err := spillProbes(j, probe); err != nil {
 					b.Fatal(err)
 				}
-				for {
-					out, err := st.Next(ctx)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out == nil {
-						break
-					}
+				err := drain(ctx, j.SpillOutput(), func(out *Batch) error {
 					rows += int64(out.N)
-					PutBatch(out)
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 			if rows == 0 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -122,12 +123,43 @@ type joinShape struct {
 	strNull              float64 // String column NULL probability
 }
 
+// spillProbes feeds probe to a spilled join. SpillProbe consumes its batch,
+// so each goes in as a pooled copy and the caller keeps probe.
+func spillProbes(j *HashJoin, probe []*Batch) error {
+	for _, p := range probe {
+		c := GetBatch(len(p.Cols))
+		copy(c.Cols, p.Cols)
+		c.N = p.N
+		if err := j.SpillProbe(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// spilledJoinRows feeds probe to a spilled join and renders every row of
+// its output.
+func spilledJoinRows(t *testing.T, j *HashJoin, probe []*Batch) []string {
+	t.Helper()
+	if err := spillProbes(j, probe); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	err := drain(context.Background(), j.SpillOutput(), func(b *Batch) error {
+		rows = append(rows, batchRowStrings(b)...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 // TestPropGraceJoinMatchesInMemory drives the grace hash join through
-// adversarial key distributions and compares its output — row for row, in
-// order — against the ungoverned in-memory join over the same batches.
+// adversarial key distributions and compares its output — as a multiset of
+// rows — against the ungoverned in-memory join over the same batches.
 func TestPropGraceJoinMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(propSeed(t)))
-	ctx := context.Background()
 
 	// Sizes are chosen so the build side blows a 4 KiB grant (hundreds of
 	// rows) while join fan-out stays bounded — dup-heavy keys multiply the
@@ -226,29 +258,11 @@ func TestPropGraceJoinMatchesInMemory(t *testing.T) {
 						got = append(got, batchRowStrings(out)...)
 					}
 				} else {
-					for _, p := range probe {
-						if err := gov.spill.addProbe(p); err != nil {
-							t.Fatal(err)
-						}
-					}
-					st, err := gov.spill.run(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for {
-						b, err := st.Next(ctx)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if b == nil {
-							break
-						}
-						// Strip the trailing probe-sequence column.
-						view := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
-						got = append(got, batchRowStrings(view)...)
-						PutBatch(b)
-					}
+					got = spilledJoinRows(t, gov, probe)
 				}
+				// A spilled join's partitions stream out in no promised order.
+				slices.Sort(got)
+				slices.Sort(want)
 				sameRows(t, sh.name, got, want)
 				gov.ReleaseMem()
 			})
@@ -500,11 +514,10 @@ func TestAggAccountingTracksRealAllocations(t *testing.T) {
 // TestGraceLeftJoinPrunedBuildColumn spills a LEFT JOIN whose build side
 // carries a pruned (nil) column and only three distinct keys, so most
 // grace partitions pair probe rows with an empty build side. Every
-// partition must shape the pruned column the same way, or the seq-merge
-// of their outputs refuses the mismatch.
+// partition must shape the pruned column the same way: what reads the
+// join's output sees one shape.
 func TestGraceLeftJoinPrunedBuildColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(propSeed(t)))
-	ctx := context.Background()
 	var build, probe []*Batch
 	for n := 900; n > 0; n -= BatchSize {
 		kv := randKVBatch(rng, min(n, BatchSize), 3, 0)
@@ -548,11 +561,7 @@ func TestGraceLeftJoinPrunedBuildColumn(t *testing.T) {
 	if !gov.Spilled() {
 		t.Fatal("build side never spilled a 4 KiB grant")
 	}
-	for _, p := range probe {
-		if err := gov.spill.addProbe(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	got := spilledJoinRows(t, gov, probe)
 	emptyBuild := 0
 	for p := range gov.spill.probe {
 		if gov.spill.probe[p].rows > 0 && gov.spill.build[p].rows == 0 {
@@ -562,23 +571,8 @@ func TestGraceLeftJoinPrunedBuildColumn(t *testing.T) {
 	if emptyBuild == 0 {
 		t.Fatal("no partition pairs probe rows with an empty build side")
 	}
-	st, err := gov.spill.run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for {
-		b, err := st.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		view := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
-		got = append(got, batchRowStrings(view)...)
-		PutBatch(b)
-	}
+	slices.Sort(got)
+	slices.Sort(want)
 	sameRows(t, "pruned-build-column", got, want)
 	gov.ReleaseMem()
 }
@@ -664,4 +658,91 @@ func TestSpillOutputGivesItsFileBack(t *testing.T) {
 			t.Errorf("%d scratch files left after ReleaseMem, want 0", n)
 		}
 	})
+}
+
+// TestGraceJoinWritesOnlyItsPartitions: a spilled join writes its build and
+// probe partitions to scratch and nothing else — its matches stream out of
+// the partition pairs as they are joined, with no output frames and no
+// column beyond the left and right ones. An inner join and a LEFT JOIN run
+// with partitions that fit at one level and with a grant small enough that
+// every pair is subdivided; their rows are the in-memory join's.
+func TestGraceJoinWritesOnlyItsPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(propSeed(t)))
+	ctx := context.Background()
+	var build, probe []*Batch
+	for i := 0; i < 8; i++ {
+		build = append(build, kvBatch(BatchSize, i*BatchSize, BatchSize))
+	}
+	for i := 0; i < 6; i++ {
+		probe = append(probe, randKVBatch(rng, BatchSize, 12*BatchSize, 0.05))
+	}
+	for _, kind := range []sql.JoinKind{sql.InnerJoin, sql.LeftJoin} {
+		ref, err := NewHashJoin(Compiled, mkJoinStep(kind), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range build {
+			if err := ref.Build(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want []string
+		for _, p := range probe {
+			out, err := ref.Probe(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, batchRowStrings(out)...)
+		}
+		slices.Sort(want)
+		for _, c := range []struct {
+			name     string
+			grant    int64
+			maxDepth int
+		}{{"one-level", 64 << 10, 0}, {"subdivided", 8 << 10, 1}} {
+			t.Run(fmt.Sprintf("%v/%s", kind, c.name), func(t *testing.T) {
+				mc := govCtx(t, c.grant)
+				j, err := NewHashJoin(Compiled, mkJoinStep(kind), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j.SetMemory(mc)
+				defer j.ReleaseMem()
+				for _, b := range build {
+					if err := j.Build(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := spillProbes(j, probe); err != nil {
+					t.Fatal(err)
+				}
+				out := j.SpillOutput().(*graceOutput)
+				var got []string
+				err = drain(ctx, out, func(b *Batch) error {
+					if len(b.Cols) != 2+3 {
+						t.Errorf("an output batch has %d columns, want 2 left + 3 right", len(b.Cols))
+					}
+					got = append(got, batchRowStrings(b)...)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var partBytes int64
+				depth := 0
+				for _, p := range out.pairs {
+					partBytes += p.build.bytes + p.probe.bytes
+					depth = max(depth, p.depth)
+				}
+				if depth != c.maxDepth {
+					t.Errorf("pairs cut %d levels deep, want %d", depth, c.maxDepth)
+				}
+				if written := mc.Stats.Bytes.Load(); written != partBytes || written == 0 {
+					t.Errorf("the join wrote %d scratch bytes, its partitions' frames hold %d", written, partBytes)
+				}
+				slices.Sort(got)
+				sameRows(t, c.name, got, want)
+			})
+		}
+	}
 }

@@ -178,7 +178,14 @@ func (b *binder) bindJoin(j sql.Join) error {
 			continue
 		}
 		if j.Kind == sql.LeftJoin {
-			return errf("LEFT JOIN supports only equality conditions, got %s", conj)
+			// A conjunct over the joined table alone limits what can match,
+			// never which left rows appear: its scan filters on it.
+			if b.singleTable(conj) != rightIdx {
+				return errf("LEFT JOIN supports only equality conditions, got %s", conj)
+			}
+			right.Filter = andAll(append(splitAnd(right.Filter), shiftCols(conj, -right.BaseCol)))
+			right.Ranges = extractRanges(right.Filter)
+			continue
 		}
 		residuals = append(residuals, conj)
 	}

@@ -142,6 +142,7 @@ func TestFilterOnlyColumns(t *testing.T) {
 		{"SELECT c.url FROM clicks c JOIN products p ON c.product_id = p.id WHERE c.latency > 1 AND (c.latency > 5 OR p.price > 2)", "clicks", nil},
 		{"SELECT c.url FROM clicks c JOIN products p ON c.product_id = p.id WHERE c.user_id = 7 AND (c.latency > 5 OR p.price > 2)", "clicks", []int{2}},
 		{"SELECT c.url, p.category FROM clicks c LEFT JOIN products p ON c.product_id = p.id WHERE c.latency > 1", "clicks", []int{4}},
+		{"SELECT c.url FROM clicks c LEFT JOIN products p ON c.product_id = p.id AND p.category = 'x'", "products", []int{1}},
 	} {
 		p := build(t, cat, c.query)
 		for _, scan := range p.Tables {
@@ -285,6 +286,13 @@ func TestLeftJoinRestrictions(t *testing.T) {
 		t.Error("residual WHERE missing")
 	}
 	buildErr(t, cat, `SELECT c.url FROM clicks c LEFT JOIN products p ON c.product_id = p.id AND c.latency > p.price`)
+	// An ON conjunct over the left side alone would drop left rows.
+	buildErr(t, cat, `SELECT c.url FROM clicks c LEFT JOIN products p ON c.product_id = p.id AND c.latency > 1`)
+	// One over the joined table alone filters its scan, zone maps included.
+	p = build(t, cat, `SELECT c.url FROM clicks c LEFT JOIN products p ON c.product_id = p.id AND p.price > 2`)
+	if p.Tables[1].Filter == nil || len(p.Tables[1].Ranges) != 1 || p.Tables[1].Ranges[0].Col != 2 || p.Joins[0].Residual != nil {
+		t.Errorf("ON p.price > 2: filter %v, ranges %+v, residual %v", p.Tables[1].Filter, p.Tables[1].Ranges, p.Joins[0].Residual)
+	}
 }
 
 func TestAggregatePlan(t *testing.T) {

@@ -2,6 +2,7 @@ package redshift
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -277,6 +278,59 @@ func TestGuardedErrorsBothEngines(t *testing.T) {
 					t.Errorf("interpreted=%v %s = %v, want %s", interpreted, c.query, got, c.want)
 				}
 			}
+		}
+		assertQuiescent(t, w)
+	}
+}
+
+// TestLeftJoinOnFiltersJoinedTable: an ON conjunct over the joined table
+// alone narrows what can match, never which left rows appear. A click whose
+// product has another category, whose product is missing or whose key is
+// NULL still comes out once, null-extended, on both engines.
+func TestLeftJoinOnFiltersJoinedTable(t *testing.T) {
+	category := map[int64]string{1: "x", 2: "y", 3: "x", 4: "z", 5: "x"}
+	var clicks []string
+	var want, wantURLs []string
+	for i := 0; i < 40; i++ {
+		pid, url := int64(i%8), fmt.Sprintf("/u%02d", i)
+		key := fmt.Sprint(pid)
+		if i%5 == 0 {
+			key = "NULL"
+		}
+		clicks = append(clicks, fmt.Sprintf("('%s', %s)", url, key))
+		wantURLs = append(wantURLs, url)
+		if key != "NULL" && category[pid] == "x" {
+			want = append(want, fmt.Sprintf("%s|%d|x", url, pid))
+		} else {
+			want = append(want, url+"|NULL|NULL")
+		}
+	}
+	var products []string
+	for id, c := range category {
+		products = append(products, fmt.Sprintf("(%d, '%s')", id, c))
+	}
+	sorted := func(rows []Row) []string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, r.String())
+		}
+		slices.Sort(out)
+		return out
+	}
+	slices.Sort(want)
+	slices.Sort(wantURLs)
+	for _, interpreted := range []bool{false, true} {
+		w := launch(t, Options{Nodes: 2, Interpreted: interpreted})
+		w.MustExecute(`CREATE TABLE clicks (url VARCHAR(16), product_id BIGINT)`)
+		w.MustExecute(`CREATE TABLE products (id BIGINT, category VARCHAR(8))`)
+		w.MustExecute(`INSERT INTO clicks VALUES ` + strings.Join(clicks, ", "))
+		w.MustExecute(`INSERT INTO products VALUES ` + strings.Join(products, ", "))
+		const on = ` FROM clicks c LEFT JOIN products p ON c.product_id = p.id AND p.category = 'x'`
+		if got := sorted(w.MustExecute(`SELECT c.url` + on).Rows); !slices.Equal(got, wantURLs) {
+			t.Errorf("interpreted=%v: urls %v, want %v", interpreted, got, wantURLs)
+		}
+		if got := sorted(w.MustExecute(`SELECT c.url, p.id, p.category` + on).Rows); !slices.Equal(got, want) {
+			t.Errorf("interpreted=%v: rows %v, want %v", interpreted, got, want)
 		}
 		assertQuiescent(t, w)
 	}

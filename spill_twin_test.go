@@ -350,9 +350,10 @@ func TestSpillLimitedSortKeepsOnlyTheLimit(t *testing.T) {
 
 // TestSpillJoinOneFilePerOperator: a join on 2 nodes × 2 slices whose build
 // side overflows a 16 KB grant so far that its partitions re-partition. Each
-// slice's join keeps every partition, sub-partition and output in one scratch
-// file — with the slice's sort that is at most two files a slice — all gone
-// when the statement ends, and the rows are the in-memory run's.
+// slice's join keeps every partition and sub-partition in one scratch file —
+// with the slice's sort that is at most two files a slice — all gone when the
+// statement ends, also when a LIMIT stops it early, and the rows are the
+// in-memory run's.
 func TestSpillJoinOneFilePerOperator(t *testing.T) {
 	seed := spillSeed(t)
 	dir := t.TempDir()
@@ -382,6 +383,10 @@ func TestSpillJoinOneFilePerOperator(t *testing.T) {
 		}
 		if got := rowsString(w.MustExecute(q).Rows); got != want {
 			t.Errorf("dop=%d: spilled join diverged from the in-memory run", dop)
+		}
+		// A LIMIT without ORDER BY stops the spilled joins' outputs early.
+		if res := w.MustExecute(strings.TrimSuffix(q, ` ORDER BY e.ts`) + ` LIMIT 5`); len(res.Rows) != 5 {
+			t.Errorf("dop=%d: LIMIT 5 over the spilled join returned %d rows", dop, len(res.Rows))
 		}
 		assertQuiescent(t, w)
 	}
