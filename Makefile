@@ -33,6 +33,9 @@ test: build
 # ghost of seen keys is atomics every session reads and writes unlocked. The
 # join's pass-through probe repeats ten: four probers share one built join,
 # and an output whose rows each match once holds its input's own vectors.
+# The write fold's bounds repeat twenty: every slice decodes the runs its
+# write folds while the others write, and a failed or cancelled folding
+# write must leave those runs live.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -47,6 +50,7 @@ race:
 	$(GO) test -race -count=20 -run 'TestStatsConcurrentReadersAndWriters' ./internal/catalog
 	$(GO) test -race -count=20 -run TestResultCacheAdmitsOnSecondSight ./internal/core
 	$(GO) test -race -count=10 -run TestProbePassesLeftThrough ./internal/exec
+	$(GO) test -race -count=20 -run TestInsertFoldBounds ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and

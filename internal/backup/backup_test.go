@@ -52,7 +52,7 @@ func fixture(t *testing.T, n int) (*cluster.Cluster, *catalog.Catalog) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AppendSegment(s, seg, 1); err != nil {
+		if err := c.Install(s, seg, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -117,8 +117,9 @@ type Slice struct {
 }
 
 // SegmentEntry is a segment plus its visibility window: created at Xid,
-// superseded at DroppedXid (0 = still live). VACUUM and TRUNCATE install
-// replacements without breaking readers that hold older snapshots.
+// superseded at DroppedXid (0 = still live). A write that folds runs,
+// VACUUM and TRUNCATE supersede segments without breaking readers that hold
+// older snapshots.
 type SegmentEntry struct {
 	Seg        *storage.Segment
 	Xid        int64
@@ -318,22 +319,25 @@ func (c *Cluster) AdvanceRoundRobin(tableID int64, n int) (start int) {
 	return start
 }
 
-// AppendSegment registers a segment on a slice with synchronous secondary
-// replication (§2.1: "Each data block is synchronously written to both its
-// primary slice as well as to at least one secondary on a separate node").
-func (c *Cluster) AppendSegment(sliceID int, seg *storage.Segment, xid int64) error {
+// Install commits one write to a slice's shard: seg, unless nil, is
+// registered under xid once it is synchronously replicated (§2.1: "Each data
+// block is synchronously written to both its primary slice as well as to at
+// least one secondary on a separate node"), and the segments of drop — the
+// runs a write folds, VACUUM's inputs, all of a TRUNCATE — are superseded at
+// xid: kept with DroppedXid = xid for the snapshots older than the write,
+// until PruneDropped reclaims them. A failed replication changes nothing.
+func (c *Cluster) Install(sliceID int, seg *storage.Segment, drop []*storage.Segment, xid int64) error {
 	if sliceID < 0 || sliceID >= len(c.slices) {
 		return fmt.Errorf("cluster: slice %d out of range", sliceID)
 	}
 	sl := c.slices[sliceID]
-	if sl.Node.Failed() {
+	if seg != nil && sl.Node.Failed() {
 		return fmt.Errorf("cluster: slice %d is on failed node %d", sliceID, sl.Node.ID)
 	}
-	sec := c.SecondaryNode(sl.Node.ID)
-	if sec >= 0 {
-		// The synchronous replica write is itself a fault site: a failed
-		// write is retried with backoff, and exhaustion fails the append —
-		// the block must not commit with fewer copies than promised.
+	if sec := c.SecondaryNode(sl.Node.ID); seg != nil && sec >= 0 {
+		// The replica write is itself a fault site: a failed write is
+		// retried with backoff, and exhaustion fails the install — the
+		// segment must not commit with fewer copies than promised.
 		if _, err := faults.DefaultPolicy.Do(context.Background(), func() error {
 			return c.inj.Hit(faults.SiteReplicate)
 		}); err != nil {
@@ -348,7 +352,23 @@ func (c *Cluster) AppendSegment(sliceID int, seg *storage.Segment, xid int64) er
 		})
 		secNode.mu.Unlock()
 	}
-	return c.RestoreSegment(sliceID, seg, xid)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	for _, old := range drop {
+		entries := sl.shards[old.Table]
+		for i := range entries {
+			if entries[i].Seg == old && entries[i].DroppedXid == 0 {
+				entries[i].DroppedXid = xid
+			}
+		}
+	}
+	if len(drop) > 0 {
+		c.superseded.Store(true)
+	}
+	if seg != nil {
+		sl.shards[seg.Table] = append(sl.shards[seg.Table], SegmentEntry{Seg: seg, Xid: xid})
+	}
+	return nil
 }
 
 // RestoreSegment registers a segment without replication — the metadata
@@ -371,7 +391,7 @@ func (c *Cluster) VisibleSegments(sliceID int, tableID, snapshotXid int64) []*st
 	sl := c.slices[sliceID]
 	sl.mu.RLock()
 	defer sl.mu.RUnlock()
-	var out []*storage.Segment
+	out := make([]*storage.Segment, 0, len(sl.shards[tableID]))
 	for _, e := range sl.shards[tableID] {
 		if e.Xid <= snapshotXid && (e.DroppedXid == 0 || e.DroppedXid > snapshotXid) {
 			out = append(out, e.Seg)
@@ -380,34 +400,12 @@ func (c *Cluster) VisibleSegments(sliceID int, tableID, snapshotXid int64) []*st
 	return out
 }
 
-// ReplaceSegments atomically replaces a table's shard on a slice
-// (VACUUM/TRUNCATE install the rewritten shard). The superseded segments
-// are kept with DroppedXid = xid so snapshots older than the replacement
-// keep reading them; PruneDropped reclaims them once no snapshot needs
-// them.
-func (c *Cluster) ReplaceSegments(sliceID int, tableID int64, segs []*storage.Segment, xid int64) {
-	sl := c.slices[sliceID]
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	entries := sl.shards[tableID]
-	for i := range entries {
-		if entries[i].DroppedXid == 0 {
-			entries[i].DroppedXid = xid
-		}
-	}
-	for _, s := range segs {
-		entries = append(entries, SegmentEntry{Seg: s, Xid: xid})
-	}
-	sl.shards[tableID] = entries
-	c.superseded.Store(true)
-}
-
 // PruneDropped removes superseded segments no live snapshot can still see
 // (oldestActive is the smallest snapshot xid any registered reader or
 // writer holds). It returns how many entries were reclaimed.
 func (c *Cluster) PruneDropped(oldestActive int64) int {
 	// Cleared before the sweep, set again if the sweep leaves anything: a
-	// racing ReplaceSegments sets it after this, never before.
+	// racing Install sets it after this, never before.
 	if !c.superseded.Swap(false) {
 		return 0
 	}

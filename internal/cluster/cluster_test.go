@@ -186,7 +186,7 @@ func TestKeyPlacementDeterministic(t *testing.T) {
 func TestAppendAndVisibility(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	seg := mkSegment(t, 7, 0, mkRows(20))
-	if err := c.AppendSegment(0, seg, 5); err != nil {
+	if err := c.Install(0, seg, nil, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.VisibleSegments(0, 7, 4); len(got) != 0 {
@@ -206,7 +206,7 @@ func TestAppendAndVisibility(t *testing.T) {
 func TestReplicationAndFailover(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	seg := mkSegment(t, 7, 0, mkRows(20))
-	if err := c.AppendSegment(0, seg, 1); err != nil {
+	if err := c.Install(0, seg, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if c.NetBytes() <= 0 {
@@ -242,7 +242,7 @@ func TestRecoverNode(t *testing.T) {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := c.AppendSegment(s, mkSegment(t, 7, int32(s), rows), 1); err != nil {
+		if err := c.Install(s, mkSegment(t, 7, int32(s), rows), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +272,7 @@ func TestRecoverNode(t *testing.T) {
 func TestFetchBlockFromBackup(t *testing.T) {
 	c := testCluster(t, 1, 1) // single node: no secondary
 	seg := mkSegment(t, 7, 0, mkRows(8))
-	if err := c.AppendSegment(0, seg, 1); err != nil {
+	if err := c.Install(0, seg, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	payloads := map[storage.BlockID][]byte{}
@@ -296,7 +296,7 @@ func TestFetchBlockFromBackup(t *testing.T) {
 func TestFetchBlockNoReplica(t *testing.T) {
 	c := testCluster(t, 1, 1)
 	seg := mkSegment(t, 7, 0, mkRows(8))
-	c.AppendSegment(0, seg, 1)
+	c.Install(0, seg, nil, 1)
 	c.EvictAll()
 	var blk *storage.Block
 	seg.Blocks(func(b *storage.Block) { blk = b })
@@ -308,23 +308,23 @@ func TestFetchBlockNoReplica(t *testing.T) {
 func TestAppendToFailedNodeRejected(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	c.FailNode(0)
-	if err := c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(4)), 1); err == nil {
+	if err := c.Install(0, mkSegment(t, 7, 0, mkRows(4)), nil, 1); err == nil {
 		t.Error("append to failed node accepted")
 	}
-	if err := c.AppendSegment(99, mkSegment(t, 7, 0, mkRows(4)), 1); err == nil {
+	if err := c.Install(99, mkSegment(t, 7, 0, mkRows(4)), nil, 1); err == nil {
 		t.Error("append to bogus slice accepted")
 	}
 }
 
 func TestReplaceAndDrop(t *testing.T) {
 	c := testCluster(t, 1, 2)
-	c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 1)
-	c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 2)
+	c.Install(0, mkSegment(t, 7, 0, mkRows(8)), nil, 1)
+	c.Install(0, mkSegment(t, 7, 0, mkRows(8)), nil, 2)
 	if got := len(c.VisibleSegments(0, 7, 10)); got != 2 {
 		t.Fatalf("segments = %d", got)
 	}
 	merged := mkSegment(t, 7, 0, mkRows(16))
-	c.ReplaceSegments(0, 7, []*storage.Segment{merged}, 3)
+	c.Install(0, merged, c.VisibleSegments(0, 7, 3), 3)
 	if got := len(c.VisibleSegments(0, 7, 10)); got != 1 {
 		t.Errorf("after replace = %d", got)
 	}
@@ -390,7 +390,7 @@ func TestDiscardXidReclaimsRoundRobinCursor(t *testing.T) {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := c.AppendSegment(s, mkSegment(t, def.ID, int32(s), rows), 9); err != nil {
+		if err := c.Install(s, mkSegment(t, def.ID, int32(s), rows), nil, 9); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,7 +411,7 @@ func TestDiscardXidReclaimsRoundRobinCursor(t *testing.T) {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := c.AppendSegment(s, mkSegment(t, pre.ID, int32(s), rows), 1); err != nil {
+		if err := c.Install(s, mkSegment(t, pre.ID, int32(s), rows), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +437,7 @@ func TestRecoverNodeBytesIsolatedFromConcurrentTraffic(t *testing.T) {
 		if len(rows) == 0 {
 			continue
 		}
-		if err := c.AppendSegment(s, mkSegment(t, 7, int32(s), rows), 1); err != nil {
+		if err := c.Install(s, mkSegment(t, 7, int32(s), rows), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -479,10 +479,10 @@ func TestReplaceKeepsOldSnapshotsReadable(t *testing.T) {
 	// replacement commits at S+1.
 	c := testCluster(t, 1, 1)
 	old := mkSegment(t, 7, 0, mkRows(8))
-	c.AppendSegment(0, old, 1)
+	c.Install(0, old, nil, 1)
 
 	merged := mkSegment(t, 7, 0, mkRows(8))
-	c.ReplaceSegments(0, 7, []*storage.Segment{merged}, 2)
+	c.Install(0, merged, c.VisibleSegments(0, 7, 2), 2)
 
 	// Snapshot 1 (taken before the replacement) sees only the old segment.
 	got := c.VisibleSegments(0, 7, 1)
@@ -513,8 +513,8 @@ func TestReplaceKeepsOldSnapshotsReadable(t *testing.T) {
 
 func TestTruncateVisibilityWindow(t *testing.T) {
 	c := testCluster(t, 1, 1)
-	c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 1)
-	c.ReplaceSegments(0, 7, nil, 2) // TRUNCATE
+	c.Install(0, mkSegment(t, 7, 0, mkRows(8)), nil, 1)
+	c.Install(0, nil, c.VisibleSegments(0, 7, 2), 2) // TRUNCATE
 	if got := c.VisibleSegments(0, 7, 1); len(got) != 1 {
 		t.Fatal("pre-truncate snapshot lost its data")
 	}
@@ -539,21 +539,21 @@ func replicaBlocks(c *Cluster) int {
 // stay for the life of the cluster.
 func TestSegmentsLeavingForGoodTakeTheirReplicas(t *testing.T) {
 	c := testCluster(t, 2, 1)
-	if err := c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 1); err != nil {
+	if err := c.Install(0, mkSegment(t, 7, 0, mkRows(8)), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	one := replicaBlocks(c)
 	if one == 0 {
 		t.Fatal("segment was not replicated")
 	}
-	if err := c.AppendSegment(1, mkSegment(t, 7, 1, mkRows(8)), 2); err != nil {
+	if err := c.Install(1, mkSegment(t, 7, 1, mkRows(8)), nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	c.DiscardXid(7, 2) // the second writer aborted
 	if got := replicaBlocks(c); got != one {
 		t.Errorf("replica blocks after DiscardXid = %d, want %d", got, one)
 	}
-	c.ReplaceSegments(0, 7, nil, 3)
+	c.Install(0, nil, c.VisibleSegments(0, 7, 3), 3)
 	if c.PruneDropped(2); replicaBlocks(c) != one {
 		t.Error("replicas dropped while snapshot 2 could still read the segment")
 	}

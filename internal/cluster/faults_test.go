@@ -41,7 +41,7 @@ func loadEvenTable(t *testing.T, c *Cluster, rows int) {
 		if len(part) == 0 {
 			continue
 		}
-		if err := c.AppendSegment(s, mkSegment(t, 7, int32(s), part), 1); err != nil {
+		if err := c.Install(s, mkSegment(t, 7, int32(s), part), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestRecoverNodeBothReplicasGoneNoBackup(t *testing.T) {
 func TestFetchBlockRetriesTransientSecondaryFaults(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	seg := mkSegment(t, 7, 0, mkRows(8))
-	if err := c.AppendSegment(0, seg, 1); err != nil {
+	if err := c.Install(0, seg, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	inj := faults.NewInjector(&faults.Plan{Seed: 42, Sites: map[string]faults.Rule{
@@ -132,7 +132,7 @@ func TestFetchBlockRetriesTransientSecondaryFaults(t *testing.T) {
 func TestHealthQuarantineRoutesAroundSickNode(t *testing.T) {
 	c := testCluster(t, 2, 1)
 	seg := mkSegment(t, 7, 0, mkRows(32))
-	if err := c.AppendSegment(0, seg, 1); err != nil {
+	if err := c.Install(0, seg, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	c.SetBackupFetcher(payloadFetcher(snapshotPayloads(c)))
@@ -189,7 +189,7 @@ func TestReplicationFaultFailsAppend(t *testing.T) {
 	}})
 	inj.SetEnabled(true)
 	c.SetFaults(inj)
-	err := c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 1)
+	err := c.Install(0, mkSegment(t, 7, 0, mkRows(8)), nil, 1)
 	if err == nil {
 		t.Fatal("append committed without its secondary copy")
 	}
@@ -199,7 +199,7 @@ func TestReplicationFaultFailsAppend(t *testing.T) {
 
 	// A bounded glitch, by contrast, is retried through.
 	inj.SetRule(faults.SiteReplicate, faults.Rule{Prob: 1, Count: 1, Err: "brief glitch"})
-	if err := c.AppendSegment(0, mkSegment(t, 7, 0, mkRows(8)), 2); err != nil {
+	if err := c.Install(0, mkSegment(t, 7, 0, mkRows(8)), nil, 2); err != nil {
 		t.Fatalf("append with one transient replication failure: %v", err)
 	}
 }

@@ -309,10 +309,12 @@ func TestResizeDownToFewerNodes(t *testing.T) {
 func TestMaintenanceDaemonLoop(t *testing.T) {
 	src := realDB(t, 2)
 	ep := NewEndpoint(src)
-	// Degrade the table with several small runs on one slice (constant
-	// distribution key → every insert lands on the same shard).
+	// Degrade the table with several runs on one slice (constant
+	// distribution key → every insert lands on the same shard), each of a
+	// block's rows, so that no write folds the one before it.
+	values := strings.TrimSuffix(strings.Repeat(`(7, 'x'), `, 32), ", ")
 	for i := 0; i < 6; i++ {
-		if _, err := src.Execute(`INSERT INTO m VALUES (7, 'x')`); err != nil {
+		if _, err := src.Execute(`INSERT INTO m VALUES ` + values); err != nil {
 			t.Fatal(err)
 		}
 	}

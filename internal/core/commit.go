@@ -15,14 +15,16 @@ import (
 // takes a snapshot, or prunes superseded segments.
 
 // writeTable runs one mutation of the named table. fn registers the
-// write's segments under xid — invisible until Publish — and, last, leaves
-// the statistics describing the table as it will be. In order: the write
-// gate (a resize cutover rejects the write before it takes anything); ddlMu
-// for a write that supersedes segments; the table lock and, under it, the
-// xid that also numbers the segments; fn, rolled back wholesale on error;
-// Publish; prune, which only now can reach xid; the superseded table's
-// cached blocks handed back (memory, not coherence: a BlockID is never
-// reused); the data-version bump last, as readers pin versions first.
+// write's segments under xid — invisible until Publish — drops what they
+// replace at xid, and, last, leaves the statistics describing the table as
+// it will be. In order: the write gate (a resize cutover rejects the write
+// before it takes anything); ddlMu for a rewrite (supersede: VACUUM,
+// TRUNCATE, a resize's copy — not an append that folds small runs); the
+// table lock and, under it, the xid that also numbers the segments; fn,
+// rolled back wholesale on error; Publish; prune, which only now can reach
+// xid; a rewritten table's cached blocks handed back (memory, not
+// coherence: a BlockID is never reused); the data-version bump last, as
+// readers pin versions first.
 //
 // ctx is observed at the two points where stopping is clean — before
 // anything is taken, and after fn but before Publish — so a cancelled or

@@ -61,18 +61,27 @@ func visibleBytes(db *Database, def *catalog.TableDef) int64 {
 }
 
 // TestVacuumKeepsSegmentsALiveReaderNeeds: a rewrite supersedes segments,
-// it does not take them from under a reader. A view opened before VACUUM
-// (or TRUNCATE) and resolved after it still sees every row; once it is
-// released nothing superseded outlives the next write to any table.
+// it does not take them from under a reader. A view opened before VACUUM,
+// TRUNCATE or an INSERT that folds the table's runs, and resolved after it,
+// still sees every row; once it is released nothing superseded outlives the
+// next write to any table.
 func TestVacuumKeepsSegmentsALiveReaderNeeds(t *testing.T) {
-	for _, rewrite := range []string{`VACUUM b`, `TRUNCATE b`} {
+	for _, rewrite := range []string{`VACUUM b`, `TRUNCATE b`, `INSERT INTO b VALUES (40), (0), (42), (41)`} {
 		t.Run(rewrite, func(t *testing.T) {
 			db := openDB(t, exec.Compiled)
 			mustExec(t, db, `CREATE TABLE b (x BIGINT) SORTKEY(x)`)
 			mustExec(t, db, `CREATE TABLE other (x BIGINT)`)
-			mustExec(t, db, `INSERT INTO b VALUES (9), (2), (7), (1), (8), (3), (12), (11)`)
-			mustExec(t, db, `INSERT INTO b VALUES (19), (22), (17), (21), (18), (23), (32), (31)`)
+			// Round-robin: three rows on each slice, then one, more than
+			// twice as few, so that the second INSERT does not fold the
+			// first; a third one-row share folds both.
+			mustExec(t, db, `INSERT INTO b VALUES (9), (2), (7), (1), (8), (3), (12), (11), (19), (22), (17), (21)`)
+			mustExec(t, db, `INSERT INTO b VALUES (18), (23), (32), (31)`)
 			def := tableDef(t, db, "b")
+			for sl := 0; sl < db.cl.NumSlices(); sl++ {
+				if runs := db.cl.VisibleSegments(sl, def.ID, db.txm.CurrentXid()); len(runs) != 2 {
+					t.Fatalf("slice %d holds %d runs before the rewrite, want 2", sl, len(runs))
+				}
+			}
 
 			view := db.beginRead(nil)
 			mustExec(t, db, rewrite)
@@ -91,9 +100,14 @@ func TestVacuumKeepsSegmentsALiveReaderNeeds(t *testing.T) {
 			if held, live := db.cl.TableBytes(def.ID), visibleBytes(db, def); held != live {
 				t.Errorf("TableBytes = %d after the view closed, want the %d visible", held, live)
 			}
-			want := "16|1|32"
-			if rewrite == `TRUNCATE b` {
-				want = "0|NULL|NULL"
+			want := map[string]string{`VACUUM b`: "16|1|32", `TRUNCATE b`: "0|NULL|NULL"}[rewrite]
+			if want == "" {
+				want = "20|0|42"
+				for sl := 0; sl < db.cl.NumSlices(); sl++ {
+					if runs := db.cl.VisibleSegments(sl, def.ID, db.txm.CurrentXid()); len(runs) != 1 {
+						t.Errorf("slice %d holds %d runs after the folding INSERT, want 1", sl, len(runs))
+					}
+				}
 			}
 			if got := fmt.Sprint(mustExec(t, db, `SELECT COUNT(*), MIN(x), MAX(x) FROM b`).Rows[0]); got != want {
 				t.Errorf("after %s: %s, want %s", rewrite, got, want)
@@ -256,8 +270,13 @@ func mergeInts(bounds ...int) []int64 {
 func TestAutoMaintainDefersToReaders(t *testing.T) {
 	db := openDB(t, exec.Compiled)
 	mustExec(t, db, `CREATE TABLE b (x BIGINT) SORTKEY(x)`)
+	// Six runs of a block's rows on every slice: no INSERT folds another.
 	for i := 0; i < 6; i++ {
-		mustExec(t, db, fmt.Sprintf(`INSERT INTO b VALUES (%d), (%d)`, 10-i, 20-i))
+		var vals []string
+		for j := 0; j < 4*64; j++ {
+			vals = append(vals, fmt.Sprintf("(%d)", 1000*i+j))
+		}
+		mustExec(t, db, `INSERT INTO b VALUES `+strings.Join(vals, ", "))
 	}
 	view := db.beginRead(nil)
 	rep, err := db.AutoMaintain()

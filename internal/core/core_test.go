@@ -349,21 +349,52 @@ func TestEndToEndCaseAndFunctions(t *testing.T) {
 
 func TestQueryDuringNodeFailure(t *testing.T) {
 	// "making media failures transparent": fail a node, queries keep
-	// answering by failing over to secondary replicas.
-	db := openDB(t, exec.Compiled)
-	seedSales(t, db)
-	// The post-failure run must re-execute (failover is what's under
-	// test), not be served from the result cache.
-	mustExec(t, db, `SET result_cache TO off`)
-	before := mustExec(t, db, `SELECT COUNT(*), SUM(qty) FROM sales`)
+	// answering by failing over to secondary replicas — the runs a COPY
+	// wrote, and those a VACUUM or an INSERT that folds runs installed.
+	for _, rewrite := range []string{"", "VACUUM v", "INSERT INTO v VALUES (40), (41), (42), (43)"} {
+		for _, node := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/node%d", strings.Fields(rewrite + " COPY")[0], node), func(t *testing.T) {
+				// No block cache: every read after the failure is a fail-over.
+				db, err := Open(Config{
+					Cluster:         cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 64},
+					DataStore:       s3sim.New(),
+					BlockCacheBytes: -1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				seedSales(t, db)
+				// Round-robin: three rows on each slice, then one, which does
+				// not fold them; the INSERT rewrite's one row a slice folds
+				// both.
+				mustExec(t, db, `CREATE TABLE v (x BIGINT) SORTKEY(x)`)
+				mustExec(t, db, `INSERT INTO v VALUES (9), (2), (7), (1), (8), (3), (12), (11), (19), (22), (17), (21)`)
+				mustExec(t, db, `INSERT INTO v VALUES (18), (23), (32), (31)`)
+				if rewrite != "" {
+					mustExec(t, db, rewrite)
+					def := tableDef(t, db, "v")
+					for sl := 0; sl < db.cl.NumSlices(); sl++ {
+						if runs := db.cl.VisibleSegments(sl, def.ID, db.txm.CurrentXid()); len(runs) != 1 {
+							t.Fatalf("after %s slice %d holds %d runs, want 1", rewrite, sl, len(runs))
+						}
+					}
+				}
+				// The post-failure run must re-execute (failover is what's
+				// under test), not be served from the result cache.
+				mustExec(t, db, `SET result_cache TO off`)
+				const sales, v = `SELECT COUNT(*), SUM(qty) FROM sales`, `SELECT COUNT(*), SUM(x) FROM v`
+				before := rowsText(mustExec(t, db, sales)) + rowsText(mustExec(t, db, v))
 
-	db.Cluster().FailNode(1)
-	after := mustExec(t, db, `SELECT COUNT(*), SUM(qty) FROM sales`)
-	if !types.Equal(before.Rows[0][0], after.Rows[0][0]) || !types.Equal(before.Rows[0][1], after.Rows[0][1]) {
-		t.Fatalf("results changed after node failure: %v vs %v", before.Rows, after.Rows)
-	}
-	if after.Stats.NetBytes == 0 {
-		t.Error("failover should have moved replica bytes")
+				db.Cluster().FailNode(node)
+				res := mustExec(t, db, sales)
+				if after := rowsText(res) + rowsText(mustExec(t, db, v)); after != before {
+					t.Fatalf("results changed after node %d failed: %q, before %q", node, after, before)
+				}
+				if res.Stats.NetBytes == 0 {
+					t.Error("failover should have moved replica bytes")
+				}
+			})
+		}
 	}
 }
 
@@ -522,9 +553,14 @@ func TestDistAllBaseTableNotDuplicated(t *testing.T) {
 func TestAutoMaintainVacuumsDegradedTables(t *testing.T) {
 	db := openDB(t, exec.Compiled)
 	seedSales(t, db)
-	// Create many small sorted runs: each INSERT is its own run.
+	// Create many sorted runs on one slice (product 1's): each INSERT is its
+	// own run, for each holds a block's rows and so folds no other.
 	for i := 0; i < 6; i++ {
-		mustExec(t, db, fmt.Sprintf(`INSERT INTO sales VALUES (%d, 1, 1, 'us')`, 20000+i))
+		var vals []string
+		for j := 0; j < 64; j++ {
+			vals = append(vals, fmt.Sprintf(`(%d, 1, 1, 'us')`, 20000+64*i+j))
+		}
+		mustExec(t, db, `INSERT INTO sales VALUES `+strings.Join(vals, ", "))
 	}
 	stats, _ := db.Catalog().Stats(mustTable(t, db, "sales"))
 	if stats.UnsortedRows == 0 {
@@ -548,7 +584,7 @@ func TestAutoMaintainVacuumsDegradedTables(t *testing.T) {
 		t.Errorf("unsorted after auto-vacuum = %d", stats.UnsortedRows)
 	}
 	res := mustExec(t, db, `SELECT COUNT(*) FROM sales`)
-	if res.Rows[0][0].I != 1006 {
+	if res.Rows[0][0].I != 1000+6*64 {
 		t.Errorf("rows after auto-vacuum = %v", res.Rows[0][0])
 	}
 	// A second pass has nothing to do.

@@ -585,18 +585,23 @@ func (db *Database) runTruncate(ctx context.Context, run *stmtRun, s *sql.Trunca
 // statistics: all of TRUNCATE, and the first half of ReplaceTable.
 func (db *Database) supersedeAll(def *catalog.TableDef, xid int64) error {
 	for sl := 0; sl < db.cl.NumSlices(); sl++ {
-		db.cl.ReplaceSegments(sl, def.ID, nil, xid)
+		if err := db.cl.Install(sl, nil, db.cl.VisibleSegments(sl, def.ID, xid), xid); err != nil {
+			return err
+		}
 	}
 	return db.cat.ReplaceStats(def.ID, catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))})
 }
 
 func (db *Database) runInsert(ctx context.Context, run *stmtRun, s *sql.Insert) (*Result, error) {
 	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) error {
-		rows, err := insertRows(def, s)
+		parse := run.rec.Trace.StartChild("parse")
+		cols, err := insertColumns(def, s)
+		parse.End()
 		if err != nil {
 			return err
 		}
-		run.load, err = load.AppendRows(db.cl, db.cat, def, rows, load.Options{}, xid, run.rec.Trace)
+		parse.Add("rows", int64(cols.Rows()))
+		run.load, err = load.Append(db.cl, db.cat, def, []load.Columns{cols}, load.Options{}, xid, run.rec.Trace)
 		return err
 	})
 	if err != nil {
@@ -605,8 +610,10 @@ func (db *Database) runInsert(ctx context.Context, run *stmtRun, s *sql.Insert) 
 	return &Result{Message: fmt.Sprintf("INSERT %d", len(s.Rows))}, nil
 }
 
-// insertRows evaluates an INSERT's VALUES lists into full-width rows.
-func insertRows(def *catalog.TableDef, s *sql.Insert) ([]types.Row, error) {
+// insertColumns evaluates an INSERT's VALUES lists into the table's
+// columns, NULL in those the column list leaves out: the rows take the
+// write path COPY takes as they are.
+func insertColumns(def *catalog.TableDef, s *sql.Insert) (load.Columns, error) {
 	// Resolve the column list to ordinals (positional when absent).
 	ords := make([]int, 0, len(def.Columns))
 	if len(s.Columns) == 0 {
@@ -622,12 +629,12 @@ func insertRows(def *catalog.TableDef, s *sql.Insert) ([]types.Row, error) {
 			ords = append(ords, ord)
 		}
 	}
-	rows := make([]types.Row, 0, len(s.Rows))
+	cols := load.NewColumns(def, len(s.Rows))
+	row := make(types.Row, len(def.Columns)) // each row in turn
 	for ri, exprRow := range s.Rows {
 		if len(exprRow) != len(ords) {
 			return nil, fmt.Errorf("core: VALUES row %d has %d values, expected %d", ri+1, len(exprRow), len(ords))
 		}
-		row := make(types.Row, len(def.Columns))
 		for i := range row {
 			row[i] = types.NewNull(def.Columns[i].Type)
 		}
@@ -642,9 +649,11 @@ func insertRows(def *catalog.TableDef, s *sql.Insert) ([]types.Row, error) {
 			}
 			row[ords[i]] = cv
 		}
-		rows = append(rows, row)
+		for i, v := range row {
+			cols[i].Append(v)
+		}
 	}
-	return rows, nil
+	return cols, nil
 }
 
 // evalConstExpr binds and evaluates a VALUES expression, which may use
@@ -741,24 +750,12 @@ func (db *Database) maintenanceTargets(name string) ([]*catalog.TableDef, error)
 }
 
 // vacuumTable merges each slice's sorted runs into one fully sorted
-// segment and clears the unsorted-rows counter; the rewrite is recorded
-// under run's span. A cancelled ctx stops it between slices; writeTable,
-// between tables.
+// segment (load.Vacuum) and clears the unsorted-rows counter; the rewrite is
+// recorded under run's span. A cancelled ctx stops it between slices;
+// writeTable, between tables.
 func (db *Database) vacuumTable(ctx context.Context, run *stmtRun, name string) error {
 	return db.writeTable(ctx, run, name, true, func(def *catalog.TableDef, xid int64) error {
-		start := time.Now()
-		w, err := load.NewSegmentWriter(db.cl, db.cat, def, nil, xid)
-		if err != nil {
-			return err
-		}
-		err = db.cl.EachSlice(func(sl int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return db.vacuumSlice(def, sl, xid, w)
-		})
-		w.Record(run.rec.Trace, time.Since(start))
-		if err != nil {
+		if err := load.Vacuum(ctx, db.cl, db.cat, def, xid, run.rec.Trace); err != nil {
 			return err
 		}
 		cur, err := db.cat.Stats(def.ID)
@@ -769,51 +766,6 @@ func (db *Database) vacuumTable(ctx context.Context, run *stmtRun, name string) 
 		// change, so the new one shares them.
 		return db.cat.ReplaceStats(def.ID, catalog.TableStats{Rows: cur.Rows, Cols: cur.Cols})
 	})
-}
-
-// vacuumSlice rewrites one slice's runs as the single segment xid names:
-// the runs are decoded block by block and handed to the writer as the
-// slice's chunks, which it concatenates and sorts.
-// It reads at xid, not through a read view: under the table write lock
-// every live segment comes from a writer that has published, and
-// ReplaceSegments supersedes them all, so the merge must read them all. A
-// view's contiguous-prefix snapshot would miss a writer that published past
-// one still unpublished on another table, and drop its rows unread.
-func (db *Database) vacuumSlice(def *catalog.TableDef, sl int, xid int64, w *load.SegmentWriter) error {
-	segs := db.cl.VisibleSegments(sl, def.ID, xid)
-	if len(segs) <= 1 && (len(segs) == 0 || segs[0].Sorted) {
-		return nil // already a single sorted run
-	}
-	var chunks []load.Chunk
-	for _, seg := range segs {
-		for bi := 0; bi < seg.NumBlocks(); bi++ {
-			cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
-			if err != nil {
-				return err
-			}
-			chunks = append(chunks, load.Chunk{Cols: cols})
-		}
-	}
-	seg, err := w.Write(sl, chunks)
-	if err != nil {
-		return err
-	}
-	db.cl.ReplaceSegments(sl, def.ID, []*storage.Segment{seg}, xid)
-	return nil
-}
-
-// decodeBlocks decodes block bi of every column of seg: the segment's rows
-// [bi*Cap, (bi+1)*Cap), column-wise.
-func decodeBlocks(seg *storage.Segment, bi int, fetch func(*storage.Block) error) (load.Columns, error) {
-	cols := make(load.Columns, len(seg.Cols))
-	for c := range cols {
-		v, err := seg.Block(c, bi).Read(fetch)
-		if err != nil {
-			return nil, err
-		}
-		cols[c] = v
-	}
-	return cols, nil
 }
 
 // ReadTable returns every logical row of a table visible right now, a
@@ -827,14 +779,8 @@ func (db *Database) ReadTable(name string) ([]load.Columns, error) {
 	defer view.release()
 	var out []load.Columns
 	for _, segs := range view.tableSegments(def) {
-		for _, seg := range segs {
-			for bi := 0; bi < seg.NumBlocks(); bi++ {
-				cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, cols)
-			}
+		if err := load.EachBlock(segs, db.cl.FetchBlock, func(cols load.Columns) { out = append(out, cols) }); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -892,15 +838,11 @@ func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze
 				return err
 			}
 			sb := load.NewStatsBuilder(len(def.Columns))
+			if err := load.EachBlock(bySlice[sl], db.cl.FetchBlock, sb.Fold); err != nil {
+				return err
+			}
 			var unsorted int64
 			for si, seg := range bySlice[sl] {
-				for bi := 0; bi < seg.NumBlocks(); bi++ {
-					cols, err := decodeBlocks(seg, bi, db.cl.FetchBlock)
-					if err != nil {
-						return err
-					}
-					sb.Fold(cols)
-				}
 				if si > 0 || !seg.Sorted {
 					// Everything beyond the slice's first sorted run is
 					// unsorted work for VACUUM, same bookkeeping the

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -27,7 +26,7 @@ import (
 
 // rowOracle is the write path as it stood before it moved column vectors:
 // cluster.DistributeRows, load's chooseEncodings, sorter and ComputeStats,
-// storage.Builder.Append, and core's vacuumSlice and ANALYZE loop, every
+// storage.Builder.Append, and VACUUM and core's ANALYZE loop, every
 // value a boxed types.Value in a types.Row. It keeps what the table should
 // hold — each slice's segments, the encodings, the statistics — for
 // TestVectorWriterMatchesRowOracle to hold the vector writer to.
@@ -265,27 +264,53 @@ func oracleComputeStats(def *catalog.TableDef, rows []types.Row) catalog.TableSt
 	return stats
 }
 
-// appendRows is load's AppendRows: the write path of COPY and INSERT.
-func (o *rowOracle) appendRows(rows []types.Row, xid int64) error {
+// appendRows is load's Append: the write path of COPY and INSERT. Each
+// slice's share is written together with the slice's newest small runs,
+// their rows boxed ahead of the share's; a slice that folds runs takes an
+// interleaved key's ranges from its own rows, as VACUUM does.
+func (o *rowOracle) appendRows(t *testing.T, rows []types.Row, xid int64) error {
 	tableEmpty := o.stats.Rows == 0
 	if tableEmpty {
 		o.chooseEncodings(rows)
 	}
 	parts := o.distribute(rows)
 	sorter := newOracleSorter(o.def, rows)
+	delta := oracleComputeStats(o.def, rows)
+	counted := len(parts)
+	if o.def.DistStyle == catalog.DistAll {
+		counted = o.cl.Config().SlicesPerNode
+	}
 	for s, part := range parts {
 		if len(part) == 0 {
 			continue
 		}
-		seg, err := o.write(s, xid, sorter, part)
+		runs, keep, gathered := o.segs[s], len(o.segs[s]), len(part)
+		for ; keep > 0 && runs[keep-1].Rows < o.cap && runs[keep-1].Rows <= 2*gathered; keep-- {
+			gathered += runs[keep-1].Rows
+		}
+		switch {
+		case s >= counted:
+		case keep > 0:
+			delta.UnsortedRows += int64(len(part))
+		default:
+			for _, r := range runs[min(1, len(runs)):] {
+				delta.UnsortedRows -= int64(r.Rows)
+			}
+		}
+		sliceSorter, slice := sorter, part
+		if keep < len(runs) {
+			slice = nil
+			for _, seg := range runs[keep:] {
+				slice = append(slice, segmentRows(t, seg, nil)...)
+			}
+			slice = append(slice, part...)
+			sliceSorter = newOracleSorter(o.def, slice)
+		}
+		seg, err := o.write(s, xid, sliceSorter, slice)
 		if err != nil {
 			return err
 		}
-		o.segs[s] = append(o.segs[s], seg)
-	}
-	delta := oracleComputeStats(o.def, rows)
-	if !tableEmpty {
-		delta.UnsortedRows = int64(len(rows))
+		o.segs[s] = append(runs[:keep:keep], seg)
 	}
 	o.stats.Merge(delta)
 	o.stats.EstimateNDV()
@@ -296,23 +321,25 @@ func (o *rowOracle) appendRows(rows []types.Row, xid int64) error {
 func segmentRows(t *testing.T, seg *storage.Segment, fetch func(*storage.Block) error) []types.Row {
 	t.Helper()
 	var rows []types.Row
-	for bi := 0; bi < seg.NumBlocks(); bi++ {
-		cols, err := decodeBlocks(seg, bi, fetch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < cols.Rows(); i++ {
-			row := make(types.Row, len(cols))
-			for c, v := range cols {
-				row[c] = v.Get(i)
-			}
-			rows = append(rows, row)
+	if err := load.EachBlock([]*storage.Segment{seg}, fetch, func(cols load.Columns) { rows = append(rows, boxRows(cols)...) }); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// boxRows boxes the rows of cols.
+func boxRows(cols load.Columns) []types.Row {
+	rows := make([]types.Row, cols.Rows())
+	for i := range rows {
+		rows[i] = make(types.Row, len(cols))
+		for c, v := range cols {
+			rows[i][c] = v.Get(i)
 		}
 	}
 	return rows
 }
 
-// vacuum is core's vacuumTable over vacuumSlice.
+// vacuum is load's Vacuum.
 func (o *rowOracle) vacuum(t *testing.T, xid int64) {
 	for sl, segs := range o.segs {
 		if len(segs) <= 1 && (len(segs) == 0 || segs[0].Sorted) {
@@ -413,7 +440,7 @@ func checkSegments(t *testing.T, step string, sl int, got, want []*storage.Segme
 
 // TestReplaceTableMatchesRowCopy: resize's table copy moves decoded vectors,
 // block by block, and writes exactly the segments, encodings and statistics
-// that writing the same rows, boxed, through AppendRows does — for every
+// that the row oracle writes for the same rows, boxed — for every
 // distribution style and sort key, from a source of several runs per slice.
 func TestReplaceTableMatchesRowCopy(t *testing.T) {
 	src := openDB(t, exec.Compiled)
@@ -445,67 +472,52 @@ func TestReplaceTableMatchesRowCopy(t *testing.T) {
 	}
 	mustExec(t, src, `INSERT INTO sales VALUES (5, 3, 1, 'ap'), (7, 4, NULL, NULL)`)
 
-	copyDB := func(viaRows bool) *Database {
-		dst := openDB(t, exec.Compiled)
-		for _, q := range append([]string{
-			`CREATE TABLE products (id BIGINT NOT NULL, category VARCHAR(32), price DOUBLE PRECISION) DISTSTYLE KEY DISTKEY(id)`,
-			`CREATE TABLE sales (ts BIGINT NOT NULL, product_id BIGINT, qty BIGINT, region VARCHAR(16)) DISTSTYLE KEY DISTKEY(product_id) COMPOUND SORTKEY(ts)`,
-		}, ddl...) {
-			mustExec(t, dst, q)
-		}
-		for _, name := range []string{"products", "sales", "ev", "al", "zz"} {
-			sources, err := src.ReadTable(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !viaRows {
-				if err := dst.ReplaceTable(name, sources); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			var rows []types.Row
-			for _, cols := range sources {
-				for i := 0; i < cols.Rows(); i++ {
-					row := make(types.Row, len(cols))
-					for c, v := range cols {
-						row[c] = v.Get(i)
-					}
-					rows = append(rows, row)
-				}
-			}
-			err = dst.writeTable(context.Background(), dst.offStatement(), name, true, func(def *catalog.TableDef, xid int64) error {
-				if err := dst.supersedeAll(def, xid); err != nil {
-					return err
-				}
-				_, err := load.AppendRows(dst.cl, dst.cat, def, rows, load.Options{}, xid, nil)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dst
+	dst := openDB(t, exec.Compiled)
+	for _, q := range append([]string{
+		`CREATE TABLE products (id BIGINT NOT NULL, category VARCHAR(32), price DOUBLE PRECISION) DISTSTYLE KEY DISTKEY(id)`,
+		`CREATE TABLE sales (ts BIGINT NOT NULL, product_id BIGINT, qty BIGINT, region VARCHAR(16)) DISTSTYLE KEY DISTKEY(product_id) COMPOUND SORTKEY(ts)`,
+	}, ddl...) {
+		mustExec(t, dst, q)
 	}
-	vecs, rows := copyDB(false), copyDB(true)
 	for _, name := range []string{"products", "sales", "ev", "al", "zz"} {
-		def := tableDef(t, rows, name)
-		for sl := 0; sl < rows.cl.NumSlices(); sl++ {
-			checkSegments(t, name, sl, vecs.cl.VisibleSegments(sl, def.ID, vecs.txm.CurrentXid()), rows.cl.VisibleSegments(sl, def.ID, rows.txm.CurrentXid()))
+		sources, err := src.ReadTable(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, db := range []*Database{vecs, rows} {
-			if got, want := rowsText(mustExec(t, db, "SELECT COUNT(*) FROM "+name)), rowsText(mustExec(t, src, "SELECT COUNT(*) FROM "+name)); got != want {
-				t.Errorf("%s: copy holds %s rows, source %s", name, got, want)
-			}
+		o := newRowOracle(t, dst, name)
+		if err := dst.ReplaceTable(name, sources); err != nil {
+			t.Fatal(err)
 		}
-		ve, _ := vecs.cat.Encodings(def.ID)
-		re, _ := rows.cat.Encodings(def.ID)
-		vs, _ := vecs.cat.Stats(def.ID)
-		rs, _ := rows.cat.Stats(def.ID)
-		if !reflect.DeepEqual(ve, re) || !reflect.DeepEqual(vs, rs) {
-			t.Errorf("%s: encodings %v / %v, stats %+v / %+v", name, ve, re, vs, rs)
+		var rows []types.Row
+		for _, cols := range sources {
+			rows = append(rows, boxRows(cols)...)
+		}
+		if err := o.appendRows(t, rows, dst.txm.CurrentXid()); err != nil {
+			t.Fatal(err)
+		}
+		o.check(t, dst, name)
+		if got, want := rowsText(mustExec(t, dst, "SELECT COUNT(*) FROM "+name)), rowsText(mustExec(t, src, "SELECT COUNT(*) FROM "+name)); got != want {
+			t.Errorf("%s: copy holds %s rows, source %s", name, got, want)
 		}
 	}
+}
+
+// newRowOracle is the oracle of db's table name as it stands, empty.
+func newRowOracle(t *testing.T, db *Database, name string) *rowOracle {
+	t.Helper()
+	def := tableDef(t, db, name)
+	o := &rowOracle{cl: db.cl, def: def, cap: db.cl.Config().BlockCap, segs: make([][]*storage.Segment, db.cl.NumSlices())}
+	var err error
+	if o.encs, err = db.cat.Encodings(def.ID); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := db.cat.Stats(def.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.stats = *stats // the oracle merges into its own copy of the snapshot
+	o.stats.Cols = append([]catalog.ColumnStats(nil), stats.Cols...)
+	return o
 }
 
 // oracleCase is one generated table of the differential test.
@@ -634,7 +646,8 @@ func insertSQL(rows []types.Row) string {
 }
 
 // TestVectorWriterMatchesRowOracle drives COPY, two INSERTs, VACUUM, a third
-// INSERT and ANALYZE over generated tables — every distribution style, sort
+// INSERT, ANALYZE, VACUUM and five INSERTs that fold small runs over
+// generated tables — every distribution style, sort
 // key style, source format, NULL pattern, input order and object count — and
 // after each statement holds the table's segments (payload bytes, zone maps,
 // hashes, row counts, Sorted), encodings and statistics (HLL sketch bytes
@@ -688,20 +701,7 @@ func (c oracleCase) run(t *testing.T, seed int64) {
 		ddl += " " + c.sortKey + " SORTKEY(d, g)"
 	}
 	mustExec(t, db, ddl)
-	def, err := db.cat.Get("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := &rowOracle{cl: db.cl, def: def, cap: 16, segs: make([][]*storage.Segment, db.cl.NumSlices())}
-	if o.encs, err = db.cat.Encodings(def.ID); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := db.cat.Stats(def.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.stats = *stats // the oracle merges into its own copy of the snapshot
-	o.stats.Cols = append([]catalog.ColumnStats(nil), stats.Cols...)
+	o := newRowOracle(t, db, "t")
 	o.check(t, db, "CREATE")
 
 	// Delimited text cannot say NULL for a VARCHAR; JSON and VALUES can.
@@ -714,7 +714,7 @@ func (c oracleCase) run(t *testing.T, seed int64) {
 		copySQL += " GZIP"
 	}
 	mustExec(t, db, copySQL)
-	if err := o.appendRows(rows, db.txm.CurrentXid()); err != nil {
+	if err := o.appendRows(t, rows, db.txm.CurrentXid()); err != nil {
 		t.Fatal(err)
 	}
 	o.check(t, db, "COPY")
@@ -722,7 +722,7 @@ func (c oracleCase) run(t *testing.T, seed int64) {
 	for i, n := range []int{50, 1} {
 		rows = c.genRows(rng, n, 1_000_000*(i+1), true)
 		mustExec(t, db, insertSQL(rows))
-		if err := o.appendRows(rows, db.txm.CurrentXid()); err != nil {
+		if err := o.appendRows(t, rows, db.txm.CurrentXid()); err != nil {
 			t.Fatal(err)
 		}
 		o.check(t, db, fmt.Sprintf("INSERT %d", n))
@@ -738,7 +738,7 @@ func (c oracleCase) run(t *testing.T, seed int64) {
 
 	rows = c.genRows(rng, 20, 3_000_000, true)
 	mustExec(t, db, insertSQL(rows))
-	if err := o.appendRows(rows, db.txm.CurrentXid()); err != nil {
+	if err := o.appendRows(t, rows, db.txm.CurrentXid()); err != nil {
 		t.Fatal(err)
 	}
 	o.check(t, db, "INSERT after VACUUM")
@@ -749,4 +749,30 @@ func (c oracleCase) run(t *testing.T, seed int64) {
 	mustExec(t, db, "VACUUM t")
 	o.vacuum(t, db.txm.CurrentXid())
 	o.check(t, db, "second VACUUM")
+
+	// Small writes fold the slice's newest small runs: the second of two
+	// equal INSERTs folds the first, a third folds the run holding both, one
+	// of more than a block per slice folds what is left small, and the row
+	// after it folds nothing.
+	for i, n := range []int{8, 8, 8, 5 * 16, 1} {
+		rows = c.genRows(rng, n, 4_000_000+1000*i, true)
+		mustExec(t, db, insertSQL(rows))
+		if err := o.appendRows(t, rows, db.txm.CurrentXid()); err != nil {
+			t.Fatal(err)
+		}
+		step := fmt.Sprintf("folding INSERT %d of %d", i+1, n)
+		o.check(t, db, step)
+		if c.dist != "EVEN" {
+			continue
+		}
+		// Round-robin deals the slices equal shares, so the runs are known:
+		// each slice's vacuumed run and one more, and the last row's own.
+		runs := 0
+		for sl := range o.segs {
+			runs += len(db.cl.VisibleSegments(sl, o.def.ID, db.txm.CurrentXid()))
+		}
+		if want := 2*len(o.segs) + i/4; runs != want {
+			t.Fatalf("%s: the slices hold %d runs, want %d", step, runs, want)
+		}
+	}
 }

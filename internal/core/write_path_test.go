@@ -321,7 +321,7 @@ func TestWriteStatementsRecordPhases(t *testing.T) {
 	for _, step := range []struct{ sql, want string }{
 		{copySQL, "parse distribute+sort encode replicate stats"},
 		{"INSERT INTO fact VALUES " + factRow(1, 2, factValues), "parse distribute+sort encode replicate stats"},
-		{"VACUUM fact", "distribute+sort encode"},
+		{"VACUUM fact", "distribute+sort encode replicate"},
 		{"ANALYZE fact", "stats"},
 	} {
 		if got := phases(mustExec(t, db, step.sql)); got != step.want {

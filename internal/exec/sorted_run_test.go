@@ -241,7 +241,7 @@ func writeSortedRunSegment(t *testing.T, cl *cluster.Cluster, cat *catalog.Catal
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := w.Write(0, []load.Chunk{{Cols: cols}})
+	seg, err := w.Write(0, []load.Chunk{{Cols: cols}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

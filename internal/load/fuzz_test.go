@@ -158,7 +158,7 @@ func sameValue(a, b types.Value) bool {
 func checkReader(t *testing.T, data []byte, opts Options) {
 	t.Helper()
 	def := fuzzTable()
-	got := newColumns(def, 0)
+	got := NewColumns(def, 0)
 	var want []types.Row
 	var err, wantErr error
 	if strings.EqualFold(opts.Format, "JSON") {
@@ -261,14 +261,14 @@ func TestCopySeedCorpus(t *testing.T) {
 	for name, seed := range csvSeeds {
 		opts := Options{Delimiter: fuzzDelims[int(seed[0])%len(fuzzDelims)]}
 		t.Run("csv/"+name, func(t *testing.T) { checkReader(t, []byte(seed[1:]), opts) })
-		if err := readDelimited(seed[1:], def, opts.Delimiter, newColumns(def, 0)); (err != nil) != strings.HasPrefix(name, "bad-") {
+		if err := readDelimited(seed[1:], def, opts.Delimiter, NewColumns(def, 0)); (err != nil) != strings.HasPrefix(name, "bad-") {
 			t.Errorf("csv/%s: error = %v", name, err)
 		}
 		files["FuzzCopyCSV"][name] = []byte(seed)
 	}
 	for name, seed := range jsonSeeds {
 		t.Run("json/"+name, func(t *testing.T) { checkReader(t, []byte(seed), Options{Format: "JSON"}) })
-		if err := readJSON([]byte(seed), def, newColumns(def, 0)); (err != nil) != strings.HasPrefix(name, "bad-") {
+		if err := readJSON([]byte(seed), def, NewColumns(def, 0)); (err != nil) != strings.HasPrefix(name, "bad-") {
 			t.Errorf("json/%s: error = %v", name, err)
 		}
 		files["FuzzCopyJSON"][name] = []byte(seed)

@@ -22,7 +22,6 @@ import (
 	"redshift/internal/cluster"
 	"redshift/internal/compress"
 	"redshift/internal/s3sim"
-	"redshift/internal/storage"
 	"redshift/internal/telemetry"
 	"redshift/internal/types"
 )
@@ -65,7 +64,8 @@ func (cs Columns) Rows() int {
 	return cs[0].Len()
 }
 
-func newColumns(def *catalog.TableDef, capacity int) Columns {
+// NewColumns returns empty Columns for def's rows, room for capacity made.
+func NewColumns(def *catalog.TableDef, capacity int) Columns {
 	cs := make(Columns, len(def.Columns))
 	for i, col := range def.Columns {
 		cs[i] = types.NewVector(col.Type, capacity)
@@ -82,7 +82,7 @@ type Chunk struct {
 }
 
 // Run executes COPY table FROM prefix. Rows become one new sorted segment
-// per slice, committed under xid; the phases are recorded under trace. Once
+// per slice (see Append), committed under xid; the phases are recorded under trace. Once
 // ctx is done no further object is fetched, and Run returns ctx's error.
 func Run(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	store *s3sim.Store, prefix string, opts Options, xid int64, trace *telemetry.Span) (Stats, error) {
@@ -107,34 +107,10 @@ func Run(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *cat
 	return stats, err
 }
 
-// AppendRows is the door for data that is rows by nature — an INSERT's
-// VALUES: the rows become Columns here, once, and take the write path COPY
-// takes. Of the Stats it fills in Rows, Segments, BytesWritten and
-// EncodingsSet.
-func AppendRows(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
-	rows []types.Row, opts Options, xid int64, trace *telemetry.Span) (Stats, error) {
-
-	parse := trace.StartChild("parse")
-	cols := newColumns(def, len(rows))
-	for _, row := range rows {
-		if len(row) != len(cols) {
-			return Stats{}, fmt.Errorf("load: row has %d values, table has %d columns", len(row), len(cols))
-		}
-		for i, v := range row {
-			if !v.Null && v.T != cols[i].T {
-				return Stats{}, fmt.Errorf("load: column %s: value type %s != column type %s", def.Columns[i].Name, v.T, cols[i].T)
-			}
-			cols[i].Append(v)
-		}
-	}
-	parse.End()
-	parse.Add("rows", int64(len(rows)))
-	return Append(c, cat, def, []Columns{cols}, opts, xid, trace)
-}
-
 // Append is the write path COPY, INSERT and a resize's table copy share: it
 // distributes the sources' rows (sources in the order given, rows in each
-// source's), sorts and encodes each slice's share, registers the segments
+// source's), sorts and encodes each slice's share together with the small
+// runs it folds (see write), installs each slice's new run in their place
 // and updates the statistics. Of the Stats it fills in Rows, Segments,
 // BytesWritten and EncodingsSet.
 func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
@@ -155,12 +131,11 @@ func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	if err != nil {
 		return stats, err
 	}
-	tableEmpty := tableStats.Rows == 0
 	start := time.Now()
 
 	// Automatic compression selection: on first load into an empty table
 	// unless explicitly disabled — the dusty knob of §3.3.
-	chooseEnc := tableEmpty
+	chooseEnc := tableStats.Rows == 0
 	if opts.CompUpdate != nil {
 		chooseEnc = *opts.CompUpdate
 	}
@@ -180,36 +155,10 @@ func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 			}
 		}
 	}
-	w, err := NewSegmentWriter(c, cat, def, sources, xid)
+	unsorted, err := write(context.Background(), c, cat, def, sources, parts, xid, trace, start, &stats)
 	if err != nil {
 		return stats, err
 	}
-	segs := make([]*storage.Segment, len(parts))
-	err = c.EachSlice(func(s int) (err error) {
-		if len(parts[s]) > 0 {
-			segs[s], err = w.Write(s, parts[s])
-		}
-		return err
-	})
-	w.Record(trace, time.Since(start))
-	if err != nil {
-		return stats, err
-	}
-
-	replicate := trace.StartChild("replicate")
-	for s, seg := range segs {
-		if seg == nil {
-			continue
-		}
-		if err := c.AppendSegment(s, seg, xid); err != nil {
-			return stats, err
-		}
-		stats.Segments++
-		stats.BytesWritten += seg.ByteSize()
-		replicate.Add("rows", int64(seg.Rows))
-	}
-	replicate.Add("bytes", stats.BytesWritten)
-	replicate.End()
 
 	// Statistics update with load (§2.1), unless disabled.
 	if opts.StatUpdate == nil || *opts.StatUpdate {
@@ -219,12 +168,7 @@ func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 			sb.Fold(cols)
 		}
 		delta := sb.Stats()
-		if !tableEmpty {
-			// Appending a sorted run to a non-empty table leaves the table
-			// as multiple sorted runs: count the new rows as unsorted work
-			// for the (automatic) VACUUM to reclaim.
-			delta.UnsortedRows = int64(total)
-		}
+		delta.UnsortedRows = unsorted
 		span.Add("rows", int64(total))
 		span.End()
 		return stats, cat.UpdateStats(def.ID, delta)

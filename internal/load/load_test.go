@@ -312,7 +312,7 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	}
 }
 
-func TestAppendRowsEmptyAndDistAll(t *testing.T) {
+func TestAppendEmptyAndDistAll(t *testing.T) {
 	c, cat, _ := env(t)
 	def := &catalog.TableDef{
 		Name: "dims",
@@ -324,14 +324,15 @@ func TestAppendRowsEmptyAndDistAll(t *testing.T) {
 		DistKeyCol: -1,
 	}
 	cat.Create(def)
-	if _, err := AppendRows(c, cat, def, nil, Options{}, 1, nil); err != nil {
+	if _, err := Append(c, cat, def, []Columns{NewColumns(def, 0)}, Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	rows := []types.Row{
-		{types.NewInt(1), types.NewString("a")},
-		{types.NewInt(2), types.NewString("b")},
+	cols := NewColumns(def, 2)
+	for i, name := range []string{"a", "b"} {
+		cols[0].Append(types.NewInt(int64(i + 1)))
+		cols[1].Append(types.NewString(name))
 	}
-	if _, err := AppendRows(c, cat, def, rows, Options{}, 1, nil); err != nil {
+	if _, err := Append(c, cat, def, []Columns{cols}, Options{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// DistAll: every node holds a full copy → rows×nodes total.
@@ -379,7 +380,7 @@ func column(t *testing.T, seg *storage.Segment, c int) *types.Vector {
 
 // foldRows is the statistics of rows, which match def.
 func foldRows(def *catalog.TableDef, rows []types.Row) catalog.TableStats {
-	cols := newColumns(def, len(rows))
+	cols := NewColumns(def, len(rows))
 	for _, r := range rows {
 		for c, v := range r {
 			cols[c].Append(v)

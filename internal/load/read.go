@@ -78,7 +78,7 @@ func readObject(ctx context.Context, store *s3sim.Store, key string, def *catalo
 			return nil, 0, fmt.Errorf("load: %s: %w", key, err)
 		}
 	}
-	cols = newColumns(def, bytes.Count(data, []byte{'\n'})+1)
+	cols = NewColumns(def, bytes.Count(data, []byte{'\n'})+1)
 	if strings.EqualFold(opts.Format, "JSON") {
 		err = readJSON(data, def, cols)
 	} else {

@@ -2,6 +2,7 @@ package load
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -36,7 +37,8 @@ type SegmentWriter struct {
 
 // NewSegmentWriter prepares the write committing under xid. all is where an
 // interleaved sort key's value ranges come from: the load's rows, or nil for
-// each slice's own when VACUUM rewrites the slices one by one.
+// each slice's own when VACUUM rewrites the slices one by one (a slice that
+// folds runs takes its own too, so that no folded row is clamped).
 func NewSegmentWriter(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	all []Columns, xid int64) (*SegmentWriter, error) {
 
@@ -66,19 +68,13 @@ func NewSegmentWriter(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.Tab
 // order are the slice's rows in arrival order: it finds the local sort order
 // once from the key columns, and then assembles, permutes and seals one
 // column at a time, so that beside the chunks only a column or two is ever
-// in flight. The segment is numbered by the writing xid: a writer registers
-// at most one segment per table and slice and an xid is handed out once, so
-// a BlockID never names two different contents.
-func (w *SegmentWriter) Write(slice int, chunks []Chunk) (*storage.Segment, error) {
+// in flight. own takes an interleaved key's value ranges from the chunks'
+// rows. The segment is numbered by the writing xid: a writer registers at
+// most one segment per table and slice and an xid is handed out once, so a
+// BlockID never names two different contents.
+func (w *SegmentWriter) Write(slice int, chunks []Chunk, own bool) (*storage.Segment, error) {
 	start := time.Now()
-	rows := 0
-	for _, chunk := range chunks {
-		if chunk.Sel == nil {
-			rows += chunk.Cols.Rows()
-		} else {
-			rows += len(chunk.Sel)
-		}
-	}
+	rows := chunkRows(chunks)
 	column := func(c int) *types.Vector {
 		if len(chunks) == 1 && chunks[0].Sel == nil {
 			return chunks[0].Cols[c]
@@ -99,7 +95,7 @@ func (w *SegmentWriter) Write(slice int, chunks []Chunk) (*storage.Segment, erro
 			keys[k] = column(k)
 		}
 	}
-	order := w.order(keys)
+	order := w.order(keys, own)
 
 	b, err := storage.NewBuilder(w.def.ID, int32(slice), int32(w.xid), w.def.Schema(), w.encs, w.cap)
 	if err != nil {
@@ -132,6 +128,141 @@ func (w *SegmentWriter) Write(slice int, chunks []Chunk) (*storage.Segment, erro
 	return seg, nil
 }
 
+// write writes each slice's new run under xid — the rows of the runs it
+// folds, decoded block by block, then the slice's share of the write — and
+// installs it in their place, replicated; all is as NewSegmentWriter's.
+// Once ctx is done no further slice starts. Of the Stats it fills in
+// Segments and BytesWritten; the phases are recorded under trace, from
+// start on.
+//
+// The runs a share folds make a size-tiered merge capped at one block:
+// walking back from the slice's newest live run, each run is folded that
+// has fewer than a block's rows and at most twice the rows gathered so far
+// (the share plus the runs already folded), up to the first that has not.
+// So a slice holds at most log2 BlockCap runs smaller than a block, each
+// more than twice the next, and a row is rewritten only while its run grows
+// by half again, at most ⌈log1.5 BlockCap⌉ times. Without sources (all
+// nil) it is VACUUM: every run of a slice is folded, unless the slice is one
+// sorted run already. The runs are read at xid, under the table lock: every
+// live one comes from a writer that has published, while a view's
+// contiguous-prefix snapshot would miss a writer that published past one
+// still unpublished on another table, and drop its rows unread.
+//
+// unsorted is the write's change to the table's UnsortedRows, kept what
+// ANALYZE counts — the rows past each slice's first run, on the first
+// node's slices only for DISTSTYLE ALL: a share is unsorted unless its new
+// run becomes the slice's first, which then takes back what the runs it
+// folds had counted.
+func write(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef, all []Columns,
+	shares [][]Chunk, xid int64, trace *telemetry.Span, start time.Time, stats *Stats) (unsorted int64, err error) {
+
+	w, err := NewSegmentWriter(c, cat, def, all, xid)
+	if err != nil {
+		return 0, err
+	}
+	folds := make([][]*storage.Segment, c.NumSlices())
+	for s := range folds {
+		runs := c.VisibleSegments(s, def.ID, xid)
+		i := len(runs)
+		switch {
+		case all == nil:
+			if i > 1 || i == 1 && !runs[0].Sorted {
+				i = 0
+			}
+		case len(shares[s]) > 0:
+			n := chunkRows(shares[s])
+			g := n // the rows gathered
+			for ; i > 0 && runs[i-1].Rows < w.cap && runs[i-1].Rows <= 2*g; i-- {
+				g += runs[i-1].Rows
+			}
+			switch {
+			case def.DistStyle == catalog.DistAll && s > 0: // another node's copy
+			case i > 0:
+				unsorted += int64(n)
+			case len(runs) > 0: // all folded: what was past the first run
+				unsorted -= int64(g - n - runs[0].Rows)
+			}
+		}
+		folds[s] = runs[i:]
+	}
+	segs := make([]*storage.Segment, len(folds))
+	err = c.EachSlice(func(s int) (err error) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var chunks []Chunk
+		if err := EachBlock(folds[s], c.FetchBlock, func(cols Columns) { chunks = append(chunks, Chunk{Cols: cols}) }); err != nil {
+			return err
+		}
+		chunks = append(chunks, shares[s]...)
+		if len(chunks) > 0 {
+			segs[s], err = w.Write(s, chunks, len(folds[s]) > 0)
+		}
+		return err
+	})
+	w.Record(trace, time.Since(start))
+	if err != nil {
+		return 0, err
+	}
+	replicate := trace.StartChild("replicate")
+	defer replicate.End()
+	for s, seg := range segs {
+		if seg == nil {
+			continue
+		}
+		if err := c.Install(s, seg, folds[s], xid); err != nil {
+			return 0, err
+		}
+		stats.Segments++
+		stats.BytesWritten += seg.ByteSize()
+		replicate.Add("rows", int64(seg.Rows))
+	}
+	replicate.Add("bytes", stats.BytesWritten)
+	return unsorted, nil
+}
+
+// Vacuum rewrites each slice's runs of the table as one sorted run under
+// xid — the fold Append makes of a slice's small runs, made of them all —
+// and installs it in their place. Once ctx is done no further slice starts.
+func Vacuum(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
+	xid int64, trace *telemetry.Span) error {
+
+	_, err := write(ctx, c, cat, def, nil, make([][]Chunk, c.NumSlices()), xid, trace, time.Now(), &Stats{})
+	return err
+}
+
+// EachBlock hands fn the rows of segs a block at a time, in order: block bi
+// of every column, decoded — fetch pages in a block that is not resident.
+func EachBlock(segs []*storage.Segment, fetch func(*storage.Block) error, fn func(Columns)) error {
+	for _, seg := range segs {
+		for bi := 0; bi < seg.NumBlocks(); bi++ {
+			cols := make(Columns, len(seg.Cols))
+			for c := range cols {
+				v, err := seg.Block(c, bi).Read(fetch)
+				if err != nil {
+					return err
+				}
+				cols[c] = v
+			}
+			fn(cols)
+		}
+	}
+	return nil
+}
+
+// chunkRows counts the rows of chunks.
+func chunkRows(chunks []Chunk) int {
+	rows := 0
+	for _, chunk := range chunks {
+		if chunk.Sel == nil {
+			rows += chunk.Cols.Rows()
+		} else {
+			rows += len(chunk.Sel)
+		}
+	}
+	return rows
+}
+
 // Record reports the slices' work as two child spans of trace. Sorting and
 // encoding alternate column by column inside every slice's goroutine, so
 // wall — how long the caller waited for the slices — is split between the
@@ -155,7 +286,7 @@ func (w *SegmentWriter) Record(trace *telemetry.Span, wall time.Duration) {
 // order returns the stable permutation that puts a slice's rows in
 // sort-key order, given its key columns (by ordinal): nil when the rows are
 // in order as they stand, or the table has no sort key.
-func (w *SegmentWriter) order(keys Columns) []int {
+func (w *SegmentWriter) order(keys Columns, own bool) []int {
 	if w.def.SortStyle == catalog.SortNone || len(w.def.SortKeyCols) == 0 {
 		return nil
 	}
@@ -164,7 +295,7 @@ func (w *SegmentWriter) order(keys Columns) []int {
 	if w.curve != nil {
 		// Each row's z-value is computed once, then sorted by.
 		norms := w.norms
-		if norms == nil {
+		if norms == nil || own {
 			norms = keyRanges(w.def, []Columns{keys})
 		}
 		z := make([]uint64, n)

@@ -122,7 +122,11 @@ func (b *Builder) Column(c int, v *types.Vector) error {
 			Column:  int32(c),
 			Index:   int32(len(chain)),
 		}
-		blk, err := Seal(id, v.Slice(lo, min(lo+b.seg.Cap, n)), b.encs[c])
+		part := v // a column of one block is sealed as it stands
+		if n > b.seg.Cap {
+			part = v.Slice(lo, min(lo+b.seg.Cap, n))
+		}
+		blk, err := Seal(id, part, b.encs[c])
 		if err != nil {
 			return err
 		}
