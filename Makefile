@@ -35,7 +35,11 @@ test: build
 # and an output whose rows each match once holds its input's own vectors.
 # The write fold's bounds repeat twenty: every slice decodes the runs its
 # write folds while the others write, and a failed or cancelled folding
-# write must leave those runs live.
+# write must leave those runs live. So does the rollback of a write's
+# statistics: a cancelled write's delta must never reach the catalog its
+# readers plan from. The key table's dense layout repeats ten: four
+# goroutines Find on one dense table, whose lookups share its slots with
+# no lock.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -51,6 +55,8 @@ race:
 	$(GO) test -race -count=20 -run TestResultCacheAdmitsOnSecondSight ./internal/core
 	$(GO) test -race -count=10 -run TestProbePassesLeftThrough ./internal/exec
 	$(GO) test -race -count=20 -run TestInsertFoldBounds ./internal/core
+	$(GO) test -race -count=20 -run TestWriteRollbackLeavesStats ./internal/core
+	$(GO) test -race -count=10 -run TestKeyTableDenseLayout ./internal/exec
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and

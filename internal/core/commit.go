@@ -16,12 +16,13 @@ import (
 
 // writeTable runs one mutation of the named table. fn registers the
 // write's segments under xid — invisible until Publish — drops what they
-// replace at xid, and, last, leaves the statistics describing the table as
-// it will be. In order: the write gate (a resize cutover rejects the write
+// replace at xid, and returns how the statistics change, which writeTable
+// applies only once nothing can roll the write back. In order: the write gate (a resize cutover rejects the write
 // before it takes anything); ddlMu for a rewrite (supersede: VACUUM,
 // TRUNCATE, a resize's copy — not an append that folds small runs); the
 // table lock and, under it, the xid that also numbers the segments; fn,
-// rolled back wholesale on error; Publish; prune, which only now can reach
+// rolled back wholesale on error; its statistics, still under the lock so
+// no other write's land between; Publish; prune, which only now can reach
 // xid; a rewritten table's cached blocks handed back (memory, not
 // coherence: a BlockID is never reused); the data-version bump last, as
 // readers pin versions first.
@@ -32,7 +33,7 @@ import (
 // cancelled after it published. run's clock reads the three steps as queue,
 // exec and leader.
 func (db *Database) writeTable(ctx context.Context, run *stmtRun, name string, supersede bool,
-	fn func(def *catalog.TableDef, xid int64) error) error {
+	fn func(def *catalog.TableDef, xid int64) (statsChange, error)) error {
 
 	run.enter(telemetry.StageQueue)
 	endWrite, err := db.beginWrite(ctx)
@@ -59,9 +60,15 @@ func (db *Database) writeTable(ctx context.Context, run *stmtRun, name string, s
 		return err
 	}
 	run.enter(telemetry.StageExec)
-	err = fn(def, xid)
+	change, err := fn(def, xid)
 	if err == nil {
 		err = ctx.Err()
+	}
+	if err == nil && change.replace != nil {
+		err = db.cat.ReplaceStats(def.ID, *change.replace)
+	}
+	if err == nil && change.delta != nil {
+		err = db.cat.UpdateStats(def.ID, *change.delta)
 	}
 	if err != nil {
 		db.cl.DiscardXid(def.ID, xid)
@@ -79,6 +86,10 @@ func (db *Database) writeTable(ctx context.Context, run *stmtRun, name string, s
 	db.cat.BumpDataVersion(def.ID)
 	return nil
 }
+
+// statsChange is how a write changes its table's statistics: replace them
+// (TRUNCATE, VACUUM), then fold a delta in (the rows an append adds).
+type statsChange struct{ replace, delta *catalog.TableStats }
 
 // readView is a registered snapshot: what a SELECT, ANALYZE or table read
 // sees for as long as it runs. Rewrites supersede the segments an open view

@@ -583,26 +583,26 @@ func (db *Database) runTruncate(ctx context.Context, run *stmtRun, s *sql.Trunca
 
 // supersedeAll drops every segment of the table as of xid and zeroes its
 // statistics: all of TRUNCATE, and the first half of ReplaceTable.
-func (db *Database) supersedeAll(def *catalog.TableDef, xid int64) error {
+func (db *Database) supersedeAll(def *catalog.TableDef, xid int64) (statsChange, error) {
 	for sl := 0; sl < db.cl.NumSlices(); sl++ {
 		if err := db.cl.Install(sl, nil, db.cl.VisibleSegments(sl, def.ID, xid), xid); err != nil {
-			return err
+			return statsChange{}, err
 		}
 	}
-	return db.cat.ReplaceStats(def.ID, catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))})
+	return statsChange{replace: &catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}}, nil
 }
 
 func (db *Database) runInsert(ctx context.Context, run *stmtRun, s *sql.Insert) (*Result, error) {
-	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) error {
+	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) (statsChange, error) {
 		parse := run.rec.Trace.StartChild("parse")
 		cols, err := insertColumns(def, s)
 		parse.End()
 		if err != nil {
-			return err
+			return statsChange{}, err
 		}
 		parse.Add("rows", int64(cols.Rows()))
 		run.load, err = load.Append(db.cl, db.cat, def, []load.Columns{cols}, load.Options{}, xid, run.rec.Trace)
-		return err
+		return statsChange{delta: run.load.Delta}, err
 	})
 	if err != nil {
 		return nil, err
@@ -709,7 +709,7 @@ func (db *Database) runCopy(ctx context.Context, run *stmtRun, s *sql.Copy) (*Re
 	if db.cfg.DataStore == nil {
 		return nil, fmt.Errorf("core: no data store configured for COPY")
 	}
-	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) (err error) {
+	err := db.writeTable(ctx, run, s.Table, false, func(def *catalog.TableDef, xid int64) (_ statsChange, err error) {
 		opts := load.Options{
 			Format:     s.Format,
 			Delimiter:  s.Delimiter,
@@ -718,7 +718,7 @@ func (db *Database) runCopy(ctx context.Context, run *stmtRun, s *sql.Copy) (*Re
 			GZip:       s.GZip,
 		}
 		run.load, err = load.Run(ctx, db.cl, db.cat, def, db.cfg.DataStore, strings.TrimPrefix(s.From, "s3://"), opts, xid, run.rec.Trace)
-		return err
+		return statsChange{delta: run.load.Delta}, err
 	})
 	if err != nil {
 		return nil, err
@@ -754,17 +754,17 @@ func (db *Database) maintenanceTargets(name string) ([]*catalog.TableDef, error)
 // recorded under run's span. A cancelled ctx stops it between slices;
 // writeTable, between tables.
 func (db *Database) vacuumTable(ctx context.Context, run *stmtRun, name string) error {
-	return db.writeTable(ctx, run, name, true, func(def *catalog.TableDef, xid int64) error {
+	return db.writeTable(ctx, run, name, true, func(def *catalog.TableDef, xid int64) (statsChange, error) {
 		if err := load.Vacuum(ctx, db.cl, db.cat, def, xid, run.rec.Trace); err != nil {
-			return err
+			return statsChange{}, err
 		}
 		cur, err := db.cat.Stats(def.ID)
 		if err != nil {
-			return err
+			return statsChange{}, err
 		}
 		// The same rows and columns, none unsorted: a snapshot's Cols never
 		// change, so the new one shares them.
-		return db.cat.ReplaceStats(def.ID, catalog.TableStats{Rows: cur.Rows, Cols: cur.Cols})
+		return statsChange{replace: &catalog.TableStats{Rows: cur.Rows, Cols: cur.Cols}}, nil
 	})
 }
 
@@ -792,12 +792,14 @@ func (db *Database) ReadTable(name string) ([]load.Columns, error) {
 // readers never see a half table, and a failure discards the attempt
 // wholesale (idempotent retries).
 func (db *Database) ReplaceTable(name string, sources []load.Columns) error {
-	return db.writeTable(context.Background(), db.offStatement(), name, true, func(def *catalog.TableDef, xid int64) error {
-		if err := db.supersedeAll(def, xid); err != nil {
-			return err
+	return db.writeTable(context.Background(), db.offStatement(), name, true, func(def *catalog.TableDef, xid int64) (statsChange, error) {
+		change, err := db.supersedeAll(def, xid)
+		if err != nil {
+			return change, err
 		}
-		_, err := load.Append(db.cl, db.cat, def, sources, load.Options{}, xid, nil)
-		return err
+		ls, err := load.Append(db.cl, db.cat, def, sources, load.Options{}, xid, nil)
+		change.delta = ls.Delta
+		return change, err
 	})
 }
 

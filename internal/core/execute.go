@@ -522,9 +522,9 @@ func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, 
 
 // buildJoin drains join ji's build side on slice sl — an exchange receive,
 // or a one-worker scan of the local (collocated or replicated) table —
-// into a fresh hash table. With q.dop > 1 the key inserts are deferred to
-// a parallel FinishBuild. The join is returned even on error so the
-// caller's release covers it.
+// into a fresh hash table, which FinishBuild builds from all the rows, its
+// keys evaluated on q.dop goroutines. The join is returned even on error so
+// the caller's release covers it.
 func (q *queryRun) buildJoin(ctx context.Context, sl, ji int) (*exec.HashJoin, error) {
 	pj := &q.ph.Joins[ji]
 	step := &q.p.Joins[ji]
@@ -534,7 +534,8 @@ func (q *queryRun) buildJoin(ctx context.Context, sl, ji int) (*exec.HashJoin, e
 		return nil, err
 	}
 	join.SetMemory(q.memCtx(pj.Probe))
-	join.SetSizeHint(q.ph.BuildDemand(ji, q.numSlices()))
+	demand, _ := q.ph.BuildDemand(ji, q.numSlices())
+	join.SetSizeHint(demand)
 	join.SetBuildWorkers(q.dop)
 
 	var p *exec.Pipeline

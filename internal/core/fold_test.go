@@ -136,13 +136,14 @@ func TestInsertFoldBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			err = db.writeTable(ctx, db.offStatement(), "t", false, func(def *catalog.TableDef, xid int64) error {
+			err = db.writeTable(ctx, db.offStatement(), "t", false, func(def *catalog.TableDef, xid int64) (statsChange, error) {
 				cols, err := insertColumns(def, parsed.(*sql.Insert))
+				var ls load.Stats
 				if err == nil {
-					_, err = load.Append(db.cl, db.cat, def, []load.Columns{cols}, load.Options{}, xid, nil)
+					ls, err = load.Append(db.cl, db.cat, def, []load.Columns{cols}, load.Options{}, xid, nil)
 				}
 				cancel() // the INSERT's runs are installed; it has not published
-				return err
+				return statsChange{delta: ls.Delta}, err
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("folding INSERT cancelled before it publishes returned %v", err)

@@ -300,7 +300,7 @@ func appendOwned(dst, src *types.Vector, r int) int64 {
 // out.
 func (c *distinctCol) add(gid, val *types.Vector, skip []bool) {
 	vecs := [2]*types.Vector{gid, val}
-	c.hashes = c.kt.Hash(vecs[:], len(gid.Ints), c.hashes)
+	c.hashes = hashKeys(vecs[:], len(gid.Ints), c.hashes)
 	next := uint32(c.kt.Len())
 	c.ids = c.kt.FindOrInsert(vecs[:], c.hashes, skip, c.ids)
 	if c.vals == nil {
@@ -476,7 +476,7 @@ func (g *GroupTable) Consume(b *Batch) (err error) {
 	if g.argVecs, err = evalKeys(g.argEvs, b, g.argVecs); err != nil {
 		return err
 	}
-	g.hashes = g.kt.Hash(g.keyVecs, b.N, g.hashes)
+	g.hashes = hashKeys(g.keyVecs, b.N, g.hashes)
 	if g.spill == nil {
 		g.insert(g.keyVecs, g.hashes)
 	} else {

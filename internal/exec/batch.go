@@ -39,15 +39,7 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // GetBatch returns an empty pooled batch with the given layout width.
 func GetBatch(width int) *Batch {
 	b := batchPool.Get().(*Batch)
-	if cap(b.Cols) < width {
-		b.Cols = make([]*types.Vector, width)
-	} else {
-		b.Cols = b.Cols[:width]
-		for i := range b.Cols {
-			b.Cols[i] = nil
-		}
-	}
-	b.N = 0
+	b.Cols, b.N = growTo(b.Cols[:0], width), 0 // all nil
 	return b
 }
 

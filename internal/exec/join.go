@@ -2,8 +2,8 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"sync"
-	"sync/atomic"
 
 	"redshift/internal/plan"
 	"redshift/internal/sql"
@@ -14,10 +14,11 @@ import (
 // The build side is the inner table — the side the planner chose to
 // broadcast, shuffle or read locally.
 //
-// A KeyTable numbers the distinct build keys; every key's build rows hang
-// off it as a chain threaded through next, ascending in build position, so
-// a probe emits its matches in build order. NULL keys never match and are
-// neither inserted nor probed.
+// Build only charges and keeps each batch; FinishBuild then builds the
+// table once from all the rows. A KeyTable numbers the distinct build keys;
+// every key's build rows hang off it as a chain threaded through next,
+// ascending in build position, so a probe emits its matches in build order.
+// NULL keys never match and are neither inserted nor probed.
 type HashJoin struct {
 	kind       sql.JoinKind
 	mode       Mode
@@ -25,69 +26,42 @@ type HashJoin struct {
 	buildKeys  []*Evaluator // over the right (build) local layout
 	rightWidth int
 	kt         *KeyTable
-	head, tail []int32      // per key id: first and last build row of its chain
+	head       []int32      // per key id: 1 + the first build row of its chain
 	next       []int32      // per build row: the key's next build row, -1 ends
 	build      *Batch       // concatenated build rows (right-local layout)
 	buildTypes []types.Type // right-side column types, noted from build input
 	residual   *Filter      // over the joined layout, inner joins only
-	sc         keyScratch   // build-side scratch (probes bring their own)
 
 	mc      *MemContext // nil → ungoverned (unlimited in-memory build)
-	charged int64       // bytes currently charged for build batch + table
+	charged int64       // bytes currently charged for build rows + table
 	spill   *graceSpill // non-nil once the build exceeded its grant
 
-	// Planner size hint, applied lazily on the first Build.
-	hintBytes int64 // query-wide resident build demand estimate
-	hintRows  int64 // this slice's expected build rows
-	hinted    bool
+	hint int64 // the planner's query-wide build demand, until the first Build
 
-	// Deferred-insert build (SetBuildWorkers > 1): Build only retains each
-	// batch and its base position; FinishBuild inserts the keys.
-	workers  int
-	retained []*Batch
-	bases    []int
+	workers  int     // goroutines FinishBuild evaluates keys on
+	retained []Batch // the build batches FinishBuild has yet to take in
+	rows     int     // the rows Build has taken
+	finish   sync.Once
+	finErr   error
 }
 
 // SetMemory attaches the join to the query's memory governance. Must be
 // called before Build.
 func (j *HashJoin) SetMemory(mc *MemContext) { j.mc = mc }
 
-// SetSizeHint primes the join with the planner's build-side estimate:
-// totalBytes is the query-wide resident demand across every concurrently
-// building slice, perSliceRows this slice's expected share of build rows.
-// A demand already past the query's grant flips the join straight into
-// grace-spill mode on its first Build — skipping the doomed in-memory
-// attempt and the wasted work of building, overflowing and repartitioning
-// — while an in-budget demand presizes the hash table. Zero values (no
-// estimate) leave the join's reactive behavior unchanged.
-func (j *HashJoin) SetSizeHint(totalBytes, perSliceRows int64) {
-	j.hintBytes, j.hintRows = totalBytes, perSliceRows
-	j.hinted = totalBytes > 0 || perSliceRows > 0
-}
+// SetSizeHint primes the join with the planner's estimate of the
+// query-wide resident build demand across every concurrently building
+// slice. A demand already past the query's grant flips the join straight
+// into grace-spill mode on its first Build — skipping the doomed in-memory
+// attempt and the wasted work of building, overflowing and repartitioning.
+// Zero (no estimate) leaves the join's reactive behavior unchanged. The
+// table itself is sized by FinishBuild from the real rows.
+func (j *HashJoin) SetSizeHint(totalBytes int64) { j.hint = totalBytes }
 
-// SetBuildWorkers makes the build insert keys with n workers: Build then
-// only concatenates and charges each batch, and FinishBuild — which must be
-// called once the build side is exhausted — evaluates and hashes every key
-// in parallel, then inserts them. The table comes out identical to the
-// one-worker build. Must be called before Build; n <= 1 keeps the inline
-// insert.
+// SetBuildWorkers makes FinishBuild evaluate and hash the build keys on n
+// goroutines. The table comes out identical to the one-worker build. Must be
+// called before Build.
 func (j *HashJoin) SetBuildWorkers(n int) { j.workers = n }
-
-// applyHint acts on the planner's size hint once, before the first batch
-// is retained.
-func (j *HashJoin) applyHint() error {
-	j.hinted = false
-	if j.spill != nil {
-		return nil
-	}
-	if j.mc != nil && j.mc.T != nil && j.mc.Dir != nil {
-		if lim := j.mc.T.Limit(); lim > 0 && j.hintBytes > lim {
-			return j.enterSpill()
-		}
-	}
-	j.kt.Reserve(int(j.hintRows))
-	return nil
-}
 
 // Spilled reports whether the build side went to disk.
 func (j *HashJoin) Spilled() bool { return j.spill != nil }
@@ -127,38 +101,31 @@ func NewHashJoin(mode Mode, step plan.JoinStep, rightWidth int) (*HashJoin, erro
 	return j, nil
 }
 
-// Build adds one batch of the inner side to the hash table. Each batch is
-// charged against the query's memory grant; the batch that would exceed
-// it flips the join into grace-spill mode, repartitioning everything
-// built so far out to the scratch dir.
+// Build takes one batch of the inner side: it charges the batch against the
+// query's memory grant and keeps its vectors for FinishBuild. The batch
+// that would exceed the grant flips the join into grace-spill mode,
+// repartitioning everything kept so far out to the scratch dir.
 func (j *HashJoin) Build(b *Batch) error {
 	j.noteBuildTypes(b)
-	if j.hinted {
-		if err := j.applyHint(); err != nil {
+	j.rows += b.N
+	over := j.hint > 0 && j.mc != nil && j.mc.T != nil && j.mc.Dir != nil &&
+		j.mc.T.Limit() > 0 && j.hint > j.mc.T.Limit()
+	j.hint = 0 // acted on once, before the first batch is kept
+	if j.spill == nil && (over || !j.mc.tryGrow(b.ByteSize())) {
+		if err := j.enterSpill(); err != nil {
 			return err
 		}
 	}
 	if j.spill != nil {
 		return j.spill.addBuild(b)
 	}
-	if j.workers > 1 {
-		return j.retain(b)
+	j.charged += b.ByteSize()
+	if b.N > 0 {
+		// The vectors, not the batch: a drained frame's batch is recycled.
+		cols := make([]*types.Vector, j.rightWidth)
+		copy(cols, b.Cols)
+		j.retained = append(j.retained, Batch{Cols: cols, N: b.N})
 	}
-	base := j.build.N
-	// Materialize any nil columns as typed empties so Concat stays aligned.
-	if err := j.alignAndConcat(b); err != nil {
-		return err
-	}
-	if err := j.sc.eval(j.buildKeys, b); err != nil {
-		return err
-	}
-	before := j.tableBytes()
-	j.insert(&j.sc, base)
-	delta := b.ByteSize() + j.tableBytes() - before
-	if !j.mc.tryGrow(delta) {
-		return j.enterSpill()
-	}
-	j.charged += delta
 	return nil
 }
 
@@ -173,129 +140,117 @@ type keyScratch struct {
 	ids    []uint32
 }
 
-// eval evaluates the key expressions over b, hashes every row and marks the
-// NULL-key rows.
-func (sc *keyScratch) eval(evs []*Evaluator, b *Batch) (err error) {
+// eval evaluates the key expressions over b and marks the NULL-key rows. It
+// hashes every row when hash is set; otherwise hashes only holds b.N
+// entries, for a dense KeyTable, which does not read them.
+func (sc *keyScratch) eval(evs []*Evaluator, b *Batch, hash bool) (err error) {
 	if sc.vecs, err = evalKeys(evs, b, sc.vecs); err != nil {
 		return err
 	}
-	sc.hashes = hashKeys(sc.vecs, b.N, sc.hashes)
+	if sc.hashes = growTo(sc.hashes[:0], b.N); hash {
+		sc.hashes = hashKeys(sc.vecs, b.N, sc.hashes)
+	}
 	sc.skip = nullRows(sc.vecs, b.N, &sc.nullb)
 	return nil
 }
 
-// insert adds one evaluated build batch, whose first row is build position
-// base, to the table: each non-NULL key's row goes to the end of its chain.
-func (j *HashJoin) insert(sc *keyScratch, base int) {
-	sc.ids = j.kt.FindOrInsert(sc.vecs, sc.hashes, sc.skip, sc.ids)
-	for len(j.next) < base+len(sc.ids) {
-		j.next = append(j.next, -1)
-	}
-	for r, id := range sc.ids {
-		pos := int32(base + r)
-		switch {
-		case id == NoID:
-		case int(id) == len(j.head):
-			j.head, j.tail = append(j.head, pos), append(j.tail, pos)
-		default:
-			j.next[j.tail[id]] = pos
-			j.tail[id] = pos
-		}
-	}
-}
-
 // tableBytes is the resident size of the hash table and its chains — what
-// the join charges, by delta, on top of the build rows themselves.
+// the join charges on top of the build rows themselves.
 func (j *HashJoin) tableBytes() int64 {
-	return j.kt.Bytes() + int64(4*(cap(j.head)+cap(j.tail)+cap(j.next)))
+	return j.kt.Bytes() + int64(4*(cap(j.head)+cap(j.next)))
 }
 
-// retain is Build minus the table inserts: the batch is charged and
-// concatenated exactly as the inline build would, spill cutover included;
-// its keys wait for FinishBuild.
-func (j *HashJoin) retain(b *Batch) error {
-	if !j.mc.tryGrow(b.ByteSize()) {
-		if err := j.enterSpill(); err != nil {
-			return err
-		}
-		return j.spill.addBuild(b)
-	}
-	j.charged += b.ByteSize()
-	j.bases = append(j.bases, j.build.N)
-	j.retained = append(j.retained, b)
-	return j.alignAndConcat(b)
-}
-
-// FinishBuild completes a deferred-insert build (a no-op otherwise, and
-// once the join has spilled — the grace path replays build rows in their
-// original order from disk). Workers evaluate and hash the retained batches'
-// keys in parallel; the inserts then run in build order over the ready-made
-// hashes, so table and chains are exactly the inline build's.
-//
-// The table's size is charged as one lump at the end; if that fails the
-// join flips into grace-spill mode like the inline path. The spill trigger
-// point can differ from a one-worker build by part of a batch, but the
-// join's output cannot.
+// FinishBuild builds the table once the build side is exhausted; Probe
+// calls it first if the caller has not. It concatenates the kept rows at
+// their exact size, evaluates and hashes their keys — on SetBuildWorkers
+// goroutines when there are more than one — sizes the KeyTable from the
+// real row count and key range, and inserts every key in build order. The
+// table's size is charged as one lump; if that fails the join flips into
+// grace-spill mode. A no-op once the join has spilled: the grace path
+// replays build rows in their original order from disk.
 func (j *HashJoin) FinishBuild(ctx context.Context) error {
-	retained, bases := j.retained, j.bases
-	j.retained, j.bases = nil, nil
-	nb := len(retained)
-	if nb == 0 || j.spill != nil {
+	j.finish.Do(func() { j.finErr = j.finishBuild(ctx) })
+	return j.finErr
+}
+
+func (j *HashJoin) finishBuild(ctx context.Context) error {
+	kept := j.retained
+	if j.spill != nil || len(kept) == 0 {
 		return nil
 	}
-	keyed := make([]keyScratch, nb)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, j.workers)
-	for w := 0; w < j.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= nb {
-					return
-				}
-				if errs[w] = ctx.Err(); errs[w] != nil {
-					return
-				}
-				if errs[w] = keyed[i].eval(j.buildKeys, retained[i]); errs[w] != nil {
-					return
-				}
-			}
-		}(w)
+	// The rows, concatenated once at their exact size; each batch's key
+	// hashes and ids land in its range of arrays the whole build shares.
+	build, keyed := NewBatch(j.rightWidth), make([]keyScratch, len(kept))
+	for c, v := range kept[0].Cols {
+		if v != nil {
+			build.Cols[c] = types.NewVector(v.T, j.rows)
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	hashes, ids := make([]uint64, j.rows), make([]uint32, j.rows)
+	for i := range kept {
+		lo, hi := build.N, build.N+kept[i].N
+		keyed[i].hashes, keyed[i].ids = hashes[lo:hi:hi], ids[lo:hi:hi]
+		if err := build.Concat(&kept[i]); err != nil {
 			return err
 		}
 	}
-	for i := range keyed {
-		j.insert(&keyed[i], bases[i])
+	j.build, j.retained = build, nil
+	// Worker w evaluates the keys of batches w, w+workers, …
+	errs := make([]error, min(max(j.workers, 1), len(kept)))
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(kept) && errs[w] == nil; i += len(errs) {
+				errs[w] = keyed[i].eval(j.buildKeys, &kept[i], true)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(append(errs, ctx.Err())...); err != nil {
+		return err
+	}
+	// The table, sized from the real row count and key range.
+	var span keySpan
+	for _, sc := range keyed {
+		span = span.addKeys(sc.vecs, sc.skip)
+	}
+	j.kt.relay(j.rows, span, 1)
+	for _, sc := range keyed {
+		j.kt.FindOrInsert(sc.vecs, sc.hashes, sc.skip, sc.ids)
+	}
+	// Chains, threaded back to front so each runs in build order: a chain's
+	// last row takes its key's still-zero head, -1 once the 1 is taken off.
+	j.head, j.next = make([]int32, j.kt.Len()), make([]int32, j.rows)
+	for pos := j.rows - 1; pos >= 0; pos-- {
+		if id := ids[pos]; id != NoID {
+			j.next[pos], j.head[id] = j.head[id]-1, int32(pos)+1
+		}
 	}
 	if !j.mc.tryGrow(j.tableBytes()) {
-		// enterSpill resets the table and re-partitions the accumulated
-		// build rows; the shrink it performs returns the retain charges.
+		// enterSpill resets the table and re-partitions the build rows; the
+		// shrink it performs returns their charge.
 		return j.enterSpill()
 	}
 	j.charged += j.tableBytes()
 	return nil
 }
 
-// enterSpill switches to grace-join mode: the accumulated build side is
-// hash-partitioned to disk and its memory charge released.
+// enterSpill switches to grace-join mode: the build rows kept so far are
+// hash-partitioned to disk and their memory charge released.
 func (j *HashJoin) enterSpill() error {
 	g, err := newGraceSpill(j)
 	if err != nil {
 		return err
 	}
 	j.spill = g
-	full := j.build
-	j.kt, j.head, j.tail, j.next = NewKeyTable(), nil, nil, nil
-	j.build = NewBatch(j.rightWidth)
-	if err := g.addBuild(full); err != nil {
-		return err
+	all := append(j.retained, *j.build) // only one of the two holds rows
+	j.kt, j.head, j.next, j.retained, j.build = NewKeyTable(), nil, nil, nil, NewBatch(j.rightWidth)
+	for i := range all {
+		if err := g.addBuild(&all[i]); err != nil {
+			return err
+		}
 	}
 	j.mc.shrink(j.charged)
 	j.charged = 0
@@ -324,30 +279,8 @@ func (j *HashJoin) noteBuildTypes(b *Batch) {
 	}
 }
 
-func (j *HashJoin) alignAndConcat(b *Batch) error {
-	aligned := NewBatch(len(j.build.Cols))
-	aligned.N = b.N
-	for c := range b.Cols {
-		aligned.Cols[c] = b.Cols[c]
-	}
-	// First Concat initializes missing vectors from this batch's shape.
-	if j.build.N == 0 {
-		for c, v := range aligned.Cols {
-			if v != nil {
-				j.build.Cols[c] = types.NewVector(v.T, 0)
-			}
-		}
-	}
-	for c, v := range aligned.Cols {
-		if v == nil && j.build.Cols[c] != nil {
-			return errWidth("join build column", c, len(j.build.Cols))
-		}
-	}
-	return j.build.Concat(aligned)
-}
-
-// BuildRows returns how many rows the build side holds.
-func (j *HashJoin) BuildRows() int { return j.build.N }
+// BuildRows returns how many rows Build has taken.
+func (j *HashJoin) BuildRows() int { return j.rows }
 
 // shadow builds a fresh in-memory join sharing j's compiled evaluators —
 // the per-partition join used when replaying grace-spill partitions. The
@@ -366,12 +299,6 @@ func (j *HashJoin) shadow() *HashJoin {
 	}
 }
 
-// reserve sizes an empty join's table and chains for exactly n build rows.
-func (j *HashJoin) reserve(n int) {
-	j.kt.Reserve(n)
-	j.head, j.tail, j.next = make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n)
-}
-
 // Probe joins one left batch, returning the joined batch (left columns
 // followed by right columns). When every left row yields exactly one output
 // row — each matched at most one build row and, unless LEFT JOIN
@@ -379,11 +306,14 @@ func (j *HashJoin) reserve(n int) {
 // copies: the aliasing Filter.Apply's all-pass path and projections already
 // do, safe because PutBatch never recycles vectors.
 func (j *HashJoin) Probe(left *Batch) (*Batch, error) {
+	if err := j.FinishBuild(context.TODO()); err != nil {
+		return nil, err
+	}
 	// The join is shared by every probing worker, so the scratch is not its
 	// own.
 	sc := probeScratch.Get().(*probeBufs)
 	defer probeScratch.Put(sc)
-	if err := sc.eval(j.leftKeys, left); err != nil {
+	if err := sc.eval(j.leftKeys, left, j.kt.dtag == 0); err != nil {
 		return nil, err
 	}
 	sc.ids = j.kt.Find(sc.vecs, sc.hashes, sc.skip, sc.ids)
@@ -398,8 +328,8 @@ func (j *HashJoin) Probe(left *Batch) (*Batch, error) {
 			}
 			continue
 		}
-		dup = dup || j.next[j.head[id]] >= 0
-		for m := j.head[id]; m >= 0; m = j.next[m] {
+		dup = dup || j.next[j.head[id]-1] >= 0
+		for m := j.head[id] - 1; m >= 0; m = j.next[m] {
 			leftSel = append(leftSel, r)
 			rightSel = append(rightSel, int(m))
 		}

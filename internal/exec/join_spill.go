@@ -58,7 +58,7 @@ func newGraceSpill(j *HashJoin) (*graceSpill, error) {
 // hash of its key; rows with a NULL key component (which never match) go to
 // nullPart, or nowhere when that is negative.
 func (g *graceSpill) scatter(evs []*Evaluator, b *Batch, depth, nullPart int, parts []*frames) error {
-	if err := g.sc.eval(evs, b); err != nil {
+	if err := g.sc.eval(evs, b, true); err != nil {
 		return err
 	}
 	for r, h := range g.sc.hashes {
@@ -200,8 +200,10 @@ func (o *graceOutput) open(ctx context.Context, p gracePair) error {
 	}
 	o.charge = sz
 	shadow := g.j.shadow()
-	shadow.reserve(int(p.build.rows))
 	if err := drainFrames(ctx, p.build, shadow.Build); err != nil {
+		return err
+	}
+	if err := shadow.FinishBuild(ctx); err != nil {
 		return err
 	}
 	r, err := p.probe.reader()

@@ -17,15 +17,25 @@ const NoID = ^uint32(0)
 // KeyEncoder equality (typed: Int64 5 ≠ Date 5; NULL is a value; -0.0 is
 // 0.0).
 //
-// Open addressing with linear probing over slots at load ≤ ½; the 64-bit
-// hash of every id is stored, so growth never touches a key. Two key
-// layouts, chosen by what the first inserted batch looks like:
+// Ids stay in slice-indexed arrays; the 64-bit hash of every id is stored,
+// so re-laying the slots never touches a key. Three layouts:
 //
-//   - fixed: one non-string column. The key is its 64 payload bits plus a
-//     type tag; a lookup compares those and allocates nothing.
-//   - arena: anything else. Each key is KeyEncoder's byte encoding appended
-//     to one growing arena, compared column by column against the probing
-//     row only when the stored hash matches.
+//   - dense: one integer column (a non-NULL Int64, Date, Timestamp or Bool
+//     key of one type) whose values span at most twice the slots the hashed
+//     layout would take. The slot of key k is k − base, so a slot can hold
+//     only one key: a lookup is an index, with no hash, no probe chain and no
+//     key compare.
+//   - fixed: any other one non-string column, open addressing with linear
+//     probing at load ≤ ½. The key is its 64 payload bits plus a type tag; a
+//     lookup compares those and allocates nothing.
+//   - arena: anything else, probed the same way. Each key is KeyEncoder's
+//     byte encoding appended to one growing arena, compared column by column
+//     against the probing row only when the stored hash matches.
+//
+// The layout is chosen where the table re-lays itself anyway (relay): at
+// growth, and when a join sizes it for its rows. A key the dense
+// window cannot take — NULL, another type, or one the memory rule will not
+// stretch the window to — sends the table to the hashed fixed layout.
 //
 // With zero key columns (a scalar aggregate) the only id is 0 and nothing is
 // hashed. Find is read-only, so a finished table may be probed from several
@@ -35,13 +45,14 @@ type KeyTable struct {
 	hashes []uint64 // per id
 
 	fixed bool
-	fkeys []uint64 // fixed layout: payload bits per id
-	ftags []uint8  // fixed layout: 0 = NULL, else the column type
+	fkeys []uint64 // fixed and dense layouts: payload bits per id
+	ftags []uint8  // fixed and dense layouts: 0 = NULL, else the column type
+	dtag  uint8    // dense layout: the one type tag of its keys; 0 = hashed
+	base  uint64   // dense layout: the key of slot 0
 
 	arena []byte   // arena layout: the encoded keys back to back
 	offs  []uint32 // arena layout: id's key is arena[offs[id]:offs[id+1]]
 
-	pinHash bool // test hook: every key hashes to 0, equality alone decides
 }
 
 // NewKeyTable returns an empty table.
@@ -60,15 +71,40 @@ func (t *KeyTable) Bytes() int64 {
 	return int64(4*cap(t.slots) + 8*cap(t.hashes) + 8*cap(t.fkeys) + cap(t.ftags) + cap(t.arena) + 4*cap(t.offs))
 }
 
-// Reserve sizes the slot array for n keys up front.
-func (t *KeyTable) Reserve(n int) {
-	if n > 0 && 2*n > len(t.slots) {
-		t.rehash(1 << bits.Len(uint(2*n-1)))
+// slotsFor is the hashed layout's slot count for n keys: the power of two
+// that keeps the load at or under ½.
+func slotsFor(n int) int { return max(16, 1<<bits.Len(uint(2*max(n, 1)-1))) }
+
+// relay lays the slots out afresh for n keys: the stored ones and those
+// in s. It is dense when they are all integers of one type and the window
+// it would take, room times their span, is at most twice the hashed
+// layout's slot count (the memory rule), hashed otherwise. A join sizes its
+// table this way before inserting its rows' keys, room 1; a growing table
+// re-lays itself this way, with s the key it cannot place, room 2, the keys
+// in the middle of the window. The span then grows by half before the next
+// re-lay, so n inserts re-lay a table O(log n) times.
+func (t *KeyTable) relay(n int, s keySpan, room uint64) {
+	budget := uint64(2 * slotsFor(n))
+	for id := 0; id < len(t.fkeys) && s.tag != spanMixed && uint64(s.hi-s.lo) < budget; id++ {
+		s = s.add(t.fkeys[id], t.ftags[id])
+	}
+	d := uint64(s.hi - s.lo)
+	w := (d + 1) * room
+	if s.tag == 0 || s.tag == spanMixed || d >= budget || w > budget {
+		t.dtag = 0
+		t.rehash(slotsFor(n))
+		return
+	}
+	w = max(w, 16)
+	t.dtag, t.base = s.tag, uint64(s.lo)-(w-d-1)/2
+	t.slots = make([]uint32, w)
+	for id, k := range t.fkeys {
+		t.slots[k-t.base] = uint32(id) + 1
 	}
 }
 
-// rehash rebuilds the slot array at the given power-of-two size from the
-// stored hashes.
+// rehash lays the slots out hashed, at the given power-of-two size, from
+// the stored hashes.
 func (t *KeyTable) rehash(size int) {
 	t.slots = make([]uint32, size)
 	mask := uint64(size - 1)
@@ -81,14 +117,41 @@ func (t *KeyTable) rehash(size int) {
 	}
 }
 
-// Hash fills hashes[:n] with the hash of each row's key tuple: one type
-// switch per column, then a tight loop over its payload slice.
-func (t *KeyTable) Hash(vecs []*types.Vector, n int, hashes []uint64) []uint64 {
-	hashes = hashKeys(vecs, n, hashes)
-	if t.pinHash {
-		clear(hashes)
+// keySpan is what the layout choice needs to know of a set of fixed keys:
+// their one type tag and their range. The zero value is the empty set.
+type keySpan struct {
+	tag    uint8 // 0 = no key yet, spanMixed = not all integers of one type
+	lo, hi int64
+}
+
+const spanMixed = ^uint8(0)
+
+// add is s widened by one key: its payload bits and type tag (0 = NULL).
+func (s keySpan) add(k uint64, tag uint8) keySpan {
+	switch {
+	case tag == 0 || types.Type(tag) == types.Float64 || s.tag != 0 && s.tag != tag:
+		s.tag = spanMixed
+	case s.tag == 0:
+		s.tag, s.lo, s.hi = tag, int64(k), int64(k)
+	default:
+		s.lo, s.hi = min(s.lo, int64(k)), max(s.hi, int64(k))
 	}
-	return hashes
+	return s
+}
+
+// addKeys is s widened by the key of every row that skip (may be nil) does
+// not mark. Keys of other than one fixed-width column are not integers of
+// one type.
+func (s keySpan) addKeys(vecs []*types.Vector, skip []bool) keySpan {
+	if len(vecs) != 1 || vecs[0] == nil || !vecs[0].T.Fixed() {
+		return keySpan{tag: spanMixed}
+	}
+	for r := 0; r < vecs[0].Len() && s.tag != spanMixed; r++ {
+		if skip == nil || !skip[r] {
+			s = s.add(fixedKey(vecs[0], r))
+		}
+	}
+	return s
 }
 
 const (
@@ -120,15 +183,13 @@ func hashString(h uint64, s string) uint64 {
 	return h
 }
 
-// hashKeys is Hash without a table. It does not depend on the key layout, so
-// the same hash routes a row to its spill partition (spillPart) and finds it
-// in whichever table is later built over that partition. Column types are
-// not hashed — equality tells them apart.
+// hashKeys fills hashes[:n] with the hash of each row's key tuple: one type
+// switch per column, then a tight loop over its payload slice. It does not
+// depend on any table's layout, so the same hash routes a row to its spill
+// partition (spillPart) and finds it in whichever table is later built over
+// that partition. Column types are not hashed — equality tells them apart.
 func hashKeys(vecs []*types.Vector, n int, hashes []uint64) []uint64 {
-	if cap(hashes) < n {
-		hashes = make([]uint64, n)
-	}
-	hashes = hashes[:n]
+	hashes = growTo(hashes[:0], n)
 	for r := range hashes {
 		hashes[r] = hashSeed
 	}
@@ -176,11 +237,8 @@ func nullRows(vecs []*types.Vector, n int, buf *[]bool) []bool {
 			continue
 		}
 		if out == nil {
-			if cap(*buf) < n {
-				*buf = make([]bool, n)
-			}
-			out = (*buf)[:n]
-			clear(out)
+			*buf = growTo((*buf)[:0], n) // all false
+			out = *buf
 		}
 		for r, null := range v.Nulls[:n] {
 			if null {
@@ -206,11 +264,7 @@ func (t *KeyTable) Find(vecs []*types.Vector, hashes []uint64, skip []bool, ids 
 }
 
 func (t *KeyTable) lookup(vecs []*types.Vector, hashes []uint64, skip []bool, ids []uint32, insert bool) []uint32 {
-	n := len(hashes)
-	if cap(ids) < n {
-		ids = make([]uint32, n)
-	}
-	ids = ids[:n]
+	ids = growTo(ids[:0], len(hashes))
 	if len(vecs) == 0 {
 		for r := range ids {
 			if skip != nil && skip[r] {
@@ -226,27 +280,24 @@ func (t *KeyTable) lookup(vecs []*types.Vector, hashes []uint64, skip []bool, id
 	}
 	fixedVec := len(vecs) == 1 && vecs[0] != nil && vecs[0].T != types.String
 	switch {
-	case len(t.hashes) == 0 && insert:
-		t.fixed = fixedVec
-		if !fixedVec && t.offs == nil {
-			t.offs = []uint32{0}
-		}
-	case t.fixed && !fixedVec && insert:
+	case insert && !fixedVec && (t.fixed || len(t.hashes) == 0):
 		t.toArena()
+	case insert && len(t.hashes) == 0:
+		t.fixed = true
 	case len(t.hashes) == 0 || t.fixed && !fixedVec:
 		// Nothing stored, or only fixed keys and a probe that cannot equal one.
 		for r := range ids {
 			ids[r] = NoID
 		}
 		return ids
+	case t.dtag != 0 && !insert:
+		t.findDense(vecs[0], skip, ids)
+		return ids
 	}
 	for r, h := range hashes {
 		if skip != nil && skip[r] {
 			ids[r] = NoID
 			continue
-		}
-		if insert && 2*len(t.hashes) >= len(t.slots) {
-			t.rehash(max(16, 2*len(t.slots)))
 		}
 		if t.fixed {
 			ids[r] = t.lookupFixed(vecs[0], r, h, insert)
@@ -257,35 +308,73 @@ func (t *KeyTable) lookup(vecs []*types.Vector, hashes []uint64, skip []bool, id
 	return ids
 }
 
-func (t *KeyTable) lookupFixed(v *types.Vector, r int, h uint64, insert bool) uint32 {
-	var k uint64
-	var tag uint8
-	switch {
-	case v.Nulls != nil && v.Nulls[r]:
-	case v.T == types.Float64:
-		k, tag = types.FloatKeyBits(v.Floats[r]), uint8(v.T)
-	default:
-		k, tag = uint64(v.Ints[r]), uint8(v.T)
-	}
-	mask := uint64(len(t.slots) - 1)
-	for pos := h & mask; ; pos = (pos + 1) & mask {
-		s := t.slots[pos]
-		if s == 0 {
-			if !insert {
-				return NoID
+// findDense is Find over the dense layout: a key's slot is its offset from
+// base, and an empty slot's 0 minus one is NoID.
+func (t *KeyTable) findDense(v *types.Vector, skip []bool, ids []uint32) {
+	same := v.T == types.Type(t.dtag)
+	for r := range ids {
+		ids[r] = NoID
+		if same && (skip == nil || !skip[r]) && (v.Nulls == nil || !v.Nulls[r]) {
+			if p := uint64(v.Ints[r]) - t.base; p < uint64(len(t.slots)) {
+				ids[r] = t.slots[p] - 1
 			}
-			t.slots[pos] = t.newID(h)
-			t.fkeys = append(t.fkeys, k)
-			t.ftags = append(t.ftags, tag)
-			return t.slots[pos] - 1
-		}
-		if id := s - 1; t.fkeys[id] == k && t.ftags[id] == tag {
-			return id
 		}
 	}
 }
 
+// fixedKey is row r of a fixed-width column as the fixed layouts store it:
+// its payload bits and type tag, 0 for NULL.
+func fixedKey(v *types.Vector, r int) (uint64, uint8) {
+	switch {
+	case v.Nulls != nil && v.Nulls[r]:
+		return 0, 0
+	case v.T == types.Float64:
+		return types.FloatKeyBits(v.Floats[r]), uint8(v.T)
+	default:
+		return uint64(v.Ints[r]), uint8(v.T)
+	}
+}
+
+// lookupFixed finds row r's key in slot p: its offset in a dense window, or
+// where its probe ends in the hashed layout — its own slot or the empty one
+// that takes it. A key the dense window cannot hold, or a hashed table at
+// load ½, re-lays the table first.
+func (t *KeyTable) lookupFixed(v *types.Vector, r int, h uint64, insert bool) uint32 {
+	k, tag := fixedKey(v, r)
+	p := k - t.base
+	if t.dtag == 0 {
+		if insert && 2*len(t.hashes) >= len(t.slots) {
+			t.relay(len(t.hashes)+1, keySpan{}.add(k, tag), 2)
+			return t.lookupFixed(v, r, h, insert)
+		}
+		mask := uint64(len(t.slots) - 1)
+		for p = h & mask; t.slots[p] != 0; p = (p + 1) & mask {
+			if id := t.slots[p] - 1; t.fkeys[id] == k && t.ftags[id] == tag {
+				return id
+			}
+		}
+		if !insert {
+			return NoID
+		}
+	} else if tag != t.dtag || p >= uint64(len(t.slots)) {
+		if !insert {
+			return NoID
+		}
+		t.relay(len(t.hashes)+1, keySpan{}.add(k, tag), 2)
+		return t.lookupFixed(v, r, h, insert)
+	}
+	if s := t.slots[p]; s != 0 || !insert {
+		return s - 1
+	}
+	t.slots[p] = t.newID(h)
+	t.fkeys, t.ftags = append(t.fkeys, k), append(t.ftags, tag)
+	return t.slots[p] - 1
+}
+
 func (t *KeyTable) lookupArena(vecs []*types.Vector, r int, h uint64, insert bool) uint32 {
+	if insert && 2*len(t.hashes) >= len(t.slots) {
+		t.rehash(slotsFor(len(t.hashes) + 1))
+	}
 	mask := uint64(len(t.slots) - 1)
 	for pos := h & mask; ; pos = (pos + 1) & mask {
 		s := t.slots[pos]
@@ -335,7 +424,10 @@ func (t *KeyTable) toArena() {
 		}
 		t.closeKey()
 	}
-	t.fixed, t.fkeys, t.ftags = false, nil, nil
+	if t.dtag != 0 {
+		t.rehash(slotsFor(len(t.hashes) + 1))
+	}
+	t.fixed, t.fkeys, t.ftags, t.dtag = false, nil, nil, 0
 }
 
 func appendUint64(b []byte, x uint64) []byte {

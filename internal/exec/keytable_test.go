@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"redshift/internal/plan"
 	"redshift/internal/sql"
@@ -66,7 +69,9 @@ func rowKey(vecs []*types.Vector, r int) string {
 // same key, ids are dense and handed out in first-seen order, Find agrees
 // with FindOrInsert and misses exactly the keys never inserted. The pinned
 // variant makes every key collide, so it passes only if correctness rests on
-// key equality and not on the hash.
+// key equality and not on the hash. The shaped streams are one column of the
+// key orders and domains that decide between the dense and hashed layouts,
+// including a key the dense layout cannot hold arriving after it was chosen.
 func TestPropKeyTableMatchesKeyEncoderMap(t *testing.T) {
 	for _, pin := range []bool{false, true} {
 		for ncols := 0; ncols <= 3; ncols++ {
@@ -77,70 +82,231 @@ func TestPropKeyTableMatchesKeyEncoderMap(t *testing.T) {
 					if pin {
 						batches, rows = 8, 64 // every lookup walks the whole table
 					}
-					kt := NewKeyTable()
-					kt.pinHash = pin
-					ref := map[string]uint32{}
-					var hashes []uint64
-					var ids []uint32
 					var all [][]*types.Vector
 					for bi := 0; bi < batches; bi++ {
-						vecs := randKeyBatch(rng, ncols, rows, span, 0.15)
-						all = append(all, vecs)
-						var skip []bool
-						if bi%3 == 2 {
-							skip = make([]bool, rows)
-							for r := range skip {
-								skip[r] = rng.Intn(4) == 0
-							}
-						}
-						hashes = kt.Hash(vecs, rows, hashes)
-						ids = kt.FindOrInsert(vecs, hashes, skip, ids)
-						for r, id := range ids {
-							if skip != nil && skip[r] {
-								if id != NoID {
-									t.Fatalf("batch %d row %d: skipped row got id %d", bi, r, id)
-								}
-								continue
-							}
-							k := rowKey(vecs, r)
-							want, ok := ref[k]
-							if !ok {
-								want = uint32(len(ref)) // dense, first-seen order
-								ref[k] = want
-							}
-							if id != want {
-								t.Fatalf("batch %d row %d: id %d, want %d (key %q)", bi, r, id, want, k)
-							}
-						}
-						if kt.Len() != len(ref) {
-							t.Fatalf("batch %d: %d keys, want %d", bi, kt.Len(), len(ref))
-						}
+						all = append(all, randKeyBatch(rng, ncols, rows, span, 0.15))
 					}
-					// Find sees every inserted key under its id, and nothing else.
-					probes := append(all, randKeyBatch(rng, ncols, rows, span*2, 0.15))
-					for bi, vecs := range probes {
-						hashes = kt.Hash(vecs, rows, hashes)
-						ids = kt.Find(vecs, hashes, nil, ids)
-						for r, id := range ids {
-							want, ok := ref[rowKey(vecs, r)]
-							if !ok {
-								want = NoID
-							}
-							if id != want {
-								t.Fatalf("find batch %d row %d: id %d, want %d", bi, r, id, want)
-							}
-						}
-					}
-					if kt.Len() != len(ref) {
-						t.Fatalf("Find changed the table: %d keys, want %d", kt.Len(), len(ref))
-					}
-					if kt.Len() > 0 && kt.Bytes() == 0 {
-						t.Fatal("a non-empty table reports 0 bytes")
-					}
+					checkKeyTable(t, rng, NewKeyTable(), pin, all, randKeyBatch(rng, ncols, rows, span*2, 0.15))
 				})
 			}
 		}
 	}
+	for _, sh := range keyStreams() {
+		t.Run("shape="+sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(propSeed(t)))
+			checkKeyTable(t, rng, NewKeyTable(), false, sh.batches(rng), sh.batches(rng)[0])
+		})
+	}
+}
+
+// checkKeyTable inserts batches into kt — every third batch skipping a
+// random quarter of its rows — checking each id against a KeyEncoder map,
+// then finds every batch and miss (if not nil), which holds keys mostly
+// never inserted. It returns the map. Pinned, every key hashes to 0, so
+// equality alone decides.
+func checkKeyTable(t *testing.T, rng *rand.Rand, kt *KeyTable, pin bool, batches [][]*types.Vector, miss []*types.Vector) map[string]uint32 {
+	t.Helper()
+	ref := map[string]uint32{}
+	var hashes []uint64
+	var ids []uint32
+	for bi, vecs := range batches {
+		rows := vecLen(vecs)
+		var skip []bool
+		if bi%3 == 2 {
+			skip = make([]bool, rows)
+			for r := range skip {
+				skip[r] = rng.Intn(4) == 0
+			}
+		}
+		if hashes = hashKeys(vecs, rows, hashes); pin {
+			clear(hashes)
+		}
+		ids = kt.FindOrInsert(vecs, hashes, skip, ids)
+		for r, id := range ids {
+			if skip != nil && skip[r] {
+				if id != NoID {
+					t.Fatalf("batch %d row %d: skipped row got id %d", bi, r, id)
+				}
+				continue
+			}
+			k := rowKey(vecs, r)
+			want, ok := ref[k]
+			if !ok {
+				want = uint32(len(ref)) // dense, first-seen order
+				ref[k] = want
+			}
+			if id != want {
+				t.Fatalf("batch %d row %d: id %d, want %d (key %q)", bi, r, id, want, k)
+			}
+		}
+		if kt.Len() != len(ref) {
+			t.Fatalf("batch %d: %d keys, want %d", bi, kt.Len(), len(ref))
+		}
+	}
+	// Find sees every inserted key under its id, and nothing else.
+	if miss != nil {
+		batches = append(batches, miss)
+	}
+	for bi, vecs := range batches {
+		if hashes = hashKeys(vecs, vecLen(vecs), hashes); pin {
+			clear(hashes)
+		}
+		ids = kt.Find(vecs, hashes, nil, ids)
+		for r, id := range ids {
+			want, ok := ref[rowKey(vecs, r)]
+			if !ok {
+				want = NoID
+			}
+			if id != want {
+				t.Fatalf("find batch %d row %d: id %d, want %d", bi, r, id, want)
+			}
+		}
+	}
+	if kt.Len() != len(ref) {
+		t.Fatalf("Find changed the table: %d keys, want %d", kt.Len(), len(ref))
+	}
+	if kt.Len() > 0 && kt.Bytes() == 0 {
+		t.Fatal("a non-empty table reports 0 bytes")
+	}
+	return ref
+}
+
+// vecLen is the row count of a batch of key vectors; 257 with no columns.
+func vecLen(vecs []*types.Vector) int {
+	if len(vecs) == 0 {
+		return 257
+	}
+	return vecs[0].Len()
+}
+
+// keyStream is a one-column key stream: the i-th key of n, cut into
+// batches of up to 257 rows wherever its type changes.
+type keyStream struct {
+	name  string
+	n     int
+	dense bool // every key a non-NULL integer of one type over a narrow span
+	key   func(rng *rand.Rand, i int) types.Value
+}
+
+func (ks keyStream) batches(rng *rand.Rand) [][]*types.Vector {
+	var out [][]*types.Vector
+	var v *types.Vector
+	for i := 0; i < ks.n; i++ {
+		k := ks.key(rng, i)
+		if v == nil || v.T != k.T || v.Len() == 257 {
+			v = types.NewVector(k.T, 257)
+			out = append(out, []*types.Vector{v})
+		}
+		if k.Null {
+			v.AppendNull()
+		} else {
+			v.Append(k)
+		}
+	}
+	return out
+}
+
+func keyStreams() []keyStream {
+	const n = 5000
+	ints := func(f func(rng *rand.Rand, i int) int64) func(*rand.Rand, int) types.Value {
+		return func(rng *rand.Rand, i int) types.Value { return types.NewInt(f(rng, i)) }
+	}
+	extremes := []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1, 0, -1, 1}
+	return []keyStream{
+		{"ascending", n, true, ints(func(_ *rand.Rand, i int) int64 { return int64(i) })},
+		{"descending", n, true, ints(func(_ *rand.Rand, i int) int64 { return int64(n - i) })},
+		{"zigzag", n, true, ints(func(_ *rand.Rand, i int) int64 { return int64((i + 1) / 2 * (1 - 2*(i%2))) })},
+		{"domain5", n, true, ints(func(rng *rand.Rand, _ int) int64 { return 1000 + rng.Int63n(5) })},
+		{"random-span", n, true, ints(func(rng *rand.Rand, _ int) int64 { return rng.Int63n(n) })},
+		{"sparse", n, false, ints(func(rng *rand.Rand, _ int) int64 { return rng.Int63() })},
+		{"extremes", n, false, ints(func(rng *rand.Rand, i int) int64 { return extremes[rng.Intn(len(extremes))] })},
+		{"null-after-dense", n, false, func(_ *rand.Rand, i int) types.Value {
+			if i == n/2 {
+				return types.NewNull(types.Int64)
+			}
+			return types.NewInt(int64(i % (n / 3)))
+		}},
+		{"date-after-dense", n, false, func(_ *rand.Rand, i int) types.Value {
+			if i >= n/2 {
+				return types.Value{T: types.Date, I: int64(i % (n / 3))}
+			}
+			return types.NewInt(int64(i % (n / 3)))
+		}},
+		{"floats", n, false, func(rng *rand.Rand, i int) types.Value { return types.NewFloat(float64(rng.Intn(n))) }},
+	}
+}
+
+// TestKeyTableDenseLayout: the shaped streams take the dense layout exactly
+// when their keys are integers of one type over a span the memory rule
+// admits, keep ids the hashed layouts would hand out (checkKeyTable), and
+// re-lay the table O(log n) times when inserted one key at a time. Four
+// goroutines then Find on one dense table.
+func TestKeyTableDenseLayout(t *testing.T) {
+	for _, sh := range keyStreams() {
+		t.Run(sh.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(propSeed(t)))
+			batches := sh.batches(rng)
+			kt := NewKeyTable()
+			checkKeyTable(t, rng, kt, false, batches, batches[0])
+			if dense := kt.dtag != 0; dense != sh.dense {
+				t.Fatalf("dense layout = %v, want %v", dense, sh.dense)
+			}
+			if kt.dtag != 0 && len(kt.slots) > 2*slotsFor(kt.Len()) {
+				t.Fatalf("%d dense slots for %d keys: over twice the hashed layout's %d", len(kt.slots), kt.Len(), slotsFor(kt.Len()))
+			}
+			// One key a call: every re-lay shows as a new slot array.
+			one, relays := NewKeyTable(), 0
+			var hashes []uint64
+			var ids []uint32
+			var at *uint32
+			for _, vecs := range batches {
+				for r := 0; r < vecs[0].Len(); r++ {
+					row := []*types.Vector{vecs[0].Slice(r, r+1)}
+					hashes = hashKeys(row, 1, hashes)
+					ids = one.FindOrInsert(row, hashes, nil, ids)
+					if p := unsafe.SliceData(one.slots); p != at {
+						at, relays = p, relays+1
+					}
+				}
+			}
+			if bound := 2*bits.Len(uint(one.Len())) + 4; relays > bound {
+				t.Fatalf("%d keys inserted one at a time re-laid the table %d times, bound %d", one.Len(), relays, bound)
+			}
+		})
+	}
+	// Four probers share one dense table, each with its own scratch.
+	rng := rand.New(rand.NewSource(propSeed(t)))
+	kt := NewKeyTable()
+	ref := checkKeyTable(t, rng, kt, false, keyStreams()[4].batches(rng), nil)
+	if kt.dtag == 0 {
+		t.Fatal("the random-span stream did not go dense")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			probe := keyStreams()[4].batches(rand.New(rand.NewSource(int64(w))))
+			var hashes []uint64
+			var ids []uint32
+			for _, vecs := range probe {
+				// A dense table reads only the count of the hashes.
+				hashes = growTo(hashes[:0], vecs[0].Len())
+				ids = kt.Find(vecs, hashes, nil, ids)
+				for r, id := range ids {
+					want, ok := ref[rowKey(vecs, r)]
+					if !ok {
+						want = NoID
+					}
+					if id != want {
+						t.Errorf("prober %d row %d: id %d, want %d", w, r, id, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestKeyTableZeroColumnsAndEmpty covers the scalar-aggregate table and
@@ -149,7 +315,7 @@ func TestKeyTableZeroColumnsAndEmpty(t *testing.T) {
 	kt := NewKeyTable()
 	one := []*types.Vector{types.NewVector(types.Int64, 1)}
 	one[0].Append(types.NewInt(7))
-	if ids := kt.Find(one, kt.Hash(one, 1, nil), nil, nil); ids[0] != NoID {
+	if ids := kt.Find(one, hashKeys(one, 1, nil), nil, nil); ids[0] != NoID {
 		t.Errorf("Find on an empty table = %d, want NoID", ids[0])
 	}
 	if ids := kt.Find(nil, make([]uint64, 2), nil, nil); ids[0] != NoID || ids[1] != NoID {
@@ -306,18 +472,26 @@ func TestSpilledJoinAllocationGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkKeyTable times the table alone, per row: insert (every key new),
-// hit (every key resident) and miss (no key resident) over a single Int64
-// key, an (Int64, Int64, String) composite and a single String key.
+// BenchmarkKeyTable times the table alone, per row: insert (a fresh table
+// takes every row), hit (every key resident) and miss (no key resident).
+// The first three shapes are 64k distinct keys: a single Int64 (strided, so
+// hashed), an (Int64, Int64, String) composite and a single String. The
+// last three are the pinned workloads' integer keys: a co-located join
+// build of 25k keys over a 100k span, probed by 50k rows of that span
+// (dense); a GROUP BY over a 25k domain, 64k rows in random order (dense
+// once it has grown); and a grace partition's 3k sparse keys (hashed). The
+// join shapes size their table for its keys first, as HashJoin does.
 func BenchmarkKeyTable(b *testing.B) {
-	const rows, batch = 1 << 16, 1024
-	ints := func(off int) *types.Vector {
-		v := types.NewVector(types.Int64, rows)
-		for i := 0; i < rows; i++ {
-			v.Append(types.NewInt(int64(off + i*7)))
+	const rows = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	vec := func(n int, key func(i int) int64) *types.Vector {
+		v := types.NewVector(types.Int64, n)
+		for i := 0; i < n; i++ {
+			v.Append(types.NewInt(key(i)))
 		}
 		return v
 	}
+	ints := func(off int) *types.Vector { return vec(rows, func(i int) int64 { return int64(off + i*7) }) }
 	strs := func(prefix string) *types.Vector {
 		v := types.NewVector(types.String, rows)
 		for i := 0; i < rows; i++ {
@@ -325,22 +499,30 @@ func BenchmarkKeyTable(b *testing.B) {
 		}
 		return v
 	}
+	colo := rng.Perm(100_000)
+	sparse := func(int) int64 { return rng.Int63() }
 	shapes := []struct {
-		name       string
-		keys, miss []*types.Vector
+		name            string
+		keys, hit, miss []*types.Vector
+		sized           bool // sized for its keys first, as a join build is
 	}{
-		{"int64", []*types.Vector{ints(0)}, []*types.Vector{ints(1)}},
-		{"composite", []*types.Vector{ints(0), ints(3), strs("k")}, []*types.Vector{ints(1), ints(3), strs("k")}},
-		{"string", []*types.Vector{strs("k")}, []*types.Vector{strs("m")}},
+		{"int64", []*types.Vector{ints(0)}, nil, []*types.Vector{ints(1)}, false},
+		{"composite", []*types.Vector{ints(0), ints(3), strs("k")}, nil, []*types.Vector{ints(1), ints(3), strs("k")}, false},
+		{"string", []*types.Vector{strs("k")}, nil, []*types.Vector{strs("m")}, false},
+		{"colo", []*types.Vector{vec(25_000, func(i int) int64 { return int64(colo[i]) })},
+			[]*types.Vector{vec(50_000, func(int) int64 { return rng.Int63n(100_000) })}, nil, true},
+		{"group", []*types.Vector{vec(rows, func(int) int64 { return rng.Int63n(25_000) })}, nil, nil, false},
+		{"grace", []*types.Vector{vec(3_000, sparse)}, nil, []*types.Vector{vec(3_000, sparse)}, true},
 	}
 	// run feeds vecs through the table in batches.
 	run := func(kt *KeyTable, vecs []*types.Vector, insert bool, hashes []uint64, ids []uint32) ([]uint64, []uint32) {
 		part := make([]*types.Vector, len(vecs))
-		for lo := 0; lo < rows; lo += batch {
+		for lo, n := 0, vecs[0].Len(); lo < n; lo += BatchSize {
+			hi := min(lo+BatchSize, n)
 			for c, v := range vecs {
-				part[c] = v.Slice(lo, lo+batch)
+				part[c] = v.Slice(lo, hi)
 			}
-			hashes = kt.Hash(part, batch, hashes)
+			hashes = hashKeys(part, hi-lo, hashes)
 			if insert {
 				ids = kt.FindOrInsert(part, hashes, nil, ids)
 			} else {
@@ -350,26 +532,37 @@ func BenchmarkKeyTable(b *testing.B) {
 		return hashes, ids
 	}
 	for _, sh := range shapes {
-		for _, op := range []string{"insert", "hit", "miss"} {
+		if sh.hit == nil {
+			sh.hit = sh.keys
+		}
+		for op, vecs := range [][]*types.Vector{sh.keys, sh.hit, sh.miss} {
+			op := []string{"insert", "hit", "miss"}[op]
+			if vecs == nil {
+				continue
+			}
+			newTable := func() *KeyTable {
+				kt := NewKeyTable()
+				if sh.sized {
+					kt.relay(sh.keys[0].Len(), keySpan{}.addKeys(sh.keys, nil), 1)
+				}
+				return kt
+			}
 			b.Run(sh.name+"/"+op, func(b *testing.B) {
-				full := NewKeyTable()
+				full := newTable()
 				hashes, ids := run(full, sh.keys, true, nil, nil)
 				var ms0, ms1 runtime.MemStats
 				runtime.ReadMemStats(&ms0)
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
-					switch op {
-					case "insert":
-						hashes, ids = run(NewKeyTable(), sh.keys, true, hashes, ids)
-					case "hit":
-						hashes, ids = run(full, sh.keys, false, hashes, ids)
-					default:
-						hashes, ids = run(full, sh.miss, false, hashes, ids)
+					if op == "insert" {
+						hashes, ids = run(newTable(), vecs, true, hashes, ids)
+					} else {
+						hashes, ids = run(full, vecs, false, hashes, ids)
 					}
 				}
 				elapsed := time.Since(start)
 				runtime.ReadMemStats(&ms1)
-				n := float64(b.N) * rows
+				n := float64(b.N) * float64(vecs[0].Len())
 				b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/row")
 				b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/n, "B/row")
 				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/n, "allocs/row")

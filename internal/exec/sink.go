@@ -283,7 +283,7 @@ func NewDeduper(mc *MemContext) *Deduper {
 // Select returns the positions of b's rows not seen before, in order.
 func (d *Deduper) Select(b *Batch) []int {
 	next := uint32(d.seen.Len())
-	d.hashes = d.seen.Hash(b.Cols, b.N, d.hashes)
+	d.hashes = hashKeys(b.Cols, b.N, d.hashes)
 	d.ids = d.seen.FindOrInsert(b.Cols, d.hashes, nil, d.ids)
 	var sel []int
 	for r, id := range d.ids {

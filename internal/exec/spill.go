@@ -306,10 +306,8 @@ func (sf *scratchFile) writeFrame(b *Batch) (extent, error) {
 
 // readFrame reads the frame at e back as a pooled batch the caller owns.
 func (sf *scratchFile) readFrame(e extent) (*Batch, error) {
-	if cap(sf.buf) < e.len {
-		sf.buf = make([]byte, e.len)
-	}
-	buf := sf.buf[:e.len]
+	sf.buf = growTo(sf.buf[:0], e.len)
+	buf := sf.buf
 	if _, err := sf.f.ReadAt(buf, e.off); err != nil {
 		return nil, fmt.Errorf("spill read %s: %w", filepath.Base(sf.name), err)
 	}

@@ -244,6 +244,10 @@ func TestPropGraceJoinMatchesInMemory(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				// As a query does: the table is built, and may spill, here.
+				if err := gov.FinishBuild(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 				if buildBytes > 2*limit && !gov.Spilled() {
 					t.Fatalf("%d-byte build side never spilled a %d-byte grant", buildBytes, limit)
 				}

@@ -12,8 +12,8 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Precision is the number of index bits; 2^Precision registers.
@@ -48,31 +48,31 @@ func (s *Sketch) AddHash(h uint64) {
 	h = fmix64(h)
 	idx := h >> (64 - Precision)
 	rest := h<<Precision | 1<<(Precision-1) // guarantee a set bit
-	rank := uint8(1)
-	for rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
-	if rank > s.reg[idx] {
+	if rank := uint8(bits.LeadingZeros64(rest) + 1); rank > s.reg[idx] {
 		s.reg[idx] = rank
 	}
 }
 
-// AddBytes hashes and folds a byte string.
-func (s *Sketch) AddBytes(b []byte) {
-	h := fnv.New64a()
-	h.Write(b)
-	s.AddHash(h.Sum64())
+// fnv64a is FNV-1a over b, in place: the sum hash/fnv's New64a returns.
+func fnv64a[B string | []byte](b B) uint64 {
+	h := uint64(14695981039346656037) // the offset basis
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211 // the prime
+	}
+	return h
 }
 
-// AddString hashes and folds a string.
-func (s *Sketch) AddString(v string) { s.AddBytes([]byte(v)) }
+// AddBytes hashes and folds a byte string.
+func (s *Sketch) AddBytes(b []byte) { s.AddHash(fnv64a(b)) }
 
-// AddInt64 hashes and folds an integer.
+// AddString hashes and folds a string.
+func (s *Sketch) AddString(v string) { s.AddHash(fnv64a(v)) }
+
+// AddInt64 hashes and folds an integer's 8 little-endian bytes.
 func (s *Sketch) AddInt64(v int64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	s.AddBytes(b[:])
+	s.AddHash(fnv64a(b[:]))
 }
 
 // Merge folds other into s (register-wise max). Sketches must have been

@@ -1,8 +1,12 @@
 package hll
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -114,5 +118,43 @@ func BenchmarkAddInt64(b *testing.B) {
 	s := New()
 	for i := 0; i < b.N; i++ {
 		s.AddInt64(int64(i))
+	}
+}
+
+// TestSketchRegistersUnchanged holds the in-place hashing to the registers
+// hash/fnv's New64a and a bit-at-a-time rank produce: catalog backups store
+// registers, so the same values must always set the same ones.
+func TestSketchRegistersUnchanged(t *testing.T) {
+	oracle := func(s *Sketch, b []byte) {
+		f := fnv.New64a()
+		f.Write(b)
+		h := fmix64(f.Sum64())
+		idx := h >> (64 - Precision)
+		rest := h<<Precision | 1<<(Precision-1)
+		rank := uint8(1)
+		for rest&(1<<63) == 0 {
+			rank++
+			rest <<= 1
+		}
+		s.reg[idx] = max(s.reg[idx], rank)
+	}
+	got, want := New(), New()
+	rng := rand.New(rand.NewSource(1))
+	ints := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	for i := 0; i < 1<<16; i++ {
+		ints = append(ints, rng.Int63()-rng.Int63(), int64(rng.Intn(1<<20)))
+	}
+	for _, v := range ints {
+		got.AddInt64(v)
+		oracle(want, binary.LittleEndian.AppendUint64(nil, uint64(v)))
+	}
+	for _, v := range []string{"", "a", "ab", "héllo", "日本語", "\x00", "\xff\xfe", strings.Repeat("x", 1000)} {
+		got.AddString(v)
+		got.AddBytes([]byte(v + "!"))
+		oracle(want, []byte(v))
+		oracle(want, []byte(v+"!"))
+	}
+	if *got != *want {
+		t.Fatalf("registers differ from the FNV oracle: estimate %d vs %d", got.Estimate(), want.Estimate())
 	}
 }

@@ -50,6 +50,9 @@ type Stats struct {
 	EncodingsSet bool
 	// BytesWritten is the encoded size of the segments registered.
 	BytesWritten int64
+	// Delta is what the write adds to the table's statistics, for the caller
+	// to publish once the write commits; nil when it adds nothing.
+	Delta *catalog.TableStats
 }
 
 // Columns is a run of rows held column-wise: one vector per table column,
@@ -111,8 +114,8 @@ func Run(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *cat
 // distributes the sources' rows (sources in the order given, rows in each
 // source's), sorts and encodes each slice's share together with the small
 // runs it folds (see write), installs each slice's new run in their place
-// and updates the statistics. Of the Stats it fills in Rows, Segments,
-// BytesWritten and EncodingsSet.
+// and computes the statistics delta. Of the Stats it fills in Rows,
+// Segments, BytesWritten, EncodingsSet and Delta.
 func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	sources []Columns, opts Options, xid int64, trace *telemetry.Span) (stats Stats, err error) {
 
@@ -171,7 +174,7 @@ func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 		delta.UnsortedRows = unsorted
 		span.Add("rows", int64(total))
 		span.End()
-		return stats, cat.UpdateStats(def.ID, delta)
+		stats.Delta = &delta
 	}
 	return stats, nil
 }

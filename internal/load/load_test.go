@@ -76,15 +76,27 @@ func countRows(t *testing.T, c *cluster.Cluster, tableID int64) int {
 	return total
 }
 
+// committed publishes a write's statistics delta as the database does once
+// the write commits, failing the test on the write's error.
+func committed(t *testing.T, cat *catalog.Catalog, def *catalog.TableDef) func(Stats, error) Stats {
+	return func(st Stats, err error) Stats {
+		t.Helper()
+		if err == nil && st.Delta != nil {
+			err = cat.UpdateStats(def.ID, *st.Delta)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+}
+
 func TestCopyCSVBasic(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "lake/", 500, 4)
 
-	stats, err := Run(context.Background(), c, cat, def, store, "lake/", Options{}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := committed(t, cat, def)(Run(context.Background(), c, cat, def, store, "lake/", Options{}, 1, nil))
 	if stats.Rows != 500 || stats.Objects != 4 || stats.Segments == 0 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -180,10 +192,7 @@ func TestCopyJSON(t *testing.T) {
 {"ts": 2, "USER_ID": 8, "action": null}
 {"ts": 3, "user_id": 9, "action": "buy", "amount": 2}`
 	store.Put("j/1.json", []byte(lines))
-	stats, err := Run(context.Background(), c, cat, def, store, "j/", Options{Format: "JSON"}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := committed(t, cat, def)(Run(context.Background(), c, cat, def, store, "j/", Options{Format: "JSON"}, 1, nil))
 	if stats.Rows != 3 {
 		t.Errorf("rows = %d", stats.Rows)
 	}
@@ -265,10 +274,7 @@ func TestCompUpdateKnob(t *testing.T) {
 	def := eventsTable(t, cat, catalog.SortNone, nil)
 	putCSV(t, store, "a/", 100, 1)
 	off := false
-	stats, err := Run(context.Background(), c, cat, def, store, "a/", Options{CompUpdate: &off}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := committed(t, cat, def)(Run(context.Background(), c, cat, def, store, "a/", Options{CompUpdate: &off}, 1, nil))
 	if stats.EncodingsSet {
 		t.Error("COMPUPDATE OFF still set encodings")
 	}
@@ -294,10 +300,11 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	c, cat, store := env(t)
 	def := eventsTable(t, cat, catalog.SortCompound, []int{0})
 	putCSV(t, store, "a/", 200, 1)
-	Run(context.Background(), c, cat, def, store, "a/", Options{}, 1, nil)
+	commit := committed(t, cat, def)
+	commit(Run(context.Background(), c, cat, def, store, "a/", Options{}, 1, nil))
 	// Second load: rows counted as unsorted (new sorted run).
 	putCSV(t, store, "b/", 100, 1)
-	Run(context.Background(), c, cat, def, store, "b/", Options{}, 2, nil)
+	commit(Run(context.Background(), c, cat, def, store, "b/", Options{}, 2, nil))
 	ts, _ := cat.Stats(def.ID)
 	if ts.Rows != 300 || ts.UnsortedRows != 100 {
 		t.Errorf("stats = rows %d unsorted %d", ts.Rows, ts.UnsortedRows)
@@ -305,7 +312,7 @@ func TestStatUpdateKnobAndUnsortedTracking(t *testing.T) {
 	// STATUPDATE OFF skips.
 	off := false
 	putCSV(t, store, "cc/", 50, 1)
-	Run(context.Background(), c, cat, def, store, "cc/", Options{StatUpdate: &off}, 3, nil)
+	commit(Run(context.Background(), c, cat, def, store, "cc/", Options{StatUpdate: &off}, 3, nil))
 	ts2, _ := cat.Stats(def.ID)
 	if ts2.Rows != 300 {
 		t.Errorf("STATUPDATE OFF still updated: %d", ts2.Rows)
@@ -324,17 +331,14 @@ func TestAppendEmptyAndDistAll(t *testing.T) {
 		DistKeyCol: -1,
 	}
 	cat.Create(def)
-	if _, err := Append(c, cat, def, []Columns{NewColumns(def, 0)}, Options{}, 1, nil); err != nil {
-		t.Fatal(err)
-	}
+	commit := committed(t, cat, def)
+	commit(Append(c, cat, def, []Columns{NewColumns(def, 0)}, Options{}, 1, nil))
 	cols := NewColumns(def, 2)
 	for i, name := range []string{"a", "b"} {
 		cols[0].Append(types.NewInt(int64(i + 1)))
 		cols[1].Append(types.NewString(name))
 	}
-	if _, err := Append(c, cat, def, []Columns{cols}, Options{}, 1, nil); err != nil {
-		t.Fatal(err)
-	}
+	commit(Append(c, cat, def, []Columns{cols}, Options{}, 1, nil))
 	// DistAll: every node holds a full copy → rows×nodes total.
 	if got := countRows(t, c, def.ID); got != 2*c.NumNodes() {
 		t.Errorf("DistAll rows = %d, want %d", got, 2*c.NumNodes())

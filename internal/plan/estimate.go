@@ -346,7 +346,7 @@ func estRowBytes(scan *TableScan) float64 {
 // bytes (payload plus hash-table overhead, across every concurrently
 // building slice) and the rows one slice's build is expected to hold. The
 // executor compares the demand against the query's grant to spill
-// preemptively — and presizes the hash table — instead of guess-building.
+// preemptively instead of guess-building.
 // Returns (0, 0) when the build side's cardinality is unknown.
 func (ph *Physical) BuildDemand(ji, nslices int) (totalBytes, perSliceRows int64) {
 	if ji < 0 || ji >= len(ph.Joins) || nslices <= 0 {
