@@ -39,7 +39,9 @@ test: build
 # statistics: a cancelled write's delta must never reach the catalog its
 # readers plan from. The key table's dense layout repeats ten: four
 # goroutines Find on one dense table, whose lookups share its slots with
-# no lock.
+# no lock. So does ANALYZE's block-scan differential: every slice seals its
+# run and the run's statistics concurrently, merging the statistics of runs
+# other writes installed, which must never be written again.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -57,6 +59,7 @@ race:
 	$(GO) test -race -count=20 -run TestInsertFoldBounds ./internal/core
 	$(GO) test -race -count=20 -run TestWriteRollbackLeavesStats ./internal/core
 	$(GO) test -race -count=10 -run TestKeyTableDenseLayout ./internal/exec
+	$(GO) test -race -count=10 -run TestAnalyzeMatchesBlockScan ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and

@@ -45,6 +45,9 @@ type SegmentMeta struct {
 	Xid    int64
 	// Cols[c] is column c's block chain.
 	Cols [][]BlockMeta
+	// Stats are the statistics the segment keeps of its rows, restored with
+	// it so that ANALYZE after a restore pages in no block.
+	Stats catalog.TableStats
 }
 
 // TableMeta groups a table's segments.
@@ -157,6 +160,7 @@ func (m *Manager) Backup(c *cluster.Cluster, cat *catalog.Catalog, xid int64, id
 					Sorted: seg.Sorted,
 					Xid:    xid,
 					Cols:   make([][]BlockMeta, len(seg.Cols)),
+					Stats:  seg.Stats,
 				}
 				for col, chain := range seg.Cols {
 					for _, b := range chain {
@@ -335,6 +339,7 @@ func (m *Manager) RestoreMetadata(id string, c *cluster.Cluster) (cat *catalog.C
 					Schema: schema,
 					Sorted: sm.Sorted,
 					Cols:   make([][]*storage.Block, len(sm.Cols)),
+					Stats:  sm.Stats,
 				}
 				for col, chain := range sm.Cols {
 					for _, bm := range chain {

@@ -803,8 +803,8 @@ func (db *Database) ReplaceTable(name string, sources []load.Columns) error {
 	})
 }
 
-// runAnalyze refreshes statistics. A cancelled ctx stops it between tables
-// and between slices; a table's statistics are replaced whole or not at all.
+// runAnalyze refreshes statistics. A cancelled ctx stops it between tables;
+// a table's statistics are replaced whole or not at all.
 func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze) (*Result, error) {
 	defs, err := db.maintenanceTargets(s.Table)
 	if err != nil {
@@ -821,48 +821,24 @@ func (db *Database) runAnalyze(ctx context.Context, run *stmtRun, s *sql.Analyze
 			return nil, err
 		}
 		run.enter(telemetry.StageExec)
-		// Streaming: each slice folds its segments into one builder, one
-		// decoded block at a time and slices in parallel, so ANALYZE's memory
-		// is bounded by a block per slice regardless of table size. The
-		// slices' sketches then union register by register, and the catalog
-		// estimates each column's NDV once, as it publishes the result. A
-		// replicated table is scanned on one node only, which yields logical
-		// counters directly (Rows, NullCount, UnsortedRows) instead of
-		// replica-multiplied ones that then need dividing.
+		// Every run keeps the statistics of the write that sealed it, so a
+		// table's are the merge of its visible runs': no block is read and
+		// no value hashed, and the catalog estimates each column's NDV once,
+		// as it publishes the result. A replicated table is read on one node
+		// only, which yields logical counters directly (Rows, NullCount,
+		// UnsortedRows) instead of replica-multiplied ones.
 		span := run.rec.Trace.StartChild("stats")
-		bySlice := view.tableSegments(def)
-		parts := make([]catalog.TableStats, len(bySlice))
-		err := db.cl.EachSlice(func(sl int) error {
-			if sl >= len(bySlice) {
-				return nil
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sb := load.NewStatsBuilder(len(def.Columns))
-			if err := load.EachBlock(bySlice[sl], db.cl.FetchBlock, sb.Fold); err != nil {
-				return err
-			}
-			var unsorted int64
-			for si, seg := range bySlice[sl] {
+		stats := catalog.TableStats{Cols: make([]catalog.ColumnStats, len(def.Columns))}
+		for _, segs := range view.tableSegments(def) {
+			for si, seg := range segs {
+				stats.Merge(seg.Stats)
 				if si > 0 || !seg.Sorted {
 					// Everything beyond the slice's first sorted run is
 					// unsorted work for VACUUM, same bookkeeping the
 					// incremental COPY path maintains.
-					unsorted += int64(seg.Rows)
+					stats.UnsortedRows += int64(seg.Rows)
 				}
-				span.Add("bytes", seg.ByteSize())
 			}
-			parts[sl] = sb.Stats()
-			parts[sl].UnsortedRows = unsorted
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		stats := parts[0]
-		for _, part := range parts[1:] {
-			stats.Merge(part)
 		}
 		span.Add("rows", stats.Rows)
 		span.End()

@@ -534,8 +534,7 @@ func (q *queryRun) buildJoin(ctx context.Context, sl, ji int) (*exec.HashJoin, e
 		return nil, err
 	}
 	join.SetMemory(q.memCtx(pj.Probe))
-	demand, _ := q.ph.BuildDemand(ji, q.numSlices())
-	join.SetSizeHint(demand)
+	join.SetSizeHint(q.ph.BuildDemand(ji, q.numSlices()))
 	join.SetBuildWorkers(q.dop)
 
 	var p *exec.Pipeline

@@ -84,6 +84,9 @@ func slotsFor(n int) int { return max(16, 1<<bits.Len(uint(2*max(n, 1)-1))) }
 // in the middle of the window. The span then grows by half before the next
 // re-lay, so n inserts re-lay a table O(log n) times.
 func (t *KeyTable) relay(n int, s keySpan, room uint64) {
+	if room == 1 && s.tag != spanMixed { // a join's integer keys, none inserted yet: the arrays sized once
+		t.hashes, t.fkeys, t.ftags = make([]uint64, 0, n), make([]uint64, 0, n), make([]uint8, 0, n)
+	}
 	budget := uint64(2 * slotsFor(n))
 	for id := 0; id < len(t.fkeys) && s.tag != spanMixed && uint64(s.hi-s.lo) < budget; id++ {
 		s = s.add(t.fkeys[id], t.ftags[id])

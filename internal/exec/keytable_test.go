@@ -415,6 +415,39 @@ func TestHashKernelsAllocationGuard(t *testing.T) {
 	}
 }
 
+// TestJoinKeyTableSizedOnce: a join sizes its key table once for its rows,
+// ids' arrays included, so inserting 25k distinct integer keys spread over a
+// 100k range (BenchmarkKeyTable's colo) allocates the dense window and one
+// array each: about 33 bytes a key. Arrays left to grow by append would be
+// copied at every growth, about 91 bytes a key.
+func TestJoinKeyTableSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	keys := types.NewVector(types.Int64, 25_000)
+	for _, k := range rand.New(rand.NewSource(7)).Perm(100_000)[:25_000] {
+		keys.Append(types.NewInt(int64(k)))
+	}
+	var hashes []uint64
+	var ids []uint32
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	kt := NewKeyTable()
+	kt.relay(keys.Len(), keySpan{}.addKeys([]*types.Vector{keys}, nil), 1)
+	for lo := 0; lo < keys.Len(); lo += BatchSize {
+		part := []*types.Vector{keys.Slice(lo, min(lo+BatchSize, keys.Len()))}
+		hashes = hashKeys(part, part[0].Len(), hashes)
+		ids = kt.FindOrInsert(part, hashes, nil, ids)
+	}
+	runtime.ReadMemStats(&ms1)
+	if kt.dtag == 0 || kt.Len() != keys.Len() {
+		t.Fatalf("table holds %d keys, dense %v", kt.Len(), kt.dtag != 0)
+	}
+	if perKey := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(keys.Len()); perKey > 40 {
+		t.Errorf("sizing and filling the table allocated %.1f B a key, want ≤ 40", perKey)
+	}
+}
+
 // TestSpilledJoinAllocationGuard is the same guard over the grace join: to
 // partition both sides to scratch and replay every partition pair allocates
 // per batch and per frame — under 0.1 allocations per probe row, the scratch

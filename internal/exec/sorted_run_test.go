@@ -241,7 +241,7 @@ func writeSortedRunSegment(t *testing.T, cl *cluster.Cluster, cat *catalog.Catal
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := w.Write(0, []load.Chunk{{Cols: cols}}, false)
+	seg, _, err := w.Write(0, []load.Chunk{{Cols: cols}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ const Precision = 12
 
 const m = 1 << Precision
 
-// Sketch is a HyperLogLog cardinality estimator. The zero value is NOT
-// ready; use New.
+// Sketch is a HyperLogLog cardinality estimator. The zero value is an
+// empty sketch.
 type Sketch struct {
 	reg [m]uint8
 }
@@ -76,12 +76,16 @@ func (s *Sketch) AddInt64(v int64) {
 }
 
 // Merge folds other into s (register-wise max). Sketches must have been
-// built with the same Precision, which the type guarantees.
+// built with the same Precision, which the type guarantees. It takes eight
+// registers at a time: a rank is below 128, so setting each byte's top bit
+// of a word before subtracting the other's leaves that bit set exactly
+// where a's register is at least b's, with no borrow between bytes.
 func (s *Sketch) Merge(other *Sketch) {
-	for i, r := range other.reg {
-		if r > s.reg[i] {
-			s.reg[i] = r
-		}
+	const top = 0x8080808080808080
+	for i := 0; i < m; i += 8 {
+		a, b := binary.LittleEndian.Uint64(s.reg[i:]), binary.LittleEndian.Uint64(other.reg[i:])
+		ge := (((a | top) - b) & top) >> 7 * 0xFF
+		binary.LittleEndian.PutUint64(s.reg[i:], a&ge|b&^ge)
 	}
 }
 

@@ -91,6 +91,30 @@ func TestMergeCommutative(t *testing.T) {
 	}
 }
 
+// Merge takes the register-wise maximum eight registers at a time; a
+// register-by-register maximum is its oracle, over random registers of every
+// rank a hash can give (0 to 64 − Precision + 1) and their extremes side by
+// side.
+func TestMergeMatchesRegisterMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 200; k++ {
+		s, o := New(), New()
+		for i := range s.reg {
+			s.reg[i], o.reg[i] = uint8(rng.Intn(66-Precision)), uint8(rng.Intn(66-Precision))
+			if k%2 == 0 && i%3 == 0 {
+				s.reg[i], o.reg[i] = 0, 64-Precision+1
+			}
+		}
+		want := *s
+		for i, r := range o.reg {
+			want.reg[i] = max(want.reg[i], r)
+		}
+		if s.Merge(o); *s != want {
+			t.Fatalf("case %d: Merge differs from the register-by-register maximum", k)
+		}
+	}
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	s := New()
 	for i := 0; i < 12345; i++ {

@@ -8,9 +8,10 @@
 // Distribution follows the table's DISTSTYLE; local sort follows its
 // SORTKEY — compound lexicographic or interleaved z-order.
 //
-// It is the one write path (DESIGN.md "Write path"): COPY, INSERT, VACUUM
-// and ANALYZE all move Columns — typed column vectors — from their source to
-// the SegmentWriter and the StatsBuilder, never a boxed row.
+// It is the one write path (DESIGN.md "Write path"): COPY, INSERT and VACUUM
+// all move Columns — typed column vectors — from their source to the
+// SegmentWriter, never a boxed row; each run it seals keeps its statistics,
+// which ANALYZE merges.
 package load
 
 import (
@@ -114,8 +115,8 @@ func Run(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *cat
 // distributes the sources' rows (sources in the order given, rows in each
 // source's), sorts and encodes each slice's share together with the small
 // runs it folds (see write), installs each slice's new run in their place
-// and computes the statistics delta. Of the Stats it fills in Rows,
-// Segments, BytesWritten, EncodingsSet and Delta.
+// and merges the statistics delta from the slices' shares. Of the Stats it
+// fills in Rows, Segments, BytesWritten, EncodingsSet and Delta.
 func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	sources []Columns, opts Options, xid int64, trace *telemetry.Span) (stats Stats, err error) {
 
@@ -150,7 +151,7 @@ func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	}
 
 	// Distribute per DISTSTYLE, then sort and encode each slice's share.
-	parts := distribute(c, def, sources, total)
+	shares := distribute(c, def, sources, total)
 	for ci, col := range def.Columns {
 		for _, cols := range sources {
 			if col.NotNull && cols[ci].HasNulls() {
@@ -158,21 +159,25 @@ func Append(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 			}
 		}
 	}
-	unsorted, err := write(context.Background(), c, cat, def, sources, parts, xid, trace, start, &stats)
+	parts, unsorted, err := write(context.Background(), c, cat, def, sources, shares, xid, trace, start, &stats)
 	if err != nil {
 		return stats, err
 	}
 
-	// Statistics update with load (§2.1), unless disabled.
+	// Statistics update with load (§2.1), unless disabled: the merge of the
+	// slices' shares' statistics, which write hashed — on the first node's
+	// slices only for DISTSTYLE ALL. The delta's sketches are its own: a run
+	// whose statistics are its share's shares theirs.
 	if opts.StatUpdate == nil || *opts.StatUpdate {
 		span := trace.StartChild("stats")
-		sb := NewStatsBuilder(len(def.Columns))
-		for _, cols := range sources {
-			sb.Fold(cols)
-		}
-		delta := sb.Stats()
+		delta := NewStatsBuilder(len(def.Columns)).stats
 		delta.UnsortedRows = unsorted
-		span.Add("rows", int64(total))
+		for _, part := range parts {
+			if delta.Merge(part); def.DistStyle == catalog.DistAll {
+				break // slice 0 holds the first node's copy
+			}
+		}
+		span.Add("rows", delta.Rows)
 		span.End()
 		stats.Delta = &delta
 	}

@@ -10,18 +10,21 @@ import (
 )
 
 // StatsBuilder folds runs of rows, column vector by column vector, into
-// table statistics — shared by the statistics a load updates and ANALYZE.
+// table statistics: those of a write's share of a slice, which become its
+// new run's and the write's delta.
 // Each column carries its HLL sketch, so later Merges union registers
 // losslessly instead of falling back to max-NDV lower bounds; the NDV is
 // estimated where the catalog publishes the result. Per-column width sums
 // feed the cost model's row-width estimates.
 type StatsBuilder struct{ stats catalog.TableStats }
 
-// NewStatsBuilder starts the statistics of a table of ncols columns.
+// NewStatsBuilder starts the statistics of a table of ncols columns, with
+// an empty sketch of its own per column: those Merge unions into.
 func NewStatsBuilder(ncols int) *StatsBuilder {
 	s := &StatsBuilder{catalog.TableStats{Cols: make([]catalog.ColumnStats, ncols)}}
+	sketches := make([]hll.Sketch, ncols) // one allocation for all
 	for i := range s.stats.Cols {
-		s.stats.Cols[i].Sketch = hll.New()
+		s.stats.Cols[i].Sketch = &sketches[i]
 	}
 	return s
 }
@@ -30,24 +33,30 @@ func NewStatsBuilder(ncols int) *StatsBuilder {
 func (s *StatsBuilder) Fold(cols Columns) {
 	s.stats.Rows += int64(cols.Rows())
 	for c, v := range cols {
-		cs := &s.stats.Cols[c]
-		nulls := int64(v.NullCount())
-		cs.NullCount += nulls
-		if v.T != types.String {
-			cs.WidthSum += 8 * (int64(v.Len()) - nulls)
-		}
-		widen(&cs.Min, &cs.Max, v)
-		switch v.T {
-		case types.String:
-			each(v.Strs, v.Nulls, func(x string) {
-				cs.WidthSum += int64(len(x))
-				cs.Sketch.AddString(x)
-			})
-		case types.Float64:
-			each(v.Floats, v.Nulls, func(x float64) { cs.Sketch.AddInt64(floatKey(x)) })
-		default:
-			each(v.Ints, v.Nulls, cs.Sketch.AddInt64)
-		}
+		s.foldColumn(c, v)
+	}
+}
+
+// foldColumn adds the values of column c of a run of rows; the rows are
+// the caller's to count.
+func (s *StatsBuilder) foldColumn(c int, v *types.Vector) {
+	cs := &s.stats.Cols[c]
+	nulls := int64(v.NullCount())
+	cs.NullCount += nulls
+	if v.T != types.String {
+		cs.WidthSum += 8 * (int64(v.Len()) - nulls)
+	}
+	widen(&cs.Min, &cs.Max, v)
+	switch v.T {
+	case types.String:
+		each(v.Strs, v.Nulls, func(x string) {
+			cs.WidthSum += int64(len(x))
+			cs.Sketch.AddString(x)
+		})
+	case types.Float64:
+		each(v.Floats, v.Nulls, func(x float64) { cs.Sketch.AddInt64(floatKey(x)) })
+	default:
+		each(v.Ints, v.Nulls, cs.Sketch.AddInt64)
 	}
 }
 

@@ -21,10 +21,12 @@ import (
 // new segment: the only place segments are built, for loads and VACUUM. One
 // writer serves every slice of the write, concurrently.
 type SegmentWriter struct {
-	def  *catalog.TableDef
-	encs []compress.Encoding
-	cap  int
-	xid  int64
+	def    *catalog.TableDef
+	schema types.Schema // def's, built once for every slice's segment
+	encs   []compress.Encoding
+	cap    int
+	xid    int64
+	fetch  func(*storage.Block) error // pages in a folded run's block
 	// Interleaved sort key: the z-curve, and the value ranges its
 	// coordinates are scaled to — nil to take them from each slice's rows.
 	curve *zorder.Curve
@@ -46,7 +48,7 @@ func NewSegmentWriter(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.Tab
 	if err != nil {
 		return nil, err
 	}
-	w := &SegmentWriter{def: def, encs: encs, cap: c.Config().BlockCap, xid: xid}
+	w := &SegmentWriter{def: def, schema: def.Schema(), encs: encs, cap: c.Config().BlockCap, xid: xid, fetch: c.FetchBlock}
 	switch def.SortStyle {
 	case catalog.SortNone, catalog.SortCompound:
 	case catalog.SortInterleaved:
@@ -64,16 +66,25 @@ func NewSegmentWriter(c *cluster.Cluster, cat *catalog.Catalog, def *catalog.Tab
 	return w, nil
 }
 
-// Write builds the slice's segment from its chunks, whose rows in chunk
-// order are the slice's rows in arrival order: it finds the local sort order
-// once from the key columns, and then assembles, permutes and seals one
-// column at a time, so that beside the chunks only a column or two is ever
-// in flight. own takes an interleaved key's value ranges from the chunks'
-// rows. The segment is numbered by the writing xid: a writer registers at
-// most one segment per table and slice and an xid is handed out once, so a
-// BlockID never names two different contents.
-func (w *SegmentWriter) Write(slice int, chunks []Chunk, own bool) (*storage.Segment, error) {
+// Write builds the slice's new run from the rows of the runs it folds,
+// decoded block by block, then its share of the write: chunks whose rows in
+// chunk order are the share's rows in arrival order. It finds the local sort
+// order once from the key columns, and then assembles, hashes, permutes and
+// seals one column at a time, so that beside the chunks only a column or two
+// is ever in flight. Only the share's rows are hashed into statistics, which
+// Write returns: the run's are the folded runs' merged with them, in run
+// order. A run that folds others takes an interleaved key's value ranges
+// from its own rows. The segment is numbered by the writing xid: a writer
+// registers at most one segment per table and slice and an xid is handed out
+// once, so a BlockID never names two different contents.
+func (w *SegmentWriter) Write(slice int, share []Chunk, folds []*storage.Segment) (*storage.Segment, catalog.TableStats, error) {
 	start := time.Now()
+	var chunks []Chunk
+	if err := EachBlock(folds, w.fetch, func(cols Columns) { chunks = append(chunks, Chunk{Cols: cols}) }); err != nil {
+		return nil, catalog.TableStats{}, err
+	}
+	folded := chunkRows(chunks)
+	chunks = append(chunks, share...)
 	rows := chunkRows(chunks)
 	column := func(c int) *types.Vector {
 		if len(chunks) == 1 && chunks[0].Sel == nil {
@@ -95,45 +106,57 @@ func (w *SegmentWriter) Write(slice int, chunks []Chunk, own bool) (*storage.Seg
 			keys[k] = column(k)
 		}
 	}
-	order := w.order(keys, own)
+	order := w.order(keys, len(folds) > 0)
 
-	b, err := storage.NewBuilder(w.def.ID, int32(slice), int32(w.xid), w.def.Schema(), w.encs, w.cap)
+	b, err := storage.NewBuilder(w.def.ID, int32(slice), int32(w.xid), w.schema, w.encs, w.cap)
 	if err != nil {
-		return nil, err
+		return nil, catalog.TableStats{}, err
 	}
+	sb := NewStatsBuilder(len(w.def.Columns))
+	sb.stats.Rows = int64(rows - folded)
 	var encodeNs time.Duration
 	for c := range w.def.Columns {
 		v := keys[c]
 		if v == nil {
 			v = column(c)
 		}
+		sb.foldColumn(c, v.Slice(folded, rows))
 		if order != nil {
 			v = v.Gather(order)
 		}
 		w.bytesIn.Add(v.ByteSize())
 		t := time.Now()
 		if err := b.Column(c, v); err != nil {
-			return nil, err
+			return nil, catalog.TableStats{}, err
 		}
 		encodeNs += time.Since(t)
 	}
 	seg, err := b.Finish(true)
 	if err != nil {
-		return nil, err
+		return nil, catalog.TableStats{}, err
+	}
+	part := sb.Stats()
+	if seg.Stats = part; len(folds) > 0 {
+		// Sketches of the run's own: the folded runs' are installed, and
+		// Merge writes only into its receiver's.
+		seg.Stats = NewStatsBuilder(len(w.def.Columns)).stats
+		for _, f := range folds {
+			seg.Stats.Merge(f.Stats)
+		}
+		seg.Stats.Merge(part)
 	}
 	w.rows.Add(int64(seg.Rows))
 	w.size.Add(seg.ByteSize())
 	w.encodeNs.Add(int64(encodeNs))
 	w.sortNs.Add(int64(time.Since(start) - encodeNs))
-	return seg, nil
+	return seg, part, nil
 }
 
-// write writes each slice's new run under xid — the rows of the runs it
-// folds, decoded block by block, then the slice's share of the write — and
-// installs it in their place, replicated; all is as NewSegmentWriter's.
-// Once ctx is done no further slice starts. Of the Stats it fills in
-// Segments and BytesWritten; the phases are recorded under trace, from
-// start on.
+// write writes each slice's new run under xid (SegmentWriter.Write) and
+// installs it in place of the runs it folds, replicated; all is as
+// NewSegmentWriter's. Once ctx is done no further slice starts. Of the Stats
+// it fills in Segments and BytesWritten; the phases are recorded under
+// trace, from start on.
 //
 // The runs a share folds make a size-tiered merge capped at one block:
 // walking back from the slice's newest live run, each run is folded that
@@ -148,17 +171,18 @@ func (w *SegmentWriter) Write(slice int, chunks []Chunk, own bool) (*storage.Seg
 // contiguous-prefix snapshot would miss a writer that published past one
 // still unpublished on another table, and drop its rows unread.
 //
+// parts are the statistics of each slice's share (SegmentWriter.Write), and
 // unsorted is the write's change to the table's UnsortedRows, kept what
 // ANALYZE counts — the rows past each slice's first run, on the first
 // node's slices only for DISTSTYLE ALL: a share is unsorted unless its new
 // run becomes the slice's first, which then takes back what the runs it
 // folds had counted.
 func write(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef, all []Columns,
-	shares [][]Chunk, xid int64, trace *telemetry.Span, start time.Time, stats *Stats) (unsorted int64, err error) {
+	shares [][]Chunk, xid int64, trace *telemetry.Span, start time.Time, stats *Stats) (parts []catalog.TableStats, unsorted int64, err error) {
 
 	w, err := NewSegmentWriter(c, cat, def, all, xid)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	folds := make([][]*storage.Segment, c.NumSlices())
 	for s := range folds {
@@ -186,23 +210,19 @@ func write(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *c
 		folds[s] = runs[i:]
 	}
 	segs := make([]*storage.Segment, len(folds))
+	parts = make([]catalog.TableStats, len(folds))
 	err = c.EachSlice(func(s int) (err error) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var chunks []Chunk
-		if err := EachBlock(folds[s], c.FetchBlock, func(cols Columns) { chunks = append(chunks, Chunk{Cols: cols}) }); err != nil {
-			return err
-		}
-		chunks = append(chunks, shares[s]...)
-		if len(chunks) > 0 {
-			segs[s], err = w.Write(s, chunks, len(folds[s]) > 0)
+		if len(folds[s]) > 0 || len(shares[s]) > 0 {
+			segs[s], parts[s], err = w.Write(s, shares[s], folds[s])
 		}
 		return err
 	})
 	w.Record(trace, time.Since(start))
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	replicate := trace.StartChild("replicate")
 	defer replicate.End()
@@ -211,14 +231,14 @@ func write(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *c
 			continue
 		}
 		if err := c.Install(s, seg, folds[s], xid); err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		stats.Segments++
 		stats.BytesWritten += seg.ByteSize()
 		replicate.Add("rows", int64(seg.Rows))
 	}
 	replicate.Add("bytes", stats.BytesWritten)
-	return unsorted, nil
+	return parts, unsorted, nil
 }
 
 // Vacuum rewrites each slice's runs of the table as one sorted run under
@@ -227,7 +247,7 @@ func write(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *c
 func Vacuum(ctx context.Context, c *cluster.Cluster, cat *catalog.Catalog, def *catalog.TableDef,
 	xid int64, trace *telemetry.Span) error {
 
-	_, err := write(ctx, c, cat, def, nil, make([][]Chunk, c.NumSlices()), xid, trace, time.Now(), &Stats{})
+	_, _, err := write(ctx, c, cat, def, nil, make([][]Chunk, c.NumSlices()), xid, trace, time.Now(), &Stats{})
 	return err
 }
 

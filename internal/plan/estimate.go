@@ -343,30 +343,20 @@ func estRowBytes(scan *TableScan) float64 {
 }
 
 // BuildDemand estimates join ji's query-wide build-side memory demand in
-// bytes (payload plus hash-table overhead, across every concurrently
-// building slice) and the rows one slice's build is expected to hold. The
-// executor compares the demand against the query's grant to spill
-// preemptively instead of guess-building.
-// Returns (0, 0) when the build side's cardinality is unknown.
-func (ph *Physical) BuildDemand(ji, nslices int) (totalBytes, perSliceRows int64) {
-	if ji < 0 || ji >= len(ph.Joins) || nslices <= 0 {
-		return 0, 0
+// bytes: payload plus hash-table overhead, across every concurrently
+// building slice. The executor compares it against the query's grant to
+// spill preemptively instead of guess-building. It is 0 when the build
+// side's cardinality is unknown.
+func (ph *Physical) BuildDemand(ji, nslices int) int64 {
+	if ji < 0 || ji >= len(ph.Joins) || nslices <= 0 || ph.Joins[ji].BuildScan.EstRows <= 0 {
+		return 0
 	}
 	pj := &ph.Joins[ji]
-	rows := pj.BuildScan.EstRows
-	if rows <= 0 {
-		return 0, 0
+	bytes := float64(pj.BuildScan.EstRows) * (estRowBytes(ph.Plan.Tables[pj.Probe.Join.Right]) + hashEntryBytes)
+	if pj.Probe.Join.Strategy == StrategyBroadcast {
+		bytes *= float64(nslices) // every slice builds the full inner side
 	}
-	step := pj.Probe.Join
-	right := ph.Plan.Tables[step.Right]
-	perRow := estRowBytes(right) + hashEntryBytes
-	switch step.Strategy {
-	case StrategyBroadcast:
-		// Every slice builds the full inner side.
-		return roundRows(float64(rows) * perRow * float64(nslices)), rows
-	default:
-		// Collocated/shuffled builds partition the inner side; all
-		// partitions are resident at once.
-		return roundRows(float64(rows) * perRow), (rows + int64(nslices) - 1) / int64(nslices)
-	}
+	// Collocated and shuffled builds partition the inner side; all
+	// partitions are resident at once.
+	return roundRows(bytes)
 }

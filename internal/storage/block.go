@@ -11,6 +11,7 @@ package storage
 import (
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"redshift/internal/compress"
@@ -75,7 +76,8 @@ type Block struct {
 	// Hash is the content hash used for incremental backup deduplication.
 	Hash [32]byte
 
-	enc atomic.Pointer[[]byte]
+	enc    atomic.Pointer[[]byte]
+	sealed []byte // the payload Seal encoded: enc points here, no header of its own
 }
 
 // Payload returns the encoded payload, or nil when evicted.
@@ -86,9 +88,6 @@ func (b *Block) Payload() []byte {
 	}
 	return *p
 }
-
-// setPayload installs a payload.
-func (b *Block) setPayload(data []byte) { b.enc.Store(&data) }
 
 // Seal encodes a vector into a block. The chosen encoding must be
 // applicable to the vector's type.
@@ -102,9 +101,12 @@ func Seal(id BlockID, v *types.Vector, enc compress.Encoding) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{ID: id, Rows: v.Len(), Hash: sha256.Sum256(payload)}
-	b.setPayload(payload)
+	b := &Block{ID: id, Rows: v.Len(), Hash: sha256.Sum256(payload), sealed: payload}
+	b.enc.Store(&b.sealed)
 	min, max, ok := v.MinMax()
+	// String bounds are copied out of v: a loaded vector's strings point
+	// into the text they were parsed from, which the block would pin.
+	min.S, max.S = strings.Clone(min.S), strings.Clone(max.S)
 	// !ok covers both the all-null and the empty block: neither can ever
 	// satisfy a range predicate, so both prune unconditionally.
 	b.Zone = ZoneMap{Min: min, Max: max, AllNull: !ok, HasNulls: v.HasNulls()}
@@ -120,7 +122,8 @@ var ErrNotResident = fmt.Errorf("storage: block not resident")
 func (b *Block) Resident() bool { return b.enc.Load() != nil }
 
 // Evict drops the payload, keeping metadata (zone map, hash, row count).
-// Used to model a restored-but-not-yet-fetched block.
+// Used to model a restored-but-not-yet-fetched block; a sealed block's
+// bytes stay allocated, as a reader may still hold them.
 func (b *Block) Evict() { b.enc.Store(nil) }
 
 // Fill restores an evicted payload, verifying the content hash.
@@ -128,7 +131,7 @@ func (b *Block) Fill(payload []byte) error {
 	if sha256.Sum256(payload) != b.Hash {
 		return fmt.Errorf("storage: block %s: payload hash mismatch", b.ID)
 	}
-	b.setPayload(payload)
+	b.enc.Store(&payload)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 
+	"redshift/internal/catalog"
 	"redshift/internal/compress"
 	"redshift/internal/types"
 )
@@ -28,6 +29,11 @@ type Segment struct {
 	// VACUUM, a resize copy — with Sorted set, so only the COMPOUND case
 	// says anything about a column's values.
 	Sorted bool
+	// Stats are the statistics of the segment's rows — rows, and per column
+	// null count, width sum, bounds and sketch — kept by the write that
+	// sealed it, as its blocks keep their zone maps. ANALYZE merges them;
+	// once the segment is installed nothing writes to them.
+	Stats catalog.TableStats
 }
 
 // NumBlocks returns the chain length (identical for every column).

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"redshift/internal/compress"
 	"redshift/internal/types"
@@ -38,6 +40,32 @@ func TestSealDecodeRoundTrip(t *testing.T) {
 	}
 	if blk.Encoding() != compress.Delta {
 		t.Errorf("Encoding = %v", blk.Encoding())
+	}
+}
+
+// A sealed block's string bounds are copies: a vector loaded from text holds
+// strings that point into that text, and a zone map that kept them would
+// keep the whole text alive as long as the block.
+func TestSealBoundsDoNotAliasTheVector(t *testing.T) {
+	text := strings.Repeat("x", 1<<10) + "apple|pear|fig"
+	v := types.NewVector(types.String, 3)
+	for _, s := range strings.Split(text[1<<10:], "|") {
+		v.Append(types.NewString(s))
+	}
+	for _, enc := range []compress.Encoding{compress.Raw, compress.Text, compress.LZ} {
+		blk, err := Seal(BlockID{Table: 1}, v, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+		for _, b := range []string{blk.Zone.Min.S, blk.Zone.Max.S} {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(b))); p >= lo && p < lo+uintptr(len(text)) {
+				t.Errorf("%s: zone bound %q points into the text the vector was cut from", enc, b)
+			}
+		}
+		if blk.Zone.Min.S != "apple" || blk.Zone.Max.S != "pear" {
+			t.Errorf("%s: zone [%q, %q], want [apple, pear]", enc, blk.Zone.Min.S, blk.Zone.Max.S)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"redshift/internal/catalog"
 )
 
 // launch builds a small warehouse with multi-block tables.
@@ -99,6 +101,55 @@ func TestBackupRestoreLifecycle(t *testing.T) {
 	again := w.MustExecute(`SELECT COUNT(*), SUM(amount) FROM events`).Rows[0]
 	if again[0].I != before[0].I {
 		t.Error("data changed after background restore")
+	}
+}
+
+// A restored table keeps its runs' statistics: ANALYZE right after a
+// streaming restore publishes what it published before the backup — row
+// and null counts, widths, bounds and sketch registers alike — and, merging
+// what the runs already know, pages in no block.
+func TestRestoreKeepsRunStatistics(t *testing.T) {
+	w := launch(t, Options{Nodes: 2})
+	seedEvents(t, w, 500)
+	w.MustExecute(`INSERT INTO events VALUES (1, 7, 'view', 0.5), (2, NULL, NULL, NULL), (3, 8, 'refund', -1)`)
+	w.MustExecute(`CREATE TABLE stores (id BIGINT, name VARCHAR(8)) DISTSTYLE ALL`)
+	w.MustExecute(`INSERT INTO stores VALUES (1, 'north'), (2, 'south'), (3, NULL)`)
+	analyzed := func(table string) catalog.TableStats {
+		t.Helper()
+		w.MustExecute(`ANALYZE ` + table)
+		def, err := w.DB().Catalog().Get(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := w.DB().Catalog().Stats(def.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *st
+	}
+	before := map[string]catalog.TableStats{"events": analyzed("events"), "stores": analyzed("stores")}
+	id, _, err := w.Backup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Restore(id, 2); err != nil {
+		t.Fatal(err)
+	}
+	for table, want := range before {
+		gets := w.BackupStore().Stats().Gets
+		got := analyzed(table)
+		if n := w.BackupStore().Stats().Gets - gets; n != 0 {
+			t.Errorf("%s: ANALYZE after the restore fetched %d blocks", table, n)
+		}
+		if got.Rows != want.Rows || got.UnsortedRows != want.UnsortedRows {
+			t.Errorf("%s: rows %d unsorted %d after the restore, %d and %d before", table, got.Rows, got.UnsortedRows, want.Rows, want.UnsortedRows)
+		}
+		for c, g := range got.Cols {
+			b := want.Cols[c]
+			if g.NDV != b.NDV || g.Min != b.Min || g.Max != b.Max || g.NullCount != b.NullCount || g.WidthSum != b.WidthSum || *g.Sketch != *b.Sketch {
+				t.Errorf("%s column %d: %+v after the restore, %+v before", table, c, g, b)
+			}
+		}
 	}
 }
 
