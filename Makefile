@@ -42,6 +42,7 @@ test: build
 # no lock. So does ANALYZE's block-scan differential: every slice seals its
 # run and the run's statistics concurrently, merging the statistics of runs
 # other writes installed, which must never be written again.
+# The DISTINCT spill test repeats ten: four workers spill as a cancel lands.
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/catalog ./internal/cluster ./internal/compress ./internal/core ./internal/exec ./internal/load ./internal/storage ./internal/telemetry ./internal/wire
@@ -60,6 +61,7 @@ race:
 	$(GO) test -race -count=20 -run TestWriteRollbackLeavesStats ./internal/core
 	$(GO) test -race -count=10 -run TestKeyTableDenseLayout ./internal/exec
 	$(GO) test -race -count=10 -run TestAnalyzeMatchesBlockScan ./internal/core
+	$(GO) test -race -count=10 -run TestSpillDistinctSpills ./internal/core
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
 
 # The suites whose subject is an interleaving, ten times over at one, two and

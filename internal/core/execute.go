@@ -65,8 +65,8 @@ type queryRun struct {
 	exBytes   map[int]*atomic.Int64
 	// gathered is the per-slice gather stream (non-aggregate plans), which
 	// the leader's merge consumes; aggTables the per-slice partial
-	// aggregates, aggGroups their group counts snapshotted before the
-	// leader merge.
+	// aggregates, aggGroups their group counts — spilled partitions' too —
+	// taken as the leader merge drains them.
 	gathered  [][]*exec.Batch
 	aggTables []*exec.GroupTable
 	aggGroups []int64
@@ -315,7 +315,8 @@ func (q *queryRun) execute(ctx context.Context) (*exec.Batch, error) {
 // results (partial group tables, or the gathered batch lists), the stages
 // are HAVING and the projection of an aggregate query, and the sink builds
 // the result — a one-worker TopNSink under ORDER BY, otherwise an ordered
-// collect cut at LIMIT — behind a DISTINCT sieve when one is asked for.
+// collect cut at LIMIT — behind a DISTINCT sieve over groups when one is
+// asked for.
 // Either sink yields exactly one freshly materialized, possibly empty batch;
 // what the sieve and the collect charge for it stays charged until the
 // query's tracker is released, since the caller still reads the batch. The
@@ -324,7 +325,14 @@ func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
 	ph := q.ph
 	var p *exec.Pipeline
 	if q.p.HasAgg {
+		partial := q.stats[ph.PartialAgg.ID]
 		ship := func(sl int, t *exec.GroupTable) {
+			groups := int64(t.NumGroups())
+			q.aggGroups[sl] += groups
+			partial.Rows.Add(groups)
+			if sl == 0 {
+				return
+			}
 			// Partial-state shipping accounts the real encoded state size.
 			shipped := t.StateBytes()
 			q.account(q.db.cl.Slice(sl).Node.ID, -1, shipped, cluster.TransferGather)
@@ -383,7 +391,8 @@ func (q *queryRun) runLeader(ctx context.Context) (*exec.Batch, error) {
 // shuffle; the stages are the join probes and — past the last join — the
 // residual filter and the projection; the sink is the routed send into
 // join hi's probe shuffle or, for the last segment, the slice's result:
-// partial aggregation, ordered distinct, top-N or the plain ordered gather.
+// partial aggregation (DISTINCT over rows included), top-N or the plain
+// ordered gather.
 //
 // A join whose build overflowed its grant pins the segment to one worker
 // (the join is already over its grant, and more workers would each hold a
@@ -469,12 +478,11 @@ func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, 
 		if err := p.Run(ctx); err != nil {
 			return err
 		}
-		// The slice's output is its merged table, counted once: rows = groups,
-		// whatever the worker count.
+		// The slice's output is its merged table, counted once whatever the
+		// worker count; its rows are its groups, counted as the leader
+		// drains them.
 		q.aggTables[sl] = sink.Table()
-		q.aggGroups[sl] = int64(sink.Table().NumGroups())
 		p.SinkStats.Batches.Add(1)
-		p.SinkStats.Rows.Add(q.aggGroups[sl])
 		return nil
 	}
 
@@ -496,25 +504,11 @@ func (q *queryRun) runSegment(ctx context.Context, sl int, recv *plan.PhysNode, 
 		q.gathered[sl] = append(q.gathered[sl], b)
 		return nil
 	}
-	switch {
-	case ph.Distinct != nil:
-		// The ordered tail drops duplicates against everything the slice
-		// already emitted. Several workers each pre-sieve their own stream
-		// first: a worker's sequences increase, so the globally first
-		// occurrence of any key always survives its worker's sieve, and the
-		// tail still sees — and keeps — exactly the one-worker survivors.
-		if p.Workers() > 1 {
-			p.Stages = append(p.Stages, exec.Stage{New: func() (exec.StageFn, error) {
-				return exec.NewDeduper(q.memCtx(ph.Distinct)).Apply, nil
-			}})
-		}
-		st := q.stats[ph.Distinct.ID]
-		p.Sink, p.SinkStats = exec.NewOrderedSink(exec.NewDeduper(q.memCtx(ph.Distinct)).Emit(st, gather)), st
-	case ph.TopN != nil:
+	if ph.TopN != nil {
 		st := q.stats[ph.TopN.ID]
 		mem := func() *exec.MemContext { return q.memCtx(ph.TopN) }
 		p.Sink, p.SinkStats = exec.NewTopNSink(q.p.OrderBy, q.p.Limit, len(q.p.Project), mem, st, gather), st
-	default:
+	} else {
 		p.Sink = exec.NewOrderedSink(gather)
 	}
 	return p.Run(ctx)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -182,39 +183,56 @@ func TestSpillCancelMidLeaderSortCleansUp(t *testing.T) {
 	assertQuiescent(t, db)
 }
 
-// TestSpillDistinctIsCharged: the slice-local DISTINCT's seen-sets — each
-// worker's pre-sieve and the ordered tail — grow inside the query's grant, as
-// the leader's does (a Deduper cannot spill, so the charge is forced): a
-// 50000-distinct-row SELECT DISTINCT shows mem_peak on partial-distinct at
-// one worker a slice and at four, and everything charged comes back after the
-// statement and after a cancel that lands while the sets are growing.
-func TestSpillDistinctIsCharged(t *testing.T) {
+// TestSpillDistinctSpills: a SELECT DISTINCT is the GROUP BY of its select
+// list, so its slices' partial aggregation spills like any GROUP BY's. Under
+// a 1 MiB grant 50000 distinct rows show spill_bytes on partial-agg at one
+// worker a slice and at four, return the rows an ungoverned run returns,
+// and give back everything charged and written — after the statement, and
+// after a cancel that lands mid-spill.
+func TestSpillDistinctSpills(t *testing.T) {
 	db := openSpillDB(t, 1<<20, t.TempDir(), 50*time.Microsecond)
 	seedSpillWide(t, db, 50000)
 	mustExec(t, db, `SET result_cache TO off`)
 	const query = `SELECT DISTINCT id, grp, val FROM wide`
+	// Block reads are slowed only while a cancel is aimed.
+	db.inj.SetEnabled(false)
+	sortedRows := func() string {
+		lines := strings.Split(rowsText(mustExec(t, db, query)), "\n")
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	mustExec(t, db, `SET work_mem TO 0`)
+	want := sortedRows()
+	mustExec(t, db, `SET work_mem TO default`)
+	if n := strings.Count(want, "\n"); n != 50000 {
+		t.Fatalf("ungoverned DISTINCT returned %d rows, want 50000", n)
+	}
 
 	for _, dop := range []int{1, 4} {
 		mustExec(t, db, fmt.Sprintf(`SET max_parallel_workers TO %d`, dop))
 		res := mustExec(t, db, `EXPLAIN ANALYZE `+query)
 		var line string
 		for _, r := range res.Rows {
-			if l := strings.TrimSpace(r[0].S); strings.HasPrefix(l, "partial-distinct ") {
+			if l := strings.TrimSpace(r[0].S); strings.HasPrefix(l, "partial-agg ") {
 				line = l
 			}
 		}
-		if !strings.Contains(line, "rows=50000") || !strings.Contains(line, "mem_peak=") {
-			t.Errorf("dop=%d: partial-distinct line = %q, want rows=50000 and a mem_peak", dop, line)
+		if !strings.Contains(line, "rows=50000") || !strings.Contains(line, "spill_bytes=") {
+			t.Errorf("dop=%d: partial-agg line = %q, want rows=50000 and spill_bytes", dop, line)
+		}
+		if got := sortedRows(); got != want {
+			t.Errorf("dop=%d: spilled DISTINCT rows differ from the ungoverned run's", dop)
+		}
+		assertQuiescent(t, db)
+
+		db.inj.SetEnabled(true)
+		err := abortMidSpill(t, db, query, spilled, func(qid int64) { db.Cancel(qid) })
+		db.inj.SetEnabled(false)
+		if err == nil || !strings.Contains(err.Error(), "cancel") {
+			t.Fatalf("dop=%d: query cancelled mid-spill returned err = %v", dop, err)
 		}
 		assertQuiescent(t, db)
 	}
-
-	charged := func(q inflight) bool { return q.mem.Used() > 64<<10 }
-	err := abortMidSpill(t, db, query, charged, func(qid int64) { db.Cancel(qid) })
-	if err == nil || !strings.Contains(err.Error(), "cancel") {
-		t.Fatalf("query cancelled mid-DISTINCT returned err = %v", err)
-	}
-	assertQuiescent(t, db)
 }
 
 // TestSpillTimeoutMidSpillCleansUp: same invariants when the abort comes

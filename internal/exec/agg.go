@@ -643,12 +643,15 @@ func (g *GroupTable) Merge(o *GroupTable) error {
 // it overflowed. Adopted groups are charged to g's tracker (forced: the
 // leader merge works over shipped states, which cannot re-spill).
 func (g *GroupTable) MergeCtx(ctx context.Context, o *GroupTable) error {
-	return o.drain(ctx, func(t *GroupTable) error {
-		if n := t.NumGroups(); n > 0 {
-			g.mergeStates(t, g.adoptKeys(t, 0, n))
-		}
-		return nil
-	})
+	return o.drain(ctx, g.adopt)
+}
+
+// adopt folds t's resident groups into g.
+func (g *GroupTable) adopt(t *GroupTable) error {
+	if n := t.NumGroups(); n > 0 {
+		g.mergeStates(t, g.adoptKeys(t, 0, n))
+	}
+	return nil
 }
 
 // adoptKeys inserts src's resident group keys [lo, hi), in order, and
@@ -675,10 +678,10 @@ func (g *GroupTable) mergeStates(src *GroupTable, remap []uint32) {
 // NumGroups returns the number of distinct grouping keys resident.
 func (g *GroupTable) NumGroups() int { return g.kt.Len() }
 
-// StateBytes is the encoded size of the table's partial state — group keys
-// plus accumulators — i.e. what a slice actually ships to the leader.
-// Spilled partitions count at their on-disk size: those rows move to the
-// leader too, just via re-aggregation at drain time.
+// StateBytes is the encoded size of the table's resident partial state —
+// group keys plus accumulators — i.e. what a slice ships to the leader for
+// them. A spilled table's partitions ship as the states they re-aggregate
+// into, counted as the drain visits them.
 func (g *GroupTable) StateBytes() int64 {
 	var n int64
 	for _, v := range g.keys {
@@ -688,14 +691,6 @@ func (g *GroupTable) StateBytes() int64 {
 	}
 	for _, c := range g.cols {
 		n += c.shipBytes()
-	}
-	if g.spill != nil {
-		for _, part := range g.spill.parts {
-			n += part.bytes
-			if part.pend != nil {
-				n += part.pend.ByteSize() // not framed yet
-			}
-		}
 	}
 	return n
 }

@@ -59,8 +59,11 @@ func (s *BatchSource) Next(ctx context.Context) (*Batch, error) {
 // the merge correct when slice tables spilled: draining a spilled table
 // interleaves resident and re-aggregated groups, and merging into a table
 // with its own pending partitions would double-emit keys. ship observes
-// each non-leader table before merging (gather-transfer accounting). The
-// tables stay the caller's to release.
+// every table the merge drains out of slice sl's result — the resident
+// groups, then each re-aggregated partition's — before merging it, so its
+// group counts add up to the slice's groups, spilled or not (gather-
+// transfer accounting, per-slice group counts). The tables stay the
+// caller's to release.
 type GroupMergeOp struct {
 	leader *GroupTable
 	tables []*GroupTable
@@ -79,10 +82,13 @@ func (o *GroupMergeOp) Next(ctx context.Context) (*Batch, error) {
 	}
 	o.done = true
 	for sl, t := range o.tables {
-		if sl > 0 && o.ship != nil {
-			o.ship(sl, t)
-		}
-		if err := o.leader.MergeCtx(ctx, t); err != nil {
+		err := t.drain(ctx, func(part *GroupTable) error {
+			if o.ship != nil {
+				o.ship(sl, part)
+			}
+			return o.leader.adopt(part)
+		})
+		if err != nil {
 			return nil, err
 		}
 	}

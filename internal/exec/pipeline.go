@@ -147,18 +147,14 @@ type Pipeline struct {
 	Fanout *FanoutStats   // may be nil
 }
 
-// Workers is how many workers Run will use.
-func (p *Pipeline) Workers() int {
-	if p.Scan != nil {
-		return len(p.Scan.Scanners)
-	}
-	return 1
-}
-
-// Run drives the pipeline to exhaustion. Cancellation is checked once per
-// morsel, so an aborted query unwinds within one batch boundary.
+// Run drives the pipeline to exhaustion, with one worker per scanner of a
+// scan source. Cancellation is checked once per morsel, so an aborted query
+// unwinds within one batch boundary.
 func (p *Pipeline) Run(ctx context.Context) error {
-	n := p.Workers()
+	n := 1
+	if p.Scan != nil {
+		n = len(p.Scan.Scanners)
+	}
 	defer p.Sink.Close()
 	if err := p.Sink.Open(n); err != nil {
 		return err

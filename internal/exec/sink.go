@@ -263,9 +263,8 @@ func collectSorted(ctx context.Context, sorter *ExternalSorter, limit int64) (*B
 }
 
 // Deduper drops rows it has already seen, first occurrence winning: the
-// one implementation behind the slice-local DISTINCT (per-worker pre-sieve
-// and the ordered final pass alike) and the leader's DISTINCT. The seen-set
-// is a KeyTable over all of the batch's columns.
+// leader's DISTINCT over groups (DISTINCT over rows is a GROUP BY). The
+// seen-set is a KeyTable over all of the batch's columns.
 type Deduper struct {
 	seen    *KeyTable
 	hashes  []uint64
@@ -280,8 +279,9 @@ func NewDeduper(mc *MemContext) *Deduper {
 	return &Deduper{seen: NewKeyTable(), mc: mc}
 }
 
-// Select returns the positions of b's rows not seen before, in order.
-func (d *Deduper) Select(b *Batch) []int {
+// Apply is a StageFn keeping b's rows not seen before, in order: b itself
+// when every row is new, otherwise a gathered copy of the new ones.
+func (d *Deduper) Apply(b *Batch) (*Batch, error) {
 	next := uint32(d.seen.Len())
 	d.hashes = hashKeys(b.Cols, b.N, d.hashes)
 	d.ids = d.seen.FindOrInsert(b.Cols, d.hashes, nil, d.ids)
@@ -294,35 +294,8 @@ func (d *Deduper) Select(b *Batch) []int {
 	}
 	d.mc.grow(d.seen.Bytes() - d.charged)
 	d.charged = d.seen.Bytes()
-	return sel
-}
-
-// Apply is Select as a StageFn: b itself when every row is new, otherwise a
-// gathered copy of the new ones.
-func (d *Deduper) Apply(b *Batch) (*Batch, error) {
-	if sel := d.Select(b); len(sel) < b.N {
+	if len(sel) < b.N {
 		return b.Gather(sel), nil
 	}
 	return b, nil
-}
-
-// Emit returns the ordered tail of a slice-local DISTINCT: each batch is
-// deduplicated against everything emitted before it, and what survives is
-// counted into st (may be nil) and passed on to next. It takes ownership
-// of its batch, as an OrderedSink's emit must.
-func (d *Deduper) Emit(st *OpStats, next func(*Batch) error) func(*Batch) error {
-	return func(b *Batch) error {
-		sel := d.Select(b)
-		switch {
-		case len(sel) == 0:
-			PutBatch(b)
-			return nil
-		case len(sel) < b.N:
-			kept := b.Gather(sel)
-			PutBatch(b)
-			b = kept
-		}
-		st.count(b)
-		return next(b)
-	}
 }

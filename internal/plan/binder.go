@@ -38,7 +38,6 @@ func BuildWith(cat *catalog.Catalog, stmt *sql.Select, opts Options) (*Plan, err
 	if err := b.bindOrderBy(stmt.OrderBy); err != nil {
 		return nil, err
 	}
-	b.plan.Distinct = stmt.Distinct
 	b.pruneColumns()
 	b.plan.physical = BuildPhysical(b.plan)
 	b.plan.EstCost = estPlanCost(b.plan)
@@ -74,10 +73,6 @@ type binder struct {
 	// cost model. leftRows is -1 when unknown.
 	leftRows     int64
 	leftRowBytes float64
-	// starOrder, when non-nil, lists table indexes in the query's original
-	// FROM order; join reordering sets it so `SELECT *` expands columns in
-	// the order the user wrote, keeping results identical across plans.
-	starOrder []int
 }
 
 // errf builds a uniform planner error.
@@ -372,15 +367,15 @@ func (b *binder) pushable(ti int) bool {
 
 // bindSelectList expands *, detects aggregation and binds projections.
 func (b *binder) bindSelectList(stmt *sql.Select) error {
-	// Expand * into per-table column refs.
+	// Expand * into per-table column refs (a reordered join's statement
+	// arrives with its * already expanded in written order).
 	var items []sql.SelectItem
 	for _, item := range stmt.Items {
 		if !item.Star {
 			items = append(items, item)
 			continue
 		}
-		for _, ti := range b.starTables() {
-			scan := b.plan.Tables[ti]
+		for ti, scan := range b.plan.Tables {
 			for _, col := range scan.Def.Columns {
 				items = append(items, sql.SelectItem{
 					Expr: &sql.ColumnRef{Table: b.refNames[ti], Column: col.Name},
@@ -398,11 +393,22 @@ func (b *binder) bindSelectList(stmt *sql.Select) error {
 			hasAgg = true
 		}
 	}
-	b.plan.HasAgg = hasAgg
+	// DISTINCT over rows is the GROUP BY of its select list, so it
+	// deduplicates — and spills — the way an aggregation does. Only
+	// DISTINCT over groups keeps a leader-side dedup.
+	keys := stmt.GroupBy
+	if stmt.Distinct && !hasAgg {
+		keys = make([]sql.Expr, len(items))
+		for i, item := range items {
+			keys[i] = item.Expr
+		}
+	}
+	b.plan.HasAgg = hasAgg || stmt.Distinct
+	b.plan.Distinct = stmt.Distinct && hasAgg
 
 	// GROUP BY keys bind over the joined layout, and first: under an
 	// aggregation, projections and HAVING bind over [groups..., aggs...].
-	for _, g := range stmt.GroupBy {
+	for _, g := range keys {
 		e, err := b.bindExpr(g)
 		if err != nil {
 			return err

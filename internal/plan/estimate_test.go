@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
 	"redshift/internal/catalog"
@@ -196,6 +197,42 @@ func TestStarExpansionSurvivesReorder(t *testing.T) {
 		if p.FieldNames[i] != w {
 			t.Errorf("field[%d] = %s, want %s (original FROM order)", i, p.FieldNames[i], w)
 		}
+	}
+}
+
+// The reorder resolves names through the binder. A reordered `SELECT *`
+// projects each written column from its own table. An ON column that is
+// ambiguous across the FROM list keeps the written order, which binds when
+// the column is unique among the tables joined so far, and is the binder's
+// error when it is not.
+func TestReorderResolvesThroughBinder(t *testing.T) {
+	cat := starCatalog(t)
+	p := build(t, cat, `SELECT * FROM dimmed m JOIN fact f ON f.d2 = m.mid JOIN dimsmall s ON f.d1 = s.sid`)
+	if got := p.Tables[0].Def.Name; got != "fact" {
+		t.Fatalf("base table = %s, want fact (reordered)", got)
+	}
+	for i, e := range p.Project {
+		c := e.(*Col)
+		for _, scan := range p.Tables {
+			if c.Index >= scan.BaseCol && c.Index < scan.BaseCol+len(scan.Def.Columns) &&
+				scan.Def.Columns[c.Index-scan.BaseCol].Name != p.FieldNames[i] {
+				t.Errorf("field %d %s projects %s.%s", i, p.FieldNames[i], scan.Def.Name, scan.Def.Columns[c.Index-scan.BaseCol].Name)
+			}
+		}
+	}
+
+	// d2 is a column of f and f2 alike, but only f is joined when the first
+	// ON binds in written order. Qualified, the same join reorders.
+	const join = `SELECT f.id FROM dimmed m JOIN fact f ON %s = m.mid JOIN fact f2 ON f.id = f2.id`
+	if got := build(t, cat, fmt.Sprintf(join, "d2")).Tables[0].Def.Name; got != "dimmed" {
+		t.Errorf("base table = %s, want dimmed (written order kept)", got)
+	}
+	if got := build(t, cat, fmt.Sprintf(join, "f.d2")).Tables[0].Def.Name; got != "fact" {
+		t.Errorf("qualified: base table = %s, want fact (reordered)", got)
+	}
+	err := buildErr(t, cat, `SELECT f.id FROM fact f JOIN fact f2 ON f.id = f2.id JOIN dimsmall s ON d1 = s.sid`)
+	if err.Error() != "plan: column reference d1 is ambiguous" {
+		t.Errorf("err = %v, want the binder's ambiguity error", err)
 	}
 }
 

@@ -31,8 +31,6 @@ const (
 	PhysHaving
 	// PhysProject computes the output expressions.
 	PhysProject
-	// PhysPartialDistinct drops duplicate projected rows slice-locally.
-	PhysPartialDistinct
 	// PhysSliceTopN keeps each slice's top LIMIT rows under ORDER BY.
 	PhysSliceTopN
 	// PhysLeaderMerge gathers slice streams on the leader, in slice order.
@@ -118,7 +116,6 @@ type Physical struct {
 	LeaderAgg  *PhysNode  // nil unless HasAgg
 	Having     *PhysNode  // nil unless HasAgg with HAVING
 	Project    *PhysNode
-	Distinct   *PhysNode // slice-local pre-dedup; nil unless non-agg DISTINCT
 	TopN       *PhysNode // nil unless SliceTopN() applies
 	Merge      *PhysNode // gather-to-leader; nil when HasAgg
 	Finalize   *PhysNode // always the root
@@ -127,7 +124,7 @@ type Physical struct {
 // SliceTopN reports whether ORDER BY + LIMIT push down to slices: each
 // slice sorts and truncates locally so the leader sorts tiny inputs.
 func (p *Plan) SliceTopN() bool {
-	return len(p.OrderBy) > 0 && p.Limit >= 0 && !p.Distinct
+	return len(p.OrderBy) > 0 && p.Limit >= 0
 }
 
 // BuildPhysical lowers a logical plan into the physical operator tree the
@@ -211,12 +208,6 @@ func BuildPhysical(p *Plan) *Physical {
 	} else {
 		cur = node(&PhysNode{Kind: PhysProject, EstRows: cur.EstRows, Width: len(p.Project), Children: []*PhysNode{cur}})
 		ph.Project = cur
-		if p.Distinct {
-			// Dedup keeps at most its input; without projected-column NDVs
-			// the input bound is the best statistics offer.
-			cur = node(&PhysNode{Kind: PhysPartialDistinct, EstRows: cur.EstRows, Width: cur.Width, Children: []*PhysNode{cur}})
-			ph.Distinct = cur
-		}
 		if p.SliceTopN() {
 			cur = node(&PhysNode{Kind: PhysSliceTopN, EstRows: limited(cur.EstRows), Width: cur.Width, Children: []*PhysNode{cur}})
 			ph.TopN = cur
@@ -255,8 +246,6 @@ func (n *PhysNode) SpanName() string {
 		return "having"
 	case PhysProject:
 		return "project"
-	case PhysPartialDistinct:
-		return "partial-distinct"
 	case PhysSliceTopN:
 		return "slice-topn"
 	default:
@@ -336,8 +325,6 @@ func (ph *Physical) lines(n *PhysNode) []string {
 		return []string{ann(fmt.Sprintf("XN Filter: %s", p.Where))}
 	case PhysProject:
 		return []string{ann("XN Project")}
-	case PhysPartialDistinct:
-		return []string{ann("XN Partial Unique")}
 	case PhysSliceTopN:
 		return []string{ann(fmt.Sprintf("XN SliceTopN (order by: %s; limit %d)", orderKeys(p), p.Limit))}
 	case PhysExchange:

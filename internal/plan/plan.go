@@ -148,9 +148,11 @@ type Plan struct {
 	// the aggregate layout when HasAgg).
 	Project    []Expr
 	FieldNames []string
-	Distinct   bool
-	OrderBy    []OrderKey
-	Limit      int64 // -1 = none
+	// Distinct drops duplicate output rows at the leader: DISTINCT over
+	// groups only, since DISTINCT over rows binds as a GROUP BY.
+	Distinct bool
+	OrderBy  []OrderKey
+	Limit    int64 // -1 = none
 	// EstCost is the plan's scalar cost estimate — the sum of estimated
 	// rows flowing through every physical node — or -1 when any node's
 	// cardinality is unknown. The WLM's short-query fast lane compares it

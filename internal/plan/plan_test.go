@@ -551,6 +551,40 @@ func TestExplainScalarAggAndDistinct(t *testing.T) {
 	}
 }
 
+// A DISTINCT over rows is the GROUP BY of its select list: it lowers to the
+// partial/leader aggregation with the select items as keys, no leader
+// dedup and no gather.
+func TestDistinctLowersToGroupBy(t *testing.T) {
+	cat := testCatalog(t)
+	p := build(t, cat, `SELECT DISTINCT category, price * 2 AS dbl FROM products WHERE id > 3`)
+	if !p.HasAgg || p.Distinct || len(p.Aggs) != 0 {
+		t.Fatalf("HasAgg=%v Distinct=%v aggs=%v", p.HasAgg, p.Distinct, p.Aggs)
+	}
+	if len(p.GroupBy) != 2 || p.GroupBy[0].String() != "category#1" || p.GroupBy[1].String() != "(price#2 * 2.0)" {
+		t.Errorf("group keys = %v", p.GroupBy)
+	}
+	for i, e := range p.Project {
+		if c, ok := e.(*Col); !ok || c.Index != i {
+			t.Errorf("project[%d] = %v, want group key %d", i, e, i)
+		}
+	}
+	if got := p.FieldNames; got[0] != "category" || got[1] != "dbl" {
+		t.Errorf("names = %v", got)
+	}
+	ph := p.Physical()
+	if ph.PartialAgg == nil || ph.LeaderAgg == nil || ph.Merge != nil || ph.TopN != nil {
+		t.Errorf("lowered to partial=%v leader=%v merge=%v topn=%v", ph.PartialAgg, ph.LeaderAgg, ph.Merge, ph.TopN)
+	}
+	if out := p.Explain(); strings.Contains(out, "Unique") || !strings.Contains(out, "XN Partial HashAggregate (groups: category#1, (price#2 * 2.0))") {
+		t.Errorf("EXPLAIN:\n%s", out)
+	}
+	// A constant item is a key too: over an empty table a keyless
+	// aggregation would still return a row.
+	if p := build(t, cat, `SELECT DISTINCT 1 FROM products`); len(p.GroupBy) != 1 {
+		t.Errorf("constant DISTINCT keys = %v", p.GroupBy)
+	}
+}
+
 func TestJoinStrategyStrings(t *testing.T) {
 	if StrategyCollocated.String() != "DS_DIST_NONE" ||
 		StrategyBroadcast.String() != "DS_BCAST_INNER" ||

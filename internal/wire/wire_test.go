@@ -3,10 +3,14 @@ package wire
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"redshift/internal/core"
+	"redshift/internal/faults"
 	"redshift/internal/types"
 )
 
@@ -141,4 +145,88 @@ func TestServerCloseDropsClients(t *testing.T) {
 	if _, err := Dial(addr); err == nil {
 		t.Error("dial succeeded after close")
 	}
+}
+
+// flakyExec fails its first fail statements, marked retryable or not, then
+// answers; calls counts every statement it ran.
+type flakyExec struct {
+	fail      int64
+	retryable bool
+	calls     *atomic.Int64
+}
+
+func (flakyExec) Close() {}
+
+func (e flakyExec) ExecuteContext(context.Context, string) (*core.Result, error) {
+	if n := e.calls.Add(1); n <= e.fail {
+		err := fmt.Errorf("attempt %d failed", n)
+		if e.retryable {
+			err = faults.MarkRetryable(err)
+		}
+		return nil, err
+	}
+	return &core.Result{Message: "OK"}, nil
+}
+
+// TestQueryRetry: QueryRetry resends a statement while the server marks its
+// failure retryable, and only then: a plain error returns after one attempt,
+// an exhausted policy returns the last error reply, and a closed connection
+// returns the transport error.
+func TestQueryRetry(t *testing.T) {
+	policy := faults.Policy{MaxAttempts: 4, Base: time.Microsecond, Max: time.Microsecond}
+	dial := func(e flakyExec) *Client {
+		srv := NewSessionServer(func() SessionExecutor { return e })
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	for _, tc := range []struct {
+		name      string
+		fail      int64
+		retryable bool
+		calls     int64
+		errReply  string
+	}{
+		{"retried-until-success", 3, true, 4, ""},
+		{"not-retryable", 3, false, 1, "attempt 1 failed"},
+		{"exhausted", 9, true, 4, "attempt 4 failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := &atomic.Int64{}
+			c := dial(flakyExec{fail: tc.fail, retryable: tc.retryable, calls: calls})
+			resp, err := c.QueryRetry(context.Background(), "SELECT", policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := calls.Load(); n != tc.calls {
+				t.Errorf("server ran %d attempts, want %d", n, tc.calls)
+			}
+			switch {
+			case tc.errReply == "" && (resp.Error != "" || resp.Message != "OK"):
+				t.Errorf("reply = %+v, want the answer", resp)
+			case tc.errReply != "" && (!strings.Contains(resp.Error, tc.errReply) || resp.Retryable != tc.retryable):
+				t.Errorf("reply error = %q (retryable %v), want %q (retryable %v)", resp.Error, resp.Retryable, tc.errReply, tc.retryable)
+			}
+		})
+	}
+	t.Run("closed-connection", func(t *testing.T) {
+		calls := &atomic.Int64{}
+		c := dial(flakyExec{fail: 9, retryable: true, calls: calls})
+		c.Close()
+		resp, err := c.QueryRetry(context.Background(), "SELECT", policy)
+		if err == nil || resp != nil || !strings.Contains(err.Error(), "wire: send") {
+			t.Errorf("QueryRetry on a closed connection = %+v, %v; want the send error", resp, err)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("server ran %d attempts", n)
+		}
+	})
 }

@@ -10,8 +10,10 @@ import (
 // statsBattery exercises the counters most at risk of double counting
 // under several workers — a pruning filter (blocks_skipped), a join
 // (probe-side rows), a grand aggregate (partial-agg batches) — with one
-// query per sink kind (partial aggregation, ordered distinct, top-N, plain
-// gather), plus the two shapes that cut a slice's plan into more than one
+// query per sink kind (partial aggregation, top-N, plain gather), a
+// DISTINCT (a GROUP BY of its select list) and an aggregation that spills
+// under a 64 KiB work_mem (its slices' groups counted spilled partitions
+// included), plus the two shapes that cut a slice's plan into more than one
 // pipeline: a DS_DIST_BOTH join (cut at the probe shuffle) and a join whose
 // build spills under a 64 KiB work_mem (cut at the grace join, one worker).
 var statsBattery = []struct {
@@ -22,7 +24,8 @@ var statsBattery = []struct {
 		FROM events e JOIN users u ON e.user_id = u.id
 		GROUP BY u.segment ORDER BY u.segment`, ""},
 	{"agg-grand", `SELECT COUNT(*), SUM(amount) FROM events`, ""},
-	{"distinct", `SELECT DISTINCT user_id, kind FROM events ORDER BY user_id, kind`, ""},
+	{"agg-distinct", `SELECT DISTINCT user_id, kind FROM events ORDER BY user_id, kind`, ""},
+	{"agg-spill", `SELECT ts, user_id, COUNT(*) AS n FROM events GROUP BY ts, user_id ORDER BY ts, user_id`, "64KB"},
 	{"top-n", `SELECT kind, ts FROM events ORDER BY kind LIMIT 100`, ""},
 	{"gather", `SELECT ts, user_id, amount FROM events WHERE amount >= 5 ORDER BY amount, ts`, ""},
 	{"dist-both", distBothQuery, ""},

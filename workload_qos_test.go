@@ -149,7 +149,11 @@ func twinWorkload(seed int64) workload.Workload {
 // TestWorkloadQoSSingleQueueTwin replays the identical pinned stream
 // against a single shared queue with the same total slot count — the
 // ablation. Dashboard shorts head-of-line block behind ETL transforms
-// there, so the named-queue run's short-query tail must beat the twin's.
+// there, so the named-queue run's shorts must wait less in the WLM queue
+// than the twin's. The comparison is of queue wait, not of wall-clock
+// latency: a short's run time moves with whatever else loads the machine,
+// but whether it waits behind a transform's slot is the queue layout's
+// doing.
 func TestWorkloadQoSSingleQueueTwin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -167,16 +171,16 @@ func TestWorkloadQoSSingleQueueTwin(t *testing.T) {
 		return named, single
 	}
 	named, single := measure(42)
-	if named.P99 < single.P99 {
-		t.Logf("short-query p99: named queues %v < single queue %v (avg wait %v vs %v)",
-			named.P99, single.P99, named.AvgWait, single.AvgWait)
+	t.Logf("short-query avg queue wait: named queues %v, single queue %v (p99 %v vs %v)",
+		named.AvgWait, single.AvgWait, named.P99, single.P99)
+	if named.AvgWait < single.AvgWait {
 		return
 	}
 	// One retry with a fresh seed before declaring a QoS regression: the
 	// ordering is structural, but a CI scheduler hiccup can smear one run.
 	named2, single2 := measure(43)
-	if named2.P99 >= single2.P99 {
-		t.Errorf("fast lane lost to the single-queue twin twice: %v vs %v, then %v vs %v",
-			named.P99, single.P99, named2.P99, single2.P99)
+	if named2.AvgWait >= single2.AvgWait {
+		t.Errorf("fast lane waited no less than the single-queue twin twice: %v vs %v, then %v vs %v",
+			named.AvgWait, single.AvgWait, named2.AvgWait, single2.AvgWait)
 	}
 }
